@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .classads import AdKind, ClassAd
+from . import wire
+from .classads import AdKind, ClassAd, ad_to_json
 from .classads.exprs import Literal
 from .classads.values import text
 from .conftree import TreeNode
@@ -194,21 +195,15 @@ class InfoService:
     def __init__(self, config: TreeNode, live: LiveSource | None = None):
         self.tree = build_info_tree(config)
         self.live = live
+        self.handle_message = wire.dispatcher({"INFO_QUERY": self._info_query})
 
-    def handle_message(self, msg: dict) -> dict:
-        from . import wire
-        if not isinstance(msg, dict) or "type" not in msg or "id" not in msg:
-            return wire.error_reply(msg.get("id") if isinstance(msg, dict) else None,
-                                    "malformed", "request needs type and id fields")
-        if msg["type"] != "INFO_QUERY":
-            return wire.error_reply(msg["id"], "unsupported",
-                                    f"unknown request type {msg['type']!r}")
+    def _info_query(self, msg: dict) -> dict:
         prefix = msg.get("prefix", "")
         if not isinstance(prefix, str):
-            return wire.error_reply(msg["id"], "malformed", "prefix must be text")
+            raise wire.RequestError("malformed", "prefix must be text")
         entries = [{"dn": dn, "attributes": attrs}
                    for dn, attrs in query_info(self.tree, prefix, self.live)]
-        return {"id": msg["id"], "result": {"entries": entries}}
+        return {"entries": entries}
 
 
 def parse_gridmap(text_body: str) -> list[str]:
@@ -227,7 +222,6 @@ def parse_gridmap(text_body: str) -> list[str]:
 def advertise_once(config: TreeNode, send: Callable[[dict], dict],
                    gridmap: Iterable[str], ttl_seconds: float) -> list[str]:
     """Generate ads from the config and push each to the matchmaker."""
-    from .classads import ad_to_json
     ads = generate_classads(select_patterns(config))
     pushed = []
     for ad in ads:

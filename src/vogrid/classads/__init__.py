@@ -5,7 +5,7 @@ from .ads import (AdKind, ClassAd, ad_from_json, ad_to_json, format_classad,
 from .evaluator import evaluate
 from .exprs import AttrRef, Binary, Call, Expr, Literal, Scope, Unary, format_expr
 from .parser import ParseError, parse_expr
-from .registry import EMPTY_REGISTRY, DuplicateFunction, FnRegistry, register_function
+from .registry import EMPTY_REGISTRY, DuplicateFunction, FnRegistry
 from .values import (ERROR, FALSE, TRUE, UNDEFINED, Value, ValueKind, boolean,
                      format_value, integer, real, text)
 
@@ -14,6 +14,6 @@ __all__ = [
     "parse_classad", "symmetric_match", "evaluate", "AttrRef", "Binary", "Call",
     "Expr", "Literal", "Scope", "Unary", "format_expr", "ParseError",
     "parse_expr", "EMPTY_REGISTRY", "DuplicateFunction", "FnRegistry",
-    "register_function", "ERROR", "FALSE", "TRUE", "UNDEFINED", "Value",
-    "ValueKind", "boolean", "format_value", "integer", "real", "text",
+    "ERROR", "FALSE", "TRUE", "UNDEFINED", "Value", "ValueKind", "boolean",
+    "format_value", "integer", "real", "text",
 ]

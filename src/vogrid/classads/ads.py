@@ -10,6 +10,7 @@ the same ad is read as a text literal, so `Station_ID = foo` means
 
 from __future__ import annotations
 
+import math
 import re
 from enum import Enum
 from typing import Iterator, Optional
@@ -47,6 +48,28 @@ class ClassAd:
     def lookup(self, name: str) -> Optional[Expr]:
         display = self._folded.get(name.lower())
         return self._attrs[display] if display is not None else None
+
+    def evaluate_self(self, name: str) -> values.Value:
+        """The attribute alone: SELF is this ad, no OTHER, no functions."""
+        expr = self.lookup(name)
+        if expr is None:
+            return values.UNDEFINED
+        return evaluate(expr, self, None, EMPTY_REGISTRY)
+
+    def self_text(self, name: str) -> Optional[str]:
+        """The attribute's text, or None when it is not text."""
+        v = self.evaluate_self(name)
+        return v.data if v.kind is values.ValueKind.TEXT else None
+
+    def self_quantity(self, name: str) -> Optional[float]:
+        """A finite nonnegative number, or None for Undefined; else ValueError."""
+        v = self.evaluate_self(name)
+        if v.kind is values.ValueKind.UNDEFINED:
+            return None
+        x = v.as_real() if v.is_numeric() else math.nan
+        if not 0 <= x < math.inf:
+            raise ValueError(f"ad {self.ad_id!r}: {name} must be a nonnegative number")
+        return x
 
     def names(self) -> Iterator[str]:
         return iter(self._attrs)

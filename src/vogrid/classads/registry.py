@@ -36,7 +36,3 @@ class FnRegistry:
 
 
 EMPTY_REGISTRY = FnRegistry()
-
-
-def register_function(reg: FnRegistry, name: str, arity: int, handler: Handler) -> FnRegistry:
-    return reg.register(name, arity, handler)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .classads import ClassAd, ValueKind, ad_from_json, ad_to_json, evaluate
-from .classads.registry import EMPTY_REGISTRY
+from .classads import ClassAd, ad_from_json, ad_to_json
+from .classads import evaluate  # noqa: F401  bench/run.py wraps jobs.evaluate by name
 
 
 class JobState(Enum):
@@ -52,21 +52,26 @@ class IllegalJobTransition(Exception):
     pass
 
 
-def job_ad_field(ad: ClassAd, name: str) -> str | None:
-    if name not in ad:
-        return None
-    v = evaluate(ad.lookup(name), ad, None, EMPTY_REGISTRY)
-    return v.data if v.kind is ValueKind.TEXT else None
-
-
 def validate_job_ad(ad: ClassAd) -> tuple[str, str]:
-    owner = job_ad_field(ad, "Owner")
-    dataset = job_ad_field(ad, "Dataset")
+    owner = ad.self_text("Owner")
+    dataset = ad.self_text("Dataset")
     if owner is None:
         raise RejectedAd("job ad must define Owner as text")
     if dataset is None:
         raise RejectedAd("job ad must define Dataset as text")
     return owner, dataset
+
+
+def output_bytes(ad: ClassAd) -> int | None:
+    """The job's OutputBytes; None (absent or Undefined) means the station's
+    default. Raises ValueError unless it is a finite nonnegative number."""
+    n = ad.self_quantity("OutputBytes")
+    return None if n is None else int(n)
+
+
+def run_seconds(ad: ClassAd) -> float:
+    """The job's RunSeconds, 0 when absent or Undefined; ValueError as above."""
+    return ad.self_quantity("RunSeconds") or 0.0
 
 
 @dataclass(frozen=True)

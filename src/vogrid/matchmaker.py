@@ -5,36 +5,37 @@ subjects allowed to run there); jobs are matched against the unexpired ads in
 FIFO order. For each job the pipeline is:
 
     visible ads -> symmetric Requirements -> gridmap pre-authorization
-    -> Rank evaluation (external functions query stations now) -> argmax
+    -> choose
 
-Ranks that come back Undefined or Error drop the candidate rather than
-demoting it. Ties on rank break by resource Name (byte order), then ad id.
-Each ad can be claimed once per cycle; a claimed ad is invisible to later
-jobs in the same cycle.
+The default chooser is the Rank argmax: it evaluates the job's Rank against
+each authorized ad (external functions query stations now). Ranks that come
+back Undefined or Error drop the candidate rather than demoting it. Ties on
+rank break by resource Name (byte order), then ad id. Each ad can be claimed
+once per cycle; a claimed ad is invisible to later jobs in the same cycle.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from . import wire
 from .classads import (
-    AdKind,
     ClassAd,
     FnRegistry,
-    Scope,
-    UNDEFINED,
     Value,
     ValueKind,
+    ad_from_json,
     evaluate,
     real,
     symmetric_match,
 )
 from .classads.exprs import Literal
-from .classads.registry import EMPTY_REGISTRY
-from . import wire
+from .jobs import output_bytes
 
 log = logging.getLogger("vogrid.matchmaker")
 
@@ -86,15 +87,14 @@ class MatchDecision:
         return {"job_id": self.job_id, "outcome": "no-match", "reason": self.reason}
 
 
-def _self_text(ad: ClassAd, name: str) -> str | None:
-    v = evaluate(ad.lookup(name), ad, None, EMPTY_REGISTRY) if name in ad else UNDEFINED
-    return v.data if v.kind is ValueKind.TEXT else None
-
-
 class AdStore:
-    """Resource ads keyed by ad id, each with an expiry and a gridmap."""
+    """Resource ads keyed by ad id, each with an expiry and a gridmap.
+
+    Thread-safe: upserts and removals may run while another thread matches.
+    """
 
     def __init__(self):
+        self._lock = threading.Lock()
         self._ads: dict[str, StoredAd] = {}
         self._gridmaps: dict[str, frozenset[str]] = {}
 
@@ -104,20 +104,26 @@ class AdStore:
         for attr in REQUIRED_AD_ATTRS:
             if attr not in ad:
                 raise IncompleteAd(f"ad {ad.ad_id!r} lacks {attr}")
-        name = _self_text(ad, "Name")
-        station_id = _self_text(ad, "Station_ID")
+        name = ad.self_text("Name")
+        station_id = ad.self_text("Station_ID")
         if name is None or station_id is None:
             raise IncompleteAd(f"ad {ad.ad_id!r}: Name and Station_ID must be text")
-        self._ads[ad.ad_id] = StoredAd(ad, now, float(ttl_seconds), name, station_id)
-        self._gridmaps[ad.ad_id] = frozenset(gridmap)
+        stored = StoredAd(ad, now, float(ttl_seconds), name, station_id)
+        subjects = frozenset(gridmap)
+        with self._lock:
+            self._ads[ad.ad_id] = stored
+            self._gridmaps[ad.ad_id] = subjects
 
     def remove(self, ad_id: str) -> None:
-        self._ads.pop(ad_id, None)
-        self._gridmaps.pop(ad_id, None)
+        with self._lock:
+            self._ads.pop(ad_id, None)
+            self._gridmaps.pop(ad_id, None)
 
     def snapshot(self, now: float) -> list[StoredAd]:
         """Unexpired ads in insertion order. ttl 0 means never visible."""
-        return [s for s in self._ads.values() if now < s.received_at + s.ttl_seconds]
+        with self._lock:
+            return [s for s in self._ads.values()
+                    if now < s.received_at + s.ttl_seconds]
 
     def gridmap(self, ad_id: str) -> frozenset[str]:
         return self._gridmaps.get(ad_id, frozenset())
@@ -125,7 +131,7 @@ class AdStore:
 
 def preauthorize(store: AdStore, job: ClassAd, resource_id: str) -> bool:
     """True iff the job Owner's grid subject is in the resource's gridmap."""
-    owner = _self_text(job, "Owner")
+    owner = job.self_text("Owner")
     if owner is None:
         log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
         return False
@@ -138,17 +144,6 @@ StationQuery = Callable[[str, str, int | None], float]
 # (dataset, station_id, output_bytes override) -> preference score
 
 
-def _job_output_bytes(job: ClassAd) -> int | None:
-    if "OutputBytes" not in job:
-        return None
-    v = evaluate(job.lookup("OutputBytes"), job, None, EMPTY_REGISTRY)
-    if v.kind is ValueKind.UNDEFINED:
-        return None
-    if not v.is_numeric() or v.as_real() < 0:
-        raise ValueError("OutputBytes must be a nonnegative number")
-    return int(v.as_real())
-
-
 def _fun_handler(args: list, self_ad, other_ad, env) -> Value:
     """fun(dataset, station_id): ask that station how it likes this dataset."""
     if env is None or "station_query" not in env:
@@ -157,7 +152,7 @@ def _fun_handler(args: list, self_ad, other_ad, env) -> Value:
     if dataset.kind is not ValueKind.TEXT or station.kind is not ValueKind.TEXT:
         raise TypeError("fun() wants two text arguments")
     score = env["station_query"](dataset.data, station.data,
-                                 _job_output_bytes(self_ad))
+                                 output_bytes(self_ad))
     return real(float(score))
 
 
@@ -194,12 +189,30 @@ def rank_resources(job: ClassAd, candidates: list[StoredAd], reg: FnRegistry,
     return out
 
 
+def choose_by_rank(job: ClassAd, authorized: list[StoredAd], reg: FnRegistry,
+                   env: dict | None) -> tuple[str, float] | None:
+    """Rank argmax as (ad id, rank); non-numeric and non-finite ranks drop out."""
+    best = best_key = None
+    for cand, (ad_id, value) in zip(authorized,
+                                    rank_resources(job, authorized, reg, env)):
+        if not value.is_numeric() or not math.isfinite(value.as_real()):
+            continue
+        rank = value.as_real()
+        key = (-rank, cand.name.encode("utf-8"), ad_id.encode("utf-8"))
+        if best_key is None or key < best_key:
+            best, best_key = (ad_id, rank), key
+    return best
+
+
 def run_match_cycle(store: AdStore, jobs: list[ClassAd], reg: FnRegistry,
                     env: dict | None, now: float = 0.0,
-                    claimed: set[str] | None = None) -> list[MatchDecision]:
+                    claimed: set[str] | None = None,
+                    choose=choose_by_rank) -> list[MatchDecision]:
     """One FIFO pass over the jobs; each ad can be claimed at most once.
 
     Ads whose ids arrive in `claimed` are treated as already taken.
+    `choose(job, authorized ads, reg, env)` returns the (ad id, rank) to
+    claim, or None, which leaves the job with reason all-rank-error.
     """
     claimed = set(claimed or ())
     decisions = []
@@ -214,24 +227,12 @@ def run_match_cycle(store: AdStore, jobs: list[ClassAd], reg: FnRegistry,
         if not authorized:
             decisions.append(MatchDecision.no_match(job.ad_id, "unauthorized-everywhere"))
             continue
-        ranked = rank_resources(job, authorized, reg, env)
-        by_id = {s.ad.ad_id: s for s in authorized}
-        best = None
-        best_key = None
-        for ad_id, value in ranked:
-            if not value.is_numeric():
-                continue
-            rank = value.as_real()
-            if not math.isfinite(rank):
-                continue
-            key = (-rank, by_id[ad_id].name.encode("utf-8"), ad_id.encode("utf-8"))
-            if best_key is None or key < best_key:
-                best, best_key = (ad_id, rank), key
-        if best is None:
+        pick = choose(job, authorized, reg, env)
+        if pick is None:
             decisions.append(MatchDecision.no_match(job.ad_id, "all-rank-error"))
             continue
-        claimed.add(best[0])
-        decisions.append(MatchDecision.match(job.ad_id, best[0], best[1]))
+        claimed.add(pick[0])
+        decisions.append(MatchDecision.match(job.ad_id, *pick))
     return decisions
 
 
@@ -242,40 +243,33 @@ class MatchmakerService:
 
     def __init__(self, station_query: StationQuery | None = None,
                  clock: Callable[[], float] | None = None):
-        import time
         self.store = AdStore()
         self.registry = standard_registry()
         self.env = {"station_query": station_query} if station_query else {}
         self.clock = clock or time.monotonic
+        self.handle_message = wire.dispatcher({"ADVERTISE": self._advertise,
+                                               "MATCH_REQUEST": self._match_request})
 
-    def handle_message(self, msg: dict) -> dict:
-        from .classads import ad_from_json
-        if not isinstance(msg, dict) or "type" not in msg or "id" not in msg:
-            return wire.error_reply(msg.get("id") if isinstance(msg, dict) else None,
-                                    "malformed", "request needs type and id fields")
-        msg_id = msg["id"]
-        mtype = msg["type"]
-        if mtype == "ADVERTISE":
-            try:
-                ad = ad_from_json(msg["ad"])
-                gridmap = msg.get("gridmap", [])
-                ttl = float(msg.get("ttl", 0))
-                if not isinstance(gridmap, list):
-                    raise TypeError("gridmap must be a list")
-            except Exception as exc:
-                return wire.error_reply(msg_id, "malformed", str(exc))
-            try:
-                self.store.collect_ad(ad, gridmap, ttl, self.clock())
-            except IncompleteAd as exc:
-                return wire.error_reply(msg_id, "incomplete-ad", str(exc))
-            return {"id": msg_id, "result": {"ok": True, "ad_id": ad.ad_id}}
-        if mtype == "MATCH_REQUEST":
-            try:
-                jobs = [ad_from_json(j) for j in msg["jobs"]]
-            except Exception as exc:
-                return wire.error_reply(msg_id, "malformed", str(exc))
-            decisions = run_match_cycle(self.store, jobs, self.registry,
-                                        self.env, self.clock())
-            return {"id": msg_id,
-                    "result": {"decisions": [d.to_json() for d in decisions]}}
-        return wire.error_reply(msg_id, "unsupported", f"unknown request type {mtype!r}")
+    def _advertise(self, msg: dict) -> dict:
+        try:
+            ad = ad_from_json(msg["ad"])
+            gridmap = msg.get("gridmap", [])
+            ttl = float(msg.get("ttl", 0))
+            if not isinstance(gridmap, list):
+                raise TypeError("gridmap must be a list")
+        except Exception as exc:
+            raise wire.RequestError("malformed", str(exc)) from None
+        try:
+            self.store.collect_ad(ad, gridmap, ttl, self.clock())
+        except IncompleteAd as exc:
+            raise wire.RequestError("incomplete-ad", str(exc)) from None
+        return {"ok": True, "ad_id": ad.ad_id}
+
+    def _match_request(self, msg: dict) -> dict:
+        try:
+            jobs = [ad_from_json(j) for j in msg["jobs"]]
+        except Exception as exc:
+            raise wire.RequestError("malformed", str(exc)) from None
+        decisions = run_match_cycle(self.store, jobs, self.registry,
+                                    self.env, self.clock())
+        return {"decisions": [d.to_json() for d in decisions]}

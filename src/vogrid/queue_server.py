@@ -72,48 +72,46 @@ class QueueService:
             self.queue.apply_journal_record(record)
         self.journal = Journal(journal_path)
         self.queue.set_journal_sink(self.journal.append)
+        self._dispatch = wire.dispatcher({
+            "SUBMIT": self._submit,
+            "STATUS": lambda msg: self._job_request(msg, self.queue.get),
+            "RELEASE": lambda msg: self._job_request(msg, self.queue.release),
+            "LIST": self._list,
+        })
 
     def close(self):
         self.journal.close()
 
     def handle_message(self, msg: dict) -> dict:
-        if not isinstance(msg, dict) or "type" not in msg or "id" not in msg:
-            return wire.error_reply(msg.get("id") if isinstance(msg, dict) else None,
-                                    "malformed", "request needs type and id fields")
-        msg_id = msg["id"]
-        mtype = msg["type"]
         with self._lock:
-            if mtype == "SUBMIT":
-                try:
-                    ad = ad_from_json(msg["ad"])
-                except Exception as exc:
-                    return wire.error_reply(msg_id, "malformed", str(exc))
-                try:
-                    job = self.queue.submit(ad)
-                except RejectedAd as exc:
-                    return wire.error_reply(msg_id, "rejected-ad", str(exc))
-                return {"id": msg_id, "result": {"job_id": job.job_id,
-                                                 "state": job.state.value}}
-            if mtype in ("STATUS", "RELEASE"):
-                job_id = msg.get("job_id")
-                if not isinstance(job_id, int):
-                    return wire.error_reply(msg_id, "malformed",
-                                            "job_id must be an integer")
-                try:
-                    if mtype == "RELEASE":
-                        job = self.queue.release(job_id)
-                    else:
-                        job = self.queue.get(job_id)
-                except UnknownJob as exc:
-                    return wire.error_reply(msg_id, "unknown-job", str(exc))
-                except IllegalJobTransition as exc:
-                    return wire.error_reply(msg_id, "illegal-transition", str(exc))
-                return {"id": msg_id, "result": job.status_json()}
-            if mtype == "LIST":
-                jobs = [{"job_id": j.job_id, "state": j.state.value}
-                        for j in self.queue.jobs.values()]
-                return {"id": msg_id, "result": {"jobs": jobs}}
-        return wire.error_reply(msg_id, "unsupported", f"unknown request type {mtype!r}")
+            return self._dispatch(msg)
+
+    def _submit(self, msg: dict) -> dict:
+        try:
+            ad = ad_from_json(msg["ad"])
+        except Exception as exc:
+            raise wire.RequestError("malformed", str(exc)) from None
+        try:
+            job = self.queue.submit(ad)
+        except RejectedAd as exc:
+            raise wire.RequestError("rejected-ad", str(exc)) from None
+        return {"job_id": job.job_id, "state": job.state.value}
+
+    def _job_request(self, msg: dict, action) -> dict:
+        """STATUS and RELEASE: apply the action to the named job, reply its status."""
+        job_id = msg.get("job_id")
+        if not isinstance(job_id, int):
+            raise wire.RequestError("malformed", "job_id must be an integer")
+        try:
+            return action(job_id).status_json()
+        except UnknownJob as exc:
+            raise wire.RequestError("unknown-job", str(exc)) from None
+        except IllegalJobTransition as exc:
+            raise wire.RequestError("illegal-transition", str(exc)) from None
+
+    def _list(self, msg: dict) -> dict:
+        return {"jobs": [{"job_id": j.job_id, "state": j.state.value}
+                         for j in self.queue.jobs.values()]}
 
 
 def submit_over_wire(host: str, port: int, ad_json: dict,

@@ -10,30 +10,36 @@ quantity the report measures.
 Scoring and staging both use the station states as they were when the cycle
 started; queue and cache updates land on the live stations and are visible
 from the next cycle on.
+
+All policies share `run_match_cycle` and differ only in the chooser:
+`data-aware` takes the Rank argmax, `random` and `round-robin` pick an
+authorized ad without ranking and record rank 0. Job OutputBytes and
+RunSeconds are checked once, when the scenario loads (see `jobs`).
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import math
 import random
 from dataclasses import dataclass
 
 from .advertise import generate_classads, select_patterns
-from .classads import ClassAd, evaluate, parse_expr, symmetric_match
+from .classads import ClassAd, parse_expr
 from .classads.ads import AdKind
-from .classads.registry import EMPTY_REGISTRY
 from .conftree import TreeNode, derive_service_config, read_tree
-from .jobs import JobQueue, JobState, job_ad_field
+from .jobs import JobQueue, JobState, output_bytes, run_seconds
 from .matchmaker import (
     AdStore,
     MatchDecision,
     StoredAd,
-    preauthorize,
+    choose_by_rank,
     run_match_cycle,
     standard_registry,
 )
+# bench/run.py wraps these by name in this module; nothing here calls them
+from .classads import evaluate, symmetric_match  # noqa: F401
+from .matchmaker import preauthorize  # noqa: F401
 from .station import (
     CacheAdd,
     DatasetCatalog,
@@ -97,9 +103,11 @@ def load_scenario(doc: dict) -> Scenario:
             attrs = dict(job_doc["ad"])
             if "Rank" not in attrs:
                 attrs["Rank"] = _DEFAULT_RANK_SOURCE
-            job_ads.append(ClassAd(
-                {name: parse_expr(src) for name, src in attrs.items()},
-                AdKind.JOB, ad_id=str(job_doc["id"])))
+            ad = ClassAd({name: parse_expr(src) for name, src in attrs.items()},
+                         AdKind.JOB, ad_id=str(job_doc["id"]))
+            output_bytes(ad)  # a value the run could not use fails here
+            run_seconds(ad)
+            job_ads.append(ad)
         return Scenario(name=doc.get("name", "scenario"), catalog=catalog,
                         sites=sites, job_ads=job_ads,
                         ttl=float(doc.get("ttl", DEFAULT_TTL)))
@@ -145,21 +153,6 @@ def make_site_config(site: str, cluster: str, station: str,
                     [cluster_node])
 
 
-def _numeric_field(ad: ClassAd, name: str, default: float) -> float:
-    if name not in ad:
-        return default
-    v = evaluate(ad.lookup(name), ad, None, EMPTY_REGISTRY)
-    if not v.is_numeric() or not math.isfinite(v.as_real()) or v.as_real() < 0:
-        raise ScenarioParseError(f"job {ad.ad_id!r}: {name} must be nonnegative")
-    return v.as_real()
-
-
-def _output_bytes(ad: ClassAd) -> int | None:
-    if "OutputBytes" not in ad:
-        return None
-    return int(_numeric_field(ad, "OutputBytes", 0.0))
-
-
 class GridWorld:
     """One scenario instance: stations, ads, the job queue, and the clock."""
 
@@ -198,9 +191,7 @@ class GridWorld:
                 self.stations[st.station_id] = st
             for ad in generate_classads(select_patterns(site.config)):
                 self.store.collect_ad(ad, site.gridmap, scenario.ttl, now=0.0)
-                sid = evaluate(ad.lookup("Station_ID"), ad, None,
-                               EMPTY_REGISTRY).data
-                self.station_of_ad[ad.ad_id] = sid
+                self.station_of_ad[ad.ad_id] = ad.self_text("Station_ID")
         unknown = set(self.station_of_ad.values()) - set(self.stations)
         if unknown:
             raise ScenarioParseError(
@@ -227,49 +218,21 @@ class GridWorld:
                                   output_bytes).score
         return query
 
-    def _preference(self, snapshot: dict[str, StationState], ad_id: str,
-                    job_ad: ClassAd):
-        station = snapshot[self.station_of_ad[ad_id]]
-        return get_preference(self.catalog, station,
-                              job_ad_field(job_ad, "Dataset"),
-                              _output_bytes(job_ad))
-
     # -- one scheduling pass ----------------------------------------------
 
-    def _baseline_cycle(self, jobs: list[ClassAd], env: dict,
-                        claimed: set[str]) -> list[MatchDecision]:
-        """Requirements and authorization still hold; ranking is bypassed."""
-        decisions = []
-        visible = self.store.snapshot(self.clock)
-        for job in jobs:
-            available = [s for s in visible if s.ad.ad_id not in claimed]
-            candidates = [s for s in available
-                          if symmetric_match(job, s.ad, self.registry, env)]
-            if not candidates:
-                decisions.append(MatchDecision.no_match(job.ad_id, "no-candidates"))
-                continue
-            authorized = [s for s in candidates
-                          if preauthorize(self.store, job, s.ad.ad_id)]
-            if not authorized:
-                decisions.append(
-                    MatchDecision.no_match(job.ad_id, "unauthorized-everywhere"))
-                continue
-            pick = self._choose_baseline(authorized)
-            claimed.add(pick.ad.ad_id)
-            decisions.append(MatchDecision.match(job.ad_id, pick.ad.ad_id, 0.0))
-        return decisions
-
-    def _choose_baseline(self, authorized: list[StoredAd]) -> StoredAd:
-        ordered = sorted(authorized, key=lambda s: (s.name, s.ad.ad_id))
+    def _choose_baseline(self, job: ClassAd, authorized: list[StoredAd],
+                         reg, env) -> tuple[str, float]:
+        """The random and round-robin chooser: no ranking, rank 0."""
         if self.policy == "random":
-            return self.rng.choice(ordered)
-        by_id = {s.ad.ad_id: s for s in authorized}
+            ordered = sorted(authorized, key=lambda s: (s.name, s.ad.ad_id))
+            return self.rng.choice(ordered).ad.ad_id, 0.0
+        ids = {s.ad.ad_id for s in authorized}
         n = len(self._rr_order)
         for k in range(n):
             ad_id = self._rr_order[(self._rr_ptr + k) % n]
-            if ad_id in by_id:
+            if ad_id in ids:
                 self._rr_ptr = (self._rr_ptr + k + 1) % n
-                return by_id[ad_id]
+                return ad_id, 0.0
         raise AssertionError("no authorized ad in rotation")
 
     def _match_cycle(self) -> int:
@@ -287,11 +250,11 @@ class GridWorld:
         env = {"station_query": self._station_query_over(snapshot)}
         job_ads = [j.ad for j in idle]
         busy_at_start = set(self.busy)
-        if self.policy == "data-aware":
-            decisions = run_match_cycle(self.store, job_ads, self.registry, env,
-                                        now=self.clock, claimed=busy_at_start)
-        else:
-            decisions = self._baseline_cycle(job_ads, env, set(busy_at_start))
+        choose = (choose_by_rank if self.policy == "data-aware"
+                  else self._choose_baseline)
+        decisions = run_match_cycle(self.store, job_ads, self.registry, env,
+                                    now=self.clock, claimed=busy_at_start,
+                                    choose=choose)
         matched = 0
         saw_everything = not busy_at_start
         for record, decision in zip(idle, decisions):
@@ -316,14 +279,15 @@ class GridWorld:
     def _start_staging(self, record, decision: MatchDecision,
                        snapshot: dict[str, StationState]):
         ad_id = decision.resource_id
-        report = self._preference(snapshot, ad_id, record.ad)
-        staging = -report.score
+        station_id = self.station_of_ad[ad_id]
+        dataset = record.ad.self_text("Dataset")
+        # the same query the data-aware Rank made, so staging == -rank
+        staging = -get_preference(self.catalog, snapshot[station_id], dataset,
+                                  output_bytes(record.ad)).score
         self.busy[ad_id] = record.job_id
         self.queue.transition(record.job_id, JobState.MATCHED,
                               stamp=self.clock, detail=ad_id)
         self.queue.transition(record.job_id, JobState.STAGING, stamp=self.clock)
-        station_id = self.station_of_ad[ad_id]
-        dataset = job_ad_field(record.ad, "Dataset")
         missing = [f.file_name for f in self.catalog.files(dataset)
                    if f.file_name not in snapshot[station_id].cached_files]
         live = self.stations[station_id]
@@ -345,8 +309,7 @@ class GridWorld:
         self.stations[station_id] = live
         self.queue.transition(job_id, JobState.RUNNING, stamp=self.clock)
         self._log("running", job=record.ad.ad_id)
-        self._push(self.clock + _numeric_field(record.ad, "RunSeconds", 0.0),
-                   "done", job_id)
+        self._push(self.clock + run_seconds(record.ad), "done", job_id)
 
     def _finish_run(self, job_id: int):
         record = self.queue.get(job_id)

@@ -17,7 +17,10 @@ speeds are static configuration values supplied by the site, not measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple
+
+from . import wire
 
 
 class UnknownDataset(Exception):
@@ -197,49 +200,34 @@ def apply_event(st: StationState, ev) -> StationState:
 
 # -- wire handling ---------------------------------------------------------------
 
-def _error_reply(msg_id, code: str, message: str) -> dict:
-    return {"id": msg_id, "error": {"code": code, "message": message}}
-
-
 def _file_entry_json(f: FileEntry) -> dict:
     return {"file": f.file_name, "size": f.size_bytes, "source": f.source_site}
 
 
-def handle_message(cat: DatasetCatalog, st: StationState, msg: dict) -> dict:
-    """Answer one GET_PREFERENCE or LOOKUP request. Queries never mutate state."""
-    if not isinstance(msg, dict) or "type" not in msg or "id" not in msg:
-        return _error_reply(msg.get("id") if isinstance(msg, dict) else None,
-                            "malformed", "request needs type and id fields")
-    msg_id = msg["id"]
-    mtype = msg["type"]
-    if mtype not in ("GET_PREFERENCE", "LOOKUP"):
-        return _error_reply(msg_id, "unsupported", f"unknown request type {mtype!r}")
+def _answer(cat: DatasetCatalog, st: StationState, msg: dict) -> dict:
     dataset = msg.get("dataset")
     if not isinstance(dataset, str):
-        return _error_reply(msg_id, "malformed", "dataset field must be a string")
+        raise wire.RequestError("malformed", "dataset field must be a string")
     try:
-        if mtype == "LOOKUP":
+        if msg["type"] == "LOOKUP":
             present, missing = lookup_dataset(cat, st, dataset)
-            return {"id": msg_id, "result": {
-                "present": [_file_entry_json(f) for f in present],
-                "missing": [_file_entry_json(f) for f in missing],
-            }}
+            return {"present": [_file_entry_json(f) for f in present],
+                    "missing": [_file_entry_json(f) for f in missing]}
         output_bytes = msg.get("output_bytes")
         if output_bytes is not None and (not isinstance(output_bytes, (int, float))
                                          or output_bytes < 0):
-            return _error_reply(msg_id, "malformed", "output_bytes must be nonnegative")
-        report = get_preference(cat, st, dataset, output_bytes)
-        return {"id": msg_id, "result": {
-            "score": report.score,
-            "missing_bytes": report.missing_bytes,
-            "input_transfer_seconds": report.input_transfer_seconds,
-            "input_wait_seconds": report.input_wait_seconds,
-            "output_seconds": report.output_seconds,
-        }}
+            raise wire.RequestError("malformed", "output_bytes must be nonnegative")
+        return vars(get_preference(cat, st, dataset, output_bytes))  # its fields
     except UnknownDataset:
-        return _error_reply(msg_id, "unknown-dataset", f"no dataset named {dataset!r}")
+        raise wire.RequestError("unknown-dataset", f"no dataset named {dataset!r}") from None
     except NoRouteToSource as exc:
-        return _error_reply(msg_id, "no-route", str(exc))
+        raise wire.RequestError("no-route", str(exc)) from None
+
+
+def handle_message(cat: DatasetCatalog, st: StationState, msg: dict) -> dict:
+    """Answer one GET_PREFERENCE or LOOKUP request. Queries never mutate state."""
+    answer = partial(_answer, cat, st)
+    return wire.dispatcher({"GET_PREFERENCE": answer, "LOOKUP": answer})(msg)
 
 
 def station_from_config(node, fixture: dict | None = None) -> StationState:

@@ -5,6 +5,12 @@ fields; every reply echoes the id. Failures come back as
 {"id": ..., "error": {"code": ..., "message": ...}} and the connection stays
 open. A server constructed with a token requires an "auth" field on every
 request.
+
+Services answer through `dispatcher(handlers)`, a map from request type to a
+handler that returns the result object. A request without "type" or "id" is
+"malformed", one whose type has no handler (or is not text) "unsupported";
+a handler's return value is sent as {"id": ..., "result": ...}, and a
+`RequestError(code, message)` it raises as that error.
 """
 
 from __future__ import annotations
@@ -13,15 +19,42 @@ import json
 import socket
 import socketserver
 import threading
-from typing import Callable
+from typing import Callable, Mapping
 
 
 class WireError(Exception):
     pass
 
 
+class RequestError(Exception):
+    """Raised by a request handler; becomes an error reply with this code."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
 def error_reply(msg_id, code: str, message: str) -> dict:
     return {"id": msg_id, "error": {"code": code, "message": message}}
+
+
+def dispatcher(handlers: Mapping[str, Callable[[dict], dict]]) -> Callable[[dict], dict]:
+    """One reply per request: route by "type", wrap results and RequestErrors."""
+    def dispatch(msg: dict) -> dict:
+        if not isinstance(msg, dict) or "type" not in msg or "id" not in msg:
+            return error_reply(msg.get("id") if isinstance(msg, dict) else None,
+                               "malformed", "request needs type and id fields")
+        msg_id = msg["id"]
+        mtype = msg["type"]
+        handler = handlers.get(mtype) if isinstance(mtype, str) else None
+        if handler is None:
+            return error_reply(msg_id, "unsupported", f"unknown request type {mtype!r}")
+        try:
+            return {"id": msg_id, "result": handler(msg)}
+        except RequestError as exc:
+            return error_reply(msg_id, exc.code, exc.message)
+    return dispatch
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -18,7 +18,6 @@ from vogrid.advertise import (
     query_info,
     select_patterns,
 )
-from vogrid.classads import EMPTY_REGISTRY, evaluate
 from vogrid.conftree import read_tree
 
 from conftest import fixture_text
@@ -28,13 +27,9 @@ CONFIG = read_tree(fixture_text("config_fnal.xml"))
 EVOLVED = read_tree(fixture_text("config_fnal_evolved.xml"))
 
 
-def _text_attr(ad, name):
-    return evaluate(ad.lookup(name), ad, None, EMPTY_REGISTRY).data
-
-
 def _triples(config):
-    return [(ad.ad_id, _text_attr(ad, "Name"), _text_attr(ad, "Gatekeeper"),
-             _text_attr(ad, "Station_ID"))
+    return [(ad.ad_id, ad.self_text("Name"), ad.self_text("Gatekeeper"),
+             ad.self_text("Station_ID"))
             for ad in generate_classads(select_patterns(config))]
 
 
@@ -99,19 +94,19 @@ def test_ads_from_config():
     assert [ad.ad_id for ad in ads] == \
         ["FNAL/samadams#1", "FNAL/samadams#2", "FNAL/topaz"]
     first = ads[0]
-    assert _text_attr(first, "Name") == "FNAL/samadams"
-    assert _text_attr(first, "Architecture") == "Linux"
-    assert _text_attr(first, "Gatekeeper") == "gram://samadams.fnal.gov:2119"
-    assert _text_attr(first, "Station_ID") == "durin"
+    assert first.self_text("Name") == "FNAL/samadams"
+    assert first.self_text("Architecture") == "Linux"
+    assert first.self_text("Gatekeeper") == "gram://samadams.fnal.gov:2119"
+    assert first.self_text("Station_ID") == "durin"
     # both slot ads advertise the same resource attributes
-    assert _text_attr(ads[1], "Name") == "FNAL/samadams"
-    assert _text_attr(ads[2], "Station_ID") == "gimli"
+    assert ads[1].self_text("Name") == "FNAL/samadams"
+    assert ads[2].self_text("Station_ID") == "gimli"
 
 
 def test_extra_cluster_attributes_pass_through():
     ads = generate_classads(select_patterns(EVOLVED))
     samadams = ads[0]
-    assert _text_attr(samadams, "Site_x_maintainer") == "ops@fnal.example"
+    assert samadams.self_text("Site_x_maintainer") == "ops@fnal.example"
     # consumed attributes are not duplicated into the pass-through namespace
     for stem in ("name", "architecture", "slots"):
         assert f"Site_{stem}" not in samadams

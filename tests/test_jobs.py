@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from vogrid.classads import AdKind, parse_classad
+from vogrid.classads import UNDEFINED, AdKind, integer, parse_classad
 from vogrid.jobs import (
     HistoryEntry,
     IllegalJobTransition,
@@ -13,7 +13,8 @@ from vogrid.jobs import (
     JobState,
     RejectedAd,
     UnknownJob,
-    job_ad_field,
+    output_bytes,
+    run_seconds,
     validate_job_ad,
 )
 
@@ -26,10 +27,28 @@ def _job():
 
 
 def test_job_ad_field():
-    assert job_ad_field(AD, "Owner") == "/C=US/O=demo/CN=alice"
-    assert job_ad_field(AD, "Missing") is None
+    assert AD.self_text("Owner") == "/C=US/O=demo/CN=alice"
+    assert AD.self_text("Missing") is None
     numeric = parse_classad("Owner = 5\n", AdKind.JOB)
-    assert job_ad_field(numeric, "Owner") is None
+    assert numeric.self_text("Owner") is None
+
+
+def test_evaluate_self_reads_absent_as_undefined():
+    assert AD.evaluate_self("Missing") is UNDEFINED
+    ad = parse_classad("A = B + 1\nB = 2\nC = OTHER.X\n", AdKind.JOB)
+    assert ad.evaluate_self("A") == integer(3)
+    assert ad.evaluate_self("C") is UNDEFINED
+
+
+@pytest.mark.parametrize("src,n_bytes,seconds", [
+    (None, None, 0.0), ("undefined", None, 0.0), ("0", 0, 0.0),
+    ("1000", 1000, 1000.0), ("2.9", 2, 2.9),
+])
+def test_output_bytes_and_run_seconds(src, n_bytes, seconds):
+    def ad(attr):
+        return parse_classad(f"{attr} = {src}\n" if src else "", AdKind.JOB)
+    assert output_bytes(ad("OutputBytes")) == n_bytes
+    assert run_seconds(ad("RunSeconds")) == seconds
 
 
 def test_validate_job_ad():

@@ -2,6 +2,8 @@
 
 import logging
 import math
+import sys
+import threading
 
 import pytest
 
@@ -415,3 +417,40 @@ def test_scaling_all_bandwidths_halves_all_ranks():
         if b.matched:
             assert d.resource_id == b.resource_id
             assert d.rank == b.rank / 2  # exact: power-of-two rescaling
+
+
+# -- concurrency ---------------------------------------------------------------------
+
+def test_match_requests_survive_concurrent_advertising():
+    # the server runs one thread per connection; new ad ids grow the store
+    # while match requests iterate it. A short switch interval makes the
+    # threads interleave inside that iteration often.
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    service = MatchmakerService(clock=lambda: 0.0)
+    server = wire.LineServer("127.0.0.1", 0, service.handle_message)
+    server.serve_in_thread()
+    stop = threading.Event()
+
+    def advertise_new_ids():
+        with wire.Connection("127.0.0.1", server.port) as conn:
+            n = 0
+            while not stop.is_set():
+                n += 1
+                conn.request(_advertise_msg(_res(f"r{n}", f"N{n}", "s1"), ttl=0.0))
+
+    advertiser = threading.Thread(target=advertise_new_ids)
+    advertiser.start()
+    try:
+        job_msg = {"type": "MATCH_REQUEST", "jobs": [ad_to_json(_job("j"))]}
+        with wire.Connection("127.0.0.1", server.port) as conn:
+            replies = [conn.request(job_msg) for _ in range(300)]
+    finally:
+        stop.set()
+        advertiser.join(timeout=10)
+        server.shutdown()
+        server.server_close()
+        sys.setswitchinterval(switch_interval)
+    assert not advertiser.is_alive()
+    failed = [r["error"] for r in replies if "error" in r]
+    assert failed == []

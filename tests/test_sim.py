@@ -1,7 +1,9 @@
 """Scenario loading and the deterministic grid run."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,9 @@ from conftest import fixture_path
 ALICE = "/C=US/O=demo/CN=alice"
 
 SKEWED = load_scenario(json.loads(fixture_path("skewed_scenario.json").read_text()))
+
+SAMPLE_DOC = json.loads((Path(__file__).resolve().parents[1] / "samples"
+                         / "scenario.json").read_text())
 
 
 def _scenario_doc(catalog, sites, jobs, **extra):
@@ -128,6 +133,25 @@ def test_make_site_config_round_trips():
     assert reread.attributes["schema_version"] == "v0_3"
 
 
+@pytest.mark.parametrize("value", ["-4", '"big"', "true", "1.0 / 0.0", "error"])
+@pytest.mark.parametrize("attr", ["OutputBytes", "RunSeconds"])
+def test_bad_job_quantities_are_rejected_at_load(attr, value):
+    doc = json.loads(json.dumps(SAMPLE_DOC))
+    doc["jobs"][0]["ad"][attr] = value
+    with pytest.raises(ScenarioParseError, match=attr):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_undefined_output_bytes_means_the_station_default(policy):
+    # Undefined and absent read the same in ranking and in staging, so the
+    # run is the one without the attribute
+    doc = json.loads(json.dumps(SAMPLE_DOC))
+    doc["jobs"][0]["ad"]["OutputBytes"] = "undefined"
+    assert run_scenario(load_scenario(doc), policy, 0) == \
+        run_scenario(load_scenario(SAMPLE_DOC), policy, 0)
+
+
 # -- the skewed-cache scenario ------------------------------------------------------
 
 def test_data_aware_sends_every_job_home():
@@ -162,6 +186,27 @@ def test_runs_are_deterministic():
         b_report, b_log = run_scenario(SKEWED, policy, seed)
         assert a_report == b_report
         assert a_log == b_log
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":"))
+                          .encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("policy,report_sha,events_sha", [
+    ("data-aware",
+     "60ee4a381d98bf48a98e30247b155fbf9f731915db16d0a1301572d134d2d909",
+     "8e8d4139f1ff24d188e09e1681c7d0b624af6c755683a7558e61fc4b6d83534b"),
+    ("random",
+     "c141f8a7bf2c5a6a4ecd15ef9b4eb813a63841124023c6ee5c43e8fdece763ed",
+     "286fd887b0dfad7141b58ae909a90a533908808a85476f54b1236759fb2ba475"),
+    ("round-robin",
+     "506e26a5bdd6eed6c7c0f9b5fada71e5ceb28bfe4d693b36cbb692332ecb4785",
+     "b2fe0b87f69f7808bb17d410d7f9c3ed0e3bea2304a6a7e54bb0fad62e6b486c"),
+])
+def test_sample_scenario_golden_digests(policy, report_sha, events_sha):
+    report, events = run_scenario(load_scenario(SAMPLE_DOC), policy, 0)
+    assert (_sha256(report), _sha256(events)) == (report_sha, events_sha)
 
 
 def test_report_shape():

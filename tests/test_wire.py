@@ -145,3 +145,52 @@ def test_connecting_to_a_closed_server_fails():
     server.server_close()
     with pytest.raises(OSError):
         wire.Connection("127.0.0.1", port)
+
+
+# -- the request dispatcher shared by every service ------------------------------------
+
+def _matchmaker(tmp_path, request):
+    from vogrid.matchmaker import MatchmakerService
+    service = MatchmakerService(clock=lambda: 0.0)
+    return service.handle_message, {"type": "MATCH_REQUEST", "jobs": []}
+
+
+def _queue(tmp_path, request):
+    from vogrid.queue_server import QueueService
+    service = QueueService(str(tmp_path / "journal.ndjson"))
+    request.addfinalizer(service.close)
+    return service.handle_message, {"type": "LIST"}
+
+
+def _station(tmp_path, request):
+    from vogrid.station import DatasetCatalog, StationState, handle_message
+    catalog = DatasetCatalog({"d": [("f0", 10, "A")]})
+    station = StationState("st", links={"A": 1e8})
+    return (lambda msg: handle_message(catalog, station, msg),
+            {"type": "LOOKUP", "dataset": "d"})
+
+
+def _info(tmp_path, request):
+    from vogrid.advertise import InfoService
+    from vogrid.sim import make_site_config
+    service = InfoService(make_site_config("S", "c", "st", {"A": 1e8}))
+    return service.handle_message, {"type": "INFO_QUERY"}
+
+
+@pytest.mark.parametrize("make_service", [_matchmaker, _queue, _station, _info],
+                         ids=["mm", "q", "station", "info"])
+def test_every_service_follows_the_dispatcher_contract(make_service, tmp_path, request):
+    handle, valid = make_service(tmp_path, request)
+    reply = handle(valid | {"id": "req-7"})
+    assert reply["id"] == "req-7" and "result" in reply
+    for msg, msg_id, code in [
+        ({"id": 1}, 1, "malformed"),                       # missing type
+        (dict(valid), None, "malformed"),                  # missing id
+        ({"type": "NO_SUCH_REQUEST", "id": 2}, 2, "unsupported"),
+        ({"type": ["LIST"], "id": 3}, 3, "unsupported"),   # type is not text
+        ({"type": 4, "id": 4}, 4, "unsupported"),
+    ]:
+        reply = handle(msg)
+        assert (reply["id"], reply["error"]["code"]) == (msg_id, code)
+    assert handle(["not", "an", "object"])["error"]["code"] == "malformed"
+
