@@ -7,7 +7,8 @@ Undefined or Error, never as exceptions. The rules:
   -> Undefined; reference cycles across attributes -> Undefined
 - arithmetic with a non-numeric operand -> Error; division by zero -> Error;
   Integer/Real promote to Real when mixed; / on two Integers truncates
-  toward zero
+  toward zero; an Integer too large to promote -> Error, in arithmetic and
+  in comparisons alike
 - comparisons with an Undefined operand -> Undefined, with an Error operand
   -> Error; mixed-type comparisons (other than numeric promotion) -> Error
 - && and ||: a determined operand decides (false && x == false,
@@ -15,6 +16,8 @@ Undefined or Error, never as exceptions. The rules:
   a non-boolean operand behaves as Error
 - calls evaluate arguments strictly, then invoke the registered handler;
   unknown function, arity mismatch, or a raising handler -> Error
+- a tree too deep for the interpreter's stack (a long chain of binary
+  operators parses into one) -> Error
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from .values import ERROR, FALSE, TRUE, UNDEFINED, Value, ValueKind
 
 def evaluate(e: Expr, self_ad, other_ad, reg: FnRegistry, env=None) -> Value:
     """Evaluate e with attribute references resolved against the given ads."""
-    return _eval(e, self_ad, other_ad, reg, env, frozenset())
+    try:
+        return _eval(e, self_ad, other_ad, reg, env, frozenset())
+    except RecursionError:
+        return ERROR
 
 
 def _eval(e: Expr, self_ad, other_ad, reg: FnRegistry, env, active: frozenset) -> Value:
@@ -144,7 +150,10 @@ def _arith(op: str, a: Value, b: Value) -> Value:
             return ERROR
         q = abs(x) // abs(y)  # truncation toward zero
         return values.integer(q if (x < 0) == (y < 0) else -q)
-    x, y = a.as_real(), b.as_real()
+    try:
+        x, y = a.as_real(), b.as_real()
+    except OverflowError:  # an Integer too large for a Real
+        return ERROR
     if op == "+":
         return values.real(x + y)
     if op == "-":
@@ -168,7 +177,10 @@ def _compare(op: str, a: Value, b: Value) -> Value:
     if ValueKind.UNDEFINED in (a.kind, b.kind):
         return UNDEFINED
     if a.is_numeric() and b.is_numeric():
-        x, y = a.as_real(), b.as_real()
+        try:
+            x, y = a.as_real(), b.as_real()
+        except OverflowError:  # an Integer too large for a Real
+            return ERROR
         if op == "==":
             return values.boolean(x == y)
         if op == "!=":

@@ -9,6 +9,9 @@
 # Atoms: decimal numerics, "quoted text", true/false/undefined/error,
 # bare attribute references, OTHER.attr references, name(arg, ...) calls,
 # parenthesized expressions. Keywords and references are case-insensitive.
+# Parentheses, call argument lists and unary operators nest at most
+# MAX_NESTING deep, so a parse stays far inside the interpreter's recursion
+# limit and fails with ParseError instead.
 
 from __future__ import annotations
 
@@ -34,6 +37,8 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
+
+MAX_NESTING = 64
 
 _KEYWORDS = {"true", "false", "undefined", "error"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
@@ -79,6 +84,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -94,9 +100,12 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}",
                              _byte_offset(self.text, pos))
 
-    def fail(self, message: str) -> ParseError:
-        _, val, pos = self.peek()
-        return ParseError(message, _byte_offset(self.text, pos))
+    def nest(self, pos: int) -> None:
+        """Enter one nesting level opened at `pos`; the caller leaves it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels",
+                             _byte_offset(self.text, pos))
 
     # -- grammar ------------------------------------------------------------
 
@@ -143,10 +152,13 @@ class _Parser:
         return e
 
     def unary_expr(self) -> Expr:
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val in ("!", "-", "+"):
             self.pop()
-            return Unary(val, self.unary_expr())
+            self.nest(pos)
+            e = Unary(val, self.unary_expr())
+            self.depth -= 1
+            return e
         return self.atom()
 
     def atom(self) -> Expr:
@@ -154,12 +166,18 @@ class _Parser:
         if kind == "number":
             if any(c in val for c in ".eE"):
                 return Literal(values.real(float(val)))
-            return Literal(values.integer(int(val)))
+            try:
+                return Literal(values.integer(int(val)))
+            except ValueError:  # past the interpreter's limit on digits
+                raise ParseError("integer literal too long",
+                                 _byte_offset(self.text, pos)) from None
         if kind == "string":
             return Literal(values.text(_unescape(val[1:-1], self.text, pos)))
         if kind == "op" and val == "(":
+            self.nest(pos)
             e = self.or_expr()
             self.expect_op(")")
+            self.depth -= 1
             return e
         if kind == "ident":
             lowered = val.lower()
@@ -179,7 +197,7 @@ class _Parser:
                                      _byte_offset(self.text, npos))
                 return AttrRef(Scope.OTHER, nval)
             if self.peek()[:2] == ("op", "("):
-                self.pop()
+                self.nest(self.pop()[2])
                 args: list[Expr] = []
                 if self.peek()[:2] != ("op", ")"):
                     args.append(self.or_expr())
@@ -187,6 +205,7 @@ class _Parser:
                         self.pop()
                         args.append(self.or_expr())
                 self.expect_op(")")
+                self.depth -= 1
                 return Call(val, tuple(args))
             return AttrRef(Scope.SELF, val)
         raise ParseError(f"unexpected {val or 'end of input'!r}", _byte_offset(self.text, pos))

@@ -130,10 +130,16 @@ class JobRecord:
 
 
 class JobQueue:
-    """Ordered job records; every mutation can be mirrored to a journal sink."""
+    """Ordered job records; every mutation can be mirrored to a journal sink.
+
+    Records are also indexed by state, so listing the jobs in one state
+    costs only those jobs. The index follows every change the queue makes;
+    a record advanced behind the queue's back is not reindexed.
+    """
 
     def __init__(self, journal_sink: Callable[[dict], None] | None = None):
         self.jobs: dict[int, JobRecord] = {}
+        self._by_state: dict[JobState, dict[int, JobRecord]] = {s: {} for s in JobState}
         self._next_id = 1
         self._seq = 0
         self._sink = journal_sink
@@ -145,16 +151,27 @@ class JobQueue:
         self._seq += 1
         return self._seq
 
-    def _emit(self, record: dict):
-        if self._sink is not None:
-            self._sink(record)
+    def _advance(self, job: JobRecord, state: JobState, stamp: float,
+                 detail: str | None):
+        before = job.state
+        job.advance(state, stamp, detail)
+        if before is not None:
+            del self._by_state[before][job.job_id]
+        self._by_state[state][job.job_id] = job
+
+    def _add(self, job: JobRecord):
+        old = self.jobs.get(job.job_id)
+        if old is not None and old.state is not None:
+            del self._by_state[old.state][job.job_id]
+        self.jobs[job.job_id] = job
 
     def submit(self, ad: ClassAd, stamp: float | None = None) -> JobRecord:
         validate_job_ad(ad)
         job = JobRecord(self._next_id, ad)
         self._next_id += 1
-        self.jobs[job.job_id] = job
-        self._emit({"event": "new", "job_id": job.job_id, "ad": ad_to_json(ad)})
+        self._add(job)
+        if self._sink is not None:  # the ad's source text is only built for a journal
+            self._sink({"event": "new", "job_id": job.job_id, "ad": ad_to_json(ad)})
         for state in (JobState.SUBMITTED, JobState.IDLE):
             self.transition(job.job_id, state, stamp=stamp)
         return job
@@ -162,9 +179,10 @@ class JobQueue:
     def transition(self, job_id: int, state: JobState,
                    stamp: float | None = None, detail: str | None = None) -> JobRecord:
         job = self.get(job_id)
-        job.advance(state, self._stamp() if stamp is None else stamp, detail)
+        self._advance(job, state, self._stamp() if stamp is None else stamp, detail)
         entry = job.history[-1]
-        self._emit({"event": "state", "job_id": job_id, "state": state.value,
+        if self._sink is not None:
+            self._sink({"event": "state", "job_id": job_id, "state": state.value,
                     "stamp": entry.stamp, "detail": detail})
         return job
 
@@ -180,19 +198,21 @@ class JobQueue:
         return self.jobs[job_id]
 
     def in_state(self, state: JobState) -> list[JobRecord]:
-        return [j for j in self.jobs.values() if j.state is state]
+        """The jobs now in `state`, in job id order."""
+        bucket = self._by_state[state]
+        return [bucket[job_id] for job_id in sorted(bucket)]
 
     def apply_journal_record(self, record: dict):
         """Replay one journal record; stamps and ids come from the record."""
         event = record["event"]
         if event == "new":
             job = JobRecord(int(record["job_id"]), ad_from_json(record["ad"]))
-            self.jobs[job.job_id] = job
+            self._add(job)
             self._next_id = max(self._next_id, job.job_id + 1)
         elif event == "state":
             job = self.get(int(record["job_id"]))
-            job.advance(JobState(record["state"]), record["stamp"],
-                        record.get("detail"))
+            self._advance(job, JobState(record["state"]), record["stamp"],
+                          record.get("detail"))
             if isinstance(record["stamp"], int):
                 self._seq = max(self._seq, record["stamp"])
         else:

@@ -4,14 +4,20 @@ Resources advertise themselves with classads and a gridmap (the set of grid
 subjects allowed to run there); jobs are matched against the unexpired ads in
 FIFO order. For each job the pipeline is:
 
-    visible ads -> symmetric Requirements -> gridmap pre-authorization
+    free ads -> symmetric Requirements -> gridmap pre-authorization
     -> choose
+
+The free ads are the visible ones not yet claimed. Each ad can be claimed
+once per cycle, and a claimed ad is invisible to later jobs in the same
+cycle. `match_jobs` runs the pipeline lazily and stops as soon as no ad is
+free, so a cycle over a long backlog costs only the jobs that can still
+match; `run_match_cycle` is the same pass with one decision for every job,
+the unreached ones getting no-candidates.
 
 The default chooser is the Rank argmax: it evaluates the job's Rank against
 each authorized ad (external functions query stations now). Ranks that come
 back Undefined or Error drop the candidate rather than demoting it. Ties on
-rank break by resource Name (byte order), then ad id. Each ad can be claimed
-once per cycle; a claimed ad is invisible to later jobs in the same cycle.
+rank break by resource Name (byte order), then ad id.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from . import wire
 from .classads import (
@@ -204,35 +210,50 @@ def choose_by_rank(job: ClassAd, authorized: list[StoredAd], reg: FnRegistry,
     return best
 
 
-def run_match_cycle(store: AdStore, jobs: list[ClassAd], reg: FnRegistry,
-                    env: dict | None, now: float = 0.0,
-                    claimed: set[str] | None = None,
-                    choose=choose_by_rank) -> list[MatchDecision]:
-    """One FIFO pass over the jobs; each ad can be claimed at most once.
+def match_jobs(store: AdStore, jobs: Iterable[ClassAd], reg: FnRegistry,
+               env: dict | None, now: float = 0.0,
+               claimed: Collection[str] | None = None,
+               choose=choose_by_rank) -> Iterator[MatchDecision]:
+    """Lazy FIFO pass: one decision per job, while any visible ad is free.
 
-    Ads whose ids arrive in `claimed` are treated as already taken.
-    `choose(job, authorized ads, reg, env)` returns the (ad id, rank) to
-    claim, or None, which leaves the job with reason all-rank-error.
+    The free ads are the visible ones whose ids are not in `claimed`; a
+    claim removes its ad from them. Once none is left the pass stops and
+    pulls no further job from `jobs`. `choose(job, authorized ads, reg,
+    env)` returns the (ad id, rank) to claim, or None, which leaves the job
+    with reason all-rank-error.
     """
-    claimed = set(claimed or ())
-    decisions = []
-    visible = store.snapshot(now)
+    claimed = claimed or ()
+    free = [s for s in store.snapshot(now) if s.ad.ad_id not in claimed]
+    if not free:
+        return
     for job in jobs:
-        available = [s for s in visible if s.ad.ad_id not in claimed]
-        candidates = [s for s in available if symmetric_match(job, s.ad, reg, env)]
+        candidates = [s for s in free if symmetric_match(job, s.ad, reg, env)]
         if not candidates:
-            decisions.append(MatchDecision.no_match(job.ad_id, "no-candidates"))
+            yield MatchDecision.no_match(job.ad_id, "no-candidates")
             continue
         authorized = [s for s in candidates if preauthorize(store, job, s.ad.ad_id)]
         if not authorized:
-            decisions.append(MatchDecision.no_match(job.ad_id, "unauthorized-everywhere"))
+            yield MatchDecision.no_match(job.ad_id, "unauthorized-everywhere")
             continue
         pick = choose(job, authorized, reg, env)
         if pick is None:
-            decisions.append(MatchDecision.no_match(job.ad_id, "all-rank-error"))
+            yield MatchDecision.no_match(job.ad_id, "all-rank-error")
             continue
-        claimed.add(pick[0])
-        decisions.append(MatchDecision.match(job.ad_id, *pick))
+        yield MatchDecision.match(job.ad_id, *pick)
+        free = [s for s in free if s.ad.ad_id != pick[0]]
+        if not free:
+            return
+
+
+def run_match_cycle(store: AdStore, jobs: list[ClassAd], reg: FnRegistry,
+                    env: dict | None, now: float = 0.0,
+                    claimed: Collection[str] | None = None,
+                    choose=choose_by_rank) -> list[MatchDecision]:
+    """`match_jobs` run to the end, with one decision for every job: those
+    it did not reach, because no ad was left free, get no-candidates."""
+    decisions = list(match_jobs(store, jobs, reg, env, now, claimed, choose))
+    decisions.extend(MatchDecision.no_match(job.ad_id, "no-candidates")
+                     for job in jobs[len(decisions):])
     return decisions
 
 

@@ -8,13 +8,17 @@ its chosen station reported, so the quantity the ranking minimizes is the
 quantity the report measures.
 
 Scoring and staging both use the station states as they were when the cycle
-started; queue and cache updates land on the live stations and are visible
-from the next cycle on.
+started, and each distinct (dataset, station, output bytes) preference is
+asked once per cycle; queue and cache updates land on the live stations, one
+batch per staging step, and are visible from the next cycle on.
 
-All policies share `run_match_cycle` and differ only in the chooser:
-`data-aware` takes the Rank argmax, `random` and `round-robin` pick an
-authorized ad without ranking and record rank 0. Job OutputBytes and
-RunSeconds are checked once, when the scenario loads (see `jobs`).
+All policies share `match_jobs` and differ only in the chooser: `data-aware`
+takes the Rank argmax, `random` and `round-robin` pick an authorized ad
+without ranking and record rank 0. A cycle walks the idle jobs, in job id
+order, only until every ad is busy or claimed, so its cost follows the slots
+that can still be filled rather than the length of the backlog. Job ads are
+checked once, when the scenario loads: Owner and Dataset must be text, and
+OutputBytes and RunSeconds usable quantities (see `jobs`).
 """
 
 from __future__ import annotations
@@ -25,21 +29,21 @@ import random
 from dataclasses import dataclass
 
 from .advertise import generate_classads, select_patterns
-from .classads import ClassAd, parse_expr
+from .classads import ClassAd, Expr, parse_expr
 from .classads.ads import AdKind
 from .conftree import TreeNode, derive_service_config, read_tree
-from .jobs import JobQueue, JobState, output_bytes, run_seconds
+from .jobs import JobQueue, JobState, output_bytes, run_seconds, validate_job_ad
 from .matchmaker import (
     AdStore,
     MatchDecision,
     StoredAd,
     choose_by_rank,
-    run_match_cycle,
+    match_jobs,
     standard_registry,
 )
 # bench/run.py wraps these by name in this module; nothing here calls them
 from .classads import evaluate, symmetric_match  # noqa: F401
-from .matchmaker import preauthorize  # noqa: F401
+from .matchmaker import preauthorize, run_match_cycle  # noqa: F401
 from .station import (
     CacheAdd,
     DatasetCatalog,
@@ -98,14 +102,23 @@ def load_scenario(doc: dict) -> Scenario:
                 station_fixtures=dict(site_doc.get("stations", {})),
                 gridmap=list(site_doc.get("gridmap", [])),
             ))
+        parsed: dict[str, Expr] = {}  # source -> tree; trees are immutable
+
+        def parse_once(src: str) -> Expr:
+            if src not in parsed:
+                parsed[src] = parse_expr(src)
+            return parsed[src]
+
         job_ads = []
         for job_doc in doc["jobs"]:
             attrs = dict(job_doc["ad"])
             if "Rank" not in attrs:
                 attrs["Rank"] = _DEFAULT_RANK_SOURCE
-            ad = ClassAd({name: parse_expr(src) for name, src in attrs.items()},
+            ad = ClassAd({name: parse_once(src) for name, src in attrs.items()},
                          AdKind.JOB, ad_id=str(job_doc["id"]))
-            output_bytes(ad)  # a value the run could not use fails here
+            # a value the run could not use fails here, not partway through
+            validate_job_ad(ad)
+            output_bytes(ad)
             run_seconds(ad)
             job_ads.append(ad)
         return Scenario(name=doc.get("name", "scenario"), catalog=catalog,
@@ -177,6 +190,11 @@ class GridWorld:
         self._pending_files: dict[int, list[str]] = {}
         self.queue = JobQueue()
         self.busy: dict[str, int] = {}  # ad id -> queue job id
+        # station states as the current cycle started, and the preference
+        # scores asked of them so far, keyed (dataset, station, output bytes)
+        self._snapshot: dict[str, StationState] = {}
+        self._scores: dict[tuple, float] = {}
+        self._env = {"station_query": self._preference}
         self._build(scenario)
 
     def _build(self, scenario: Scenario):
@@ -212,11 +230,15 @@ class GridWorld:
         self._heap_seq += 1
         heapq.heappush(self._heap, (at, self._heap_seq, kind, job_id))
 
-    def _station_query_over(self, snapshot: dict[str, StationState]):
-        def query(dataset: str, station_id: str, output_bytes: int | None) -> float:
-            return get_preference(self.catalog, snapshot[station_id], dataset,
-                                  output_bytes).score
-        return query
+    def _preference(self, dataset: str, station_id: str,
+                    output_bytes: int | None) -> float:
+        """The station's score at the cycle's start, asked once per cycle."""
+        key = (dataset, station_id, output_bytes)
+        if key not in self._scores:
+            self._scores[key] = get_preference(
+                self.catalog, self._snapshot[station_id], dataset,
+                output_bytes).score
+        return self._scores[key]
 
     # -- one scheduling pass ----------------------------------------------
 
@@ -238,62 +260,62 @@ class GridWorld:
     def _match_cycle(self) -> int:
         """Match the idle jobs once. Returns how many matched.
 
-        A job that failed to match while every ad was visible (none busy, none
-        claimed earlier in its own cycle) can never match later, so it is held
-        right here; otherwise it stays idle for the next cycle. A final sweep
-        in run() holds whatever is left when no event can free a slot again.
+        The pipeline stops once no ad is left free, and the jobs it did not
+        reach count as having no candidates. A job that failed to match
+        while every visible ad was free (none busy, none claimed earlier in
+        its own cycle) can never match later, so it is held; otherwise it
+        stays idle for the next cycle. When nothing matched and no event is
+        pending, no slot can free again, so every job still idle is held
+        with its reason.
         """
-        idle = sorted(self.queue.in_state(JobState.IDLE), key=lambda j: j.job_id)
+        idle = self.queue.in_state(JobState.IDLE)
         if not idle:
             return 0
-        snapshot = dict(self.stations)
-        env = {"station_query": self._station_query_over(snapshot)}
-        job_ads = [j.ad for j in idle]
+        self._snapshot = dict(self.stations)
+        self._scores = {}
         busy_at_start = set(self.busy)
         choose = (choose_by_rank if self.policy == "data-aware"
                   else self._choose_baseline)
-        decisions = run_match_cycle(self.store, job_ads, self.registry, env,
-                                    now=self.clock, claimed=busy_at_start,
-                                    choose=choose)
+        decisions = match_jobs(self.store, (record.ad for record in idle),
+                               self.registry, self._env, now=self.clock,
+                               claimed=busy_at_start, choose=choose)
         matched = 0
         saw_everything = not busy_at_start
+        reasons = {}
         for record, decision in zip(idle, decisions):
             if decision.matched:
                 matched += 1
                 saw_everything = False
-                self._start_staging(record, decision, snapshot)
+                self._start_staging(record, decision)
             elif saw_everything:
-                self.queue.transition(record.job_id, JobState.HELD,
-                                      stamp=self.clock, detail=decision.reason)
-                self._log("held", job=decision.job_id, reason=decision.reason)
-        if matched == 0 and not self._heap:
-            # no event will ever free a slot; park the rest with their reasons
-            for record, decision in zip(idle, decisions):
+                self._hold(record, decision.reason)
+            else:
+                reasons[record.job_id] = decision.reason
+        if saw_everything or (matched == 0 and not self._heap):
+            for record in idle:
                 if record.state is JobState.IDLE:
-                    reason = decision.reason or "no-candidates"
-                    self.queue.transition(record.job_id, JobState.HELD,
-                                          stamp=self.clock, detail=reason)
-                    self._log("held", job=decision.job_id, reason=reason)
+                    self._hold(record, reasons.get(record.job_id, "no-candidates"))
         return matched
 
-    def _start_staging(self, record, decision: MatchDecision,
-                       snapshot: dict[str, StationState]):
+    def _hold(self, record, reason: str):
+        self.queue.transition(record.job_id, JobState.HELD,
+                              stamp=self.clock, detail=reason)
+        self._log("held", job=record.ad.ad_id, reason=reason)
+
+    def _start_staging(self, record, decision: MatchDecision):
         ad_id = decision.resource_id
         station_id = self.station_of_ad[ad_id]
         dataset = record.ad.self_text("Dataset")
         # the same query the data-aware Rank made, so staging == -rank
-        staging = -get_preference(self.catalog, snapshot[station_id], dataset,
-                                  output_bytes(record.ad)).score
+        staging = -self._preference(dataset, station_id, output_bytes(record.ad))
         self.busy[ad_id] = record.job_id
         self.queue.transition(record.job_id, JobState.MATCHED,
                               stamp=self.clock, detail=ad_id)
         self.queue.transition(record.job_id, JobState.STAGING, stamp=self.clock)
         missing = [f.file_name for f in self.catalog.files(dataset)
-                   if f.file_name not in snapshot[station_id].cached_files]
-        live = self.stations[station_id]
-        for _ in missing:
-            live = apply_event(live, EnqueueInput())
-        self.stations[station_id] = live
+                   if f.file_name not in self._snapshot[station_id].cached_files]
+        self.stations[station_id] = apply_event(
+            self.stations[station_id], *[EnqueueInput()] * len(missing))
         self._pending_files[record.job_id] = missing
         self._log("match", job=decision.job_id, resource=ad_id,
                   rank=decision.rank, staging_seconds=staging)
@@ -302,11 +324,10 @@ class GridWorld:
     def _finish_staging(self, job_id: int):
         record = self.queue.get(job_id)
         station_id = self.station_of_ad[record.matched_resource()]
-        live = self.stations[station_id]
+        steps = []
         for file_name in self._pending_files.pop(job_id, []):
-            live = apply_event(live, DequeueInput())
-            live = apply_event(live, CacheAdd(file_name))
-        self.stations[station_id] = live
+            steps += (DequeueInput(), CacheAdd(file_name))
+        self.stations[station_id] = apply_event(self.stations[station_id], *steps)
         self.queue.transition(job_id, JobState.RUNNING, stamp=self.clock)
         self._log("running", job=record.ad.ad_id)
         self._push(self.clock + run_seconds(record.ad), "done", job_id)

@@ -175,27 +175,37 @@ class CacheEvict:
     file_name: str
 
 
-def apply_event(st: StationState, ev) -> StationState:
-    """One queue or cache step; every other field is unchanged."""
-    if isinstance(ev, EnqueueInput):
-        return replace(st, input_queue_depth=st.input_queue_depth + 1)
-    if isinstance(ev, DequeueInput):
-        if st.input_queue_depth == 0:
-            raise IllegalTransition("input queue is empty")
-        return replace(st, input_queue_depth=st.input_queue_depth - 1)
-    if isinstance(ev, EnqueueOutput):
-        return replace(st, output_queue_depth=st.output_queue_depth + 1)
-    if isinstance(ev, DequeueOutput):
-        if st.output_queue_depth == 0:
-            raise IllegalTransition("output queue is empty")
-        return replace(st, output_queue_depth=st.output_queue_depth - 1)
-    if isinstance(ev, CacheAdd):
-        return replace(st, cached_files=st.cached_files | {ev.file_name})
-    if isinstance(ev, CacheEvict):
-        if ev.file_name not in st.cached_files:
-            raise IllegalTransition(f"{ev.file_name!r} not cached")
-        return replace(st, cached_files=st.cached_files - {ev.file_name})
-    raise IllegalTransition(f"unknown event {ev!r}")
+def apply_event(st: StationState, *events) -> StationState:
+    """Queue and cache steps, in order, folded into one copy of the state;
+    every other field is unchanged. A step that would empty a queue below
+    zero or evict an uncached file raises IllegalTransition."""
+    in_depth, out_depth = st.input_queue_depth, st.output_queue_depth
+    cached = None  # copied from st at the first cache step
+    for ev in events:
+        if isinstance(ev, EnqueueInput):
+            in_depth += 1
+        elif isinstance(ev, DequeueInput):
+            if in_depth == 0:
+                raise IllegalTransition("input queue is empty")
+            in_depth -= 1
+        elif isinstance(ev, EnqueueOutput):
+            out_depth += 1
+        elif isinstance(ev, DequeueOutput):
+            if out_depth == 0:
+                raise IllegalTransition("output queue is empty")
+            out_depth -= 1
+        elif isinstance(ev, CacheAdd):
+            cached = set(st.cached_files) if cached is None else cached
+            cached.add(ev.file_name)
+        elif isinstance(ev, CacheEvict):
+            cached = set(st.cached_files) if cached is None else cached
+            if ev.file_name not in cached:
+                raise IllegalTransition(f"{ev.file_name!r} not cached")
+            cached.remove(ev.file_name)
+        else:
+            raise IllegalTransition(f"unknown event {ev!r}")
+    return replace(st, input_queue_depth=in_depth, output_queue_depth=out_depth,
+                   cached_files=st.cached_files if cached is None else cached)
 
 
 # -- wire handling ---------------------------------------------------------------

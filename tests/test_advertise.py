@@ -228,6 +228,7 @@ def test_info_service_over_wire():
                 "unsupported"
     finally:
         server.shutdown()
+        server.server_close()
 
 
 # -- gridmaps and the advertising loop --------------------------------------------------

@@ -225,3 +225,18 @@ def test_format_value_round_trips_through_parser():
         assert _ev(format_value(v)) == v
     # non-finite reals have no literal form and come back as error
     assert _ev(format_value(real(float("inf")))) == ERROR
+
+
+def test_chain_too_deep_for_the_stack_is_error():
+    # a flat source text parses into a left-leaning tree 3000 nodes deep
+    e = parse_expr(" + ".join(["1"] * 3000))
+    assert evaluate(e, EMPTY_AD, None, EMPTY_REGISTRY) == ERROR
+    assert _ev(" + ".join(["1"] * 300)) == integer(300)
+
+
+def test_integer_too_large_for_a_real_is_error():
+    huge = "9" * 400
+    assert _ev(f"1 == {huge}") == ERROR
+    assert _ev(f"{huge} < 2.5") == ERROR
+    assert _ev(f"{huge} * 1.5") == ERROR
+    assert _ev(f"{huge} - {huge}") == integer(0)  # Integers alone stay exact

@@ -1,6 +1,7 @@
 """Job records, legal lifecycles, and the in-process queue."""
 
 import itertools
+import random
 
 import pytest
 
@@ -197,6 +198,44 @@ def test_in_state():
     assert [j.job_id for j in q.in_state(JobState.IDLE)] == [a.job_id]
     assert [j.job_id for j in q.in_state(JobState.MATCHED)] == [b.job_id]
     assert q.in_state(JobState.DONE) == []
+
+
+def test_in_state_index_matches_a_full_scan():
+    def check(queue):
+        for state in JobState:
+            scan = sorted((j for j in queue.jobs.values() if j.state is state),
+                          key=lambda j: j.job_id)
+            assert queue.in_state(state) == scan
+
+    forward = [JobState.IDLE, JobState.MATCHED, JobState.STAGING,
+               JobState.RUNNING, JobState.DONE]
+    rng = random.Random(5)
+    records = []
+    q = JobQueue(journal_sink=records.append)
+    for _ in range(400):
+        if not q.jobs or rng.random() < 0.1:
+            q.submit(AD)
+            check(q)
+            continue
+        job = q.jobs[rng.choice(list(q.jobs))]
+        try:
+            if job.state is JobState.HELD:
+                q.release(job.job_id)
+            elif job.state is not JobState.DONE and rng.random() < 0.8:
+                q.transition(job.job_id, forward[forward.index(job.state) + 1])
+            else:
+                q.transition(job.job_id, rng.choice(list(JobState)), detail="x")
+        except IllegalJobTransition:
+            pass  # a refused move must leave the index as it was
+        check(q)
+    assert q.in_state(JobState.HELD) and q.in_state(JobState.DONE)
+    clone = JobQueue()
+    for record in records:
+        clone.apply_journal_record(record)
+        check(clone)
+    for state in JobState:
+        assert [j.job_id for j in clone.in_state(state)] == \
+            [j.job_id for j in q.in_state(state)]
 
 
 def test_journal_sink_records_every_mutation():

@@ -2,24 +2,29 @@
 
 import logging
 import math
+import random
 import sys
 import threading
 
 import pytest
 
 from vogrid import wire
-from vogrid.classads import AdKind, ad_to_json, parse_classad
+from vogrid.classads import AdKind, ad_to_json, parse_classad, symmetric_match
 from vogrid.matchmaker import (
     AdStore,
     IncompleteAd,
     MatchDecision,
     MatchmakerService,
+    choose_by_rank,
     directory_query,
+    match_jobs,
     preauthorize,
     run_match_cycle,
     standard_registry,
 )
 from vogrid.station import DatasetCatalog, StationState, get_preference, handle_message
+
+from worldgen import make_world, world_runtime
 
 ALICE = "/C=US/O=demo/CN=alice"
 BOB = "/C=US/O=demo/CN=bob"
@@ -312,6 +317,7 @@ def test_directory_query_against_live_station():
             query("dzero-run2", "not-in-directory", None)
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_directory_query_passes_auth():
@@ -326,6 +332,7 @@ def test_directory_query_passes_auth():
             bare("dzero-run2", "durin", None)
     finally:
         server.shutdown()
+        server.server_close()
 
 
 # -- the wire service -------------------------------------------------------------------
@@ -353,6 +360,7 @@ def test_matchmaker_service_end_to_end():
                                 "resource_id": "r2", "rank": -4.0}
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_matchmaker_service_error_codes():
@@ -384,6 +392,96 @@ def test_matchmaker_service_respects_ttl_clock():
     now["t"] = 10.0
     [d] = service.handle_message(job_msg | {"id": 3})["result"]["decisions"]
     assert d == {"job_id": "j", "outcome": "no-match", "reason": "no-candidates"}
+
+
+# -- the lazy pipeline ---------------------------------------------------------------
+
+def _rescan_cycle(store, jobs, reg, env, now, claimed, choose):
+    """Reference pipeline: every job rescans every visible ad, start to end."""
+    claimed = set(claimed)
+    visible = store.snapshot(now)
+    decisions = []
+    for job in jobs:
+        available = [s for s in visible if s.ad.ad_id not in claimed]
+        candidates = [s for s in available if symmetric_match(job, s.ad, reg, env)]
+        if not candidates:
+            decisions.append(MatchDecision.no_match(job.ad_id, "no-candidates"))
+            continue
+        authorized = [s for s in candidates if preauthorize(store, job, s.ad.ad_id)]
+        if not authorized:
+            decisions.append(MatchDecision.no_match(job.ad_id, "unauthorized-everywhere"))
+            continue
+        pick = choose(job, authorized, reg, env)
+        if pick is None:
+            decisions.append(MatchDecision.no_match(job.ad_id, "all-rank-error"))
+            continue
+        claimed.add(pick[0])
+        decisions.append(MatchDecision.match(job.ad_id, *pick))
+    return decisions
+
+
+def _chooser(kind, seed, ad_ids):
+    """A fresh chooser: the Rank argmax, or the simulator's two baselines."""
+    if kind == "rank":
+        return choose_by_rank
+    rng = random.Random(seed)
+    rotation, pointer = sorted(ad_ids), [0]
+
+    def choose(job, authorized, reg, env):
+        if kind == "random":
+            ordered = sorted(authorized, key=lambda s: (s.name, s.ad.ad_id))
+            return rng.choice(ordered).ad.ad_id, 0.0
+        ids = {s.ad.ad_id for s in authorized}
+        for k in range(len(rotation)):
+            ad_id = rotation[(pointer[0] + k) % len(rotation)]
+            if ad_id in ids:
+                pointer[0] = (pointer[0] + k + 1) % len(rotation)
+                return ad_id, 0.0
+    return choose
+
+
+def test_match_cycle_equals_the_rescanning_pipeline():
+    exhausted = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        rt = world_runtime(make_world(rng))
+        ad_ids = [s.ad.ad_id for s in rt["store"].snapshot(0.0)]
+        jobs = rt["jobs"] * rng.randint(1, 4)  # often more jobs than slots
+        claimed = set(rng.sample(ad_ids, rng.randint(0, len(ad_ids))))
+        now = rng.choice([0.0, 0.0, 0.0, 1.0])  # ads expire at 1.0
+        for kind in ("rank", "random", "round-robin"):
+            args = (rt["store"], jobs, rt["registry"], rt["env"], now, claimed)
+            got = run_match_cycle(*args, choose=_chooser(kind, seed, ad_ids))
+            assert got == _rescan_cycle(*args, _chooser(kind, seed, ad_ids))
+            reached = list(match_jobs(*args, choose=_chooser(kind, seed, ad_ids)))
+            assert reached == got[:len(reached)]
+            exhausted += len(reached) < len(jobs)
+    assert exhausted > 50  # the pool ran out before the jobs did
+
+
+def test_match_jobs_stops_pulling_jobs_once_every_ad_is_claimed():
+    store = _store(_res("r1", "A", "s1"), _res("r2", "B", "s2"))
+    pulled = []
+
+    def feed():
+        yield _job("outsider", owner=BOB)  # matches nothing, claims nothing
+        for i in range(10):
+            pulled.append(i)
+            yield _job(f"j{i}")
+
+    reg = standard_registry()
+    decisions = list(match_jobs(store, feed(), reg, None))
+    assert [d.reason for d in decisions] == ["unauthorized-everywhere", None, None]
+    assert [d.resource_id for d in decisions[1:]] == ["r1", "r2"]
+    assert pulled == [0, 1]
+    # with no ad free from the start, not even the first job is pulled
+    for kw in ({"claimed": {"r1", "r2"}}, {"now": 1e9}):
+        jobs = feed()
+        assert list(match_jobs(store, jobs, reg, None, **kw)) == []
+        assert next(jobs).ad_id == "outsider"
+    # the whole-cycle form still answers for every job
+    tail = _run(store, [_job(f"j{i}") for i in range(4)])
+    assert [d.reason for d in tail] == [None, None, "no-candidates", "no-candidates"]
 
 
 # -- structural invariance ----------------------------------------------------------

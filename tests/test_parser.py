@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vogrid.classads import (
     AdKind,
@@ -24,6 +25,10 @@ from vogrid.classads import (
     text,
 )
 from vogrid.classads import TRUE, FALSE, UNDEFINED, ERROR
+from vogrid.classads import EMPTY_REGISTRY, Value, evaluate
+from vogrid.classads.parser import MAX_NESTING
+
+EMPTY_AD = parse_classad("", AdKind.JOB)
 
 
 def test_numeric_literals():
@@ -90,6 +95,67 @@ def test_parse_error_carries_byte_offset():
     with pytest.raises(ParseError) as exc:
         parse_expr("aaaa $")
     assert exc.value.offset == 5
+
+
+@pytest.mark.parametrize("src", [
+    "(" * 200 + "1" + ")" * 200,
+    "-" * 200 + "1",
+    "fun(" * 200 + "1" + ")" * 200,
+    "1" * 5000,  # more digits than int() accepts
+])
+def test_too_deep_or_too_long_is_a_parse_error(src):
+    with pytest.raises(ParseError):
+        parse_expr(src)
+
+
+def test_nesting_up_to_the_limit_parses():
+    depth = MAX_NESTING
+    assert parse_expr("(" * depth + "1" + ")" * depth) == Literal(integer(1))
+    e = parse_expr("-" * depth + "1")
+    for _ in range(depth):
+        assert isinstance(e, Unary)
+        e = e.operand
+    with pytest.raises(ParseError) as exc:
+        parse_expr("(" * (depth + 1) + "1" + ")" * (depth + 1))
+    assert exc.value.offset == depth
+
+
+_SOURCE = st.recursive(
+    st.one_of(st.sampled_from(["1", "2.5", "1e9", '"t"', "x", "OTHER.y", "true",
+                               "undefined", "error", "@", ")", ""]),
+              st.integers(1, 6000).map(lambda n: "9" * n)),
+    lambda inner: st.one_of(
+        inner.map(lambda e: f"({e})"),
+        st.tuples(st.sampled_from(["-", "!", "+"]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["+", "*", "/", "&&", "||", "==", "<", ","]),
+                  inner).map(" ".join),
+        st.lists(inner, max_size=3).map(lambda args: f"fun({', '.join(args)})"),
+    ))
+# the same sources wrapped many times over: nesting and operator chains far
+# deeper than any ad needs
+_DEEP_SOURCE = st.tuples(
+    st.sampled_from([("(", ")"), ("-", ""), ("!", ""), ("fun(", ")"), ("1 + ", "")]),
+    st.integers(0, 3000), _SOURCE,
+).map(lambda t: t[0][0] * t[1] + t[2] + t[0][1] * t[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.text(max_size=200), _SOURCE, _DEEP_SOURCE))
+def test_parse_raises_only_parse_error(src):
+    try:
+        parse_expr(src)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_SOURCE, _DEEP_SOURCE))
+def test_whatever_parses_evaluates_without_raising(src):
+    try:
+        e = parse_expr(src)
+    except ParseError:
+        return
+    assert isinstance(evaluate(e, EMPTY_AD, EMPTY_AD, EMPTY_REGISTRY), Value)
 
 
 def _random_expr(rng, depth):

@@ -173,6 +173,7 @@ def test_submit_over_wire(tmp_path):
                              ad_to_json(parse_classad("", AdKind.JOB)))
     finally:
         server.shutdown()
+        server.server_close()
         service.close()
 
 
@@ -198,4 +199,5 @@ def test_concurrent_submissions_get_unique_ids(tmp_path):
         assert sorted(ids) == list(range(1, 41))
     finally:
         server.shutdown()
+        server.server_close()
         service.close()

@@ -9,6 +9,7 @@ import pytest
 
 import vogrid.sim as sim
 from vogrid.advertise import build_info_tree, query_info
+from vogrid.classads import parse_expr
 from vogrid.conftree import read_tree, write_tree
 from vogrid.jobs import JobState
 from vogrid.sim import (
@@ -72,7 +73,6 @@ def test_load_scenario_parses_the_fixture():
 
 def test_missing_rank_gets_the_station_query_rank():
     scenario = load_scenario(_one_site_doc())
-    from vogrid.classads import parse_expr
     assert scenario.job_ads[0].lookup("Rank") == \
         parse_expr("fun(Dataset, OTHER.Station_ID)")
 
@@ -81,7 +81,6 @@ def test_explicit_rank_is_kept():
     doc = _one_site_doc()
     doc["jobs"][0]["ad"]["Rank"] = "0 - 5"
     scenario = load_scenario(doc)
-    from vogrid.classads import parse_expr
     assert scenario.job_ads[0].lookup("Rank") == parse_expr("0 - 5")
 
 
@@ -140,6 +139,25 @@ def test_bad_job_quantities_are_rejected_at_load(attr, value):
     doc["jobs"][0]["ad"][attr] = value
     with pytest.raises(ScenarioParseError, match=attr):
         load_scenario(doc)
+
+
+@pytest.mark.parametrize("attr", ["Owner", "Dataset"])
+def test_non_text_identity_is_rejected_at_load(attr):
+    doc = json.loads(json.dumps(SAMPLE_DOC))
+    doc["jobs"][0]["ad"][attr] = "5"
+    with pytest.raises(ScenarioParseError, match=attr):
+        load_scenario(doc)
+
+
+def test_each_distinct_source_is_parsed_once(monkeypatch):
+    parsed = []
+    monkeypatch.setattr(sim, "parse_expr",
+                        lambda src: parsed.append(src) or parse_expr(src))
+    scenario = load_scenario(SAMPLE_DOC)
+    sources = {src for job in SAMPLE_DOC["jobs"] for src in job["ad"].values()}
+    assert sorted(parsed) == sorted(sources | {"fun(Dataset, OTHER.Station_ID)"})
+    first, second = scenario.job_ads[:2]
+    assert first.lookup("Rank") is second.lookup("Rank")
 
 
 @pytest.mark.parametrize("policy", sim.POLICIES)
@@ -332,6 +350,17 @@ def test_partial_visibility_defers_the_hold():
     assert JobState.HELD not in {h.state for h in j2.history}
     match_stamp = next(h.stamp for h in j2.history if h.state is JobState.MATCHED)
     assert match_stamp == 15.0
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_no_visible_ads_holds_every_job(policy):
+    # ttl 0 hides every ad: the pipeline reaches no job, yet each is held
+    doc = dict(SAMPLE_DOC, ttl=0)
+    report, log = run_scenario(load_scenario(doc), policy, 0)
+    assert [(j["state"], j["reason"]) for j in report["jobs"]] == \
+        [("Held", "no-candidates")] * len(SAMPLE_DOC["jobs"])
+    assert [e["job"] for e in log if e["event"] == "held"] == \
+        [j["id"] for j in SAMPLE_DOC["jobs"]]
 
 
 def test_stranded_jobs_hold_when_nothing_is_pending():

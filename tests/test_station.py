@@ -170,6 +170,28 @@ def test_apply_event_cache():
         apply_event(st, CacheEvict("ghost"))
 
 
+def test_apply_event_batch_equals_one_step_at_a_time():
+    rng = random.Random(3)
+    names = ["raw000", "raw001", "mb000"]
+    for _ in range(300):
+        events = [rng.choice([EnqueueInput(), DequeueInput(), EnqueueOutput(),
+                              DequeueOutput(), CacheAdd(rng.choice(names)),
+                              CacheEvict(rng.choice(names))])
+                  for _ in range(rng.randrange(8))]
+        start = _station(cached_files={"raw000"}, input_queue_depth=1)
+        try:
+            expected = start
+            for ev in events:
+                expected = apply_event(expected, ev)
+        except IllegalTransition:
+            # the batch checks each step against the running state too
+            with pytest.raises(IllegalTransition):
+                apply_event(start, *events)
+            continue
+        assert apply_event(start, *events) == expected
+    assert apply_event(_station()) == _station()
+
+
 def test_apply_event_underflow_and_unknown():
     with pytest.raises(IllegalTransition):
         apply_event(_station(), DequeueInput())

@@ -31,6 +31,7 @@ def test_request_reply_and_id_auto_increment():
             assert r3["id"] == "custom"
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_port_zero_picks_a_free_port():
@@ -41,6 +42,7 @@ def test_port_zero_picks_a_free_port():
                                  {"type": "P", "payload": 1})["result"]["echo"] == 1
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_wrong_reply_id_is_an_error():
@@ -51,6 +53,7 @@ def test_wrong_reply_id_is_an_error():
                 conn.request({"type": "PING"})
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def _raw_exchange(port, *lines):
@@ -78,6 +81,7 @@ def test_malformed_lines_keep_the_connection_open():
         assert replies[2] == {"id": 5, "result": {"echo": "still here"}}
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_handler_exception_becomes_internal_error():
@@ -100,6 +104,7 @@ def test_handler_exception_becomes_internal_error():
                 ["result"]["echo"] == "ok"
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_auth_token_required_when_configured():
@@ -116,6 +121,7 @@ def test_auth_token_required_when_configured():
         # servers without a token ignore stray auth fields
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_server_without_token_ignores_auth_field():
@@ -126,6 +132,7 @@ def test_server_without_token_ignores_auth_field():
             assert "result" in conn.request({"type": "PING"})
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_blank_lines_are_skipped():
@@ -136,6 +143,7 @@ def test_blank_lines_are_skipped():
         assert replies == [{"id": 1, "result": {"echo": None}}]
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_connecting_to_a_closed_server_fails():
