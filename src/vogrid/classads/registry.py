@@ -18,7 +18,10 @@ class FnRegistry:
     """Name -> (arity, handler) table. Names are case-insensitive.
 
     Freeze the registry (stop registering) before matching starts; handlers
-    must be safe to invoke concurrently.
+    must be safe to invoke concurrently. A handler's result may depend on the
+    ads' attributes and on the environment handle, but not on the identity
+    of the ads it is handed: the matchmaker evaluates one ad of a resource
+    cluster (ads with equal bindings and gridmap) for all of them.
     """
 
     def __init__(self) -> None:

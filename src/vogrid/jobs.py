@@ -9,6 +9,7 @@ passes its own clock.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -74,7 +75,7 @@ def run_seconds(ad: ClassAd) -> float:
     return ad.self_quantity("RunSeconds") or 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistoryEntry:
     state: JobState
     stamp: float
@@ -85,6 +86,8 @@ class HistoryEntry:
 
 
 class JobRecord:
+    __slots__ = ("job_id", "ad", "history")
+
     def __init__(self, job_id: int, ad: ClassAd):
         self.job_id = job_id
         self.ad = ad
@@ -135,11 +138,16 @@ class JobQueue:
     Records are also indexed by state, so listing the jobs in one state
     costs only those jobs. The index follows every change the queue makes;
     a record advanced behind the queue's back is not reindexed.
+
+    Jobs given as identical ad JSON, by `submit_json` or by journal replay,
+    share one ClassAd; ads are immutable.
     """
 
     def __init__(self, journal_sink: Callable[[dict], None] | None = None):
         self.jobs: dict[int, JobRecord] = {}
         self._by_state: dict[JobState, dict[int, JobRecord]] = {s: {} for s in JobState}
+        # ad JSON text -> the ad some stored job holds
+        self._shared_ads: dict[str, ClassAd] = {}
         self._next_id = 1
         self._seq = 0
         self._sink = journal_sink
@@ -165,15 +173,34 @@ class JobQueue:
             del self._by_state[old.state][job.job_id]
         self.jobs[job.job_id] = job
 
+    def _shared_ad(self, obj: dict) -> tuple[str, ClassAd]:
+        key = json.dumps(obj, separators=(",", ":"))
+        ad = self._shared_ads.get(key)
+        return key, ad if ad is not None else ad_from_json(obj)
+
     def submit(self, ad: ClassAd, stamp: float | None = None) -> JobRecord:
+        """Store a new job and move it to Idle. Raises RejectedAd, storing
+        nothing, for an invalid ad or one the journal cannot hold."""
         validate_job_ad(ad)
+        if self._sink is not None:  # the ad's source text is only built for a journal
+            try:
+                ad_json = ad_to_json(ad)
+            except RecursionError:
+                raise RejectedAd("job ad is nested too deeply to journal") from None
+            self._sink({"event": "new", "job_id": self._next_id, "ad": ad_json})
         job = JobRecord(self._next_id, ad)
         self._next_id += 1
         self._add(job)
-        if self._sink is not None:  # the ad's source text is only built for a journal
-            self._sink({"event": "new", "job_id": job.job_id, "ad": ad_to_json(ad)})
         for state in (JobState.SUBMITTED, JobState.IDLE):
             self.transition(job.job_id, state, stamp=stamp)
+        return job
+
+    def submit_json(self, obj: dict, stamp: float | None = None) -> JobRecord:
+        """`submit` for an ad in its JSON form. RejectedAd as there; any
+        other exception means `obj` is not an ad."""
+        key, ad = self._shared_ad(obj)
+        job = self.submit(ad, stamp)
+        self._shared_ads.setdefault(key, ad)
         return job
 
     def transition(self, job_id: int, state: JobState,
@@ -206,8 +233,10 @@ class JobQueue:
         """Replay one journal record; stamps and ids come from the record."""
         event = record["event"]
         if event == "new":
-            job = JobRecord(int(record["job_id"]), ad_from_json(record["ad"]))
+            key, ad = self._shared_ad(record["ad"])
+            job = JobRecord(int(record["job_id"]), ad)
             self._add(job)
+            self._shared_ads.setdefault(key, ad)
             self._next_id = max(self._next_id, job.job_id + 1)
         elif event == "state":
             job = self.get(int(record["job_id"]))

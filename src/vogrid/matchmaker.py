@@ -15,9 +15,21 @@ match; `run_match_cycle` is the same pass with one decision for every job,
 the unreached ones getting no-candidates.
 
 The default chooser is the Rank argmax: it evaluates the job's Rank against
-each authorized ad (external functions query stations now). Ranks that come
-back Undefined or Error drop the candidate rather than demoting it. Ties on
-rank break by resource Name (byte order), then ad id.
+each authorized ad (external functions query stations now). Ranks that are
+not a finite number (Undefined, Error, non-numeric, or too large for a Real)
+drop the candidate rather than demoting it. Ties on rank break by resource
+Name, then ad id, both in UTF-8 byte order.
+
+Resource clusters. The stored ads of equal kind, equal attribute bindings
+and equal gridmap form one resource cluster (`StoredAd.cluster`); the slots
+of one site cluster are advertised that way. Every stage judges one free
+member per cluster and applies the verdict to all of them: Requirements and
+pre-authorization once per cluster among the free ads, Rank once per
+cluster among the authorized ones. The chooser still gets every authorized
+member, in free-list order, so decisions are those of the per-ad pipeline.
+This relies on a contract of the function registry: a handler's result may
+depend on the ads' attributes and on `env`, never on which ad object, or
+which ad id, it was handed. `fun` meets it.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ import logging
 import math
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
@@ -40,7 +53,7 @@ from .classads import (
     real,
     symmetric_match,
 )
-from .classads.exprs import Literal
+from .classads.exprs import AttrRef, Binary, Expr, Literal, Unary
 from .jobs import output_bytes
 
 log = logging.getLogger("vogrid.matchmaker")
@@ -56,6 +69,12 @@ class IncompleteAd(Exception):
     pass
 
 
+class ResourceCluster:
+    """The identity shared by the stored ads of one resource cluster."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True)
 class StoredAd:
     ad: ClassAd
@@ -63,6 +82,36 @@ class StoredAd:
     ttl_seconds: float
     name: str
     station_id: str
+    gridmap: frozenset[str]
+    cluster: ResourceCluster
+
+
+def _expr_key(expr: Expr) -> tuple:
+    """A hashable image of an expression tree, built without recursion.
+
+    Trees with equal images evaluate alike. Unlike `==` on the trees, it
+    tells a Real 0.0 from -0.0, whose sign a Rank would report.
+    """
+    out = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Literal):
+            v = e.value
+            out.append((v.kind, v.data, math.copysign(1.0, v.data)
+                        if v.kind is ValueKind.REAL else None))
+        elif isinstance(e, AttrRef):
+            out.append((e.scope, e.name))
+        elif isinstance(e, Unary):
+            out.append(("unary", e.op))
+            stack.append(e.operand)
+        elif isinstance(e, Binary):
+            out.append(("binary", e.op))
+            stack += (e.right, e.left)
+        else:
+            out.append(("call", e.fn_name, len(e.args)))
+            stack.extend(reversed(e.args))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -94,7 +143,8 @@ class MatchDecision:
 
 
 class AdStore:
-    """Resource ads keyed by ad id, each with an expiry and a gridmap.
+    """Resource ads keyed by ad id, each with an expiry, a gridmap and a
+    resource cluster.
 
     Thread-safe: upserts and removals may run while another thread matches.
     """
@@ -102,7 +152,9 @@ class AdStore:
     def __init__(self):
         self._lock = threading.Lock()
         self._ads: dict[str, StoredAd] = {}
-        self._gridmaps: dict[str, frozenset[str]] = {}
+        # (kind, bindings, gridmap) -> cluster; an entry lives only as long
+        # as some StoredAd holds its cluster
+        self._clusters: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def collect_ad(self, ad: ClassAd, gridmap: Iterable[str], ttl_seconds: float,
                    now: float) -> None:
@@ -114,16 +166,19 @@ class AdStore:
         station_id = ad.self_text("Station_ID")
         if name is None or station_id is None:
             raise IncompleteAd(f"ad {ad.ad_id!r}: Name and Station_ID must be text")
-        stored = StoredAd(ad, now, float(ttl_seconds), name, station_id)
         subjects = frozenset(gridmap)
+        key = (ad.kind, subjects,
+               tuple((attr, _expr_key(expr)) for attr, expr in ad.items()))
         with self._lock:
-            self._ads[ad.ad_id] = stored
-            self._gridmaps[ad.ad_id] = subjects
+            cluster = self._clusters.get(key)
+            if cluster is None:
+                cluster = self._clusters[key] = ResourceCluster()
+            self._ads[ad.ad_id] = StoredAd(ad, now, float(ttl_seconds), name,
+                                           station_id, subjects, cluster)
 
     def remove(self, ad_id: str) -> None:
         with self._lock:
             self._ads.pop(ad_id, None)
-            self._gridmaps.pop(ad_id, None)
 
     def snapshot(self, now: float) -> list[StoredAd]:
         """Unexpired ads in insertion order. ttl 0 means never visible."""
@@ -132,7 +187,8 @@ class AdStore:
                     if now < s.received_at + s.ttl_seconds]
 
     def gridmap(self, ad_id: str) -> frozenset[str]:
-        return self._gridmaps.get(ad_id, frozenset())
+        stored = self._ads.get(ad_id)
+        return stored.gridmap if stored is not None else frozenset()
 
 
 def preauthorize(store: AdStore, job: ClassAd, resource_id: str) -> bool:
@@ -187,27 +243,57 @@ def directory_query(directory: Mapping[str, tuple[str, int]],
 
 def rank_resources(job: ClassAd, candidates: list[StoredAd], reg: FnRegistry,
                    env: dict | None) -> list[tuple[str, Value]]:
-    """Evaluate the job's Rank against each candidate, in candidate order."""
+    """The job's Rank against each candidate, in candidate order. It is
+    evaluated once per resource cluster; the members share the value."""
     rank_expr = job.lookup("Rank") if "Rank" in job else _ZERO_RANK
+    ranks: dict[ResourceCluster, Value] = {}
     out = []
     for cand in candidates:
-        out.append((cand.ad.ad_id, evaluate(rank_expr, job, cand.ad, reg, env)))
+        value = ranks.get(cand.cluster)
+        if value is None:
+            value = ranks[cand.cluster] = evaluate(rank_expr, job, cand.ad, reg, env)
+        out.append((cand.ad.ad_id, value))
     return out
+
+
+def _finite_rank(value: Value) -> float | None:
+    """The rank as a finite float, or None when it drops its candidate."""
+    if not value.is_numeric():
+        return None
+    try:
+        rank = value.as_real()
+    except OverflowError:  # an Integer too large for a Real
+        return None
+    return rank if math.isfinite(rank) else None
 
 
 def choose_by_rank(job: ClassAd, authorized: list[StoredAd], reg: FnRegistry,
                    env: dict | None) -> tuple[str, float] | None:
-    """Rank argmax as (ad id, rank); non-numeric and non-finite ranks drop out."""
+    """Rank argmax as (ad id, rank); ranks that are not finite numbers drop out.
+
+    Ties break by Name, then ad id. Code point order of text is its UTF-8
+    byte order.
+    """
     best = best_key = None
+    last = rank = None
     for cand, (ad_id, value) in zip(authorized,
                                     rank_resources(job, authorized, reg, env)):
-        if not value.is_numeric() or not math.isfinite(value.as_real()):
+        if value is not last:  # the members of a cluster share one value
+            last, rank = value, _finite_rank(value)
+        if rank is None:
             continue
-        rank = value.as_real()
-        key = (-rank, cand.name.encode("utf-8"), ad_id.encode("utf-8"))
+        key = (-rank, cand.name, ad_id)
         if best_key is None or key < best_key:
             best, best_key = (ad_id, rank), key
     return best
+
+
+def _first_members(free: list[StoredAd]) -> dict[ResourceCluster, StoredAd]:
+    """Each resource cluster among the free ads, with its first free member."""
+    firsts: dict[ResourceCluster, StoredAd] = {}
+    for s in free:
+        firsts.setdefault(s.cluster, s)
+    return firsts
 
 
 def match_jobs(store: AdStore, jobs: Iterable[ClassAd], reg: FnRegistry,
@@ -218,24 +304,27 @@ def match_jobs(store: AdStore, jobs: Iterable[ClassAd], reg: FnRegistry,
 
     The free ads are the visible ones whose ids are not in `claimed`; a
     claim removes its ad from them. Once none is left the pass stops and
-    pulls no further job from `jobs`. `choose(job, authorized ads, reg,
-    env)` returns the (ad id, rank) to claim, or None, which leaves the job
-    with reason all-rank-error.
+    pulls no further job from `jobs`. Requirements and pre-authorization
+    are judged once per resource cluster among the free ads, on its first
+    free member. `choose(job, authorized ads, reg, env)` gets every
+    authorized ad in free-list order and returns the (ad id, rank) to
+    claim, or None, which leaves the job with reason all-rank-error.
     """
     claimed = claimed or ()
     free = [s for s in store.snapshot(now) if s.ad.ad_id not in claimed]
     if not free:
         return
+    firsts = _first_members(free)
     for job in jobs:
-        candidates = [s for s in free if symmetric_match(job, s.ad, reg, env)]
-        if not candidates:
+        passing = [c for c, s in firsts.items() if symmetric_match(job, s.ad, reg, env)]
+        if not passing:
             yield MatchDecision.no_match(job.ad_id, "no-candidates")
             continue
-        authorized = [s for s in candidates if preauthorize(store, job, s.ad.ad_id)]
-        if not authorized:
+        allowed = {c for c in passing if preauthorize(store, job, firsts[c].ad.ad_id)}
+        if not allowed:
             yield MatchDecision.no_match(job.ad_id, "unauthorized-everywhere")
             continue
-        pick = choose(job, authorized, reg, env)
+        pick = choose(job, [s for s in free if s.cluster in allowed], reg, env)
         if pick is None:
             yield MatchDecision.no_match(job.ad_id, "all-rank-error")
             continue
@@ -243,6 +332,7 @@ def match_jobs(store: AdStore, jobs: Iterable[ClassAd], reg: FnRegistry,
         free = [s for s in free if s.ad.ad_id != pick[0]]
         if not free:
             return
+        firsts = _first_members(free)
 
 
 def run_match_cycle(store: AdStore, jobs: list[ClassAd], reg: FnRegistry,

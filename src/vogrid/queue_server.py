@@ -14,7 +14,6 @@ import os
 import threading
 
 from . import wire
-from .classads import ad_from_json
 from .jobs import (
     IllegalJobTransition,
     JobQueue,
@@ -88,13 +87,11 @@ class QueueService:
 
     def _submit(self, msg: dict) -> dict:
         try:
-            ad = ad_from_json(msg["ad"])
-        except Exception as exc:
-            raise wire.RequestError("malformed", str(exc)) from None
-        try:
-            job = self.queue.submit(ad)
+            job = self.queue.submit_json(msg["ad"])
         except RejectedAd as exc:
             raise wire.RequestError("rejected-ad", str(exc)) from None
+        except Exception as exc:
+            raise wire.RequestError("malformed", str(exc)) from None
         return {"job_id": job.job_id, "state": job.state.value}
 
     def _job_request(self, msg: dict, action) -> dict:

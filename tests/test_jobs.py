@@ -270,6 +270,12 @@ def test_replay_from_journal_records_reproduces_queue():
     assert j3.history[0].stamp > clone.jobs[2].history[-1].stamp
 
 
+def test_records_and_history_entries_have_no_instance_dict():
+    job = JobQueue().submit(AD)
+    assert not hasattr(job, "__dict__")
+    assert not hasattr(job.history[0], "__dict__")
+
+
 def test_apply_journal_record_rejects_unknown_events():
     with pytest.raises(ValueError):
         JobQueue().apply_journal_record({"event": "explode"})

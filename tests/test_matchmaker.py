@@ -1,15 +1,28 @@
 """Matchmaking pipeline and its wire service."""
 
+import collections
 import logging
 import math
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
 from vogrid import wire
-from vogrid.classads import AdKind, ad_to_json, parse_classad, symmetric_match
+from vogrid.classads import (
+    TRUE,
+    AdKind,
+    ClassAd,
+    Literal,
+    ad_to_json,
+    evaluate,
+    parse_classad,
+    real,
+    symmetric_match,
+    text,
+)
 from vogrid.matchmaker import (
     AdStore,
     IncompleteAd,
@@ -24,7 +37,7 @@ from vogrid.matchmaker import (
 )
 from vogrid.station import DatasetCatalog, StationState, get_preference, handle_message
 
-from worldgen import make_world, world_runtime
+from worldgen import SUBJECT_POOL, make_world, world_runtime
 
 ALICE = "/C=US/O=demo/CN=alice"
 BOB = "/C=US/O=demo/CN=bob"
@@ -92,6 +105,40 @@ def test_remove():
     store.remove("never-seen")
 
 
+def test_equal_bindings_and_gridmap_make_one_cluster():
+    a1, a2 = _res("a1", "A", "s1"), _res("a2", "A", "s1")
+    store = _store(a1, a2, _res("b", "B", "s2"))
+    store.collect_ad(_res("a3", "A", "s1"), [BOB], 3600.0, 0.0)
+    store.collect_ad(_res("a4", "A", "s1"), [ALICE], 5.0, 1.0)  # TTL does not count
+    c = {s.ad.ad_id: s.cluster for s in store.snapshot(1.0)}
+    assert c["a1"] is c["a2"] is c["a4"]
+    assert c["b"] is not c["a1"]
+    assert c["a3"] is not c["a1"]  # another gridmap
+    # bindings are compared as trees; a Real zero keeps its sign
+    zero, minus_zero = (ClassAd({"Name": Literal(text("Z")),
+                                 "Gatekeeper": Literal(text("g")),
+                                 "Station_ID": Literal(text("s")),
+                                 "Weight": Literal(real(x))},
+                                AdKind.RESOURCE, ad_id=f"z{x}") for x in (0.0, -0.0))
+    store = _store(zero, minus_zero)
+    assert len({id(s.cluster) for s in store.snapshot(0.0)}) == 2
+    # a chain too deep to hash recursively still gets a cluster
+    chain = " + ".join(["1"] * 3000)
+    deep = [_res(f"d{i}", "D", "s1", extra=f"Weight = {chain}\n") for i in range(2)]
+    store = _store(*deep)
+    first, second = store.snapshot(0.0)
+    assert first.cluster is second.cluster
+
+
+def test_clusters_live_only_as_long_as_their_ads():
+    store = _store(_res("a1", "A", "s1"), _res("a2", "A", "s1"))
+    cluster = weakref.ref(store.snapshot(0.0)[0].cluster)
+    store.remove("a1")
+    assert cluster() is not None
+    store.collect_ad(_res("a2", "A", "s1"), [BOB], 3600.0, 0.0)  # leaves the cluster
+    assert cluster() is None
+
+
 def test_collect_ad_requires_identity_attrs():
     store = AdStore()
     for missing in ("Name", "Gatekeeper", "Station_ID"):
@@ -150,6 +197,18 @@ def test_rank_drop_rules():
     assert d.rank == 5.0
 
 
+def test_rank_too_large_for_a_real_drops_the_candidate():
+    # an Integer rank past float range is dropped like a non-finite one
+    huge = "9" * 400
+    store = _store(_res("r1", "A", "s1"))
+    [d] = _run(store, [_job("j", extra=f"Rank = {huge}\n")])
+    assert d.reason == "all-rank-error"
+    store = _store(_res("r-huge", "A", "s1", extra=f"Goodness = {huge}\n"),
+                   _res("r-five", "B", "s2", extra="Goodness = 5\n"))
+    [d] = _run(store, [_job("j", extra="Rank = OTHER.Goodness\n")])
+    assert (d.resource_id, d.rank) == ("r-five", 5.0)
+
+
 def test_all_rank_error():
     store = _store(_res("r1", "A", "s1"), _res("r2", "B", "s2"))
     [d] = _run(store, [_job("j", extra="Rank = OTHER.NoSuchAttr\n")])
@@ -171,6 +230,20 @@ def test_tie_breaks_on_name_bytes_then_id():
     store = _store(_res("r-9", "same", "s1"), _res("r-1", "same", "s2"))
     [d] = _run(store, [_job("j")])
     assert d.resource_id == "r-1"
+
+
+def test_tie_break_takes_a_name_with_a_lone_surrogate():
+    # JSON can carry a lone surrogate, which has no UTF-8 encoding; code
+    # point order still ranks it, past every character below U+D800
+    service = MatchmakerService(clock=lambda: 0.0)
+    for n, name in enumerate(("\ud800", "B")):
+        ad = {"id": f"r{n}", "kind": "resource",
+              "attrs": {"Name": f'"{name}"', "Gatekeeper": '"g"', "Station_ID": '"s"'}}
+        service.handle_message({"type": "ADVERTISE", "id": n, "ad": ad,
+                                "gridmap": [ALICE], "ttl": 10.0})
+    reply = service.handle_message({"type": "MATCH_REQUEST", "id": 9,
+                                    "jobs": [ad_to_json(_job("j"))]})
+    assert reply["result"]["decisions"][0]["resource_id"] == "r1"
 
 
 def test_higher_rank_beats_tiebreak():
@@ -420,43 +493,117 @@ def _rescan_cycle(store, jobs, reg, env, now, claimed, choose):
     return decisions
 
 
-def _chooser(kind, seed, ad_ids):
-    """A fresh chooser: the Rank argmax, or the simulator's two baselines."""
+def _rank_each_ad(job, authorized, reg, env):
+    """Reference Rank argmax: one evaluation per ad, ties in UTF-8 byte order."""
+    rank_expr = job.lookup("Rank") or Literal(real(0.0))
+    best = best_key = None
+    for cand in authorized:
+        value = evaluate(rank_expr, job, cand.ad, reg, env)
+        try:
+            rank = value.as_real() if value.is_numeric() else math.nan
+        except OverflowError:
+            continue
+        if not math.isfinite(rank):
+            continue
+        key = (-rank, cand.name.encode("utf-8"), cand.ad.ad_id.encode("utf-8"))
+        if best_key is None or key < best_key:
+            best, best_key = (cand.ad.ad_id, rank), key
+    return best
+
+
+def _chooser(kind, seed, ad_ids, seen=None, reference=False):
+    """A fresh chooser: the Rank argmax, or the simulator's two baselines.
+    With `seen`, it also records the ad ids it was offered, in order."""
     if kind == "rank":
-        return choose_by_rank
-    rng = random.Random(seed)
-    rotation, pointer = sorted(ad_ids), [0]
+        inner = _rank_each_ad if reference else choose_by_rank
+    else:
+        rng = random.Random(seed)
+        rotation, pointer = sorted(ad_ids), [0]
+
+        def inner(job, authorized, reg, env):
+            if kind == "random":
+                ordered = sorted(authorized, key=lambda s: (s.name, s.ad.ad_id))
+                return rng.choice(ordered).ad.ad_id, 0.0
+            ids = {s.ad.ad_id for s in authorized}
+            for k in range(len(rotation)):
+                ad_id = rotation[(pointer[0] + k) % len(rotation)]
+                if ad_id in ids:
+                    pointer[0] = (pointer[0] + k + 1) % len(rotation)
+                    return ad_id, 0.0
 
     def choose(job, authorized, reg, env):
-        if kind == "random":
-            ordered = sorted(authorized, key=lambda s: (s.name, s.ad.ad_id))
-            return rng.choice(ordered).ad.ad_id, 0.0
-        ids = {s.ad.ad_id for s in authorized}
-        for k in range(len(rotation)):
-            ad_id = rotation[(pointer[0] + k) % len(rotation)]
-            if ad_id in ids:
-                pointer[0] = (pointer[0] + k + 1) % len(rotation)
-                return ad_id, 0.0
+        if seen is not None:
+            seen.append([s.ad.ad_id for s in authorized])
+        return inner(job, authorized, reg, env)
     return choose
 
 
+def _twinned(rng, store):
+    """The store's ads and copies of them under new ids, collected in a
+    shuffled order: a copy has the same bindings, and maybe another
+    gridmap or TTL. Members of one cluster end up apart in the free list."""
+    entries = []
+    for s in store.snapshot(0.0):
+        entries.append((s.ad, s.gridmap, s.ttl_seconds))
+        for k in range(rng.choice([0, 0, 1, 2, 3])):
+            copy = ClassAd(dict(s.ad.items()), s.ad.kind, ad_id=f"{s.ad.ad_id}~{k}")
+            gridmap = (s.gridmap if rng.random() < 0.5 else
+                       rng.sample(SUBJECT_POOL, rng.randint(0, len(SUBJECT_POOL))))
+            entries.append((copy, gridmap, rng.choice([1.0, 1.0, 0.5, 2.0])))
+    rng.shuffle(entries)
+    twinned = AdStore()
+    for ad, gridmap, ttl in entries:
+        twinned.collect_ad(ad, gridmap, ttl, 0.0)
+    return twinned
+
+
 def test_match_cycle_equals_the_rescanning_pipeline():
-    exhausted = 0
-    for seed in range(150):
+    exhausted = shared = 0
+    for seed in range(300):
         rng = random.Random(seed)
         rt = world_runtime(make_world(rng))
-        ad_ids = [s.ad.ad_id for s in rt["store"].snapshot(0.0)]
+        store = rt["store"] if seed < 150 else _twinned(rng, rt["store"])
+        visible = store.snapshot(0.0)
+        ad_ids = [s.ad.ad_id for s in visible]
+        shared += len({id(s.cluster) for s in visible}) < len(visible)
         jobs = rt["jobs"] * rng.randint(1, 4)  # often more jobs than slots
         claimed = set(rng.sample(ad_ids, rng.randint(0, len(ad_ids))))
-        now = rng.choice([0.0, 0.0, 0.0, 1.0])  # ads expire at 1.0
+        now = rng.choice([0.0, 0.0, 0.0, 0.75, 1.0, 1.5])  # TTLs 0.5, 1 and 2
         for kind in ("rank", "random", "round-robin"):
-            args = (rt["store"], jobs, rt["registry"], rt["env"], now, claimed)
-            got = run_match_cycle(*args, choose=_chooser(kind, seed, ad_ids))
-            assert got == _rescan_cycle(*args, _chooser(kind, seed, ad_ids))
+            args = (store, jobs, rt["registry"], rt["env"], now, claimed)
+            offered, offered_ref = [], []
+            got = run_match_cycle(*args, choose=_chooser(kind, seed, ad_ids, offered))
+            assert got == _rescan_cycle(*args, _chooser(kind, seed, ad_ids, offered_ref,
+                                                        reference=True))
+            assert offered == offered_ref  # every authorized ad, in free-list order
             reached = list(match_jobs(*args, choose=_chooser(kind, seed, ad_ids)))
             assert reached == got[:len(reached)]
             exhausted += len(reached) < len(jobs)
-    assert exhausted > 50  # the pool ran out before the jobs did
+    assert exhausted > 100  # the pool ran out before the jobs did
+    assert shared > 200  # most worlds had clusters of more than one ad
+
+
+def test_each_job_evaluates_once_per_resource_cluster():
+    def seen(args, self_ad, other_ad, env):
+        env["seen"].append((self_ad.ad_id, args[0].data))
+        return TRUE if args[0].data == "requirements" else real(len(args[1].data))
+
+    reg = standard_registry().register("seen", 2, seen)
+    store = _store(*[_res(f"a{i}", "AAAA", "s1") for i in range(3)],
+                   *[_res(f"b{i}", "BB", "s2") for i in range(2)])
+    for i in range(2):  # A's bindings under another gridmap: a third cluster
+        store.collect_ad(_res(f"x{i}", "AAAA", "s1"), [BOB], 3600.0, 0.0)
+    extra = ('Requirements = seen("requirements", OTHER.Name)\n'
+             'Rank = seen("rank", OTHER.Name)\n')
+    env = {"seen": []}
+    jobs = [_job(f"j{i}", extra=extra) for i in range(6)]
+    decisions = run_match_cycle(store, jobs, reg, env)
+    # the three a's rank 4 and go first, then the two b's; alice may not use x
+    assert [d.resource_id for d in decisions] == ["a0", "a1", "a2", "b0", "b1", None]
+    assert decisions[-1].reason == "unauthorized-everywhere"
+    counts = collections.Counter(env["seen"])
+    assert [counts[f"j{i}", "requirements"] for i in range(6)] == [3, 3, 3, 2, 2, 1]
+    assert [counts[f"j{i}", "rank"] for i in range(6)] == [2, 2, 2, 1, 1, 0]
 
 
 def test_match_jobs_stops_pulling_jobs_once_every_ad_is_claimed():

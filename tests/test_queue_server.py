@@ -85,6 +85,26 @@ def test_list(tmp_path):
         service.close()
 
 
+def test_unjournalable_ad_is_refused_and_leaves_no_job(tmp_path):
+    # parses, but formatting it for the journal exhausts the stack
+    chain = " + ".join(["1"] * 3000)
+    deep = {"id": "deep", "kind": "job",
+            "attrs": dict(AD_JSON["attrs"], Requirements=chain)}
+    path = tmp_path / "queue.ndjson"
+    service = QueueService(str(path))
+    try:
+        reply = service.handle_message(_msg("SUBMIT", ad=deep))
+        assert reply["error"]["code"] == "rejected-ad"
+        assert service.handle_message(_msg("LIST", 2))["result"] == {"jobs": []}
+        reply = service.handle_message(_msg("SUBMIT", 3, ad=AD_JSON))
+        assert reply["result"] == {"job_id": 1, "state": "Idle"}
+        listed = service.handle_message(_msg("LIST", 4))["result"]["jobs"]
+        assert listed == [{"job_id": 1, "state": "Idle"}]
+    finally:
+        service.close()
+    assert [r["event"] for r in replay_journal(str(path))] == ["new", "state", "state"]
+
+
 # -- persistence ------------------------------------------------------------------------
 
 def test_restart_reconstructs_identical_state(tmp_path):
@@ -103,6 +123,31 @@ def test_restart_reconstructs_identical_state(tmp_path):
         # ids and stamps continue from where the journal left off
         reply = revived.handle_message(_msg("SUBMIT", 9, ad=AD_JSON))
         assert reply["result"]["job_id"] == 3
+    finally:
+        revived.close()
+
+
+def test_identical_submissions_share_one_ad(tmp_path):
+    path = tmp_path / "queue.ndjson"
+    other = dict(AD_JSON, id="k")
+    service = QueueService(str(path))
+    try:
+        for n, ad in enumerate((AD_JSON, AD_JSON, other, dict(AD_JSON)), 1):
+            assert service.handle_message(_msg("SUBMIT", n, ad=ad))["result"]["job_id"] == n
+        ownerless = ad_to_json(parse_classad('Dataset = "d"\n', AdKind.JOB))
+        service.handle_message(_msg("SUBMIT", 5, ad=ownerless))
+        jobs = service.queue.jobs
+        assert jobs[1].ad is jobs[2].ad is jobs[4].ad
+        assert jobs[3].ad is not jobs[1].ad and jobs[3].ad.ad_id == "k"
+        # the share table holds only ads that stored jobs hold
+        assert len(service.queue._shared_ads) == 2
+    finally:
+        service.close()
+    revived = QueueService(str(path))
+    try:
+        jobs = revived.queue.jobs
+        assert jobs[1].ad is jobs[2].ad is jobs[4].ad is not jobs[3].ad
+        assert jobs[1].ad == service.queue.jobs[1].ad
     finally:
         revived.close()
 
