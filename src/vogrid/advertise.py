@@ -40,10 +40,6 @@ class Pattern:
     gatekeeper_node: TreeNode
     station_node: TreeNode
 
-    @property
-    def binding(self) -> dict[str, TreeNode]:
-        return {"gatekeeper": self.gatekeeper_node, "station": self.station_node}
-
 
 def _pick(cluster: TreeNode, kind: str) -> TreeNode | None:
     """First descendant of the kind in document order; preferred='true' wins."""

@@ -2,10 +2,7 @@
 
 Ad file format: one `Name = expression` binding per line, `#` starts a
 comment line, blank lines ignored. Attribute names are unique up to case
-folding and keep their display spelling. In lenient mode a binding whose
-whole right-hand side is a bare identifier that resolves to no attribute of
-the same ad is read as a text literal, so `Station_ID = foo` means
-`Station_ID = "foo"` unless the ad defines an attribute named foo.
+folding and keep their display spelling.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from typing import Iterator, Optional
 
 from . import values
 from .evaluator import evaluate
-from .exprs import AttrRef, Expr, Literal, Scope, format_expr
+from .exprs import Expr, Literal, format_expr
 from .parser import ParseError, parse_expr
 from .registry import EMPTY_REGISTRY, FnRegistry
 
@@ -88,7 +85,7 @@ class ClassAd:
         return f"ClassAd({self.kind.value} {self.ad_id!r}, {len(self._attrs)} attrs)"
 
 
-def parse_classad(text: str, kind: AdKind, ad_id: str = "", lenient: bool = False) -> ClassAd:
+def parse_classad(text: str, kind: AdKind, ad_id: str = "") -> ClassAd:
     attrs: dict[str, Expr] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -104,12 +101,6 @@ def parse_classad(text: str, kind: AdKind, ad_id: str = "", lenient: bool = Fals
             attrs[name] = parse_expr(rhs)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc.args[0]}", exc.offset) from None
-    if lenient:
-        defined = {k.lower() for k in attrs}
-        for name, expr in attrs.items():
-            if (isinstance(expr, AttrRef) and expr.scope is Scope.SELF
-                    and expr.name.lower() not in defined):
-                attrs[name] = Literal(values.text(expr.name))
     return ClassAd(attrs, kind, ad_id)
 
 

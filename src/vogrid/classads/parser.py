@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 from . import values
@@ -164,13 +165,14 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.pop()
         if kind == "number":
-            if any(c in val for c in ".eE"):
-                return Literal(values.real(float(val)))
             try:
-                return Literal(values.integer(int(val)))
+                if not any(c in val for c in ".eE"):
+                    return Literal(values.integer(int(val)))
+                if float(val) < math.inf:  # a non-finite Real has no source form
+                    return Literal(values.real(float(val)))
             except ValueError:  # past the interpreter's limit on digits
-                raise ParseError("integer literal too long",
-                                 _byte_offset(self.text, pos)) from None
+                pass
+            raise ParseError("numeric literal out of range", _byte_offset(self.text, pos))
         if kind == "string":
             return Literal(values.text(_unescape(val[1:-1], self.text, pos)))
         if kind == "op" and val == "(":

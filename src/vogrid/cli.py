@@ -16,7 +16,6 @@ from . import wire
 from .advertise import InfoService, advertise_once, parse_gridmap
 from .classads import AdKind, parse_classad
 from .conftree import (
-    AnswerScript,
     ConfigureError,
     InteractiveInput,
     configure,

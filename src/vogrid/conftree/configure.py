@@ -20,7 +20,6 @@ meta-schema can be configured into any ordinary schema.
 from __future__ import annotations
 
 from .directives import (
-    ExecDefault,
     Fixed,
     Inquire,
     InquireDefault,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import subprocess
 
+EXEC_TIMEOUT_SECONDS = 5.0  # how long an exec default's command may run
+
 
 class ConfigureError(Exception):
     pass
@@ -82,9 +84,6 @@ class AnswerScript:
 class InteractiveInput:
     """Terminal-driven session; empty input means take the default."""
 
-    def __init__(self, exec_timeout: float = 5.0):
-        self.exec_timeout = exec_timeout
-
     def _ask(self, prompt: str) -> str:
         try:
             return input(prompt)
@@ -110,7 +109,7 @@ class InteractiveInput:
     def exec_default(self, command: str) -> str:
         try:
             proc = subprocess.run(command, shell=True, capture_output=True,
-                                  text=True, timeout=self.exec_timeout)
+                                  text=True, timeout=EXEC_TIMEOUT_SECONDS)
         except (OSError, subprocess.TimeoutExpired):
             return ""
         return proc.stdout.strip() if proc.returncode == 0 else ""

@@ -27,18 +27,22 @@ class JobState(Enum):
     DONE = "Done"
     HELD = "Held"
 
+    # members are singletons, so identity hashing is exact and skips enum's
+    # Python-level __hash__; no set of states may be iterated (order varies)
+    __hash__ = object.__hash__
 
+
+# the one successor of each state and of None, a job not yet submitted
 _NEXT = {
-    JobState.SUBMITTED: {JobState.IDLE},
-    JobState.IDLE: {JobState.MATCHED},
-    JobState.MATCHED: {JobState.STAGING},
-    JobState.STAGING: {JobState.RUNNING},
-    JobState.RUNNING: {JobState.DONE},
-    JobState.DONE: set(),
-    JobState.HELD: {JobState.IDLE},
+    None: JobState.SUBMITTED,
+    JobState.SUBMITTED: JobState.IDLE,
+    JobState.IDLE: JobState.MATCHED,
+    JobState.MATCHED: JobState.STAGING,
+    JobState.STAGING: JobState.RUNNING,
+    JobState.RUNNING: JobState.DONE,
+    JobState.DONE: None,
+    JobState.HELD: JobState.IDLE,
 }
-
-REQUIRED_JOB_ATTRS = ("Owner", "Dataset")
 
 
 class RejectedAd(Exception):
@@ -103,12 +107,10 @@ class JobRecord:
 
     def advance(self, state: JobState, stamp: float, detail: str | None = None):
         cur = self.state
-        if cur is None:
-            legal = state is JobState.SUBMITTED
-        elif state is JobState.HELD:
-            legal = cur is not JobState.HELD
+        if state is JobState.HELD:
+            legal = cur not in (None, JobState.HELD)
         else:
-            legal = state in _NEXT[cur]
+            legal = state is _NEXT[cur]
         if not legal:
             raise IllegalJobTransition(
                 f"job {self.job_id}: {cur.value if cur else 'new'} -> {state.value}")
@@ -151,9 +153,6 @@ class JobQueue:
         self._next_id = 1
         self._seq = 0
         self._sink = journal_sink
-
-    def set_journal_sink(self, sink: Callable[[dict], None] | None):
-        self._sink = sink
 
     def _stamp(self) -> int:
         self._seq += 1

@@ -7,12 +7,14 @@ FIFO order. For each job the pipeline is:
     free ads -> symmetric Requirements -> gridmap pre-authorization
     -> choose
 
-The free ads are the visible ones not yet claimed. Each ad can be claimed
-once per cycle, and a claimed ad is invisible to later jobs in the same
-cycle. `match_jobs` runs the pipeline lazily and stops as soon as no ad is
-free, so a cycle over a long backlog costs only the jobs that can still
-match; `run_match_cycle` is the same pass with one decision for every job,
-the unreached ones getting no-candidates.
+The free ads are the visible ones not yet claimed, as the `StoredAd` records
+of the cycle's snapshot; authorization is judged on the snapshot record's
+gridmap, never on the live store, which an ADVERTISE may change mid-cycle.
+Each ad can be claimed once per cycle, and a claimed ad is invisible to
+later jobs in the same cycle. `match_jobs` runs the pipeline lazily and
+stops as soon as no ad is free, so a cycle over a long backlog costs only
+the jobs that can still match; `run_match_cycle` is the same pass with one
+decision for every job, the unreached ones getting no-candidates.
 
 The default chooser is the Rank argmax: it evaluates the job's Rank against
 each authorized ad (external functions query stations now). Ranks that are
@@ -157,8 +159,8 @@ class AdStore:
         self._clusters: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def collect_ad(self, ad: ClassAd, gridmap: Iterable[str], ttl_seconds: float,
-                   now: float) -> None:
-        """Upsert one advertisement; its gridmap is replaced in the same step."""
+                   now: float) -> StoredAd:
+        """Upsert one ad and its gridmap in one step; returns the stored record."""
         for attr in REQUIRED_AD_ATTRS:
             if attr not in ad:
                 raise IncompleteAd(f"ad {ad.ad_id!r} lacks {attr}")
@@ -173,8 +175,9 @@ class AdStore:
             cluster = self._clusters.get(key)
             if cluster is None:
                 cluster = self._clusters[key] = ResourceCluster()
-            self._ads[ad.ad_id] = StoredAd(ad, now, float(ttl_seconds), name,
-                                           station_id, subjects, cluster)
+            stored = self._ads[ad.ad_id] = StoredAd(
+                ad, now, float(ttl_seconds), name, station_id, subjects, cluster)
+        return stored
 
     def remove(self, ad_id: str) -> None:
         with self._lock:
@@ -186,18 +189,14 @@ class AdStore:
             return [s for s in self._ads.values()
                     if now < s.received_at + s.ttl_seconds]
 
-    def gridmap(self, ad_id: str) -> frozenset[str]:
-        stored = self._ads.get(ad_id)
-        return stored.gridmap if stored is not None else frozenset()
 
-
-def preauthorize(store: AdStore, job: ClassAd, resource_id: str) -> bool:
-    """True iff the job Owner's grid subject is in the resource's gridmap."""
+def preauthorize(job: ClassAd, stored: StoredAd) -> bool:
+    """True iff the job Owner's grid subject is in the stored ad's gridmap."""
     owner = job.self_text("Owner")
     if owner is None:
         log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
         return False
-    return owner in store.gridmap(resource_id)
+    return owner in stored.gridmap
 
 
 # -- match-time ranking ---------------------------------------------------------
@@ -225,7 +224,6 @@ def standard_registry() -> FnRegistry:
 
 
 def directory_query(directory: Mapping[str, tuple[str, int]],
-                    timeout: float = QUERY_TIMEOUT_SECONDS,
                     auth_token: str | None = None) -> StationQuery:
     """Station query that resolves Station_ID through a host:port directory."""
     def query(dataset: str, station_id: str, output_bytes: int | None) -> float:
@@ -233,7 +231,7 @@ def directory_query(directory: Mapping[str, tuple[str, int]],
         msg = {"type": "GET_PREFERENCE", "dataset": dataset}
         if output_bytes is not None:
             msg["output_bytes"] = output_bytes
-        reply = wire.send_request(host, port, msg, timeout=timeout,
+        reply = wire.send_request(host, port, msg, timeout=QUERY_TIMEOUT_SECONDS,
                                   auth_token=auth_token)
         if "error" in reply:
             raise wire.WireError(reply["error"].get("message", "station error"))
@@ -320,7 +318,7 @@ def match_jobs(store: AdStore, jobs: Iterable[ClassAd], reg: FnRegistry,
         if not passing:
             yield MatchDecision.no_match(job.ad_id, "no-candidates")
             continue
-        allowed = {c for c in passing if preauthorize(store, job, firsts[c].ad.ad_id)}
+        allowed = {c for c in passing if preauthorize(job, firsts[c])}
         if not allowed:
             yield MatchDecision.no_match(job.ad_id, "unauthorized-everywhere")
             continue
@@ -366,8 +364,8 @@ class MatchmakerService:
             ad = ad_from_json(msg["ad"])
             gridmap = msg.get("gridmap", [])
             ttl = float(msg.get("ttl", 0))
-            if not isinstance(gridmap, list):
-                raise TypeError("gridmap must be a list")
+            if not isinstance(gridmap, list) or not all(isinstance(s, str) for s in gridmap):
+                raise TypeError("gridmap must be a list of text")
         except Exception as exc:
             raise wire.RequestError("malformed", str(exc)) from None
         try:

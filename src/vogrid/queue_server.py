@@ -3,8 +3,8 @@
 Every accepted mutation is appended to a newline-delimited JSON journal and
 fsynced before the reply goes out, so a killed server restarted on the same
 journal file reconstructs identical job states and histories. A trailing
-partial line (a crash mid-write) is ignored on replay; corruption anywhere
-else is an error.
+partial line (a crash mid-write) is ignored on replay and cut off before the
+next append; corruption anywhere else is an error.
 """
 
 from __future__ import annotations
@@ -28,8 +28,20 @@ class CorruptJournal(Exception):
 
 class Journal:
     def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "ab")
+        fh = self._fh = open(path, "a+b")
+        # a final line lacking its newline is a whole record (replay keeps it:
+        # add the newline) or a torn write (replay drops it: cut it off)
+        fh.seek(0)
+        raw = fh.read()
+        tail = raw[raw.rfind(b"\n") + 1:]
+        if tail:
+            try:
+                json.loads(tail)
+                fh.write(b"\n")
+            except ValueError:
+                fh.truncate(len(raw) - len(tail))
+            fh.flush()
+            os.fsync(fh.fileno())
 
     def append(self, record: dict):
         line = json.dumps(record, separators=(",", ":")) + "\n"
@@ -48,14 +60,13 @@ def replay_journal(path: str) -> list[dict]:
         raw = fh.read()
     records = []
     lines = raw.split(b"\n")
-    complete = raw.endswith(b"\n")
     for i, line in enumerate(lines):
         if not line.strip():
             continue
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError:
-            if not complete and i == len(lines) - 1:  # interrupted final write
+            if i == len(lines) - 1:  # no newline after it: an interrupted write
                 break
             raise CorruptJournal(f"{path}: bad record on line {i + 1}") from None
     return records
@@ -66,11 +77,16 @@ class QueueService:
 
     def __init__(self, journal_path: str):
         self._lock = threading.Lock()
-        self.queue = JobQueue(journal_sink=None)
-        for record in replay_journal(journal_path):
-            self.queue.apply_journal_record(record)
+        records = replay_journal(journal_path)  # raises before the tail is mended
         self.journal = Journal(journal_path)
-        self.queue.set_journal_sink(self.journal.append)
+        # applying a journal record writes nothing to the sink
+        self.queue = JobQueue(journal_sink=self.journal.append)
+        try:
+            for record in records:
+                self.queue.apply_journal_record(record)
+        except Exception:
+            self.journal.close()
+            raise
         self._dispatch = wire.dispatcher({
             "SUBMIT": self._submit,
             "STATUS": lambda msg: self._job_request(msg, self.queue.get),

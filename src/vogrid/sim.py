@@ -52,6 +52,7 @@ from .station import (
     StationState,
     apply_event,
     get_preference,
+    lookup_dataset,
     station_from_config,
 )
 
@@ -141,7 +142,6 @@ def load_scenario_file(path: str) -> Scenario:
 
 def make_site_config(site: str, cluster: str, station: str,
                      links: dict[str, float], slots: int = 1,
-                     gatekeeper_url: str | None = None,
                      architecture: str = "Linux",
                      mean_service_seconds: float = 1.0) -> TreeNode:
     """Convenience builder for the site trees scenarios embed."""
@@ -154,7 +154,7 @@ def make_site_config(site: str, cluster: str, station: str,
         "mean_service_seconds": repr(float(mean_service_seconds)),
     }, link_nodes)
     gatekeeper_node = TreeNode("gatekeeper", {
-        "url": gatekeeper_url or f"gram://{cluster}.{site}.example:2119",
+        "url": f"gram://{cluster}.{site}.example:2119",
         "jobmanager": "fork",
     })
     cluster_node = TreeNode("cluster", {
@@ -181,7 +181,7 @@ class GridWorld:
         self.registry = standard_registry()
         self.store = AdStore()
         self.stations: dict[str, StationState] = {}
-        self.station_of_ad: dict[str, str] = {}
+        self.slots: dict[str, StoredAd] = {}  # ad id -> its stored record
         self.event_log: list[dict] = []
         self.events_processed = 0
         self._heap: list = []
@@ -208,13 +208,13 @@ class GridWorld:
                         f"station {st.station_id!r} defined twice")
                 self.stations[st.station_id] = st
             for ad in generate_classads(select_patterns(site.config)):
-                self.store.collect_ad(ad, site.gridmap, scenario.ttl, now=0.0)
-                self.station_of_ad[ad.ad_id] = ad.self_text("Station_ID")
-        unknown = set(self.station_of_ad.values()) - set(self.stations)
+                self.slots[ad.ad_id] = self.store.collect_ad(
+                    ad, site.gridmap, scenario.ttl, now=0.0)
+        unknown = {s.station_id for s in self.slots.values()} - set(self.stations)
         if unknown:
             raise ScenarioParseError(
                 f"ads reference undefined stations {sorted(unknown)}")
-        self._rr_order = sorted(self.station_of_ad)
+        self._rr_order = sorted(self.slots)
         for ad in scenario.job_ads:
             self.queue.submit(ad, stamp=self.clock)
             self._log("submit", job=ad.ad_id)
@@ -304,7 +304,7 @@ class GridWorld:
 
     def _start_staging(self, record, decision: MatchDecision):
         ad_id = decision.resource_id
-        station_id = self.station_of_ad[ad_id]
+        station_id = self.slots[ad_id].station_id
         dataset = record.ad.self_text("Dataset")
         # the same query the data-aware Rank made, so staging == -rank
         staging = -self._preference(dataset, station_id, output_bytes(record.ad))
@@ -312,18 +312,17 @@ class GridWorld:
         self.queue.transition(record.job_id, JobState.MATCHED,
                               stamp=self.clock, detail=ad_id)
         self.queue.transition(record.job_id, JobState.STAGING, stamp=self.clock)
-        missing = [f.file_name for f in self.catalog.files(dataset)
-                   if f.file_name not in self._snapshot[station_id].cached_files]
+        _, missing = lookup_dataset(self.catalog, self._snapshot[station_id], dataset)
         self.stations[station_id] = apply_event(
             self.stations[station_id], *[EnqueueInput()] * len(missing))
-        self._pending_files[record.job_id] = missing
+        self._pending_files[record.job_id] = [f.file_name for f in missing]
         self._log("match", job=decision.job_id, resource=ad_id,
                   rank=decision.rank, staging_seconds=staging)
         self._push(self.clock + staging, "staged", record.job_id)
 
     def _finish_staging(self, job_id: int):
         record = self.queue.get(job_id)
-        station_id = self.station_of_ad[record.matched_resource()]
+        station_id = self.slots[record.matched_resource()].station_id
         steps = []
         for file_name in self._pending_files.pop(job_id, []):
             steps += (DequeueInput(), CacheAdd(file_name))
@@ -365,11 +364,11 @@ class GridWorld:
         parts = dict(p.split("=", 1) for p in dn.split("/") if "=" in p)
         if "cluster" not in parts or "site" not in parts:
             return {}
-        prefix = f"{parts['site']}/{parts['cluster']}"
+        name = f"{parts['site']}/{parts['cluster']}"
         running, staging = [], []
         for job in self.queue.jobs.values():
             resource = job.matched_resource()
-            if resource is None or resource.split("#")[0] != prefix:
+            if resource is None or self.slots[resource].name != name:
                 continue
             if job.state is JobState.RUNNING:
                 running.append(job.ad.ad_id)

@@ -94,14 +94,13 @@ def test_upsert_replaces_ad_and_gridmap():
     assert [s.ad.ad_id for s in snap] == ["r1", "r2"]
     assert snap[0].name == "A2"
     assert snap[0].received_at == 50.0
-    assert store.gridmap("r1") == frozenset({BOB})
+    assert snap[0].gridmap == frozenset({BOB})
 
 
 def test_remove():
     store = _store(_res("r1", "A", "st-a"))
     store.remove("r1")
     assert store.snapshot(0.0) == []
-    assert store.gridmap("r1") == frozenset()
     store.remove("never-seen")
 
 
@@ -155,12 +154,12 @@ def test_collect_ad_requires_identity_attrs():
 
 
 def test_preauthorize(caplog):
-    store = _store(_res("r1", "A", "st-a"), gridmap=(ALICE,))
-    assert preauthorize(store, _job("j1", owner=ALICE), "r1") is True
-    assert preauthorize(store, _job("j2", owner=BOB), "r1") is False
+    [stored] = _store(_res("r1", "A", "st-a"), gridmap=(ALICE,)).snapshot(0.0)
+    assert preauthorize(_job("j1", owner=ALICE), stored) is True
+    assert preauthorize(_job("j2", owner=BOB), stored) is False
     ownerless = parse_classad('Dataset = "d"\n', AdKind.JOB, ad_id="j3")
     with caplog.at_level(logging.WARNING, logger="vogrid.matchmaker"):
-        assert preauthorize(store, ownerless, "r1") is False
+        assert preauthorize(ownerless, stored) is False
     assert any("no usable Owner" in r.message for r in caplog.records)
 
 
@@ -189,7 +188,7 @@ def test_rank_drop_rules():
         _res("r-bool", "C3", "s3", extra="Goodness = true\n"),
         _res("r-missing", "C4", "s4"),
         _res("r-error", "C5", "s5", extra="Goodness = 1 / 0\n"),
-        _res("r-inf", "C6", "s6", extra="Goodness = 9e999\n"),
+        _res("r-inf", "C6", "s6", extra="Goodness = 1e308 * 10\n"),  # an infinite Real
     )
     [d] = _run(store, [_job("j", extra="Rank = OTHER.Goodness\n")])
     assert d.matched
@@ -455,6 +454,16 @@ def test_matchmaker_service_error_codes():
     assert reply["error"]["code"] == "malformed"
 
 
+@pytest.mark.parametrize("gridmap", [[[1]], [{}], [5], [ALICE, 5]])
+def test_advertise_gridmap_entries_must_be_text(gridmap):
+    service = MatchmakerService(clock=lambda: 0.0)
+    reply = service.handle_message({"type": "ADVERTISE", "id": 1,
+                                    "ad": ad_to_json(_res("r", "A", "s")),
+                                    "gridmap": gridmap})
+    assert reply["error"]["code"] == "malformed"
+    assert service.store.snapshot(0.0) == []
+
+
 def test_matchmaker_service_respects_ttl_clock():
     now = {"t": 0.0}
     service = MatchmakerService(clock=lambda: now["t"])
@@ -480,7 +489,7 @@ def _rescan_cycle(store, jobs, reg, env, now, claimed, choose):
         if not candidates:
             decisions.append(MatchDecision.no_match(job.ad_id, "no-candidates"))
             continue
-        authorized = [s for s in candidates if preauthorize(store, job, s.ad.ad_id)]
+        authorized = [s for s in candidates if preauthorize(job, s)]
         if not authorized:
             decisions.append(MatchDecision.no_match(job.ad_id, "unauthorized-everywhere"))
             continue
@@ -665,6 +674,23 @@ def test_scaling_all_bandwidths_halves_all_ranks():
 
 
 # -- concurrency ---------------------------------------------------------------------
+
+def test_authorization_reads_the_snapshot_not_a_later_advertisement():
+    # r2 and r1 form one cluster whose gridmap lists only alice. r2 is
+    # re-advertised for bob too after the cycle took its snapshot; the
+    # cycle must still judge bob against the gridmap it saw.
+    store = _store(_res("r2", "A", "s1"), _res("r1", "A", "s1"), gridmap=(ALICE,))
+    snapshot_gridmaps = {s.ad.ad_id: s.gridmap for s in store.snapshot(0.0)}
+
+    def jobs():
+        store.collect_ad(_res("r2", "A", "s1"), [ALICE, BOB], 3600.0, 0.0)
+        yield _job("j-bob", owner=BOB)
+
+    [decision] = match_jobs(store, jobs(), standard_registry(), None)
+    if decision.matched:
+        assert BOB in snapshot_gridmaps[decision.resource_id]
+    assert decision.reason == "unauthorized-everywhere"
+
 
 def test_match_requests_survive_concurrent_advertising():
     # the server runs one thread per connection; new ad ids grow the store

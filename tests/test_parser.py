@@ -27,6 +27,7 @@ from vogrid.classads import (
 from vogrid.classads import TRUE, FALSE, UNDEFINED, ERROR
 from vogrid.classads import EMPTY_REGISTRY, Value, evaluate
 from vogrid.classads.parser import MAX_NESTING
+from vogrid.matchmaker import _expr_key
 
 EMPTY_AD = parse_classad("", AdKind.JOB)
 
@@ -102,6 +103,8 @@ def test_parse_error_carries_byte_offset():
     "-" * 200 + "1",
     "fun(" * 200 + "1" + ")" * 200,
     "1" * 5000,  # more digits than int() accepts
+    "1e999",  # a Real past float range; it would format as error
+    "Requirements > 9.5e400",
 ])
 def test_too_deep_or_too_long_is_a_parse_error(src):
     with pytest.raises(ParseError):
@@ -121,7 +124,7 @@ def test_nesting_up_to_the_limit_parses():
 
 
 _SOURCE = st.recursive(
-    st.one_of(st.sampled_from(["1", "2.5", "1e9", '"t"', "x", "OTHER.y", "true",
+    st.one_of(st.sampled_from(["1", "2.5", "1e9", "1e999", '"t"', "x", "OTHER.y", "true",
                                "undefined", "error", "@", ")", ""]),
               st.integers(1, 6000).map(lambda n: "9" * n)),
     lambda inner: st.one_of(
@@ -156,6 +159,21 @@ def test_whatever_parses_evaluates_without_raising(src):
     except ParseError:
         return
     assert isinstance(evaluate(e, EMPTY_AD, EMPTY_AD, EMPTY_REGISTRY), Value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_SOURCE, _DEEP_SOURCE))
+def test_whatever_parses_and_formats_parses_back_to_the_same_tree(src):
+    try:
+        tree = parse_expr(src)
+    except ParseError:
+        return
+    try:
+        formatted = format_expr(tree)
+    except RecursionError:  # a chain too deep for the recursive formatter
+        return
+    # trees compared by their images: `==` recurses, and chains go deep
+    assert _expr_key(parse_expr(formatted)) == _expr_key(tree)
 
 
 def _random_expr(rng, depth):
@@ -212,15 +230,11 @@ def test_parse_classad_bad_line():
         parse_classad("not a binding\n", AdKind.JOB)
 
 
-def test_lenient_bare_identifier_reads_as_text():
-    ad = parse_classad("Station_ID = foo\n", AdKind.RESOURCE, lenient=True)
-    assert ad.lookup("Station_ID") == Literal(text("foo"))
-    # but a reference to a defined attribute stays a reference
-    ad = parse_classad("A = 5\nB = A\n", AdKind.RESOURCE, lenient=True)
-    assert ad.lookup("B") == AttrRef(Scope.SELF, "A")
-    # and strict mode never rewrites
-    ad = parse_classad("Station_ID = foo\n", AdKind.RESOURCE)
+def test_bare_identifier_binding_stays_a_reference():
+    # whether or not the ad defines the attribute it names
+    ad = parse_classad("Station_ID = foo\nA = 5\nB = A\n", AdKind.RESOURCE)
     assert ad.lookup("Station_ID") == AttrRef(Scope.SELF, "foo")
+    assert ad.lookup("B") == AttrRef(Scope.SELF, "A")
 
 
 def test_format_classad_round_trip():

@@ -175,6 +175,31 @@ def test_truncated_final_line_is_ignored(tmp_path):
         revived.close()
 
 
+@pytest.mark.parametrize("tail", ["torn", "unterminated"])
+def test_records_appended_after_a_crash_tail_survive_the_next_restart(tmp_path, tail):
+    path = tmp_path / "queue.ndjson"
+    service = QueueService(str(path))
+    service.handle_message(_msg("SUBMIT", ad=AD_JSON))
+    service.close()
+    whole = path.read_bytes()
+    if tail == "torn":  # replay drops the fragment
+        path.write_bytes(whole + b'{"event":"state","job_')
+    else:  # a whole record without its newline, which replay keeps
+        path.write_bytes(whole[:-1])
+    revived = QueueService(str(path))
+    try:
+        reply = revived.handle_message(_msg("SUBMIT", 2, ad=AD_JSON))
+        assert reply["result"] == {"job_id": 2, "state": "Idle"}
+    finally:
+        revived.close()
+    assert [r["job_id"] for r in replay_journal(str(path))] == [1, 1, 1, 2, 2, 2]
+    again = QueueService(str(path))
+    try:
+        assert [j.state for j in again.queue.jobs.values()] == [JobState.IDLE] * 2
+    finally:
+        again.close()
+
+
 def test_corruption_before_the_end_is_fatal(tmp_path):
     path = tmp_path / "queue.ndjson"
     service = QueueService(str(path))
