@@ -8,7 +8,8 @@ Undefined or Error, never as exceptions. The rules:
 - arithmetic with a non-numeric operand -> Error; division by zero -> Error;
   Integer/Real promote to Real when mixed; / on two Integers truncates
   toward zero; an Integer too large to promote -> Error, in arithmetic and
-  in comparisons alike
+  in comparisons alike; a Real result of arithmetic or unary minus that is
+  not finite (an overflow to infinity, or NaN) -> Error
 - comparisons with an Undefined operand -> Undefined, with an Error operand
   -> Error; mixed-type comparisons (other than numeric promotion) -> Error
 - && and ||: a determined operand decides (false && x == false,
@@ -23,6 +24,7 @@ Undefined or Error, never as exceptions. The rules:
 from __future__ import annotations
 
 import math
+import operator
 
 from . import values
 from .exprs import AttrRef, Binary, Call, Expr, Literal, Scope, Unary
@@ -134,18 +136,17 @@ def _logic(op: str, a: Value, b: Value) -> Value:
 
 # -- arithmetic ----------------------------------------------------------------
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _arith(op: str, a: Value, b: Value) -> Value:
     if not (a.is_numeric() and b.is_numeric()):
         return ERROR
     both_int = a.kind is ValueKind.INTEGER and b.kind is ValueKind.INTEGER
     if both_int:
         x, y = a.data, b.data
-        if op == "+":
-            return values.integer(x + y)
-        if op == "-":
-            return values.integer(x - y)
-        if op == "*":
-            return values.integer(x * y)
+        if op != "/":
+            return values.integer(_ARITH[op](x, y))
         if y == 0:
             return ERROR
         q = abs(x) // abs(y)  # truncation toward zero
@@ -154,15 +155,10 @@ def _arith(op: str, a: Value, b: Value) -> Value:
         x, y = a.as_real(), b.as_real()
     except OverflowError:  # an Integer too large for a Real
         return ERROR
-    if op == "+":
-        return values.real(x + y)
-    if op == "-":
-        return values.real(x - y)
-    if op == "*":
-        return values.real(x * y)
-    if y == 0.0:
+    if op == "/" and y == 0.0:
         return ERROR
-    return values.real(x / y)
+    r = _ARITH[op](x, y)
+    return values.real(r) if math.isfinite(r) else ERROR
 
 
 # -- comparison ----------------------------------------------------------------

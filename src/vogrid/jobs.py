@@ -4,7 +4,8 @@ A job's life is Submitted, Idle, Matched, Staging, Running, Done, and any
 non-terminal step may instead park it in Held with a reason; releasing a held
 job re-queues it as Idle. History entries carry logical stamps, which only
 need to be monotone: the queue hands out sequence numbers, the simulator
-passes its own clock.
+passes its own clock. A queue hands its journal sink one record per call and
+replays a record by making that call again; a refused call takes no stamp.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class JobRecord:
     def advance(self, state: JobState, stamp: float, detail: str | None = None):
         cur = self.state
         if state is JobState.HELD:
-            legal = cur not in (None, JobState.HELD)
+            legal = cur not in (None, JobState.HELD, JobState.DONE)
         else:
             legal = state is _NEXT[cur]
         if not legal:
@@ -135,7 +136,9 @@ class JobRecord:
 
 
 class JobQueue:
-    """Ordered job records; every mutation can be mirrored to a journal sink.
+    """Ordered job records; each call that changes them hands a journal sink
+    one record: `submit` a "submit" record (job id and ad) before it stores
+    the job, `transition` (and so `release`) a "state" record after the step.
 
     Records are also indexed by state, so listing the jobs in one state
     costs only those jobs. The index follows every change the queue makes;
@@ -152,25 +155,18 @@ class JobQueue:
         self._shared_ads: dict[str, ClassAd] = {}
         self._next_id = 1
         self._seq = 0
-        self._sink = journal_sink
+        self.journal_sink = journal_sink
 
-    def _stamp(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _advance(self, job: JobRecord, state: JobState, stamp: float,
+    def _advance(self, job: JobRecord, state: JobState, stamp: float | None,
                  detail: str | None):
+        """Step and reindex `job`; a None stamp takes the queue's next, if legal."""
         before = job.state
-        job.advance(state, stamp, detail)
+        job.advance(state, self._seq + 1 if stamp is None else stamp, detail)
+        if stamp is None:
+            self._seq += 1
         if before is not None:
             del self._by_state[before][job.job_id]
         self._by_state[state][job.job_id] = job
-
-    def _add(self, job: JobRecord):
-        old = self.jobs.get(job.job_id)
-        if old is not None and old.state is not None:
-            del self._by_state[old.state][job.job_id]
-        self.jobs[job.job_id] = job
 
     def _shared_ad(self, obj: dict) -> tuple[str, ClassAd]:
         key = json.dumps(obj, separators=(",", ":"))
@@ -181,35 +177,34 @@ class JobQueue:
         """Store a new job and move it to Idle. Raises RejectedAd, storing
         nothing, for an invalid ad or one the journal cannot hold."""
         validate_job_ad(ad)
-        if self._sink is not None:  # the ad's source text is only built for a journal
+        job_id = self._next_id
+        if self.journal_sink is not None:  # the ad's source text is only built for a journal
             try:
                 ad_json = ad_to_json(ad)
             except RecursionError:
                 raise RejectedAd("job ad is nested too deeply to journal") from None
-            self._sink({"event": "new", "job_id": self._next_id, "ad": ad_json})
-        job = JobRecord(self._next_id, ad)
+            self.journal_sink({"event": "submit", "job_id": job_id, "ad": ad_json})
         self._next_id += 1
-        self._add(job)
+        job = self.jobs[job_id] = JobRecord(job_id, ad)
         for state in (JobState.SUBMITTED, JobState.IDLE):
-            self.transition(job.job_id, state, stamp=stamp)
+            self._advance(job, state, stamp, None)
         return job
 
-    def submit_json(self, obj: dict, stamp: float | None = None) -> JobRecord:
+    def submit_json(self, obj: dict) -> JobRecord:
         """`submit` for an ad in its JSON form. RejectedAd as there; any
         other exception means `obj` is not an ad."""
         key, ad = self._shared_ad(obj)
-        job = self.submit(ad, stamp)
+        job = self.submit(ad)
         self._shared_ads.setdefault(key, ad)
         return job
 
     def transition(self, job_id: int, state: JobState,
                    stamp: float | None = None, detail: str | None = None) -> JobRecord:
         job = self.get(job_id)
-        self._advance(job, state, self._stamp() if stamp is None else stamp, detail)
-        entry = job.history[-1]
-        if self._sink is not None:
-            self._sink({"event": "state", "job_id": job_id, "state": state.value,
-                    "stamp": entry.stamp, "detail": detail})
+        self._advance(job, state, stamp, detail)
+        if self.journal_sink is not None:
+            self.journal_sink({"event": "state", "job_id": job_id, "state": state.value,
+                               "stamp": job.history[-1].stamp, "detail": detail})
         return job
 
     def release(self, job_id: int) -> JobRecord:
@@ -229,19 +224,18 @@ class JobQueue:
         return [bucket[job_id] for job_id in sorted(bucket)]
 
     def apply_journal_record(self, record: dict):
-        """Replay one journal record; stamps and ids come from the record."""
+        """Replay one journal record by making its call again, with the queue's
+        own stamps, on a queue without a sink. ValueError if the call gives
+        another job id or stamp than the record holds, or the event is unknown."""
         event = record["event"]
-        if event == "new":
-            key, ad = self._shared_ad(record["ad"])
-            job = JobRecord(int(record["job_id"]), ad)
-            self._add(job)
-            self._shared_ads.setdefault(key, ad)
-            self._next_id = max(self._next_id, job.job_id + 1)
+        if event == "submit":
+            got, want = self.submit_json(record["ad"]).job_id, record["job_id"]
         elif event == "state":
-            job = self.get(int(record["job_id"]))
-            self._advance(job, JobState(record["state"]), record["stamp"],
-                          record.get("detail"))
-            if isinstance(record["stamp"], int):
-                self._seq = max(self._seq, record["stamp"])
-        else:
-            raise ValueError(f"unknown journal event {event!r}")
+            job = self.transition(record["job_id"], JobState(record["state"]),
+                                  detail=record["detail"])
+            got, want = job.history[-1].stamp, record["stamp"]
+        else:  # the older form began each SUBMIT's three records with "new"
+            raise ValueError(f"unknown journal event {event!r}; journals of the "
+                             "older form, three records per SUBMIT, are not read")
+        if got != want:
+            raise ValueError(f"replay gives {got!r} where the record holds {want!r}")

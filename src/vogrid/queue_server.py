@@ -1,10 +1,12 @@
 """Journaled job queue service.
 
-Every accepted mutation is appended to a newline-delimited JSON journal and
-fsynced before the reply goes out, so a killed server restarted on the same
-journal file reconstructs identical job states and histories. A trailing
-partial line (a crash mid-write) is ignored on replay and cut off before the
-next append; corruption anywhere else is an error.
+Each accepted call that changes the queue appends one record, one line of
+newline-delimited JSON, and fsyncs it before the reply goes out. A killed
+server restarted on the same journal makes each recorded call again, so it
+reconstructs identical job states and histories. A trailing partial line (a
+call never acknowledged) is ignored on replay and cut off before the next
+append. Any other bad line, or one whose call fails or gives another job id
+or stamp, is a CorruptJournal naming the line; so is the older journal form.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class Journal:
             try:
                 json.loads(tail)
                 fh.write(b"\n")
-            except ValueError:
+            except (ValueError, RecursionError):
                 fh.truncate(len(raw) - len(tail))
             fh.flush()
             os.fsync(fh.fileno())
@@ -58,14 +60,12 @@ def replay_journal(path: str) -> list[dict]:
         return []
     with open(path, "rb") as fh:
         raw = fh.read()
-    records = []
+    records = []  # the Journal writes no blank line: record i is line i + 1
     lines = raw.split(b"\n")
     for i, line in enumerate(lines):
-        if not line.strip():
-            continue
         try:
             records.append(json.loads(line))
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # as in wire: any line JSON cannot decode
             if i == len(lines) - 1:  # no newline after it: an interrupted write
                 break
             raise CorruptJournal(f"{path}: bad record on line {i + 1}") from None
@@ -77,16 +77,16 @@ class QueueService:
 
     def __init__(self, journal_path: str):
         self._lock = threading.Lock()
-        records = replay_journal(journal_path)  # raises before the tail is mended
-        self.journal = Journal(journal_path)
-        # applying a journal record writes nothing to the sink
-        self.queue = JobQueue(journal_sink=self.journal.append)
-        try:
-            for record in records:
+        self.queue = JobQueue()  # no sink yet: replaying a call journals nothing
+        for line, record in enumerate(replay_journal(journal_path), 1):
+            try:
                 self.queue.apply_journal_record(record)
-        except Exception:
-            self.journal.close()
-            raise
+            except Exception as exc:
+                raise CorruptJournal(
+                    f"{journal_path}: line {line} does not replay: {exc!r}") from None
+        # opened only once replay succeeds: a journal that does not replay is left as is
+        self.journal = Journal(journal_path)
+        self.queue.journal_sink = self.journal.append
         self._dispatch = wire.dispatcher({
             "SUBMIT": self._submit,
             "STATUS": lambda msg: self._job_request(msg, self.queue.get),

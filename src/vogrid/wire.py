@@ -3,8 +3,9 @@
 Every request is one JSON object on one line with at least "type" and "id"
 fields; every reply echoes the id. Failures come back as
 {"id": ..., "error": {"code": ..., "message": ...}} and the connection stays
-open. A server constructed with a token requires an "auth" field on every
-request.
+open, except after a line longer than MAX_LINE_BYTES: that is answered
+"malformed" and the connection closed. A server constructed with a token
+requires an "auth" field on every request.
 
 Services answer through `dispatcher(handlers)`, a map from request type to a
 handler that returns the result object. A request without "type" or "id" is
@@ -20,6 +21,9 @@ import socket
 import socketserver
 import threading
 from typing import Callable, Mapping
+
+# the longest request line a server reads, newline included (far above any request)
+MAX_LINE_BYTES = 8 * 1024 * 1024
 
 
 class WireError(Exception):
@@ -60,7 +64,10 @@ def dispatcher(handlers: Mapping[str, Callable[[dict], dict]]) -> Callable[[dict
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                self._send(error_reply(None, "malformed", "request line too long"))
+                return
             if not line:
                 return
             line = line.strip()
@@ -68,7 +75,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             try:
                 msg = json.loads(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # also bad UTF-8, too many digits or levels
                 self._send(error_reply(None, "malformed", "not valid JSON"))
                 continue
             if not isinstance(msg, dict):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from vogrid.classads import UNDEFINED, AdKind, integer, parse_classad
+from vogrid.classads import UNDEFINED, AdKind, ad_to_json, integer, parse_classad
 from vogrid.jobs import (
     HistoryEntry,
     IllegalJobTransition,
@@ -85,7 +85,8 @@ def test_transition_legality_matrix():
         (JobState.RUNNING, JobState.DONE),
         (JobState.HELD, JobState.IDLE),
     }
-    allowed |= {(s, JobState.HELD) for s in JobState if s is not JobState.HELD}
+    allowed |= {(s, JobState.HELD) for s in JobState
+                if s not in (JobState.HELD, JobState.DONE)}
 
     def fresh_in(state):
         job = _job()
@@ -114,12 +115,13 @@ def test_done_has_no_forward_edges():
     job = _job()
     for stamp, state in enumerate(FORWARD):
         job.advance(state, float(stamp))
-    for nxt in (JobState.IDLE, JobState.MATCHED, JobState.RUNNING, JobState.DONE):
+    # not even a hold: a held job can be released, and a finished one must
+    # not run again
+    for nxt in (JobState.IDLE, JobState.MATCHED, JobState.RUNNING, JobState.DONE,
+                JobState.HELD):
         with pytest.raises(IllegalJobTransition):
             job.advance(nxt, 10.0)
-    # an administrative hold is the one thing a finished job still accepts
-    job.advance(JobState.HELD, 10.0)
-    assert job.state is JobState.HELD
+    assert job.state is JobState.DONE
 
 
 def test_stamps_must_be_monotone():
@@ -218,11 +220,14 @@ def test_in_state_index_matches_a_full_scan():
             check(q)
             continue
         job = q.jobs[rng.choice(list(q.jobs))]
+        roll = rng.random()
         try:
-            if job.state is JobState.HELD:
+            if job.state is JobState.HELD and roll < 0.3:
                 q.release(job.job_id)
-            elif job.state is not JobState.DONE and rng.random() < 0.8:
+            elif job.state in forward[:-1] and roll < 0.6:
                 q.transition(job.job_id, forward[forward.index(job.state) + 1])
+            elif roll < 0.8:  # refused for a held or finished job
+                q.transition(job.job_id, JobState.HELD, detail="x")
             else:
                 q.transition(job.job_id, rng.choice(list(JobState)), detail="x")
         except IllegalJobTransition:
@@ -238,14 +243,24 @@ def test_in_state_index_matches_a_full_scan():
             [j.job_id for j in q.in_state(state)]
 
 
+def test_a_refused_step_takes_no_stamp():
+    q = JobQueue()
+    job = q.submit(AD)
+    with pytest.raises(IllegalJobTransition):
+        q.transition(job.job_id, JobState.DONE)
+    with pytest.raises(IllegalJobTransition):
+        q.release(job.job_id)
+    q.transition(job.job_id, JobState.MATCHED)
+    assert [e.stamp for e in job.history] == [1, 2, 3]
+
+
 def test_journal_sink_records_every_mutation():
     records = []
     q = JobQueue(journal_sink=records.append)
     job = q.submit(AD)
     q.transition(job.job_id, JobState.MATCHED, detail="r1")
-    assert [r["event"] for r in records] == ["new", "state", "state", "state"]
-    assert records[0]["job_id"] == job.job_id
-    assert records[0]["ad"]["id"] == "j"
+    assert [r["event"] for r in records] == ["submit", "state"]
+    assert records[0] == {"event": "submit", "job_id": job.job_id, "ad": ad_to_json(AD)}
     assert records[-1] == {"event": "state", "job_id": job.job_id,
                            "state": "Matched", "stamp": 3, "detail": "r1"}
 

@@ -188,7 +188,7 @@ def test_rank_drop_rules():
         _res("r-bool", "C3", "s3", extra="Goodness = true\n"),
         _res("r-missing", "C4", "s4"),
         _res("r-error", "C5", "s5", extra="Goodness = 1 / 0\n"),
-        _res("r-inf", "C6", "s6", extra="Goodness = 1e308 * 10\n"),  # an infinite Real
+        _res("r-inf", "C6", "s6", extra="Goodness = 1e308 * 10\n"),  # overflows: Error
     )
     [d] = _run(store, [_job("j", extra="Rank = OTHER.Goodness\n")])
     assert d.matched

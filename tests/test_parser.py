@@ -1,5 +1,6 @@
 """Expression grammar and ad file parsing."""
 
+import math
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from vogrid.classads import (
     text,
 )
 from vogrid.classads import TRUE, FALSE, UNDEFINED, ERROR
-from vogrid.classads import EMPTY_REGISTRY, Value, evaluate
+from vogrid.classads import EMPTY_REGISTRY, Value, ValueKind, evaluate
 from vogrid.classads.parser import MAX_NESTING
 from vogrid.matchmaker import _expr_key
 
@@ -124,8 +125,8 @@ def test_nesting_up_to_the_limit_parses():
 
 
 _SOURCE = st.recursive(
-    st.one_of(st.sampled_from(["1", "2.5", "1e9", "1e999", '"t"', "x", "OTHER.y", "true",
-                               "undefined", "error", "@", ")", ""]),
+    st.one_of(st.sampled_from(["1", "2.5", "1e9", "1e308", "1e999", '"t"', "x", "OTHER.y",
+                               "true", "undefined", "error", "@", ")", ""]),
               st.integers(1, 6000).map(lambda n: "9" * n)),
     lambda inner: st.one_of(
         inner.map(lambda e: f"({e})"),
@@ -158,7 +159,10 @@ def test_whatever_parses_evaluates_without_raising(src):
         e = parse_expr(src)
     except ParseError:
         return
-    assert isinstance(evaluate(e, EMPTY_AD, EMPTY_AD, EMPTY_REGISTRY), Value)
+    result = evaluate(e, EMPTY_AD, EMPTY_AD, EMPTY_REGISTRY)
+    assert isinstance(result, Value)
+    # a Real is finite: an overflow or a NaN is Error
+    assert not (result.kind is ValueKind.REAL and not math.isfinite(result.data))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

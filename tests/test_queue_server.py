@@ -1,15 +1,18 @@
 """Journaled queue service: the wire protocol and crash recovery."""
 
 import json
+import os
+import random
 import threading
 
 import pytest
 
 from vogrid import wire
 from vogrid.classads import AdKind, ad_to_json, parse_classad
-from vogrid.jobs import JobState
+from vogrid.jobs import IllegalJobTransition, JobState
 from vogrid.queue_server import (
     CorruptJournal,
+    Journal,
     QueueService,
     replay_journal,
     submit_over_wire,
@@ -102,7 +105,7 @@ def test_unjournalable_ad_is_refused_and_leaves_no_job(tmp_path):
         assert listed == [{"job_id": 1, "state": "Idle"}]
     finally:
         service.close()
-    assert [r["event"] for r in replay_journal(str(path))] == ["new", "state", "state"]
+    assert [r["event"] for r in replay_journal(str(path))] == ["submit"]
 
 
 # -- persistence ------------------------------------------------------------------------
@@ -156,9 +159,10 @@ def test_journal_is_flat_ndjson(tmp_path):
     path = tmp_path / "queue.ndjson"
     service = QueueService(str(path))
     service.handle_message(_msg("SUBMIT", ad=AD_JSON))
+    service.queue.transition(1, JobState.HELD, detail="operator hold")
     service.close()
     lines = path.read_text().splitlines()
-    assert [json.loads(l)["event"] for l in lines] == ["new", "state", "state"]
+    assert [json.loads(l)["event"] for l in lines] == ["submit", "state"]
 
 
 def test_truncated_final_line_is_ignored(tmp_path):
@@ -192,7 +196,7 @@ def test_records_appended_after_a_crash_tail_survive_the_next_restart(tmp_path, 
         assert reply["result"] == {"job_id": 2, "state": "Idle"}
     finally:
         revived.close()
-    assert [r["job_id"] for r in replay_journal(str(path))] == [1, 1, 1, 2, 2, 2]
+    assert [r["job_id"] for r in replay_journal(str(path))] == [1, 2]
     again = QueueService(str(path))
     try:
         assert [j.state for j in again.queue.jobs.values()] == [JobState.IDLE] * 2
@@ -204,17 +208,138 @@ def test_corruption_before_the_end_is_fatal(tmp_path):
     path = tmp_path / "queue.ndjson"
     service = QueueService(str(path))
     service.handle_message(_msg("SUBMIT", ad=AD_JSON))
+    service.handle_message(_msg("SUBMIT", 2, ad=AD_JSON))
     service.close()
     lines = path.read_bytes().split(b"\n")
     lines[1] = b"{garbage"
     path.write_bytes(b"\n".join(lines))
-    with pytest.raises(CorruptJournal):
+    with pytest.raises(CorruptJournal, match="line 2"):
         QueueService(str(path))
     # a complete final line that is garbage is corruption too, not a crash tail
     path2 = tmp_path / "tail.ndjson"
     path2.write_bytes(b'{"bad json\n')
     with pytest.raises(CorruptJournal):
         replay_journal(str(path2))
+
+
+def test_submit_appends_one_line_with_one_append_and_one_fsync(tmp_path, monkeypatch):
+    path = tmp_path / "queue.ndjson"
+    appends, fsyncs = [], []
+    real_append, real_fsync = Journal.append, os.fsync
+    monkeypatch.setattr(Journal, "append",
+                        lambda journal, record: appends.append(record) or real_append(journal, record))
+    service = QueueService(str(path))
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    try:
+        assert service.handle_message(_msg("SUBMIT", ad=AD_JSON))["result"]["job_id"] == 1
+    finally:
+        service.close()
+    assert len(appends) == len(fsyncs) == 1
+    assert path.read_bytes().count(b"\n") == 1
+
+
+def _write_records(path, *records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def test_a_record_that_does_not_replay_is_corruption_named_by_line(tmp_path):
+    submit = {"event": "submit", "job_id": 1, "ad": AD_JSON}
+    path = tmp_path / "queue.ndjson"
+    for bad, why in [
+        ({"event": "new", "job_id": 1, "ad": AD_JSON},  # the older form's first record
+         "older form, three records per SUBMIT"),
+        (dict(submit, job_id=3), "replay gives 2 where the record holds 3"),
+        ({"event": "state", "job_id": 1, "state": "Matched", "stamp": 9, "detail": None},
+         "replay gives 3 where the record holds 9"),
+        ({"event": "state", "job_id": 1, "state": "Done", "stamp": 3, "detail": None},
+         "IllegalJobTransition"),
+        ({"event": "state", "job_id": 7, "state": "Held", "stamp": 3, "detail": None},
+         "UnknownJob"),
+        ({"event": "state", "job_id": 1}, "KeyError"),
+        ({"event": "submit", "job_id": 2, "ad": "not an ad"}, "does not replay"),
+    ]:
+        _write_records(path, submit, bad, submit)
+        before = path.read_bytes()
+        with pytest.raises(CorruptJournal, match=f"line 2 .*{why}"):
+            QueueService(str(path))
+        assert path.read_bytes() == before  # a journal that does not replay is left as is
+
+
+def test_a_finished_job_in_a_journal_cannot_be_held(tmp_path):
+    path = tmp_path / "queue.ndjson"
+    service = QueueService(str(path))
+    try:
+        service.handle_message(_msg("SUBMIT", ad=AD_JSON))
+        for state in ("Matched", "Staging", "Running", "Done"):
+            service.queue.transition(1, JobState(state))
+    finally:
+        service.close()
+    done = replay_journal(str(path))
+    # a journal that holds the edge anyway was not written by this queue
+    _write_records(path, *done, {"event": "state", "job_id": 1, "state": "Held",
+                                 "stamp": 7, "detail": None})
+    with pytest.raises(CorruptJournal, match="line 6 .*Done -> Held"):
+        QueueService(str(path))
+
+
+def _snapshot(queue):
+    return {job_id: job.status_json() for job_id, job in queue.jobs.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_journal_cut_anywhere_replays_an_acknowledged_state(tmp_path, seed):
+    """Drive a queue through random calls, then cut its journal at every record
+    boundary and at random bytes: each cut replays to the state the calls up
+    to its last whole record left, and the revived queue answers LIST and
+    STATUS."""
+    rng = random.Random(seed)
+    path = tmp_path / "queue.ndjson"
+    ownerless = ad_to_json(parse_classad('Dataset = "d"\n', AdKind.JOB))
+    service = QueueService(str(path))
+    order = list(JobState)  # Submitted to Done, then Held
+    acked = {0: {}}  # journal size after a call -> the state it acknowledged
+    try:
+        for n in range(60):
+            jobs = list(service.queue.jobs)
+            roll = rng.random()
+            if not jobs or roll < 0.3:
+                service.handle_message(_msg("SUBMIT", n, ad=ownerless if roll < 0.05 else AD_JSON))
+            elif roll < 0.5:
+                service.handle_message(_msg("RELEASE", n, job_id=rng.choice(jobs)))
+            else:  # mostly the next step or a hold, sometimes a refused move
+                job = service.queue.get(rng.choice(jobs))
+                step = JobState.IDLE if job.state is JobState.HELD else \
+                    order[order.index(job.state) + 1]
+                try:
+                    service.queue.transition(
+                        job.job_id, rng.choice([step, step, JobState.HELD, rng.choice(order)]),
+                        detail=rng.choice([None, "why"]))
+                except IllegalJobTransition:
+                    pass
+            acked[path.stat().st_size] = _snapshot(service.queue)
+    finally:
+        service.close()
+    whole = path.read_bytes()
+    assert len(acked) > 30
+    assert any(job["state"] == "Held" for state in acked.values() for job in state.values())
+    boundaries = [i + 1 for i, b in enumerate(whole) if b == ord("\n")]
+    cut_path = tmp_path / "cut.ndjson"
+    for cut in sorted({0, *boundaries, *rng.sample(range(len(whole)), 40)}):
+        cut_path.write_bytes(whole[:cut])
+        revived = QueueService(str(cut_path))
+        try:
+            # a record that lacks only its newline is whole
+            last = max(size for size in acked if size <= cut + 1)
+            assert _snapshot(revived.queue) == acked[last], cut
+            listed = revived.handle_message(_msg("LIST"))["result"]["jobs"]
+            assert [j["job_id"] for j in listed] == list(acked[last])
+            for job_id in acked[last]:
+                status = revived.handle_message(_msg("STATUS", job_id=job_id))
+                assert status["result"] == acked[last][job_id]
+        finally:
+            revived.close()
+        if cut == 0 or cut in boundaries:  # replay appends nothing
+            assert cut_path.read_bytes() == whole[:cut]
 
 
 def test_replay_missing_or_empty_file(tmp_path):

@@ -75,10 +75,30 @@ def test_malformed_lines_keep_the_connection_open():
             server.port,
             b"this is not json\n",
             b'["an", "array"]\n',
+            b"[" * 200_000 + b"\n",  # nested too deep to decode
+            b'{"type": "PING", "id": ' + b"7" * 5000 + b"}\n",  # past the digit limit
             b'{"type": "PING", "id": 5, "payload": "still here"}\n')
-        assert replies[0]["error"]["code"] == "malformed"
-        assert replies[1]["error"]["code"] == "malformed"
-        assert replies[2] == {"id": 5, "result": {"echo": "still here"}}
+        assert [r["error"]["code"] for r in replies[:-1]] == ["malformed"] * 4
+        assert replies[-1] == {"id": 5, "result": {"echo": "still here"}}
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_an_over_long_line_is_malformed_and_closes_the_connection():
+    server = _serve()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            f = sock.makefile("rwb")
+            # exactly what the server reads, so it closes with nothing unread
+            f.write(b"x" * (wire.MAX_LINE_BYTES + 1))
+            f.flush()
+            assert json.loads(f.readline())["error"]["code"] == "malformed"
+            assert f.readline() == b""
+        # a line of the longest allowed length is still read as a request
+        line = b'{"type": "T", "id": 1}'.ljust(wire.MAX_LINE_BYTES - 1) + b"\n"
+        reply = _raw_exchange(server.port, line)
+        assert reply == [{"id": 1, "result": {"echo": None}}]
     finally:
         server.shutdown()
         server.server_close()
