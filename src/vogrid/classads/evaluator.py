@@ -8,8 +8,8 @@ Undefined or Error, never as exceptions. The rules:
 - arithmetic with a non-numeric operand -> Error; division by zero -> Error;
   Integer/Real promote to Real when mixed; / on two Integers truncates
   toward zero; an Integer too large to promote -> Error, in arithmetic and
-  in comparisons alike; a Real result of arithmetic or unary minus that is
-  not finite (an overflow to infinity, or NaN) -> Error
+  in comparisons alike; a Real result of arithmetic, unary minus or a
+  function call that is not finite (an overflow to infinity, or NaN) -> Error
 - comparisons with an Undefined operand -> Undefined, with an Error operand
   -> Error; mixed-type comparisons (other than numeric promotion) -> Error
 - && and ||: a determined operand decides (false && x == false,
@@ -90,7 +90,11 @@ def _eval(e: Expr, self_ad, other_ad, reg: FnRegistry, env, active: frozenset) -
             result = handler(args, self_ad, other_ad, env)
         except Exception:
             return ERROR
-        return result if isinstance(result, Value) else ERROR
+        if not isinstance(result, Value):
+            return ERROR
+        if result.kind is ValueKind.REAL and not math.isfinite(result.data):
+            return ERROR
+        return result
 
     return ERROR
 

@@ -11,6 +11,7 @@ replays a record by making that call again; a refused call takes no stamp.
 from __future__ import annotations
 
 import json
+from collections.abc import ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -106,7 +107,10 @@ class JobRecord:
     def detail(self) -> str | None:
         return self.history[-1].detail if self.history else None
 
-    def advance(self, state: JobState, stamp: float, detail: str | None = None):
+    def next_entry(self, state: JobState, stamp: float,
+                   detail: str | None = None) -> HistoryEntry:
+        """The entry a step to `state` would add, changing nothing; raises
+        IllegalJobTransition if the step is not legal."""
         cur = self.state
         if state is JobState.HELD:
             legal = cur not in (None, JobState.HELD, JobState.DONE)
@@ -118,7 +122,10 @@ class JobRecord:
         if self.history and stamp < self.history[-1].stamp:
             raise IllegalJobTransition(
                 f"job {self.job_id}: stamp {stamp} goes backwards")
-        self.history.append(HistoryEntry(state, stamp, detail))
+        return HistoryEntry(state, stamp, detail)
+
+    def advance(self, state: JobState, stamp: float, detail: str | None = None):
+        self.history.append(self.next_entry(state, stamp, detail))
 
     def matched_resource(self) -> str | None:
         for entry in reversed(self.history):
@@ -137,12 +144,17 @@ class JobRecord:
 
 class JobQueue:
     """Ordered job records; each call that changes them hands a journal sink
-    one record: `submit` a "submit" record (job id and ad) before it stores
-    the job, `transition` (and so `release`) a "state" record after the step.
+    one record before it changes anything: `submit` a "submit" record (job
+    id and ad), `transition` (and so `release`) a "state" record with the
+    stamp the step will take. A refused step, or a sink that raises, leaves
+    the queue as it was.
 
-    Records are also indexed by state, so listing the jobs in one state
-    costs only those jobs. The index follows every change the queue makes;
-    a record advanced behind the queue's back is not reindexed.
+    Records are also indexed by state, each state's bucket kept in job id
+    order, so reading the jobs in one state costs only those jobs and needs
+    no sort. Jobs mostly enter a bucket in id order; one that enters out of
+    order (a released job, a job finishing early) marks its bucket, which is
+    sorted once, at its next read. The index follows every change the queue
+    makes; a record advanced behind the queue's back is not reindexed.
 
     Jobs given as identical ad JSON, by `submit_json` or by journal replay,
     share one ClassAd; ads are immutable.
@@ -151,6 +163,7 @@ class JobQueue:
     def __init__(self, journal_sink: Callable[[dict], None] | None = None):
         self.jobs: dict[int, JobRecord] = {}
         self._by_state: dict[JobState, dict[int, JobRecord]] = {s: {} for s in JobState}
+        self._unsorted: set[JobState] = set()  # buckets an id entered out of order
         # ad JSON text -> the ad some stored job holds
         self._shared_ads: dict[str, ClassAd] = {}
         self._next_id = 1
@@ -158,15 +171,26 @@ class JobQueue:
         self.journal_sink = journal_sink
 
     def _advance(self, job: JobRecord, state: JobState, stamp: float | None,
-                 detail: str | None):
-        """Step and reindex `job`; a None stamp takes the queue's next, if legal."""
-        before = job.state
-        job.advance(state, self._seq + 1 if stamp is None else stamp, detail)
+                 detail: str | None, journal: bool):
+        """Step and reindex `job`; a None stamp takes the queue's next. The
+        step is checked, then (with `journal`) handed to the sink, and only
+        then applied."""
+        entry = job.next_entry(state, self._seq + 1 if stamp is None else stamp,
+                               detail)
+        if journal and self.journal_sink is not None:
+            self.journal_sink({"event": "state", "job_id": job.job_id,
+                               "state": state.value, "stamp": entry.stamp,
+                               "detail": detail})
         if stamp is None:
             self._seq += 1
+        before = job.state
+        job.history.append(entry)
         if before is not None:
             del self._by_state[before][job.job_id]
-        self._by_state[state][job.job_id] = job
+        bucket = self._by_state[state]
+        if bucket and job.job_id < next(reversed(bucket)):
+            self._unsorted.add(state)
+        bucket[job.job_id] = job
 
     def _shared_ad(self, obj: dict) -> tuple[str, ClassAd]:
         key = json.dumps(obj, separators=(",", ":"))
@@ -187,7 +211,7 @@ class JobQueue:
         self._next_id += 1
         job = self.jobs[job_id] = JobRecord(job_id, ad)
         for state in (JobState.SUBMITTED, JobState.IDLE):
-            self._advance(job, state, stamp, None)
+            self._advance(job, state, stamp, None, journal=False)
         return job
 
     def submit_json(self, obj: dict) -> JobRecord:
@@ -201,10 +225,7 @@ class JobQueue:
     def transition(self, job_id: int, state: JobState,
                    stamp: float | None = None, detail: str | None = None) -> JobRecord:
         job = self.get(job_id)
-        self._advance(job, state, stamp, detail)
-        if self.journal_sink is not None:
-            self.journal_sink({"event": "state", "job_id": job_id, "state": state.value,
-                               "stamp": job.history[-1].stamp, "detail": detail})
+        self._advance(job, state, stamp, detail, journal=True)
         return job
 
     def release(self, job_id: int) -> JobRecord:
@@ -218,10 +239,22 @@ class JobQueue:
             raise UnknownJob(f"no job {job_id}")
         return self.jobs[job_id]
 
+    def state_view(self, state: JobState) -> ValuesView[JobRecord]:
+        """The jobs now in `state`, in job id order, as a live view that
+        copies nothing: pulling from it lazily costs only the jobs pulled.
+        The order holds until the queue next changes, and iterating the view
+        while jobs enter or leave `state` raises RuntimeError."""
+        bucket = self._by_state[state]
+        if state in self._unsorted:
+            self._unsorted.discard(state)
+            ordered = sorted(bucket.items())
+            bucket.clear()
+            bucket.update(ordered)
+        return bucket.values()
+
     def in_state(self, state: JobState) -> list[JobRecord]:
         """The jobs now in `state`, in job id order."""
-        bucket = self._by_state[state]
-        return [bucket[job_id] for job_id in sorted(bucket)]
+        return list(self.state_view(state))
 
     def apply_journal_record(self, record: dict):
         """Replay one journal record by making its call again, with the queue's

@@ -148,6 +148,10 @@ class AdStore:
     """Resource ads keyed by ad id, each with an expiry, a gridmap and a
     resource cluster.
 
+    A snapshot drops the ads that have expired by its `now`, so the store
+    holds only ads still to be seen, and an expired ad's cluster leaves the
+    cluster table with it. Callers' clocks never run backwards.
+
     Thread-safe: upserts and removals may run while another thread matches.
     """
 
@@ -184,10 +188,13 @@ class AdStore:
             self._ads.pop(ad_id, None)
 
     def snapshot(self, now: float) -> list[StoredAd]:
-        """Unexpired ads in insertion order. ttl 0 means never visible."""
+        """Unexpired ads in insertion order, forgetting the expired ones.
+        ttl 0 means never visible."""
         with self._lock:
-            return [s for s in self._ads.values()
-                    if now < s.received_at + s.ttl_seconds]
+            live = [s for s in self._ads.values() if now < s.received_at + s.ttl_seconds]
+            if len(live) < len(self._ads):
+                self._ads = {s.ad.ad_id: s for s in live}
+            return live
 
 
 def preauthorize(job: ClassAd, stored: StoredAd) -> bool:

@@ -14,11 +14,22 @@ batch per staging step, and are visible from the next cycle on.
 
 All policies share `match_jobs` and differ only in the chooser: `data-aware`
 takes the Rank argmax, `random` and `round-robin` pick an authorized ad
-without ranking and record rank 0. A cycle walks the idle jobs, in job id
-order, only until every ad is busy or claimed, so its cost follows the slots
-that can still be filled rather than the length of the backlog. Job ads are
-checked once, when the scenario loads: Owner and Dataset must be text, and
-OutputBytes and RunSeconds usable quantities (see `jobs`).
+without ranking and record rank 0. A cycle pulls idle jobs lazily, in job id
+order, from the queue's index, and only until every ad is busy or claimed;
+it stages and holds after the pass. So its cost follows the jobs it examines
+and the slots that can still be filled, not the length of the backlog.
+
+A cycle runs only when it can place a job: at the start, after an event
+batch that completes a job, and after any other batch that leaves a visible
+ad free. Every other batch holds only `staged` events; those free no ad and
+push `done` events, and TTL expiry only removes ads, so with no visible ad
+free the cycle would change nothing (`GridWorld.run` gives the argument).
+A staged batch does change what Rank and Requirements read through fun(),
+the stations' queues and caches, so it is not enough that a batch frees no
+slot: a job refused while an ad was free may pass once files are cached.
+
+Job ads are checked once, when the scenario loads: Owner and Dataset must be
+text, and OutputBytes and RunSeconds usable quantities (see `jobs`).
 """
 
 from __future__ import annotations
@@ -260,15 +271,21 @@ class GridWorld:
     def _match_cycle(self) -> int:
         """Match the idle jobs once. Returns how many matched.
 
-        The pipeline stops once no ad is left free, and the jobs it did not
-        reach count as having no candidates. A job that failed to match
-        while every visible ad was free (none busy, none claimed earlier in
-        its own cycle) can never match later, so it is held; otherwise it
-        stays idle for the next cycle. When nothing matched and no event is
-        pending, no slot can free again, so every job still idle is held
-        with its reason.
+        `match_jobs` pulls idle records lazily, in job id order, from the
+        queue's live view, and stops once no ad is left free; the jobs it did
+        not reach count as having no candidates. The pass changes neither the
+        queue nor the stations: it reads only `busy_at_start`, its own free
+        list and the cycle's snapshot. So its transitions and staging land
+        after it, in the order it decided them, which is what applying each
+        one at once would give.
+
+        A job that failed to match while every visible ad was free (none
+        busy, none claimed earlier in its own cycle) can never match later,
+        so it is held; otherwise it stays idle for the next cycle. When
+        nothing matched and no event is pending, no slot can free again, so
+        every job still idle is held with its reason.
         """
-        idle = self.queue.in_state(JobState.IDLE)
+        idle = self.queue.state_view(JobState.IDLE)
         if not idle:
             return 0
         self._snapshot = dict(self.stations)
@@ -276,13 +293,20 @@ class GridWorld:
         busy_at_start = set(self.busy)
         choose = (choose_by_rank if self.policy == "data-aware"
                   else self._choose_baseline)
-        decisions = match_jobs(self.store, (record.ad for record in idle),
-                               self.registry, self._env, now=self.clock,
-                               claimed=busy_at_start, choose=choose)
+        pulled = []
+
+        def pull():
+            for record in idle:
+                pulled.append(record)
+                yield record.ad
+
+        decisions = list(match_jobs(self.store, pull(), self.registry, self._env,
+                                    now=self.clock, claimed=busy_at_start,
+                                    choose=choose))
         matched = 0
         saw_everything = not busy_at_start
         reasons = {}
-        for record, decision in zip(idle, decisions):
+        for record, decision in zip(pulled, decisions):
             if decision.matched:
                 matched += 1
                 saw_everything = False
@@ -292,9 +316,8 @@ class GridWorld:
             else:
                 reasons[record.job_id] = decision.reason
         if saw_everything or (matched == 0 and not self._heap):
-            for record in idle:
-                if record.state is JobState.IDLE:
-                    self._hold(record, reasons.get(record.job_id, "no-candidates"))
+            for record in self.queue.in_state(JobState.IDLE):
+                self._hold(record, reasons.get(record.job_id, "no-candidates"))
         return matched
 
     def _hold(self, record, reason: str):
@@ -341,12 +364,33 @@ class GridWorld:
     # -- main loop ----------------------------------------------------------
 
     def run(self):
+        """Alternate match cycles with event batches until nothing is left.
+
+        A cycle runs at the start, after any batch that completes a job, and
+        after any other batch that leaves some visible ad free; otherwise it
+        is skipped, because it could change nothing:
+        - every other batch holds only `staged` events, which free no ad,
+          and each pushes its job's `done` event, so the heap is not empty
+          and the sweep that holds every idle job when nothing is pending
+          cannot fire;
+        - the staged job still holds its ad, so some ad is busy and no job
+          can be held for having seen every ad free;
+        - with no visible ad free, `match_jobs` pulls no job and calls no
+          chooser, so no job moves, nothing is logged and no random draw is
+          made. TTL expiry between batches only ever removes ads.
+        A staged batch does change the stations: it dequeues input and adds
+        files to the cache, and Rank and Requirements read both through
+        fun(). So when an ad is free, a job refused before may match now.
+        """
+        can_place = True
         while True:
-            self._match_cycle()
+            if can_place:
+                self._match_cycle()
             if not self._heap:
                 return  # idle jobs only survive a cycle if something is pending
             batch_time = self._heap[0][0]
             self.clock = batch_time
+            completed = False
             while self._heap and self._heap[0][0] == batch_time:
                 _, _, kind, job_id = heapq.heappop(self._heap)
                 self.events_processed += 1
@@ -356,6 +400,14 @@ class GridWorld:
                     self._finish_staging(job_id)
                 else:
                     self._finish_run(job_id)
+                    completed = True
+            can_place = completed or self._some_ad_free()
+
+    def _some_ad_free(self) -> bool:
+        """Whether some ad visible now is not busy. Busy ads are slots, so
+        with every slot busy no snapshot is needed."""
+        return len(self.busy) < len(self.slots) and any(
+            s.ad.ad_id not in self.busy for s in self.store.snapshot(self.clock))
 
     # -- reporting -----------------------------------------------------------
 

@@ -16,7 +16,7 @@ speeds are static configuration values supplied by the site, not measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
@@ -178,7 +178,13 @@ class CacheEvict:
 def apply_event(st: StationState, *events) -> StationState:
     """Queue and cache steps, in order, folded into one copy of the state;
     every other field is unchanged. A step that would empty a queue below
-    zero or evict an uncached file raises IllegalTransition."""
+    zero or evict an uncached file, or an unknown event, raises
+    IllegalTransition.
+
+    The copy equals what `dataclasses.replace` builds, but skips
+    `StationState.__post_init__`: the links and the output destination were
+    checked when `st` was built and a step cannot change them, and these
+    checks keep the depths nonnegative."""
     in_depth, out_depth = st.input_queue_depth, st.output_queue_depth
     cached = None  # copied from st at the first cache step
     for ev in events:
@@ -204,8 +210,13 @@ def apply_event(st: StationState, *events) -> StationState:
             cached.remove(ev.file_name)
         else:
             raise IllegalTransition(f"unknown event {ev!r}")
-    return replace(st, input_queue_depth=in_depth, output_queue_depth=out_depth,
-                   cached_files=st.cached_files if cached is None else cached)
+    successor = object.__new__(StationState)
+    fields = successor.__dict__  # frozen: filled in directly, as __init__ would
+    fields.update(vars(st))
+    fields.update(input_queue_depth=in_depth, output_queue_depth=out_depth)
+    if cached is not None:
+        fields["cached_files"] = frozenset(cached)
+    return successor
 
 
 # -- wire handling ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Expression evaluation semantics."""
 
 import json
+import math
 
 import pytest
 
@@ -160,6 +161,12 @@ def test_function_call_failures():
     assert _ev("seven()", reg=reg) == ERROR  # handler returned a non-Value
     assert _ev("missing(1)", reg=reg) == ERROR
     assert _ev("boom(1)", reg=reg) == ERROR  # arity mismatch, handler not run
+    # a Real that is not finite is Error, whether arithmetic or a handler made it
+    for name, x in (("inf", math.inf), ("ninf", -math.inf), ("nan", math.nan)):
+        reg.register(name, 0, lambda args, s, o, env, x=x: real(x))
+        assert _ev(f"{name}()", reg=reg) == ERROR
+    reg.register("half", 0, lambda args, s, o, env: real(0.5))
+    assert _ev("half()", reg=reg) == real(0.5)
 
 
 def test_function_sees_evaluated_args_and_scopes():

@@ -207,12 +207,15 @@ def test_in_state_index_matches_a_full_scan():
         for state in JobState:
             scan = sorted((j for j in queue.jobs.values() if j.state is state),
                           key=lambda j: j.job_id)
+            # the lazy view first, so that it is the read that restores order
+            assert list(queue.state_view(state)) == scan
             assert queue.in_state(state) == scan
 
     forward = [JobState.IDLE, JobState.MATCHED, JobState.STAGING,
                JobState.RUNNING, JobState.DONE]
     rng = random.Random(5)
     records = []
+    released_out_of_order = 0
     q = JobQueue(journal_sink=records.append)
     for _ in range(400):
         if not q.jobs or rng.random() < 0.1:
@@ -223,7 +226,9 @@ def test_in_state_index_matches_a_full_scan():
         roll = rng.random()
         try:
             if job.state is JobState.HELD and roll < 0.3:
+                idle = [j.job_id for j in q.jobs.values() if j.state is JobState.IDLE]
                 q.release(job.job_id)
+                released_out_of_order += job.job_id < max(idle, default=0)
             elif job.state in forward[:-1] and roll < 0.6:
                 q.transition(job.job_id, forward[forward.index(job.state) + 1])
             elif roll < 0.8:  # refused for a held or finished job
@@ -234,6 +239,7 @@ def test_in_state_index_matches_a_full_scan():
             pass  # a refused move must leave the index as it was
         check(q)
     assert q.in_state(JobState.HELD) and q.in_state(JobState.DONE)
+    assert released_out_of_order  # a release re-idled a job behind a later id
     clone = JobQueue()
     for record in records:
         clone.apply_journal_record(record)
@@ -252,6 +258,36 @@ def test_a_refused_step_takes_no_stamp():
         q.release(job.job_id)
     q.transition(job.job_id, JobState.MATCHED)
     assert [e.stamp for e in job.history] == [1, 2, 3]
+
+
+def test_a_failing_journal_sink_leaves_the_step_unapplied():
+    # the record goes to the sink before the step: a sink that raises (a
+    # full disk) leaves the job, the stamps and the index as they were, so
+    # the journal still replays to the queue in memory
+    records, failing = [], []
+
+    def sink(record):
+        if failing:
+            raise OSError("disk full")
+        records.append(record)
+
+    q = JobQueue(journal_sink=sink)
+    job = q.submit(AD)
+    history, seq = list(job.history), q._seq
+    failing.append(True)
+    with pytest.raises(OSError):
+        q.transition(job.job_id, JobState.HELD, detail="x")
+    assert job.history == history and q._seq == seq
+    assert q.in_state(JobState.IDLE) == [job] and q.in_state(JobState.HELD) == []
+    failing.clear()
+    with pytest.raises(IllegalJobTransition):
+        q.release(job.job_id)  # the hold never happened
+    q.transition(job.job_id, JobState.HELD, detail="y")
+    q.release(job.job_id)
+    clone = JobQueue()
+    for record in records:
+        clone.apply_journal_record(record)
+    assert clone.get(job.job_id).status_json() == job.status_json()
 
 
 def test_journal_sink_records_every_mutation():

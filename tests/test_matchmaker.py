@@ -76,12 +76,12 @@ def test_snapshot_visibility_window():
     store = AdStore()
     store.collect_ad(_res("r1", "A", "st-a"), [ALICE], ttl_seconds=5.0, now=10.0)
     assert [s.ad.ad_id for s in store.snapshot(10.0)] == ["r1"]
-    assert [s.ad.ad_id for s in store.snapshot(14.9)] == ["r1"]
-    # expiry boundary is exclusive: at received_at + ttl the ad is gone
-    assert store.snapshot(15.0) == []
     # an ad advertised with ttl 0 is never visible, even in the same instant
     store.collect_ad(_res("r2", "B", "st-b"), [ALICE], ttl_seconds=0.0, now=10.0)
     assert [s.ad.ad_id for s in store.snapshot(10.0)] == ["r1"]
+    assert [s.ad.ad_id for s in store.snapshot(14.9)] == ["r1"]
+    # expiry boundary is exclusive: at received_at + ttl the ad is gone
+    assert store.snapshot(15.0) == []
 
 
 def test_upsert_replaces_ad_and_gridmap():
@@ -476,6 +476,21 @@ def test_matchmaker_service_respects_ttl_clock():
     assert d == {"job_id": "j", "outcome": "no-match", "reason": "no-candidates"}
 
 
+def test_expired_ads_leave_the_store_and_the_cluster_table():
+    # a long-lived matchmaker must not keep, and rescan, every ad that expired
+    now = {"t": 0.0}
+    service = MatchmakerService(clock=lambda: now["t"])
+    for i, name in enumerate(["A", "A", "B"]):
+        service.handle_message(_advertise_msg(_res(f"r{i}", name, "s1"), ttl=1.0)
+                               | {"id": i})
+    assert len(service.store._ads) == 3 and len(service.store._clusters) == 2
+    now["t"] = 1.0
+    job_msg = {"type": "MATCH_REQUEST", "id": 9, "jobs": [ad_to_json(_job("j"))]}
+    [d] = service.handle_message(job_msg)["result"]["decisions"]
+    assert d["reason"] == "no-candidates"
+    assert len(service.store._ads) == 0 and len(service.store._clusters) == 0
+
+
 # -- the lazy pipeline ---------------------------------------------------------------
 
 def _rescan_cycle(store, jobs, reg, env, now, claimed, choose):
@@ -630,14 +645,15 @@ def test_match_jobs_stops_pulling_jobs_once_every_ad_is_claimed():
     assert [d.reason for d in decisions] == ["unauthorized-everywhere", None, None]
     assert [d.resource_id for d in decisions[1:]] == ["r1", "r2"]
     assert pulled == [0, 1]
-    # with no ad free from the start, not even the first job is pulled
+    # the whole-cycle form still answers for every job
+    tail = _run(store, [_job(f"j{i}") for i in range(4)])
+    assert [d.reason for d in tail] == [None, None, "no-candidates", "no-candidates"]
+    # with no ad free from the start, not even the first job is pulled (the
+    # expiry case comes last: a snapshot past the ttl empties the store)
     for kw in ({"claimed": {"r1", "r2"}}, {"now": 1e9}):
         jobs = feed()
         assert list(match_jobs(store, jobs, reg, None, **kw)) == []
         assert next(jobs).ad_id == "outsider"
-    # the whole-cycle form still answers for every job
-    tail = _run(store, [_job(f"j{i}") for i in range(4)])
-    assert [d.reason for d in tail] == [None, None, "no-candidates", "no-candidates"]
 
 
 # -- structural invariance ----------------------------------------------------------

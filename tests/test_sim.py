@@ -1,8 +1,10 @@
 """Scenario loading and the deterministic grid run."""
 
 import hashlib
+import heapq
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -21,9 +23,10 @@ from vogrid.sim import (
     make_site_config,
     run_scenario,
 )
-from vogrid.station import station_from_config
+from vogrid.station import NoRouteToSource, station_from_config
 
 from conftest import fixture_path
+from worldgen import make_world
 
 ALICE = "/C=US/O=demo/CN=alice"
 
@@ -353,6 +356,35 @@ def test_partial_visibility_defers_the_hold():
 
 
 @pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_staged_batch_can_let_a_waiting_job_match(policy):
+    # two slots, three jobs. j0 runs 10 s on cached data; j1 stages its file
+    # for 50 s. At t=10 a slot is free, but j2's Requirements read the
+    # station's queue and cache through fun(), and j1's file is still queued
+    # (score -51). When j1's staged batch lands at t=50 the file is cached
+    # and the queue empty, so j2 matches then, not when j1 finishes at 1050:
+    # a batch of staged events frees no slot, yet it can change a decision
+    catalog = {"hot": [["h0", 1_000_000, "HOME"]],
+               "cold": [["c0", 5_000_000_000, "HOME"]]}
+    config = make_site_config("S", "c", "st", {"HOME": 1e8}, slots=2)
+    site = _site_doc(config, stations={"st": {"cached_files": ["h0"]}})
+    owner = f'"{ALICE}"'
+    jobs = [
+        {"id": "j0", "ad": {"Owner": owner, "Dataset": '"hot"', "RunSeconds": "10"}},
+        {"id": "j1", "ad": {"Owner": owner, "Dataset": '"cold"',
+                            "RunSeconds": "1000"}},
+        {"id": "j2", "ad": {"Owner": owner, "Dataset": '"cold"',
+                            "Requirements": "fun(Dataset, OTHER.Station_ID) > -1.5"}},
+    ]
+    world = GridWorld(load_scenario(_scenario_doc(catalog, [site], jobs)), policy, 0)
+    world.run()
+    stamps = {job.ad.ad_id: {h.state: h.stamp for h in job.history}
+              for job in world.queue.jobs.values()}
+    assert stamps["j1"][JobState.RUNNING] == 50.0
+    assert stamps["j2"][JobState.MATCHED] == 50.0
+    assert all(job.state is JobState.DONE for job in world.queue.jobs.values())
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
 def test_no_visible_ads_holds_every_job(policy):
     # ttl 0 hides every ad: the pipeline reaches no job, yet each is held
     doc = dict(SAMPLE_DOC, ttl=0)
@@ -375,6 +407,127 @@ def test_stranded_jobs_hold_when_nothing_is_pending():
     assert by_job["j1"]["state"] == "Done"
     assert by_job["j2"]["state"] == "Held"
     assert by_job["j2"]["reason"] == "all-rank-error"
+
+
+# -- skipped cycles against a cycle after every batch ---------------------------------
+
+class _EveryBatchWorld(GridWorld):
+    """Reference loop: a match cycle after every event batch, each cycle
+    listing the idle jobs up front and staging each match as it is made."""
+
+    def _match_cycle(self) -> int:
+        idle = sorted((r for r in self.queue.jobs.values()
+                       if r.state is JobState.IDLE), key=lambda r: r.job_id)
+        if not idle:
+            return 0
+        self._snapshot = dict(self.stations)
+        self._scores = {}
+        busy_at_start = set(self.busy)
+        choose = (sim.choose_by_rank if self.policy == "data-aware"
+                  else self._choose_baseline)
+        decisions = sim.match_jobs(self.store, (r.ad for r in idle), self.registry,
+                                   self._env, now=self.clock,
+                                   claimed=busy_at_start, choose=choose)
+        matched = 0
+        saw_everything = not busy_at_start
+        reasons = {}
+        for record, decision in zip(idle, decisions):
+            if decision.matched:
+                matched += 1
+                saw_everything = False
+                self._start_staging(record, decision)
+            elif saw_everything:
+                self._hold(record, decision.reason)
+            else:
+                reasons[record.job_id] = decision.reason
+        if saw_everything or (matched == 0 and not self._heap):
+            for record in idle:
+                if record.state is JobState.IDLE:
+                    self._hold(record, reasons.get(record.job_id, "no-candidates"))
+        return matched
+
+    def run(self):
+        while True:
+            self._match_cycle()
+            if not self._heap:
+                return
+            batch_time = self._heap[0][0]
+            self.clock = batch_time
+            while self._heap and self._heap[0][0] == batch_time:
+                _, _, kind, job_id = heapq.heappop(self._heap)
+                self.events_processed += 1
+                if kind == "staged":
+                    self._finish_staging(job_id)
+                else:
+                    self._finish_run(job_id)
+
+
+def _world_doc(world: dict, rng: random.Random) -> dict:
+    """A backlogged scenario from a `worldgen` world. Some jobs' Requirements
+    read the stations through fun(), and some file names are shared by two
+    datasets, one copy fetched from a site no station reaches: staging the
+    other copy turns that dataset's rank error into a finite rank."""
+    catalog = {ds: [list(f) for f in files] for ds, files in world["catalog"].items()}
+    names = sorted(catalog)
+    for _ in range(rng.randint(0, 3) if len(names) > 1 else 0):
+        src, dst = rng.sample(names, 2)
+        file_name, size, _ = rng.choice(catalog[src])
+        if file_name not in {f[0] for f in catalog[dst]}:
+            catalog[dst].append([file_name, size, "NOWHERE"])
+    sites = []
+    for spec in world["sites"]:
+        config = make_site_config(spec["site"], spec["cluster"], spec["station"],
+                                  spec["links"], slots=spec["slots"],
+                                  architecture=spec["architecture"],
+                                  mean_service_seconds=spec["mean_service_seconds"])
+        fixture = {key: spec[key] for key in (
+            "input_queue_depth", "output_queue_depth", "output_destination",
+            "expected_output_bytes")}
+        fixture["cached_files"] = spec["cached"]
+        if rng.random() < 0.5:  # else the queue's wait alone fails small thresholds
+            fixture["input_queue_depth"] = 0
+        sites.append(_site_doc(config, {spec["station"]: fixture}, spec["gridmap"]))
+    jobs = []
+    for job in world["jobs"]:
+        for copy in range(rng.randint(1, 4)):
+            ad = {"Owner": f'"{job["owner"]}"', "Dataset": f'"{job["dataset"]}"',
+                  "RunSeconds": repr(rng.choice([0.0, 5.0, 60.0, 400.0]))}
+            terms = []
+            if job["req_arch"] is not None:
+                terms.append(f'OTHER.Architecture == "{job["req_arch"]}"')
+            if rng.random() < 0.4:
+                terms.append("fun(Dataset, OTHER.Station_ID) > "
+                             f"{-rng.choice([1.0, 5.0, 30.0, 150.0])!r}")
+            if terms:
+                ad["Requirements"] = " && ".join(terms)
+            if job["output_bytes"] is not None:
+                ad["OutputBytes"] = str(job["output_bytes"])
+            jobs.append({"id": f"{job['id']}-{copy}", "ad": ad})
+    rng.shuffle(jobs)
+    ttl = rng.choice([sim.DEFAULT_TTL, sim.DEFAULT_TTL, 0.0, 40.0, 400.0, 4000.0])
+    return _scenario_doc(catalog, sites, jobs, ttl=ttl)
+
+
+def _outcome(world: GridWorld):
+    """Report and event log; a run stopped by an unroutable staging (the
+    baseline policies pick without asking for routes) ends at that error."""
+    try:
+        world.run()
+    except NoRouteToSource as exc:
+        return str(exc), world.event_log
+    return world.report(), world.event_log
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_skipped_cycles_change_no_report_or_event_log(policy):
+    finished = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        scenario = load_scenario(_world_doc(make_world(rng), rng))
+        got = _outcome(GridWorld(scenario, policy, seed))
+        assert got == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
+        finished += isinstance(got[0], dict)
+    assert finished >= 100
 
 
 # -- quiescence ------------------------------------------------------------------------

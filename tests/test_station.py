@@ -1,5 +1,6 @@
 """Data-handling station state and preference queries."""
 
+import dataclasses
 import math
 import random
 
@@ -190,6 +191,19 @@ def test_apply_event_batch_equals_one_step_at_a_time():
             continue
         assert apply_event(start, *events) == expected
     assert apply_event(_station()) == _station()
+
+
+def test_apply_event_builds_what_replace_builds():
+    # the successor skips __post_init__ yet equals the re-validated copy
+    st = _station(output_destination="FNAL", expected_output_bytes=10,
+                  cached_files={"raw000"}, input_queue_depth=2)
+    got = apply_event(st, DequeueInput(), CacheAdd("raw001"), EnqueueOutput())
+    want = dataclasses.replace(st, input_queue_depth=1, output_queue_depth=1,
+                               cached_files={"raw000", "raw001"})
+    assert got == want
+    assert type(got.cached_files) is frozenset
+    assert st.input_queue_depth == 2 and st.cached_files == {"raw000"}
+    assert apply_event(st) == st and apply_event(st) is not st
 
 
 def test_apply_event_underflow_and_unknown():
