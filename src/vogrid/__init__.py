@@ -7,9 +7,8 @@ journaled job queue, and a deterministic scenario simulator.
 
 __version__ = "0.1.0"
 
-from . import advertise, classads, conftree, jobs, matchmaker, queue_server, sim
-from . import station, wire
-
+# Submodules load on first import (`from vogrid import sim`), not here, so
+# that a server process loads only the modules its command uses.
 __all__ = [
     "__version__",
     "advertise",

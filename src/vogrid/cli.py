@@ -2,6 +2,10 @@
 
 Servers print `LISTENING <port>` once ready, so callers can pass --port 0
 and read the assigned port from the first line of output.
+
+Each command imports the modules it uses when it runs, so a server process
+loads only its own service: a station never loads the simulator or the
+matchmaker.
 """
 
 from __future__ import annotations
@@ -13,23 +17,9 @@ import sys
 import time
 
 from . import wire
-from .advertise import InfoService, advertise_once, parse_gridmap
-from .classads import AdKind, parse_classad
-from .conftree import (
-    ConfigureError,
-    InteractiveInput,
-    configure,
-    derive_service_config,
-    meta_schema,
-    parse_answer_file,
-    read_tree,
-    write_tree,
-)
-from .matchmaker import MatchmakerService, directory_query
-from .queue_server import QueueService
-from .sim import POLICIES, load_scenario_file, run_scenario
-from .station import DatasetCatalog, station_from_config
-from .conftree.derive import MissingSection, UnsupportedSchemaVersion
+
+# sim.POLICIES, spelled out so that building the parser does not load the simulator
+POLICIES = ("data-aware", "random", "round-robin")
 
 
 def _read(path: str) -> str:
@@ -64,6 +54,8 @@ def _serve(handler, port: int, auth: str | None):
 
 
 def _load_station(args):
+    from .conftree import derive_service_config, read_tree
+    from .station import station_from_config
     site = read_tree(_read(args.config))
     stations = derive_service_config(site, "station")
     for node in stations.children:
@@ -87,6 +79,8 @@ def _request_or_die(host, port, msg, auth):
 # -- conf ------------------------------------------------------------------------
 
 def cmd_conf_run(args):
+    from .conftree import (ConfigureError, InteractiveInput, configure,
+                           parse_answer_file, read_tree, write_tree)
     schema = read_tree(_read(args.schema))
     prior = read_tree(_read(args.prior)) if args.prior else None
     source = parse_answer_file(_read(args.answers)) if args.answers \
@@ -99,10 +93,13 @@ def cmd_conf_run(args):
 
 
 def cmd_conf_meta(args):
+    from .conftree import meta_schema, write_tree
     _write_out(args.output, write_tree(meta_schema()))
 
 
 def cmd_conf_derive(args):
+    from .conftree import (MissingSection, UnsupportedSchemaVersion,
+                           derive_service_config, read_tree, write_tree)
     config = read_tree(_read(args.config))
     try:
         derived = derive_service_config(config, args.service)
@@ -114,6 +111,8 @@ def cmd_conf_derive(args):
 # -- services ----------------------------------------------------------------------
 
 def cmd_adv_run(args):
+    from .advertise import advertise_once, parse_gridmap
+    from .conftree import read_tree
     config = read_tree(_read(args.config))
     gridmap = parse_gridmap(_read(args.gridmap)) if args.gridmap else []
     host, port = args.mm
@@ -131,29 +130,37 @@ def cmd_adv_run(args):
 
 
 def cmd_info_serve(args):
+    from .advertise import InfoService
+    from .conftree import read_tree
     service = InfoService(read_tree(_read(args.config)))
     _serve(service.handle_message, args.port, args.auth)
 
 
 def cmd_station_serve(args):
+    from .station import DatasetCatalog, handle_message
     catalog = DatasetCatalog({ds: [tuple(e) for e in files] for ds, files
                               in json.loads(_read(args.catalog)).items()})
     state = _load_station(args)
-    from .station import handle_message
     _serve(lambda msg: handle_message(catalog, state, msg), args.port, args.auth)
 
 
 def cmd_mm_serve(args):
+    from .matchmaker import DirectoryQuery, MatchmakerService
     directory = {}
     if args.station_directory:
         raw = json.loads(_read(args.station_directory))
         directory = {sid: (str(hp[0]), int(hp[1])) for sid, hp in raw.items()}
-    query = directory_query(directory, auth_token=args.auth) if directory else None
+    query = DirectoryQuery(directory, auth_token=args.auth) if directory else None
     service = MatchmakerService(station_query=query)
-    _serve(service.handle_message, args.port, args.auth)
+    try:
+        _serve(service.handle_message, args.port, args.auth)
+    finally:
+        if query is not None:
+            query.close()
 
 
 def cmd_q_serve(args):
+    from .queue_server import QueueService
     service = QueueService(args.journal)
     try:
         _serve(service.handle_message, args.port, args.auth)
@@ -164,9 +171,9 @@ def cmd_q_serve(args):
 # -- queue client -------------------------------------------------------------------
 
 def cmd_submit(args):
+    from .classads import AdKind, ad_to_json, parse_classad
     ad_id = os.path.splitext(os.path.basename(args.ad))[0]
     ad = parse_classad(_read(args.ad), AdKind.JOB, ad_id=ad_id)
-    from .classads import ad_to_json
     host, port = args.queue
     result = _request_or_die(host, port,
                              {"type": "SUBMIT", "ad": ad_to_json(ad)}, args.auth)
@@ -194,6 +201,7 @@ def cmd_release(args):
 # -- sim ---------------------------------------------------------------------------
 
 def cmd_sim_run(args):
+    from .sim import load_scenario_file, run_scenario
     scenario = load_scenario_file(args.scenario)
     report, event_log = run_scenario(scenario, args.policy, args.seed)
     if args.events:

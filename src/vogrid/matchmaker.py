@@ -32,6 +32,11 @@ member, in free-list order, so decisions are those of the per-ad pipeline.
 This relies on a contract of the function registry: a handler's result may
 depend on the ads' attributes and on `env`, never on which ad object, or
 which ad id, it was handed. `fun` meets it.
+
+Station connections. `DirectoryQuery`, the station query of `vogrid mm
+serve`, keeps one connection per station and reuses it across queries and
+MATCH_REQUESTs, so a query costs a send and a read; it retries once, on a
+fresh connection, when the station has closed the one it reused.
 """
 
 from __future__ import annotations
@@ -230,20 +235,74 @@ def standard_registry() -> FnRegistry:
     return reg
 
 
-def directory_query(directory: Mapping[str, tuple[str, int]],
-                    auth_token: str | None = None) -> StationQuery:
-    """Station query that resolves Station_ID through a host:port directory."""
-    def query(dataset: str, station_id: str, output_bytes: int | None) -> float:
-        host, port = directory[station_id]
+# what a reused connection raises when the station closed it, as a restart does
+_STALE = (wire.ConnectionClosed, ConnectionResetError, BrokenPipeError)
+
+
+def _ask(conn: wire.Connection, msg: dict) -> dict:
+    """One round trip; a connection that raised is closed, never reused: after
+    a timeout a late reply may still arrive on it."""
+    try:
+        return conn.request(msg)
+    except BaseException:
+        conn.close()
+        raise
+
+
+class DirectoryQuery:
+    """Station query (a `StationQuery`) that resolves Station_ID through a
+    host:port directory, over at most one idle connection per station.
+
+    A query takes its station's idle connection, or opens a fresh one when
+    another query holds it, and puts it back afterwards; if the station has
+    an idle connection again by then, it closes its own instead. So two
+    threads never share a connection, a query never waits for another, and
+    each station keeps at most one connection open between queries. An error
+    reply leaves the connection usable and raises WireError. A reused
+    connection that the station has closed (an empty read, ECONNRESET or
+    EPIPE) is retried once on a fresh one, which is safe because a query
+    never changes station state; a timeout, or any failure of a fresh
+    connection, propagates. `close` closes the idle connections.
+    """
+
+    def __init__(self, directory: Mapping[str, tuple[str, int]],
+                 auth_token: str | None = None):
+        self._directory = directory
+        self._auth_token = auth_token
+        self._lock = threading.Lock()
+        self._idle: dict[str, wire.Connection] = {}
+
+    def __call__(self, dataset: str, station_id: str, output_bytes: int | None) -> float:
+        host, port = self._directory[station_id]
         msg = {"type": "GET_PREFERENCE", "dataset": dataset}
         if output_bytes is not None:
             msg["output_bytes"] = output_bytes
-        reply = wire.send_request(host, port, msg, timeout=QUERY_TIMEOUT_SECONDS,
-                                  auth_token=auth_token)
+        with self._lock:
+            conn = self._idle.pop(station_id, None)
+        if conn is not None:
+            try:
+                reply = _ask(conn, msg)
+            except _STALE:
+                conn = None
+        if conn is None:
+            conn = wire.Connection(host, port, timeout=QUERY_TIMEOUT_SECONDS,
+                                   auth_token=self._auth_token)
+            reply = _ask(conn, msg)
+        with self._lock:
+            spare = station_id in self._idle
+            if not spare:
+                self._idle[station_id] = conn
+        if spare:
+            conn.close()
         if "error" in reply:
             raise wire.WireError(reply["error"].get("message", "station error"))
         return float(reply["result"]["score"])
-    return query
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conn in idle.values():
+            conn.close()
 
 
 def rank_resources(job: ClassAd, candidates: list[StoredAd], reg: FnRegistry,

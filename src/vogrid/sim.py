@@ -13,11 +13,12 @@ asked once per cycle; queue and cache updates land on the live stations, one
 batch per staging step, and are visible from the next cycle on.
 
 All policies share `match_jobs` and differ only in the chooser: `data-aware`
-takes the Rank argmax, `random` and `round-robin` pick an authorized ad
-without ranking and record rank 0. A cycle pulls idle jobs lazily, in job id
-order, from the queue's index, and only until every ad is busy or claimed;
-it stages and holds after the pass. So its cost follows the jobs it examines
-and the slots that can still be filled, not the length of the backlog.
+takes the Rank argmax, `random` and `round-robin` pick, without ranking, an
+authorized ad whose station can stage the job, and record rank 0. A cycle
+pulls idle jobs lazily, in job id order, from the queue's index, and only
+until every ad is busy or claimed; it stages and holds after the pass. So
+its cost follows the jobs it examines and the slots that can still be
+filled, not the length of the backlog.
 
 A cycle runs only when it can place a job: at the start, after an event
 batch that completes a job, and after any other batch that leaves a visible
@@ -60,7 +61,9 @@ from .station import (
     DatasetCatalog,
     DequeueInput,
     EnqueueInput,
+    NoRouteToSource,
     StationState,
+    UnknownDataset,
     apply_event,
     get_preference,
     lookup_dataset,
@@ -254,19 +257,40 @@ class GridWorld:
     # -- one scheduling pass ----------------------------------------------
 
     def _choose_baseline(self, job: ClassAd, authorized: list[StoredAd],
-                         reg, env) -> tuple[str, float]:
-        """The random and round-robin chooser: no ranking, rank 0."""
+                         reg, env) -> tuple[str, float] | None:
+        """The random and round-robin chooser: no ranking, rank 0.
+
+        It picks only an ad whose station can stage the job, since staging
+        anywhere else fails; the data-aware Rank drops the others as rank
+        errors. With none, it picks nothing, which leaves the job with
+        all-rank-error, as under data-aware. Random draws again without an
+        ad that cannot stage, so it picks uniformly among those that can;
+        round-robin passes over such ads in its rotation."""
+        dataset, out_bytes = job.self_text("Dataset"), output_bytes(job)
+
+        def can_stage(stored: StoredAd) -> bool:
+            try:
+                self._preference(dataset, stored.station_id, out_bytes)
+            except (NoRouteToSource, UnknownDataset):
+                return False
+            return True
+
         if self.policy == "random":
             ordered = sorted(authorized, key=lambda s: (s.name, s.ad.ad_id))
-            return self.rng.choice(ordered).ad.ad_id, 0.0
-        ids = {s.ad.ad_id for s in authorized}
+            while ordered:
+                pick = self.rng.choice(ordered)
+                if can_stage(pick):
+                    return pick.ad.ad_id, 0.0
+                ordered.remove(pick)
+            return None
+        by_id = {s.ad.ad_id: s for s in authorized}
         n = len(self._rr_order)
         for k in range(n):
-            ad_id = self._rr_order[(self._rr_ptr + k) % n]
-            if ad_id in ids:
+            pick = by_id.get(self._rr_order[(self._rr_ptr + k) % n])
+            if pick is not None and can_stage(pick):
                 self._rr_ptr = (self._rr_ptr + k + 1) % n
-                return ad_id, 0.0
-        raise AssertionError("no authorized ad in rotation")
+                return pick.ad.ad_id, 0.0
+        return None
 
     def _match_cycle(self) -> int:
         """Match the idle jobs once. Returns how many matched.

@@ -30,6 +30,10 @@ class WireError(Exception):
     pass
 
 
+class ConnectionClosed(WireError):
+    """The server closed the connection before it replied."""
+
+
 class RequestError(Exception):
     """Raised by a request handler; becomes an error reply with this code."""
 
@@ -145,7 +149,7 @@ class Connection:
         self._sock.sendall(data.encode("utf-8"))
         line = self._rfile.readline()
         if not line:
-            raise WireError("connection closed by server")
+            raise ConnectionClosed("connection closed by server")
         reply = json.loads(line)
         if reply.get("id") != msg["id"]:
             raise WireError(f"reply id {reply.get('id')!r} does not match {msg['id']!r}")

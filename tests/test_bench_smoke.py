@@ -3,7 +3,7 @@
 bench/run.py wraps named functions of the package to time each layer, so
 this also catches a rename that would leave the tracer nothing to wrap, and
 a change that leaves a wrapped name uncalled: every per-layer metric of the
-traced simulator runs must read nonzero, except those listed below.
+traced runs of every workload must read nonzero, except those listed below.
 """
 
 import json
@@ -13,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# per-layer metrics allowed to read 0 on the traced simulator workloads
+# per-layer metrics allowed to read 0, by traced workload
 DARK_ON_SIM = {
     # the tracer wraps sim.run_match_cycle and counts from its result, but
     # the simulator has called match_jobs instead since that became lazy
@@ -35,6 +35,29 @@ DARK_ON = {
     # sim-burst runs the data-aware policy alone
     "sim-burst": DARK_ON_SIM | {"sim.run_scenario.round-robin.s",
                                 "sim.run_scenario.random.s"},
+    "grid-wire": {
+        # the simulator does not run on grid-wire
+        "sim.run_scenario.data-aware.s", "sim.run_scenario.random.s",
+        "sim.run_scenario.round-robin.s", "sim.self_s", "sim.load_scenario.s",
+        # counted from the simulator's match cycles
+        "matchmaker.run_match_cycle.calls", "matchmaker.run_match_cycle.s",
+        "matchmaker.run_match_cycle.self_s", "matchmaker.jobs_offered",
+        "matchmaker.match_yield", "matchmaker.idle_cycles",
+        # matching runs in the mm and station server processes, which the
+        # tracer in the client process does not see
+        "classads.symmetric_match.calls", "classads.symmetric_match.s",
+        "classads.symmetric_match.pass_ratio", "matchmaker.preauthorize.calls",
+        "matchmaker.preauthorize.s", "matchmaker.rank_resources.calls",
+        "matchmaker.rank_resources.s", "matchmaker.rank_resources.candidates",
+        "station.get_preference.calls", "station.get_preference.s",
+        "station.get_preference.distinct_ratio",
+        # station state changes only in the simulator
+        "station.apply_event.calls", "station.apply_event.s",
+        # the q server lists and moves jobs in its own process; the loop only
+        # submits, so the journal the client replays holds no state change
+        "jobs.in_state.calls", "jobs.in_state.s",
+        "jobs.transition.calls", "jobs.transition.s",
+    },
 }
 
 

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from vogrid import wire
+from vogrid import cli, sim, wire
 from vogrid.classads import AdKind, ad_to_json, parse_classad
-from vogrid.cli import main
+from vogrid.cli import build_parser, main
 from vogrid.conftree import meta_schema, read_tree, write_tree
 
 from conftest import fixture_path, fixture_text
@@ -110,6 +110,33 @@ def test_sim_run_writes_report_and_event_log(tmp_path):
     kinds = [e["event"] for e in events]
     assert kinds.count("submit") == 6
     assert kinds.count("done") == 6
+
+
+def test_sim_run_offers_exactly_the_simulators_policies(capsys):
+    assert cli.POLICIES == sim.POLICIES
+    parser = build_parser()
+    for policy in sim.POLICIES:
+        args = parser.parse_args(["sim", "run", "--scenario", "s.json",
+                                  "--policy", policy])
+        assert args.policy == policy
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["sim", "run", "--scenario", "s.json", "--policy", "bogus"])
+    assert exc.value.code == 2  # a usage error
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+# -- what a process loads -------------------------------------------------------------
+
+def test_the_command_line_loads_no_service_before_a_command_runs():
+    """A server loads only its own command's modules: the parser needs none."""
+    services = ("vogrid.sim", "vogrid.matchmaker", "vogrid.queue_server",
+                "vogrid.advertise")
+    code = ("import sys, vogrid.cli; vogrid.cli.build_parser(); "
+            f"print([m for m in {services!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- server processes ---------------------------------------------------------------

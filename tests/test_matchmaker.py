@@ -4,13 +4,15 @@ import collections
 import logging
 import math
 import random
+import socket
 import sys
 import threading
+import time
 import weakref
 
 import pytest
 
-from vogrid import wire
+from vogrid import matchmaker, wire
 from vogrid.classads import (
     TRUE,
     AdKind,
@@ -25,11 +27,11 @@ from vogrid.classads import (
 )
 from vogrid.matchmaker import (
     AdStore,
+    DirectoryQuery,
     IncompleteAd,
     MatchDecision,
     MatchmakerService,
     choose_by_rank,
-    directory_query,
     match_jobs,
     preauthorize,
     run_match_cycle,
@@ -368,19 +370,54 @@ CATALOG = DatasetCatalog({
 })
 
 
-def _serve_station(st, auth_token=None):
-    server = wire.LineServer("127.0.0.1", 0,
-                             lambda msg: handle_message(CATALOG, st, msg),
-                             auth_token=auth_token)
-    server.serve_in_thread()
-    return server
+class _Station(wire.LineServer):
+    """A station server that keeps the connections it accepted and the ones
+    it has finished serving (after the client closed, or `stop`)."""
+
+    def __init__(self, st, auth_token=None, port=0, answer=handle_message):
+        super().__init__("127.0.0.1", port, lambda msg: answer(CATALOG, st, msg),
+                         auth_token=auth_token)
+        self.accepted, self.finished = [], []
+        self.serve_in_thread()
+
+    def get_request(self):
+        sock, addr = super().get_request()
+        self.accepted.append(sock)
+        return sock, addr
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.finished.append(request)
+
+    def open_connections(self) -> int:
+        return len(self.accepted) - len(self.finished)
+
+    def stop(self):
+        """Stop as a killed station would: its open connections close too."""
+        self.shutdown()
+        for sock in self.accepted:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed
+                pass
+        self.server_close()
+
+
+def _eventually(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+DURIN = StationState("durin", links={"FNAL": 1e8, "CDF": 1e7})  # scores -70
+BALIN = StationState("balin", links={"FNAL": 1e8, "CDF": 1e8})  # scores -25
 
 
 def test_directory_query_against_live_station():
-    st = StationState("durin", links={"FNAL": 1e8, "CDF": 1e7})
-    server = _serve_station(st)
+    server = _Station(DURIN)
+    query = DirectoryQuery({"durin": ("127.0.0.1", server.port)})
     try:
-        query = directory_query({"durin": ("127.0.0.1", server.port)})
         # 2e9/1e8 + 5e8/1e7 = 70 seconds of staging
         assert query("dzero-run2", "durin", None) == -70.0
         with pytest.raises(wire.WireError):
@@ -388,23 +425,182 @@ def test_directory_query_against_live_station():
         with pytest.raises(KeyError):
             query("dzero-run2", "not-in-directory", None)
     finally:
-        server.shutdown()
-        server.server_close()
+        query.close()
+        server.stop()
 
 
 def test_directory_query_passes_auth():
-    st = StationState("durin", links={"FNAL": 1e8, "CDF": 1e7})
-    server = _serve_station(st, auth_token="sesame")
+    server = _Station(DURIN, auth_token="sesame")
+    query = DirectoryQuery({"durin": ("127.0.0.1", server.port)}, auth_token="sesame")
+    bare = DirectoryQuery({"durin": ("127.0.0.1", server.port)})
     try:
-        query = directory_query({"durin": ("127.0.0.1", server.port)},
-                                auth_token="sesame")
         assert query("dzero-run2", "durin", None) == -70.0
-        bare = directory_query({"durin": ("127.0.0.1", server.port)})
         with pytest.raises(wire.WireError):
             bare("dzero-run2", "durin", None)
     finally:
-        server.shutdown()
-        server.server_close()
+        query.close()
+        bare.close()
+        server.stop()
+
+
+def test_queries_and_match_requests_share_one_connection():
+    server = _Station(DURIN)
+    query = DirectoryQuery({"durin": ("127.0.0.1", server.port)})
+    service = MatchmakerService(station_query=query, clock=lambda: 0.0)
+    service.store.collect_ad(_res("r1", "A", "durin"), [ALICE], 3600.0, 0.0)
+    match_msg = {"type": "MATCH_REQUEST", "id": 1,
+                 "jobs": [ad_to_json(_job("j", extra=RANKED))]}
+    try:
+        for _ in range(10):
+            assert query("dzero-run2", "durin", None) == -70.0
+            [decision] = service.handle_message(match_msg)["result"]["decisions"]
+            assert decision["rank"] == -70.0
+        assert len(server.accepted) == 1
+    finally:
+        query.close()
+        server.stop()
+
+
+def test_an_error_reply_keeps_the_connection():
+    server = _Station(DURIN)
+    query = DirectoryQuery({"durin": ("127.0.0.1", server.port)})
+    try:
+        with pytest.raises(wire.WireError, match="unknown-set"):
+            query("unknown-set", "durin", None)
+        assert query("dzero-run2", "durin", None) == -70.0
+        assert len(server.accepted) == 1
+    finally:
+        query.close()
+        server.stop()
+
+
+def test_a_restarted_station_is_reached_through_one_retry():
+    server = _Station(DURIN)
+    port = server.port
+    query = DirectoryQuery({"durin": ("127.0.0.1", port)})
+    try:
+        assert query("dzero-run2", "durin", None) == -70.0
+        server.stop()
+        # the same address, with the state it came back with
+        server = _Station(BALIN, port=port)
+        assert query("dzero-run2", "durin", None) == -25.0
+        assert query("dzero-run2", "durin", None) == -25.0
+        assert len(server.accepted) == 1
+    finally:
+        query.close()
+        server.stop()
+
+
+def test_a_timed_out_connection_is_dropped_not_retried(monkeypatch):
+    monkeypatch.setattr(matchmaker, "QUERY_TIMEOUT_SECONDS", 0.2)
+    slow = threading.Event()
+
+    def answer(cat, st, msg):
+        if slow.is_set():
+            time.sleep(0.5)
+        return handle_message(cat, st, msg)
+
+    server = _Station(DURIN, answer=answer)
+    query = DirectoryQuery({"durin": ("127.0.0.1", server.port)})
+    try:
+        assert query("dzero-run2", "durin", None) == -70.0
+        slow.set()
+        with pytest.raises(TimeoutError):
+            query("unknown-set", "durin", None)
+        assert len(server.accepted) == 1  # no retry
+        slow.clear()
+        # a fresh connection, not the old one with the late error reply on it
+        assert query("dzero-run2", "durin", None) == -70.0
+        assert len(server.accepted) == 2
+    finally:
+        query.close()
+        server.stop()
+
+
+def test_concurrent_queries_open_their_own_connections_and_keep_one():
+    threads = 4
+    barrier = threading.Barrier(threads)
+    together = threading.Event()
+
+    def answer(cat, st, msg):  # the first queries wait until all are in flight
+        if not together.is_set():
+            barrier.wait(timeout=5)
+        return handle_message(cat, st, msg)
+
+    server = _Station(DURIN, answer=answer)
+    query = DirectoryQuery({"durin": ("127.0.0.1", server.port)})
+    scores = []
+    workers = [threading.Thread(
+        target=lambda: scores.append(query("dzero-run2", "durin", None)))
+        for _ in range(threads)]
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=10)
+        assert not any(w.is_alive() for w in workers)
+        assert scores == [-70.0] * threads
+        assert len(server.accepted) == threads
+        _eventually(lambda: server.open_connections() == 1)
+        together.set()
+        assert query("dzero-run2", "durin", None) == -70.0
+        assert len(server.accepted) == threads  # over the one kept
+    finally:
+        query.close()
+        server.stop()
+
+
+def test_a_station_connection_is_never_shared_between_threads():
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    servers = {"durin": _Station(DURIN), "balin": _Station(BALIN)}
+    want = {"durin": -70.0, "balin": -25.0}
+    query = DirectoryQuery({sid: ("127.0.0.1", s.port) for sid, s in servers.items()})
+    wrong = []
+
+    def ask_many(k):
+        for i in range(60):
+            sid = ("durin", "balin")[(i + k) % 2]
+            score = query("dzero-run2", sid, None)
+            if score != want[sid]:
+                wrong.append((sid, score))
+
+    workers = [threading.Thread(target=ask_many, args=(k,)) for k in range(8)]
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    try:
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+        for sid, server in servers.items():
+            _eventually(lambda: server.open_connections() == 1)
+            accepted = len(server.accepted)
+            assert query("dzero-run2", sid, None) == want[sid]
+            assert len(server.accepted) == accepted  # over the one kept
+    finally:
+        query.close()
+        for server in servers.values():
+            server.stop()
+
+
+def test_close_closes_every_pooled_connection():
+    servers = {"durin": _Station(DURIN), "balin": _Station(BALIN)}
+    query = DirectoryQuery({sid: ("127.0.0.1", s.port) for sid, s in servers.items()})
+    try:
+        assert query("dzero-run2", "durin", None) == -70.0
+        assert query("dzero-run2", "balin", None) == -25.0
+        query.close()
+        for server in servers.values():
+            _eventually(lambda: server.open_connections() == 0)
+            assert len(server.accepted) == 1
+    finally:
+        query.close()
+        for server in servers.values():
+            server.stop()
 
 
 # -- the wire service -------------------------------------------------------------------

@@ -23,7 +23,7 @@ from vogrid.sim import (
     make_site_config,
     run_scenario,
 )
-from vogrid.station import NoRouteToSource, station_from_config
+from vogrid.station import station_from_config
 
 from conftest import fixture_path
 from worldgen import make_world
@@ -509,25 +509,65 @@ def _world_doc(world: dict, rng: random.Random) -> dict:
 
 
 def _outcome(world: GridWorld):
-    """Report and event log; a run stopped by an unroutable staging (the
-    baseline policies pick without asking for routes) ends at that error."""
-    try:
-        world.run()
-    except NoRouteToSource as exc:
-        return str(exc), world.event_log
+    world.run()
     return world.report(), world.event_log
 
 
 @pytest.mark.parametrize("policy", sim.POLICIES)
 def test_skipped_cycles_change_no_report_or_event_log(policy):
-    finished = 0
+    """Every world runs to the end, under every policy: no policy places a
+    job where it cannot be staged."""
     for seed in range(200):
         rng = random.Random(seed)
         scenario = load_scenario(_world_doc(make_world(rng), rng))
         got = _outcome(GridWorld(scenario, policy, seed))
         assert got == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
-        finished += isinstance(got[0], dict)
-    assert finished >= 100
+
+
+# -- routes ------------------------------------------------------------------------------
+
+def _route_doc(*, output_bytes=None, sites=("R", "U")):
+    """One slot per listed site. Station R links to HOME, the source of d's
+    file, and sends output there; station U reaches neither. Four jobs read d."""
+    catalog = {"d": [["f0", 1_000_000_000, "HOME"]]}
+    stations = {"R": ({"HOME": 1e8}, {"output_destination": "HOME"}),
+                "U": ({"AWAY": 1e8}, {})}
+    site_docs = []
+    for site in sites:
+        links, fixture = stations[site]
+        config = make_site_config(site, "c", site, links)
+        site_docs.append(_site_doc(config, {site: fixture}))
+    jobs = []
+    for i in range(4):
+        ad = {"Owner": f'"{ALICE}"', "Dataset": '"d"', "RunSeconds": "10.0"}
+        if output_bytes is not None:
+            ad["OutputBytes"] = str(output_bytes)
+        jobs.append({"id": f"j{i}", "ad": ad})
+    return _scenario_doc(catalog, site_docs, jobs)
+
+
+@pytest.mark.parametrize("output_bytes", [None, 1_000_000])
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_every_policy_places_jobs_only_where_they_can_stage(policy, output_bytes):
+    doc = _route_doc(output_bytes=output_bytes)
+    if output_bytes is not None:  # input cached at both; only R can send output
+        for site in doc["sites"]:
+            for fixture in site["stations"].values():
+                fixture["cached_files"] = ["f0"]
+    scenario = load_scenario(doc)
+    for seed in range(5):
+        world = GridWorld(scenario, policy, seed)
+        world.run()
+        report = world.report()
+        assert [j["state"] for j in report["jobs"]] == ["Done"] * 4, seed
+        assert {world.slots[j["resource"]].station_id for j in report["jobs"]} == {"R"}
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_job_no_station_can_stage_is_held_under_every_policy(policy):
+    report, _ = run_scenario(load_scenario(_route_doc(sites=("U",))), policy, 0)
+    assert [(j["state"], j["reason"]) for j in report["jobs"]] == \
+        [("Held", "all-rank-error")] * 4
 
 
 # -- quiescence ------------------------------------------------------------------------
