@@ -31,27 +31,34 @@ class ClassAd:
     """Immutable set of attribute bindings plus a kind and an identity."""
 
     def __init__(self, attrs: dict[str, Expr], kind: AdKind, ad_id: str = ""):
-        folded: dict[str, str] = {}
-        for name in attrs:
+        by_folded: dict[str, Expr] = {}
+        for name, expr in attrs.items():
             low = name.lower()
-            if low in folded:
+            if low in by_folded:
                 raise ValueError(f"duplicate attribute {name!r} (case-insensitive)")
-            folded[low] = name
+            by_folded[low] = expr
         self._attrs = dict(attrs)
-        self._folded = folded
+        self._by_folded = by_folded
+        self._self_values: dict[str, values.Value] = {}
         self.kind = kind
         self.ad_id = ad_id
 
     def lookup(self, name: str) -> Optional[Expr]:
-        display = self._folded.get(name.lower())
-        return self._attrs[display] if display is not None else None
+        return self._by_folded.get(name.lower())
 
     def evaluate_self(self, name: str) -> values.Value:
-        """The attribute alone: SELF is this ad, no OTHER, no functions."""
-        expr = self.lookup(name)
-        if expr is None:
-            return values.UNDEFINED
-        return evaluate(expr, self, None, EMPTY_REGISTRY)
+        """The attribute alone: SELF is this ad, no OTHER, no functions.
+
+        Memoized per attribute: the ad is immutable, and a self-read sees
+        nothing but the ad."""
+        low = name.lower()
+        value = self._self_values.get(low)
+        if value is None:
+            expr = self._by_folded.get(low)
+            value = (values.UNDEFINED if expr is None
+                     else evaluate(expr, self, None, EMPTY_REGISTRY))
+            self._self_values[low] = value
+        return value
 
     def self_text(self, name: str) -> Optional[str]:
         """The attribute's text, or None when it is not text."""
@@ -75,7 +82,7 @@ class ClassAd:
         return iter(self._attrs.items())
 
     def __contains__(self, name: str) -> bool:
-        return name.lower() in self._folded
+        return name.lower() in self._by_folded
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassAd) and self.kind == other.kind
@@ -116,8 +123,10 @@ def ad_to_json(ad: ClassAd) -> dict:
     }
 
 
-def ad_from_json(obj: dict) -> ClassAd:
-    attrs = {name: parse_expr(src) for name, src in obj["attrs"].items()}
+def ad_from_json(obj: dict, parse=None) -> ClassAd:
+    """The ad `ad_to_json` gave; `parse` stands in for `parse_expr`."""
+    parse = parse or parse_expr
+    attrs = {name: parse(src) for name, src in obj["attrs"].items()}
     return ClassAd(attrs, AdKind(obj["kind"]), obj.get("id", ""))
 
 
@@ -130,8 +139,8 @@ def symmetric_match(job: ClassAd, res: ClassAd, reg: FnRegistry = EMPTY_REGISTRY
 
     Undefined or Error on either side counts as a non-match.
     """
-    job_req = job.lookup("Requirements") or _DEFAULT_REQUIREMENTS
+    job_req = job._by_folded.get("requirements", _DEFAULT_REQUIREMENTS)
     if not evaluate(job_req, job, res, reg, env).is_true():
         return False
-    res_req = res.lookup("Requirements") or _DEFAULT_REQUIREMENTS
+    res_req = res._by_folded.get("requirements", _DEFAULT_REQUIREMENTS)
     return evaluate(res_req, res, job, reg, env).is_true()

@@ -19,6 +19,16 @@ Undefined or Error, never as exceptions. The rules:
   unknown function, arity mismatch, or a raising handler -> Error
 - a tree too deep for the interpreter's stack (a long chain of binary
   operators parses into one) -> Error
+
+How it runs: a tree is compiled, on its first evaluation, into nested
+closures (one per node, each taking SELF, OTHER, the registry, the
+environment and the attributes being resolved), and the closure is kept on
+the tree, which is immutable. So a tree shared by many ads, such as a
+scenario's default Rank or an expression the matchmaker parsed once for
+many ads, is compiled once. The closures apply the rules above and nothing
+else. A Literal is answered without compiling, and so is a reference to an
+attribute bound to one. A tree too deep to compile is not kept, so it is
+Error on every evaluation.
 """
 
 from __future__ import annotations
@@ -31,56 +41,97 @@ from .exprs import AttrRef, Binary, Call, Expr, Literal, Scope, Unary
 from .registry import FnRegistry
 from .values import ERROR, FALSE, TRUE, UNDEFINED, Value, ValueKind
 
+_NOTHING_ACTIVE: frozenset = frozenset()
+
 
 def evaluate(e: Expr, self_ad, other_ad, reg: FnRegistry, env=None) -> Value:
     """Evaluate e with attribute references resolved against the given ads."""
+    if type(e) is Literal:
+        return e.value
     try:
-        return _eval(e, self_ad, other_ad, reg, env, frozenset())
+        return _code(e)(self_ad, other_ad, reg, env, _NOTHING_ACTIVE)
     except RecursionError:
         return ERROR
 
 
-def _eval(e: Expr, self_ad, other_ad, reg: FnRegistry, env, active: frozenset) -> Value:
-    if isinstance(e, Literal):
-        return e.value
+# -- compilation ------------------------------------------------------------------
+# A node compiles to code(self_ad, other_ad, reg, env, active) -> Value, where
+# `active` holds the (ad, attribute) pairs being resolved, to detect cycles.
 
-    if isinstance(e, AttrRef):
-        if e.scope is Scope.SELF:
-            ad, new_self, new_other = self_ad, self_ad, other_ad
-        else:
+def _code(e: Expr):
+    """The compiled code of e, compiled on its first use and kept on the tree."""
+    try:
+        return e._code  # type: ignore[union-attr]
+    except AttributeError:
+        code = _compile(e)
+        object.__setattr__(e, "_code", code)  # a frozen node; not a field
+        return code
+
+
+def _compile(e: Expr):
+    if type(e) is Literal:
+        value = e.value
+        return lambda self_ad, other_ad, reg, env, active: value
+    if type(e) is AttrRef:
+        return _compile_ref(e)
+    if type(e) is Unary:
+        op, operand = e.op, _compile(e.operand)
+        return lambda self_ad, other_ad, reg, env, active: _unary(
+            op, operand(self_ad, other_ad, reg, env, active))
+    if type(e) is Binary:
+        return _compile_binary(e)
+    if type(e) is Call:
+        return _compile_call(e)
+    return lambda self_ad, other_ad, reg, env, active: ERROR
+
+
+def _compile_ref(e: AttrRef):
+    name = e.name.lower()
+    swap = e.scope is Scope.OTHER
+
+    def ref(self_ad, other_ad, reg, env, active):
+        if swap:
             # Resolving through OTHER swaps the scopes for the referenced
             # expression, so its own OTHER points back at us.
-            ad, new_self, new_other = other_ad, other_ad, self_ad
-        if ad is None:
+            self_ad, other_ad = other_ad, self_ad
+        if self_ad is None:
             return UNDEFINED
-        bound = ad.lookup(e.name)
+        bound = self_ad.lookup(name)
         if bound is None:
             return UNDEFINED
-        key = (id(ad), e.name.lower())
+        if type(bound) is Literal:  # refers to nothing, so closes no cycle
+            return bound.value
+        key = (id(self_ad), name)
         if key in active:
             return UNDEFINED  # reference cycle: unresolvable
-        return _eval(bound, new_self, new_other, reg, env, active | {key})
+        return _code(bound)(self_ad, other_ad, reg, env, active | {key})
+    return ref
 
-    if isinstance(e, Unary):
-        return _unary(e.op, _eval(e.operand, self_ad, other_ad, reg, env, active))
 
-    if isinstance(e, Binary):
-        if e.op in ("&&", "||"):
-            left = _eval(e.left, self_ad, other_ad, reg, env, active)
-            decided = _decides(e.op, left)
+def _compile_binary(e: Binary):
+    op, left, right = e.op, _compile(e.left), _compile(e.right)
+    if op in ("&&", "||"):
+        def logic(self_ad, other_ad, reg, env, active):
+            a = left(self_ad, other_ad, reg, env, active)
+            decided = _decides(op, a)
             if decided is not None:
                 return decided
-            right = _eval(e.right, self_ad, other_ad, reg, env, active)
-            return _logic(e.op, left, right)
-        left = _eval(e.left, self_ad, other_ad, reg, env, active)
-        right = _eval(e.right, self_ad, other_ad, reg, env, active)
-        if e.op in ("+", "-", "*", "/"):
-            return _arith(e.op, left, right)
-        return _compare(e.op, left, right)
+            return _logic(op, a, right(self_ad, other_ad, reg, env, active))
+        return logic
+    apply = _arith if op in _ARITH else _compare
 
-    if isinstance(e, Call):
-        args = [_eval(a, self_ad, other_ad, reg, env, active) for a in e.args]
-        entry = reg.lookup(e.fn_name)
+    def binary(self_ad, other_ad, reg, env, active):
+        return apply(op, left(self_ad, other_ad, reg, env, active),
+                     right(self_ad, other_ad, reg, env, active))
+    return binary
+
+
+def _compile_call(e: Call):
+    fn_name, arg_codes = e.fn_name, tuple(_compile(a) for a in e.args)
+
+    def call(self_ad, other_ad, reg, env, active):
+        args = [a(self_ad, other_ad, reg, env, active) for a in arg_codes]
+        entry = reg.lookup(fn_name)
         if entry is None:
             return ERROR
         arity, handler = entry
@@ -95,8 +146,7 @@ def _eval(e: Expr, self_ad, other_ad, reg: FnRegistry, env, active: frozenset) -
         if result.kind is ValueKind.REAL and not math.isfinite(result.data):
             return ERROR
         return result
-
-    return ERROR
+    return call
 
 
 # -- logic --------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Schema-driven configuration: one tree type for schemas and configs."""
+"""Schema-driven configuration: one tree type for schemas and configs.
 
-from .configure import (
-    CardinalityViolation,
-    DuplicateAttribute,
-    UnboundVar,
-    configure,
-)
+The tree, XML and derivation layers load with the package; what a station
+or a simulation needs ends there. The configuration session (`configure`,
+`session`, `meta`, `directives`, which bring `subprocess` with them) loads
+on the first use of one of its names.
+"""
+
+import importlib
+import sys
+import types
+
 from .derive import (
     MissingSection,
     SERVICE_KINDS,
@@ -13,20 +17,49 @@ from .derive import (
     UnsupportedSchemaVersion,
     derive_service_config,
 )
-from .directives import UnknownDirective, parse_directive
-from .meta import MAX_DESIGN_DEPTH, meta_schema
-from .session import (
-    ACCEPT_DEFAULT,
-    AnswerExhausted,
-    AnswerScript,
-    ConfigureError,
-    Count,
-    InteractiveInput,
-    ScriptMismatch,
-    parse_answer_file,
-)
 from .tree import TreeError, TreeNode
 from .xmlio import MalformedXml, read_tree, write_tree
+
+# name -> the submodule that defines it, loaded on first use (PEP 562)
+_LAZY = {
+    "CardinalityViolation": "configure",
+    "DuplicateAttribute": "configure",
+    "UnboundVar": "configure",
+    "configure": "configure",
+    "UnknownDirective": "directives",
+    "parse_directive": "directives",
+    "MAX_DESIGN_DEPTH": "meta",
+    "meta_schema": "meta",
+    "ACCEPT_DEFAULT": "session",
+    "AnswerExhausted": "session",
+    "AnswerScript": "session",
+    "ConfigureError": "session",
+    "Count": "session",
+    "InteractiveInput": "session",
+    "ScriptMismatch": "session",
+    "parse_answer_file": "session",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    """Keeps `configure` the function, not the submodule of that name: the
+    import system binds a submodule on its package once it has loaded."""
+
+    def __setattr__(self, name, value):
+        if name == "configure" and isinstance(value, types.ModuleType):
+            value = value.configure
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "ACCEPT_DEFAULT",

@@ -17,19 +17,23 @@ the jobs that can still match; `run_match_cycle` is the same pass with one
 decision for every job, the unreached ones getting no-candidates.
 
 The default chooser is the Rank argmax: it evaluates the job's Rank against
-each authorized ad (external functions query stations now). Ranks that are
+the authorized ads (external functions query stations now). Ranks that are
 not a finite number (Undefined, Error, non-numeric, or too large for a Real)
 drop the candidate rather than demoting it. Ties on rank break by resource
 Name, then ad id, both in UTF-8 byte order.
 
 Resource clusters. The stored ads of equal kind, equal attribute bindings
 and equal gridmap form one resource cluster (`StoredAd.cluster`); the slots
-of one site cluster are advertised that way. Every stage judges one free
-member per cluster and applies the verdict to all of them: Requirements and
-pre-authorization once per cluster among the free ads, Rank once per
-cluster among the authorized ones. The chooser still gets every authorized
-member, in free-list order, so decisions are those of the per-ad pipeline.
-This relies on a contract of the function registry: a handler's result may
+of one site cluster are advertised that way. A cycle keeps its free ads as
+an index from cluster to free members, in ad id order, and takes an ad out
+of it when a job claims it, so a job's cost follows the clusters, not the
+slots. Every stage judges a cluster on its first free member and applies
+the verdict to all of them: Requirements and pre-authorization once per
+cluster among the free ones, and the chooser gets the authorized clusters'
+member lists. The Rank argmax evaluates Rank once per cluster, and a
+cluster competes with its lowest ad id: its members share Name and rank,
+so the tie-break picks that one, as it would among all of them. This
+relies on a contract of the function registry: a handler's result may
 depend on the ads' attributes and on `env`, never on which ad object, or
 which ad id, it was handed. `fun` meets it.
 
@@ -41,12 +45,14 @@ fresh connection, when the station has closed the one it reused.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import threading
 import time
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from . import wire
@@ -57,6 +63,7 @@ from .classads import (
     ValueKind,
     ad_from_json,
     evaluate,
+    parse_expr,
     real,
     symmetric_match,
 )
@@ -305,19 +312,12 @@ class DirectoryQuery:
             conn.close()
 
 
-def rank_resources(job: ClassAd, candidates: list[StoredAd], reg: FnRegistry,
-                   env: dict | None) -> list[tuple[str, Value]]:
-    """The job's Rank against each candidate, in candidate order. It is
-    evaluated once per resource cluster; the members share the value."""
-    rank_expr = job.lookup("Rank") if "Rank" in job else _ZERO_RANK
-    ranks: dict[ResourceCluster, Value] = {}
-    out = []
-    for cand in candidates:
-        value = ranks.get(cand.cluster)
-        if value is None:
-            value = ranks[cand.cluster] = evaluate(rank_expr, job, cand.ad, reg, env)
-        out.append((cand.ad.ad_id, value))
-    return out
+def rank_resources(job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry,
+                   env: dict | None) -> list[Value]:
+    """The job's Rank against each resource cluster, given as its member
+    list: evaluated once per cluster, against its first member."""
+    rank_expr = job.lookup("Rank") or _ZERO_RANK
+    return [evaluate(rank_expr, job, members[0].ad, reg, env) for members in clusters]
 
 
 def _finite_rank(value: Value) -> float | None:
@@ -331,33 +331,36 @@ def _finite_rank(value: Value) -> float | None:
     return rank if math.isfinite(rank) else None
 
 
-def choose_by_rank(job: ClassAd, authorized: list[StoredAd], reg: FnRegistry,
+def choose_by_rank(job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry,
                    env: dict | None) -> tuple[str, float] | None:
     """Rank argmax as (ad id, rank); ranks that are not finite numbers drop out.
 
     Ties break by Name, then ad id. Code point order of text is its UTF-8
-    byte order.
+    byte order. The members of a cluster share Name and rank, so each
+    cluster competes with its lowest ad id, its first member.
     """
     best = best_key = None
-    last = rank = None
-    for cand, (ad_id, value) in zip(authorized,
-                                    rank_resources(job, authorized, reg, env)):
-        if value is not last:  # the members of a cluster share one value
-            last, rank = value, _finite_rank(value)
+    for members, value in zip(clusters, rank_resources(job, clusters, reg, env)):
+        rank = _finite_rank(value)
         if rank is None:
             continue
-        key = (-rank, cand.name, ad_id)
+        first = members[0]
+        key = (-rank, first.name, first.ad.ad_id)
         if best_key is None or key < best_key:
-            best, best_key = (ad_id, rank), key
+            best, best_key = (first.ad.ad_id, rank), key
     return best
 
 
-def _first_members(free: list[StoredAd]) -> dict[ResourceCluster, StoredAd]:
-    """Each resource cluster among the free ads, with its first free member."""
-    firsts: dict[ResourceCluster, StoredAd] = {}
-    for s in free:
-        firsts.setdefault(s.cluster, s)
-    return firsts
+def _claim(index: dict[ResourceCluster, list[StoredAd]],
+           offered: list[list[StoredAd]], ad_id: str) -> None:
+    """Take the picked ad out of the free index."""
+    for members in offered:
+        for k, stored in enumerate(members):
+            if stored.ad.ad_id == ad_id:
+                del members[k]
+                if not members:
+                    del index[stored.cluster]
+                return
 
 
 def match_jobs(store: AdStore, jobs: Iterable[ClassAd], reg: FnRegistry,
@@ -366,37 +369,41 @@ def match_jobs(store: AdStore, jobs: Iterable[ClassAd], reg: FnRegistry,
                choose=choose_by_rank) -> Iterator[MatchDecision]:
     """Lazy FIFO pass: one decision per job, while any visible ad is free.
 
-    The free ads are the visible ones whose ids are not in `claimed`; a
-    claim removes its ad from them. Once none is left the pass stops and
-    pulls no further job from `jobs`. Requirements and pre-authorization
-    are judged once per resource cluster among the free ads, on its first
-    free member. `choose(job, authorized ads, reg, env)` gets every
-    authorized ad in free-list order and returns the (ad id, rank) to
-    claim, or None, which leaves the job with reason all-rank-error.
+    The free ads are the visible ones whose ids are not in `claimed`, kept
+    as an index from resource cluster to its free members in ad id order; a
+    claim takes its ad out of the index. Once none is left the pass stops
+    and pulls no further job from `jobs`. Requirements and
+    pre-authorization are judged once per cluster, on its first free
+    member. `choose(job, clusters, reg, env)` gets the member lists of the
+    authorized clusters, which are the index's own and must not be changed,
+    and returns the (ad id, rank) to claim, which must be one of their
+    members, or None, which leaves the job with reason all-rank-error.
     """
     claimed = claimed or ()
     free = [s for s in store.snapshot(now) if s.ad.ad_id not in claimed]
-    if not free:
+    free.sort(key=attrgetter("ad.ad_id"))
+    index: dict[ResourceCluster, list[StoredAd]] = {}
+    for s in free:
+        index.setdefault(s.cluster, []).append(s)
+    if not index:
         return
-    firsts = _first_members(free)
     for job in jobs:
-        passing = [c for c, s in firsts.items() if symmetric_match(job, s.ad, reg, env)]
+        passing = [m for m in index.values() if symmetric_match(job, m[0].ad, reg, env)]
         if not passing:
             yield MatchDecision.no_match(job.ad_id, "no-candidates")
             continue
-        allowed = {c for c in passing if preauthorize(job, firsts[c])}
+        allowed = [m for m in passing if preauthorize(job, m[0])]
         if not allowed:
             yield MatchDecision.no_match(job.ad_id, "unauthorized-everywhere")
             continue
-        pick = choose(job, [s for s in free if s.cluster in allowed], reg, env)
+        pick = choose(job, allowed, reg, env)
         if pick is None:
             yield MatchDecision.no_match(job.ad_id, "all-rank-error")
             continue
         yield MatchDecision.match(job.ad_id, *pick)
-        free = [s for s in free if s.ad.ad_id != pick[0]]
-        if not free:
+        _claim(index, allowed, pick[0])
+        if not index:
             return
-        firsts = _first_members(free)
 
 
 def run_match_cycle(store: AdStore, jobs: list[ClassAd], reg: FnRegistry,
@@ -413,12 +420,35 @@ def run_match_cycle(store: AdStore, jobs: list[ClassAd], reg: FnRegistry,
 
 # -- wire service ----------------------------------------------------------------
 
+# a service keeps the trees of at most this many distinct sources, each at
+# most PARSE_MEMO_CHARS long; longer ones are parsed every time
+PARSE_MEMO_ENTRIES = 1024
+PARSE_MEMO_CHARS = 256
+
+
+def _memo_parser() -> Callable[[str], Expr]:
+    """`parse_expr` through a bounded memo: repeated sources share one tree,
+    and with it the code compiled on it. Trees are immutable, so sharing is
+    safe; a source that does not parse is not kept."""
+    memo = functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)(parse_expr)
+
+    def parse(src: str) -> Expr:
+        if isinstance(src, str) and len(src) <= PARSE_MEMO_CHARS:
+            return memo(src)
+        return parse_expr(src)
+    return parse
+
+
 class MatchmakerService:
-    """Stateful ADVERTISE / MATCH_REQUEST handler for one matchmaking loop."""
+    """Stateful ADVERTISE / MATCH_REQUEST handler for one matchmaking loop.
+
+    It parses the ads of both requests through its own bounded memo, so the
+    ads a site re-advertises and the jobs a client resubmits share trees."""
 
     def __init__(self, station_query: StationQuery | None = None,
                  clock: Callable[[], float] | None = None):
         self.store = AdStore()
+        self._parse = _memo_parser()
         self.registry = standard_registry()
         self.env = {"station_query": station_query} if station_query else {}
         self.clock = clock or time.monotonic
@@ -427,7 +457,7 @@ class MatchmakerService:
 
     def _advertise(self, msg: dict) -> dict:
         try:
-            ad = ad_from_json(msg["ad"])
+            ad = ad_from_json(msg["ad"], self._parse)
             gridmap = msg.get("gridmap", [])
             ttl = float(msg.get("ttl", 0))
             if not isinstance(gridmap, list) or not all(isinstance(s, str) for s in gridmap):
@@ -442,7 +472,7 @@ class MatchmakerService:
 
     def _match_request(self, msg: dict) -> dict:
         try:
-            jobs = [ad_from_json(j) for j in msg["jobs"]]
+            jobs = [ad_from_json(j, self._parse) for j in msg["jobs"]]
         except Exception as exc:
             raise wire.RequestError("malformed", str(exc)) from None
         decisions = run_match_cycle(self.store, jobs, self.registry,

@@ -12,13 +12,15 @@ started, and each distinct (dataset, station, output bytes) preference is
 asked once per cycle; queue and cache updates land on the live stations, one
 batch per staging step, and are visible from the next cycle on.
 
-All policies share `match_jobs` and differ only in the chooser: `data-aware`
-takes the Rank argmax, `random` and `round-robin` pick, without ranking, an
-authorized ad whose station can stage the job, and record rank 0. A cycle
-pulls idle jobs lazily, in job id order, from the queue's index, and only
-until every ad is busy or claimed; it stages and holds after the pass. So
-its cost follows the jobs it examines and the slots that can still be
-filled, not the length of the backlog.
+All policies share `match_jobs` and differ only in the chooser, which gets
+the authorized resource clusters as lists of their free slots: `data-aware`
+takes the Rank argmax, evaluating Rank once per cluster; `random` and
+`round-robin` pick, without ranking, among all the authorized slots one
+whose station can stage the job, and record rank 0. A cycle pulls idle
+jobs lazily, in job id order, from the queue's index, and only until every
+ad is busy or claimed; it stages and holds after the pass. So its cost
+follows the jobs it examines and the clusters that can still take one, not
+the length of the backlog or the number of slots.
 
 A cycle runs only when it can place a job: at the start, after an event
 batch that completes a job, and after any other batch that leaves a visible
@@ -256,16 +258,19 @@ class GridWorld:
 
     # -- one scheduling pass ----------------------------------------------
 
-    def _choose_baseline(self, job: ClassAd, authorized: list[StoredAd],
+    def _choose_baseline(self, job: ClassAd, clusters: list[list[StoredAd]],
                          reg, env) -> tuple[str, float] | None:
         """The random and round-robin chooser: no ranking, rank 0.
 
-        It picks only an ad whose station can stage the job, since staging
+        It draws from every member of the authorized clusters, not one per
+        cluster, since the random draw and the rotation are over ads. It
+        picks only an ad whose station can stage the job, since staging
         anywhere else fails; the data-aware Rank drops the others as rank
         errors. With none, it picks nothing, which leaves the job with
         all-rank-error, as under data-aware. Random draws again without an
         ad that cannot stage, so it picks uniformly among those that can;
         round-robin passes over such ads in its rotation."""
+        authorized = [s for members in clusters for s in members]
         dataset, out_bytes = job.self_text("Dataset"), output_bytes(job)
 
         def can_stage(stored: StoredAd) -> bool:

@@ -20,10 +20,14 @@ import json
 import socket
 import socketserver
 import threading
+import time
 from typing import Callable, Mapping
 
 # the longest request line a server reads, newline included (far above any request)
 MAX_LINE_BYTES = 8 * 1024 * 1024
+
+# how long LineServer.server_close waits for the requests in flight
+CLOSE_WAIT_SECONDS = 1.0
 
 
 class WireError(Exception):
@@ -72,7 +76,7 @@ class _Handler(socketserver.StreamRequestHandler):
             if len(line) > MAX_LINE_BYTES:
                 self._send(error_reply(None, "malformed", "request line too long"))
                 return
-            if not line:
+            if not line or self.server.closing:
                 return
             line = line.strip()
             if not line:
@@ -105,7 +109,14 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class LineServer(socketserver.ThreadingTCPServer):
-    """TCP server feeding one-line JSON requests to a dispatch callable."""
+    """TCP server feeding one-line JSON requests to a dispatch callable.
+
+    Each accepted connection is served on its own daemon thread. Besides the
+    listening socket, `server_close` shuts down every accepted connection,
+    so no request is dispatched after it returns, even one already read,
+    and waits up to CLOSE_WAIT_SECONDS for the requests in flight; their
+    replies are not sent. Call `shutdown` first if `serve_forever` runs.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
@@ -115,10 +126,45 @@ class LineServer(socketserver.ThreadingTCPServer):
         super().__init__((host, port), _Handler)
         self.dispatch = dispatch
         self.auth_token = auth_token
+        self.closing = False
+        self._lock = threading.Lock()
+        self._serving: dict[socket.socket, threading.Thread] = {}
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        with self._lock:
+            closing = self.closing
+            if not closing:
+                self._serving[request] = thread
+        if closing:
+            self.shutdown_request(request)
+        else:
+            thread.start()
+
+    def shutdown_request(self, request):
+        with self._lock:
+            self._serving.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._lock:
+            self.closing = True
+            serving = list(self._serving.items())
+        for sock, _ in serving:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the client has gone already
+                pass
+        deadline = time.monotonic() + CLOSE_WAIT_SECONDS
+        for _, thread in serving:
+            if thread is not threading.current_thread():
+                thread.join(max(0.0, deadline - time.monotonic()))
 
     def serve_in_thread(self) -> threading.Thread:
         # tight poll so shutdown() returns promptly

@@ -139,6 +139,31 @@ def test_the_command_line_loads_no_service_before_a_command_runs():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_station_loads_no_configuration_session():
+    """A station reads and derives its config; the configuration session
+    (and `subprocess` with it) stays unloaded until one of its names is used."""
+    session = ("vogrid.conftree.session", "vogrid.conftree.configure",
+               "vogrid.conftree.meta", "vogrid.conftree.directives", "subprocess")
+    station = (f"args = argparse.Namespace(config={str(SAMPLES / 'site.xml')!r}, "
+               "station='durin', fixture=None); "
+               "from vogrid.station import DatasetCatalog, handle_message; "
+               "assert cli._load_station(args).station_id == 'durin'; ")
+    code = ("import argparse, sys, vogrid.cli as cli; " + station
+            + f"print([m for m in {session!r} if m in sys.modules]); "
+            "from vogrid.conftree import configure; print(type(configure).__name__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "function"]
+    # the package name stays the function when the submodule is imported first
+    code = ("import vogrid.conftree.configure; from vogrid.conftree import configure; "
+            "print(type(configure).__name__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "function"
+
+
 # -- server processes ---------------------------------------------------------------
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import collections
 import logging
 import math
 import random
-import socket
 import sys
 import threading
 import time
@@ -13,10 +12,12 @@ import weakref
 import pytest
 
 from vogrid import matchmaker, wire
+from vogrid.classads import ads as classads_ads
 from vogrid.classads import (
     TRUE,
     AdKind,
     ClassAd,
+    FnRegistry,
     Literal,
     ad_to_json,
     evaluate,
@@ -395,11 +396,6 @@ class _Station(wire.LineServer):
     def stop(self):
         """Stop as a killed station would: its open connections close too."""
         self.shutdown()
-        for sock in self.accepted:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:  # already closed
-                pass
         self.server_close()
 
 
@@ -733,7 +729,12 @@ def _rank_each_ad(job, authorized, reg, env):
 
 def _chooser(kind, seed, ad_ids, seen=None, reference=False):
     """A fresh chooser: the Rank argmax, or the simulator's two baselines.
-    With `seen`, it also records the ad ids it was offered, in order."""
+
+    The pipeline's chooser is handed the authorized clusters' member lists;
+    it checks their shape and flattens them for the baselines. The
+    reference's is handed a flat list of ads. With `seen`, it also records
+    the ad ids it was offered, sorted, and the clusters each pick emptied.
+    """
     if kind == "rank":
         inner = _rank_each_ad if reference else choose_by_rank
     else:
@@ -751,17 +752,32 @@ def _chooser(kind, seed, ad_ids, seen=None, reference=False):
                     pointer[0] = (pointer[0] + k + 1) % len(rotation)
                     return ad_id, 0.0
 
-    def choose(job, authorized, reg, env):
+    def choose(job, offered, reg, env):
+        if reference:
+            authorized = offered
+        else:
+            # one list per cluster, each in ad id order
+            assert len({id(m[0].cluster) for m in offered}) == len(offered)
+            for members in offered:
+                assert {id(s.cluster) for s in members} == {id(members[0].cluster)}
+                ids = [s.ad.ad_id for s in members]
+                assert ids == sorted(ids)
+            authorized = [s for members in offered for s in members]
+        pick = inner(job, offered if kind == "rank" else authorized, reg, env)
         if seen is not None:
-            seen.append([s.ad.ad_id for s in authorized])
-        return inner(job, authorized, reg, env)
+            seen.append(sorted(s.ad.ad_id for s in authorized))
+            if not reference and pick is not None:
+                seen.extend(["emptied"] * sum(len(m) == 1 and m[0].ad.ad_id == pick[0]
+                                              for m in offered))
+        return pick
     return choose
 
 
 def _twinned(rng, store):
     """The store's ads and copies of them under new ids, collected in a
     shuffled order: a copy has the same bindings, and maybe another
-    gridmap or TTL. Members of one cluster end up apart in the free list."""
+    gridmap or TTL. Members of one cluster end up apart in the free list,
+    and out of ad id order."""
     entries = []
     for s in store.snapshot(0.0):
         entries.append((s.ad, s.gridmap, s.ttl_seconds))
@@ -777,30 +793,63 @@ def _twinned(rng, store):
     return twinned
 
 
+def _readvertise(rng, store):
+    """Re-advertise a few ads under their own ids between two cycles: with
+    another ad's bindings, which moves them to its cluster, or with another
+    gridmap, which takes them out of their own."""
+    visible = store.snapshot(0.0)
+    for s in rng.sample(visible, min(len(visible), rng.randint(1, 3))):
+        model = rng.choice(visible)
+        ad = ClassAd(dict(model.ad.items()), model.ad.kind, ad_id=s.ad.ad_id)
+        gridmap = rng.choice([s.gridmap, model.gridmap,
+                              rng.sample(SUBJECT_POOL, rng.randint(0, len(SUBJECT_POOL)))])
+        store.collect_ad(ad, gridmap, s.ttl_seconds, 0.0)
+
+
+def _out_of_id_order(store) -> bool:
+    """Whether some cluster's members arrive in the snapshot out of ad id order."""
+    arrival = collections.defaultdict(list)
+    for s in store.snapshot(0.0):
+        arrival[id(s.cluster)].append(s.ad.ad_id)
+    return any(ids != sorted(ids) for ids in arrival.values())
+
+
 def test_match_cycle_equals_the_rescanning_pipeline():
-    exhausted = shared = 0
+    exhausted = shared = unordered = emptied = readvertised = 0
     for seed in range(300):
         rng = random.Random(seed)
         rt = world_runtime(make_world(rng))
         store = rt["store"] if seed < 150 else _twinned(rng, rt["store"])
-        visible = store.snapshot(0.0)
-        ad_ids = [s.ad.ad_id for s in visible]
-        shared += len({id(s.cluster) for s in visible}) < len(visible)
         jobs = rt["jobs"] * rng.randint(1, 4)  # often more jobs than slots
-        claimed = set(rng.sample(ad_ids, rng.randint(0, len(ad_ids))))
         now = rng.choice([0.0, 0.0, 0.0, 0.75, 1.0, 1.5])  # TTLs 0.5, 1 and 2
-        for kind in ("rank", "random", "round-robin"):
-            args = (store, jobs, rt["registry"], rt["env"], now, claimed)
-            offered, offered_ref = [], []
-            got = run_match_cycle(*args, choose=_chooser(kind, seed, ad_ids, offered))
-            assert got == _rescan_cycle(*args, _chooser(kind, seed, ad_ids, offered_ref,
-                                                        reference=True))
-            assert offered == offered_ref  # every authorized ad, in free-list order
-            reached = list(match_jobs(*args, choose=_chooser(kind, seed, ad_ids)))
-            assert reached == got[:len(reached)]
-            exhausted += len(reached) < len(jobs)
-    assert exhausted > 100  # the pool ran out before the jobs did
-    assert shared > 200  # most worlds had clusters of more than one ad
+        for cycle in range(2):
+            if cycle:  # a re-advertisement between two cycles
+                before = {s.ad.ad_id: s.cluster for s in store.snapshot(0.0)}
+                _readvertise(rng, store)
+                readvertised += any(before[s.ad.ad_id] is not s.cluster
+                                    for s in store.snapshot(0.0))
+            visible = store.snapshot(0.0)
+            ad_ids = [s.ad.ad_id for s in visible]
+            shared += len({id(s.cluster) for s in visible}) < len(visible)
+            unordered += _out_of_id_order(store)
+            claimed = set(rng.sample(ad_ids, rng.randint(0, len(ad_ids))))
+            for kind in ("rank", "random", "round-robin"):
+                args = (store, jobs, rt["registry"], rt["env"], now, claimed)
+                offered, offered_ref = [], []
+                got = run_match_cycle(*args, choose=_chooser(kind, seed, ad_ids, offered))
+                assert got == _rescan_cycle(*args, _chooser(kind, seed, ad_ids, offered_ref,
+                                                            reference=True))
+                emptied += offered.count("emptied")
+                # every authorized ad, job by job
+                assert [o for o in offered if o != "emptied"] == offered_ref
+                reached = list(match_jobs(*args, choose=_chooser(kind, seed, ad_ids)))
+                assert reached == got[:len(reached)]
+                exhausted += len(reached) < len(jobs)
+    assert exhausted > 200  # the pool ran out before the jobs did
+    assert shared > 400  # most worlds had clusters of more than one ad
+    assert unordered > 100  # ... whose members arrived out of ad id order
+    assert emptied > 1000  # claims took a cluster's last free ad mid-cycle
+    assert readvertised > 100  # and re-advertising moved ads between clusters
 
 
 def test_each_job_evaluates_once_per_resource_cluster():
@@ -824,6 +873,62 @@ def test_each_job_evaluates_once_per_resource_cluster():
     counts = collections.Counter(env["seen"])
     assert [counts[f"j{i}", "requirements"] for i in range(6)] == [3, 3, 3, 2, 2, 1]
     assert [counts[f"j{i}", "rank"] for i in range(6)] == [2, 2, 2, 1, 1, 0]
+
+
+def _burst_like(clusters, slots):
+    """A store of `clusters` site clusters of `slots` slots each, one station
+    and architecture per cluster, all open to alice: the sim-burst layout."""
+    store = AdStore()
+    for c in range(clusters):
+        for k in range(slots):
+            ad = _res(f"site{c}/batch#{k + 1}", f"site{c}/batch", f"st{c}",
+                      arch=("Linux", "OSF1")[c % 2])
+            store.collect_ad(ad, [ALICE], 3600.0, 0.0)
+    return store
+
+
+@pytest.mark.parametrize("clusters, slots", [(1, 192), (16, 12)])
+def test_rank_evaluations_follow_clusters_and_self_reads_do_not_repeat(
+        monkeypatch, clusters, slots):
+    ranked = []  # one entry per Rank evaluation: the job it was for
+
+    def fun(args, self_ad, other_ad, env):
+        ranked.append(self_ad.ad_id)
+        return real(-float(int(args[1].data[2:]) % 5))
+
+    reg = FnRegistry().register("fun", 2, fun)
+    offered = {}
+
+    def choose(job, authorized, reg, env):
+        offered[job.ad_id] = len(authorized)
+        return choose_by_rank(job, authorized, reg, env)
+
+    self_reads = []
+    real_evaluate = classads_ads.evaluate
+
+    def counting_evaluate(e, self_ad, other_ad, reg, env=None):
+        if other_ad is None:
+            self_reads.append(self_ad.ad_id)
+        return real_evaluate(e, self_ad, other_ad, reg, env)
+
+    monkeypatch.setattr(classads_ads, "evaluate", counting_evaluate)
+    extra = ('Requirements = OTHER.Architecture == "Linux" || OTHER.Architecture == "OSF1"\n'
+             "Rank = fun(Dataset, OTHER.Station_ID)\n")
+    jobs = [_job(f"j{i:03d}", extra=extra) for i in range(128)]
+    reads_per_cycle = []
+    for cycle in range(3):
+        del self_reads[:]
+        store = _burst_like(clusters, slots)
+        collecting = len(self_reads)  # the resources' Name and Station_ID
+        decisions = run_match_cycle(store, jobs, reg, None, choose=choose)
+        assert all(d.matched for d in decisions)
+        counts = collections.Counter(ranked)
+        assert all(counts[job.ad_id] == offered[job.ad_id] for job in jobs)
+        assert max(offered.values()) == clusters  # never once per slot
+        reads_per_cycle.append(len(self_reads) - collecting)
+        del ranked[:]
+    # the first cycle reads each job's Owner once; later cycles read nothing
+    assert reads_per_cycle == [len(jobs), 0, 0]
 
 
 def test_match_jobs_stops_pulling_jobs_once_every_ad_is_claimed():

@@ -11,6 +11,8 @@ from vogrid.classads import (
     AttrRef,
     Binary,
     Call,
+    ClassAd,
+    FnRegistry,
     Literal,
     ParseError,
     Scope,
@@ -178,6 +180,65 @@ def test_whatever_parses_and_formats_parses_back_to_the_same_tree(src):
         return
     # trees compared by their images: `==` recurses, and chains go deep
     assert _expr_key(parse_expr(formatted)) == _expr_key(tree)
+
+
+def _fun(args, self_ad, other_ad, env):
+    """A deterministic `fun` of any argument values."""
+    return text(repr(args))
+
+
+_FUN = FnRegistry().register("fun", 2, _fun)
+
+
+def _ads_around(tree_of):
+    """Ads whose x and y bind the tree (`tree_of()` gives it) in every role:
+    read through SELF and through OTHER, beside literals, and in cycles."""
+    def ad(label, **attrs):
+        return ClassAd({name: (tree_of() if src is None else parse_expr(src))
+                        for name, src in attrs.items()}, AdKind.JOB, ad_id=label)
+    return [
+        ad("a", x=None, y="1"),
+        ad("b", x="2.5", y=None),
+        ad("c", x=None, y=None),  # the tree reading x or y inside c is a cycle
+        ad("d", x="OTHER.y", y="x"),  # cycles through the other ad
+        ad("e", x="OTHER.x", y=None),
+        ad("empty"),
+    ]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_SOURCE)
+def test_a_shared_compiled_tree_evaluates_as_a_fresh_parse(src):
+    try:
+        tree = parse_expr(src)
+    except ParseError:
+        return
+    shared = _ads_around(lambda: tree)  # one tree in every ad
+    for _ in range(2):  # the second round runs code compiled in the first
+        for i, self_ad in enumerate(shared):
+            for j, other_ad in enumerate(shared + [None]):
+                fresh = _ads_around(lambda: parse_expr(src))
+                fresh_other = None if other_ad is None else fresh[j]
+                assert (evaluate(tree, self_ad, other_ad, _FUN)
+                        == evaluate(parse_expr(src), fresh[i], fresh_other, _FUN))
+    for i, ad in enumerate(shared):  # memoized self-reads, asked twice
+        for name in ("x", "X", "y", "z"):
+            fresh = _ads_around(lambda: parse_expr(src))[i]
+            bound = fresh.lookup(name)
+            expected = (UNDEFINED if bound is None
+                        else evaluate(bound, fresh, None, EMPTY_REGISTRY))
+            assert ad.evaluate_self(name) == expected
+            assert ad.evaluate_self(name) == expected
+
+
+def test_a_tree_too_deep_for_the_stack_is_error_on_every_call():
+    deep = parse_expr(" + ".join(["1"] * 3000))
+    ad = ClassAd({"Deep": deep, "Via": parse_expr("Deep")}, AdKind.JOB)
+    for _ in range(3):
+        assert evaluate(deep, ad, None, EMPTY_REGISTRY) == ERROR
+        assert evaluate(parse_expr("Via * 2"), ad, ad, EMPTY_REGISTRY) == ERROR
+        assert ad.evaluate_self("Deep") == ERROR
+        assert ad.evaluate_self("Via") == ERROR
 
 
 def _random_expr(rng, depth):

@@ -2,6 +2,8 @@
 
 import json
 import socket
+import threading
+import time
 
 import pytest
 
@@ -173,6 +175,51 @@ def test_connecting_to_a_closed_server_fails():
     server.server_close()
     with pytest.raises(OSError):
         wire.Connection("127.0.0.1", port)
+
+
+def test_a_closed_server_answers_no_connection_it_had_accepted():
+    server = _serve()
+    conn = wire.Connection("127.0.0.1", server.port)
+    try:
+        assert conn.request({"type": "PING", "payload": 1})["result"]["echo"] == 1
+        server.shutdown()
+        server.server_close()
+        with pytest.raises((wire.ConnectionClosed, OSError)):
+            conn.request({"type": "PING", "payload": 2})
+    finally:
+        conn.close()
+
+
+def test_closing_waits_for_an_in_flight_request_and_answers_no_other():
+    started, release, handled = threading.Event(), threading.Event(), []
+
+    def slow(msg):
+        if msg["payload"] == "slow":
+            started.set()
+            release.wait(5)
+        handled.append(msg["payload"])
+        return {"id": msg["id"], "result": {}}
+
+    server = _serve(slow)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        # two requests in one write: the second is read while the first runs
+        sock.sendall(b'{"type": "T", "id": 1, "payload": "slow"}\n'
+                     b'{"type": "T", "id": 2, "payload": "queued"}\n')
+        assert started.wait(5)
+        server.shutdown()
+        closing = threading.Thread(target=server.server_close)
+        closing.start()
+        deadline = time.monotonic() + 5
+        while not server.closing and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        closing.join(5)
+        assert not closing.is_alive()
+        assert handled == ["slow"]  # the queued request was never dispatched
+        replies = b""
+        while chunk := sock.recv(4096):
+            replies += chunk
+        assert b'"id":2' not in replies
 
 
 # -- the request dispatcher shared by every service ------------------------------------
