@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 from . import values
 from .evaluator import evaluate
-from .exprs import Expr, Literal, format_expr
+from .exprs import Expr, Literal, expr_key, format_expr
 from .parser import ParseError, parse_expr
 from .registry import EMPTY_REGISTRY, FnRegistry
 
@@ -23,12 +23,33 @@ class AdKind(Enum):
     JOB = "job"
     RESOURCE = "resource"
 
+    # members are singletons, so identity hashing is exact and skips enum's
+    # Python-level __hash__; no set of kinds may be iterated (order varies)
+    __hash__ = object.__hash__
+
 
 _BINDING = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
 
 
+class _Derived:
+    """What an ad's kind and bindings alone determine, computed on first use
+    and shared by the ad's twins: each self-read, by folded name, and the
+    ad's key."""
+
+    __slots__ = ("self_values", "key")
+
+    def __init__(self):
+        self.self_values: dict[str, values.Value] = {}
+        self.key: tuple | None = None
+
+
 class ClassAd:
-    """Immutable set of attribute bindings plus a kind and an identity."""
+    """Immutable set of attribute bindings plus a kind and an identity.
+
+    Twins are ads of one kind and one set of bindings under different ids
+    (`twin`), such as the slots of one site cluster. They share the bindings
+    and what is derived from them, so each is read once for all of them.
+    """
 
     def __init__(self, attrs: dict[str, Expr], kind: AdKind, ad_id: str = ""):
         by_folded: dict[str, Expr] = {}
@@ -39,9 +60,26 @@ class ClassAd:
             by_folded[low] = expr
         self._attrs = dict(attrs)
         self._by_folded = by_folded
-        self._self_values: dict[str, values.Value] = {}
+        self._derived = _Derived()
         self.kind = kind
         self.ad_id = ad_id
+
+    def twin(self, ad_id: str) -> "ClassAd":
+        """This ad's kind and bindings under another id, sharing the bindings,
+        their case-folded map and the memo of what derives from them."""
+        twin = object.__new__(ClassAd)
+        twin.__dict__.update(self.__dict__)
+        twin.ad_id = ad_id
+        return twin
+
+    def key(self) -> tuple:
+        """A hashable image of the kind and bindings: ads with equal keys
+        evaluate alike against any ad. Built once for all twins."""
+        derived = self._derived
+        if derived.key is None:
+            derived.key = (self.kind, tuple((name, expr_key(expr))
+                                            for name, expr in self._attrs.items()))
+        return derived.key
 
     def lookup(self, name: str) -> Optional[Expr]:
         return self._by_folded.get(name.lower())
@@ -49,15 +87,16 @@ class ClassAd:
     def evaluate_self(self, name: str) -> values.Value:
         """The attribute alone: SELF is this ad, no OTHER, no functions.
 
-        Memoized per attribute: the ad is immutable, and a self-read sees
-        nothing but the ad."""
+        Memoized per attribute, for the ad and its twins: the bindings are
+        immutable, and a self-read sees nothing but them."""
         low = name.lower()
-        value = self._self_values.get(low)
+        memo = self._derived.self_values
+        value = memo.get(low)
         if value is None:
             expr = self._by_folded.get(low)
             value = (values.UNDEFINED if expr is None
                      else evaluate(expr, self, None, EMPTY_REGISTRY))
-            self._self_values[low] = value
+            memo[low] = value
         return value
 
     def self_text(self, name: str) -> Optional[str]:

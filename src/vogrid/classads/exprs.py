@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .values import Value, format_value
+from .values import Value, ValueKind, format_value
 
 
 class Scope(Enum):
@@ -77,3 +78,31 @@ def _fmt(e: Expr, parent_bp: int) -> str:
 def format_expr(e: Expr) -> str:
     """Render an expression back to parseable source text."""
     return _fmt(e, 0)
+
+
+def expr_key(expr: Expr) -> tuple:
+    """A hashable image of an expression tree, built without recursion.
+
+    Trees with equal images evaluate alike. Unlike `==` on the trees, it
+    tells a Real 0.0 from -0.0, whose sign a Rank would report.
+    """
+    out = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Literal):
+            v = e.value
+            out.append((v.kind, v.data, math.copysign(1.0, v.data)
+                        if v.kind is ValueKind.REAL else None))
+        elif isinstance(e, AttrRef):
+            out.append((e.scope, e.name))
+        elif isinstance(e, Unary):
+            out.append(("unary", e.op))
+            stack.append(e.operand)
+        elif isinstance(e, Binary):
+            out.append(("binary", e.op))
+            stack += (e.right, e.left)
+        else:
+            out.append(("call", e.fn_name, len(e.args)))
+            stack.extend(reversed(e.args))
+    return tuple(out)

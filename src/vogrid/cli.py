@@ -137,11 +137,11 @@ def cmd_info_serve(args):
 
 
 def cmd_station_serve(args):
-    from .station import DatasetCatalog, handle_message
+    from .station import DatasetCatalog, handler
     catalog = DatasetCatalog({ds: [tuple(e) for e in files] for ds, files
                               in json.loads(_read(args.catalog)).items()})
     state = _load_station(args)
-    _serve(lambda msg: handle_message(catalog, state, msg), args.port, args.auth)
+    _serve(handler(catalog, state), args.port, args.auth)
 
 
 def cmd_mm_serve(args):

@@ -4,17 +4,22 @@ Resources advertise themselves with classads and a gridmap (the set of grid
 subjects allowed to run there); jobs are matched against the unexpired ads in
 FIFO order. For each job the pipeline is:
 
-    free ads -> symmetric Requirements -> gridmap pre-authorization
+    free ads -> gridmap pre-authorization -> symmetric Requirements
     -> choose
 
-The free ads are the visible ones not yet claimed, as the `StoredAd` records
-of the cycle's snapshot; authorization is judged on the snapshot record's
-gridmap, never on the live store, which an ADVERTISE may change mid-cycle.
-Each ad can be claimed once per cycle, and a claimed ad is invisible to
-later jobs in the same cycle. `match_jobs` runs the pipeline lazily and
-stops as soon as no ad is free, so a cycle over a long backlog costs only
-the jobs that can still match; `run_match_cycle` is the same pass with one
-decision for every job, the unreached ones getting no-candidates.
+The free ads are kept as an index (`free_index`) of `StoredAd` records,
+which the caller of `match_jobs` owns: `run_match_cycle`, and so every
+MATCH_REQUEST, builds a fresh one from the store's snapshot, while the
+simulator keeps one index alive for a whole run. Authorization is judged on
+the record's gridmap, never on the live store, which an ADVERTISE may change
+mid-cycle. A claim takes its ad out of the index, so each ad is claimed
+once, and a claimed ad is invisible to later jobs in the same cycle.
+`match_jobs` runs the pipeline lazily and stops as soon as no ad is free,
+so a cycle over a long backlog costs only the jobs that can still match;
+`run_match_cycle` is the same pass with one decision for every job, the
+unreached ones getting no-candidates. Requirements are evaluated on the
+authorized ads; those of the others only when no authorized ad passes, and
+only to tell no-candidates (no ad passes) from unauthorized-everywhere.
 
 The default chooser is the Rank argmax: it evaluates the job's Rank against
 the authorized ads (external functions query stations now). Ranks that are
@@ -24,18 +29,17 @@ Name, then ad id, both in UTF-8 byte order.
 
 Resource clusters. The stored ads of equal kind, equal attribute bindings
 and equal gridmap form one resource cluster (`StoredAd.cluster`); the slots
-of one site cluster are advertised that way. A cycle keeps its free ads as
-an index from cluster to free members, in ad id order, and takes an ad out
-of it when a job claims it, so a job's cost follows the clusters, not the
-slots. Every stage judges a cluster on its first free member and applies
-the verdict to all of them: Requirements and pre-authorization once per
-cluster among the free ones, and the chooser gets the authorized clusters'
-member lists. The Rank argmax evaluates Rank once per cluster, and a
-cluster competes with its lowest ad id: its members share Name and rank,
-so the tie-break picks that one, as it would among all of them. This
-relies on a contract of the function registry: a handler's result may
-depend on the ads' attributes and on `env`, never on which ad object, or
-which ad id, it was handed. `fun` meets it.
+of one site cluster are advertised that way. The free index maps each
+cluster to its free members, in ad id order, so a job's cost follows the
+clusters, not the slots. Every stage judges a cluster on its first free
+member and applies the verdict to all of them: pre-authorization and
+Requirements once per cluster among the free ones, and the chooser gets
+the passing clusters' member lists. The Rank argmax evaluates Rank once per
+cluster, and a cluster competes with its lowest ad id: its members share
+Name and rank, so the tie-break picks that one, as it would among all of
+them. This relies on a contract of the function registry: a handler's
+result may depend on the ads' attributes and on `env`, never on which ad
+object, or which ad id, it was handed. `fun` meets it.
 
 Station connections. `DirectoryQuery`, the station query of `vogrid mm
 serve`, keeps one connection per station and reuses it across queries and
@@ -67,7 +71,7 @@ from .classads import (
     real,
     symmetric_match,
 )
-from .classads.exprs import AttrRef, Binary, Expr, Literal, Unary
+from .classads.exprs import Expr, Literal
 from .jobs import output_bytes
 
 log = logging.getLogger("vogrid.matchmaker")
@@ -98,34 +102,6 @@ class StoredAd:
     station_id: str
     gridmap: frozenset[str]
     cluster: ResourceCluster
-
-
-def _expr_key(expr: Expr) -> tuple:
-    """A hashable image of an expression tree, built without recursion.
-
-    Trees with equal images evaluate alike. Unlike `==` on the trees, it
-    tells a Real 0.0 from -0.0, whose sign a Rank would report.
-    """
-    out = []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Literal):
-            v = e.value
-            out.append((v.kind, v.data, math.copysign(1.0, v.data)
-                        if v.kind is ValueKind.REAL else None))
-        elif isinstance(e, AttrRef):
-            out.append((e.scope, e.name))
-        elif isinstance(e, Unary):
-            out.append(("unary", e.op))
-            stack.append(e.operand)
-        elif isinstance(e, Binary):
-            out.append(("binary", e.op))
-            stack += (e.right, e.left)
-        else:
-            out.append(("call", e.fn_name, len(e.args)))
-            stack.extend(reversed(e.args))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -170,7 +146,7 @@ class AdStore:
     def __init__(self):
         self._lock = threading.Lock()
         self._ads: dict[str, StoredAd] = {}
-        # (kind, bindings, gridmap) -> cluster; an entry lives only as long
+        # (gridmap, ClassAd.key()) -> cluster; an entry lives only as long
         # as some StoredAd holds its cluster
         self._clusters: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -185,8 +161,7 @@ class AdStore:
         if name is None or station_id is None:
             raise IncompleteAd(f"ad {ad.ad_id!r}: Name and Station_ID must be text")
         subjects = frozenset(gridmap)
-        key = (ad.kind, subjects,
-               tuple((attr, _expr_key(expr)) for attr, expr in ad.items()))
+        key = (subjects, ad.key())
         with self._lock:
             cluster = self._clusters.get(key)
             if cluster is None:
@@ -351,8 +326,20 @@ def choose_by_rank(job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry
     return best
 
 
-def _claim(index: dict[ResourceCluster, list[StoredAd]],
-           offered: list[list[StoredAd]], ad_id: str) -> None:
+FreeIndex = dict[ResourceCluster, list[StoredAd]]
+
+
+def free_index(ads: Iterable[StoredAd], claimed: Collection[str] = ()) -> FreeIndex:
+    """The free ads as an index from resource cluster to its members among
+    `ads` whose ids are not in `claimed`, each list in ad id order."""
+    index: FreeIndex = {}
+    for s in sorted(ads, key=attrgetter("ad.ad_id")):
+        if s.ad.ad_id not in claimed:
+            index.setdefault(s.cluster, []).append(s)
+    return index
+
+
+def _claim(index: FreeIndex, offered: list[list[StoredAd]], ad_id: str) -> None:
     """Take the picked ad out of the free index."""
     for members in offered:
         for k, stored in enumerate(members):
@@ -363,45 +350,40 @@ def _claim(index: dict[ResourceCluster, list[StoredAd]],
                 return
 
 
-def match_jobs(store: AdStore, jobs: Iterable[ClassAd], reg: FnRegistry,
-               env: dict | None, now: float = 0.0,
-               claimed: Collection[str] | None = None,
-               choose=choose_by_rank) -> Iterator[MatchDecision]:
-    """Lazy FIFO pass: one decision per job, while any visible ad is free.
+def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
+               env: dict | None, choose=choose_by_rank) -> Iterator[MatchDecision]:
+    """Lazy FIFO pass: one decision per job, while any ad in `index` is free.
 
-    The free ads are the visible ones whose ids are not in `claimed`, kept
-    as an index from resource cluster to its free members in ad id order; a
-    claim takes its ad out of the index. Once none is left the pass stops
-    and pulls no further job from `jobs`. Requirements and
-    pre-authorization are judged once per cluster, on its first free
-    member. `choose(job, clusters, reg, env)` gets the member lists of the
-    authorized clusters, which are the index's own and must not be changed,
-    and returns the (ad id, rank) to claim, which must be one of their
-    members, or None, which leaves the job with reason all-rank-error.
+    `index` (see `free_index`) belongs to the caller, and a claim takes its
+    ad out of it, deleting a cluster whose last free member it was. Once the
+    index is empty the pass stops and pulls no further job from `jobs`.
+    Pre-authorization and then Requirements are judged once per cluster, on
+    its first free member; the Requirements of a cluster the job may not use
+    are evaluated only when no authorized cluster passes, to tell
+    no-candidates from unauthorized-everywhere. `choose(job, clusters, reg,
+    env)` gets the member lists of the authorized clusters that pass, which
+    are the index's own and must not be changed, in no particular order, and
+    returns the (ad id, rank) to claim, which must be one of their members,
+    or None, which leaves the job with reason all-rank-error.
     """
-    claimed = claimed or ()
-    free = [s for s in store.snapshot(now) if s.ad.ad_id not in claimed]
-    free.sort(key=attrgetter("ad.ad_id"))
-    index: dict[ResourceCluster, list[StoredAd]] = {}
-    for s in free:
-        index.setdefault(s.cluster, []).append(s)
     if not index:
         return
     for job in jobs:
-        passing = [m for m in index.values() if symmetric_match(job, m[0].ad, reg, env)]
+        allowed, refused = [], []
+        for members in index.values():
+            (allowed if preauthorize(job, members[0]) else refused).append(members)
+        passing = [m for m in allowed if symmetric_match(job, m[0].ad, reg, env)]
         if not passing:
-            yield MatchDecision.no_match(job.ad_id, "no-candidates")
+            unauthorized = any(symmetric_match(job, m[0].ad, reg, env) for m in refused)
+            yield MatchDecision.no_match(
+                job.ad_id, "unauthorized-everywhere" if unauthorized else "no-candidates")
             continue
-        allowed = [m for m in passing if preauthorize(job, m[0])]
-        if not allowed:
-            yield MatchDecision.no_match(job.ad_id, "unauthorized-everywhere")
-            continue
-        pick = choose(job, allowed, reg, env)
+        pick = choose(job, passing, reg, env)
         if pick is None:
             yield MatchDecision.no_match(job.ad_id, "all-rank-error")
             continue
         yield MatchDecision.match(job.ad_id, *pick)
-        _claim(index, allowed, pick[0])
+        _claim(index, passing, pick[0])
         if not index:
             return
 
@@ -410,9 +392,11 @@ def run_match_cycle(store: AdStore, jobs: list[ClassAd], reg: FnRegistry,
                     env: dict | None, now: float = 0.0,
                     claimed: Collection[str] | None = None,
                     choose=choose_by_rank) -> list[MatchDecision]:
-    """`match_jobs` run to the end, with one decision for every job: those
-    it did not reach, because no ad was left free, get no-candidates."""
-    decisions = list(match_jobs(store, jobs, reg, env, now, claimed, choose))
+    """One pass over a fresh index of the ads visible at `now` and not in
+    `claimed`, with one decision for every job: those `match_jobs` did not
+    reach, because no ad was left free, get no-candidates."""
+    index = free_index(store.snapshot(now), claimed or ())
+    decisions = list(match_jobs(index, jobs, reg, env, choose))
     decisions.extend(MatchDecision.no_match(job.ad_id, "no-candidates")
                      for job in jobs[len(decisions):])
     return decisions

@@ -22,6 +22,13 @@ ad is busy or claimed; it stages and holds after the pass. So its cost
 follows the jobs it examines and the clusters that can still take one, not
 the length of the backlog or the number of slots.
 
+The slots are built once per run, and their cost follows the site clusters:
+the slots of a cluster are twin ads, one set of bindings whose cluster key
+is built once. The free slots are one index for the whole run, kept up to
+date as slots are claimed and freed, never rebuilt from a snapshot. Every
+slot is collected at time 0 with the scenario's one TTL, so all of them are
+visible exactly while the clock is below it.
+
 A cycle runs only when it can place a job: at the start, after an event
 batch that completes a job, and after any other batch that leaves a visible
 ad free. Every other batch holds only `staged` events; those free no ad and
@@ -37,10 +44,12 @@ text, and OutputBytes and RunSeconds usable quantities (see `jobs`).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .advertise import generate_classads, select_patterns
 from .classads import ClassAd, Expr, parse_expr
@@ -49,9 +58,11 @@ from .conftree import TreeNode, derive_service_config, read_tree
 from .jobs import JobQueue, JobState, output_bytes, run_seconds, validate_job_ad
 from .matchmaker import (
     AdStore,
+    FreeIndex,
     MatchDecision,
     StoredAd,
     choose_by_rank,
+    free_index,
     match_jobs,
     standard_registry,
 )
@@ -77,6 +88,8 @@ POLICIES = ("data-aware", "random", "round-robin")
 EVENT_CAP = 10 ** 6
 
 DEFAULT_TTL = 10.0 ** 9
+
+_AD_ID = attrgetter("ad.ad_id")
 
 
 class ScenarioParseError(Exception):
@@ -195,7 +208,6 @@ class GridWorld:
         self.clock = 0.0
         self.catalog = scenario.catalog
         self.registry = standard_registry()
-        self.store = AdStore()
         self.stations: dict[str, StationState] = {}
         self.slots: dict[str, StoredAd] = {}  # ad id -> its stored record
         self.event_log: list[dict] = []
@@ -214,6 +226,7 @@ class GridWorld:
         self._build(scenario)
 
     def _build(self, scenario: Scenario):
+        store = AdStore()  # gives twins one cluster, whose key it builds once
         for site in scenario.sites:
             stations_cfg = derive_service_config(site.config, "station")
             for node in stations_cfg.children:
@@ -224,13 +237,15 @@ class GridWorld:
                         f"station {st.station_id!r} defined twice")
                 self.stations[st.station_id] = st
             for ad in generate_classads(select_patterns(site.config)):
-                self.slots[ad.ad_id] = self.store.collect_ad(
+                self.slots[ad.ad_id] = store.collect_ad(
                     ad, site.gridmap, scenario.ttl, now=0.0)
         unknown = {s.station_id for s in self.slots.values()} - set(self.stations)
         if unknown:
             raise ScenarioParseError(
                 f"ads reference undefined stations {sorted(unknown)}")
         self._rr_order = sorted(self.slots)
+        # the slots not busy, kept up to date across the cycles of the run
+        self._free: FreeIndex = free_index(self.slots.values())
         for ad in scenario.job_ads:
             self.queue.submit(ad, stamp=self.clock)
             self._log("submit", job=ad.ad_id)
@@ -302,11 +317,22 @@ class GridWorld:
 
         `match_jobs` pulls idle records lazily, in job id order, from the
         queue's live view, and stops once no ad is left free; the jobs it did
-        not reach count as having no candidates. The pass changes neither the
-        queue nor the stations: it reads only `busy_at_start`, its own free
-        list and the cycle's snapshot. So its transitions and staging land
-        after it, in the order it decided them, which is what applying each
-        one at once would give.
+        not reach count as having no candidates. Its free ads are the live
+        index `self._free`: the slots not busy, each cluster's in ad id
+        order. Every slot was collected at time 0 with the scenario's one
+        TTL, so all are visible exactly while the clock is below it, and
+        after that the pass gets an empty index. The index is built once per
+        run, and a cluster that empties and frees again goes to its end, so
+        its clusters may come in another order than a fresh `free_index`
+        would give. No decision depends on that order: the Rank argmax
+        breaks ties totally (rank, Name, ad id), `random` sorts its
+        candidates by (Name, ad id) before drawing, and `round-robin` looks
+        them up by ad id.
+
+        The pass changes neither the queue nor the stations: it reads only
+        the index it claims from and the cycle's snapshot. So its
+        transitions and staging land after it, in the order it decided them,
+        which is what applying each one at once would give.
 
         A job that failed to match while every visible ad was free (none
         busy, none claimed earlier in its own cycle) can never match later,
@@ -319,7 +345,7 @@ class GridWorld:
             return 0
         self._snapshot = dict(self.stations)
         self._scores = {}
-        busy_at_start = set(self.busy)
+        saw_everything = not self.busy  # no ad busy as the cycle starts
         choose = (choose_by_rank if self.policy == "data-aware"
                   else self._choose_baseline)
         pulled = []
@@ -329,11 +355,10 @@ class GridWorld:
                 pulled.append(record)
                 yield record.ad
 
-        decisions = list(match_jobs(self.store, pull(), self.registry, self._env,
-                                    now=self.clock, claimed=busy_at_start,
+        index = self._free if self.clock < self.scenario.ttl else {}
+        decisions = list(match_jobs(index, pull(), self.registry, self._env,
                                     choose=choose))
         matched = 0
-        saw_everything = not busy_at_start
         reasons = {}
         for record, decision in zip(pulled, decisions):
             if decision.matched:
@@ -388,6 +413,8 @@ class GridWorld:
         ad_id = record.matched_resource()
         self.queue.transition(job_id, JobState.DONE, stamp=self.clock)
         del self.busy[ad_id]
+        slot = self.slots[ad_id]
+        bisect.insort(self._free.setdefault(slot.cluster, []), slot, key=_AD_ID)
         self._log("done", job=record.ad.ad_id, resource=ad_id)
 
     # -- main loop ----------------------------------------------------------
@@ -410,6 +437,15 @@ class GridWorld:
         A staged batch does change the stations: it dequeues input and adds
         files to the cache, and Rank and Requirements read both through
         fun(). So when an ad is free, a job refused before may match now.
+
+        The free ads live in one index for the whole run: a cycle's claims
+        take ads out of it and `_finish_run` puts each back in ad id order,
+        so each cluster's members stay in ad id order while the clusters
+        themselves may come in any order. That changes no decision: the
+        Rank argmax breaks ties totally (rank, Name, ad id), `random` sorts
+        its candidates by (Name, ad id), and `round-robin` looks them up by
+        ad id. As every ad shares the scenario's TTL, "some visible ad is
+        free" is "the index is not empty and the clock is below the TTL".
         """
         can_place = True
         while True:
@@ -433,10 +469,8 @@ class GridWorld:
             can_place = completed or self._some_ad_free()
 
     def _some_ad_free(self) -> bool:
-        """Whether some ad visible now is not busy. Busy ads are slots, so
-        with every slot busy no snapshot is needed."""
-        return len(self.busy) < len(self.slots) and any(
-            s.ad.ad_id not in self.busy for s in self.store.snapshot(self.clock))
+        """Whether some ad visible now is not busy."""
+        return bool(self._free) and self.clock < self.scenario.ttl
 
     # -- reporting -----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import wire
 
@@ -245,10 +245,11 @@ def _answer(cat: DatasetCatalog, st: StationState, msg: dict) -> dict:
         raise wire.RequestError("no-route", str(exc)) from None
 
 
-def handle_message(cat: DatasetCatalog, st: StationState, msg: dict) -> dict:
-    """Answer one GET_PREFERENCE or LOOKUP request. Queries never mutate state."""
+def handler(cat: DatasetCatalog, st: StationState) -> Callable[[dict], dict]:
+    """The request handler of a station serving `st`: it answers GET_PREFERENCE
+    and LOOKUP requests, one reply each. Queries never mutate state."""
     answer = partial(_answer, cat, st)
-    return wire.dispatcher({"GET_PREFERENCE": answer, "LOOKUP": answer})(msg)
+    return wire.dispatcher({"GET_PREFERENCE": answer, "LOOKUP": answer})
 
 
 def station_from_config(node, fixture: dict | None = None) -> StationState:

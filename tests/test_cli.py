@@ -146,7 +146,7 @@ def test_a_station_loads_no_configuration_session():
                "vogrid.conftree.meta", "vogrid.conftree.directives", "subprocess")
     station = (f"args = argparse.Namespace(config={str(SAMPLES / 'site.xml')!r}, "
                "station='durin', fixture=None); "
-               "from vogrid.station import DatasetCatalog, handle_message; "
+               "from vogrid.station import DatasetCatalog, handler; "
                "assert cli._load_station(args).station_id == 'durin'; ")
     code = ("import argparse, sys, vogrid.cli as cli; " + station
             + f"print([m for m in {session!r} if m in sys.modules]); "

@@ -33,12 +33,13 @@ from vogrid.matchmaker import (
     MatchDecision,
     MatchmakerService,
     choose_by_rank,
+    free_index,
     match_jobs,
     preauthorize,
     run_match_cycle,
     standard_registry,
 )
-from vogrid.station import DatasetCatalog, StationState, get_preference, handle_message
+from vogrid.station import DatasetCatalog, StationState, get_preference, handler
 
 from worldgen import SUBJECT_POOL, make_world, world_runtime
 
@@ -375,9 +376,10 @@ class _Station(wire.LineServer):
     """A station server that keeps the connections it accepted and the ones
     it has finished serving (after the client closed, or `stop`)."""
 
-    def __init__(self, st, auth_token=None, port=0, answer=handle_message):
-        super().__init__("127.0.0.1", port, lambda msg: answer(CATALOG, st, msg),
-                         auth_token=auth_token)
+    def __init__(self, st, auth_token=None, port=0, answer=None):
+        handle = handler(CATALOG, st)
+        super().__init__("127.0.0.1", port, handle if answer is None
+                         else lambda msg: answer(handle, msg), auth_token=auth_token)
         self.accepted, self.finished = [], []
         self.serve_in_thread()
 
@@ -491,10 +493,10 @@ def test_a_timed_out_connection_is_dropped_not_retried(monkeypatch):
     monkeypatch.setattr(matchmaker, "QUERY_TIMEOUT_SECONDS", 0.2)
     slow = threading.Event()
 
-    def answer(cat, st, msg):
+    def answer(handle, msg):
         if slow.is_set():
             time.sleep(0.5)
-        return handle_message(cat, st, msg)
+        return handle(msg)
 
     server = _Station(DURIN, answer=answer)
     query = DirectoryQuery({"durin": ("127.0.0.1", server.port)})
@@ -518,10 +520,10 @@ def test_concurrent_queries_open_their_own_connections_and_keep_one():
     barrier = threading.Barrier(threads)
     together = threading.Event()
 
-    def answer(cat, st, msg):  # the first queries wait until all are in flight
+    def answer(handle, msg):  # the first queries wait until all are in flight
         if not together.is_set():
             barrier.wait(timeout=5)
-        return handle_message(cat, st, msg)
+        return handle(msg)
 
     server = _Station(DURIN, answer=answer)
     query = DirectoryQuery({"durin": ("127.0.0.1", server.port)})
@@ -842,7 +844,9 @@ def test_match_cycle_equals_the_rescanning_pipeline():
                 emptied += offered.count("emptied")
                 # every authorized ad, job by job
                 assert [o for o in offered if o != "emptied"] == offered_ref
-                reached = list(match_jobs(*args, choose=_chooser(kind, seed, ad_ids)))
+                index = free_index(store.snapshot(now), claimed)
+                reached = list(match_jobs(index, jobs, rt["registry"], rt["env"],
+                                          choose=_chooser(kind, seed, ad_ids)))
                 assert reached == got[:len(reached)]
                 exhausted += len(reached) < len(jobs)
     assert exhausted > 200  # the pool ran out before the jobs did
@@ -871,7 +875,9 @@ def test_each_job_evaluates_once_per_resource_cluster():
     assert [d.resource_id for d in decisions] == ["a0", "a1", "a2", "b0", "b1", None]
     assert decisions[-1].reason == "unauthorized-everywhere"
     counts = collections.Counter(env["seen"])
-    assert [counts[f"j{i}", "requirements"] for i in range(6)] == [3, 3, 3, 2, 2, 1]
+    # authorization comes first: x's Requirements are read only for j5,
+    # to tell unauthorized-everywhere from no-candidates
+    assert [counts[f"j{i}", "requirements"] for i in range(6)] == [2, 2, 2, 1, 1, 1]
     assert [counts[f"j{i}", "rank"] for i in range(6)] == [2, 2, 2, 1, 1, 0]
 
 
@@ -942,7 +948,7 @@ def test_match_jobs_stops_pulling_jobs_once_every_ad_is_claimed():
             yield _job(f"j{i}")
 
     reg = standard_registry()
-    decisions = list(match_jobs(store, feed(), reg, None))
+    decisions = list(match_jobs(free_index(store.snapshot(0.0)), feed(), reg, None))
     assert [d.reason for d in decisions] == ["unauthorized-everywhere", None, None]
     assert [d.resource_id for d in decisions[1:]] == ["r1", "r2"]
     assert pulled == [0, 1]
@@ -951,9 +957,10 @@ def test_match_jobs_stops_pulling_jobs_once_every_ad_is_claimed():
     assert [d.reason for d in tail] == [None, None, "no-candidates", "no-candidates"]
     # with no ad free from the start, not even the first job is pulled (the
     # expiry case comes last: a snapshot past the ttl empties the store)
-    for kw in ({"claimed": {"r1", "r2"}}, {"now": 1e9}):
+    for now, claimed in ((0.0, {"r1", "r2"}), (1e9, ())):
         jobs = feed()
-        assert list(match_jobs(store, jobs, reg, None, **kw)) == []
+        index = free_index(store.snapshot(now), claimed)
+        assert list(match_jobs(index, jobs, reg, None)) == []
         assert next(jobs).ad_id == "outsider"
 
 
@@ -1003,7 +1010,8 @@ def test_authorization_reads_the_snapshot_not_a_later_advertisement():
         store.collect_ad(_res("r2", "A", "s1"), [ALICE, BOB], 3600.0, 0.0)
         yield _job("j-bob", owner=BOB)
 
-    [decision] = match_jobs(store, jobs(), standard_registry(), None)
+    index = free_index(store.snapshot(0.0))
+    [decision] = match_jobs(index, jobs(), standard_registry(), None)
     if decision.matched:
         assert BOB in snapshot_gridmaps[decision.resource_id]
     assert decision.reason == "unauthorized-everywhere"

@@ -30,7 +30,7 @@ from vogrid.classads import (
 from vogrid.classads import TRUE, FALSE, UNDEFINED, ERROR
 from vogrid.classads import EMPTY_REGISTRY, Value, ValueKind, evaluate
 from vogrid.classads.parser import MAX_NESTING
-from vogrid.matchmaker import _expr_key
+from vogrid.classads.exprs import expr_key
 
 EMPTY_AD = parse_classad("", AdKind.JOB)
 
@@ -179,7 +179,7 @@ def test_whatever_parses_and_formats_parses_back_to_the_same_tree(src):
     except RecursionError:  # a chain too deep for the recursive formatter
         return
     # trees compared by their images: `==` recurses, and chains go deep
-    assert _expr_key(parse_expr(formatted)) == _expr_key(tree)
+    assert expr_key(parse_expr(formatted)) == expr_key(tree)
 
 
 def _fun(args, self_ad, other_ad, env):

@@ -11,6 +11,7 @@ import pytest
 
 import vogrid.sim as sim
 from vogrid.advertise import build_info_tree, query_info
+from vogrid.classads import ads as classads_ads
 from vogrid.classads import parse_expr
 from vogrid.conftree import read_tree, write_tree
 from vogrid.jobs import JobState
@@ -413,7 +414,10 @@ def test_stranded_jobs_hold_when_nothing_is_pending():
 
 class _EveryBatchWorld(GridWorld):
     """Reference loop: a match cycle after every event batch, each cycle
-    listing the idle jobs up front and staging each match as it is made."""
+    listing the idle jobs up front and staging each match as it is made.
+    Each cycle builds its own free index from the slots, by each ad's own
+    expiry and the busy set, so it shares no state with the live index or
+    the single-TTL shortcut of `GridWorld`."""
 
     def _match_cycle(self) -> int:
         idle = sorted((r for r in self.queue.jobs.values()
@@ -425,9 +429,11 @@ class _EveryBatchWorld(GridWorld):
         busy_at_start = set(self.busy)
         choose = (sim.choose_by_rank if self.policy == "data-aware"
                   else self._choose_baseline)
-        decisions = sim.match_jobs(self.store, (r.ad for r in idle), self.registry,
-                                   self._env, now=self.clock,
-                                   claimed=busy_at_start, choose=choose)
+        visible = [s for s in self.slots.values()
+                   if s.received_at + s.ttl_seconds > self.clock]
+        decisions = sim.match_jobs(sim.free_index(visible, self.busy),
+                                   (r.ad for r in idle), self.registry,
+                                   self._env, choose=choose)
         matched = 0
         saw_everything = not busy_at_start
         reasons = {}
@@ -522,6 +528,82 @@ def test_skipped_cycles_change_no_report_or_event_log(policy):
         scenario = load_scenario(_world_doc(make_world(rng), rng))
         got = _outcome(GridWorld(scenario, policy, seed))
         assert got == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
+
+
+# -- the live free index -------------------------------------------------------------
+
+def _rejoin_doc() -> dict:
+    """Cluster S/c has 12 slots at station U, which reaches only the near
+    data; cluster T/d has one slot at station R, which reaches only the far
+    data. Twelve near jobs fill S/c in ad id order (#1, #10, #11, #12, #2,
+    ...), and the ones on #11, #10 and #2 finish in that order. Three far
+    jobs queue for T/d, which empties and refills twice; while they wait,
+    every cycle offers them the free slots of S/c, where they cannot stage."""
+    catalog = {"near": [["n0", 1_000_000_000, "NEAR"]],
+               "far": [["f0", 1_000_000_000, "FAR"]]}
+    sites = [_site_doc(make_site_config("S", "c", "U", {"NEAR": 1e8}, slots=12),
+                       {"U": {"cached_files": ["n0"]}}),
+             _site_doc(make_site_config("T", "d", "R", {"FAR": 1e8}),
+                       {"R": {"cached_files": ["f0"]}})]
+    # near job 2 runs on #10, 3 on #11 and 5 on #2
+    runs = [("near", 200.0), ("near", 100.0), ("near", 50.0), ("near", 200.0),
+            ("near", 150.0)] + [("near", 200.0)] * 7 + [("far", 1000.0),
+                                                        ("far", 10.0), ("far", 10.0)]
+    jobs = [{"id": f"j{i:02d}", "ad": {"Owner": f'"{ALICE}"', "Dataset": f'"{ds}"',
+                                       "RunSeconds": repr(run)}}
+            for i, (ds, run) in enumerate(runs, 1)]
+    return _scenario_doc(catalog, sites, jobs)
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_freed_slots_rejoin_their_cluster_in_ad_id_order(policy, monkeypatch):
+    scenario = load_scenario(_rejoin_doc())
+    offered = []  # the member ids of every cluster a chooser was handed
+
+    def record(clusters):
+        offered.extend([s.ad.ad_id for s in members] for members in clusters)
+
+    class Recording(GridWorld):
+        def _choose_baseline(self, job, clusters, reg, env):
+            record(clusters)
+            return super()._choose_baseline(job, clusters, reg, env)
+
+    def choose_by_rank(job, clusters, reg, env, choose=sim.choose_by_rank):
+        record(clusters)
+        return choose(job, clusters, reg, env)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "choose_by_rank", choose_by_rank)
+        got = _outcome(Recording(scenario, policy, 0))
+    # "#10" sorts before "#11" and "#2" in byte order
+    assert all(ids == sorted(ids) for ids in offered)
+    if policy != "random":  # random fills S/c in another order
+        assert ["S/c#10", "S/c#11"] in offered  # #10 freed after #11
+        assert ["S/c#10", "S/c#11", "S/c#2"] in offered  # then #2
+    report, _ = got
+    assert [j["state"] for j in report["jobs"]] == ["Done"] * 15
+    assert [j["resource"] for j in report["jobs"][12:]] == ["T/d"] * 3
+    assert got == _outcome(_EveryBatchWorld(scenario, policy, 0))
+
+
+def test_a_run_takes_no_snapshot_and_keys_each_cluster_once(monkeypatch):
+    snapshots, keyed = [], []
+    snapshot, expr_key = sim.AdStore.snapshot, classads_ads.expr_key
+    monkeypatch.setattr(sim.AdStore, "snapshot",
+                        lambda store, now: snapshots.append(now) or snapshot(store, now))
+    monkeypatch.setattr(classads_ads, "expr_key",
+                        lambda expr: keyed.append(expr) or expr_key(expr))
+    scenario = load_scenario(_rejoin_doc())
+    for policy in sim.POLICIES:
+        world = GridWorld(scenario, policy, 0)
+        clusters = {id(s.cluster): s.ad for s in world.slots.values()}
+        assert len(world.slots) == 13 and len(clusters) == 2
+        # one walk of each attribute of each cluster's bindings
+        assert len(keyed) == sum(len(list(ad.names())) for ad in clusters.values())
+        del keyed[:]
+        world.run()
+        assert keyed == []
+    assert snapshots == []
 
 
 # -- routes ------------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from vogrid.station import (
     UnknownDataset,
     apply_event,
     get_preference,
-    handle_message,
+    handler,
     lookup_dataset,
     station_from_config,
 )
@@ -219,8 +219,8 @@ def test_apply_event_underflow_and_unknown():
 
 def test_handle_get_preference():
     st = _station(cached_files={"raw000"})
-    reply = handle_message(CATALOG, st, {"type": "GET_PREFERENCE", "id": 4,
-                                         "dataset": "dzero-run2"})
+    reply = handler(CATALOG, st)({"type": "GET_PREFERENCE", "id": 4,
+                                  "dataset": "dzero-run2"})
     assert reply["id"] == 4
     assert reply["result"]["score"] == -70.0
     assert reply["result"]["missing_bytes"] == 2_500_000_000
@@ -228,8 +228,8 @@ def test_handle_get_preference():
 
 def test_handle_lookup():
     st = _station(cached_files={"raw002"})
-    reply = handle_message(CATALOG, st, {"type": "LOOKUP", "id": "a",
-                                         "dataset": "dzero-run2"})
+    reply = handler(CATALOG, st)({"type": "LOOKUP", "id": "a",
+                                  "dataset": "dzero-run2"})
     assert reply["id"] == "a"
     assert [f["file"] for f in reply["result"]["present"]] == ["raw002"]
     assert [f["file"] for f in reply["result"]["missing"]] == ["raw000", "raw001"]
@@ -250,25 +250,26 @@ def test_handle_lookup():
       "output_bytes": -5}, "malformed"),
 ])
 def test_handle_message_errors(msg, code):
-    reply = handle_message(CATALOG, _station(), msg)
+    reply = handler(CATALOG, _station())(msg)
     assert reply["error"]["code"] == code
     assert reply.get("id") == msg.get("id")
 
 
 def test_handle_no_route_error():
     st = _station(links={"FNAL": 1e8})
-    reply = handle_message(CATALOG, st, {"type": "GET_PREFERENCE", "id": 2,
-                                         "dataset": "dzero-run2"})
+    reply = handler(CATALOG, st)({"type": "GET_PREFERENCE", "id": 2,
+                                  "dataset": "dzero-run2"})
     assert reply["error"]["code"] == "no-route"
 
 
 def test_queries_never_mutate():
     st = _station(cached_files={"raw000"}, input_queue_depth=1)
     before = (st.cached_files, st.input_queue_depth, dict(st.links))
+    handle = handler(CATALOG, st)
     for msg in ({"type": "GET_PREFERENCE", "id": 1, "dataset": "dzero-run2"},
                 {"type": "LOOKUP", "id": 2, "dataset": "minbias"},
                 {"type": "GET_PREFERENCE", "id": 3, "dataset": "nope"}):
-        handle_message(CATALOG, st, msg)
+        handle(msg)
     assert (st.cached_files, st.input_queue_depth, dict(st.links)) == before
 
 

@@ -238,11 +238,10 @@ def _queue(tmp_path, request):
 
 
 def _station(tmp_path, request):
-    from vogrid.station import DatasetCatalog, StationState, handle_message
+    from vogrid.station import DatasetCatalog, StationState, handler
     catalog = DatasetCatalog({"d": [("f0", 10, "A")]})
     station = StationState("st", links={"A": 1e8})
-    return (lambda msg: handle_message(catalog, station, msg),
-            {"type": "LOOKUP", "dataset": "d"})
+    return handler(catalog, station), {"type": "LOOKUP", "dataset": "d"}
 
 
 def _info(tmp_path, request):
