@@ -164,37 +164,23 @@ def _walk_info(node: TreeNode, parent_dn: str, tree: InfoTree):
         _walk_info(child, dn, tree)
 
 
-LiveSource = Callable[[str], dict]
-
-
-def query_info(tree: InfoTree, prefix: str,
-               live: LiveSource | None = None) -> list[tuple[str, dict[str, str]]]:
-    """Entries at or below the prefix, sorted by dn, with live records merged.
-
-    Live keys land namespaced as activity_*; they never shadow static ones.
-    """
-    out = []
-    for dn in sorted(tree.entries):
-        if prefix and dn != prefix and not dn.startswith(prefix + "/"):
-            continue
-        attrs = dict(tree.entries[dn])
-        if live is not None:
-            for key, value in sorted(live(dn).items()):
-                merged = f"activity_{key}"
-                if merged not in attrs:
-                    attrs[merged] = str(value)
-        out.append((dn, attrs))
-    return out
+def query_info(tree: InfoTree, prefix: str) -> list[tuple[str, dict[str, str]]]:
+    """The entries at or below the prefix, sorted by dn. A prefix matches
+    whole dn components only: "site=A" matches "site=A/cluster=c", never
+    "site=AB"."""
+    return [(dn, dict(tree.entries[dn])) for dn in sorted(tree.entries)
+            if not prefix or dn == prefix or dn.startswith(prefix + "/")]
 
 
 # -- wire services -----------------------------------------------------------------
 
 class InfoService:
-    """INFO_QUERY handler over one config-derived tree."""
+    """The INFO_QUERY handler that `vogrid info serve` runs over one
+    config-derived tree: it answers with the tree's entries at or below a
+    prefix (`query_info`), as the configuration states them."""
 
-    def __init__(self, config: TreeNode, live: LiveSource | None = None):
+    def __init__(self, config: TreeNode):
         self.tree = build_info_tree(config)
-        self.live = live
         self.handle_message = wire.dispatcher({"INFO_QUERY": self._info_query})
 
     def _info_query(self, msg: dict) -> dict:
@@ -202,7 +188,7 @@ class InfoService:
         if not isinstance(prefix, str):
             raise wire.RequestError("malformed", "prefix must be text")
         entries = [{"dn": dn, "attributes": attrs}
-                   for dn, attrs in query_info(self.tree, prefix, self.live)]
+                   for dn, attrs in query_info(self.tree, prefix)]
         return {"entries": entries}
 
 

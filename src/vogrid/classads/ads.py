@@ -114,9 +114,6 @@ class ClassAd:
             raise ValueError(f"ad {self.ad_id!r}: {name} must be a nonnegative number")
         return x
 
-    def names(self) -> Iterator[str]:
-        return iter(self._attrs)
-
     def items(self) -> Iterator[tuple[str, Expr]]:
         return iter(self._attrs.items())
 
@@ -148,10 +145,6 @@ def parse_classad(text: str, kind: AdKind, ad_id: str = "") -> ClassAd:
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc.args[0]}", exc.offset) from None
     return ClassAd(attrs, kind, ad_id)
-
-
-def format_classad(ad: ClassAd) -> str:
-    return "".join(f"{name} = {format_expr(expr)}\n" for name, expr in ad.items())
 
 
 def ad_to_json(ad: ClassAd) -> dict:

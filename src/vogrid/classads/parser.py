@@ -1,11 +1,6 @@
 # Expression parser for advertisement attributes.
-# Precedence (loosest to tightest):
-#   ||
-#   &&
-#   == != < <= > >=
-#   + -
-#   * /
-#   unary ! - +
+# Binary operators bind by exprs.PRECEDENCE and associate to the left; the
+# unary operators ! - + bind tighter than any of them.
 # Atoms: decimal numerics, "quoted text", true/false/undefined/error,
 # bare attribute references, OTHER.attr references, name(arg, ...) calls,
 # parenthesized expressions. Keywords and references are case-insensitive.
@@ -19,7 +14,7 @@ import math
 import re
 
 from . import values
-from .exprs import AttrRef, Binary, Call, Expr, Literal, Scope, Unary
+from .exprs import PRECEDENCE, AttrRef, Binary, Call, Expr, Literal, Scope, Unary
 
 
 class ParseError(Exception):
@@ -41,7 +36,8 @@ _TOKEN = re.compile(
 
 MAX_NESTING = 64
 
-_KEYWORDS = {"true", "false", "undefined", "error"}
+_CONSTANTS = {"true": values.TRUE, "false": values.FALSE,
+              "undefined": values.UNDEFINED, "error": values.ERROR}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
@@ -111,53 +107,30 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> Expr:
-        e = self.or_expr()
+        e = self.binary()
         kind, val, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected trailing {val!r}", _byte_offset(self.text, pos))
         return e
 
-    def or_expr(self) -> Expr:
-        e = self.and_expr()
-        while self.peek()[:2] == ("op", "||"):
+    def binary(self, min_bp: int = 0) -> Expr:
+        """The longest run of operands joined by operators that bind at least
+        `min_bp`, grouped by PRECEDENCE."""
+        e = self.unary()
+        while True:
+            kind, op, _ = self.peek()
+            bp = PRECEDENCE.get(op) if kind == "op" else None
+            if bp is None or bp < min_bp:
+                return e
             self.pop()
-            e = Binary("||", e, self.and_expr())
-        return e
+            e = Binary(op, e, self.binary(bp + 1))
 
-    def and_expr(self) -> Expr:
-        e = self.cmp_expr()
-        while self.peek()[:2] == ("op", "&&"):
-            self.pop()
-            e = Binary("&&", e, self.cmp_expr())
-        return e
-
-    def cmp_expr(self) -> Expr:
-        e = self.add_expr()
-        while self.peek()[0] == "op" and self.peek()[1] in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.pop()[1]
-            e = Binary(op, e, self.add_expr())
-        return e
-
-    def add_expr(self) -> Expr:
-        e = self.mul_expr()
-        while self.peek()[0] == "op" and self.peek()[1] in ("+", "-"):
-            op = self.pop()[1]
-            e = Binary(op, e, self.mul_expr())
-        return e
-
-    def mul_expr(self) -> Expr:
-        e = self.unary_expr()
-        while self.peek()[0] == "op" and self.peek()[1] in ("*", "/"):
-            op = self.pop()[1]
-            e = Binary(op, e, self.unary_expr())
-        return e
-
-    def unary_expr(self) -> Expr:
+    def unary(self) -> Expr:
         kind, val, pos = self.peek()
         if kind == "op" and val in ("!", "-", "+"):
             self.pop()
             self.nest(pos)
-            e = Unary(val, self.unary_expr())
+            e = Unary(val, self.unary())
             self.depth -= 1
             return e
         return self.atom()
@@ -177,20 +150,14 @@ class _Parser:
             return Literal(values.text(_unescape(val[1:-1], self.text, pos)))
         if kind == "op" and val == "(":
             self.nest(pos)
-            e = self.or_expr()
+            e = self.binary()
             self.expect_op(")")
             self.depth -= 1
             return e
         if kind == "ident":
             lowered = val.lower()
-            if lowered == "true":
-                return Literal(values.TRUE)
-            if lowered == "false":
-                return Literal(values.FALSE)
-            if lowered == "undefined":
-                return Literal(values.UNDEFINED)
-            if lowered == "error":
-                return Literal(values.ERROR)
+            if lowered in _CONSTANTS:
+                return Literal(_CONSTANTS[lowered])
             if lowered == "other" and self.peek()[:2] == ("op", "."):
                 self.pop()
                 nkind, nval, npos = self.pop()
@@ -202,10 +169,10 @@ class _Parser:
                 self.nest(self.pop()[2])
                 args: list[Expr] = []
                 if self.peek()[:2] != ("op", ")"):
-                    args.append(self.or_expr())
+                    args.append(self.binary())
                     while self.peek()[:2] == ("op", ","):
                         self.pop()
-                        args.append(self.or_expr())
+                        args.append(self.binary())
                 self.expect_op(")")
                 self.depth -= 1
                 return Call(val, tuple(args))

@@ -140,7 +140,7 @@ class AdStore:
     holds only ads still to be seen, and an expired ad's cluster leaves the
     cluster table with it. Callers' clocks never run backwards.
 
-    Thread-safe: upserts and removals may run while another thread matches.
+    Thread-safe: upserts may run while another thread matches.
     """
 
     def __init__(self):
@@ -170,10 +170,6 @@ class AdStore:
                 ad, now, float(ttl_seconds), name, station_id, subjects, cluster)
         return stored
 
-    def remove(self, ad_id: str) -> None:
-        with self._lock:
-            self._ads.pop(ad_id, None)
-
     def snapshot(self, now: float) -> list[StoredAd]:
         """Unexpired ads in insertion order, forgetting the expired ones.
         ttl 0 means never visible."""
@@ -185,12 +181,10 @@ class AdStore:
 
 
 def preauthorize(job: ClassAd, stored: StoredAd) -> bool:
-    """True iff the job Owner's grid subject is in the stored ad's gridmap."""
+    """True iff the job Owner's grid subject is in the stored ad's gridmap;
+    a job whose Owner is not text is authorized nowhere (`match_jobs` logs it)."""
     owner = job.self_text("Owner")
-    if owner is None:
-        log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
-        return False
-    return owner in stored.gridmap
+    return owner is not None and owner in stored.gridmap
 
 
 # -- match-time ranking ---------------------------------------------------------
@@ -364,11 +358,14 @@ def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
     env)` gets the member lists of the authorized clusters that pass, which
     are the index's own and must not be changed, in no particular order, and
     returns the (ad id, rank) to claim, which must be one of their members,
-    or None, which leaves the job with reason all-rank-error.
+    or None, which leaves the job with reason all-rank-error. A job whose
+    Owner is not text is logged once per pass, however many clusters refuse it.
     """
     if not index:
         return
     for job in jobs:
+        if job.self_text("Owner") is None:
+            log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
         allowed, refused = [], []
         for members in index.values():
             (allowed if preauthorize(job, members[0]) else refused).append(members)

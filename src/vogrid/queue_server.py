@@ -113,7 +113,7 @@ class QueueService:
     def _job_request(self, msg: dict, action) -> dict:
         """STATUS and RELEASE: apply the action to the named job, reply its status."""
         job_id = msg.get("job_id")
-        if not isinstance(job_id, int):
+        if type(job_id) is not int:  # JSON's true is no job id
             raise wire.RequestError("malformed", "job_id must be an integer")
         try:
             return action(job_id).status_json()
@@ -126,11 +126,3 @@ class QueueService:
         return {"jobs": [{"job_id": j.job_id, "state": j.state.value}
                          for j in self.queue.jobs.values()]}
 
-
-def submit_over_wire(host: str, port: int, ad_json: dict,
-                     auth_token: str | None = None) -> int:
-    reply = wire.send_request(host, port, {"type": "SUBMIT", "ad": ad_json},
-                              auth_token=auth_token)
-    if "error" in reply:
-        raise RuntimeError(f"{reply['error']['code']}: {reply['error']['message']}")
-    return reply["result"]["job_id"]

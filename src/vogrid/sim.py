@@ -474,28 +474,6 @@ class GridWorld:
 
     # -- reporting -----------------------------------------------------------
 
-    def live_info(self, dn: str) -> dict:
-        """Activity records for the info tree: jobs active under a cluster dn."""
-        parts = dict(p.split("=", 1) for p in dn.split("/") if "=" in p)
-        if "cluster" not in parts or "site" not in parts:
-            return {}
-        name = f"{parts['site']}/{parts['cluster']}"
-        running, staging = [], []
-        for job in self.queue.jobs.values():
-            resource = job.matched_resource()
-            if resource is None or self.slots[resource].name != name:
-                continue
-            if job.state is JobState.RUNNING:
-                running.append(job.ad.ad_id)
-            elif job.state is JobState.STAGING:
-                staging.append(job.ad.ad_id)
-        out = {}
-        if running:
-            out["running_jobs"] = ",".join(sorted(running))
-        if staging:
-            out["staging_jobs"] = ",".join(sorted(staging))
-        return out
-
     def report(self) -> dict:
         jobs = []
         staging_times = []

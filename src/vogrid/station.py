@@ -16,6 +16,7 @@ speeds are static configuration values supplied by the site, not measured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -61,12 +62,6 @@ class DatasetCatalog:
         if dataset not in self._datasets:
             raise UnknownDataset(dataset)
         return list(self._datasets[dataset])
-
-    def names(self) -> list[str]:
-        return list(self._datasets)
-
-    def __contains__(self, dataset: str) -> bool:
-        return dataset in self._datasets
 
 
 @dataclass(frozen=True)
@@ -156,37 +151,22 @@ class DequeueInput:
 
 
 @dataclass(frozen=True)
-class EnqueueOutput:
-    pass
-
-
-@dataclass(frozen=True)
-class DequeueOutput:
-    pass
-
-
-@dataclass(frozen=True)
 class CacheAdd:
     file_name: str
 
 
-@dataclass(frozen=True)
-class CacheEvict:
-    file_name: str
-
-
 def apply_event(st: StationState, *events) -> StationState:
-    """Queue and cache steps, in order, folded into one copy of the state;
-    every other field is unchanged. A step that would empty a queue below
-    zero or evict an uncached file, or an unknown event, raises
-    IllegalTransition.
+    """Input queue and cache steps, in order, folded into one copy of the
+    state; every other field is unchanged. A step that would empty the input
+    queue below zero, or an unknown event, raises IllegalTransition. Adding
+    a cached file again changes nothing.
 
     The copy equals what `dataclasses.replace` builds, but skips
     `StationState.__post_init__`: the links and the output destination were
     checked when `st` was built and a step cannot change them, and these
-    checks keep the depths nonnegative."""
-    in_depth, out_depth = st.input_queue_depth, st.output_queue_depth
-    cached = None  # copied from st at the first cache step
+    checks keep the depth nonnegative."""
+    in_depth = st.input_queue_depth
+    added = []
     for ev in events:
         if isinstance(ev, EnqueueInput):
             in_depth += 1
@@ -194,28 +174,16 @@ def apply_event(st: StationState, *events) -> StationState:
             if in_depth == 0:
                 raise IllegalTransition("input queue is empty")
             in_depth -= 1
-        elif isinstance(ev, EnqueueOutput):
-            out_depth += 1
-        elif isinstance(ev, DequeueOutput):
-            if out_depth == 0:
-                raise IllegalTransition("output queue is empty")
-            out_depth -= 1
         elif isinstance(ev, CacheAdd):
-            cached = set(st.cached_files) if cached is None else cached
-            cached.add(ev.file_name)
-        elif isinstance(ev, CacheEvict):
-            cached = set(st.cached_files) if cached is None else cached
-            if ev.file_name not in cached:
-                raise IllegalTransition(f"{ev.file_name!r} not cached")
-            cached.remove(ev.file_name)
+            added.append(ev.file_name)
         else:
             raise IllegalTransition(f"unknown event {ev!r}")
     successor = object.__new__(StationState)
     fields = successor.__dict__  # frozen: filled in directly, as __init__ would
     fields.update(vars(st))
-    fields.update(input_queue_depth=in_depth, output_queue_depth=out_depth)
-    if cached is not None:
-        fields["cached_files"] = frozenset(cached)
+    fields["input_queue_depth"] = in_depth
+    if added:
+        fields["cached_files"] = st.cached_files.union(added)
     return successor
 
 
@@ -235,14 +203,21 @@ def _answer(cat: DatasetCatalog, st: StationState, msg: dict) -> dict:
             return {"present": [_file_entry_json(f) for f in present],
                     "missing": [_file_entry_json(f) for f in missing]}
         output_bytes = msg.get("output_bytes")
-        if output_bytes is not None and (not isinstance(output_bytes, (int, float))
-                                         or output_bytes < 0):
-            raise wire.RequestError("malformed", "output_bytes must be nonnegative")
-        return vars(get_preference(cat, st, dataset, output_bytes))  # its fields
+        # JSON gives true for 1, and NaN or Infinity for a float; none is a size
+        if output_bytes is not None and (type(output_bytes) not in (int, float)
+                                         or not 0 <= output_bytes < math.inf):
+            raise wire.RequestError("malformed",
+                                    "output_bytes must be a finite nonnegative number")
+        report = get_preference(cat, st, dataset, output_bytes)
+    except OverflowError:  # an integer output_bytes past the range of a float
+        report = None
     except UnknownDataset:
         raise wire.RequestError("unknown-dataset", f"no dataset named {dataset!r}") from None
     except NoRouteToSource as exc:
         raise wire.RequestError("no-route", str(exc)) from None
+    if report is None or not math.isfinite(report.score):  # JSON has no Infinity
+        raise wire.RequestError("malformed", "output_bytes too large to score")
+    return vars(report)  # its fields
 
 
 def handler(cat: DatasetCatalog, st: StationState) -> Callable[[dict], dict]:

@@ -158,7 +158,7 @@ def test_provenance_covers_every_attribute():
     dn_at_attr = re.compile(r"^site=[^@]+@[A-Za-z_][A-Za-z0-9_.-]*$")
     for ad in ads:
         sources = provenance[ad.ad_id]
-        assert set(sources) == set(ad.names())
+        assert set(sources) == {name for name, _ in ad.items()}
         for origin in sources.values():
             assert dn_at_attr.match(origin), origin
 
@@ -209,27 +209,8 @@ def test_query_prefix_respects_component_boundaries():
     assert query_info(tree, "site=CERN") == []
 
 
-def test_live_records_merge_without_shadowing():
-    config = read_tree("<site name='S'><cluster name='c' activity_note='static'>"
-                       "<gatekeeper url='u'/><station name='st'/>"
-                       "</cluster></site>")
-    tree = build_info_tree(config)
-
-    def live(dn):
-        if dn == "site=S/cluster=c":
-            return {"jobs": 3, "note": "fresh"}
-        return {}
-
-    [_, site_attrs], [_, cluster_attrs], [_, station_attrs] = \
-        [(dn, attrs) for dn, attrs in query_info(tree, "", live=live)]
-    assert cluster_attrs["activity_jobs"] == "3"
-    assert cluster_attrs["activity_note"] == "static"  # static keys win
-    assert "activity_jobs" not in site_attrs
-    assert "activity_jobs" not in station_attrs
-
-
 def test_info_service_over_wire():
-    service = InfoService(CONFIG, live=lambda dn: {"load": 0.5})
+    service = InfoService(CONFIG)
     server = wire.LineServer("127.0.0.1", 0, service.handle_message)
     server.serve_in_thread()
     try:
@@ -240,7 +221,8 @@ def test_info_service_over_wire():
             assert [e["dn"] for e in entries] == [
                 "site=FNAL/cluster=topaz",
                 "site=FNAL/cluster=topaz/station=gimli"]
-            assert entries[0]["attributes"]["activity_load"] == "0.5"
+            assert entries[0]["attributes"] == \
+                build_info_tree(CONFIG).entries["site=FNAL/cluster=topaz"]
             assert conn.request({"type": "INFO_QUERY", "prefix": 7}) \
                 ["error"]["code"] == "malformed"
             assert conn.request({"type": "SHUTDOWN"})["error"]["code"] == \

@@ -101,13 +101,6 @@ def test_upsert_replaces_ad_and_gridmap():
     assert snap[0].gridmap == frozenset({BOB})
 
 
-def test_remove():
-    store = _store(_res("r1", "A", "st-a"))
-    store.remove("r1")
-    assert store.snapshot(0.0) == []
-    store.remove("never-seen")
-
-
 def test_equal_bindings_and_gridmap_make_one_cluster():
     a1, a2 = _res("a1", "A", "s1"), _res("a2", "A", "s1")
     store = _store(a1, a2, _res("b", "B", "s2"))
@@ -134,9 +127,11 @@ def test_equal_bindings_and_gridmap_make_one_cluster():
 
 
 def test_clusters_live_only_as_long_as_their_ads():
-    store = _store(_res("a1", "A", "s1"), _res("a2", "A", "s1"))
+    store = AdStore()
+    store.collect_ad(_res("a1", "A", "s1"), [ALICE], 5.0, 0.0)
+    store.collect_ad(_res("a2", "A", "s1"), [ALICE], 3600.0, 0.0)
     cluster = weakref.ref(store.snapshot(0.0)[0].cluster)
-    store.remove("a1")
+    assert [s.ad.ad_id for s in store.snapshot(5.0)] == ["a2"]  # a1 expired
     assert cluster() is not None
     store.collect_ad(_res("a2", "A", "s1"), [BOB], 3600.0, 0.0)  # leaves the cluster
     assert cluster() is None
@@ -157,14 +152,43 @@ def test_collect_ad_requires_identity_attrs():
         store.collect_ad(bad, [ALICE], 10.0, 0.0)
 
 
-def test_preauthorize(caplog):
+def test_preauthorize():
     [stored] = _store(_res("r1", "A", "st-a"), gridmap=(ALICE,)).snapshot(0.0)
     assert preauthorize(_job("j1", owner=ALICE), stored) is True
     assert preauthorize(_job("j2", owner=BOB), stored) is False
     ownerless = parse_classad('Dataset = "d"\n', AdKind.JOB, ad_id="j3")
-    with caplog.at_level(logging.WARNING, logger="vogrid.matchmaker"):
-        assert preauthorize(ownerless, stored) is False
-    assert any("no usable Owner" in r.message for r in caplog.records)
+    assert preauthorize(ownerless, stored) is False
+
+
+class _CountingHandler(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def test_a_job_without_owner_logs_one_warning_per_match_request():
+    # it once logged one warning per free cluster: 16 here
+    service = MatchmakerService(clock=lambda: 0.0)
+    for i in range(16):
+        reply = service.handle_message(_advertise_msg(_res(f"r{i}", f"C{i}", "s1"))
+                                       | {"id": i})
+        assert reply["result"]["ok"]
+    ownerless = parse_classad('Dataset = "d"\n', AdKind.JOB, ad_id="j")
+    counter = _CountingHandler()
+    logger = logging.getLogger("vogrid.matchmaker")
+    logger.addHandler(counter)
+    try:
+        reply = service.handle_message({"type": "MATCH_REQUEST", "id": 99,
+                                        "jobs": [ad_to_json(ownerless)]})
+    finally:
+        logger.removeHandler(counter)
+    [decision] = reply["result"]["decisions"]
+    assert decision["reason"] == "unauthorized-everywhere"
+    assert len({id(s.cluster) for s in service.store.snapshot(0.0)}) == 16
+    assert counter.messages == ["job j has no usable Owner; unauthorized everywhere"]
 
 
 # -- decisions ----------------------------------------------------------------------

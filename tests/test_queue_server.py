@@ -15,7 +15,6 @@ from vogrid.queue_server import (
     Journal,
     QueueService,
     replay_journal,
-    submit_over_wire,
 )
 
 AD_JSON = ad_to_json(parse_classad(
@@ -356,16 +355,42 @@ def test_replay_missing_or_empty_file(tmp_path):
 
 # -- over the wire ------------------------------------------------------------------------
 
+def _submit(port, ad_json):
+    """The job id the queue gave, or the error code of its reply."""
+    reply = wire.send_request("127.0.0.1", port, {"type": "SUBMIT", "ad": ad_json})
+    return reply["result"]["job_id"] if "result" in reply else reply["error"]["code"]
+
+
 def test_submit_over_wire(tmp_path):
     service = _service(tmp_path)
     server = wire.LineServer("127.0.0.1", 0, service.handle_message)
     server.serve_in_thread()
     try:
-        assert submit_over_wire("127.0.0.1", server.port, AD_JSON) == 1
-        assert submit_over_wire("127.0.0.1", server.port, AD_JSON) == 2
-        with pytest.raises(RuntimeError):
-            submit_over_wire("127.0.0.1", server.port,
-                             ad_to_json(parse_classad("", AdKind.JOB)))
+        assert _submit(server.port, AD_JSON) == 1
+        assert _submit(server.port, AD_JSON) == 2
+        assert _submit(server.port, ad_to_json(parse_classad("", AdKind.JOB))) \
+            == "rejected-ad"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
+def test_a_job_id_that_is_not_an_integer_is_malformed_over_the_wire(tmp_path):
+    # JSON's true once read as job 1
+    service = _service(tmp_path)
+    server = wire.LineServer("127.0.0.1", 0, service.handle_message)
+    server.serve_in_thread()
+    try:
+        assert _submit(server.port, AD_JSON) == 1
+        with wire.Connection("127.0.0.1", server.port) as conn:
+            for mtype in ("STATUS", "RELEASE"):
+                for job_id in (True, False, 1.0, "1", None):
+                    reply = conn.request({"type": mtype, "job_id": job_id})
+                    assert reply["error"]["code"] == "malformed", (mtype, job_id)
+                    json.dumps(reply, allow_nan=False)
+            assert conn.request({"type": "STATUS", "job_id": 1})["result"]["state"] \
+                == "Idle"
     finally:
         server.shutdown()
         server.server_close()
@@ -381,7 +406,7 @@ def test_concurrent_submissions_get_unique_ids(tmp_path):
 
     def submit_batch():
         for _ in range(10):
-            job_id = submit_over_wire("127.0.0.1", server.port, AD_JSON)
+            job_id = _submit(server.port, AD_JSON)
             with lock:
                 ids.append(job_id)
 

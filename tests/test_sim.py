@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import vogrid.sim as sim
-from vogrid.advertise import build_info_tree, query_info
 from vogrid.classads import ads as classads_ads
 from vogrid.classads import parse_expr
 from vogrid.conftree import read_tree, write_tree
@@ -72,7 +71,8 @@ def test_load_scenario_parses_the_fixture():
     assert SKEWED.name == "skewed-cache"
     assert len(SKEWED.sites) == 3
     assert [ad.ad_id for ad in SKEWED.job_ads] == [f"j{i}" for i in range(1, 7)]
-    assert "ds-A" in SKEWED.catalog
+    assert [f.file_name for f in SKEWED.catalog.files("ds-A")] == \
+        [f"a{i:02d}" for i in range(10)]
 
 
 def test_missing_rank_gets_the_station_query_rank():
@@ -599,7 +599,7 @@ def test_a_run_takes_no_snapshot_and_keys_each_cluster_once(monkeypatch):
         clusters = {id(s.cluster): s.ad for s in world.slots.values()}
         assert len(world.slots) == 13 and len(clusters) == 2
         # one walk of each attribute of each cluster's bindings
-        assert len(keyed) == sum(len(list(ad.names())) for ad in clusters.values())
+        assert len(keyed) == sum(len(list(ad.items())) for ad in clusters.values())
         del keyed[:]
         world.run()
         assert keyed == []
@@ -660,29 +660,3 @@ def test_event_cap_detects_runaway_runs(monkeypatch):
         run_scenario(SKEWED, "data-aware", 0)
     monkeypatch.setattr(sim, "EVENT_CAP", 12)
     run_scenario(SKEWED, "data-aware", 0)  # exactly at the cap is fine
-
-
-# -- live activity records ----------------------------------------------------------------
-
-def test_live_info_reflects_in_flight_jobs():
-    world = GridWorld(SKEWED, "data-aware", 0)
-    world._match_cycle()
-    live = world.live_info("site=A/cluster=ca")
-    assert live == {"staging_jobs": "j1,j4"}
-    assert world.live_info("site=B/cluster=cb") == {"staging_jobs": "j2,j5"}
-    assert world.live_info("site=A") == {}  # needs a cluster component
-    world.run()
-    assert world.live_info("site=A/cluster=ca") == {}
-
-
-def test_live_info_merges_into_the_information_tree():
-    world = GridWorld(SKEWED, "data-aware", 0)
-    world._match_cycle()
-    site_a = world.scenario.sites[0].config
-    tree = build_info_tree(site_a)
-    entries = dict(query_info(tree, "site=A", live=world.live_info))
-    cluster = entries["site=A/cluster=ca"]
-    assert cluster["activity_staging_jobs"] == "j1,j4"
-    assert cluster["slots"] == "2"
-    # static attributes never get shadowed by activity on a name collision
-    assert "staging_jobs" not in cluster

@@ -1,20 +1,19 @@
 """Data-handling station state and preference queries."""
 
 import dataclasses
+import json
 import math
 import random
 
 import pytest
 
 from vogrid.conftree import read_tree
+from vogrid import wire
 from vogrid.station import (
     CacheAdd,
-    CacheEvict,
     DatasetCatalog,
     DequeueInput,
-    DequeueOutput,
     EnqueueInput,
-    EnqueueOutput,
     IllegalTransition,
     NoRouteToSource,
     StationState,
@@ -58,8 +57,6 @@ def test_catalog_validation():
         DatasetCatalog({"d": [("f", 0, "A")]})
     with pytest.raises(UnknownDataset):
         CATALOG.files("nope")
-    assert "dzero-run2" in CATALOG and "nope" not in CATALOG
-    assert CATALOG.names() == ["dzero-run2", "minbias"]
 
 
 def test_catalog_files_are_copies():
@@ -153,31 +150,28 @@ def test_apply_event_queues():
     st2 = apply_event(apply_event(st, EnqueueInput()), EnqueueInput())
     assert st2.input_queue_depth == 2
     assert apply_event(st2, DequeueInput()).input_queue_depth == 1
-    st3 = apply_event(st, EnqueueOutput())
-    assert st3.output_queue_depth == 1
-    assert apply_event(st3, DequeueOutput()).output_queue_depth == 0
-    # inputs are untouched, originals are untouched
-    assert st.input_queue_depth == 0 and st.output_queue_depth == 0
-    assert st3.input_queue_depth == 0
+    # originals are untouched, and no step moves the output queue
+    assert st.input_queue_depth == 0
+    assert st2.output_queue_depth == 0
+    assert apply_event(_station(output_queue_depth=3), EnqueueInput(),
+                       DequeueInput()).output_queue_depth == 3
 
 
 def test_apply_event_cache():
     st = apply_event(_station(), CacheAdd("raw000"))
     assert "raw000" in st.cached_files
-    # adding an already-cached file is a no-op, evicting a stranger is not
+    # adding an already-cached file is a no-op
     assert apply_event(st, CacheAdd("raw000")).cached_files == st.cached_files
-    assert apply_event(st, CacheEvict("raw000")).cached_files == frozenset()
-    with pytest.raises(IllegalTransition):
-        apply_event(st, CacheEvict("ghost"))
+    assert apply_event(st, CacheAdd("raw001")).cached_files == {"raw000", "raw001"}
+    assert st.cached_files == {"raw000"}
 
 
 def test_apply_event_batch_equals_one_step_at_a_time():
     rng = random.Random(3)
     names = ["raw000", "raw001", "mb000"]
     for _ in range(300):
-        events = [rng.choice([EnqueueInput(), DequeueInput(), EnqueueOutput(),
-                              DequeueOutput(), CacheAdd(rng.choice(names)),
-                              CacheEvict(rng.choice(names))])
+        events = [rng.choice([EnqueueInput(), DequeueInput(),
+                              CacheAdd(rng.choice(names))])
                   for _ in range(rng.randrange(8))]
         start = _station(cached_files={"raw000"}, input_queue_depth=1)
         try:
@@ -197,8 +191,9 @@ def test_apply_event_builds_what_replace_builds():
     # the successor skips __post_init__ yet equals the re-validated copy
     st = _station(output_destination="FNAL", expected_output_bytes=10,
                   cached_files={"raw000"}, input_queue_depth=2)
-    got = apply_event(st, DequeueInput(), CacheAdd("raw001"), EnqueueOutput())
-    want = dataclasses.replace(st, input_queue_depth=1, output_queue_depth=1,
+    got = apply_event(st, DequeueInput(), CacheAdd("raw001"), EnqueueInput(),
+                      DequeueInput())
+    want = dataclasses.replace(st, input_queue_depth=1,
                                cached_files={"raw000", "raw001"})
     assert got == want
     assert type(got.cached_files) is frozenset
@@ -210,7 +205,7 @@ def test_apply_event_underflow_and_unknown():
     with pytest.raises(IllegalTransition):
         apply_event(_station(), DequeueInput())
     with pytest.raises(IllegalTransition):
-        apply_event(_station(), DequeueOutput())
+        apply_event(_station(input_queue_depth=1), DequeueInput(), DequeueInput())
     with pytest.raises(IllegalTransition):
         apply_event(_station(), "not an event")
 
@@ -253,6 +248,29 @@ def test_handle_message_errors(msg, code):
     reply = handler(CATALOG, _station())(msg)
     assert reply["error"]["code"] == code
     assert reply.get("id") == msg.get("id")
+
+
+def test_hostile_output_bytes_are_malformed_over_the_wire():
+    # NaN and 1e309 once came back as NaN and -Infinity, which are not JSON,
+    # and true as one byte
+    st = _station(links={"FNAL": 1e-3, "CDF": 1e7}, output_destination="FNAL")
+    server = wire.LineServer("127.0.0.1", 0, handler(CATALOG, st))
+    server.serve_in_thread()
+    try:
+        with wire.Connection("127.0.0.1", server.port) as conn:
+            def ask(output_bytes):
+                reply = conn.request({"type": "GET_PREFERENCE", "dataset": "minbias",
+                                      "output_bytes": output_bytes})
+                json.dumps(reply, allow_nan=False)
+                return reply
+            for hostile in (math.nan, math.inf, -math.inf, 1e309, True, False,
+                            "5", [5], -5, 10 ** 400, 1e308):
+                assert ask(hostile)["error"]["code"] == "malformed", hostile
+            assert ask(1000)["result"]["output_seconds"] == 1e6
+            assert ask(0.0)["result"]["output_seconds"] == 0.0
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_handle_no_route_error():
