@@ -9,7 +9,7 @@ configuration as a hierarchy of dn paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import wire
@@ -17,8 +17,6 @@ from .classads import AdKind, ClassAd, ad_to_json
 from .classads.exprs import Literal
 from .classads.values import text
 from .conftree import TreeNode
-
-REQUIRED_PATTERN_KINDS = frozenset({"gatekeeper", "station"})
 
 INFO_KINDS = ("site", "cluster", "station", "gatekeeper")
 
@@ -52,22 +50,16 @@ def _pick(cluster: TreeNode, kind: str) -> TreeNode | None:
     return first
 
 
-def select_patterns(config: TreeNode,
-                    required: frozenset = REQUIRED_PATTERN_KINDS) -> list[Pattern]:
+def select_patterns(config: TreeNode) -> list[Pattern]:
+    """One pattern per cluster that has a gatekeeper and a station below it;
+    a cluster lacking either is skipped."""
     patterns = []
     for cluster in config.descendants("cluster"):
         gatekeeper = _pick(cluster, "gatekeeper")
         station = _pick(cluster, "station")
-        absent = {kind for kind, node in
-                  (("gatekeeper", gatekeeper), ("station", station)) if node is None}
-        if absent & required:
-            continue
-        patterns.append(Pattern(
-            site_node=config,
-            cluster_node=cluster,
-            gatekeeper_node=gatekeeper if gatekeeper is not None else cluster,
-            station_node=station if station is not None else cluster,
-        ))
+        if gatekeeper is not None and station is not None:
+            patterns.append(Pattern(site_node=config, cluster_node=cluster,
+                                    gatekeeper_node=gatekeeper, station_node=station))
     return patterns
 
 
@@ -138,37 +130,31 @@ def generate_classads(patterns: list[Pattern]) -> list[ClassAd]:
 
 # -- information tree -------------------------------------------------------------
 
-@dataclass
-class InfoTree:
-    entries: dict[str, dict[str, str]] = field(default_factory=dict)
-
-    def add(self, dn: str, attributes: dict[str, str]):
-        if dn in self.entries:
-            raise DuplicateDn(dn)
-        self.entries[dn] = dict(attributes)
-
-
-def build_info_tree(config: TreeNode) -> InfoTree:
-    tree = InfoTree()
+def build_info_tree(config: TreeNode) -> dict[str, dict[str, str]]:
+    """A map from the dn of every named site, cluster, station and gatekeeper
+    element to its attributes; DuplicateDn if two elements share a dn."""
+    tree: dict[str, dict[str, str]] = {}
     _walk_info(config, "", tree)
     return tree
 
 
-def _walk_info(node: TreeNode, parent_dn: str, tree: InfoTree):
+def _walk_info(node: TreeNode, parent_dn: str, tree: dict):
     dn = parent_dn
     if node.element_name in INFO_KINDS and "name" in node.attributes:
         component = f"{node.element_name}={node.attributes['name']}"
         dn = f"{parent_dn}/{component}" if parent_dn else component
-        tree.add(dn, node.attributes)
+        if dn in tree:
+            raise DuplicateDn(dn)
+        tree[dn] = dict(node.attributes)
     for child in node.children:
         _walk_info(child, dn, tree)
 
 
-def query_info(tree: InfoTree, prefix: str) -> list[tuple[str, dict[str, str]]]:
+def query_info(tree: dict, prefix: str) -> list[tuple[str, dict[str, str]]]:
     """The entries at or below the prefix, sorted by dn. A prefix matches
     whole dn components only: "site=A" matches "site=A/cluster=c", never
     "site=AB"."""
-    return [(dn, dict(tree.entries[dn])) for dn in sorted(tree.entries)
+    return [(dn, dict(tree[dn])) for dn in sorted(tree)
             if not prefix or dn == prefix or dn.startswith(prefix + "/")]
 
 

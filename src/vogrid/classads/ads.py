@@ -156,10 +156,14 @@ def ad_to_json(ad: ClassAd) -> dict:
 
 
 def ad_from_json(obj: dict, parse=None) -> ClassAd:
-    """The ad `ad_to_json` gave; `parse` stands in for `parse_expr`."""
+    """The ad `ad_to_json` gave; `parse` stands in for `parse_expr`. An
+    absent id is ""; one that is not text is a ValueError."""
     parse = parse or parse_expr
+    ad_id = obj.get("id", "")
+    if not isinstance(ad_id, str):
+        raise ValueError(f"ad id must be text, not {ad_id!r}")
     attrs = {name: parse(src) for name, src in obj["attrs"].items()}
-    return ClassAd(attrs, AdKind(obj["kind"]), obj.get("id", ""))
+    return ClassAd(attrs, AdKind(obj["kind"]), ad_id)
 
 
 _DEFAULT_REQUIREMENTS = Literal(values.TRUE)

@@ -124,9 +124,6 @@ class JobRecord:
                 f"job {self.job_id}: stamp {stamp} goes backwards")
         return HistoryEntry(state, stamp, detail)
 
-    def advance(self, state: JobState, stamp: float, detail: str | None = None):
-        self.history.append(self.next_entry(state, stamp, detail))
-
     def matched_resource(self) -> str | None:
         for entry in reversed(self.history):
             if entry.state is JobState.MATCHED:
@@ -154,7 +151,7 @@ class JobQueue:
     no sort. Jobs mostly enter a bucket in id order; one that enters out of
     order (a released job, a job finishing early) marks its bucket, which is
     sorted once, at its next read. The index follows every change the queue
-    makes; a record advanced behind the queue's back is not reindexed.
+    makes; a record stepped behind the queue's back is not reindexed.
 
     Jobs given as identical ad JSON, by `submit_json` or by journal replay,
     share one ClassAd; ads are immutable.

@@ -437,10 +437,10 @@ class MatchmakerService:
                                                "MATCH_REQUEST": self._match_request})
 
     def _advertise(self, msg: dict) -> dict:
+        ttl = wire.number_field(msg, "ttl", 0)
         try:
             ad = ad_from_json(msg["ad"], self._parse)
             gridmap = msg.get("gridmap", [])
-            ttl = float(msg.get("ttl", 0))
             if not isinstance(gridmap, list) or not all(isinstance(s, str) for s in gridmap):
                 raise TypeError("gridmap must be a list of text")
         except Exception as exc:

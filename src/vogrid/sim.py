@@ -29,14 +29,13 @@ date as slots are claimed and freed, never rebuilt from a snapshot. Every
 slot is collected at time 0 with the scenario's one TTL, so all of them are
 visible exactly while the clock is below it.
 
-A cycle runs only when it can place a job: at the start, after an event
-batch that completes a job, and after any other batch that leaves a visible
-ad free. Every other batch holds only `staged` events; those free no ad and
-push `done` events, and TTL expiry only removes ads, so with no visible ad
-free the cycle would change nothing (`GridWorld.run` gives the argument).
-A staged batch does change what Rank and Requirements read through fun(),
-the stations' queues and caches, so it is not enough that a batch frees no
-slot: a job refused while an ad was free may pass once files are cached.
+A cycle runs at the start and after each event batch that leaves a slot
+free; with every slot busy it could change nothing (`GridWorld.run` gives
+the argument). A batch that completes a job frees that job's slot. A
+staged batch frees none, but it changes what Rank and Requirements read
+through fun(), the stations' queues and caches, so it is not enough that a
+batch frees no slot: a job refused while a slot was free may pass once
+files are cached.
 
 Job ads are checked once, when the scenario loads: Owner and Dataset must be
 text, and OutputBytes and RunSeconds usable quantities (see `jobs`).
@@ -339,6 +338,9 @@ class GridWorld:
         so it is held; otherwise it stays idle for the next cycle. When
         nothing matched and no event is pending, no slot can free again, so
         every job still idle is held with its reason.
+
+        The TTL is tested here only: `run` calls a cycle whenever a slot is
+        free, also after the TTL has passed, and then the pass sees no ad.
         """
         idle = self.queue.state_view(JobState.IDLE)
         if not idle:
@@ -422,21 +424,19 @@ class GridWorld:
     def run(self):
         """Alternate match cycles with event batches until nothing is left.
 
-        A cycle runs at the start, after any batch that completes a job, and
-        after any other batch that leaves some visible ad free; otherwise it
-        is skipped, because it could change nothing:
-        - every other batch holds only `staged` events, which free no ad,
-          and each pushes its job's `done` event, so the heap is not empty
-          and the sweep that holds every idle job when nothing is pending
-          cannot fire;
-        - the staged job still holds its ad, so some ad is busy and no job
-          can be held for having seen every ad free;
-        - with no visible ad free, `match_jobs` pulls no job and calls no
-          chooser, so no job moves, nothing is logged and no random draw is
-          made. TTL expiry between batches only ever removes ads.
-        A staged batch does change the stations: it dequeues input and adds
-        files to the cache, and Rank and Requirements read both through
-        fun(). So when an ad is free, a job refused before may match now.
+        A cycle runs at the start and after any batch that leaves a slot
+        free (`self._free` is not empty); a batch that completes a job puts
+        its slot back there. With every slot busy a cycle is skipped,
+        because it could change nothing: `match_jobs` gets an empty index,
+        so it pulls no job and calls no chooser; no job moves, nothing is
+        logged and no random draw is made; and the sweep that holds every
+        idle job cannot fire, since a busy slot's job has an event pending.
+
+        After the TTL has passed, a free slot still calls a cycle, and
+        `_match_cycle` gives it an empty index. After a batch of `staged`
+        events only, such a cycle changes nothing: the staged job still
+        holds its slot, so no job is held for having seen every ad free,
+        and its `done` event is pending, so the sweep cannot fire.
 
         The free ads live in one index for the whole run: a cycle's claims
         take ads out of it and `_finish_run` puts each back in ad id order,
@@ -444,8 +444,7 @@ class GridWorld:
         themselves may come in any order. That changes no decision: the
         Rank argmax breaks ties totally (rank, Name, ad id), `random` sorts
         its candidates by (Name, ad id), and `round-robin` looks them up by
-        ad id. As every ad shares the scenario's TTL, "some visible ad is
-        free" is "the index is not empty and the clock is below the TTL".
+        ad id.
         """
         can_place = True
         while True:
@@ -455,7 +454,6 @@ class GridWorld:
                 return  # idle jobs only survive a cycle if something is pending
             batch_time = self._heap[0][0]
             self.clock = batch_time
-            completed = False
             while self._heap and self._heap[0][0] == batch_time:
                 _, _, kind, job_id = heapq.heappop(self._heap)
                 self.events_processed += 1
@@ -465,12 +463,7 @@ class GridWorld:
                     self._finish_staging(job_id)
                 else:
                     self._finish_run(job_id)
-                    completed = True
-            can_place = completed or self._some_ad_free()
-
-    def _some_ad_free(self) -> bool:
-        """Whether some ad visible now is not busy."""
-        return bool(self._free) and self.clock < self.scenario.ttl
+            can_place = bool(self._free)
 
     # -- reporting -----------------------------------------------------------
 

@@ -202,20 +202,12 @@ def _answer(cat: DatasetCatalog, st: StationState, msg: dict) -> dict:
             present, missing = lookup_dataset(cat, st, dataset)
             return {"present": [_file_entry_json(f) for f in present],
                     "missing": [_file_entry_json(f) for f in missing]}
-        output_bytes = msg.get("output_bytes")
-        # JSON gives true for 1, and NaN or Infinity for a float; none is a size
-        if output_bytes is not None and (type(output_bytes) not in (int, float)
-                                         or not 0 <= output_bytes < math.inf):
-            raise wire.RequestError("malformed",
-                                    "output_bytes must be a finite nonnegative number")
-        report = get_preference(cat, st, dataset, output_bytes)
-    except OverflowError:  # an integer output_bytes past the range of a float
-        report = None
+        report = get_preference(cat, st, dataset, wire.number_field(msg, "output_bytes"))
     except UnknownDataset:
         raise wire.RequestError("unknown-dataset", f"no dataset named {dataset!r}") from None
     except NoRouteToSource as exc:
         raise wire.RequestError("no-route", str(exc)) from None
-    if report is None or not math.isfinite(report.score):  # JSON has no Infinity
+    if not math.isfinite(report.score):  # a slow link can overflow; JSON has no Infinity
         raise wire.RequestError("malformed", "output_bytes too large to score")
     return vars(report)  # its fields
 

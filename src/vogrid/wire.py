@@ -11,7 +11,8 @@ Services answer through `dispatcher(handlers)`, a map from request type to a
 handler that returns the result object. A request without "type" or "id" is
 "malformed", one whose type has no handler (or is not text) "unsupported";
 a handler's return value is sent as {"id": ..., "result": ...}, and a
-`RequestError(code, message)` it raises as that error.
+`RequestError(code, message)` it raises as that error. Handlers read
+number fields through `number_field`, the one rule for what a number is.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import socket
 import socketserver
+import sys
 import threading
 import time
 from typing import Callable, Mapping
@@ -49,6 +51,19 @@ class RequestError(Exception):
 
 def error_reply(msg_id, code: str, message: str) -> dict:
     return {"id": msg_id, "error": {"code": code, "message": message}}
+
+
+def number_field(msg: dict, field: str, default=None):
+    """`msg[field]` as a finite, nonnegative int or float; `default` when it
+    is absent or null. Anything else is "malformed", including JSON's true
+    and false, NaN, ±Infinity and an integer too large for a float."""
+    value = msg.get(field)
+    if value is None:
+        return default
+    # ints compare with the float bound exactly; NaN fails every comparison
+    if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+        raise RequestError("malformed", f"{field} must be a finite nonnegative number")
+    return value
 
 
 def dispatcher(handlers: Mapping[str, Callable[[dict], dict]]) -> Callable[[dict], dict]:

@@ -66,10 +66,15 @@ FORWARD = [JobState.SUBMITTED, JobState.IDLE, JobState.MATCHED,
            JobState.STAGING, JobState.RUNNING, JobState.DONE]
 
 
+def _step(job, state, stamp, detail=None):
+    """Take the step that `next_entry` allows, as the queue does."""
+    job.history.append(job.next_entry(state, stamp, detail))
+
+
 def test_full_forward_lifecycle():
     job = _job()
     for stamp, state in enumerate(FORWARD):
-        job.advance(state, float(stamp))
+        _step(job, state, float(stamp))
     assert job.state is JobState.DONE
     assert [e.state for e in job.history] == FORWARD
 
@@ -94,42 +99,42 @@ def test_transition_legality_matrix():
             return job
         path = {None: [], **{s: FORWARD[:i + 1] for i, s in enumerate(FORWARD)}}
         if state is JobState.HELD:
-            job.advance(JobState.SUBMITTED, 0.0)
-            job.advance(JobState.HELD, 0.0)
+            _step(job, JobState.SUBMITTED, 0.0)
+            _step(job, JobState.HELD, 0.0)
             return job
         for i, s in enumerate(path[state]):
-            job.advance(s, float(i))
+            _step(job, s, float(i))
         return job
 
     for cur, nxt in itertools.product([None] + list(JobState), JobState):
         job = fresh_in(cur)
         if (cur, nxt) in allowed:
-            job.advance(nxt, 99.0)
+            _step(job, nxt, 99.0)
             assert job.state is nxt
         else:
             with pytest.raises(IllegalJobTransition):
-                job.advance(nxt, 99.0)
+                _step(job, nxt, 99.0)
 
 
 def test_done_has_no_forward_edges():
     job = _job()
     for stamp, state in enumerate(FORWARD):
-        job.advance(state, float(stamp))
+        _step(job, state, float(stamp))
     # not even a hold: a held job can be released, and a finished one must
     # not run again
     for nxt in (JobState.IDLE, JobState.MATCHED, JobState.RUNNING, JobState.DONE,
                 JobState.HELD):
         with pytest.raises(IllegalJobTransition):
-            job.advance(nxt, 10.0)
+            _step(job, nxt, 10.0)
     assert job.state is JobState.DONE
 
 
 def test_stamps_must_be_monotone():
     job = _job()
-    job.advance(JobState.SUBMITTED, 5.0)
+    _step(job, JobState.SUBMITTED, 5.0)
     with pytest.raises(IllegalJobTransition):
-        job.advance(JobState.IDLE, 4.9)
-    job.advance(JobState.IDLE, 5.0)  # equal stamps are fine
+        _step(job, JobState.IDLE, 4.9)
+    _step(job, JobState.IDLE, 5.0)  # equal stamps are fine
 
 
 def test_matched_resource_reads_latest_match():
@@ -138,15 +143,15 @@ def test_matched_resource_reads_latest_match():
             (JobState.SUBMITTED, None), (JobState.IDLE, None),
             (JobState.MATCHED, "FNAL/samadams#1"), (JobState.HELD, "lost claim"),
             (JobState.IDLE, None), (JobState.MATCHED, "FNAL/topaz")]):
-        job.advance(state, float(stamp), detail)
+        _step(job, state, float(stamp), detail)
     assert job.matched_resource() == "FNAL/topaz"
     assert _job().matched_resource() is None
 
 
 def test_status_json():
     job = _job()
-    job.advance(JobState.SUBMITTED, 1.0)
-    job.advance(JobState.IDLE, 2.0)
+    _step(job, JobState.SUBMITTED, 1.0)
+    _step(job, JobState.IDLE, 2.0)
     assert job.status_json() == {
         "job_id": 1,
         "state": "Idle",

@@ -1,6 +1,7 @@
 """Matchmaking pipeline and its wire service."""
 
 import collections
+import json
 import logging
 import math
 import random
@@ -680,6 +681,33 @@ def test_advertise_gridmap_entries_must_be_text(gridmap):
                                     "gridmap": gridmap})
     assert reply["error"]["code"] == "malformed"
     assert service.store.snapshot(0.0) == []
+
+
+@pytest.mark.parametrize("ttl", [True, "7", math.nan, -5, math.inf, 10 ** 400])
+def test_advertise_ttl_must_be_a_finite_nonnegative_number(ttl):
+    # each was once read by float(): true as 1 s, "7" as 7 s, Infinity as forever
+    service = MatchmakerService(clock=lambda: 0.0)
+    reply = service.handle_message(_advertise_msg(_res("r", "A", "s"), ttl=ttl) | {"id": 1})
+    assert reply["error"]["code"] == "malformed"
+    assert service.store.snapshot(0.0) == []
+
+
+@pytest.mark.parametrize("ad_id", [5, 1.5, True, None, math.inf, [], ["r"], {}])
+def test_an_ad_id_that_is_not_text_is_malformed(ad_id):
+    # an id of 5 stored beside a text id once broke every later MATCH_REQUEST
+    # in free_index's sort, and [] or {} broke the ADVERTISE itself
+    service = MatchmakerService(clock=lambda: 0.0)
+    assert "result" in service.handle_message(_advertise_msg(_res("r1", "A", "s")) | {"id": 1})
+    bad_ad = ad_to_json(_res("r2", "B", "s")) | {"id": ad_id}
+    reply = service.handle_message(_advertise_msg(_res("r2", "B", "s")) | {"id": 2, "ad": bad_ad})
+    assert reply["error"]["code"] == "malformed"
+    job = ad_to_json(_job("j"))
+    reply = service.handle_message({"type": "MATCH_REQUEST", "id": 3,
+                                    "jobs": [job | {"id": ad_id}]})
+    assert reply["error"]["code"] == "malformed"
+    json.dumps(reply, allow_nan=False)
+    reply = service.handle_message({"type": "MATCH_REQUEST", "id": 4, "jobs": [job]})
+    assert [d["resource_id"] for d in reply["result"]["decisions"]] == ["r1"]
 
 
 def test_matchmaker_service_respects_ttl_clock():

@@ -323,3 +323,12 @@ def test_ad_json_round_trip():
     assert clone == ad
     assert clone.ad_id == "job-7"
     assert clone.kind is AdKind.JOB
+
+
+@pytest.mark.parametrize("ad_id", [5, 1.5, True, None, math.inf, [], {}])
+def test_ad_from_json_requires_a_text_id(ad_id):
+    obj = ad_to_json(parse_classad('Owner = "alice"\n', AdKind.JOB, ad_id="j"))
+    with pytest.raises(ValueError, match="id must be text"):
+        ad_from_json(obj | {"id": ad_id})
+    del obj["id"]
+    assert ad_from_json(obj).ad_id == ""

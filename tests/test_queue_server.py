@@ -264,6 +264,24 @@ def test_a_record_that_does_not_replay_is_corruption_named_by_line(tmp_path):
         assert path.read_bytes() == before  # a journal that does not replay is left as is
 
 
+@pytest.mark.parametrize("ad_id", [5, True, None, [], {}])
+def test_a_submit_whose_ad_id_is_not_text_is_malformed_and_not_journaled(tmp_path, ad_id):
+    # such SUBMITs were once stored and journaled
+    path = tmp_path / "queue.ndjson"
+    service = QueueService(str(path))
+    try:
+        reply = service.handle_message(_msg("SUBMIT", ad=AD_JSON | {"id": ad_id}))
+        assert reply["error"]["code"] == "malformed"
+        assert service.queue.jobs == {}
+    finally:
+        service.close()
+    assert path.read_bytes() == b""
+    # a journal that holds one anyway does not replay
+    _write_records(path, {"event": "submit", "job_id": 1, "ad": AD_JSON | {"id": ad_id}})
+    with pytest.raises(CorruptJournal, match="line 1 does not replay"):
+        QueueService(str(path))
+
+
 def test_a_finished_job_in_a_journal_cannot_be_held(tmp_path):
     path = tmp_path / "queue.ndjson"
     service = QueueService(str(path))

@@ -530,6 +530,52 @@ def test_skipped_cycles_change_no_report_or_event_log(policy):
         assert got == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
 
 
+class _CycleCountingWorld(GridWorld):
+    """Counts match cycles, and the event batches after which some slot is
+    free; a batch ends with an event after which the heap holds no other
+    event at the same time."""
+
+    cycles = 0
+    batches = 0
+    free_batches = 0
+
+    def _match_cycle(self) -> int:
+        self.cycles += 1
+        return super()._match_cycle()
+
+    def _finish_staging(self, job_id: int):
+        super()._finish_staging(job_id)
+        self._after_event()
+
+    def _finish_run(self, job_id: int):
+        super()._finish_run(job_id)
+        self._after_event()
+
+    def _after_event(self):
+        if not (self._heap and self._heap[0][0] == self.clock):
+            self.batches += 1
+            self.free_batches += bool(self._free)
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_cycle_runs_only_at_the_start_and_after_a_batch_that_leaves_a_slot_free(policy):
+    # with every slot busy a cycle can place nothing; an added cycle would
+    # change no output, so only this count can catch one
+    scenarios = [SKEWED, load_scenario(SAMPLE_DOC)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        doc = _world_doc(make_world(rng), rng)
+        doc["ttl"] = sim.DEFAULT_TTL
+        scenarios.append(load_scenario(doc))
+    skipped = 0
+    for seed, scenario in enumerate(scenarios):
+        world = _CycleCountingWorld(scenario, policy, seed)
+        world.run()
+        assert world.cycles == 1 + world.free_batches, (scenario.name, seed)
+        skipped += world.batches - world.free_batches
+    assert skipped > 0
+
+
 # -- the live free index -------------------------------------------------------------
 
 def _rejoin_doc() -> dict:
