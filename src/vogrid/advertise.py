@@ -81,8 +81,8 @@ def generate_classads_with_provenance(
         patterns: list[Pattern]) -> tuple[list[ClassAd], dict[str, dict[str, str]]]:
     """One resource ad per pattern slot, plus attribute-level provenance.
 
-    The slots of one pattern are twins (`ClassAd.twin`): one set of
-    bindings under ids `Name#1`, `Name#2`, ... (just `Name` for one slot)."""
+    The slots of one pattern bind the same attributes under ids `Name#1`,
+    `Name#2`, ... (just `Name` for one slot)."""
     ads = []
     provenance: dict[str, dict[str, str]] = {}
     for p in patterns:
@@ -115,10 +115,9 @@ def generate_classads_with_provenance(
                 continue
             attrs[f"Site_{aname}"] = Literal(text(avalue))
             sources[f"Site_{aname}"] = f"{cluster_dn}@{aname}"
-        slot_ad = ClassAd(attrs, AdKind.RESOURCE)
         for k in range(1, slots + 1):
             ad_id = name if slots == 1 else f"{name}#{k}"
-            ads.append(slot_ad.twin(ad_id))
+            ads.append(ClassAd(attrs, AdKind.RESOURCE, ad_id))
             provenance[ad_id] = dict(sources)
     return ads, provenance
 

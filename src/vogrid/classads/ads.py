@@ -31,25 +31,8 @@ class AdKind(Enum):
 _BINDING = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
 
 
-class _Derived:
-    """What an ad's kind and bindings alone determine, computed on first use
-    and shared by the ad's twins: each self-read, by folded name, and the
-    ad's key."""
-
-    __slots__ = ("self_values", "key")
-
-    def __init__(self):
-        self.self_values: dict[str, values.Value] = {}
-        self.key: tuple | None = None
-
-
 class ClassAd:
-    """Immutable set of attribute bindings plus a kind and an identity.
-
-    Twins are ads of one kind and one set of bindings under different ids
-    (`twin`), such as the slots of one site cluster. They share the bindings
-    and what is derived from them, so each is read once for all of them.
-    """
+    """Immutable set of attribute bindings plus a kind and an identity."""
 
     def __init__(self, attrs: dict[str, Expr], kind: AdKind, ad_id: str = ""):
         by_folded: dict[str, Expr] = {}
@@ -60,26 +43,15 @@ class ClassAd:
             by_folded[low] = expr
         self._attrs = dict(attrs)
         self._by_folded = by_folded
-        self._derived = _Derived()
+        self._self_values: dict[str, values.Value] = {}  # folded name -> self-read
         self.kind = kind
         self.ad_id = ad_id
 
-    def twin(self, ad_id: str) -> "ClassAd":
-        """This ad's kind and bindings under another id, sharing the bindings,
-        their case-folded map and the memo of what derives from them."""
-        twin = object.__new__(ClassAd)
-        twin.__dict__.update(self.__dict__)
-        twin.ad_id = ad_id
-        return twin
-
     def key(self) -> tuple:
         """A hashable image of the kind and bindings: ads with equal keys
-        evaluate alike against any ad. Built once for all twins."""
-        derived = self._derived
-        if derived.key is None:
-            derived.key = (self.kind, tuple((name, expr_key(expr))
-                                            for name, expr in self._attrs.items()))
-        return derived.key
+        evaluate alike against any ad."""
+        return (self.kind, tuple((name, expr_key(expr))
+                                 for name, expr in self._attrs.items()))
 
     def lookup(self, name: str) -> Optional[Expr]:
         return self._by_folded.get(name.lower())
@@ -87,10 +59,10 @@ class ClassAd:
     def evaluate_self(self, name: str) -> values.Value:
         """The attribute alone: SELF is this ad, no OTHER, no functions.
 
-        Memoized per attribute, for the ad and its twins: the bindings are
-        immutable, and a self-read sees nothing but them."""
+        Memoized per attribute: the bindings are immutable, and a self-read
+        sees nothing but them."""
         low = name.lower()
-        memo = self._derived.self_values
+        memo = self._self_values
         value = memo.get(low)
         if value is None:
             expr = self._by_folded.get(low)

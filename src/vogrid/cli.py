@@ -138,8 +138,7 @@ def cmd_info_serve(args):
 
 def cmd_station_serve(args):
     from .station import DatasetCatalog, handler
-    catalog = DatasetCatalog({ds: [tuple(e) for e in files] for ds, files
-                              in json.loads(_read(args.catalog)).items()})
+    catalog = DatasetCatalog(json.loads(_read(args.catalog)))
     state = _load_station(args)
     _serve(handler(catalog, state), args.port, args.auth)
 

@@ -1,14 +1,12 @@
 """Schema-driven configuration: one tree type for schemas and configs.
 
 The tree, XML and derivation layers load with the package; what a station
-or a simulation needs ends there. The configuration session (`configure`,
+or a simulation needs ends there. The configuration session (`configurator`,
 `session`, `meta`, `directives`, which bring `subprocess` with them) loads
 on the first use of one of its names.
 """
 
 import importlib
-import sys
-import types
 
 from .derive import (
     MissingSection,
@@ -22,10 +20,10 @@ from .xmlio import MalformedXml, read_tree, write_tree
 
 # name -> the submodule that defines it, loaded on first use (PEP 562)
 _LAZY = {
-    "CardinalityViolation": "configure",
-    "DuplicateAttribute": "configure",
-    "UnboundVar": "configure",
-    "configure": "configure",
+    "CardinalityViolation": "configurator",
+    "DuplicateAttribute": "configurator",
+    "UnboundVar": "configurator",
+    "configure": "configurator",
     "UnknownDirective": "directives",
     "parse_directive": "directives",
     "MAX_DESIGN_DEPTH": "meta",
@@ -48,18 +46,6 @@ def __getattr__(name):
     globals()[name] = value
     return value
 
-
-class _Package(types.ModuleType):
-    """Keeps `configure` the function, not the submodule of that name: the
-    import system binds a submodule on its package once it has loaded."""
-
-    def __setattr__(self, name, value):
-        if name == "configure" and isinstance(value, types.ModuleType):
-            value = value.configure
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "ACCEPT_DEFAULT",

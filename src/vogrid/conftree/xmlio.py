@@ -43,22 +43,9 @@ def _convert(el) -> TreeNode:
         raise MalformedXml(str(exc)) from None
 
 
-def _escape(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch == "&":
-            out.append("&amp;")
-        elif ch == "<":
-            out.append("&lt;")
-        elif ch == ">":
-            out.append("&gt;")
-        elif ch == "'":
-            out.append("&apos;")
-        elif ch in ("\n", "\t", "\r"):
-            out.append(f"&#{ord(ch)};")
-        else:
-            out.append(ch)
-    return "".join(out)
+# for a value in single quotes; whitespace is escaped so that a read keeps it
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "'": "&apos;",
+                          "\n": "&#10;", "\t": "&#9;", "\r": "&#13;"})
 
 
 def write_tree(node: TreeNode) -> str:
@@ -69,7 +56,7 @@ def write_tree(node: TreeNode) -> str:
 
 def _write(node: TreeNode, depth: int, lines: list[str]):
     pad = "  " * depth
-    attrs = "".join(f" {k}='{_escape(node.attributes[k])}'"
+    attrs = "".join(f" {k}='{node.attributes[k].translate(_ESCAPES)}'"
                     for k in sorted(node.attributes))
     if not node.children:
         lines.append(f"{pad}<{node.element_name}{attrs}/>")

@@ -38,9 +38,9 @@ class Journal:
         tail = raw[raw.rfind(b"\n") + 1:]
         if tail:
             try:
-                json.loads(tail)
+                wire.decode_line(tail)
                 fh.write(b"\n")
-            except (ValueError, RecursionError):
+            except ValueError:
                 fh.truncate(len(raw) - len(tail))
             fh.flush()
             os.fsync(fh.fileno())
@@ -64,8 +64,8 @@ def replay_journal(path: str) -> list[dict]:
     lines = raw.split(b"\n")
     for i, line in enumerate(lines):
         try:
-            records.append(json.loads(line))
-        except (ValueError, RecursionError):  # as in wire: any line JSON cannot decode
+            records.append(wire.decode_line(line))
+        except ValueError:
             if i == len(lines) - 1:  # no newline after it: an interrupted write
                 break
             raise CorruptJournal(f"{path}: bad record on line {i + 1}") from None

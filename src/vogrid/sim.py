@@ -22,12 +22,13 @@ ad is busy or claimed; it stages and holds after the pass. So its cost
 follows the jobs it examines and the clusters that can still take one, not
 the length of the backlog or the number of slots.
 
-The slots are built once per run, and their cost follows the site clusters:
-the slots of a cluster are twin ads, one set of bindings whose cluster key
-is built once. The free slots are one index for the whole run, kept up to
-date as slots are claimed and freed, never rebuilt from a snapshot. Every
-slot is collected at time 0 with the scenario's one TTL, so all of them are
-visible exactly while the clock is below it.
+A scenario derives its stations and collects its slots once, the first
+time a run is built from it (`Scenario.grid`); a run copies only the station
+map, whose states are immutable, and never changes the shared slot records.
+The free slots are one index for the whole run, kept up to date as slots are
+claimed and freed, never rebuilt from a snapshot. Every slot is collected at
+time 0 with the scenario's one TTL, so all of them are visible exactly while
+the clock is below it.
 
 A cycle runs at the start and after each event batch that leaves a slot
 free; with every slot busy it could change nothing (`GridWorld.run` gives
@@ -48,8 +49,10 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
+from . import wire
 from .advertise import generate_classads, select_patterns
 from .classads import ClassAd, Expr, parse_expr
 from .classads.ads import AdKind
@@ -106,7 +109,7 @@ class SiteSpec:
     gridmap: list[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     catalog: DatasetCatalog
@@ -114,16 +117,38 @@ class Scenario:
     job_ads: list[ClassAd]
     ttl: float = DEFAULT_TTL
 
+    @cached_property
+    def grid(self) -> tuple[dict[str, StationState], dict[str, StoredAd]]:
+        """The stations by id and the slot records by ad id, derived and
+        collected the first time a run is built. Every run shares them and
+        changes neither; a grid that fails to build is not kept, so every
+        run raises its ScenarioParseError."""
+        stations: dict[str, StationState] = {}
+        slots: dict[str, StoredAd] = {}
+        store = AdStore()  # gives equal slot ads one resource cluster
+        for site in self.sites:
+            for node in derive_service_config(site.config, "station").children:
+                st = station_from_config(
+                    node, site.station_fixtures.get(node.attributes["name"]))
+                if st.station_id in stations:
+                    raise ScenarioParseError(
+                        f"station {st.station_id!r} defined twice")
+                stations[st.station_id] = st
+            for ad in generate_classads(select_patterns(site.config)):
+                slots[ad.ad_id] = store.collect_ad(ad, site.gridmap, self.ttl, now=0.0)
+        unknown = {s.station_id for s in slots.values()} - set(stations)
+        if unknown:
+            raise ScenarioParseError(
+                f"ads reference undefined stations {sorted(unknown)}")
+        return stations, slots
+
 
 _DEFAULT_RANK_SOURCE = "fun(Dataset, OTHER.Station_ID)"
 
 
 def load_scenario(doc: dict) -> Scenario:
     try:
-        catalog = DatasetCatalog({
-            ds: [tuple(entry) for entry in files]
-            for ds, files in doc["catalog"].items()
-        })
+        catalog = DatasetCatalog(doc["catalog"])
         sites = []
         for site_doc in doc["sites"]:
             sites.append(SiteSpec(
@@ -152,7 +177,7 @@ def load_scenario(doc: dict) -> Scenario:
             job_ads.append(ad)
         return Scenario(name=doc.get("name", "scenario"), catalog=catalog,
                         sites=sites, job_ads=job_ads,
-                        ttl=float(doc.get("ttl", DEFAULT_TTL)))
+                        ttl=wire.number_field(doc, "ttl", DEFAULT_TTL))
     except ScenarioParseError:
         raise
     except Exception as exc:
@@ -195,7 +220,7 @@ def make_site_config(site: str, cluster: str, station: str,
 
 
 class GridWorld:
-    """One scenario instance: stations, ads, the job queue, and the clock."""
+    """One run of a scenario: its station states, free slots, job queue and clock."""
 
     def __init__(self, scenario: Scenario, policy: str, seed: int):
         if policy not in POLICIES:
@@ -207,8 +232,10 @@ class GridWorld:
         self.clock = 0.0
         self.catalog = scenario.catalog
         self.registry = standard_registry()
-        self.stations: dict[str, StationState] = {}
-        self.slots: dict[str, StoredAd] = {}  # ad id -> its stored record
+        # shared by every run of the scenario: the slot records (by ad id)
+        # are only read; the station map is copied, as a run replaces states
+        stations, self.slots = scenario.grid
+        self.stations = dict(stations)
         self.event_log: list[dict] = []
         self.events_processed = 0
         self._heap: list = []
@@ -222,26 +249,6 @@ class GridWorld:
         self._snapshot: dict[str, StationState] = {}
         self._scores: dict[tuple, float] = {}
         self._env = {"station_query": self._preference}
-        self._build(scenario)
-
-    def _build(self, scenario: Scenario):
-        store = AdStore()  # gives twins one cluster, whose key it builds once
-        for site in scenario.sites:
-            stations_cfg = derive_service_config(site.config, "station")
-            for node in stations_cfg.children:
-                st = station_from_config(
-                    node, site.station_fixtures.get(node.attributes["name"]))
-                if st.station_id in self.stations:
-                    raise ScenarioParseError(
-                        f"station {st.station_id!r} defined twice")
-                self.stations[st.station_id] = st
-            for ad in generate_classads(select_patterns(site.config)):
-                self.slots[ad.ad_id] = store.collect_ad(
-                    ad, site.gridmap, scenario.ttl, now=0.0)
-        unknown = {s.station_id for s in self.slots.values()} - set(self.stations)
-        if unknown:
-            raise ScenarioParseError(
-                f"ads reference undefined stations {sorted(unknown)}")
         self._rr_order = sorted(self.slots)
         # the slots not busy, kept up to date across the cycles of the run
         self._free: FreeIndex = free_index(self.slots.values())

@@ -13,11 +13,15 @@ handler that returns the result object. A request without "type" or "id" is
 a handler's return value is sent as {"id": ..., "result": ...}, and a
 `RequestError(code, message)` it raises as that error. Handlers read
 number fields through `number_field`, the one rule for what a number is.
+Lines are read through `decode_line`, which takes JSON only: a line with
+NaN, ±Infinity or a number beyond a float's range is not JSON, so it is
+"malformed" and no reply ever echoes such a value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import sys
@@ -66,6 +70,28 @@ def number_field(msg: dict, field: str, default=None):
     return value
 
 
+def _finite(literal: str) -> float:
+    """A float literal or one of the tokens NaN and ±Infinity, if finite."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
+
+
+# shared, as json.loads shares its own default decoder
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+
+
+def decode_line(line: bytes):
+    """The JSON value on one UTF-8 line. Anything that is not JSON is a
+    ValueError: bad UTF-8, too many digits or levels, the tokens NaN and
+    ±Infinity, and a number that decodes to an infinite float."""
+    try:
+        return _DECODER.decode(line.decode("utf-8", "surrogatepass"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def dispatcher(handlers: Mapping[str, Callable[[dict], dict]]) -> Callable[[dict], dict]:
     """One reply per request: route by "type", wrap results and RequestErrors."""
     def dispatch(msg: dict) -> dict:
@@ -97,8 +123,8 @@ class _Handler(socketserver.StreamRequestHandler):
             if not line:
                 continue
             try:
-                msg = json.loads(line)
-            except (ValueError, RecursionError):  # also bad UTF-8, too many digits or levels
+                msg = decode_line(line)
+            except ValueError:
                 self._send(error_reply(None, "malformed", "not valid JSON"))
                 continue
             if not isinstance(msg, dict):
@@ -211,7 +237,7 @@ class Connection:
         line = self._rfile.readline()
         if not line:
             raise ConnectionClosed("connection closed by server")
-        reply = json.loads(line)
+        reply = decode_line(line)
         if reply.get("id") != msg["id"]:
             raise WireError(f"reply id {reply.get('id')!r} does not match {msg['id']!r}")
         return reply

@@ -221,6 +221,26 @@ def test_corruption_before_the_end_is_fatal(tmp_path):
         replay_journal(str(path2))
 
 
+@pytest.mark.parametrize("number", [b"NaN", b"-Infinity", b"1e400"])
+def test_a_record_that_is_not_json_is_corrupt_or_a_torn_tail(tmp_path, number):
+    path = tmp_path / "queue.ndjson"
+    service = QueueService(str(path))
+    service.handle_message(_msg("SUBMIT", ad=AD_JSON))
+    service.close()
+    whole = path.read_bytes()
+    record = b'{"event": "state", "job_id": 1, "stamp": %s}' % number
+    path.write_bytes(whole + record + b"\n")
+    with pytest.raises(CorruptJournal, match="line 2"):
+        replay_journal(str(path))
+    path.write_bytes(whole + record)  # without its newline: cut off at restart
+    revived = QueueService(str(path))
+    try:
+        assert revived.queue.get(1).state is JobState.IDLE
+    finally:
+        revived.close()
+    assert path.read_bytes() == whole
+
+
 def test_submit_appends_one_line_with_one_append_and_one_fsync(tmp_path, monkeypatch):
     path = tmp_path / "queue.ndjson"
     appends, fsyncs = [], []

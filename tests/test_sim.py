@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import vogrid.sim as sim
-from vogrid.classads import ads as classads_ads
 from vogrid.classads import parse_expr
 from vogrid.conftree import read_tree, write_tree
 from vogrid.jobs import JobState
@@ -103,6 +102,24 @@ def test_load_scenario_rejects_bad_documents(mangle):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize("ttl", [True, "7", math.nan, -5, math.inf, 10 ** 400],
+                         ids=["true", "text", "nan", "negative", "infinity", "10**400"])
+def test_a_scenario_ttl_must_be_a_finite_nonnegative_number(ttl):
+    doc = _one_site_doc()
+    doc["ttl"] = ttl
+    with pytest.raises(ScenarioParseError, match="ttl"):
+        load_scenario(doc)
+
+
+def test_an_absent_or_null_ttl_is_the_default():
+    doc = _one_site_doc()
+    assert load_scenario(doc).ttl == sim.DEFAULT_TTL
+    doc["ttl"] = None
+    assert load_scenario(doc).ttl == sim.DEFAULT_TTL
+    doc["ttl"] = 7
+    assert load_scenario(doc).ttl == 7
+
+
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(_one_site_doc()))
@@ -115,8 +132,25 @@ def test_load_scenario_file(tmp_path):
 def test_duplicate_station_rejected():
     doc = _one_site_doc()
     doc["sites"].append(doc["sites"][0])
-    with pytest.raises(ScenarioParseError):
-        GridWorld(load_scenario(doc), "data-aware", 0)
+    scenario = load_scenario(doc)  # the first world builds the grid
+    for policy in ("data-aware", "random"):  # a grid that fails is not kept
+        with pytest.raises(ScenarioParseError, match="defined twice"):
+            GridWorld(scenario, policy, 0)
+
+
+def test_undefined_station_rejected():
+    doc = _one_site_doc()
+    # the advertiser picks the preferred inner station, which no station
+    # derivation reaches: it does not look inside a station element
+    doc["sites"][0]["config_xml"] = (
+        "<site name='S' schema_version='v0_3'><cluster name='c'>"
+        "<gatekeeper url='gram://c.S.example:2119' jobmanager='fork'/>"
+        "<station name='st'><station name='inner' preferred='true'/></station>"
+        "</cluster></site>")
+    scenario = load_scenario(doc)
+    for policy in ("data-aware", "random"):
+        with pytest.raises(ScenarioParseError, match="undefined stations"):
+            GridWorld(scenario, policy, 0)
 
 
 def test_unknown_policy_rejected():
@@ -632,24 +666,41 @@ def test_freed_slots_rejoin_their_cluster_in_ad_id_order(policy, monkeypatch):
     assert got == _outcome(_EveryBatchWorld(scenario, policy, 0))
 
 
-def test_a_run_takes_no_snapshot_and_keys_each_cluster_once(monkeypatch):
-    snapshots, keyed = [], []
-    snapshot, expr_key = sim.AdStore.snapshot, classads_ads.expr_key
-    monkeypatch.setattr(sim.AdStore, "snapshot",
-                        lambda store, now: snapshots.append(now) or snapshot(store, now))
-    monkeypatch.setattr(classads_ads, "expr_key",
-                        lambda expr: keyed.append(expr) or expr_key(expr))
+def test_only_the_first_world_of_a_scenario_builds_its_grid(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("derive_service_config", "generate_classads"):
+        monkeypatch.setattr(sim, name, counting(name, getattr(sim, name)))
+    for name in ("collect_ad", "snapshot"):
+        monkeypatch.setattr(sim.AdStore, name, counting(name, getattr(sim.AdStore, name)))
     scenario = load_scenario(_rejoin_doc())
-    for policy in sim.POLICIES:
+    for k, policy in enumerate(sim.POLICIES):
         world = GridWorld(scenario, policy, 0)
-        clusters = {id(s.cluster): s.ad for s in world.slots.values()}
-        assert len(world.slots) == 13 and len(clusters) == 2
-        # one walk of each attribute of each cluster's bindings
-        assert len(keyed) == sum(len(list(ad.items())) for ad in clusters.values())
-        del keyed[:]
+        if k == 0:  # two sites, 13 slots in two clusters
+            assert sorted(calls) == (["collect_ad"] * 13 + ["derive_service_config"] * 2
+                                     + ["generate_classads"] * 2)
+            stations, slots = dict(world.stations), dict(world.slots)
+            assert len({id(s.cluster) for s in slots.values()}) == 2
+            del calls[:]
         world.run()
-        assert keyed == []
-    assert snapshots == []
+        assert calls == []
+    # no run changed the shared grid
+    assert scenario.grid == (stations, slots)
+    assert all(scenario.grid[1][ad_id] is s for ad_id, s in slots.items())
+
+
+@pytest.mark.parametrize("doc", [SAMPLE_DOC, _rejoin_doc()], ids=["sample", "rejoin"])
+def test_runs_that_share_a_grid_repeat_a_fresh_scenario_s_runs(doc):
+    scenario = load_scenario(doc)
+    first = run_scenario(scenario, "data-aware", 0)
+    assert first == run_scenario(load_scenario(doc), "data-aware", 0)
+    for policy in ("random", "round-robin"):
+        assert run_scenario(scenario, policy, 0) == \
+            run_scenario(load_scenario(doc), policy, 0)
+    assert run_scenario(scenario, "data-aware", 0) == first
 
 
 # -- routes ------------------------------------------------------------------------------

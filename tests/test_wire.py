@@ -58,15 +58,20 @@ def test_wrong_reply_id_is_an_error():
         server.server_close()
 
 
+def _not_json(token):
+    raise AssertionError(f"reply holds {token}, which is not JSON")
+
+
 def _raw_exchange(port, *lines):
-    """Send raw bytes, read one reply line per input line."""
+    """Send raw bytes, read one reply line per input line; each reply must
+    be strict JSON."""
     replies = []
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
         f = sock.makefile("rwb")
         for line in lines:
             f.write(line)
             f.flush()
-            replies.append(json.loads(f.readline()))
+            replies.append(json.loads(f.readline(), parse_constant=_not_json))
     return replies
 
 
@@ -82,6 +87,32 @@ def test_malformed_lines_keep_the_connection_open():
             b'{"type": "PING", "id": 5, "payload": "still here"}\n')
         assert [r["error"]["code"] for r in replies[:-1]] == ["malformed"] * 4
         assert replies[-1] == {"id": 5, "result": {"echo": "still here"}}
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_an_id_that_is_not_json_is_malformed_and_never_echoed():
+    server = _serve(wire.dispatcher({"PING": lambda msg: {"pong": True}}))
+    try:
+        for mtype in ("PING", "NOPE"):
+            lines = [b'{"type": "%s", "id": %s}\n' % (mtype.encode(), token)
+                     for token in (b"NaN", b"Infinity", b"-Infinity", b"1e400")]
+            replies = _raw_exchange(server.port, *lines, b'{"type": "PING", "id": 5}\n')
+            assert [(r["id"], r["error"]["code"]) for r in replies[:-1]] == \
+                [(None, "malformed")] * 4
+            assert replies[-1] == {"id": 5, "result": {"pong": True}}
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_reply_that_is_not_json_is_refused_by_the_client():
+    server = _serve(lambda msg: {"id": msg["id"], "result": {"score": float("nan")}})
+    try:
+        with wire.Connection("127.0.0.1", server.port) as conn:
+            with pytest.raises(ValueError):
+                conn.request({"type": "PING"})
     finally:
         server.shutdown()
         server.server_close()
