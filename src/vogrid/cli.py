@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +41,14 @@ def _host_port(value: str) -> tuple[str, int]:
     if not sep or not port.isdigit():
         raise argparse.ArgumentTypeError(f"{value!r} is not HOST:PORT")
     return host or "127.0.0.1", int(port)
+
+
+def _interval(value: str) -> float:
+    seconds = float(value)
+    if not 0 < 2.0 * seconds < math.inf:  # the TTL sent is twice the interval
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a finite number of seconds above 0")
+    return seconds
 
 
 def _serve(handler, port: int, auth: str | None):
@@ -242,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = advsub.add_parser("run", help="advertise a site to the matchmaker")
     p.add_argument("--config", required=True)
     p.add_argument("--mm", required=True, type=_host_port)
-    p.add_argument("--interval", type=float, default=30.0)
+    p.add_argument("--interval", type=_interval, default=30.0)
     p.add_argument("--gridmap", help="authorized grid subjects, one per line")
     p.add_argument("--once", action="store_true", help="advertise once and exit")
     p.add_argument("--auth")

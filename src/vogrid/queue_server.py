@@ -11,7 +11,6 @@ or stamp, is a CorruptJournal naming the line; so is the older journal form.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 
@@ -46,8 +45,7 @@ class Journal:
             os.fsync(fh.fileno())
 
     def append(self, record: dict):
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        self._fh.write(line.encode("utf-8"))
+        self._fh.write(wire.encode_line(record))
         self._fh.flush()
         os.fsync(self._fh.fileno())
 

@@ -26,17 +26,29 @@ A scenario derives its stations and collects its slots once, the first
 time a run is built from it (`Scenario.grid`); a run copies only the station
 map, whose states are immutable, and never changes the shared slot records.
 The free slots are one index for the whole run, kept up to date as slots are
-claimed and freed, never rebuilt from a snapshot. Every slot is collected at
-time 0 with the scenario's one TTL, so all of them are visible exactly while
-the clock is below it.
+claimed and freed, never rebuilt from a snapshot: a cycle's claims take slots
+out of it and a finished job puts its slot back in ad id order. So each
+cluster's members stay in ad id order, but a cluster that empties and frees
+again goes to the end, and the clusters may come in another order than a
+fresh `free_index` would give. No decision depends on that order: the Rank
+argmax breaks ties totally (rank, Name, ad id), `random` sorts its
+candidates by (Name, ad id) before drawing, and `round-robin` looks them up
+by ad id. Every slot is collected at time 0 with the scenario's one TTL, so
+all of them are visible exactly while the clock is below it.
+
+The work in flight lives only in the event heap. A match pushes the event
+that ends the job's staging, which pushes the one that ends its run; each
+carries the job's record and slot, and the first also the names of the
+files it fetches. So a slot is busy exactly while one event of its job is
+pending, and no slot is busy exactly when the heap is empty.
 
 A cycle runs at the start and after each event batch that leaves a slot
 free; with every slot busy it could change nothing (`GridWorld.run` gives
 the argument). A batch that completes a job frees that job's slot. A
-staged batch frees none, but it changes what Rank and Requirements read
-through fun(), the stations' queues and caches, so it is not enough that a
-batch frees no slot: a job refused while a slot was free may pass once
-files are cached.
+batch that only ends stagings frees none, but it changes what Rank and
+Requirements read through fun(), the stations' queues and caches, so it is
+not enough that a batch frees no slot: a job refused while a slot was free
+may pass once files are cached.
 
 Job ads are checked once, when the scenario loads: Owner and Dataset must be
 text, and OutputBytes and RunSeconds usable quantities (see `jobs`).
@@ -128,8 +140,11 @@ class Scenario:
         store = AdStore()  # gives equal slot ads one resource cluster
         for site in self.sites:
             for node in derive_service_config(site.config, "station").children:
-                st = station_from_config(
-                    node, site.station_fixtures.get(node.attributes["name"]))
+                try:
+                    st = station_from_config(
+                        node, site.station_fixtures.get(node.attributes["name"]))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ScenarioParseError(f"bad station: {exc!r}") from exc
                 if st.station_id in stations:
                     raise ScenarioParseError(
                         f"station {st.station_id!r} defined twice")
@@ -241,16 +256,14 @@ class GridWorld:
         self._heap: list = []
         self._heap_seq = 0
         self._rr_ptr = 0
-        self._pending_files: dict[int, list[str]] = {}
         self.queue = JobQueue()
-        self.busy: dict[str, int] = {}  # ad id -> queue job id
         # station states as the current cycle started, and the preference
         # scores asked of them so far, keyed (dataset, station, output bytes)
         self._snapshot: dict[str, StationState] = {}
         self._scores: dict[tuple, float] = {}
         self._env = {"station_query": self._preference}
         self._rr_order = sorted(self.slots)
-        # the slots not busy, kept up to date across the cycles of the run
+        # the slots with no event pending, kept up to date across the run
         self._free: FreeIndex = free_index(self.slots.values())
         for ad in scenario.job_ads:
             self.queue.submit(ad, stamp=self.clock)
@@ -263,9 +276,11 @@ class GridWorld:
         entry.update(payload)
         self.event_log.append(entry)
 
-    def _push(self, at: float, kind: str, job_id: int):
+    def _push(self, at: float, action, *args):
+        """Schedule `action(*args)` at time `at`; events at one time run in
+        the order they were pushed."""
         self._heap_seq += 1
-        heapq.heappush(self._heap, (at, self._heap_seq, kind, job_id))
+        heapq.heappush(self._heap, (at, self._heap_seq, action, args))
 
     def _preference(self, dataset: str, station_id: str,
                     output_bytes: int | None) -> float:
@@ -324,37 +339,28 @@ class GridWorld:
         `match_jobs` pulls idle records lazily, in job id order, from the
         queue's live view, and stops once no ad is left free; the jobs it did
         not reach count as having no candidates. Its free ads are the live
-        index `self._free`: the slots not busy, each cluster's in ad id
-        order. Every slot was collected at time 0 with the scenario's one
-        TTL, so all are visible exactly while the clock is below it, and
-        after that the pass gets an empty index. The index is built once per
-        run, and a cluster that empties and frees again goes to its end, so
-        its clusters may come in another order than a fresh `free_index`
-        would give. No decision depends on that order: the Rank argmax
-        breaks ties totally (rank, Name, ad id), `random` sorts its
-        candidates by (Name, ad id) before drawing, and `round-robin` looks
-        them up by ad id.
+        index `self._free`. The TTL is tested here only: `run` calls a cycle
+        whenever a slot is free, also after the TTL has passed, and then the
+        pass gets an empty index.
 
         The pass changes neither the queue nor the stations: it reads only
         the index it claims from and the cycle's snapshot. So its
         transitions and staging land after it, in the order it decided them,
         which is what applying each one at once would give.
 
-        A job that failed to match while every visible ad was free (none
-        busy, none claimed earlier in its own cycle) can never match later,
-        so it is held; otherwise it stays idle for the next cycle. When
-        nothing matched and no event is pending, no slot can free again, so
-        every job still idle is held with its reason.
-
-        The TTL is tested here only: `run` calls a cycle whenever a slot is
-        free, also after the TTL has passed, and then the pass sees no ad.
+        A job that failed to match while every visible ad was free (no event
+        pending as the cycle started, no ad claimed earlier in its own
+        cycle) can never match later, so it is held; otherwise it stays idle
+        for the next cycle. If no job matched either, nothing is pending and
+        no slot can free again, so the jobs the pass did not reach are held
+        too, with no candidates.
         """
         idle = self.queue.state_view(JobState.IDLE)
         if not idle:
             return 0
         self._snapshot = dict(self.stations)
         self._scores = {}
-        saw_everything = not self.busy  # no ad busy as the cycle starts
+        saw_everything = not self._heap  # no slot busy as the cycle starts
         choose = (choose_by_rank if self.policy == "data-aware"
                   else self._choose_baseline)
         pulled = []
@@ -368,7 +374,6 @@ class GridWorld:
         decisions = list(match_jobs(index, pull(), self.registry, self._env,
                                     choose=choose))
         matched = 0
-        reasons = {}
         for record, decision in zip(pulled, decisions):
             if decision.matched:
                 matched += 1
@@ -376,11 +381,9 @@ class GridWorld:
                 self._start_staging(record, decision)
             elif saw_everything:
                 self._hold(record, decision.reason)
-            else:
-                reasons[record.job_id] = decision.reason
-        if saw_everything or (matched == 0 and not self._heap):
+        if saw_everything:
             for record in self.queue.in_state(JobState.IDLE):
-                self._hold(record, reasons.get(record.job_id, "no-candidates"))
+                self._hold(record, "no-candidates")
         return matched
 
     def _hold(self, record, reason: str):
@@ -389,42 +392,34 @@ class GridWorld:
         self._log("held", job=record.ad.ad_id, reason=reason)
 
     def _start_staging(self, record, decision: MatchDecision):
-        ad_id = decision.resource_id
-        station_id = self.slots[ad_id].station_id
+        slot = self.slots[decision.resource_id]
         dataset = record.ad.self_text("Dataset")
         # the same query the data-aware Rank made, so staging == -rank
-        staging = -self._preference(dataset, station_id, output_bytes(record.ad))
-        self.busy[ad_id] = record.job_id
+        staging = -self._preference(dataset, slot.station_id, output_bytes(record.ad))
         self.queue.transition(record.job_id, JobState.MATCHED,
-                              stamp=self.clock, detail=ad_id)
+                              stamp=self.clock, detail=slot.ad.ad_id)
         self.queue.transition(record.job_id, JobState.STAGING, stamp=self.clock)
-        _, missing = lookup_dataset(self.catalog, self._snapshot[station_id], dataset)
-        self.stations[station_id] = apply_event(
-            self.stations[station_id], *[EnqueueInput()] * len(missing))
-        self._pending_files[record.job_id] = [f.file_name for f in missing]
-        self._log("match", job=decision.job_id, resource=ad_id,
+        _, missing = lookup_dataset(self.catalog, self._snapshot[slot.station_id], dataset)
+        self.stations[slot.station_id] = apply_event(
+            self.stations[slot.station_id], *[EnqueueInput()] * len(missing))
+        self._log("match", job=decision.job_id, resource=slot.ad.ad_id,
                   rank=decision.rank, staging_seconds=staging)
-        self._push(self.clock + staging, "staged", record.job_id)
+        self._push(self.clock + staging, self._finish_staging, record, slot,
+                   [f.file_name for f in missing])
 
-    def _finish_staging(self, job_id: int):
-        record = self.queue.get(job_id)
-        station_id = self.slots[record.matched_resource()].station_id
+    def _finish_staging(self, record, slot: StoredAd, files: list[str]):
         steps = []
-        for file_name in self._pending_files.pop(job_id, []):
+        for file_name in files:
             steps += (DequeueInput(), CacheAdd(file_name))
-        self.stations[station_id] = apply_event(self.stations[station_id], *steps)
-        self.queue.transition(job_id, JobState.RUNNING, stamp=self.clock)
+        self.stations[slot.station_id] = apply_event(self.stations[slot.station_id], *steps)
+        self.queue.transition(record.job_id, JobState.RUNNING, stamp=self.clock)
         self._log("running", job=record.ad.ad_id)
-        self._push(self.clock + run_seconds(record.ad), "done", job_id)
+        self._push(self.clock + run_seconds(record.ad), self._finish_run, record, slot)
 
-    def _finish_run(self, job_id: int):
-        record = self.queue.get(job_id)
-        ad_id = record.matched_resource()
-        self.queue.transition(job_id, JobState.DONE, stamp=self.clock)
-        del self.busy[ad_id]
-        slot = self.slots[ad_id]
+    def _finish_run(self, record, slot: StoredAd):
+        self.queue.transition(record.job_id, JobState.DONE, stamp=self.clock)
         bisect.insort(self._free.setdefault(slot.cluster, []), slot, key=_AD_ID)
-        self._log("done", job=record.ad.ad_id, resource=ad_id)
+        self._log("done", job=record.ad.ad_id, resource=slot.ad.ad_id)
 
     # -- main loop ----------------------------------------------------------
 
@@ -436,22 +431,14 @@ class GridWorld:
         its slot back there. With every slot busy a cycle is skipped,
         because it could change nothing: `match_jobs` gets an empty index,
         so it pulls no job and calls no chooser; no job moves, nothing is
-        logged and no random draw is made; and the sweep that holds every
-        idle job cannot fire, since a busy slot's job has an event pending.
+        logged and no random draw is made; and no job is held, since a busy
+        slot's job has an event pending.
 
         After the TTL has passed, a free slot still calls a cycle, and
-        `_match_cycle` gives it an empty index. After a batch of `staged`
-        events only, such a cycle changes nothing: the staged job still
-        holds its slot, so no job is held for having seen every ad free,
-        and its `done` event is pending, so the sweep cannot fire.
-
-        The free ads live in one index for the whole run: a cycle's claims
-        take ads out of it and `_finish_run` puts each back in ad id order,
-        so each cluster's members stay in ad id order while the clusters
-        themselves may come in any order. That changes no decision: the
-        Rank argmax breaks ties totally (rank, Name, ad id), `random` sorts
-        its candidates by (Name, ad id), and `round-robin` looks them up by
-        ad id.
+        `_match_cycle` gives it an empty index. After a batch that only ends
+        stagings, such a cycle changes nothing: each staged job still holds
+        its slot, and the event that ends its run is pending, so no job is
+        held.
         """
         can_place = True
         while True:
@@ -462,14 +449,11 @@ class GridWorld:
             batch_time = self._heap[0][0]
             self.clock = batch_time
             while self._heap and self._heap[0][0] == batch_time:
-                _, _, kind, job_id = heapq.heappop(self._heap)
+                _, _, action, args = heapq.heappop(self._heap)
                 self.events_processed += 1
                 if self.events_processed > EVENT_CAP:
                     raise NonQuiescent(f"more than {EVENT_CAP} events")
-                if kind == "staged":
-                    self._finish_staging(job_id)
-                else:
-                    self._finish_run(job_id)
+                action(*args)
             can_place = bool(self._free)
 
     # -- reporting -----------------------------------------------------------

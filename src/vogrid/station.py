@@ -17,6 +17,7 @@ speeds are static configuration values supplied by the site, not measured.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -76,13 +77,20 @@ class StationState:
     expected_output_bytes: int = 0
 
     def __post_init__(self):
+        """ValueError unless every quantity the score reads is a finite
+        number, nonnegative and each bandwidth above 0: the score of any
+        other would be NaN or infinite, or could fall as a queue grows."""
         object.__setattr__(self, "cached_files", frozenset(self.cached_files))
         object.__setattr__(self, "links", dict(self.links or {}))
         for site, bw in self.links.items():
-            if bw <= 0:
-                raise ValueError(f"station {self.station_id!r}: link {site!r} bandwidth <= 0")
-        if self.input_queue_depth < 0 or self.output_queue_depth < 0:
-            raise ValueError(f"station {self.station_id!r}: negative queue depth")
+            if not 0 < bw <= sys.float_info.max:
+                raise ValueError(f"station {self.station_id!r}: link {site!r} "
+                                 "bandwidth must be a finite number above 0")
+        for name in ("input_queue_depth", "output_queue_depth",
+                     "mean_service_seconds", "expected_output_bytes"):
+            if not 0 <= getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"station {self.station_id!r}: {name} "
+                                 "must be a finite nonnegative number")
         if self.output_destination and self.output_destination not in self.links:
             raise ValueError(f"station {self.station_id!r}: output destination "
                              f"{self.output_destination!r} has no link")

@@ -15,7 +15,10 @@ a handler's return value is sent as {"id": ..., "result": ...}, and a
 number fields through `number_field`, the one rule for what a number is.
 Lines are read through `decode_line`, which takes JSON only: a line with
 NaN, ±Infinity or a number beyond a float's range is not JSON, so it is
-"malformed" and no reply ever echoes such a value.
+"malformed" and no reply ever echoes such a value. Lines are written through
+`encode_line`, which refuses to write such a line: a request holding NaN
+fails in the client before it is sent, and a result that is not JSON is
+answered "internal".
 """
 
 from __future__ import annotations
@@ -92,6 +95,20 @@ def decode_line(line: bytes):
         raise ValueError("JSON nested too deeply") from None
 
 
+# shared, as json.dumps shares its own default encoder
+_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+
+
+def encode_line(obj) -> bytes:
+    """`obj` as one UTF-8 line of JSON, newline included. Anything JSON
+    cannot hold is a ValueError: NaN, ±Infinity, a value of another type,
+    and nesting too deep or circular."""
+    try:
+        return (_ENCODER.encode(obj) + "\n").encode("utf-8")
+    except (TypeError, RecursionError) as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+
+
 def dispatcher(handlers: Mapping[str, Callable[[dict], dict]]) -> Callable[[dict], dict]:
     """One reply per request: route by "type", wrap results and RequestErrors."""
     def dispatch(msg: dict) -> dict:
@@ -141,9 +158,12 @@ class _Handler(socketserver.StreamRequestHandler):
             self._send(reply)
 
     def _send(self, reply: dict):
-        data = json.dumps(reply, separators=(",", ":")) + "\n"
         try:
-            self.wfile.write(data.encode("utf-8"))
+            data = encode_line(reply)
+        except ValueError as exc:  # a handler's result that is not JSON
+            data = encode_line(error_reply(reply.get("id"), "internal", str(exc)))
+        try:
+            self.wfile.write(data)
             self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass
@@ -232,8 +252,7 @@ class Connection:
             msg["id"] = self._next_id
         if self._auth is not None:
             msg["auth"] = self._auth
-        data = json.dumps(msg, separators=(",", ":")) + "\n"
-        self._sock.sendall(data.encode("utf-8"))
+        self._sock.sendall(encode_line(msg))
         line = self._rfile.readline()
         if not line:
             raise ConnectionClosed("connection closed by server")

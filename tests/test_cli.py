@@ -125,6 +125,17 @@ def test_sim_run_offers_exactly_the_simulators_policies(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("interval", ["nan", "inf", "-inf", "0", "-1", "1e308", "soon"])
+def test_adv_run_takes_only_a_finite_interval_above_zero(interval, capsys):
+    parser = build_parser()
+    args = ["adv", "run", "--config", "site.xml", "--mm", "127.0.0.1:1"]
+    assert parser.parse_args(args + ["--interval", "0.5"]).interval == 0.5
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(args + [f"--interval={interval}"])
+    assert exc.value.code == 2  # a usage error
+    assert "argument --interval: " in capsys.readouterr().err
+
+
 # -- what a process loads -------------------------------------------------------------
 
 def test_the_command_line_loads_no_service_before_a_command_runs():

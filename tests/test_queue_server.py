@@ -241,6 +241,19 @@ def test_a_record_that_is_not_json_is_corrupt_or_a_torn_tail(tmp_path, number):
     assert path.read_bytes() == whole
 
 
+def test_the_journal_writes_no_record_that_is_not_json(tmp_path):
+    path = tmp_path / "queue.ndjson"
+    journal = Journal(str(path))
+    try:
+        for stamp in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                journal.append({"event": "state", "job_id": 1, "stamp": stamp})
+        journal.append({"event": "state", "job_id": 1, "stamp": 2.5})
+    finally:
+        journal.close()
+    assert path.read_bytes() == b'{"event":"state","job_id":1,"stamp":2.5}\n'
+
+
 def test_submit_appends_one_line_with_one_append_and_one_fsync(tmp_path, monkeypatch):
     path = tmp_path / "queue.ndjson"
     appends, fsyncs = [], []

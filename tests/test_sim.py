@@ -153,6 +153,29 @@ def test_undefined_station_rejected():
             GridWorld(scenario, policy, 0)
 
 
+@pytest.mark.parametrize("xml_value, fixture", [
+    ("abc", {}), ("-5", {}), ("nan", {}), ("inf", {}),
+    ("1.0", {"mean_service_seconds": math.nan}),
+    ("1.0", {"mean_service_seconds": -5.0}),
+    ("1.0", {"links": {"HOME": math.nan}}),
+    ("1.0", {"links": {"HOME": math.inf}}),
+    ("1.0", {"expected_output_bytes": -1}),
+    ("1.0", {"input_queue_depth": math.nan}),
+    ("1.0", {"input_queue_depth": "3"}),
+    ("1.0", {"no_such_field": 1}),
+])
+def test_a_station_that_does_not_build_is_a_scenario_parse_error(xml_value, fixture):
+    # each would give a NaN or infinite score, or one that rises with the queue
+    doc = _one_site_doc()
+    site = doc["sites"][0]
+    site["config_xml"] = site["config_xml"].replace(
+        "mean_service_seconds='1.0'", f"mean_service_seconds='{xml_value}'")
+    site["stations"]["st"].update(fixture)
+    scenario = load_scenario(doc)
+    with pytest.raises(ScenarioParseError, match="bad station"):
+        run_scenario(scenario, "data-aware", 0)
+
+
 def test_unknown_policy_rejected():
     with pytest.raises(ScenarioParseError):
         GridWorld(SKEWED, "optimal", 0)
@@ -446,12 +469,20 @@ def test_stranded_jobs_hold_when_nothing_is_pending():
 
 # -- skipped cycles against a cycle after every batch ---------------------------------
 
+_IN_FLIGHT = (JobState.MATCHED, JobState.STAGING, JobState.RUNNING)
+
+
 class _EveryBatchWorld(GridWorld):
     """Reference loop: a match cycle after every event batch, each cycle
     listing the idle jobs up front and staging each match as it is made.
     Each cycle builds its own free index from the slots, by each ad's own
-    expiry and the busy set, so it shares no state with the live index or
-    the single-TTL shortcut of `GridWorld`."""
+    expiry and the slots of the queue's Matched, Staging and Running jobs,
+    so its cycles read neither the heap, the live index nor the single-TTL
+    shortcut of `GridWorld`."""
+
+    def _busy(self) -> set[str]:
+        return {r.matched_resource() for r in self.queue.jobs.values()
+                if r.state in _IN_FLIGHT}
 
     def _match_cycle(self) -> int:
         idle = sorted((r for r in self.queue.jobs.values()
@@ -460,12 +491,12 @@ class _EveryBatchWorld(GridWorld):
             return 0
         self._snapshot = dict(self.stations)
         self._scores = {}
-        busy_at_start = set(self.busy)
+        busy_at_start = self._busy()
         choose = (sim.choose_by_rank if self.policy == "data-aware"
                   else self._choose_baseline)
         visible = [s for s in self.slots.values()
                    if s.received_at + s.ttl_seconds > self.clock]
-        decisions = sim.match_jobs(sim.free_index(visible, self.busy),
+        decisions = sim.match_jobs(sim.free_index(visible, busy_at_start),
                                    (r.ad for r in idle), self.registry,
                                    self._env, choose=choose)
         matched = 0
@@ -480,7 +511,7 @@ class _EveryBatchWorld(GridWorld):
                 self._hold(record, decision.reason)
             else:
                 reasons[record.job_id] = decision.reason
-        if saw_everything or (matched == 0 and not self._heap):
+        if saw_everything or (matched == 0 and not self._busy()):
             for record in idle:
                 if record.state is JobState.IDLE:
                     self._hold(record, reasons.get(record.job_id, "no-candidates"))
@@ -494,12 +525,40 @@ class _EveryBatchWorld(GridWorld):
             batch_time = self._heap[0][0]
             self.clock = batch_time
             while self._heap and self._heap[0][0] == batch_time:
-                _, _, kind, job_id = heapq.heappop(self._heap)
+                _, _, action, args = heapq.heappop(self._heap)
                 self.events_processed += 1
-                if kind == "staged":
-                    self._finish_staging(job_id)
-                else:
-                    self._finish_run(job_id)
+                action(*args)
+
+
+class _CycleCountingWorld(GridWorld):
+    """Counts match cycles, and the event batches after which some slot is
+    free; a batch ends with an event after which the heap holds no other
+    event at the same time. At the start of every cycle it checks that the
+    heap is empty exactly when no job is in flight, the fact that lets
+    `GridWorld` keep its work in flight in the heap alone."""
+
+    cycles = 0
+    batches = 0
+    free_batches = 0
+
+    def _match_cycle(self) -> int:
+        self.cycles += 1
+        in_flight = [r for r in self.queue.jobs.values() if r.state in _IN_FLIGHT]
+        assert (not self._heap) == (not in_flight), self.clock
+        return super()._match_cycle()
+
+    def _finish_staging(self, record, slot, files):
+        super()._finish_staging(record, slot, files)
+        self._after_event()
+
+    def _finish_run(self, record, slot):
+        super()._finish_run(record, slot)
+        self._after_event()
+
+    def _after_event(self):
+        if not (self._heap and self._heap[0][0] == self.clock):
+            self.batches += 1
+            self.free_batches += bool(self._free)
 
 
 def _world_doc(world: dict, rng: random.Random) -> dict:
@@ -556,39 +615,13 @@ def _outcome(world: GridWorld):
 @pytest.mark.parametrize("policy", sim.POLICIES)
 def test_skipped_cycles_change_no_report_or_event_log(policy):
     """Every world runs to the end, under every policy: no policy places a
-    job where it cannot be staged."""
+    job where it cannot be staged. Each run also checks, at every cycle,
+    that the heap is empty exactly when no job is in flight."""
     for seed in range(200):
         rng = random.Random(seed)
         scenario = load_scenario(_world_doc(make_world(rng), rng))
-        got = _outcome(GridWorld(scenario, policy, seed))
+        got = _outcome(_CycleCountingWorld(scenario, policy, seed))
         assert got == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
-
-
-class _CycleCountingWorld(GridWorld):
-    """Counts match cycles, and the event batches after which some slot is
-    free; a batch ends with an event after which the heap holds no other
-    event at the same time."""
-
-    cycles = 0
-    batches = 0
-    free_batches = 0
-
-    def _match_cycle(self) -> int:
-        self.cycles += 1
-        return super()._match_cycle()
-
-    def _finish_staging(self, job_id: int):
-        super()._finish_staging(job_id)
-        self._after_event()
-
-    def _finish_run(self, job_id: int):
-        super()._finish_run(job_id)
-        self._after_event()
-
-    def _after_event(self):
-        if not (self._heap and self._heap[0][0] == self.clock):
-            self.batches += 1
-            self.free_batches += bool(self._free)
 
 
 @pytest.mark.parametrize("policy", sim.POLICIES)

@@ -75,6 +75,15 @@ def test_station_validation():
         _station(output_queue_depth=-2)
     with pytest.raises(ValueError):
         _station(output_destination="ELSEWHERE")
+    # each of these once built, and scored NaN, infinite, or better as the
+    # queue grew (a negative service time)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"links": {"FNAL": nan}}, {"links": {"FNAL": inf}},
+                {"mean_service_seconds": nan}, {"mean_service_seconds": inf},
+                {"mean_service_seconds": -5.0}, {"expected_output_bytes": -1},
+                {"expected_output_bytes": 10 ** 400}, {"input_queue_depth": nan}):
+        with pytest.raises(ValueError):
+            _station(**bad)
     st = _station(cached_files=["a", "a", "b"])
     assert st.cached_files == frozenset({"a", "b"})
 

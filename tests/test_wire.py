@@ -108,14 +108,66 @@ def test_an_id_that_is_not_json_is_malformed_and_never_echoed():
 
 
 def test_a_reply_that_is_not_json_is_refused_by_the_client():
-    server = _serve(lambda msg: {"id": msg["id"], "result": {"score": float("nan")}})
+    # a LineServer writes no such reply, so a bare socket sends it
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer():
+            sock, _ = listener.accept()
+            with sock, sock.makefile("rwb") as f:
+                f.readline()
+                f.write(b'{"id":1,"result":{"score":NaN}}\n')
+
+        server = threading.Thread(target=answer, daemon=True)
+        server.start()
+        with wire.Connection("127.0.0.1", listener.getsockname()[1]) as conn:
+            with pytest.raises(ValueError):
+                conn.request({"type": "PING"})
+        server.join(5.0)
+        assert not server.is_alive()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_request_that_is_not_json_fails_before_it_is_sent(value):
+    received = []
+    server = _serve(lambda msg: received.append(msg) or _echo(msg))
     try:
         with wire.Connection("127.0.0.1", server.port) as conn:
             with pytest.raises(ValueError):
-                conn.request({"type": "PING"})
+                conn.request({"type": "PING", "payload": {"x": [value]}})
+            # nothing went out, so the connection is still in step
+            assert conn.request({"type": "PING", "payload": "ok"}) == \
+                {"id": 2, "result": {"echo": "ok"}}
+        assert [m["payload"] for m in received] == ["ok"]
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("result", [float("nan"), float("-inf"), {"x": object()}])
+def test_a_result_that_is_not_json_is_answered_internal(result):
+    server = _serve(wire.dispatcher({"BAD": lambda msg: result,
+                                     "PING": lambda msg: {"pong": True}}))
+    try:
+        replies = _raw_exchange(server.port, b'{"type": "BAD", "id": 3}\n',
+                                b'{"type": "PING", "id": 4}\n')
+        assert replies[0]["id"] == 3
+        assert replies[0]["error"]["code"] == "internal"
+        assert replies[1] == {"id": 4, "result": {"pong": True}}
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_encode_line_writes_what_decode_line_reads():
+    value = {"id": 1, "s": "é\n\u2028", "n": [0, -1.5, 10 ** 30, None, True]}
+    line = wire.encode_line(value)
+    assert line == json.dumps(value, separators=(",", ":")).encode() + b"\n"
+    assert wire.decode_line(line) == value
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    for bad in (float("nan"), float("inf"), {1j}, deep):
+        with pytest.raises(ValueError):
+            wire.encode_line(bad)
 
 
 def test_an_over_long_line_is_malformed_and_closes_the_connection():
