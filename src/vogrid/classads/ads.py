@@ -7,7 +7,6 @@ folding and keep their display spelling.
 
 from __future__ import annotations
 
-import math
 import re
 from enum import Enum
 from typing import Iterator, Optional
@@ -81,8 +80,8 @@ class ClassAd:
         v = self.evaluate_self(name)
         if v.kind is values.ValueKind.UNDEFINED:
             return None
-        x = v.as_real() if v.is_numeric() else math.nan
-        if not 0 <= x < math.inf:
+        x = v.as_real()
+        if x is None or x < 0:
             raise ValueError(f"ad {self.ad_id!r}: {name} must be a nonnegative number")
         return x
 

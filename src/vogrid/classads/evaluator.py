@@ -5,13 +5,22 @@ Undefined or Error, never as exceptions. The rules:
 
 - unresolved attribute reference -> Undefined; OTHER.x with no other ad
   -> Undefined; reference cycles across attributes -> Undefined
+- one evaluation resolves at most MAX_REFERENCES references to bindings
+  that are not literals; each reference past that -> Error. So an ad whose
+  every attribute refers twice to the one before cannot make an evaluation
+  cost two to the power of its length; a cycle is still Undefined.
+- numbers: every number that an operator or a function call yields must be
+  one a Real can hold, else Error: an Integer past a Real's range, or a
+  Real that is not finite (an overflow to infinity, or NaN). So is every
+  operand that a comparison or mixed arithmetic promotes to Real. Integer
+  literals, and the Integer operands of Integer arithmetic, are exact at
+  any size.
 - arithmetic with a non-numeric operand -> Error; division by zero -> Error;
   Integer/Real promote to Real when mixed; / on two Integers truncates
-  toward zero; an Integer too large to promote -> Error, in arithmetic and
-  in comparisons alike; a Real result of arithmetic, unary minus or a
-  function call that is not finite (an overflow to infinity, or NaN) -> Error
-- comparisons with an Undefined operand -> Undefined, with an Error operand
-  -> Error; mixed-type comparisons (other than numeric promotion) -> Error
+  toward zero
+- comparisons with an Error operand -> Error, else with an Undefined
+  operand -> Undefined; numbers compare as Reals; text compares by code
+  point; booleans have == and != but no order; any other pair -> Error
 - && and ||: a determined operand decides (false && x == false,
   true || x == true, for any x); otherwise Error absorbs, then Undefined;
   a non-boolean operand behaves as Error
@@ -20,11 +29,16 @@ Undefined or Error, never as exceptions. The rules:
 - a tree too deep for the interpreter's stack (a long chain of binary
   operators parses into one) -> Error
 
+Where each rule is stated: the rule for numbers is `Value.as_real` in
+`values`; &&, || and ! read `_LOGIC`; the six comparisons read
+`_COMPARISONS`; the four arithmetic operators read `_ARITH`; the escapes of
+text are `values.TEXT_ESCAPES`, which the parser also reads.
+
 How it runs: a tree is compiled, on its first evaluation, into nested
 closures (one per node, each taking SELF, OTHER, the registry, the
-environment and the attributes being resolved), and the closure is kept on
-the tree, which is immutable. So a tree shared by many ads, such as a
-scenario's default Rank or an expression the matchmaker parsed once for
+environment and the evaluation's `_Resolving` state), and the closure is
+kept on the tree, which is immutable. So a tree shared by many ads, such as
+a scenario's default Rank or an expression the matchmaker parsed once for
 many ads, is compiled once. The closures apply the rules above and nothing
 else. A Literal is answered without compiling, and so is a reference to an
 attribute bound to one. A tree too deep to compile is not kept, so it is
@@ -33,15 +47,13 @@ Error on every evaluation.
 
 from __future__ import annotations
 
-import math
 import operator
 
-from . import values
 from .exprs import AttrRef, Binary, Call, Expr, Literal, Scope, Unary
 from .registry import FnRegistry
-from .values import ERROR, FALSE, TRUE, UNDEFINED, Value, ValueKind
+from .values import ERROR, FALSE, TRUE, UNDEFINED, Value, ValueKind, boolean
 
-_NOTHING_ACTIVE: frozenset = frozenset()
+MAX_REFERENCES = 1000
 
 
 def evaluate(e: Expr, self_ad, other_ad, reg: FnRegistry, env=None) -> Value:
@@ -49,14 +61,24 @@ def evaluate(e: Expr, self_ad, other_ad, reg: FnRegistry, env=None) -> Value:
     if type(e) is Literal:
         return e.value
     try:
-        return _code(e)(self_ad, other_ad, reg, env, _NOTHING_ACTIVE)
+        return _code(e)(self_ad, other_ad, reg, env, _Resolving())
     except RecursionError:
         return ERROR
 
 
+class _Resolving(set):
+    """The (ad, attribute) pairs one evaluation is resolving, to detect
+    cycles, and how many more references it may resolve."""
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = MAX_REFERENCES
+
+
 # -- compilation ------------------------------------------------------------------
 # A node compiles to code(self_ad, other_ad, reg, env, active) -> Value, where
-# `active` holds the (ad, attribute) pairs being resolved, to detect cycles.
+# `active` is the evaluation's _Resolving state.
 
 def _code(e: Expr):
     """The compiled code of e, compiled on its first use and kept on the tree."""
@@ -104,19 +126,28 @@ def _compile_ref(e: AttrRef):
         key = (id(self_ad), name)
         if key in active:
             return UNDEFINED  # reference cycle: unresolvable
-        return _code(bound)(self_ad, other_ad, reg, env, active | {key})
+        if not active.left:
+            return ERROR  # past MAX_REFERENCES
+        active.left -= 1
+        active.add(key)
+        value = _code(bound)(self_ad, other_ad, reg, env, active)
+        active.discard(key)
+        return value
     return ref
 
 
 def _compile_binary(e: Binary):
     op, left, right = e.op, _compile(e.left), _compile(e.right)
-    if op in ("&&", "||"):
+    if op in _LOGIC:
+        decisive, neutral = _LOGIC[op]
+
         def logic(self_ad, other_ad, reg, env, active):
-            a = left(self_ad, other_ad, reg, env, active)
-            decided = _decides(op, a)
-            if decided is not None:
-                return decided
-            return _logic(op, a, right(self_ad, other_ad, reg, env, active))
+            a = _truth(left(self_ad, other_ad, reg, env, active))
+            if a is decisive:
+                return a
+            b = _truth(right(self_ad, other_ad, reg, env, active))
+            # neither decides: Error absorbs, then Undefined, then neutral
+            return b if b is decisive or b is ERROR or a is neutral else a
         return logic
     apply = _arith if op in _ARITH else _compare
 
@@ -143,49 +174,36 @@ def _compile_call(e: Call):
             return ERROR
         if not isinstance(result, Value):
             return ERROR
-        if result.kind is ValueKind.REAL and not math.isfinite(result.data):
-            return ERROR
-        return result
+        return _held(result) if result.is_numeric() else result
     return call
+
+
+def _held(number: Value) -> Value:
+    """A number an operator or a function call yields, or Error when a Real
+    cannot hold it."""
+    return number if number.as_real() is not None else ERROR
 
 
 # -- logic --------------------------------------------------------------------
 
-def _logic_class(v: Value) -> str:
-    # Non-boolean operands of a logical operator behave as Error.
+# op -> (the operand truth that decides it, the one that leaves it to the other)
+_LOGIC = {"&&": (FALSE, TRUE), "||": (TRUE, FALSE)}
+
+
+def _truth(v: Value) -> Value:
+    """v as TRUE, FALSE or UNDEFINED; anything else, as an operand of
+    &&, || or !, is ERROR."""
     if v.kind is ValueKind.BOOLEAN:
-        return "T" if v.data else "F"
-    if v.kind is ValueKind.UNDEFINED:
-        return "U"
-    return "E"
+        return TRUE if v.data else FALSE
+    return UNDEFINED if v.kind is ValueKind.UNDEFINED else ERROR
 
 
-def _decides(op: str, v: Value) -> Value | None:
-    c = _logic_class(v)
-    if op == "&&" and c == "F":
-        return FALSE
-    if op == "||" and c == "T":
-        return TRUE
-    return None
-
-
-def _logic(op: str, a: Value, b: Value) -> Value:
-    ca, cb = _logic_class(a), _logic_class(b)
-    if op == "&&":
-        if "F" in (ca, cb):
-            return FALSE
-        if "E" in (ca, cb):
-            return ERROR
-        if "U" in (ca, cb):
-            return UNDEFINED
-        return TRUE
-    if "T" in (ca, cb):
-        return TRUE
-    if "E" in (ca, cb):
-        return ERROR
-    if "U" in (ca, cb):
-        return UNDEFINED
-    return FALSE
+def _not(v: Value) -> Value:
+    """! swaps the two booleans, as each of && and || pairs them, and keeps
+    Undefined and Error."""
+    decisive, neutral = _LOGIC["&&"]
+    t = _truth(v)
+    return neutral if t is decisive else decisive if t is neutral else t
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -194,82 +212,53 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator
 
 
 def _arith(op: str, a: Value, b: Value) -> Value:
-    if not (a.is_numeric() and b.is_numeric()):
-        return ERROR
-    both_int = a.kind is ValueKind.INTEGER and b.kind is ValueKind.INTEGER
-    if both_int:
+    if a.kind is ValueKind.INTEGER and b.kind is ValueKind.INTEGER:
         x, y = a.data, b.data
         if op != "/":
-            return values.integer(_ARITH[op](x, y))
+            return _held(Value(ValueKind.INTEGER, _ARITH[op](x, y)))
         if y == 0:
             return ERROR
         q = abs(x) // abs(y)  # truncation toward zero
-        return values.integer(q if (x < 0) == (y < 0) else -q)
-    try:
-        x, y = a.as_real(), b.as_real()
-    except OverflowError:  # an Integer too large for a Real
+        return _held(Value(ValueKind.INTEGER, q if (x < 0) == (y < 0) else -q))
+    x, y = a.as_real(), b.as_real()
+    if x is None or y is None or op == "/" and y == 0.0:
         return ERROR
-    if op == "/" and y == 0.0:
-        return ERROR
-    r = _ARITH[op](x, y)
-    return values.real(r) if math.isfinite(r) else ERROR
+    return _held(Value(ValueKind.REAL, _ARITH[op](x, y)))
 
 
 # -- comparison ----------------------------------------------------------------
 
-_ORDERED = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-            ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
+_EQUALITY = (ValueKind.TEXT, ValueKind.BOOLEAN)
+_ORDER = (ValueKind.TEXT,)  # booleans are unordered
+
+# op -> (its test, the kinds besides numbers whose values it compares)
+_COMPARISONS = {"==": (operator.eq, _EQUALITY), "!=": (operator.ne, _EQUALITY),
+                "<": (operator.lt, _ORDER), "<=": (operator.le, _ORDER),
+                ">": (operator.gt, _ORDER), ">=": (operator.ge, _ORDER)}
 
 
 def _compare(op: str, a: Value, b: Value) -> Value:
-    if ValueKind.ERROR in (a.kind, b.kind):
+    if a.kind is ValueKind.ERROR or b.kind is ValueKind.ERROR:
         return ERROR
-    if ValueKind.UNDEFINED in (a.kind, b.kind):
+    if a.kind is ValueKind.UNDEFINED or b.kind is ValueKind.UNDEFINED:
         return UNDEFINED
-    if a.is_numeric() and b.is_numeric():
-        try:
-            x, y = a.as_real(), b.as_real()
-        except OverflowError:  # an Integer too large for a Real
-            return ERROR
-        if op == "==":
-            return values.boolean(x == y)
-        if op == "!=":
-            return values.boolean(x != y)
-        return values.boolean(_ORDERED[op](x, y))
-    if a.kind is not b.kind:
+    test, kinds = _COMPARISONS[op]
+    if a.kind is b.kind and a.kind in kinds:
+        return boolean(test(a.data, b.data))
+    x, y = a.as_real(), b.as_real()
+    if x is None or y is None:  # not two numbers a Real can hold
         return ERROR
-    if a.kind is ValueKind.TEXT:
-        if op == "==":
-            return values.boolean(a.data == b.data)
-        if op == "!=":
-            return values.boolean(a.data != b.data)
-        return values.boolean(_ORDERED[op](a.data, b.data))
-    if a.kind is ValueKind.BOOLEAN:
-        if op == "==":
-            return values.boolean(a.data == b.data)
-        if op == "!=":
-            return values.boolean(a.data != b.data)
-        return ERROR  # booleans are unordered
-    return ERROR
+    return boolean(test(x, y))
 
 
 # -- unary ---------------------------------------------------------------------
 
+_SIGNS = {"-": operator.neg, "+": operator.pos}
+
+
 def _unary(op: str, v: Value) -> Value:
     if op == "!":
-        c = _logic_class(v)
-        if c == "T":
-            return FALSE
-        if c == "F":
-            return TRUE
-        if c == "U":
-            return UNDEFINED
+        return _not(v)
+    if v.as_real() is None:  # so the result, of the same size, is not either
         return ERROR
-    if not v.is_numeric():
-        return ERROR
-    if op == "+":
-        return v
-    if v.kind is ValueKind.INTEGER:
-        return values.integer(-v.data)
-    x = -v.as_real()
-    return values.real(x) if math.isfinite(x) else ERROR
+    return Value(v.kind, _SIGNS[op](v.data))

@@ -38,7 +38,8 @@ MAX_NESTING = 64
 
 _CONSTANTS = {"true": values.TRUE, "false": values.FALSE,
               "undefined": values.UNDEFINED, "error": values.ERROR}
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+# the character after a backslash -> the character it stands for
+_UNESCAPES = {escape[1]: c for c, escape in values.TEXT_ESCAPES.items()}
 
 
 def _byte_offset(text: str, pos: int) -> int:

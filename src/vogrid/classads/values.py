@@ -21,21 +21,36 @@ class ValueKind(Enum):
     ERROR = "error"
 
 
+_NUMBERS = (ValueKind.INTEGER, ValueKind.REAL)
+
+
 @dataclass(frozen=True)
 class Value:
     kind: ValueKind
     data: object = None
 
     def is_numeric(self) -> bool:
-        return self.kind in (ValueKind.INTEGER, ValueKind.REAL)
+        return self.kind in _NUMBERS
 
     def is_true(self) -> bool:
         return self.kind is ValueKind.BOOLEAN and self.data is True
 
-    def as_real(self) -> float:
-        if not self.is_numeric():
-            raise TypeError(f"not numeric: {self!r}")
-        return float(self.data)  # type: ignore[arg-type]
+    def as_real(self) -> float | None:
+        """This number as a finite float, or None when it is not a number a
+        Real can hold: not a number at all, an Integer past a Real's range,
+        or a Real that is not finite.
+
+        The one rule for numbers: the evaluator holds every number that an
+        operator or a function call yields to it, and reads every operand it
+        promotes to Real through it.
+        """
+        if self.kind not in _NUMBERS:
+            return None
+        try:
+            x = float(self.data)  # type: ignore[arg-type]
+        except OverflowError:
+            return None
+        return x if math.isfinite(x) else None
 
     def __repr__(self) -> str:
         if self.kind in (ValueKind.UNDEFINED, ValueKind.ERROR):
@@ -65,7 +80,8 @@ def boolean(b: bool) -> Value:
     return TRUE if b else FALSE
 
 
-_TEXT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+# each character that text escapes, and its escape; the parser reads it backwards
+TEXT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 
 def format_value(v: Value) -> str:
@@ -73,12 +89,12 @@ def format_value(v: Value) -> str:
     if v.kind is ValueKind.INTEGER:
         return str(v.data)
     if v.kind is ValueKind.REAL:
-        x = v.data
-        if not math.isfinite(x):  # type: ignore[arg-type]
+        x = v.as_real()
+        if x is None:
             return "error"  # non-finite reals have no source form
         return repr(x)
     if v.kind is ValueKind.TEXT:
-        body = "".join(_TEXT_ESCAPES.get(c, c) for c in v.data)  # type: ignore[union-attr]
+        body = "".join(TEXT_ESCAPES.get(c, c) for c in v.data)  # type: ignore[union-attr]
         return f'"{body}"'
     if v.kind is ValueKind.BOOLEAN:
         return "true" if v.data else "false"

@@ -289,17 +289,6 @@ def rank_resources(job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry
     return [evaluate(rank_expr, job, members[0].ad, reg, env) for members in clusters]
 
 
-def _finite_rank(value: Value) -> float | None:
-    """The rank as a finite float, or None when it drops its candidate."""
-    if not value.is_numeric():
-        return None
-    try:
-        rank = value.as_real()
-    except OverflowError:  # an Integer too large for a Real
-        return None
-    return rank if math.isfinite(rank) else None
-
-
 def choose_by_rank(job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry,
                    env: dict | None) -> tuple[str, float] | None:
     """Rank argmax as (ad id, rank); ranks that are not finite numbers drop out.
@@ -310,7 +299,7 @@ def choose_by_rank(job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry
     """
     best = best_key = None
     for members, value in zip(clusters, rank_resources(job, clusters, reg, env)):
-        rank = _finite_rank(value)
+        rank = value.as_real()
         if rank is None:
             continue
         first = members[0]

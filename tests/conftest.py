@@ -16,6 +16,18 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+# 800 KB, under wire.MAX_LINE_BYTES: a product whose every factor is a
+# 4000-digit Integer
+BIG_PRODUCT = " * ".join(["9" * 4000] * 200) + " > 0"
+
+
+def doubling_chain(depth: int) -> str:
+    """Ad source whose attribute A{k} refers twice to A{k-1}, down to A0 = 1:
+    resolving A{depth} path by path takes 2 ** depth resolutions."""
+    return "".join(["A0 = 1\n"] + [f"A{k} = A{k - 1} + A{k - 1}\n"
+                                    for k in range(1, depth + 1)])
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_RESULTS:
         return

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -23,8 +24,9 @@ from vogrid.classads import (
     text,
 )
 from vogrid.classads import TRUE, FALSE, UNDEFINED, ERROR
+from vogrid.classads.evaluator import MAX_REFERENCES
 
-from conftest import fixture_path
+from conftest import BIG_PRODUCT, doubling_chain, fixture_path
 
 EMPTY_AD = parse_classad("", AdKind.JOB)
 
@@ -44,6 +46,24 @@ def test_logic_truth_table_fixture():
         got = _ev(row["expr"])
         want = lookup[row["result"]]
         assert got == want, row["expr"]
+
+
+def test_operator_table_fixture():
+    table = json.loads(fixture_path("operator_table.json").read_text())
+    operands = table["operands"]
+    assert len(table["rows"]) == 3 * 12 + 10 * 12 * 12
+    for row in table["rows"]:
+        *picks, (kind, data) = row
+        if len(picks) == 2:
+            op, a = picks
+            src = f"{op} {operands[a]}"
+        else:
+            a, op, b = picks
+            src = f"{operands[a]} {op} {operands[b]}"
+        got, want = _ev(src), Value(ValueKind(kind), data)
+        assert got == want, src[:80]
+        if kind == "real":  # == does not tell 0.0 from -0.0
+            assert math.copysign(1.0, got.data) == math.copysign(1.0, data), src
 
 
 def test_short_circuit_is_by_value_not_position():
@@ -161,9 +181,10 @@ def test_function_call_failures():
     assert _ev("seven()", reg=reg) == ERROR  # handler returned a non-Value
     assert _ev("missing(1)", reg=reg) == ERROR
     assert _ev("boom(1)", reg=reg) == ERROR  # arity mismatch, handler not run
-    # a Real that is not finite is Error, whether arithmetic or a handler made it
-    for name, x in (("inf", math.inf), ("ninf", -math.inf), ("nan", math.nan)):
-        reg.register(name, 0, lambda args, s, o, env, x=x: real(x))
+    # a number a Real cannot hold is Error, whether arithmetic or a handler made it
+    for name, x in (("inf", real(math.inf)), ("ninf", real(-math.inf)),
+                    ("nan", real(math.nan)), ("huge", integer(10 ** 400))):
+        reg.register(name, 0, lambda args, s, o, env, x=x: x)
         assert _ev(f"{name}()", reg=reg) == ERROR
     reg.register("half", 0, lambda args, s, o, env: real(0.5))
     assert _ev("half()", reg=reg) == real(0.5)
@@ -247,3 +268,42 @@ def test_integer_too_large_for_a_real_is_error():
     assert _ev(f"{huge} < 2.5") == ERROR
     assert _ev(f"{huge} * 1.5") == ERROR
     assert _ev(f"{huge} - {huge}") == integer(0)  # Integers alone stay exact
+
+
+def test_a_product_of_big_integers_is_error_at_once():
+    # without a bound on Integer results each factor multiplies an ever
+    # longer Integer, in time quadratic in the number of factors
+    assert len(BIG_PRODUCT) >= 800_000
+    e = parse_expr(BIG_PRODUCT)
+    start = time.perf_counter()
+    assert evaluate(e, EMPTY_AD, None, EMPTY_REGISTRY) == ERROR
+    assert time.perf_counter() - start < 0.25
+
+
+def test_a_doubling_chain_is_error_within_a_second():
+    ad = parse_classad(doubling_chain(60), AdKind.JOB)
+    start = time.perf_counter()
+    assert _ev("A60 > 0", self_ad=ad) == ERROR
+    assert ad.evaluate_self("A60") == ERROR
+    assert time.perf_counter() - start < 1.0
+    # well inside the cap the chain is exact: A9 takes 511 resolutions
+    assert _ev("A9", self_ad=ad) == integer(512)
+
+
+def _sum_of(name, n):
+    """n references to `name`, added up in a balanced tree."""
+    if n == 1:
+        return name
+    return f"({_sum_of(name, n // 2)} + {_sum_of(name, n - n // 2)})"
+
+
+def test_an_evaluation_resolves_at_most_max_references():
+    ad = parse_classad("B = C + 0\nC = 1\n", AdKind.JOB)
+    assert _ev(_sum_of("B", MAX_REFERENCES), self_ad=ad) == integer(MAX_REFERENCES)
+    assert _ev(_sum_of("B", MAX_REFERENCES + 1), self_ad=ad) == ERROR
+    # each evaluation has its own count, and a reference to a literal
+    # resolves nothing
+    assert _ev(_sum_of("B", MAX_REFERENCES), self_ad=ad) == integer(MAX_REFERENCES)
+    assert _ev(_sum_of("C", MAX_REFERENCES + 1), self_ad=ad) == integer(MAX_REFERENCES + 1)
+    # a cycle is still Undefined
+    assert _ev("A", self_ad=parse_classad("A = B\nB = A\n", AdKind.JOB)) == UNDEFINED

@@ -52,6 +52,18 @@ def test_output_bytes_and_run_seconds(src, n_bytes, seconds):
     assert run_seconds(ad("RunSeconds")) == seconds
 
 
+@pytest.mark.parametrize("src", ["-1", '"1000"', "true", "error", "1e308 * 10",
+                                 "9" * 400, "-" + "9" * 400])
+def test_a_quantity_that_is_not_a_finite_nonnegative_number_is_value_error(src):
+    # a 400-digit Integer once raised OverflowError, which no caller expects
+    for attr, read in (("OutputBytes", output_bytes), ("RunSeconds", run_seconds)):
+        ad = parse_classad(f"{attr} = {src}\n", AdKind.JOB, ad_id="j")
+        with pytest.raises(ValueError):
+            ad.self_quantity(attr)
+        with pytest.raises(ValueError):
+            read(ad)
+
+
 def test_validate_job_ad():
     assert validate_job_ad(AD) == ("/C=US/O=demo/CN=alice", "dzero-run2")
     with pytest.raises(RejectedAd):

@@ -42,6 +42,7 @@ from vogrid.matchmaker import (
 )
 from vogrid.station import DatasetCatalog, StationState, get_preference, handler
 
+from conftest import BIG_PRODUCT, doubling_chain
 from worldgen import SUBJECT_POOL, make_world, world_runtime
 
 ALICE = "/C=US/O=demo/CN=alice"
@@ -673,6 +674,31 @@ def test_matchmaker_service_error_codes():
     assert reply["error"]["code"] == "malformed"
 
 
+def test_a_doubling_chain_in_an_ad_is_answered_within_a_second():
+    # with its chain 20 links deep this ad once held every MATCH_REQUEST for
+    # seconds, and each further link doubled that
+    service = MatchmakerService(clock=lambda: 0.0)
+    hostile = _res("r1", "A", "s1", extra=doubling_chain(60) + "Requirements = A60 > 0\n")
+    assert "result" in service.handle_message(_advertise_msg(hostile) | {"id": 1})
+    start = time.perf_counter()
+    reply = service.handle_message({"type": "MATCH_REQUEST", "id": 2,
+                                    "jobs": [ad_to_json(_job("j1"))]})
+    assert time.perf_counter() - start < 1.0
+    assert reply["result"]["decisions"] == [
+        {"job_id": "j1", "outcome": "no-match", "reason": "no-candidates"}]
+
+
+def test_a_rank_of_big_integers_is_answered_at_once():
+    service = MatchmakerService(clock=lambda: 0.0)
+    assert "result" in service.handle_message(_advertise_msg(_res("r1", "A", "s1")) | {"id": 1})
+    job = ad_to_json(_job("j1", extra=f"Rank = {BIG_PRODUCT}\n"))
+    start = time.perf_counter()
+    reply = service.handle_message({"type": "MATCH_REQUEST", "id": 2, "jobs": [job]})
+    assert time.perf_counter() - start < 1.0
+    assert reply["result"]["decisions"] == [
+        {"job_id": "j1", "outcome": "no-match", "reason": "all-rank-error"}]
+
+
 @pytest.mark.parametrize("gridmap", [[[1]], [{}], [5], [ALICE, 5]])
 def test_advertise_gridmap_entries_must_be_text(gridmap):
     service = MatchmakerService(clock=lambda: 0.0)
@@ -768,12 +794,8 @@ def _rank_each_ad(job, authorized, reg, env):
     rank_expr = job.lookup("Rank") or Literal(real(0.0))
     best = best_key = None
     for cand in authorized:
-        value = evaluate(rank_expr, job, cand.ad, reg, env)
-        try:
-            rank = value.as_real() if value.is_numeric() else math.nan
-        except OverflowError:
-            continue
-        if not math.isfinite(rank):
+        rank = evaluate(rank_expr, job, cand.ad, reg, env).as_real()
+        if rank is None:
             continue
         key = (-rank, cand.name.encode("utf-8"), cand.ad.ad_id.encode("utf-8"))
         if best_key is None or key < best_key:

@@ -178,6 +178,9 @@ def test_whatever_parses_evaluates_without_raising(src):
     assert isinstance(result, Value)
     # a Real is finite: an overflow or a NaN is Error
     assert not (result.kind is ValueKind.REAL and not math.isfinite(result.data))
+    # and so is any number an operator yields: past a Real's range it is Error
+    if type(e) is not Literal and result.is_numeric():
+        assert math.isfinite(float(result.data))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import threading
+import time
 
 import pytest
 
@@ -16,6 +17,8 @@ from vogrid.queue_server import (
     QueueService,
     replay_journal,
 )
+
+from conftest import doubling_chain
 
 AD_JSON = ad_to_json(parse_classad(
     'Owner = "/C=US/O=demo/CN=alice"\nDataset = "dzero-run2"\n',
@@ -44,6 +47,21 @@ def test_submit_status_release_flow(tmp_path):
         service.queue.transition(1, JobState.HELD, detail="operator hold")
         released = service.handle_message(_msg("RELEASE", 3, job_id=1))["result"]
         assert released["state"] == "Idle"
+    finally:
+        service.close()
+
+
+def test_a_doubling_chain_in_a_submit_is_answered_within_a_second(tmp_path):
+    # SUBMIT reads Owner and Dataset while it holds the queue's lock
+    service = _service(tmp_path)
+    try:
+        for text in ('Owner = A60\nDataset = "d"\n', 'Owner = "o"\nDataset = A60\n'):
+            hostile = parse_classad(text + doubling_chain(60), AdKind.JOB, ad_id="j")
+            start = time.perf_counter()
+            reply = service.handle_message(_msg("SUBMIT", ad=ad_to_json(hostile)))
+            assert time.perf_counter() - start < 1.0
+            assert reply["error"]["code"] == "rejected-ad"
+        assert service.handle_message(_msg("SUBMIT", ad=AD_JSON))["result"]["job_id"] == 1
     finally:
         service.close()
 
