@@ -126,14 +126,13 @@ def ad_to_json(ad: ClassAd) -> dict:
     }
 
 
-def ad_from_json(obj: dict, parse=None) -> ClassAd:
-    """The ad `ad_to_json` gave; `parse` stands in for `parse_expr`. An
-    absent id is ""; one that is not text is a ValueError."""
-    parse = parse or parse_expr
+def ad_from_json(obj: dict) -> ClassAd:
+    """The ad `ad_to_json` gave. An absent id is ""; one that is not text is
+    a ValueError."""
     ad_id = obj.get("id", "")
     if not isinstance(ad_id, str):
         raise ValueError(f"ad id must be text, not {ad_id!r}")
-    attrs = {name: parse(src) for name, src in obj["attrs"].items()}
+    attrs = {name: parse_expr(src) for name, src in obj["attrs"].items()}
     return ClassAd(attrs, AdKind(obj["kind"]), ad_id)
 
 

@@ -37,12 +37,12 @@ text are `values.TEXT_ESCAPES`, which the parser also reads.
 How it runs: a tree is compiled, on its first evaluation, into nested
 closures (one per node, each taking SELF, OTHER, the registry, the
 environment and the evaluation's `_Resolving` state), and the closure is
-kept on the tree, which is immutable. So a tree shared by many ads, such as
-a scenario's default Rank or an expression the matchmaker parsed once for
-many ads, is compiled once. The closures apply the rules above and nothing
-else. A Literal is answered without compiling, and so is a reference to an
-attribute bound to one. A tree too deep to compile is not kept, so it is
-Error on every evaluation.
+kept on the tree, which is immutable. So a tree shared by many ads is
+compiled once; `parse_expr` gives equal short sources one tree, such as a
+scenario's default Rank or an ad that a site advertises again. The closures
+apply the rules above and nothing else. A Literal is answered without
+compiling, and so is a reference to an attribute bound to one. A tree too
+deep to compile is not kept, so it is Error on every evaluation.
 """
 
 from __future__ import annotations

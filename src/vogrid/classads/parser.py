@@ -7,9 +7,16 @@
 # Parentheses, call argument lists and unary operators nest at most
 # MAX_NESTING deep, so a parse stays far inside the interpreter's recursion
 # limit and fails with ParseError instead.
+# parse_expr keeps the trees of at most PARSE_MEMO_ENTRIES distinct sources,
+# each at most PARSE_MEMO_CHARS long, so every reader of a repeated source
+# (ads over the wire, journal replay, scenarios, ad files) shares one tree,
+# and with it the code compiled on it. Trees are immutable, so sharing is
+# safe. A longer source is parsed every time; one that does not parse is
+# not kept.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -35,6 +42,9 @@ _TOKEN = re.compile(
 )
 
 MAX_NESTING = 64
+
+PARSE_MEMO_ENTRIES = 1024
+PARSE_MEMO_CHARS = 256
 
 _CONSTANTS = {"true": values.TRUE, "false": values.FALSE,
               "undefined": values.UNDEFINED, "error": values.ERROR}
@@ -181,6 +191,15 @@ class _Parser:
         raise ParseError(f"unexpected {val or 'end of input'!r}", _byte_offset(self.text, pos))
 
 
+@functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)
+def _parse_shared(text: str) -> Expr:
+    return _Parser(text).parse()
+
+
 def parse_expr(text: str) -> Expr:
-    """Parse expression source text into an expression tree."""
+    """Parse expression source text into an expression tree. A source of at
+    most PARSE_MEMO_CHARS characters gets the tree of an earlier parse of an
+    equal source while the memo keeps it."""
+    if len(text) <= PARSE_MEMO_CHARS:
+        return _parse_shared(text)
     return _Parser(text).parse()

@@ -69,7 +69,7 @@ def _load_station(args):
     stations = derive_service_config(site, "station")
     for node in stations.children:
         if node.attributes.get("name") == args.station:
-            fixture = json.loads(_read(args.fixture)) if args.fixture else None
+            fixture = wire.read_json_file(args.fixture) if args.fixture else None
             return station_from_config(node, fixture)
     raise SystemExit(f"no station named {args.station!r} in {args.config}")
 
@@ -147,7 +147,7 @@ def cmd_info_serve(args):
 
 def cmd_station_serve(args):
     from .station import DatasetCatalog, handler
-    catalog = DatasetCatalog(json.loads(_read(args.catalog)))
+    catalog = DatasetCatalog(wire.read_json_file(args.catalog))
     state = _load_station(args)
     _serve(handler(catalog, state), args.port, args.auth)
 
@@ -156,7 +156,7 @@ def cmd_mm_serve(args):
     from .matchmaker import DirectoryQuery, MatchmakerService
     directory = {}
     if args.station_directory:
-        raw = json.loads(_read(args.station_directory))
+        raw = wire.read_json_file(args.station_directory)
         directory = {sid: (str(hp[0]), int(hp[1])) for sid, hp in raw.items()}
     query = DirectoryQuery(directory, auth_token=args.auth) if directory else None
     service = MatchmakerService(station_query=query)
@@ -213,10 +213,10 @@ def cmd_sim_run(args):
     scenario = load_scenario_file(args.scenario)
     report, event_log = run_scenario(scenario, args.policy, args.seed)
     if args.events:
-        with open(args.events, "w", encoding="utf-8") as fh:
+        with open(args.events, "wb") as fh:
             for entry in event_log:
-                fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
-    _write_out(args.output, json.dumps(report, indent=2) + "\n")
+                fh.write(wire.encode_line(entry))
+    _write_out(args.output, json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 # -- wiring ------------------------------------------------------------------------

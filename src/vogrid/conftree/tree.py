@@ -40,9 +40,6 @@ class TreeNode:
                 and self.attributes == other.attributes
                 and self.children == other.children)
 
-    def __hash__(self):
-        raise TypeError("TreeNode is not hashable")
-
     def __repr__(self):
         return (f"TreeNode({self.element_name!r}, {self.attributes!r}, "
                 f"{len(self.children)} children)")

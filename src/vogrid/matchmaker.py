@@ -49,7 +49,6 @@ fresh connection, when the station has closed the one it reused.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import threading
@@ -67,11 +66,10 @@ from .classads import (
     ValueKind,
     ad_from_json,
     evaluate,
-    parse_expr,
     real,
     symmetric_match,
 )
-from .classads.exprs import Expr, Literal
+from .classads.exprs import Literal
 from .jobs import output_bytes
 
 log = logging.getLogger("vogrid.matchmaker")
@@ -390,35 +388,12 @@ def run_match_cycle(store: AdStore, jobs: list[ClassAd], reg: FnRegistry,
 
 # -- wire service ----------------------------------------------------------------
 
-# a service keeps the trees of at most this many distinct sources, each at
-# most PARSE_MEMO_CHARS long; longer ones are parsed every time
-PARSE_MEMO_ENTRIES = 1024
-PARSE_MEMO_CHARS = 256
-
-
-def _memo_parser() -> Callable[[str], Expr]:
-    """`parse_expr` through a bounded memo: repeated sources share one tree,
-    and with it the code compiled on it. Trees are immutable, so sharing is
-    safe; a source that does not parse is not kept."""
-    memo = functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)(parse_expr)
-
-    def parse(src: str) -> Expr:
-        if isinstance(src, str) and len(src) <= PARSE_MEMO_CHARS:
-            return memo(src)
-        return parse_expr(src)
-    return parse
-
-
 class MatchmakerService:
-    """Stateful ADVERTISE / MATCH_REQUEST handler for one matchmaking loop.
-
-    It parses the ads of both requests through its own bounded memo, so the
-    ads a site re-advertises and the jobs a client resubmits share trees."""
+    """Stateful ADVERTISE / MATCH_REQUEST handler for one matchmaking loop."""
 
     def __init__(self, station_query: StationQuery | None = None,
                  clock: Callable[[], float] | None = None):
         self.store = AdStore()
-        self._parse = _memo_parser()
         self.registry = standard_registry()
         self.env = {"station_query": station_query} if station_query else {}
         self.clock = clock or time.monotonic
@@ -428,12 +403,10 @@ class MatchmakerService:
     def _advertise(self, msg: dict) -> dict:
         ttl = wire.number_field(msg, "ttl", 0)
         try:
-            ad = ad_from_json(msg["ad"], self._parse)
-            gridmap = msg.get("gridmap", [])
-            if not isinstance(gridmap, list) or not all(isinstance(s, str) for s in gridmap):
-                raise TypeError("gridmap must be a list of text")
+            ad = ad_from_json(msg["ad"])
         except Exception as exc:
             raise wire.RequestError("malformed", str(exc)) from None
+        gridmap = wire.text_list_field(msg, "gridmap")
         try:
             self.store.collect_ad(ad, gridmap, ttl, self.clock())
         except IncompleteAd as exc:
@@ -442,7 +415,7 @@ class MatchmakerService:
 
     def _match_request(self, msg: dict) -> dict:
         try:
-            jobs = [ad_from_json(j, self._parse) for j in msg["jobs"]]
+            jobs = [ad_from_json(j) for j in msg["jobs"]]
         except Exception as exc:
             raise wire.RequestError("malformed", str(exc)) from None
         decisions = run_match_cycle(self.store, jobs, self.registry,

@@ -51,14 +51,19 @@ not enough that a batch frees no slot: a job refused while a slot was free
 may pass once files are cached.
 
 Job ads are checked once, when the scenario loads: Owner and Dataset must be
-text, and OutputBytes and RunSeconds usable quantities (see `jobs`).
+text, and OutputBytes and RunSeconds usable quantities (see `jobs`). The
+scenario reads each kind of input by the rule the servers use: a scenario
+file is read by `wire.read_json_file`, a site's gridmap is read by
+`wire.text_list_field`, the catalog and station fixtures are checked by
+`DatasetCatalog` and `StationState`, and every expression source goes
+through `parse_expr`, whose memo gives equal sources one tree, across loads
+too.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,7 +71,7 @@ from operator import attrgetter
 
 from . import wire
 from .advertise import generate_classads, select_patterns
-from .classads import ClassAd, Expr, parse_expr
+from .classads import ClassAd, parse_expr
 from .classads.ads import AdKind
 from .conftree import TreeNode, derive_service_config, read_tree
 from .jobs import JobQueue, JobState, output_bytes, run_seconds, validate_job_ad
@@ -89,6 +94,7 @@ from .station import (
     DequeueInput,
     EnqueueInput,
     NoRouteToSource,
+    ScoreOverflow,
     StationState,
     UnknownDataset,
     apply_event,
@@ -169,21 +175,13 @@ def load_scenario(doc: dict) -> Scenario:
             sites.append(SiteSpec(
                 config=read_tree(site_doc["config_xml"]),
                 station_fixtures=dict(site_doc.get("stations", {})),
-                gridmap=list(site_doc.get("gridmap", [])),
+                gridmap=list(wire.text_list_field(site_doc, "gridmap")),
             ))
-        parsed: dict[str, Expr] = {}  # source -> tree; trees are immutable
-
-        def parse_once(src: str) -> Expr:
-            if src not in parsed:
-                parsed[src] = parse_expr(src)
-            return parsed[src]
-
         job_ads = []
         for job_doc in doc["jobs"]:
             attrs = dict(job_doc["ad"])
-            if "Rank" not in attrs:
-                attrs["Rank"] = _DEFAULT_RANK_SOURCE
-            ad = ClassAd({name: parse_once(src) for name, src in attrs.items()},
+            attrs.setdefault("Rank", _DEFAULT_RANK_SOURCE)
+            ad = ClassAd({name: parse_expr(src) for name, src in attrs.items()},
                          AdKind.JOB, ad_id=str(job_doc["id"]))
             # a value the run could not use fails here, not partway through
             validate_job_ad(ad)
@@ -200,11 +198,11 @@ def load_scenario(doc: dict) -> Scenario:
 
 
 def load_scenario_file(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioParseError(f"{path}: {exc}") from None
+    """The scenario in a JSON file, read by `wire.read_json_file`."""
+    try:
+        doc = wire.read_json_file(path)
+    except ValueError as exc:
+        raise ScenarioParseError(f"{path}: {exc}") from None
     return load_scenario(doc)
 
 
@@ -302,17 +300,19 @@ class GridWorld:
         cluster, since the random draw and the rotation are over ads. It
         picks only an ad whose station can stage the job, since staging
         anywhere else fails; the data-aware Rank drops the others as rank
-        errors. With none, it picks nothing, which leaves the job with
-        all-rank-error, as under data-aware. Random draws again without an
-        ad that cannot stage, so it picks uniformly among those that can;
-        round-robin passes over such ads in its rotation."""
+        errors. A station can stage a job when it can score it: it has a
+        route for every file the job lacks and for its output, and the score
+        is one a float can hold. With none, it picks nothing, which leaves
+        the job with all-rank-error, as under data-aware. Random draws again
+        without an ad that cannot stage, so it picks uniformly among those
+        that can; round-robin passes over such ads in its rotation."""
         authorized = [s for members in clusters for s in members]
         dataset, out_bytes = job.self_text("Dataset"), output_bytes(job)
 
         def can_stage(stored: StoredAd) -> bool:
             try:
                 self._preference(dataset, stored.station_id, out_bytes)
-            except (NoRouteToSource, UnknownDataset):
+            except (NoRouteToSource, UnknownDataset, ScoreOverflow):
                 return False
             return True
 

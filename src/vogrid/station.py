@@ -17,7 +17,6 @@ speeds are static configuration values supplied by the site, not measured.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -37,6 +36,11 @@ class IllegalTransition(Exception):
     pass
 
 
+class ScoreOverflow(Exception):
+    """The score is past a float's range, so it ranks nothing: a job staged
+    by it would never finish staging."""
+
+
 class FileEntry(NamedTuple):
     file_name: str
     size_bytes: int
@@ -54,8 +58,9 @@ class DatasetCatalog:
             for f in files:
                 if f.file_name in seen:
                     raise ValueError(f"dataset {name!r}: duplicate file {f.file_name!r}")
-                if f.size_bytes <= 0:
-                    raise ValueError(f"dataset {name!r}: file {f.file_name!r} has size <= 0")
+                if not (wire.is_number(f.size_bytes, whole=True) and f.size_bytes > 0):
+                    raise ValueError(f"dataset {name!r}: file {f.file_name!r} size must "
+                                     "be an integer above 0 that a float can hold")
                 seen.add(f.file_name)
             self._datasets[name] = files
 
@@ -77,20 +82,29 @@ class StationState:
     expected_output_bytes: int = 0
 
     def __post_init__(self):
-        """ValueError unless every quantity the score reads is a finite
-        number, nonnegative and each bandwidth above 0: the score of any
-        other would be NaN or infinite, or could fall as a queue grows."""
-        object.__setattr__(self, "cached_files", frozenset(self.cached_files))
+        """ValueError unless the cached files are a collection of text, not
+        one text, and every quantity the score reads is a number
+        (`wire.is_number`), an integer for the queue depths and the output
+        bytes, and each bandwidth above 0: the score of any other would be
+        NaN, could fall as a queue grows, or a fractional depth could step
+        below zero. The mean service time is kept as a float."""
+        cached = frozenset(self.cached_files)
+        if isinstance(self.cached_files, str) or not all(isinstance(f, str) for f in cached):
+            raise ValueError(f"station {self.station_id!r}: cached_files must be file names")
+        object.__setattr__(self, "cached_files", cached)
         object.__setattr__(self, "links", dict(self.links or {}))
         for site, bw in self.links.items():
-            if not 0 < bw <= sys.float_info.max:
+            if not (wire.is_number(bw) and bw > 0):
                 raise ValueError(f"station {self.station_id!r}: link {site!r} "
                                  "bandwidth must be a finite number above 0")
-        for name in ("input_queue_depth", "output_queue_depth",
-                     "mean_service_seconds", "expected_output_bytes"):
-            if not 0 <= getattr(self, name) <= sys.float_info.max:
-                raise ValueError(f"station {self.station_id!r}: {name} "
-                                 "must be a finite nonnegative number")
+        for name, whole in (("input_queue_depth", True), ("output_queue_depth", True),
+                            ("expected_output_bytes", True), ("mean_service_seconds", False)):
+            if not wire.is_number(getattr(self, name), whole):
+                raise ValueError(f"station {self.station_id!r}: {name} must be a finite "
+                                 f"nonnegative {'integer' if whole else 'number'}")
+        # a float, so that a wait past a float's range is infinite, not an
+        # OverflowError: an integer product can be too large for a float
+        object.__setattr__(self, "mean_service_seconds", float(self.mean_service_seconds))
         if self.output_destination and self.output_destination not in self.links:
             raise ValueError(f"station {self.station_id!r}: output destination "
                              f"{self.output_destination!r} has no link")
@@ -118,7 +132,8 @@ def get_preference(cat: DatasetCatalog, st: StationState, dataset: str,
                    output_bytes: int | None = None) -> PreferenceReport:
     """Estimated data latency for running this dataset here, as a preference score.
 
-    output_bytes overrides the station's per-job default when given.
+    output_bytes overrides the station's per-job default when given. A score
+    past a float's range raises ScoreOverflow.
     """
     _, missing = lookup_dataset(cat, st, dataset)
     transfer = 0.0
@@ -137,8 +152,11 @@ def get_preference(cat: DatasetCatalog, st: StationState, dataset: str,
             raise NoRouteToSource(
                 f"station {st.station_id!r}: output bytes but no output destination")
         output += out_bytes / st.links[st.output_destination]
+    score = -(transfer + wait + output)
+    if not math.isfinite(score):
+        raise ScoreOverflow(f"station {st.station_id!r}: score of {dataset!r} overflows")
     return PreferenceReport(
-        score=-(transfer + wait + output),
+        score=score,
         missing_bytes=missing_bytes,
         input_transfer_seconds=transfer,
         input_wait_seconds=wait,
@@ -215,8 +233,8 @@ def _answer(cat: DatasetCatalog, st: StationState, msg: dict) -> dict:
         raise wire.RequestError("unknown-dataset", f"no dataset named {dataset!r}") from None
     except NoRouteToSource as exc:
         raise wire.RequestError("no-route", str(exc)) from None
-    if not math.isfinite(report.score):  # a slow link can overflow; JSON has no Infinity
-        raise wire.RequestError("malformed", "output_bytes too large to score")
+    except ScoreOverflow as exc:  # JSON has no Infinity
+        raise wire.RequestError("malformed", str(exc)) from None
     return vars(report)  # its fields
 
 
@@ -233,24 +251,20 @@ def station_from_config(node, fixture: dict | None = None) -> StationState:
     The element carries name and optional mean_service_seconds,
     output_destination and expected_output_bytes attributes; `link` children
     carry to= and bandwidth_bytes_per_second=. A fixture dict (scenario
-    runtime state) overrides or extends any of the constructor fields.
+    runtime state) overrides or extends any of the constructor fields; its
+    links extend the config's, overriding a link to the same site.
     """
     attrs = node.attributes
+    fixture = fixture or {}
     links = {}
     for child in node.children:
         if child.element_name == "link":
             links[child.attributes["to"]] = float(child.attributes["bandwidth_bytes_per_second"])
-    spec = {
+    return StationState(**{
         "station_id": attrs["name"],
         "mean_service_seconds": float(attrs.get("mean_service_seconds", 1.0)),
         "output_destination": attrs.get("output_destination", ""),
         "expected_output_bytes": int(attrs.get("expected_output_bytes", 0)),
-        "links": links,
-    }
-    if fixture:
-        merged_links = dict(links)
-        merged_links.update(fixture.get("links", {}))
-        spec.update({k: v for k, v in fixture.items() if k != "links"})
-        spec["links"] = merged_links
-    spec["cached_files"] = frozenset(spec.get("cached_files", ()))
-    return StationState(**spec)
+        **fixture,
+        "links": {**links, **fixture.get("links", {})},
+    })

@@ -11,14 +11,19 @@ Services answer through `dispatcher(handlers)`, a map from request type to a
 handler that returns the result object. A request without "type" or "id" is
 "malformed", one whose type has no handler (or is not text) "unsupported";
 a handler's return value is sent as {"id": ..., "result": ...}, and a
-`RequestError(code, message)` it raises as that error. Handlers read
-number fields through `number_field`, the one rule for what a number is.
-Lines are read through `decode_line`, which takes JSON only: a line with
-NaN, ±Infinity or a number beyond a float's range is not JSON, so it is
-"malformed" and no reply ever echoes such a value. Lines are written through
-`encode_line`, which refuses to write such a line: a request holding NaN
-fails in the client before it is sent, and a result that is not JSON is
-answered "internal".
+`RequestError(code, message)` it raises as that error.
+
+Each kind of input has one rule. A number is what `is_number` accepts:
+handlers read a number field through `number_field`, and the station's
+quantities and the catalog's file sizes are checked by `is_number` too. A
+list of text is read through `text_list_field`. Every line, and every JSON
+file the program opens (`read_json_file`), is decoded by `decode_line`,
+which takes JSON only: a line with NaN, ±Infinity or a number beyond a
+float's range is not JSON, so it is "malformed" and no reply ever echoes
+such a value. Lines are
+written through `encode_line`, which refuses to write such a line: a request
+holding NaN fails in the client before it is sent, and a result that is not
+JSON is answered "internal".
 """
 
 from __future__ import annotations
@@ -60,16 +65,32 @@ def error_reply(msg_id, code: str, message: str) -> dict:
     return {"id": msg_id, "error": {"code": code, "message": message}}
 
 
+def is_number(value, whole: bool = False) -> bool:
+    """Whether `value` is a number: a finite, nonnegative int or float, or
+    with `whole` an int. JSON's true and false are not, nor are NaN,
+    ±Infinity and an integer too large for a float."""
+    # ints compare with the float bound exactly; NaN fails every comparison
+    return (type(value) in ((int,) if whole else (int, float))
+            and 0 <= value <= sys.float_info.max)
+
+
 def number_field(msg: dict, field: str, default=None):
-    """`msg[field]` as a finite, nonnegative int or float; `default` when it
-    is absent or null. Anything else is "malformed", including JSON's true
-    and false, NaN, ±Infinity and an integer too large for a float."""
+    """`msg[field]` if it is a number (`is_number`); `default` when it is
+    absent or null. Anything else is "malformed"."""
     value = msg.get(field)
     if value is None:
         return default
-    # ints compare with the float bound exactly; NaN fails every comparison
-    if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+    if not is_number(value):
         raise RequestError("malformed", f"{field} must be a finite nonnegative number")
+    return value
+
+
+def text_list_field(msg: dict, field: str) -> list[str]:
+    """`msg[field]` if it is a list of text; `[]` when it is absent. Anything
+    else is "malformed": null, a text, and a list holding anything but text."""
+    value = msg.get(field, [])
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise RequestError("malformed", f"{field} must be a list of text")
     return value
 
 
@@ -81,7 +102,7 @@ def _finite(literal: str) -> float:
     return value
 
 
-# shared, as json.loads shares its own default decoder
+# one decoder for every line, as the json module shares its default one
 _DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
 
 
@@ -93,6 +114,13 @@ def decode_line(line: bytes):
         return _DECODER.decode(line.decode("utf-8", "surrogatepass"))
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+def read_json_file(path: str):
+    """The JSON document in a file, decoded by `decode_line` as a line
+    would be: NaN, ±Infinity and bad UTF-8 are ValueErrors."""
+    with open(path, "rb") as fh:
+        return decode_line(fh.read())
 
 
 # shared, as json.dumps shares its own default encoder

@@ -112,6 +112,45 @@ def test_sim_run_writes_report_and_event_log(tmp_path):
     assert kinds.count("done") == 6
 
 
+def _exit_within_seconds(*argv) -> subprocess.CompletedProcess:
+    """Run the command line in a child process; a run that never returns, or
+    a server that starts, runs into the timeout instead."""
+    return subprocess.run([sys.executable, "-m", "vogrid", *argv],
+                          capture_output=True, text=True, timeout=30)
+
+
+def test_sim_run_refuses_a_scenario_file_with_a_nan_file_size(tmp_path):
+    # a NaN staging time never equals the batch time, so no event ran, the
+    # event cap never tripped and the run never returned
+    doc = json.loads((SAMPLES / "scenario.json").read_text())
+    next(iter(doc["catalog"].values()))[0][1] = float("nan")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    proc = _exit_within_seconds("sim", "run", "--scenario", str(scenario),
+                                "--policy", "round-robin")
+    assert proc.returncode != 0
+    assert "ScenarioParseError" in proc.stderr
+
+
+def test_sim_run_report_is_json_when_no_station_can_score(tmp_path):
+    # 1e300 bytes over 1e-10 bytes/second: round-robin and random once
+    # reported an infinite staging time, which is not JSON
+    config = sim.make_site_config("S", "c", "st", {"HOME": 1e-10}, slots=2)
+    job = {"Owner": '"/C=US/O=demo/CN=alice"', "Dataset": '"d"'}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "catalog": {"d": [["f0", 10 ** 300, "HOME"]]},
+        "sites": [{"config_xml": write_tree(config),
+                   "gridmap": ["/C=US/O=demo/CN=alice"]}],
+        "jobs": [{"id": "j1", "ad": job}, {"id": "j2", "ad": job}]}))
+    out = tmp_path / "report.json"
+    for policy in sim.POLICIES:
+        _run_main("sim", "run", "--scenario", str(scenario), "--policy", policy,
+                  "-o", str(out))
+        report = wire.decode_line(out.read_bytes())
+        assert [j["reason"] for j in report["jobs"]] == ["all-rank-error"] * 2, policy
+
+
 def test_sim_run_offers_exactly_the_simulators_policies(capsys):
     assert cli.POLICIES == sim.POLICIES
     parser = build_parser()
@@ -297,6 +336,19 @@ def test_station_server_answers_preference_queries(tmp_path, spawn):
         lookup = conn.request({"type": "LOOKUP",
                                "dataset": "minbias"})["result"]
     assert [f["file"] for f in lookup["missing"]] == ["mb000", "mb001"]
+
+
+def test_station_serve_refuses_a_catalog_holding_nan(tmp_path):
+    # the station once started, then answered every GET_PREFERENCE for the
+    # dataset "output_bytes too large to score"
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text('{"dzero-run2": [["raw000", NaN, "FNAL"]]}')
+    proc = _exit_within_seconds(
+        "station", "serve", "--config", str(SAMPLES / "site.xml"),
+        "--station", "durin", "--catalog", str(catalog), "--port", "0")
+    assert proc.returncode != 0
+    assert "LISTENING" not in proc.stdout
+    assert "NaN" in proc.stderr
 
 
 def test_station_serve_requires_a_known_station_name(tmp_path):

@@ -29,10 +29,26 @@ from vogrid.classads import (
 )
 from vogrid.classads import TRUE, FALSE, UNDEFINED, ERROR
 from vogrid.classads import EMPTY_REGISTRY, Value, ValueKind, evaluate
-from vogrid.classads.parser import MAX_NESTING
+from vogrid.classads.parser import MAX_NESTING, PARSE_MEMO_CHARS, PARSE_MEMO_ENTRIES, _Parser
 from vogrid.classads.exprs import PRECEDENCE, expr_key
 
 EMPTY_AD = parse_classad("", AdKind.JOB)
+
+
+def test_parse_expr_shares_the_trees_of_short_sources():
+    src = 'Memory >= 2048 && Arch == "X86_64"'
+    assert parse_expr(src) is parse_expr(src[:1] + src[1:])
+    long_src = " + ".join(["1"] * 200)
+    assert len(long_src) > PARSE_MEMO_CHARS
+    assert parse_expr(long_src) == parse_expr(long_src)
+    assert parse_expr(long_src) is not parse_expr(long_src)
+
+
+def test_parse_expr_keeps_at_most_parse_memo_entries_trees():
+    first = parse_expr("memo_probe + 0")
+    for k in range(1, PARSE_MEMO_ENTRIES + 1):
+        parse_expr(f"memo_probe + {k}")
+    assert parse_expr("memo_probe + 0") is not first
 
 
 def test_numeric_literals():
@@ -222,6 +238,11 @@ def _ads_around(tree_of):
     ]
 
 
+def _fresh_parse(src: str):
+    """A tree of its own, bypassing `parse_expr`'s memo."""
+    return _Parser(src).parse()
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_SOURCE)
 def test_a_shared_compiled_tree_evaluates_as_a_fresh_parse(src):
@@ -233,13 +254,13 @@ def test_a_shared_compiled_tree_evaluates_as_a_fresh_parse(src):
     for _ in range(2):  # the second round runs code compiled in the first
         for i, self_ad in enumerate(shared):
             for j, other_ad in enumerate(shared + [None]):
-                fresh = _ads_around(lambda: parse_expr(src))
+                fresh = _ads_around(lambda: _fresh_parse(src))
                 fresh_other = None if other_ad is None else fresh[j]
                 assert (evaluate(tree, self_ad, other_ad, _FUN)
-                        == evaluate(parse_expr(src), fresh[i], fresh_other, _FUN))
+                        == evaluate(_fresh_parse(src), fresh[i], fresh_other, _FUN))
     for i, ad in enumerate(shared):  # memoized self-reads, asked twice
         for name in ("x", "X", "y", "z"):
-            fresh = _ads_around(lambda: parse_expr(src))[i]
+            fresh = _ads_around(lambda: _fresh_parse(src))[i]
             bound = fresh.lookup(name)
             expected = (UNDEFINED if bound is None
                         else evaluate(bound, fresh, None, EMPTY_REGISTRY))

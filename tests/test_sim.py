@@ -127,6 +127,40 @@ def test_load_scenario_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioParseError):
         load_scenario_file(str(path))
+    # the file is read as strict JSON: NaN is no number, so it is no size
+    doc = _one_site_doc()
+    doc["catalog"]["d"][0][1] = math.nan
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioParseError):
+        load_scenario_file(str(path))
+
+
+@pytest.mark.parametrize("size", [True, 1.5, 10 ** 400, math.nan, 0],
+                         ids=["true", "fraction", "10**400", "nan", "zero"])
+def test_a_catalog_file_size_must_be_a_whole_number_above_zero(size):
+    # true was one byte, 1.5 was accepted, 10**400 made round-robin raise
+    # OverflowError, and a NaN size staged for NaN seconds forever
+    doc = _one_site_doc(datasets={"d": [["f0", size, "HOME"]]})
+    with pytest.raises(ScenarioParseError, match="size"):
+        load_scenario(doc)
+
+
+@pytest.mark.parametrize("gridmap", ["alice", None, [ALICE, 5], {ALICE: 1}],
+                         ids=["text", "null", "a number", "object"])
+def test_a_site_gridmap_must_be_a_list_of_text(gridmap):
+    # the text "alice" once authorized each of its characters, so a job
+    # whose Owner was "a" matched and ran
+    doc = _one_site_doc()
+    doc["sites"][0]["gridmap"] = gridmap
+    with pytest.raises(ScenarioParseError, match="gridmap"):
+        load_scenario(doc)
+
+
+def test_an_absent_site_gridmap_authorizes_no_one():
+    doc = _one_site_doc()
+    del doc["sites"][0]["gridmap"]
+    report, _ = run_scenario(load_scenario(doc), "data-aware", 0)
+    assert [j["reason"] for j in report["jobs"]] == ["unauthorized-everywhere"]
 
 
 def test_duplicate_station_rejected():
@@ -162,6 +196,9 @@ def test_undefined_station_rejected():
     ("1.0", {"expected_output_bytes": -1}),
     ("1.0", {"input_queue_depth": math.nan}),
     ("1.0", {"input_queue_depth": "3"}),
+    ("1.0", {"input_queue_depth": True}),
+    ("1.0", {"input_queue_depth": 0.5}),
+    ("1.0", {"cached_files": "f0"}),
     ("1.0", {"no_such_field": 1}),
 ])
 def test_a_station_that_does_not_build_is_a_scenario_parse_error(xml_value, fixture):
@@ -210,15 +247,18 @@ def test_non_text_identity_is_rejected_at_load(attr):
         load_scenario(doc)
 
 
-def test_each_distinct_source_is_parsed_once(monkeypatch):
-    parsed = []
-    monkeypatch.setattr(sim, "parse_expr",
-                        lambda src: parsed.append(src) or parse_expr(src))
+def test_equal_sources_share_one_tree():
     scenario = load_scenario(SAMPLE_DOC)
-    sources = {src for job in SAMPLE_DOC["jobs"] for src in job["ad"].values()}
-    assert sorted(parsed) == sorted(sources | {"fun(Dataset, OTHER.Station_ID)"})
-    first, second = scenario.job_ads[:2]
-    assert first.lookup("Rank") is second.lookup("Rank")
+    trees = {}
+    for job_doc, ad in zip(SAMPLE_DOC["jobs"], scenario.job_ads):
+        for name, src in job_doc["ad"].items():
+            assert trees.setdefault(src, ad.lookup(name)) is ad.lookup(name), src
+    # every job's default Rank is one tree, shared with a later load's
+    ranks = {id(ad.lookup("Rank")) for ad in scenario.job_ads}
+    assert not any("Rank" in job["ad"] for job in SAMPLE_DOC["jobs"])
+    assert len(ranks) == 1
+    assert load_scenario(SAMPLE_DOC).job_ads[0].lookup("Rank") is \
+        scenario.job_ads[0].lookup("Rank")
 
 
 @pytest.mark.parametrize("policy", sim.POLICIES)
@@ -780,6 +820,18 @@ def test_a_job_no_station_can_stage_is_held_under_every_policy(policy):
     report, _ = run_scenario(load_scenario(_route_doc(sites=("U",))), policy, 0)
     assert [(j["state"], j["reason"]) for j in report["jobs"]] == \
         [("Held", "all-rank-error")] * 4
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_score_past_a_float_holds_every_job(policy):
+    # 1e300 bytes over 1e-10 bytes/second: random and round-robin once staged
+    # a job for an infinite time and held the other with no candidates
+    doc = _one_site_doc(datasets={"d": [["f0", 10 ** 300, "HOME"]]},
+                        links={"HOME": 1e-10}, jobs=("d", "d"), slots=2)
+    report, _ = run_scenario(load_scenario(doc), policy, 0)
+    assert [(j["state"], j["reason"]) for j in report["jobs"]] == \
+        [("Held", "all-rank-error")] * 2
+    assert report["final_clock"] == 0.0
 
 
 # -- quiescence ------------------------------------------------------------------------

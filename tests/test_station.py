@@ -17,6 +17,7 @@ from vogrid.station import (
     EnqueueInput,
     IllegalTransition,
     NoRouteToSource,
+    ScoreOverflow,
     StationState,
     UnknownDataset,
     apply_event,
@@ -60,6 +61,15 @@ def test_catalog_validation():
         CATALOG.files("nope")
 
 
+@pytest.mark.parametrize("size", [True, 1.5, 10 ** 400, math.nan, math.inf, -1, "5"],
+                         ids=["true", "fraction", "10**400", "nan", "infinity",
+                              "negative", "text"])
+def test_catalog_file_sizes_are_whole_numbers_a_float_holds(size):
+    # true was taken as one byte, and 1.5, NaN and 10**400 were accepted
+    with pytest.raises(ValueError, match="size"):
+        DatasetCatalog({"d": [("f", size, "A")]})
+
+
 def test_catalog_files_are_copies():
     files = CATALOG.files("minbias")
     files.pop()
@@ -84,8 +94,18 @@ def test_station_validation():
                 {"expected_output_bytes": 10 ** 400}, {"input_queue_depth": nan}):
         with pytest.raises(ValueError):
             _station(**bad)
+    # each of these once built: a text was taken as a set of its characters,
+    # true as 1, and a fractional depth fell below zero after one DequeueInput
+    for bad in ({"cached_files": "f0"}, {"cached_files": ["f0", 1]},
+                {"input_queue_depth": True}, {"input_queue_depth": 0.5},
+                {"output_queue_depth": False}, {"output_queue_depth": 2.5},
+                {"expected_output_bytes": 1.5}, {"expected_output_bytes": True},
+                {"mean_service_seconds": True}, {"links": {"FNAL": True}}):
+        with pytest.raises(ValueError):
+            _station(**bad)
     st = _station(cached_files=["a", "a", "b"])
     assert st.cached_files == frozenset({"a", "b"})
+    assert _station(cached_files=()).cached_files == frozenset()
 
 
 # -- preference queries ----------------------------------------------------------
@@ -146,6 +166,22 @@ def test_preference_output_without_destination():
     with pytest.raises(NoRouteToSource):
         get_preference(CATALOG, st, "dzero-run2", output_bytes=5)
     assert get_preference(CATALOG, st, "dzero-run2", output_bytes=0).score == 0.0
+
+
+def test_a_score_past_a_float_is_score_overflow():
+    # 1e300 bytes over 1e-10 bytes/second: the score was -Infinity, and the
+    # station answered "output_bytes too large" to a request without one
+    catalog = DatasetCatalog({"d": [("f", 10 ** 300, "FNAL")]})
+    st = _station(links={"FNAL": 1e-10})
+    with pytest.raises(ScoreOverflow):
+        get_preference(catalog, st, "d")
+    reply = handler(catalog, st)({"type": "GET_PREFERENCE", "id": 1, "dataset": "d"})
+    assert reply["error"]["code"] == "malformed"
+    assert "output_bytes" not in reply["error"]["message"]
+    # a wait past a float's range is an overflow too, not an OverflowError
+    st = _station(input_queue_depth=10 ** 300, mean_service_seconds=10 ** 300)
+    with pytest.raises(ScoreOverflow):
+        get_preference(CATALOG, st, "minbias")
 
 
 def test_preference_unknown_dataset():
@@ -343,6 +379,8 @@ def test_station_from_config_fixture_merge():
     assert st.input_queue_depth == 4
     assert st.links == {"FNAL": 1e8, "CDF": 1e7}  # fixture links extend config links
     assert st.output_destination == "CDF"
+    # and override the config's link of the same name
+    assert station_from_config(node, {"links": {"FNAL": 5e7}}).links == {"FNAL": 5e7}
 
 
 def test_station_from_golden_slice():
