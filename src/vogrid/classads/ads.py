@@ -8,12 +8,14 @@ folding and keep their display spelling.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from enum import Enum
 from typing import Iterator, Optional
 
 from . import values
 from .evaluator import evaluate
-from .exprs import Expr, Literal, expr_key, format_expr
+from .exprs import AttrRef, Expr, Literal, Scope, expr_key, format_expr, references
 from .parser import ParseError, parse_expr
 from .registry import EMPTY_REGISTRY, FnRegistry
 
@@ -30,6 +32,23 @@ class AdKind(Enum):
 _BINDING = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
 
 
+class Autocluster:
+    """The identity shared by the ads that one evaluation cannot tell apart
+    (`ClassAd.autocluster`). `calls` tells whether that evaluation may call
+    a function, whose result may change with the environment."""
+
+    __slots__ = ("calls", "__weakref__")
+
+    def __init__(self, calls: bool):
+        self.calls = calls
+
+
+# the bindings an evaluation reads -> their autocluster; an entry lives only
+# as long as something holds its autocluster
+_AUTOCLUSTERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_AUTOCLUSTERS_LOCK = threading.Lock()
+
+
 class ClassAd:
     """Immutable set of attribute bindings plus a kind and an identity."""
 
@@ -43,6 +62,9 @@ class ClassAd:
         self._attrs = dict(attrs)
         self._by_folded = by_folded
         self._self_values: dict[str, values.Value] = {}  # folded name -> self-read
+        self._reach: Optional[tuple[frozenset[str], frozenset[str]]] = None
+        # start names -> (other names, registry reads, autocluster)
+        self._autoclusters: dict[tuple[str, ...], tuple] = {}
         self.kind = kind
         self.ad_id = ad_id
 
@@ -84,6 +106,69 @@ class ClassAd:
         if x is None or x < 0:
             raise ValueError(f"ad {self.ad_id!r}: {name} must be a nonnegative number")
         return x
+
+    def other_reach(self) -> tuple[frozenset[str], frozenset[str]]:
+        """The attributes this ad's bindings refer to through OTHER, and the
+        functions they call, all case-folded. Memoized."""
+        if self._reach is None:
+            others, calls = set(), set()
+            for expr in self._by_folded.values():
+                for node in references(expr):
+                    if type(node) is not AttrRef:
+                        calls.add(node.fn_name.lower())
+                    elif node.scope is Scope.OTHER:
+                        others.add(node.name.lower())
+            self._reach = (frozenset(others), frozenset(calls))
+        return self._reach
+
+    def autocluster(self, start: tuple[str, ...], other_names: frozenset[str],
+                    reg: FnRegistry) -> Autocluster:
+        """This ad's autocluster for evaluating the attributes `start`
+        (case-folded) against ads whose bindings refer through OTHER to no
+        attribute outside `other_names`, calling functions from `reg`.
+
+        Such an evaluation reads no binding of this ad outside the closure of
+        `start` and `other_names` over SELF references and the `reads` that
+        the called handlers declare. Ads whose bindings on that closure are
+        equal evaluate alike, so they share one autocluster. An ad whose
+        closure calls a handler that may read anything gets one of its own.
+        Memoized per `start`, for the last `other_names` and registry reads.
+        """
+        cached = self._autoclusters.get(start)
+        if cached is not None and cached[0] == other_names and cached[1] == reg.reads:
+            return cached[2]
+        names: set[str] = set()
+        todo = [*start, *other_names]
+        calls, shared = False, True
+        while todo:
+            name = todo.pop()
+            if name in names:
+                continue
+            names.add(name)
+            expr = self._by_folded.get(name)
+            if expr is None:
+                continue
+            for node in references(expr):
+                if type(node) is not AttrRef:
+                    calls = True
+                    reads = reg.reads.get(node.fn_name.lower(), ())  # unknown: Error
+                    if reads is None:
+                        shared = False
+                    else:
+                        todo.extend(reads)
+                elif node.scope is Scope.SELF:
+                    todo.append(node.name.lower())
+        if shared:
+            key = tuple(sorted((name, expr_key(self._by_folded[name]))
+                               for name in names if name in self._by_folded))
+            with _AUTOCLUSTERS_LOCK:
+                cluster = _AUTOCLUSTERS.get(key)
+                if cluster is None:
+                    cluster = _AUTOCLUSTERS[key] = Autocluster(calls)
+        else:
+            cluster = Autocluster(True)
+        self._autoclusters[start] = (other_names, dict(reg.reads), cluster)
+        return cluster
 
     def items(self) -> Iterator[tuple[str, Expr]]:
         return iter(self._attrs.items())

@@ -55,6 +55,11 @@ from .values import ERROR, FALSE, TRUE, UNDEFINED, Value, ValueKind, boolean
 
 MAX_REFERENCES = 1000
 
+# the kinds the operators test, read once here: reading an enum member costs
+# an attribute lookup on its class at every node
+_INTEGER, _REAL, _BOOLEAN = ValueKind.INTEGER, ValueKind.REAL, ValueKind.BOOLEAN
+_UNDEFINED, _ERROR = ValueKind.UNDEFINED, ValueKind.ERROR
+
 
 def evaluate(e: Expr, self_ad, other_ad, reg: FnRegistry, env=None) -> Value:
     """Evaluate e with attribute references resolved against the given ads."""
@@ -193,9 +198,9 @@ _LOGIC = {"&&": (FALSE, TRUE), "||": (TRUE, FALSE)}
 def _truth(v: Value) -> Value:
     """v as TRUE, FALSE or UNDEFINED; anything else, as an operand of
     &&, || or !, is ERROR."""
-    if v.kind is ValueKind.BOOLEAN:
+    if v.kind is _BOOLEAN:
         return TRUE if v.data else FALSE
-    return UNDEFINED if v.kind is ValueKind.UNDEFINED else ERROR
+    return UNDEFINED if v.kind is _UNDEFINED else ERROR
 
 
 def _not(v: Value) -> Value:
@@ -212,23 +217,23 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator
 
 
 def _arith(op: str, a: Value, b: Value) -> Value:
-    if a.kind is ValueKind.INTEGER and b.kind is ValueKind.INTEGER:
+    if a.kind is _INTEGER and b.kind is _INTEGER:
         x, y = a.data, b.data
         if op != "/":
-            return _held(Value(ValueKind.INTEGER, _ARITH[op](x, y)))
+            return _held(Value(_INTEGER, _ARITH[op](x, y)))
         if y == 0:
             return ERROR
         q = abs(x) // abs(y)  # truncation toward zero
-        return _held(Value(ValueKind.INTEGER, q if (x < 0) == (y < 0) else -q))
+        return _held(Value(_INTEGER, q if (x < 0) == (y < 0) else -q))
     x, y = a.as_real(), b.as_real()
     if x is None or y is None or op == "/" and y == 0.0:
         return ERROR
-    return _held(Value(ValueKind.REAL, _ARITH[op](x, y)))
+    return _held(Value(_REAL, _ARITH[op](x, y)))
 
 
 # -- comparison ----------------------------------------------------------------
 
-_EQUALITY = (ValueKind.TEXT, ValueKind.BOOLEAN)
+_EQUALITY = (ValueKind.TEXT, _BOOLEAN)
 _ORDER = (ValueKind.TEXT,)  # booleans are unordered
 
 # op -> (its test, the kinds besides numbers whose values it compares)
@@ -238,9 +243,9 @@ _COMPARISONS = {"==": (operator.eq, _EQUALITY), "!=": (operator.ne, _EQUALITY),
 
 
 def _compare(op: str, a: Value, b: Value) -> Value:
-    if a.kind is ValueKind.ERROR or b.kind is ValueKind.ERROR:
+    if a.kind is _ERROR or b.kind is _ERROR:
         return ERROR
-    if a.kind is ValueKind.UNDEFINED or b.kind is ValueKind.UNDEFINED:
+    if a.kind is _UNDEFINED or b.kind is _UNDEFINED:
         return UNDEFINED
     test, kinds = _COMPARISONS[op]
     if a.kind is b.kind and a.kind in kinds:

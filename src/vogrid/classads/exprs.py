@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Iterator, Union
 
 from .values import Value, ValueKind, format_value
 
@@ -78,6 +78,22 @@ def _fmt(e: Expr, parent_bp: int) -> str:
 def format_expr(e: Expr) -> str:
     """Render an expression back to parseable source text."""
     return _fmt(e, 0)
+
+
+def references(expr: Expr) -> Iterator[Union[AttrRef, Call]]:
+    """The attribute references and function calls in a tree, found
+    without recursion."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (AttrRef, Call)):
+            yield e
+        if isinstance(e, Unary):
+            stack.append(e.operand)
+        elif isinstance(e, Binary):
+            stack += (e.left, e.right)
+        elif isinstance(e, Call):
+            stack.extend(e.args)
 
 
 def expr_key(expr: Expr) -> tuple:

@@ -51,6 +51,18 @@ def _interval(value: str) -> float:
     return seconds
 
 
+def _station_directory(path: str) -> dict[str, tuple[str, int]]:
+    """The station directory in a JSON file: each Station_ID to its address,
+    read by `wire.address_field`; a bad entry is a usage error."""
+    try:
+        raw = wire.read_json_file(path)
+        if not isinstance(raw, dict):
+            raise ValueError("must map each Station_ID to [host, port]")
+        return {sid: wire.address_field(raw, sid) for sid in raw}
+    except (OSError, ValueError, wire.RequestError) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+
+
 def _serve(handler, port: int, auth: str | None):
     server = wire.LineServer("127.0.0.1", port, handler, auth_token=auth)
     print(f"LISTENING {server.port}", flush=True)
@@ -154,10 +166,7 @@ def cmd_station_serve(args):
 
 def cmd_mm_serve(args):
     from .matchmaker import DirectoryQuery, MatchmakerService
-    directory = {}
-    if args.station_directory:
-        raw = wire.read_json_file(args.station_directory)
-        directory = {sid: (str(hp[0]), int(hp[1])) for sid, hp in raw.items()}
+    directory = args.station_directory or {}
     query = DirectoryQuery(directory, auth_token=args.auth) if directory else None
     service = MatchmakerService(station_query=query)
     try:
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     mmsub = mm.add_subparsers(dest="subcommand", required=True)
     p = mmsub.add_parser("serve")
     p.add_argument("--port", type=int, required=True)
-    p.add_argument("--station-directory",
+    p.add_argument("--station-directory", type=_station_directory,
                    help="JSON map of Station_ID to [host, port]")
     p.add_argument("--auth")
     p.set_defaults(fn=cmd_mm_serve)

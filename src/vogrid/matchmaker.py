@@ -41,6 +41,25 @@ them. This relies on a contract of the function registry: a handler's
 result may depend on the ads' attributes and on `env`, never on which ad
 object, or which ad id, it was handed. `fun` meets it.
 
+Job autoclusters. Jobs are grouped the same way, once per expression, as
+HTCondor's schedd groups them by their significant attributes: two jobs
+share an autocluster (`ClassAd.autocluster`) when they agree on every
+binding the evaluation can read. For the verdict (pre-authorization and
+Requirements) that is Owner and Requirements, for the rank it is Rank, each
+with the attributes they refer to through SELF, the names the clusters'
+bindings refer to through OTHER, and the SELF attributes that a called
+handler declares it reads (`FnRegistry.register`'s `reads`; `fun` reads
+OutputBytes). A handler that declares nothing may read anything, so no
+job whose expression reaches it shares with another. When its caller
+keeps a verdict table (the simulator does, for a run), a pass judges and
+ranks the jobs of one autocluster once per resource cluster, in tables
+keyed by (job autocluster, resource cluster): a verdict that reaches no
+function holds as long as the ads and the registry do, so it goes in the
+caller's table, and the other verdicts and the ranks in tables of the pass.
+A MATCH_REQUEST (`run_match_cycle`) keeps no table and judges each job on
+its own. A job computes its autoclusters when a pass first needs them and
+keeps them, as it keeps its self-reads.
+
 Station connections. `DirectoryQuery`, the station query of `vogrid mm
 serve`, keeps one connection per station and reuses it across queries and
 MATCH_REQUESTs, so a query costs a send and a read; it retries once, on a
@@ -205,7 +224,7 @@ def _fun_handler(args: list, self_ad, other_ad, env) -> Value:
 
 def standard_registry() -> FnRegistry:
     reg = FnRegistry()
-    reg.register("fun", 2, _fun_handler)
+    reg.register("fun", 2, _fun_handler, reads=("OutputBytes",))
     return reg
 
 
@@ -295,8 +314,13 @@ def choose_by_rank(job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry
     byte order. The members of a cluster share Name and rank, so each
     cluster competes with its lowest ad id, its first member.
     """
+    return _argmax(clusters, rank_resources(job, clusters, reg, env))
+
+
+def _argmax(clusters: list[list[StoredAd]], ranks: list[Value]) -> tuple[str, float] | None:
+    """`choose_by_rank`'s pick, given each cluster's rank."""
     best = best_key = None
-    for members, value in zip(clusters, rank_resources(job, clusters, reg, env)):
+    for members, value in zip(clusters, ranks):
         rank = value.as_real()
         if rank is None:
             continue
@@ -331,8 +355,82 @@ def _claim(index: FreeIndex, offered: list[list[StoredAd]], ad_id: str) -> None:
                 return
 
 
+# what a job is judged on against a cluster: its Owner and Requirements for
+# the verdict, its Rank for the rank (`ClassAd.autocluster`)
+_VERDICT_READS = ("requirements", "owner")
+_RANK_READS = ("rank",)
+_NOTHING: frozenset[str] = frozenset()
+
+
+def _reach(index: FreeIndex) -> tuple[frozenset[str], frozenset[str]]:
+    """The names the free clusters' bindings refer to through OTHER, and the
+    functions they call (`ClassAd.other_reach`)."""
+    others = called = _NOTHING
+    for members in index.values():
+        names, calls = members[0].ad.other_reach()
+        if names or calls:
+            others, called = others | names, called | calls
+    return others, called
+
+
+def _ranks(row: dict, job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry,
+           env: dict | None) -> list[Value]:
+    """`rank_resources`, evaluated only for the clusters that `row`, the
+    ranks of the job's rank autocluster by resource cluster, lacks."""
+    unranked = [members for members in clusters if members[0].cluster not in row]
+    if unranked:
+        for members, value in zip(unranked, rank_resources(job, unranked, reg, env)):
+            row[members[0].cluster] = value
+    return [row[members[0].cluster] for members in clusters]
+
+
+def _judge(job: ClassAd, index: FreeIndex, reg: FnRegistry,
+           env: dict | None) -> list[list[StoredAd]] | str:
+    """The member lists of the free clusters that the job may use and whose
+    Requirements pass, each judged on its first member, or, if there are
+    none, the reason: unauthorized-everywhere if a refused cluster passes,
+    else no-candidates."""
+    allowed, refused = [], []
+    for members in index.values():
+        (allowed if preauthorize(job, members[0]) else refused).append(members)
+    passing = [m for m in allowed if symmetric_match(job, m[0].ad, reg, env)]
+    if passing:
+        return passing
+    if any(symmetric_match(job, m[0].ad, reg, env) for m in refused):
+        return "unauthorized-everywhere"
+    return "no-candidates"
+
+
+def _judge_by_row(job: ClassAd, index: FreeIndex, row: dict, reg: FnRegistry,
+                  env: dict | None) -> list[list[StoredAd]] | str:
+    """`_judge`, reading and filling `row`, the verdicts of the job's verdict
+    autocluster by resource cluster: [authorized, passes], where passes is
+    None until judged."""
+    passing, refused = [], []
+    for members in index.values():
+        first = members[0]
+        verdict = row.get(first.cluster)
+        if verdict is None:
+            verdict = row[first.cluster] = [preauthorize(job, first), None]
+            if verdict[0]:
+                verdict[1] = symmetric_match(job, first.ad, reg, env)
+        if not verdict[0]:
+            refused.append((verdict, first))
+        elif verdict[1]:
+            passing.append(members)
+    if passing:
+        return passing
+    for verdict, first in refused:
+        if verdict[1] is None:
+            verdict[1] = symmetric_match(job, first.ad, reg, env)
+        if verdict[1]:
+            return "unauthorized-everywhere"
+    return "no-candidates"
+
+
 def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
-               env: dict | None, choose=choose_by_rank) -> Iterator[MatchDecision]:
+               env: dict | None, choose=choose_by_rank,
+               verdicts: dict | None = None) -> Iterator[MatchDecision]:
     """Lazy FIFO pass: one decision per job, while any ad in `index` is free.
 
     `index` (see `free_index`) belongs to the caller, and a claim takes its
@@ -347,22 +445,43 @@ def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
     returns the (ad id, rank) to claim, which must be one of their members,
     or None, which leaves the job with reason all-rank-error. A job whose
     Owner is not text is logged once per pass, however many clusters refuse it.
+
+    Job autoclusters, when the caller passes `verdicts`, a table it owns:
+    each verdict is judged once per (job autocluster, resource cluster), and
+    so is each Rank when `choose` is `choose_by_rank`, which then reads the
+    pass's rank table; any other chooser is called as given. A verdict that
+    reaches no function is kept in `verdicts`, which holds for as long as
+    the caller's slots, bindings and registry do not change; one that does
+    is kept for the pass. Without `verdicts`, each job is judged on its own.
     """
     if not index:
         return
+    keyed = verdicts is not None
+    pass_verdicts: dict = {}
+    ranks: dict = {}
+    if keyed:
+        others, called = _reach(index)
+        # a resource's handler that may read anything may read the job as OTHER
+        keyed = all(reg.reads.get(fn, ()) is not None for fn in called)
+        if called:
+            verdicts = pass_verdicts
     for job in jobs:
         if job.self_text("Owner") is None:
             log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
-        allowed, refused = [], []
-        for members in index.values():
-            (allowed if preauthorize(job, members[0]) else refused).append(members)
-        passing = [m for m in allowed if symmetric_match(job, m[0].ad, reg, env)]
-        if not passing:
-            unauthorized = any(symmetric_match(job, m[0].ad, reg, env) for m in refused)
-            yield MatchDecision.no_match(
-                job.ad_id, "unauthorized-everywhere" if unauthorized else "no-candidates")
+        if keyed:
+            group = job.autocluster(_VERDICT_READS, others, reg)
+            row = (pass_verdicts if group.calls else verdicts).setdefault(group, {})
+            passing = _judge_by_row(job, index, row, reg, env)
+        else:
+            passing = _judge(job, index, reg, env)
+        if isinstance(passing, str):
+            yield MatchDecision.no_match(job.ad_id, passing)
             continue
-        pick = choose(job, passing, reg, env)
+        if keyed and choose is choose_by_rank:
+            row = ranks.setdefault(job.autocluster(_RANK_READS, others, reg), {})
+            pick = _argmax(passing, _ranks(row, job, passing, reg, env))
+        else:
+            pick = choose(job, passing, reg, env)
         if pick is None:
             yield MatchDecision.no_match(job.ad_id, "all-rank-error")
             continue

@@ -36,6 +36,16 @@ candidates by (Name, ad id) before drawing, and `round-robin` looks them up
 by ad id. Every slot is collected at time 0 with the scenario's one TTL, so
 all of them are visible exactly while the clock is below it.
 
+A run also keeps a verdict table: the verdicts that reach no function, per
+(job autocluster, resource cluster) (see `matchmaker`). They depend only on
+the slots' bindings and gridmaps and on the jobs', none of which a run
+changes, so each is judged once per run and read by every later cycle. A
+verdict or a Rank that calls a function reads the stations, which change
+between cycles, so it is kept for one cycle only. The table belongs to the
+run, never to the `Scenario`: every run judges afresh, as a run of a freshly
+loaded scenario would. Each job ad keeps its autoclusters across the runs
+that share it, computed on its first cycle, never at load.
+
 The work in flight lives only in the event heap. A match pushes the event
 that ends the job's staging, which pushes the one that ends its run; each
 carries the job's record and slot, and the first also the names of the
@@ -64,6 +74,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -263,6 +274,9 @@ class GridWorld:
         self._rr_order = sorted(self.slots)
         # the slots with no event pending, kept up to date across the run
         self._free: FreeIndex = free_index(self.slots.values())
+        # the verdicts that reach no function, (job autocluster, resource
+        # cluster) -> [authorized, passes], kept for the run
+        self._verdicts: dict = {}
         for ad in scenario.job_ads:
             self.queue.submit(ad, stamp=self.clock)
             self._log("submit", job=ad.ad_id)
@@ -275,8 +289,11 @@ class GridWorld:
         self.event_log.append(entry)
 
     def _push(self, at: float, action, *args):
-        """Schedule `action(*args)` at time `at`; events at one time run in
-        the order they were pushed."""
+        """Schedule `action(*args)` at time `at`, where `args[0]` is the job's
+        record; events at one time run in the order they were pushed. A time
+        that is not finite is NonQuiescent: no later event could ever run."""
+        if not math.isfinite(at):
+            raise NonQuiescent(f"job {args[0].ad.ad_id}: event time {at!r} is not finite")
         self._heap_seq += 1
         heapq.heappush(self._heap, (at, self._heap_seq, action, args))
 
@@ -372,7 +389,7 @@ class GridWorld:
 
         index = self._free if self.clock < self.scenario.ttl else {}
         decisions = list(match_jobs(index, pull(), self.registry, self._env,
-                                    choose=choose))
+                                    choose=choose, verdicts=self._verdicts))
         matched = 0
         for record, decision in zip(pulled, decisions):
             if decision.matched:

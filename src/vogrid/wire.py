@@ -16,7 +16,8 @@ a handler's return value is sent as {"id": ..., "result": ...}, and a
 Each kind of input has one rule. A number is what `is_number` accepts:
 handlers read a number field through `number_field`, and the station's
 quantities and the catalog's file sizes are checked by `is_number` too. A
-list of text is read through `text_list_field`. Every line, and every JSON
+list of text is read through `text_list_field`, and a station's address
+through `address_field`. Every line, and every JSON
 file the program opens (`read_json_file`), is decoded by `decode_line`,
 which takes JSON only: a line with NaN, ±Infinity or a number beyond a
 float's range is not JSON, so it is "malformed" and no reply ever echoes
@@ -92,6 +93,18 @@ def text_list_field(msg: dict, field: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise RequestError("malformed", f"{field} must be a list of text")
     return value
+
+
+def address_field(msg: dict, field: str) -> tuple[str, int]:
+    """`msg[field]` as (host, port) if it is a list of a text host and an
+    integer port in 1-65535. Anything else is "malformed": null, true or
+    70.9 as the port, a port out of range, and a host that is not text."""
+    value = msg.get(field)
+    if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
+            and type(value[1]) is int and 1 <= value[1] <= 65535):
+        raise RequestError("malformed", f"{field} must be [host, port]: a text "
+                                        "host and an integer port in 1-65535")
+    return value[0], value[1]
 
 
 def _finite(literal: str) -> float:

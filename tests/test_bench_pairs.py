@@ -1,0 +1,55 @@
+"""The paired benchmark runner in tools/: its summary of result lines."""
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+from bench_pairs import metric_directions, seed_list, summarize  # noqa: E402
+
+
+def _row(workload, pair, side, **values):
+    return {"workload": workload, "pair": pair, "seed": 100 + pair, "side": side,
+            "result": {"correct": True, "metrics": {
+                name: {"value": value, "unit": "x"} for name, value in values.items()}}}
+
+
+def test_summary_gives_quartiles_and_the_pairs_the_change_led():
+    parent = [10.0, 12.0, 11.0, 13.0, 9.0]
+    change = [12.0, 11.5, 13.0, 15.0, 10.0]
+    setup_p = [0.2, 0.3, 0.2, 0.4, 0.3]
+    setup_c = [0.1, 0.3, 0.1, 0.5, 0.2]
+    rows = []
+    for pair in range(1, 6):
+        rows.append(_row("w", pair, "parent", jobs_per_s=parent[pair - 1],
+                         setup_s=setup_p[pair - 1], other=1.0))
+        rows.append(_row("w", pair, "change", jobs_per_s=change[pair - 1],
+                         setup_s=setup_c[pair - 1], other=2.0))
+    rows.append(_row("w", 6, "parent", jobs_per_s=100.0))  # a pair with one side only
+    summary = summarize(rows, {"jobs_per_s": "higher", "setup_s": "lower"})
+    jobs = summary["w"]["jobs_per_s"]
+    assert jobs["pairs"] == 5
+    assert jobs["parent"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
+    assert jobs["change"] == {"median": 12.0, "q1": 11.5, "q3": 13.0}
+    assert jobs["change_ahead"] == 4  # pair 2 went the other way
+    # lower is better: ahead in pairs 1, 3 and 5; pair 2 is a tie
+    assert summary["w"]["setup_s"]["change_ahead"] == 3
+    # a metric with no direction gets no ahead count
+    assert "change_ahead" not in summary["w"]["other"]
+    assert summary["w"]["other"]["better"] is None
+
+
+def test_one_pair_has_its_values_as_quartiles():
+    rows = [_row("w", 1, "parent", m=3.0), _row("w", 1, "change", m=2.0)]
+    entry = summarize(rows, {"m": "lower"})["w"]["m"]
+    assert entry["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+    assert entry["change_ahead"] == 1
+
+
+def test_seed_lists_and_metric_directions():
+    assert seed_list("101-103,7") == [101, 102, 103, 7]
+    better = metric_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert better["jobs_per_s"] == "higher" and better["setup_s"] == "lower"
+    assert better["classads.symmetric_match.pass_ratio"] == "higher"

@@ -322,6 +322,29 @@ def test_station_matchmaker_advertiser_pipeline(tmp_path, capsys, spawn):
     assert second["rank"] == -70.0
 
 
+@pytest.mark.parametrize("entry", [[None, 7000], ["127.0.0.1", True],
+                                   ["127.0.0.1", 70.9], ["127.0.0.1", 70000],
+                                   ["127.0.0.1", -1]])
+def test_mm_serve_refuses_a_bad_station_directory_entry(tmp_path, capsys, entry):
+    # the entry was read with str() and int(): null became the host "None",
+    # true the port 1 and 70.9 the port 70
+    directory = tmp_path / "stations.json"
+    directory.write_text(json.dumps({"durin": ["127.0.0.1", 7000], "gimli": entry}))
+    with pytest.raises(SystemExit) as exc:
+        main(["mm", "serve", "--port", "0", "--station-directory", str(directory)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "gimli must be [host, port]" in err
+
+
+def test_mm_serve_reads_each_station_address(tmp_path):
+    directory = tmp_path / "stations.json"
+    directory.write_text(json.dumps({"durin": ["127.0.0.1", 1], "gimli": ["::1", 65535]}))
+    args = build_parser().parse_args(["mm", "serve", "--port", "0",
+                                      "--station-directory", str(directory)])
+    assert args.station_directory == {"durin": ("127.0.0.1", 1), "gimli": ("::1", 65535)}
+
+
 def test_station_server_answers_preference_queries(tmp_path, spawn):
     fixture = tmp_path / "durin_state.json"
     fixture.write_text(json.dumps({"cached_files": ["raw000"]}))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import vogrid.matchmaker as matchmaker
 import vogrid.sim as sim
 from vogrid.classads import parse_expr
 from vogrid.conftree import read_tree, write_tree
@@ -776,6 +777,45 @@ def test_runs_that_share_a_grid_repeat_a_fresh_scenario_s_runs(doc):
     assert run_scenario(scenario, "data-aware", 0) == first
 
 
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_run_judges_each_job_autocluster_once_per_resource_cluster(policy, monkeypatch):
+    # the rejoin scenario's 15 jobs share one Owner and Requirements and take
+    # several cycles over two clusters; a run keeps its function-free
+    # verdicts, and the next run, of the same scenario, judges them anew
+    judged = []
+    symmetric_match = matchmaker.symmetric_match
+
+    def recording(job, res, reg, env):
+        judged.append((job.lookup("Owner"), job.lookup("Requirements"), res.key()))
+        return symmetric_match(job, res, reg, env)
+
+    monkeypatch.setattr(matchmaker, "symmetric_match", recording)
+    scenario = load_scenario(_rejoin_doc())
+    per_run = []
+    for _ in range(2):
+        del judged[:]
+        world = GridWorld(scenario, policy, 0)
+        world.run()
+        assert len(set(judged)) == len(judged) == 2
+        per_run.append(_outcome(world))
+    assert per_run[0] == per_run[1] == _outcome(_EveryBatchWorld(scenario, policy, 0))
+
+
+def test_job_ads_keep_one_autocluster_per_expression_however_many_runs():
+    scenario = load_scenario(_rejoin_doc())
+    run_scenario(scenario, "data-aware", 0)
+    first = {ad.ad_id: {start: entry[2] for start, entry in ad._autoclusters.items()}
+             for ad in scenario.job_ads}
+    for _ in range(3):
+        for policy in sim.POLICIES:
+            run_scenario(scenario, policy, 0)
+    # the verdict's and the Rank's, each the same object in every run
+    # (autoclusters compare by identity)
+    assert all(len(ad._autoclusters) == 2 for ad in scenario.job_ads)
+    assert first == {ad.ad_id: {start: entry[2] for start, entry in ad._autoclusters.items()}
+                     for ad in scenario.job_ads}
+
+
 # -- routes ------------------------------------------------------------------------------
 
 def _route_doc(*, output_bytes=None, sites=("R", "U")):
@@ -835,6 +875,18 @@ def test_a_score_past_a_float_holds_every_job(policy):
 
 
 # -- quiescence ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_an_event_time_past_a_float_is_non_quiescent(policy):
+    # each staging takes 1e308 s, so the second one would end at infinity:
+    # the report once gave its staging time and the final clock as inf
+    doc = _one_site_doc(datasets={"a": [["fa", 10 ** 308, "HOME"]],
+                                  "b": [["fb", 10 ** 308, "HOME"]]},
+                        links={"HOME": 1.0}, jobs=("a", "b"))
+    doc["ttl"] = 1.7e308
+    with pytest.raises(NonQuiescent, match="job j2: event time inf is not finite"):
+        run_scenario(load_scenario(doc), policy, 0)
+
 
 def test_event_cap_detects_runaway_runs(monkeypatch):
     monkeypatch.setattr(sim, "EVENT_CAP", 3)

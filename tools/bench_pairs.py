@@ -1,0 +1,142 @@
+"""Run the benchmark on two source trees in alternating pairs and write one
+JSON file of every result.
+
+    python tools/bench_pairs.py --parent OLD_TREE --change NEW_TREE \
+        --workload sim-burst --seeds 101-110 --seconds 30 --out BENCH_<n>.json
+
+Both trees are byte-compiled first, so neither pays for compiling its
+modules inside a timed run. Each pair runs the unchanged `bench/run.py` of
+both trees on one seed, the parent first in odd-numbered pairs and the
+change first in even-numbered ones. The file holds the raw result lines, each
+side's median and quartiles per metric, how many pairs the change was ahead
+in (by the metric's `better` in BENCHMARK.json), the CPU count and the
+Python version. Uses only the standard library.
+"""
+
+from __future__ import annotations
+
+import argparse
+import compileall
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def seed_list(spec: str) -> list[int]:
+    """Seeds from "1,4,7" or "101-110" (inclusive), or a mix of the two."""
+    seeds = []
+    for part in spec.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
+
+
+def metric_directions(benchmark: dict) -> dict[str, str]:
+    """Metric name -> "higher" or "lower", from a BENCHMARK.json document."""
+    return {m["name"]: m["better"]
+            for m in benchmark.get("end_to_end", []) + benchmark.get("per_layer", [])}
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run of a tree's bench/run.py: its last output line, decoded."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
+    result["returncode"] = proc.returncode
+    return result
+
+
+def _spread(values: list[float]) -> dict[str, float]:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(rows: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric: each side's median and quartiles, and in how
+    many pairs the change was ahead. `rows` are the raw records, each with
+    "workload", "pair", "side" and the bench "result"; a metric without a
+    direction in `better` gets no ahead count."""
+    runs: dict[tuple[str, int], dict[str, dict]] = {}
+    for row in rows:
+        runs.setdefault((row["workload"], row["pair"]), {})[row["side"]] = row["result"]
+    out: dict[str, dict] = {}
+    for (workload, _), pair in sorted(runs.items()):
+        if set(pair) != set(SIDES):
+            continue
+        metrics = out.setdefault(workload, {})
+        names = set(pair["parent"].get("metrics", {}))
+        names &= set(pair["change"].get("metrics", {}))
+        for name in sorted(names):
+            values = {side: pair[side]["metrics"][name]["value"] for side in SIDES}
+            entry = metrics.setdefault(name, {"parent": [], "change": [],
+                                              "better": better.get(name), "pairs": 0,
+                                              "change_ahead": 0})
+            entry["pairs"] += 1
+            for side in SIDES:
+                entry[side].append(values[side])
+            sign = {"higher": 1, "lower": -1}.get(entry["better"], 0)
+            entry["change_ahead"] += sign * (values["change"] - values["parent"]) > 0
+    for metrics in out.values():
+        for entry in metrics.values():
+            for side in SIDES:
+                entry[side] = _spread(entry[side])
+            if entry["better"] is None:
+                del entry["change_ahead"]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="the tree to compare against")
+    parser.add_argument("--change", type=Path, required=True, help="the tree under test")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", type=seed_list, required=True,
+                        help='one seed per pair, as "101-110" or "1,4,7"')
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        for part in ("src", "bench"):
+            compileall.compile_dir(str(tree / part), quiet=1)
+    better = metric_directions(json.loads((trees["change"] / "BENCHMARK.json").read_text()))
+    rows = []
+    for workload in args.workload:
+        for pair, seed in enumerate(args.seeds, 1):
+            for side in (SIDES if pair % 2 else SIDES[::-1]):
+                result = run_bench(trees[side], workload, seed, args.seconds, args.trace)
+                rows.append({"workload": workload, "pair": pair, "seed": seed,
+                             "side": side, "result": result})
+                print(json.dumps(rows[-1]), flush=True)
+    doc = {
+        "command": ["bench/run.py", "--seconds", args.seconds, "--trace", args.trace],
+        "order": "parent first in odd-numbered pairs, change first in even ones",
+        "bytecode": "both trees byte-compiled before the first run",
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "summary": summarize(rows, better),
+        "runs": rows,
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
