@@ -62,7 +62,7 @@ class ClassAd:
         self._attrs = dict(attrs)
         self._by_folded = by_folded
         self._self_values: dict[str, values.Value] = {}  # folded name -> self-read
-        self._reach: Optional[tuple[frozenset[str], frozenset[str]]] = None
+        self._reach: Optional[tuple[frozenset[str], bool]] = None
         # start names -> (other names, registry reads, autocluster)
         self._autoclusters: dict[tuple[str, ...], tuple] = {}
         self.kind = kind
@@ -107,18 +107,18 @@ class ClassAd:
             raise ValueError(f"ad {self.ad_id!r}: {name} must be a nonnegative number")
         return x
 
-    def other_reach(self) -> tuple[frozenset[str], frozenset[str]]:
-        """The attributes this ad's bindings refer to through OTHER, and the
-        functions they call, all case-folded. Memoized."""
+    def other_reach(self) -> tuple[frozenset[str], bool]:
+        """The attributes this ad's bindings refer to through OTHER,
+        case-folded, and whether they call a function. Memoized."""
         if self._reach is None:
-            others, calls = set(), set()
+            others, calls = set(), False
             for expr in self._by_folded.values():
                 for node in references(expr):
                     if type(node) is not AttrRef:
-                        calls.add(node.fn_name.lower())
+                        calls = True
                     elif node.scope is Scope.OTHER:
                         others.add(node.name.lower())
-            self._reach = (frozenset(others), frozenset(calls))
+            self._reach = (frozenset(others), calls)
         return self._reach
 
     def autocluster(self, start: tuple[str, ...], other_names: frozenset[str],
@@ -127,19 +127,21 @@ class ClassAd:
         (case-folded) against ads whose bindings refer through OTHER to no
         attribute outside `other_names`, calling functions from `reg`.
 
-        Such an evaluation reads no binding of this ad outside the closure of
-        `start` and `other_names` over SELF references and the `reads` that
-        the called handlers declare. Ads whose bindings on that closure are
-        equal evaluate alike, so they share one autocluster. An ad whose
-        closure calls a handler that may read anything gets one of its own.
-        Memoized per `start`, for the last `other_names` and registry reads.
+        The sharing rule (`FnRegistry`): ads that agree on every binding an
+        evaluation can read, through SELF references, through the other
+        ads' OTHER references and through the SELF attributes its handlers
+        declare with `reads`, evaluate alike. Those bindings are the closure
+        of `start` and `other_names` over SELF references and declared
+        `reads`; every ad with equal bindings there gets the one interned
+        autocluster. Memoized per `start`, for the last `other_names` and
+        registry reads.
         """
         cached = self._autoclusters.get(start)
         if cached is not None and cached[0] == other_names and cached[1] == reg.reads:
             return cached[2]
         names: set[str] = set()
         todo = [*start, *other_names]
-        calls, shared = False, True
+        calls = False
         while todo:
             name = todo.pop()
             if name in names:
@@ -151,22 +153,15 @@ class ClassAd:
             for node in references(expr):
                 if type(node) is not AttrRef:
                     calls = True
-                    reads = reg.reads.get(node.fn_name.lower(), ())  # unknown: Error
-                    if reads is None:
-                        shared = False
-                    else:
-                        todo.extend(reads)
+                    todo.extend(reg.reads.get(node.fn_name.lower(), ()))  # unknown: Error
                 elif node.scope is Scope.SELF:
                     todo.append(node.name.lower())
-        if shared:
-            key = tuple(sorted((name, expr_key(self._by_folded[name]))
-                               for name in names if name in self._by_folded))
-            with _AUTOCLUSTERS_LOCK:
-                cluster = _AUTOCLUSTERS.get(key)
-                if cluster is None:
-                    cluster = _AUTOCLUSTERS[key] = Autocluster(calls)
-        else:
-            cluster = Autocluster(True)
+        key = tuple(sorted((name, expr_key(self._by_folded[name]))
+                           for name in names if name in self._by_folded))
+        with _AUTOCLUSTERS_LOCK:
+            cluster = _AUTOCLUSTERS.get(key)
+            if cluster is None:
+                cluster = _AUTOCLUSTERS[key] = Autocluster(calls)
         self._autoclusters[start] = (other_names, dict(reg.reads), cluster)
         return cluster
 
@@ -199,7 +194,7 @@ def parse_classad(text: str, kind: AdKind, ad_id: str = "") -> ClassAd:
         try:
             attrs[name] = parse_expr(rhs)
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.args[0]}", exc.offset) from None
+            raise ParseError(f"line {lineno}: {exc.message}", exc.offset) from None
     return ClassAd(attrs, kind, ad_id)
 
 

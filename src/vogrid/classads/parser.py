@@ -27,6 +27,7 @@ from .exprs import PRECEDENCE, AttrRef, Binary, Call, Expr, Literal, Scope, Unar
 class ParseError(Exception):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 

@@ -18,30 +18,31 @@ class FnRegistry:
     """Name -> (arity, handler) table. Names are case-insensitive.
 
     Freeze the registry (stop registering) before matching starts; handlers
-    must be safe to invoke concurrently. The handler contract: a handler's
-    result may depend on its arguments, on the environment handle and on
-    the ads' attributes, never on the identity of the ads it is handed,
-    since the matchmaker evaluates one ad of a resource cluster (ads with
-    equal bindings and gridmap) for all of them. A handler registered with
-    `reads`, the names of the attributes of its SELF ad that it reads, reads
-    no other attribute of either ad, so the matchmaker may judge every job
-    that agrees on what an expression reads once (a job autocluster).
-    `reads=None`, the default, means it may read anything: no job whose
-    expression reaches it shares a verdict or a rank with another.
+    must be safe to invoke concurrently. Every handler declares `reads`, the
+    attributes of its SELF ad that it reads, and reads nothing else of
+    either ad: only its arguments, those attributes and the environment
+    handle, never the identity of the ads it is handed. The sharing rule
+    follows: ads that agree on every binding an evaluation can read,
+    through SELF references, through the other ads' OTHER references and
+    through the SELF attributes its handlers declare with `reads`, evaluate
+    alike. The matchmaker judges such ads once: the slots of a resource
+    cluster, and the jobs of an autocluster (`ClassAd.autocluster`).
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, tuple[int, Handler]] = {}
         # folded name -> the SELF attributes its handler declares it reads
-        self.reads: dict[str, Optional[tuple[str, ...]]] = {}
+        self.reads: dict[str, tuple[str, ...]] = {}
 
     def register(self, name: str, arity: int, handler: Handler,
-                 reads: Optional[Iterable[str]] = None) -> "FnRegistry":
+                 reads: Iterable[str]) -> "FnRegistry":
         key = name.lower()
         if key in self._entries:
             raise DuplicateFunction(name)
+        if isinstance(reads, str):
+            raise TypeError("reads names attributes: a collection of text, not one text")
         self._entries[key] = (arity, handler)
-        self.reads[key] = None if reads is None else tuple(r.lower() for r in reads)
+        self.reads[key] = tuple(r.lower() for r in reads)
         return self
 
     def lookup(self, name: str) -> Optional[tuple[int, Handler]]:

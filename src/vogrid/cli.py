@@ -6,6 +6,10 @@ and read the assigned port from the first line of output.
 Each command imports the modules it uses when it runs, so a server process
 loads only its own service: a station never loads the simulator or the
 matchmaker.
+
+A file that an option names and that cannot be read, or does not hold what
+the option wants, is a usage error (exit 2) naming the file (`_option_file`),
+as is a HOST:PORT whose port is not one `wire.is_port` takes.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ def _write_out(path: str | None, content: str):
 
 def _host_port(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
-    if not sep or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"{value!r} is not HOST:PORT")
+    if not (sep and port.isascii() and port.isdigit() and wire.is_port(int(port))):
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not HOST:PORT with a port in 1-65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -51,16 +56,31 @@ def _interval(value: str) -> float:
     return seconds
 
 
+def _option_file(path: str, load, *faults):
+    """`load(path)`. An OSError, a ValueError or one of `faults` is a usage
+    error naming the file: argparse reports it for an option's type, and
+    `main` for a command."""
+    try:
+        return load(path)
+    except (OSError, ValueError, *faults) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+
+
+def _json_object(path: str) -> dict:
+    """The JSON object in a file, read by `wire.read_json_file`."""
+    raw = wire.read_json_file(path)
+    if not isinstance(raw, dict):
+        raise ValueError("must hold a JSON object")
+    return raw
+
+
 def _station_directory(path: str) -> dict[str, tuple[str, int]]:
     """The station directory in a JSON file: each Station_ID to its address,
-    read by `wire.address_field`; a bad entry is a usage error."""
-    try:
-        raw = wire.read_json_file(path)
-        if not isinstance(raw, dict):
-            raise ValueError("must map each Station_ID to [host, port]")
+    read by `wire.address_field`."""
+    def load(path):
+        raw = _json_object(path)
         return {sid: wire.address_field(raw, sid) for sid in raw}
-    except (OSError, ValueError, wire.RequestError) as exc:
-        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+    return _option_file(path, load, wire.RequestError)
 
 
 def _serve(handler, port: int, auth: str | None):
@@ -81,8 +101,10 @@ def _load_station(args):
     stations = derive_service_config(site, "station")
     for node in stations.children:
         if node.attributes.get("name") == args.station:
-            fixture = wire.read_json_file(args.fixture) if args.fixture else None
-            return station_from_config(node, fixture)
+            if not args.fixture:
+                return station_from_config(node)
+            return _option_file(args.fixture, lambda path: station_from_config(
+                node, _json_object(path)), TypeError)
     raise SystemExit(f"no station named {args.station!r} in {args.config}")
 
 
@@ -91,6 +113,8 @@ def _request_or_die(host, port, msg, auth):
         reply = wire.send_request(host, port, msg, auth_token=auth)
     except OSError as exc:
         raise SystemExit(f"cannot reach {host}:{port}: {exc}")
+    except (wire.WireError, ValueError) as exc:  # ValueError: not JSON
+        raise SystemExit(f"bad reply from {host}:{port}: {exc}")
     if "error" in reply:
         err = reply["error"]
         raise SystemExit(f"{err.get('code')}: {err.get('message')}")
@@ -159,7 +183,8 @@ def cmd_info_serve(args):
 
 def cmd_station_serve(args):
     from .station import DatasetCatalog, handler
-    catalog = DatasetCatalog(wire.read_json_file(args.catalog))
+    catalog = _option_file(args.catalog, lambda path: DatasetCatalog(_json_object(path)),
+                           TypeError)
     state = _load_station(args)
     _serve(handler(catalog, state), args.port, args.auth)
 
@@ -188,9 +213,10 @@ def cmd_q_serve(args):
 # -- queue client -------------------------------------------------------------------
 
 def cmd_submit(args):
-    from .classads import AdKind, ad_to_json, parse_classad
+    from .classads import AdKind, ParseError, ad_to_json, parse_classad
     ad_id = os.path.splitext(os.path.basename(args.ad))[0]
-    ad = parse_classad(_read(args.ad), AdKind.JOB, ad_id=ad_id)
+    ad = _option_file(args.ad, lambda path: parse_classad(_read(path), AdKind.JOB, ad_id),
+                      ParseError)
     host, port = args.queue
     result = _request_or_die(host, port,
                              {"type": "SUBMIT", "ad": ad_to_json(ad)}, args.auth)
@@ -218,9 +244,12 @@ def cmd_release(args):
 # -- sim ---------------------------------------------------------------------------
 
 def cmd_sim_run(args):
-    from .sim import load_scenario_file, run_scenario
-    scenario = load_scenario_file(args.scenario)
-    report, event_log = run_scenario(scenario, args.policy, args.seed)
+    from .sim import ScenarioParseError, load_scenario_file, run_scenario
+    scenario = _option_file(args.scenario, load_scenario_file, ScenarioParseError)
+    try:
+        report, event_log = run_scenario(scenario, args.policy, args.seed)
+    except ScenarioParseError as exc:  # its grid: a station or a slot ad
+        raise argparse.ArgumentTypeError(f"{args.scenario}: {exc}") from None
     if args.events:
         with open(args.events, "wb") as fh:
             for entry in event_log:
@@ -334,8 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.fn(args)
+    except argparse.ArgumentTypeError as exc:  # a command's `_option_file`
+        parser.error(str(exc))
     return 0
 
 

@@ -42,23 +42,22 @@ result may depend on the ads' attributes and on `env`, never on which ad
 object, or which ad id, it was handed. `fun` meets it.
 
 Job autoclusters. Jobs are grouped the same way, once per expression, as
-HTCondor's schedd groups them by their significant attributes: two jobs
-share an autocluster (`ClassAd.autocluster`) when they agree on every
-binding the evaluation can read. For the verdict (pre-authorization and
-Requirements) that is Owner and Requirements, for the rank it is Rank, each
-with the attributes they refer to through SELF, the names the clusters'
-bindings refer to through OTHER, and the SELF attributes that a called
-handler declares it reads (`FnRegistry.register`'s `reads`; `fun` reads
-OutputBytes). A handler that declares nothing may read anything, so no
-job whose expression reaches it shares with another. When its caller
-keeps a verdict table (the simulator does, for a run), a pass judges and
-ranks the jobs of one autocluster once per resource cluster, in tables
-keyed by (job autocluster, resource cluster): a verdict that reaches no
-function holds as long as the ads and the registry do, so it goes in the
-caller's table, and the other verdicts and the ranks in tables of the pass.
-A MATCH_REQUEST (`run_match_cycle`) keeps no table and judges each job on
-its own. A job computes its autoclusters when a pass first needs them and
-keeps them, as it keeps its self-reads.
+HTCondor's schedd groups them by their significant attributes. The sharing
+rule (`FnRegistry`): ads that agree on every binding an evaluation can read,
+through SELF references, through the other ads' OTHER references and
+through the SELF attributes its handlers declare with `reads`, evaluate
+alike. So two jobs share an autocluster (`ClassAd.autocluster`) for the
+verdict (pre-authorization and Requirements) when they agree on that
+closure of Owner and Requirements, and for the rank on that of Rank; `fun`
+declares OutputBytes. When its caller keeps a verdict table (the simulator
+does, for a run), a pass judges and ranks the jobs of one autocluster once
+per resource cluster, in tables keyed by (job autocluster, resource
+cluster): a verdict that reaches no function holds as long as the ads and
+the registry do, so it goes in the caller's table, and the other verdicts
+and the ranks in tables of the pass. A MATCH_REQUEST (`run_match_cycle`)
+keeps no table and judges each job on its own. A job computes its
+autoclusters when a pass first needs them and keeps them, as it keeps its
+self-reads.
 
 Station connections. `DirectoryQuery`, the station query of `vogrid mm
 serve`, keeps one connection per station and reuses it across queries and
@@ -362,14 +361,15 @@ _RANK_READS = ("rank",)
 _NOTHING: frozenset[str] = frozenset()
 
 
-def _reach(index: FreeIndex) -> tuple[frozenset[str], frozenset[str]]:
-    """The names the free clusters' bindings refer to through OTHER, and the
-    functions they call (`ClassAd.other_reach`)."""
-    others = called = _NOTHING
+def _reach(index: FreeIndex) -> tuple[frozenset[str], bool]:
+    """The names the free clusters' bindings refer to through OTHER, and
+    whether they call a function (`ClassAd.other_reach`)."""
+    others, called = _NOTHING, False
     for members in index.values():
         names, calls = members[0].ad.other_reach()
-        if names or calls:
-            others, called = others | names, called | calls
+        if names:
+            others = others | names
+        called |= calls
     return others, called
 
 
@@ -461,8 +461,6 @@ def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
     ranks: dict = {}
     if keyed:
         others, called = _reach(index)
-        # a resource's handler that may read anything may read the job as OTHER
-        keyed = all(reg.reads.get(fn, ()) is not None for fn in called)
         if called:
             verdicts = pass_verdicts
     for job in jobs:

@@ -209,11 +209,12 @@ def load_scenario(doc: dict) -> Scenario:
 
 
 def load_scenario_file(path: str) -> Scenario:
-    """The scenario in a JSON file, read by `wire.read_json_file`."""
+    """The scenario in a JSON file, read by `wire.read_json_file`. A file
+    that is not JSON is a ScenarioParseError, as a bad document is."""
     try:
         doc = wire.read_json_file(path)
     except ValueError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from None
+        raise ScenarioParseError(f"not JSON: {exc}") from None
     return load_scenario(doc)
 
 
@@ -350,8 +351,8 @@ class GridWorld:
                 return pick.ad.ad_id, 0.0
         return None
 
-    def _match_cycle(self) -> int:
-        """Match the idle jobs once. Returns how many matched.
+    def _match_cycle(self) -> None:
+        """Match the idle jobs once.
 
         `match_jobs` pulls idle records lazily, in job id order, from the
         queue's live view, and stops once no ad is left free; the jobs it did
@@ -374,7 +375,7 @@ class GridWorld:
         """
         idle = self.queue.state_view(JobState.IDLE)
         if not idle:
-            return 0
+            return
         self._snapshot = dict(self.stations)
         self._scores = {}
         saw_everything = not self._heap  # no slot busy as the cycle starts
@@ -390,10 +391,8 @@ class GridWorld:
         index = self._free if self.clock < self.scenario.ttl else {}
         decisions = list(match_jobs(index, pull(), self.registry, self._env,
                                     choose=choose, verdicts=self._verdicts))
-        matched = 0
         for record, decision in zip(pulled, decisions):
             if decision.matched:
-                matched += 1
                 saw_everything = False
                 self._start_staging(record, decision)
             elif saw_everything:
@@ -401,7 +400,6 @@ class GridWorld:
         if saw_everything:
             for record in self.queue.in_state(JobState.IDLE):
                 self._hold(record, "no-candidates")
-        return matched
 
     def _hold(self, record, reason: str):
         self.queue.transition(record.job_id, JobState.HELD,

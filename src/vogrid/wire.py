@@ -16,8 +16,8 @@ a handler's return value is sent as {"id": ..., "result": ...}, and a
 Each kind of input has one rule. A number is what `is_number` accepts:
 handlers read a number field through `number_field`, and the station's
 quantities and the catalog's file sizes are checked by `is_number` too. A
-list of text is read through `text_list_field`, and a station's address
-through `address_field`. Every line, and every JSON
+list of text is read through `text_list_field`, a port by `is_port`, and a
+station's address through `address_field`. Every line, and every JSON
 file the program opens (`read_json_file`), is decoded by `decode_line`,
 which takes JSON only: a line with NaN, ±Infinity or a number beyond a
 float's range is not JSON, so it is "malformed" and no reply ever echoes
@@ -95,13 +95,18 @@ def text_list_field(msg: dict, field: str) -> list[str]:
     return value
 
 
+def is_port(value) -> bool:
+    """Whether `value` is a port to connect to: an int in 1-65535, not true."""
+    return type(value) is int and 1 <= value <= 65535
+
+
 def address_field(msg: dict, field: str) -> tuple[str, int]:
-    """`msg[field]` as (host, port) if it is a list of a text host and an
-    integer port in 1-65535. Anything else is "malformed": null, true or
-    70.9 as the port, a port out of range, and a host that is not text."""
+    """`msg[field]` as (host, port) if it is a list of a text host and a
+    port (`is_port`). Anything else is "malformed": null, true or 70.9 as
+    the port, a port out of range, and a host that is not text."""
     value = msg.get(field)
     if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
-            and type(value[1]) is int and 1 <= value[1] <= 65535):
+            and is_port(value[1])):
         raise RequestError("malformed", f"{field} must be [host, port]: a text "
                                         "host and an integer port in 1-65535")
     return value[0], value[1]
@@ -277,7 +282,9 @@ class LineServer(socketserver.ThreadingTCPServer):
 
 
 class Connection:
-    """Client side: send one request per call, read one reply line."""
+    """Client side: send one request per call, read one reply line. A reply
+    line that is not JSON is a ValueError (`decode_line`); one that is JSON
+    but not an object, or a connection closed before it, is a WireError."""
 
     def __init__(self, host: str, port: int, timeout: float = 10.0,
                  auth_token: str | None = None):
@@ -298,6 +305,8 @@ class Connection:
         if not line:
             raise ConnectionClosed("connection closed by server")
         reply = decode_line(line)
+        if not isinstance(reply, dict):
+            raise WireError("reply is not a JSON object")
         if reply.get("id") != msg["id"]:
             raise WireError(f"reply id {reply.get('id')!r} does not match {msg['id']!r}")
         return reply

@@ -1,8 +1,10 @@
 """End-to-end runs of the vogrid command line."""
 
 import json
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -128,8 +130,9 @@ def test_sim_run_refuses_a_scenario_file_with_a_nan_file_size(tmp_path):
     scenario.write_text(json.dumps(doc))
     proc = _exit_within_seconds("sim", "run", "--scenario", str(scenario),
                                 "--policy", "round-robin")
-    assert proc.returncode != 0
-    assert "ScenarioParseError" in proc.stderr
+    assert proc.returncode == 2  # a usage error naming the file, not a traceback
+    assert f"error: {scenario}: not JSON: NaN" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_sim_run_report_is_json_when_no_station_can_score(tmp_path):
@@ -384,3 +387,78 @@ def test_station_serve_requires_a_known_station_name(tmp_path):
 def test_queue_commands_fail_cleanly_when_the_server_is_down():
     with pytest.raises(SystemExit, match="cannot reach"):
         main(["status", "--queue", "127.0.0.1:1", "--job", "1"])
+
+
+@pytest.mark.parametrize("port", ["0", "65536", "99999"])
+def test_a_port_out_of_range_is_a_usage_error(port, capsys):
+    # the port was taken as given, and 99999 ended in "Connection refused"
+    with pytest.raises(SystemExit) as exc:
+        main(["status", "--queue", f"127.0.0.1:{port}", "--job", "1"])
+    assert exc.value.code == 2
+    assert "argument --queue: " in capsys.readouterr().err
+
+
+def test_a_port_in_range_is_taken():
+    for port in (1, 65535):
+        args = build_parser().parse_args(["status", "--queue", f"h:{port}", "--job", "1"])
+        assert args.queue == ("h", port)
+
+
+def _one_reply_server(reply: bytes | None):
+    """A bare socket that reads one request and answers `reply`, or closes
+    the connection unanswered when it is None; returns its port and thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        with listener:
+            sock, _ = listener.accept()
+            with sock, sock.makefile("rwb") as f:
+                f.readline()
+                if reply is not None:
+                    f.write(reply)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+@pytest.mark.parametrize("reply, message", [
+    (b"[1]\n", "reply is not a JSON object"),  # was an AttributeError
+    (None, "connection closed by server"),  # was a ConnectionClosed traceback
+    (b"{nope\n", "bad reply from"),
+])
+def test_a_bad_reply_is_one_line(reply, message):
+    port, server = _one_reply_server(reply)
+    with pytest.raises(SystemExit, match=message) as exc:
+        main(["status", "--queue", f"127.0.0.1:{port}", "--job", "1"])
+    assert "\n" not in str(exc.value.code)
+    server.join(5.0)
+    assert not server.is_alive()
+
+
+_STATION = ["station", "serve", "--config", str(SAMPLES / "site.xml"), "--station", "durin",
+            "--port", "0", "--catalog"]
+_FIXTURE = [*_STATION, str(SAMPLES / "catalog.json"), "--fixture"]
+_SCENARIO = ["sim", "run", "--scenario"]
+_AD = ["submit", "--queue", "127.0.0.1:1", "--ad"]
+
+
+@pytest.mark.parametrize("argv, content", [
+    (_STATION, "[1]"), (_STATION, '{"d": [["f0", 1]]}'),
+    (_FIXTURE, "[1]"), (_FIXTURE, '{"input_queue_depth": -1}'),
+    (_SCENARIO, "[1]"),
+    (_SCENARIO, (SAMPLES / "scenario.json").read_text().replace(
+        '"sa": {', '"sa": {"input_queue_depth": -1, ')),
+    (_AD, "Owner = (\n"),
+], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
+        "scenario-station", "ad-parse"])
+def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, argv, content):
+    # each of these once ended in a traceback
+    path = tmp_path / "input"
+    path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    assert "Traceback" not in err

@@ -164,7 +164,7 @@ def test_cross_ad_cycle():
 
 def test_function_calls():
     reg = FnRegistry()
-    reg.register("double", 1, lambda args, s, o, env: integer(args[0].data * 2))
+    reg.register("double", 1, lambda args, s, o, env: integer(args[0].data * 2), reads=())
     ad = parse_classad("X = double(21)\n", AdKind.JOB)
     assert _ev("X", self_ad=ad, reg=reg) == integer(42)
 
@@ -175,8 +175,8 @@ def test_function_call_failures():
     def boom(args, s, o, env):
         raise RuntimeError("no")
 
-    reg.register("boom", 0, boom)
-    reg.register("seven", 0, lambda args, s, o, env: 7)
+    reg.register("boom", 0, boom, reads=())
+    reg.register("seven", 0, lambda args, s, o, env: 7, reads=())
     assert _ev("boom()", reg=reg) == ERROR
     assert _ev("seven()", reg=reg) == ERROR  # handler returned a non-Value
     assert _ev("missing(1)", reg=reg) == ERROR
@@ -184,9 +184,9 @@ def test_function_call_failures():
     # a number a Real cannot hold is Error, whether arithmetic or a handler made it
     for name, x in (("inf", real(math.inf)), ("ninf", real(-math.inf)),
                     ("nan", real(math.nan)), ("huge", integer(10 ** 400))):
-        reg.register(name, 0, lambda args, s, o, env, x=x: x)
+        reg.register(name, 0, lambda args, s, o, env, x=x: x, reads=())
         assert _ev(f"{name}()", reg=reg) == ERROR
-    reg.register("half", 0, lambda args, s, o, env: real(0.5))
+    reg.register("half", 0, lambda args, s, o, env: real(0.5), reads=())
     assert _ev("half()", reg=reg) == real(0.5)
 
 
@@ -200,7 +200,7 @@ def test_function_sees_evaluated_args_and_scopes():
         return TRUE
 
     reg = FnRegistry()
-    reg.register("probe", 1, probe)
+    reg.register("probe", 1, probe, reads=())
     job = parse_classad("N = 2\nGo = probe(N + 1)\n", AdKind.JOB)
     res = parse_classad('Station_ID = "durin"\n', AdKind.RESOURCE)
     marker = object()
@@ -212,9 +212,20 @@ def test_function_sees_evaluated_args_and_scopes():
 
 def test_duplicate_function_rejected():
     reg = FnRegistry()
-    reg.register("f", 0, lambda args, s, o, env: TRUE)
+    reg.register("f", 0, lambda args, s, o, env: TRUE, reads=())
     with pytest.raises(DuplicateFunction):
-        reg.register("F", 0, lambda args, s, o, env: FALSE)
+        reg.register("F", 0, lambda args, s, o, env: FALSE, reads=())
+
+
+def test_a_function_registers_only_with_the_attributes_it_reads():
+    reg = FnRegistry()
+    with pytest.raises(TypeError):
+        reg.register("f", 1, lambda args, s, o, env: TRUE)
+    with pytest.raises(TypeError):  # one name is not a collection of names
+        reg.register("f", 1, lambda args, s, o, env: TRUE, reads="OutputBytes")
+    assert reg.lookup("f") is None and reg.reads == {}
+    reg.register("F", 1, lambda args, s, o, env: TRUE, reads=["A", "OutputBytes"])
+    assert reg.reads == {"f": ("a", "outputbytes")}
 
 
 def test_symmetric_match():

@@ -935,7 +935,7 @@ def test_each_job_evaluates_once_per_resource_cluster():
         env["seen"].append((self_ad.ad_id, args[0].data))
         return TRUE if args[0].data == "requirements" else real(len(args[1].data))
 
-    reg = standard_registry().register("seen", 2, seen)
+    reg = standard_registry().register("seen", 2, seen, reads=())
     store = _store(*[_res(f"a{i}", "AAAA", "s1") for i in range(3)],
                    *[_res(f"b{i}", "BB", "s2") for i in range(2)])
     for i in range(2):  # A's bindings under another gridmap: a third cluster
@@ -976,7 +976,7 @@ def test_rank_evaluations_follow_clusters_and_self_reads_do_not_repeat(
         ranked.append(self_ad.ad_id)
         return real(-float(int(args[1].data[2:]) % 5))
 
-    reg = FnRegistry().register("fun", 2, fun)
+    reg = FnRegistry().register("fun", 2, fun, reads=())
     offered = {}
 
     def choose(job, authorized, reg, env):

@@ -130,6 +130,13 @@ def test_parse_error_carries_byte_offset():
     assert exc.value.offset == 5
 
 
+def test_an_ad_file_error_names_its_line_and_offset_once():
+    # the offset was written twice: "... (byte offset 5) (byte offset 5)"
+    with pytest.raises(ParseError) as exc:
+        parse_classad("A = 1\nB = aaaa $\n", AdKind.JOB)
+    assert str(exc.value) == "line 2: bad character '$' (byte offset 5)"
+
+
 @pytest.mark.parametrize("src", [
     "(" * 200 + "1" + ")" * 200,
     "-" * 200 + "1",
@@ -219,7 +226,7 @@ def _fun(args, self_ad, other_ad, env):
     return text(repr(args))
 
 
-_FUN = FnRegistry().register("fun", 2, _fun)
+_FUN = FnRegistry().register("fun", 2, _fun, reads=())
 
 
 def _ads_around(tree_of):

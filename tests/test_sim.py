@@ -582,11 +582,11 @@ class _CycleCountingWorld(GridWorld):
     batches = 0
     free_batches = 0
 
-    def _match_cycle(self) -> int:
+    def _match_cycle(self) -> None:
         self.cycles += 1
         in_flight = [r for r in self.queue.jobs.values() if r.state in _IN_FLIGHT]
         assert (not self._heap) == (not in_flight), self.clock
-        return super()._match_cycle()
+        super()._match_cycle()
 
     def _finish_staging(self, record, slot, files):
         super()._finish_staging(record, slot, files)
@@ -722,12 +722,14 @@ def test_freed_slots_rejoin_their_cluster_in_ad_id_order(policy, monkeypatch):
             record(clusters)
             return super()._choose_baseline(job, clusters, reg, env)
 
-    def choose_by_rank(job, clusters, reg, env, choose=sim.choose_by_rank):
+    # the Rank argmax gets every passing cluster on either path of match_jobs;
+    # the chooser itself stays choose_by_rank, so data-aware runs keep theirs
+    def argmax(clusters, ranks, argmax=matchmaker._argmax):
         record(clusters)
-        return choose(job, clusters, reg, env)
+        return argmax(clusters, ranks)
 
     with monkeypatch.context() as patch:
-        patch.setattr(sim, "choose_by_rank", choose_by_rank)
+        patch.setattr(matchmaker, "_argmax", argmax)
         got = _outcome(Recording(scenario, policy, 0))
     # "#10" sorts before "#11" and "#2" in byte order
     assert all(ids == sorted(ids) for ids in offered)
