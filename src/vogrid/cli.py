@@ -74,6 +74,12 @@ def _json_object(path: str) -> dict:
     return raw
 
 
+def _xml_tree(path: str):
+    """The configuration tree in an XML file, read by `conftree.read_tree`."""
+    from .conftree import MalformedXml, read_tree
+    return _option_file(path, lambda path: read_tree(_read(path)), MalformedXml)
+
+
 def _station_directory(path: str) -> dict[str, tuple[str, int]]:
     """The station directory in a JSON file: each Station_ID to its address,
     read by `wire.address_field`."""
@@ -95,9 +101,9 @@ def _serve(handler, port: int, auth: str | None):
 
 
 def _load_station(args):
-    from .conftree import derive_service_config, read_tree
+    from .conftree import derive_service_config
     from .station import station_from_config
-    site = read_tree(_read(args.config))
+    site = _xml_tree(args.config)
     stations = derive_service_config(site, "station")
     for node in stations.children:
         if node.attributes.get("name") == args.station:
@@ -110,24 +116,22 @@ def _load_station(args):
 
 def _request_or_die(host, port, msg, auth):
     try:
-        reply = wire.send_request(host, port, msg, auth_token=auth)
+        return wire.reply_result(wire.send_request(host, port, msg, auth_token=auth))
     except OSError as exc:
         raise SystemExit(f"cannot reach {host}:{port}: {exc}")
+    except wire.ErrorReply as exc:
+        raise SystemExit(f"{exc.code}: {exc.message}")
     except (wire.WireError, ValueError) as exc:  # ValueError: not JSON
         raise SystemExit(f"bad reply from {host}:{port}: {exc}")
-    if "error" in reply:
-        err = reply["error"]
-        raise SystemExit(f"{err.get('code')}: {err.get('message')}")
-    return reply["result"]
 
 
 # -- conf ------------------------------------------------------------------------
 
 def cmd_conf_run(args):
     from .conftree import (ConfigureError, InteractiveInput, configure,
-                           parse_answer_file, read_tree, write_tree)
-    schema = read_tree(_read(args.schema))
-    prior = read_tree(_read(args.prior)) if args.prior else None
+                           parse_answer_file, write_tree)
+    schema = _xml_tree(args.schema)
+    prior = _xml_tree(args.prior) if args.prior else None
     source = parse_answer_file(_read(args.answers)) if args.answers \
         else InteractiveInput()
     try:
@@ -144,8 +148,8 @@ def cmd_conf_meta(args):
 
 def cmd_conf_derive(args):
     from .conftree import (MissingSection, UnsupportedSchemaVersion,
-                           derive_service_config, read_tree, write_tree)
-    config = read_tree(_read(args.config))
+                           derive_service_config, write_tree)
+    config = _xml_tree(args.config)
     try:
         derived = derive_service_config(config, args.service)
     except (UnsupportedSchemaVersion, MissingSection) as exc:
@@ -157,8 +161,7 @@ def cmd_conf_derive(args):
 
 def cmd_adv_run(args):
     from .advertise import advertise_once, parse_gridmap
-    from .conftree import read_tree
-    config = read_tree(_read(args.config))
+    config = _xml_tree(args.config)
     gridmap = parse_gridmap(_read(args.gridmap)) if args.gridmap else []
     host, port = args.mm
     ttl = 2.0 * args.interval
@@ -176,8 +179,7 @@ def cmd_adv_run(args):
 
 def cmd_info_serve(args):
     from .advertise import InfoService
-    from .conftree import read_tree
-    service = InfoService(read_tree(_read(args.config)))
+    service = InfoService(_xml_tree(args.config))
     _serve(service.handle_message, args.port, args.auth)
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import ValuesView
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .classads import ClassAd, ad_from_json, ad_to_json
 from .classads import evaluate  # noqa: F401  bench/run.py wraps jobs.evaluate by name
@@ -81,8 +80,7 @@ def run_seconds(ad: ClassAd) -> float:
     return ad.self_quantity("RunSeconds") or 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     state: JobState
     stamp: float
     detail: str | None = None
@@ -238,9 +236,14 @@ class JobQueue:
 
     def state_view(self, state: JobState) -> ValuesView[JobRecord]:
         """The jobs now in `state`, in job id order, as a live view that
-        copies nothing: pulling from it lazily costs only the jobs pulled.
-        The order holds until the queue next changes, and iterating the view
-        while jobs enter or leave `state` raises RuntimeError."""
+        copies nothing. Pulling from it lazily costs the jobs pulled and
+        one step over each job that has left the bucket since the bucket
+        was last sorted or grew: CPython does not compact a dict on
+        deletion, so a fresh iterator walks past those entries before its
+        first job (about 250 us for 200,000 of them, CPython 3.11 on a
+        2-CPU VM). The order holds until the queue next changes, and
+        iterating the view while jobs enter or leave `state` raises
+        RuntimeError."""
         bucket = self._by_state[state]
         if state in self._unsorted:
             self._unsorted.discard(state)

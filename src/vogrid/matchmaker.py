@@ -15,7 +15,8 @@ the record's gridmap, never on the live store, which an ADVERTISE may change
 mid-cycle. A claim takes its ad out of the index, so each ad is claimed
 once, and a claimed ad is invisible to later jobs in the same cycle.
 `match_jobs` runs the pipeline lazily and stops as soon as no ad is free,
-so a cycle over a long backlog costs only the jobs that can still match;
+so a cycle over a long backlog pulls no job after the one that took the
+last free ad;
 `run_match_cycle` is the same pass with one decision for every job, the
 unreached ones getting no-candidates. Requirements are evaluated on the
 authorized ads; those of the others only when no authorized ad passes, and
@@ -57,7 +58,13 @@ the registry do, so it goes in the caller's table, and the other verdicts
 and the ranks in tables of the pass. A MATCH_REQUEST (`run_match_cycle`)
 keeps no table and judges each job on its own. A job computes its
 autoclusters when a pass first needs them and keeps them, as it keeps its
-self-reads.
+self-reads. The skip rule (`kept_refusals`): a job whose verdict
+autocluster has a kept verdict in the caller's table for every free
+cluster, none of them "authorized and passes", would get a no-match
+decision and call no chooser, so a caller that drops such decisions may
+pass over it unjudged; claims only shrink the index, so it stays refused
+for the rest of the pass. It never applies when the job's verdict or the
+free clusters' bindings call a function, as no such verdict is kept.
 
 Station connections. `DirectoryQuery`, the station query of `vogrid mm
 serve`, keeps one connection per station and reuses it across queries and
@@ -74,7 +81,7 @@ import time
 import weakref
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from . import wire
 from .classads import (
@@ -120,8 +127,7 @@ class StoredAd:
     cluster: ResourceCluster
 
 
-@dataclass(frozen=True)
-class MatchDecision:
+class MatchDecision(NamedTuple):
     job_id: str
     resource_id: str | None = None
     rank: float | None = None
@@ -254,7 +260,8 @@ class DirectoryQuery:
     connection that the station has closed (an empty read, ECONNRESET or
     EPIPE) is retried once on a fresh one, which is safe because a query
     never changes station state; a timeout, or any failure of a fresh
-    connection, propagates. `close` closes the idle connections.
+    connection, propagates. A reply is read by `wire.reply_result`, so one
+    of any other shape is a WireError too. `close` closes the idle connections.
     """
 
     def __init__(self, directory: Mapping[str, tuple[str, int]],
@@ -286,9 +293,7 @@ class DirectoryQuery:
                 self._idle[station_id] = conn
         if spare:
             conn.close()
-        if "error" in reply:
-            raise wire.WireError(reply["error"].get("message", "station error"))
-        return float(reply["result"]["score"])
+        return float(wire.reply_result(reply)["score"])
 
     def close(self) -> None:
         with self._lock:
@@ -426,6 +431,32 @@ def _judge_by_row(job: ClassAd, index: FreeIndex, row: dict, reg: FnRegistry,
         if verdict[1]:
             return "unauthorized-everywhere"
     return "no-candidates"
+
+
+def kept_refusals(index: FreeIndex, verdicts: dict,
+                  reg: FnRegistry) -> Callable[[ClassAd], bool] | None:
+    """The skip rule (see the module docstring) for a `match_jobs` pass
+    about to run over `index` with the kept table `verdicts`: a test that
+    is true of a job when the table holds, under the key the pass uses and
+    in `_judge_by_row`'s layout, a verdict of the job's verdict autocluster
+    for every cluster now in `index`, none of them authorized and passing.
+    It is false for a verdict group that calls a function; if the
+    clusters' bindings call one, there is no test (None)."""
+    others, called = _reach(index)
+    if called:
+        return None
+
+    def refused(job: ClassAd) -> bool:
+        group = job.autocluster(_VERDICT_READS, others, reg)
+        row = verdicts.get(group)
+        if row is None or group.calls:
+            return False
+        for members in index.values():
+            verdict = row.get(members[0].cluster)
+            if verdict is None or verdict[0] and verdict[1]:
+                return False
+        return True
+    return refused
 
 
 def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,

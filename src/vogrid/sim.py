@@ -18,9 +18,17 @@ takes the Rank argmax, evaluating Rank once per cluster; `random` and
 `round-robin` pick, without ranking, among all the authorized slots one
 whose station can stage the job, and record rank 0. A cycle pulls idle
 jobs lazily, in job id order, from the queue's index, and only until every
-ad is busy or claimed; it stages and holds after the pass. So its cost
-follows the jobs it examines and the clusters that can still take one, not
-the length of the backlog or the number of slots.
+ad is busy or claimed; it stages and holds after the pass. A cycle that
+began with some event pending holds no job, so it drops the decision of
+every job that does not match; its pull passes over, unjudged, each job
+that the run's kept verdicts already refuse on every free cluster (the
+skip rule, `matchmaker.kept_refusals`), which calls no chooser and so
+changes no draw and no rotation. A cycle that began with nothing pending
+judges every job it pulls, since its holds need each job's reason. So a
+cycle judges the jobs it pulls that may still match, but it steps over
+every idle job ahead of the last one it pulls, a few dict reads each for
+a refused one, and over the jobs that have left the idle bucket
+(`JobQueue.state_view`); that part grows with the backlog.
 
 A scenario derives its stations and collects its slots once, the first
 time a run is built from it (`Scenario.grid`); a run copies only the station
@@ -93,6 +101,7 @@ from .matchmaker import (
     StoredAd,
     choose_by_rank,
     free_index,
+    kept_refusals,
     match_jobs,
     standard_registry,
 )
@@ -121,6 +130,9 @@ EVENT_CAP = 10 ** 6
 DEFAULT_TTL = 10.0 ** 9
 
 _AD_ID = attrgetter("ad.ad_id")
+
+# station events carry nothing, so every step shares one of each
+_ENQUEUE, _DEQUEUE = EnqueueInput(), DequeueInput()
 
 
 class ScenarioParseError(Exception):
@@ -244,6 +256,33 @@ def make_site_config(site: str, cluster: str, station: str,
                     [cluster_node])
 
 
+class _CycleScores:
+    """The station query (`StationQuery`) of a run's match cycles: the
+    stations' scores at the cycle's start, each distinct (dataset, station,
+    output bytes) asked of `get_preference` once per cycle. It refers to no
+    world, so a run that has finished is freed with its last reference."""
+
+    __slots__ = ("catalog", "snapshot", "scores")
+
+    def __init__(self, catalog: DatasetCatalog):
+        self.catalog = catalog
+        self.snapshot: dict[str, StationState] = {}
+        self.scores: dict[tuple, float] = {}
+
+    def start_cycle(self, stations: dict[str, StationState]) -> None:
+        self.snapshot = dict(stations)
+        self.scores = {}
+
+    def __call__(self, dataset: str, station_id: str, output_bytes: int | None) -> float:
+        key = (dataset, station_id, output_bytes)
+        score = self.scores.get(key)
+        if score is None:
+            # by this module's name, which a tracer may rebind
+            score = self.scores[key] = get_preference(
+                self.catalog, self.snapshot[station_id], dataset, output_bytes).score
+        return score
+
+
 class GridWorld:
     """One run of a scenario: its station states, free slots, job queue and clock."""
 
@@ -267,11 +306,8 @@ class GridWorld:
         self._heap_seq = 0
         self._rr_ptr = 0
         self.queue = JobQueue()
-        # station states as the current cycle started, and the preference
-        # scores asked of them so far, keyed (dataset, station, output bytes)
-        self._snapshot: dict[str, StationState] = {}
-        self._scores: dict[tuple, float] = {}
-        self._env = {"station_query": self._preference}
+        self._query = _CycleScores(self.catalog)
+        self._env = {"station_query": self._query}
         self._rr_order = sorted(self.slots)
         # the slots with no event pending, kept up to date across the run
         self._free: FreeIndex = free_index(self.slots.values())
@@ -285,9 +321,7 @@ class GridWorld:
     # -- plumbing ---------------------------------------------------------
 
     def _log(self, event: str, **payload):
-        entry = {"t": self.clock, "event": event}
-        entry.update(payload)
-        self.event_log.append(entry)
+        self.event_log.append({"t": self.clock, "event": event, **payload})
 
     def _push(self, at: float, action, *args):
         """Schedule `action(*args)` at time `at`, where `args[0]` is the job's
@@ -297,16 +331,6 @@ class GridWorld:
             raise NonQuiescent(f"job {args[0].ad.ad_id}: event time {at!r} is not finite")
         self._heap_seq += 1
         heapq.heappush(self._heap, (at, self._heap_seq, action, args))
-
-    def _preference(self, dataset: str, station_id: str,
-                    output_bytes: int | None) -> float:
-        """The station's score at the cycle's start, asked once per cycle."""
-        key = (dataset, station_id, output_bytes)
-        if key not in self._scores:
-            self._scores[key] = get_preference(
-                self.catalog, self._snapshot[station_id], dataset,
-                output_bytes).score
-        return self._scores[key]
 
     # -- one scheduling pass ----------------------------------------------
 
@@ -329,7 +353,7 @@ class GridWorld:
 
         def can_stage(stored: StoredAd) -> bool:
             try:
-                self._preference(dataset, stored.station_id, out_bytes)
+                self._query(dataset, stored.station_id, out_bytes)
             except (NoRouteToSource, UnknownDataset, ScoreOverflow):
                 return False
             return True
@@ -361,6 +385,11 @@ class GridWorld:
         whenever a slot is free, also after the TTL has passed, and then the
         pass gets an empty index.
 
+        A cycle that began with an event pending pulls only the jobs that
+        the kept verdicts do not already refuse on every free cluster
+        (`kept_refusals`): the others would get a no-match decision that
+        this cycle drops.
+
         The pass changes neither the queue nor the stations: it reads only
         the index it claims from and the cycle's snapshot. So its
         transitions and staging land after it, in the order it decided them,
@@ -376,19 +405,21 @@ class GridWorld:
         idle = self.queue.state_view(JobState.IDLE)
         if not idle:
             return
-        self._snapshot = dict(self.stations)
-        self._scores = {}
+        self._query.start_cycle(self.stations)
         saw_everything = not self._heap  # no slot busy as the cycle starts
         choose = (choose_by_rank if self.policy == "data-aware"
                   else self._choose_baseline)
+        index = self._free if self.clock < self.scenario.ttl else {}
+        refused = (None if saw_everything
+                   else kept_refusals(index, self._verdicts, self.registry))
         pulled = []
 
         def pull():
             for record in idle:
-                pulled.append(record)
-                yield record.ad
+                if refused is None or not refused(record.ad):
+                    pulled.append(record)
+                    yield record.ad
 
-        index = self._free if self.clock < self.scenario.ttl else {}
         decisions = list(match_jobs(index, pull(), self.registry, self._env,
                                     choose=choose, verdicts=self._verdicts))
         for record, decision in zip(pulled, decisions):
@@ -410,13 +441,14 @@ class GridWorld:
         slot = self.slots[decision.resource_id]
         dataset = record.ad.self_text("Dataset")
         # the same query the data-aware Rank made, so staging == -rank
-        staging = -self._preference(dataset, slot.station_id, output_bytes(record.ad))
+        staging = -self._query(dataset, slot.station_id, output_bytes(record.ad))
         self.queue.transition(record.job_id, JobState.MATCHED,
                               stamp=self.clock, detail=slot.ad.ad_id)
         self.queue.transition(record.job_id, JobState.STAGING, stamp=self.clock)
-        _, missing = lookup_dataset(self.catalog, self._snapshot[slot.station_id], dataset)
+        _, missing = lookup_dataset(self.catalog, self._query.snapshot[slot.station_id],
+                                    dataset)
         self.stations[slot.station_id] = apply_event(
-            self.stations[slot.station_id], *[EnqueueInput()] * len(missing))
+            self.stations[slot.station_id], *[_ENQUEUE] * len(missing))
         self._log("match", job=decision.job_id, resource=slot.ad.ad_id,
                   rank=decision.rank, staging_seconds=staging)
         self._push(self.clock + staging, self._finish_staging, record, slot,
@@ -425,7 +457,7 @@ class GridWorld:
     def _finish_staging(self, record, slot: StoredAd, files: list[str]):
         steps = []
         for file_name in files:
-            steps += (DequeueInput(), CacheAdd(file_name))
+            steps += (_DEQUEUE, CacheAdd(file_name))
         self.stations[slot.station_id] = apply_event(self.stations[slot.station_id], *steps)
         self.queue.transition(record.job_id, JobState.RUNNING, stamp=self.clock)
         self._log("running", job=record.ad.ad_id)

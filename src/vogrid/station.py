@@ -48,12 +48,12 @@ class FileEntry(NamedTuple):
 
 
 class DatasetCatalog:
-    """Named datasets, each an ordered list of files with sizes and sources."""
+    """Named datasets, each an ordered tuple of files with sizes and sources."""
 
     def __init__(self, datasets: Mapping[str, Iterable[tuple]]):
-        self._datasets: dict[str, list[FileEntry]] = {}
+        self._datasets: dict[str, tuple[FileEntry, ...]] = {}
         for name, entries in datasets.items():
-            files = [FileEntry(*e) for e in entries]
+            files = tuple(FileEntry(*e) for e in entries)
             seen = set()
             for f in files:
                 if f.file_name in seen:
@@ -64,10 +64,13 @@ class DatasetCatalog:
                 seen.add(f.file_name)
             self._datasets[name] = files
 
-    def files(self, dataset: str) -> list[FileEntry]:
-        if dataset not in self._datasets:
+    def files(self, dataset: str) -> tuple[FileEntry, ...]:
+        """The dataset's files, as the catalog stores them: a tuple, which
+        no caller can change."""
+        files = self._datasets.get(dataset)
+        if files is None:
             raise UnknownDataset(dataset)
-        return list(self._datasets[dataset])
+        return files
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,7 @@ class StationState:
                              f"{self.output_destination!r} has no link")
 
 
-@dataclass(frozen=True)
-class PreferenceReport:
+class PreferenceReport(NamedTuple):
     score: float
     missing_bytes: int
     input_transfer_seconds: float
@@ -184,8 +186,9 @@ class CacheAdd:
 def apply_event(st: StationState, *events) -> StationState:
     """Input queue and cache steps, in order, folded into one copy of the
     state; every other field is unchanged. A step that would empty the input
-    queue below zero, or an unknown event, raises IllegalTransition. Adding
-    a cached file again changes nothing.
+    queue below zero, or an unknown event, raises IllegalTransition; an
+    event is known by its exact type, so a subclass of one is unknown.
+    Adding a cached file again changes nothing.
 
     The copy equals what `dataclasses.replace` builds, but skips
     `StationState.__post_init__`: the links and the output destination were
@@ -194,13 +197,14 @@ def apply_event(st: StationState, *events) -> StationState:
     in_depth = st.input_queue_depth
     added = []
     for ev in events:
-        if isinstance(ev, EnqueueInput):
+        kind = type(ev)
+        if kind is EnqueueInput:
             in_depth += 1
-        elif isinstance(ev, DequeueInput):
+        elif kind is DequeueInput:
             if in_depth == 0:
                 raise IllegalTransition("input queue is empty")
             in_depth -= 1
-        elif isinstance(ev, CacheAdd):
+        elif kind is CacheAdd:
             added.append(ev.file_name)
         else:
             raise IllegalTransition(f"unknown event {ev!r}")
@@ -235,7 +239,7 @@ def _answer(cat: DatasetCatalog, st: StationState, msg: dict) -> dict:
         raise wire.RequestError("no-route", str(exc)) from None
     except ScoreOverflow as exc:  # JSON has no Infinity
         raise wire.RequestError("malformed", str(exc)) from None
-    return vars(report)  # its fields
+    return report._asdict()
 
 
 def handler(cat: DatasetCatalog, st: StationState) -> Callable[[dict], dict]:

@@ -13,6 +13,9 @@ handler that returns the result object. A request without "type" or "id" is
 a handler's return value is sent as {"id": ..., "result": ...}, and a
 `RequestError(code, message)` it raises as that error.
 
+A client reads every reply through `reply_result`: a result, or an error
+with text code and message, or a WireError.
+
 Each kind of input has one rule. A number is what `is_number` accepts:
 handlers read a number field through `number_field`, and the station's
 quantities and the catalog's file sizes are checked by `is_number` too. A
@@ -53,6 +56,15 @@ class ConnectionClosed(WireError):
     """The server closed the connection before it replied."""
 
 
+class ErrorReply(WireError):
+    """A well-formed error reply, as `reply_result` reads it."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
 class RequestError(Exception):
     """Raised by a request handler; becomes an error reply with this code."""
 
@@ -64,6 +76,19 @@ class RequestError(Exception):
 
 def error_reply(msg_id, code: str, message: str) -> dict:
     return {"id": msg_id, "error": {"code": code, "message": message}}
+
+
+def reply_result(reply: dict):
+    """The result of a reply. A reply holds a "result", or an "error"
+    object with text "code" and "message", which is raised as an
+    ErrorReply; any other reply is a WireError."""
+    if "result" in reply:
+        return reply["result"]
+    err = reply.get("error")
+    if (isinstance(err, dict) and isinstance(err.get("code"), str)
+            and isinstance(err.get("message"), str)):
+        raise ErrorReply(err["code"], err["message"])
+    raise WireError("reply holds neither a result nor an error with text code and message")
 
 
 def is_number(value, whole: bool = False) -> bool:

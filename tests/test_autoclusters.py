@@ -18,15 +18,18 @@ from vogrid.classads import (
     Unary,
     format_value,
     integer,
+    parse_classad,
     real,
     symmetric_match,
     text,
 )
+from vogrid import matchmaker
 from vogrid.matchmaker import (
     AdStore,
     MatchDecision,
     choose_by_rank,
     free_index,
+    kept_refusals,
     match_jobs,
     preauthorize,
 )
@@ -340,3 +343,66 @@ def test_a_pass_without_a_verdict_table_judges_each_job_on_its_own():
     free = [k - i // 3 for i in range(n)]
     counts = collections.Counter(kind for kind, _ in calls)
     assert counts == {"score": sum(free), "check": sum(free)}
+
+
+# -- the kept refusals a lazy pull may pass over ---------------------------------------
+
+def _slot(name: str, arch: str, extra: str = "") -> ClassAd:
+    return parse_classad(f'Name = "{name}"\nGatekeeper = "gk"\nStation_ID = "st"\n'
+                         f'Architecture = "{arch}"\n' + extra,
+                         AdKind.RESOURCE, ad_id=f"{name}#0")
+
+
+def _wants(arch: str, dataset: str = "d", owner: str = ALICE, extra: str = "") -> ClassAd:
+    return parse_classad(f'Owner = "{owner}"\nDataset = "{dataset}"\n'
+                         f'Requirements = {extra}OTHER.Architecture == "{arch}"\n',
+                         AdKind.JOB, ad_id=f"{arch}-{dataset}")
+
+
+def _keep_refusals(job: ClassAd, index, verdicts: dict, reg: FnRegistry) -> None:
+    """Fill `verdicts` by hand, as no pass would for a group that calls a
+    function: the job refused on every cluster in `index`."""
+    group = job.autocluster(matchmaker._VERDICT_READS, matchmaker._reach(index)[0], reg)
+    verdicts[group] = {members[0].cluster: [True, False] for members in index.values()}
+
+
+def test_kept_verdicts_pass_over_a_job_only_when_every_free_cluster_refuses_it():
+    reg = _counting_registry([], reads=())
+    store = AdStore()
+    for name, arch, subject in (("L", "Linux", ALICE), ("I", "IRIX", ALICE),
+                                ("B", "Linux", BOB)):
+        store.collect_ad(_slot(name, arch), [subject], 3600.0, 0.0)
+    slots = store.snapshot(0.0)
+    two, three = free_index(slots[:2]), free_index(slots)
+    verdicts: dict = {}
+    sun = _wants("SunOS")
+    assert not kept_refusals(two, verdicts, reg)(sun)  # nothing kept yet
+    [decision] = match_jobs(two, [sun], reg, None, verdicts=verdicts)
+    assert decision.reason == "no-candidates"
+    assert kept_refusals(two, verdicts, reg)(sun)
+    assert kept_refusals(two, verdicts, reg)(_wants("SunOS", dataset="e"))  # its autocluster
+    assert not kept_refusals(three, verdicts, reg)(sun)  # B's verdict is not kept yet
+    list(match_jobs(three, [sun], reg, None, verdicts=verdicts))
+    assert kept_refusals(three, verdicts, reg)(sun)  # B refuses it unauthorized
+
+    # a free cluster passes: L, though the chooser claims nothing there
+    linux = _wants("Linux")
+    [decision] = match_jobs(two, [linux], reg, None, choose=lambda *args: None,
+                            verdicts=verdicts)
+    assert decision.reason == "all-rank-error"
+    assert not kept_refusals(two, verdicts, reg)(linux)
+    assert kept_refusals(free_index(slots[1:2]), verdicts, reg)(linux)  # I alone refuses
+
+    # the job's verdict group calls a function: no verdict of it is kept
+    calling = _wants("SunOS", extra="check(OTHER.Name) && ")
+    list(match_jobs(two, [calling], reg, None, verdicts=verdicts))
+    assert not kept_refusals(two, verdicts, reg)(calling)
+    _keep_refusals(calling, two, verdicts, reg)
+    assert not kept_refusals(two, verdicts, reg)(calling)
+
+    # the free clusters' bindings call one: there is no test to make
+    store.collect_ad(_slot("C", "Linux", "Requirements = check(OTHER.Owner)\n"),
+                     [ALICE], 3600.0, 0.0)
+    four = free_index(store.snapshot(0.0))
+    _keep_refusals(sun, four, verdicts, reg)
+    assert kept_refusals(four, verdicts, reg) is None

@@ -426,6 +426,10 @@ def _one_reply_server(reply: bytes | None):
     (b"[1]\n", "reply is not a JSON object"),  # was an AttributeError
     (None, "connection closed by server"),  # was a ConnectionClosed traceback
     (b"{nope\n", "bad reply from"),
+    (b'{"id":1}\n', "bad reply from"),  # was a KeyError
+    (b'{"id":1,"error":"x"}\n', "bad reply from"),  # was an AttributeError
+    (b'{"id":1,"error":{"code":"unknown-job","message":"no job 1"}}\n',
+     "unknown-job: no job 1"),
 ])
 def test_a_bad_reply_is_one_line(reply, message):
     port, server = _one_reply_server(reply)
@@ -441,6 +445,13 @@ _STATION = ["station", "serve", "--config", str(SAMPLES / "site.xml"), "--statio
 _FIXTURE = [*_STATION, str(SAMPLES / "catalog.json"), "--fixture"]
 _SCENARIO = ["sim", "run", "--scenario"]
 _AD = ["submit", "--queue", "127.0.0.1:1", "--ad"]
+# the XML file each option names is read before anything is served or sent
+_XML_STATION = [*_STATION, str(SAMPLES / "catalog.json"), "--config"]
+_XML_SCHEMA = ["conf", "run", "--answers", str(SAMPLES / "answers.txt"), "--schema"]
+_XML_PRIOR = [*_XML_SCHEMA, str(SAMPLES / "schema.xml"), "--prior"]
+_XML_DERIVE = ["conf", "derive", "--service", "station", "--config"]
+_XML_ADV = ["adv", "run", "--mm", "127.0.0.1:1", "--once", "--config"]
+_XML_INFO = ["info", "serve", "--port", "0", "--config"]
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -450,8 +461,11 @@ _AD = ["submit", "--queue", "127.0.0.1:1", "--ad"]
     (_SCENARIO, (SAMPLES / "scenario.json").read_text().replace(
         '"sa": {', '"sa": {"input_queue_depth": -1, ')),
     (_AD, "Owner = (\n"),
+    (_XML_STATION, "not xml"), (_XML_SCHEMA, "not xml"), (_XML_PRIOR, "not xml"),
+    (_XML_DERIVE, "not xml"), (_XML_ADV, "not xml"), (_XML_INFO, "not xml"),
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
-        "scenario-station", "ad-parse"])
+        "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
+        "conf-derive-config", "adv-config", "info-config"])
 def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, argv, content):
     # each of these once ended in a traceback
     path = tmp_path / "input"

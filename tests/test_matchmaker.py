@@ -485,6 +485,20 @@ def test_queries_and_match_requests_share_one_connection():
         server.stop()
 
 
+@pytest.mark.parametrize("reply", [{}, {"error": "x"}, {"error": {"code": 1, "message": "m"}}],
+                         ids=["neither", "error-text", "code-not-text"])
+def test_a_station_reply_of_another_shape_is_a_wire_error(reply):
+    # the first was a KeyError, the second an AttributeError
+    server = _Station(DURIN, answer=lambda handle, msg: {"id": msg["id"], **reply})
+    query = DirectoryQuery({"durin": ("127.0.0.1", server.port)})
+    try:
+        with pytest.raises(wire.WireError):
+            query("dzero-run2", "durin", None)
+    finally:
+        query.close()
+        server.stop()
+
+
 def test_an_error_reply_keeps_the_connection():
     server = _Station(DURIN)
     query = DirectoryQuery({"durin": ("127.0.0.1", server.port)})

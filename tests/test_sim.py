@@ -1,10 +1,12 @@
 """Scenario loading and the deterministic grid run."""
 
+import gc
 import hashlib
 import heapq
 import json
 import math
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -530,8 +532,7 @@ class _EveryBatchWorld(GridWorld):
                        if r.state is JobState.IDLE), key=lambda r: r.job_id)
         if not idle:
             return 0
-        self._snapshot = dict(self.stations)
-        self._scores = {}
+        self._query.start_cycle(self.stations)
         busy_at_start = self._busy()
         choose = (sim.choose_by_rank if self.policy == "data-aware"
                   else self._choose_baseline)
@@ -816,6 +817,94 @@ def test_job_ads_keep_one_autocluster_per_expression_however_many_runs():
     assert all(len(ad._autoclusters) == 2 for ad in scenario.job_ads)
     assert first == {ad.ad_id: {start: entry[2] for start, entry in ad._autoclusters.items()}
                      for ad in scenario.job_ads}
+
+
+# -- idle jobs the kept verdicts refuse ------------------------------------------------
+
+def _backlog_doc(rng: random.Random) -> dict:
+    """A backlog of 60 jobs on four two-slot sites of mixed architectures
+    and partial gridmaps, no Requirements calling a function: jobs wait at
+    the head of the queue that the clusters freed next cannot take."""
+    subjects = [ALICE, "/C=US/O=demo/CN=bob", "/C=IT/O=demo/CN=carla"]
+    names = ["Ankara", "bologna", "Chicago", "dallas"]
+    catalog = {f"ds{d}": [[f"ds{d}-f{i}", rng.randint(10 ** 8, 10 ** 9), rng.choice(names)]
+                          for i in range(3)] for d in range(3)}
+    sites = []
+    for k, name in enumerate(names):
+        config = make_site_config(name, f"batch{k}", f"st{k}",
+                                  {to: rng.choice([1e7, 1e8]) for to in names},
+                                  slots=2, architecture=("Linux", "IRIX")[k % 2])
+        cached = [f[0] for files in catalog.values() for f in files if rng.random() < 0.3]
+        sites.append(_site_doc(config, {f"st{k}": {"cached_files": cached}},
+                               gridmap=rng.sample(subjects, 2)))
+    jobs = []
+    for j in range(60):
+        ad = {"Owner": f'"{rng.choice(subjects)}"', "Dataset": f'"ds{rng.randrange(3)}"',
+              "RunSeconds": repr(rng.choice([50.0, 200.0, 900.0]))}
+        if rng.random() < 0.5:
+            ad["Requirements"] = f'OTHER.Architecture == "{rng.choice(["Linux", "IRIX"])}"'
+        jobs.append({"id": f"j{j:02d}", "ad": ad})
+    return _scenario_doc(catalog, sites, jobs)
+
+
+def _counted_run(scenario, policy: str, seed: int, monkeypatch) -> tuple:
+    """The run's outcome, how many jobs its passes judged, and how many times
+    a chooser ran: the Rank argmax, or the random or round-robin one."""
+    judged, chosen = [0], [0]
+    match_jobs, argmax = sim.match_jobs, matchmaker._argmax
+
+    def counting(*args, **kwargs):
+        for decision in match_jobs(*args, **kwargs):
+            judged[0] += 1
+            yield decision
+
+    def counted_argmax(*args):
+        chosen[0] += 1
+        return argmax(*args)
+
+    class Counting(GridWorld):
+        def _choose_baseline(self, *args):
+            chosen[0] += 1
+            return super()._choose_baseline(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "match_jobs", counting)
+        patch.setattr(matchmaker, "_argmax", counted_argmax)
+        outcome = _outcome(Counting(scenario, policy, seed))
+    return outcome, judged[0], chosen[0]
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_pull_passes_over_the_jobs_the_kept_verdicts_refuse(policy, monkeypatch):
+    skipped = 0
+    for seed in range(5):
+        scenario = load_scenario(_backlog_doc(random.Random(seed)))
+        got, judged, chosen = _counted_run(scenario, policy, seed, monkeypatch)
+        with monkeypatch.context() as patch:  # every pulled job judged
+            patch.setattr(sim, "kept_refusals", lambda *args: None)
+            want, judged_all, chosen_all = _counted_run(scenario, policy, seed, monkeypatch)
+        assert got == want == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
+        assert chosen == chosen_all, seed
+        assert judged <= judged_all, seed
+        skipped += judged_all - judged
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_world_that_has_run_dies_with_its_last_reference(policy):
+    # no reference cycle holds it: with the collector off, a cycle would
+    # keep every job record and history entry of the run alive
+    scenario = load_scenario(_backlog_doc(random.Random(0)))
+    gc.disable()
+    try:
+        world = GridWorld(scenario, policy, 0)
+        world.run()
+        world.report()
+        ref = weakref.ref(world)
+        del world
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- routes ------------------------------------------------------------------------------

@@ -70,9 +70,11 @@ def test_catalog_file_sizes_are_whole_numbers_a_float_holds(size):
         DatasetCatalog({"d": [("f", size, "A")]})
 
 
-def test_catalog_files_are_copies():
+def test_catalog_files_cannot_be_changed_by_a_caller():
     files = CATALOG.files("minbias")
-    files.pop()
+    assert isinstance(files, tuple) and files is CATALOG.files("minbias")
+    with pytest.raises(AttributeError):
+        files.pop()
     assert len(CATALOG.files("minbias")) == 2
 
 

@@ -351,3 +351,19 @@ def test_every_service_follows_the_dispatcher_contract(make_service, tmp_path, r
         assert (reply["id"], reply["error"]["code"]) == (msg_id, code)
     assert handle(["not", "an", "object"])["error"]["code"] == "malformed"
 
+
+
+def test_a_reply_holds_a_result_or_an_error_with_text_code_and_message():
+    assert wire.reply_result({"id": 1, "result": {"ok": True}}) == {"ok": True}
+    assert wire.reply_result({"id": 1, "result": None}) is None
+    with pytest.raises(wire.ErrorReply) as exc:
+        wire.reply_result(wire.error_reply(1, "unknown-job", "no job 7"))
+    assert (exc.value.code, exc.value.message, str(exc.value)) == \
+        ("unknown-job", "no job 7", "no job 7")
+    for reply in ({"id": 1}, {"id": 1, "error": "x"}, {"id": 1, "error": None},
+                  {"id": 1, "error": {"code": 3, "message": "m"}},
+                  {"id": 1, "error": {"code": "c"}},
+                  {"id": 1, "error": {"code": "c", "message": ["m"]}}):
+        with pytest.raises(wire.WireError) as exc:
+            wire.reply_result(reply)
+        assert not isinstance(exc.value, wire.ErrorReply), reply
