@@ -192,14 +192,11 @@ def parse_gridmap(text_body: str) -> list[str]:
 
 def advertise_once(config: TreeNode, send: Callable[[dict], dict],
                    gridmap: Iterable[str], ttl_seconds: float) -> list[str]:
-    """Generate ads from the config and push each to the matchmaker."""
-    ads = generate_classads(select_patterns(config))
+    """Generate ads from the config and push each to the matchmaker.
+    `send` returns a reply's result and raises on an error reply."""
     pushed = []
-    for ad in ads:
-        reply = send({"type": "ADVERTISE", "ad": ad_to_json(ad),
-                      "gridmap": list(gridmap), "ttl": ttl_seconds})
-        if "error" in reply:
-            raise RuntimeError(f"matchmaker rejected ad {ad.ad_id!r}: "
-                               f"{reply['error'].get('message')}")
+    for ad in generate_classads(select_patterns(config)):
+        send({"type": "ADVERTISE", "ad": ad_to_json(ad),
+              "gridmap": list(gridmap), "ttl": ttl_seconds})
         pushed.append(ad.ad_id)
     return pushed

@@ -132,8 +132,8 @@ def cmd_conf_run(args):
                            parse_answer_file, write_tree)
     schema = _xml_tree(args.schema)
     prior = _xml_tree(args.prior) if args.prior else None
-    source = parse_answer_file(_read(args.answers)) if args.answers \
-        else InteractiveInput()
+    source = _option_file(args.answers, lambda path: parse_answer_file(_read(path)),
+                          ConfigureError) if args.answers else InteractiveInput()
     try:
         config = configure(schema, source, prior=prior)
     except ConfigureError as exc:
@@ -162,12 +162,13 @@ def cmd_conf_derive(args):
 def cmd_adv_run(args):
     from .advertise import advertise_once, parse_gridmap
     config = _xml_tree(args.config)
-    gridmap = parse_gridmap(_read(args.gridmap)) if args.gridmap else []
+    gridmap = _option_file(args.gridmap, lambda path: parse_gridmap(_read(path))) \
+        if args.gridmap else []
     host, port = args.mm
     ttl = 2.0 * args.interval
 
     def send(msg):
-        return wire.send_request(host, port, msg, auth_token=args.auth)
+        return _request_or_die(host, port, msg, args.auth)
 
     while True:
         pushed = advertise_once(config, send, gridmap, ttl)

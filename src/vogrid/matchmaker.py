@@ -50,21 +50,13 @@ through the SELF attributes its handlers declare with `reads`, evaluate
 alike. So two jobs share an autocluster (`ClassAd.autocluster`) for the
 verdict (pre-authorization and Requirements) when they agree on that
 closure of Owner and Requirements, and for the rank on that of Rank; `fun`
-declares OutputBytes. When its caller keeps a verdict table (the simulator
-does, for a run), a pass judges and ranks the jobs of one autocluster once
-per resource cluster, in tables keyed by (job autocluster, resource
-cluster): a verdict that reaches no function holds as long as the ads and
-the registry do, so it goes in the caller's table, and the other verdicts
-and the ranks in tables of the pass. A MATCH_REQUEST (`run_match_cycle`)
-keeps no table and judges each job on its own. A job computes its
-autoclusters when a pass first needs them and keeps them, as it keeps its
-self-reads. The skip rule (`kept_refusals`): a job whose verdict
-autocluster has a kept verdict in the caller's table for every free
-cluster, none of them "authorized and passes", would get a no-match
-decision and call no chooser, so a caller that drops such decisions may
-pass over it unjudged; claims only shrink the index, so it stays refused
-for the rest of the pass. It never applies when the job's verdict or the
-free clusters' bindings call a function, as no such verdict is kept.
+declares OutputBytes. A pass given a `Verdicts` judges and ranks the jobs
+of one autocluster once per resource cluster; that class states which
+verdicts outlive the pass and the skip rule. The simulator builds one per
+cycle over the verdict table it keeps for a run; a MATCH_REQUEST
+(`run_match_cycle`) builds none and judges each job on its own. A job
+computes its autoclusters when a pass first needs them and keeps them, as
+it keeps its self-reads.
 
 Station connections. `DirectoryQuery`, the station query of `vogrid mm
 serve`, keeps one connection per station and reuses it across queries and
@@ -366,22 +358,73 @@ _RANK_READS = ("rank",)
 _NOTHING: frozenset[str] = frozenset()
 
 
-def _reach(index: FreeIndex) -> tuple[frozenset[str], bool]:
-    """The names the free clusters' bindings refer to through OTHER, and
-    whether they call a function (`ClassAd.other_reach`)."""
-    others, called = _NOTHING, False
-    for members in index.values():
-        names, calls = members[0].ad.other_reach()
-        if names:
-            others = others | names
-        called |= calls
-    return others, called
+class Verdicts:
+    """The verdict and rank tables of one `match_jobs` pass over `index`,
+    keyed by job autocluster, with `kept`, the verdict table its caller
+    keeps across passes (a simulator run keeps one).
+
+    A job's autoclusters are taken against the names the free clusters'
+    bindings refer to through OTHER (`ClassAd.other_reach`), once for the
+    pass. A verdict row maps each resource cluster to [authorized, passes]:
+    pre-authorization and the symmetric Requirements, judged on the
+    cluster's first free member, with passes None until judged; a rank row
+    maps it to the job's Rank there. A verdict calls no function when
+    neither the job's verdict autocluster nor any free cluster's bindings
+    do; then it holds as long as the ads and the registry do, so its row
+    goes in `kept`. Every other verdict row, and every rank row, belongs to
+    the pass.
+
+    The skip rule (`refuses`): a job whose verdict row in `kept` holds a
+    verdict for every free cluster, none of them authorized and passing,
+    would get a no-match decision and call no chooser, so a caller that
+    drops such decisions may pass over it unjudged; claims only shrink the
+    index, so it stays refused for the rest of the pass. It never applies
+    to a verdict that calls a function, as none is kept.
+    """
+
+    __slots__ = ("_index", "_reg", "_others", "_kept", "_fresh", "_ranks")
+
+    def __init__(self, index: FreeIndex, kept: dict, reg: FnRegistry):
+        others, called = _NOTHING, False
+        for members in index.values():
+            names, calls = members[0].ad.other_reach()
+            if names:
+                others = others | names
+            called |= calls
+        self._index, self._reg, self._others = index, reg, others
+        self._fresh: dict = {}
+        self._kept = self._fresh if called else kept
+        self._ranks: dict = {}
+
+    def row(self, job: ClassAd) -> dict:
+        """The job's verdict row, for `_judge` to read and fill."""
+        group = job.autocluster(_VERDICT_READS, self._others, self._reg)
+        return (self._fresh if group.calls else self._kept).setdefault(group, {})
+
+    def rank_row(self, job: ClassAd) -> dict:
+        """The job's rank row, for `_ranks` to read and fill."""
+        group = job.autocluster(_RANK_READS, self._others, self._reg)
+        return self._ranks.setdefault(group, {})
+
+    def refuses(self, job: ClassAd) -> bool:
+        """The skip rule: whether the kept verdicts refuse the job on every
+        cluster now free."""
+        if self._kept is self._fresh:
+            return False
+        row = self._kept.get(job.autocluster(_VERDICT_READS, self._others, self._reg))
+        if row is None:
+            return False
+        for members in self._index.values():
+            verdict = row.get(members[0].cluster)
+            if verdict is None or verdict[0] and verdict[1]:
+                return False
+        return True
 
 
 def _ranks(row: dict, job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry,
            env: dict | None) -> list[Value]:
     """`rank_resources`, evaluated only for the clusters that `row`, the
-    ranks of the job's rank autocluster by resource cluster, lacks."""
+    job's rank row (`Verdicts`), lacks."""
     unranked = [members for members in clusters if members[0].cluster not in row]
     if unranked:
         for members, value in zip(unranked, rank_resources(job, unranked, reg, env)):
@@ -389,28 +432,13 @@ def _ranks(row: dict, job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegis
     return [row[members[0].cluster] for members in clusters]
 
 
-def _judge(job: ClassAd, index: FreeIndex, reg: FnRegistry,
+def _judge(job: ClassAd, index: FreeIndex, row: dict, reg: FnRegistry,
            env: dict | None) -> list[list[StoredAd]] | str:
     """The member lists of the free clusters that the job may use and whose
-    Requirements pass, each judged on its first member, or, if there are
-    none, the reason: unauthorized-everywhere if a refused cluster passes,
-    else no-candidates."""
-    allowed, refused = [], []
-    for members in index.values():
-        (allowed if preauthorize(job, members[0]) else refused).append(members)
-    passing = [m for m in allowed if symmetric_match(job, m[0].ad, reg, env)]
-    if passing:
-        return passing
-    if any(symmetric_match(job, m[0].ad, reg, env) for m in refused):
-        return "unauthorized-everywhere"
-    return "no-candidates"
-
-
-def _judge_by_row(job: ClassAd, index: FreeIndex, row: dict, reg: FnRegistry,
-                  env: dict | None) -> list[list[StoredAd]] | str:
-    """`_judge`, reading and filling `row`, the verdicts of the job's verdict
-    autocluster by resource cluster: [authorized, passes], where passes is
-    None until judged."""
+    Requirements pass, or, if there are none, the reason:
+    unauthorized-everywhere if a refused cluster passes, else
+    no-candidates. Reads and fills `row`, the job's verdict row
+    (`Verdicts`), so each verdict missing from it is judged once."""
     passing, refused = [], []
     for members in index.values():
         first = members[0]
@@ -433,35 +461,9 @@ def _judge_by_row(job: ClassAd, index: FreeIndex, row: dict, reg: FnRegistry,
     return "no-candidates"
 
 
-def kept_refusals(index: FreeIndex, verdicts: dict,
-                  reg: FnRegistry) -> Callable[[ClassAd], bool] | None:
-    """The skip rule (see the module docstring) for a `match_jobs` pass
-    about to run over `index` with the kept table `verdicts`: a test that
-    is true of a job when the table holds, under the key the pass uses and
-    in `_judge_by_row`'s layout, a verdict of the job's verdict autocluster
-    for every cluster now in `index`, none of them authorized and passing.
-    It is false for a verdict group that calls a function; if the
-    clusters' bindings call one, there is no test (None)."""
-    others, called = _reach(index)
-    if called:
-        return None
-
-    def refused(job: ClassAd) -> bool:
-        group = job.autocluster(_VERDICT_READS, others, reg)
-        row = verdicts.get(group)
-        if row is None or group.calls:
-            return False
-        for members in index.values():
-            verdict = row.get(members[0].cluster)
-            if verdict is None or verdict[0] and verdict[1]:
-                return False
-        return True
-    return refused
-
-
 def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
                env: dict | None, choose=choose_by_rank,
-               verdicts: dict | None = None) -> Iterator[MatchDecision]:
+               verdicts: Verdicts | None = None) -> Iterator[MatchDecision]:
     """Lazy FIFO pass: one decision per job, while any ad in `index` is free.
 
     `index` (see `free_index`) belongs to the caller, and a claim takes its
@@ -477,38 +479,23 @@ def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
     or None, which leaves the job with reason all-rank-error. A job whose
     Owner is not text is logged once per pass, however many clusters refuse it.
 
-    Job autoclusters, when the caller passes `verdicts`, a table it owns:
-    each verdict is judged once per (job autocluster, resource cluster), and
-    so is each Rank when `choose` is `choose_by_rank`, which then reads the
-    pass's rank table; any other chooser is called as given. A verdict that
-    reaches no function is kept in `verdicts`, which holds for as long as
-    the caller's slots, bindings and registry do not change; one that does
-    is kept for the pass. Without `verdicts`, each job is judged on its own.
+    With `verdicts`, built over `index` for this pass, each verdict is
+    judged once per (job autocluster, resource cluster), and so is each
+    Rank when `choose` is `choose_by_rank`; any other chooser is called as
+    given. Without it, each job is judged on its own.
     """
     if not index:
         return
-    keyed = verdicts is not None
-    pass_verdicts: dict = {}
-    ranks: dict = {}
-    if keyed:
-        others, called = _reach(index)
-        if called:
-            verdicts = pass_verdicts
     for job in jobs:
         if job.self_text("Owner") is None:
             log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
-        if keyed:
-            group = job.autocluster(_VERDICT_READS, others, reg)
-            row = (pass_verdicts if group.calls else verdicts).setdefault(group, {})
-            passing = _judge_by_row(job, index, row, reg, env)
-        else:
-            passing = _judge(job, index, reg, env)
+        passing = _judge(job, index, {} if verdicts is None else verdicts.row(job),
+                         reg, env)
         if isinstance(passing, str):
             yield MatchDecision.no_match(job.ad_id, passing)
             continue
-        if keyed and choose is choose_by_rank:
-            row = ranks.setdefault(job.autocluster(_RANK_READS, others, reg), {})
-            pick = _argmax(passing, _ranks(row, job, passing, reg, env))
+        if verdicts is not None and choose is choose_by_rank:
+            pick = _argmax(passing, _ranks(verdicts.rank_row(job), job, passing, reg, env))
         else:
             pick = choose(job, passing, reg, env)
         if pick is None:

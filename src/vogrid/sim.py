@@ -20,14 +20,13 @@ whose station can stage the job, and record rank 0. A cycle pulls idle
 jobs lazily, in job id order, from the queue's index, and only until every
 ad is busy or claimed; it stages and holds after the pass. A cycle that
 began with some event pending holds no job, so it drops the decision of
-every job that does not match; its pull passes over, unjudged, each job
-that the run's kept verdicts already refuse on every free cluster (the
-skip rule, `matchmaker.kept_refusals`), which calls no chooser and so
-changes no draw and no rotation. A cycle that began with nothing pending
-judges every job it pulls, since its holds need each job's reason. So a
-cycle judges the jobs it pulls that may still match, but it steps over
-every idle job ahead of the last one it pulls, a few dict reads each for
-a refused one, and over the jobs that have left the idle bucket
+every job that does not match; its pull passes over, unjudged, the jobs
+that the skip rule names (`matchmaker.Verdicts`), which calls no chooser
+and so changes no draw and no rotation. A cycle that began with nothing
+pending judges every job it pulls, since its holds need each job's reason.
+So a cycle judges the jobs it pulls that may still match, but it steps over
+every idle job ahead of the last one it pulls, a few dict reads each for a
+refused one, and over the jobs that have left the idle bucket
 (`JobQueue.state_view`); that part grows with the backlog.
 
 A scenario derives its stations and collects its slots once, the first
@@ -44,15 +43,13 @@ candidates by (Name, ad id) before drawing, and `round-robin` looks them up
 by ad id. Every slot is collected at time 0 with the scenario's one TTL, so
 all of them are visible exactly while the clock is below it.
 
-A run also keeps a verdict table: the verdicts that reach no function, per
-(job autocluster, resource cluster) (see `matchmaker`). They depend only on
-the slots' bindings and gridmaps and on the jobs', none of which a run
-changes, so each is judged once per run and read by every later cycle. A
-verdict or a Rank that calls a function reads the stations, which change
-between cycles, so it is kept for one cycle only. The table belongs to the
-run, never to the `Scenario`: every run judges afresh, as a run of a freshly
-loaded scenario would. Each job ad keeps its autoclusters across the runs
-that share it, computed on its first cycle, never at load.
+A run also keeps a verdict table, which each cycle reads and fills through
+a `matchmaker.Verdicts`, by that class's rules: a kept verdict depends only
+on bindings, gridmaps and the registry, none of which a run changes, so it
+is judged once per run. The table belongs to the run, never to the
+`Scenario`: every run judges afresh, as a run of a freshly loaded scenario
+would. Each job ad keeps its autoclusters across the runs that share it,
+computed on its first cycle, never at load.
 
 The work in flight lives only in the event heap. A match pushes the event
 that ends the job's staging, which pushes the one that ends its run; each
@@ -99,9 +96,9 @@ from .matchmaker import (
     FreeIndex,
     MatchDecision,
     StoredAd,
+    Verdicts,
     choose_by_rank,
     free_index,
-    kept_refusals,
     match_jobs,
     standard_registry,
 )
@@ -311,8 +308,7 @@ class GridWorld:
         self._rr_order = sorted(self.slots)
         # the slots with no event pending, kept up to date across the run
         self._free: FreeIndex = free_index(self.slots.values())
-        # the verdicts that reach no function, (job autocluster, resource
-        # cluster) -> [authorized, passes], kept for the run
+        # the verdict table kept for the run (`Verdicts`)
         self._verdicts: dict = {}
         for ad in scenario.job_ads:
             self.queue.submit(ad, stamp=self.clock)
@@ -386,9 +382,8 @@ class GridWorld:
         pass gets an empty index.
 
         A cycle that began with an event pending pulls only the jobs that
-        the kept verdicts do not already refuse on every free cluster
-        (`kept_refusals`): the others would get a no-match decision that
-        this cycle drops.
+        the skip rule (`Verdicts.refuses`) does not pass over: the others
+        would get a no-match decision that this cycle drops.
 
         The pass changes neither the queue nor the stations: it reads only
         the index it claims from and the cycle's snapshot. So its
@@ -410,8 +405,8 @@ class GridWorld:
         choose = (choose_by_rank if self.policy == "data-aware"
                   else self._choose_baseline)
         index = self._free if self.clock < self.scenario.ttl else {}
-        refused = (None if saw_everything
-                   else kept_refusals(index, self._verdicts, self.registry))
+        verdicts = Verdicts(index, self._verdicts, self.registry)
+        refused = None if saw_everything else verdicts.refuses
         pulled = []
 
         def pull():
@@ -421,7 +416,7 @@ class GridWorld:
                     yield record.ad
 
         decisions = list(match_jobs(index, pull(), self.registry, self._env,
-                                    choose=choose, verdicts=self._verdicts))
+                                    choose=choose, verdicts=verdicts))
         for record, decision in zip(pulled, decisions):
             if decision.matched:
                 saw_everything = False

@@ -240,7 +240,7 @@ def test_advertise_once_pushes_every_slot():
 
     def send(msg):
         sent.append(msg)
-        return {"id": 1, "result": {"ok": True}}
+        return {"ok": True, "ad_id": msg["ad"]["id"]}
 
     pushed = advertise_once(CONFIG, send, ["/C=US/O=demo/CN=alice"], 120.0)
     assert pushed == ["FNAL/samadams#1", "FNAL/samadams#2", "FNAL/topaz"]
@@ -251,11 +251,17 @@ def test_advertise_once_pushes_every_slot():
 
 
 def test_advertise_once_surfaces_rejections():
-    def send(msg):
-        return {"id": 1, "error": {"code": "incomplete-ad", "message": "no"}}
+    # `send` reads each reply, as `vogrid adv run` does with `wire.reply_result`
+    sent = []
 
-    with pytest.raises(RuntimeError):
+    def send(msg):
+        sent.append(msg)
+        return wire.reply_result({"id": 1, "error": {"code": "incomplete-ad",
+                                                     "message": "no"}})
+
+    with pytest.raises(wire.ErrorReply, match="no"):
         advertise_once(CONFIG, send, [], 120.0)
+    assert len(sent) == 1  # nothing is sent after the first rejection
 
 
 # -- stability under layout evolution ------------------------------------------------------

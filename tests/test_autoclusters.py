@@ -3,6 +3,7 @@
 import collections
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vogrid.classads import (
@@ -27,9 +28,9 @@ from vogrid import matchmaker
 from vogrid.matchmaker import (
     AdStore,
     MatchDecision,
+    Verdicts,
     choose_by_rank,
     free_index,
-    kept_refusals,
     match_jobs,
     preauthorize,
 )
@@ -241,15 +242,16 @@ def _compare(seed: int) -> None:
     ad_ids = [s.ad.ad_id for s in store.snapshot(0.0)]
     for kind, keep in [("rank", False), ("rank", True),
                        ("recording", False), ("recording", True)]:
-        verdicts = {} if keep else None
+        kept: dict = {}
         for bias in (0, 1, 0):
             env = {"bias": bias}
             claimed = set(rng.sample(ad_ids, rng.randint(0, len(ad_ids) - 1)))
             offered, offered_ref = [], []
+            index = free_index(store.snapshot(0.0), claimed)
             got = list(match_jobs(
-                free_index(store.snapshot(0.0), claimed), jobs, reg, env,
+                index, jobs, reg, env,
                 choose_by_rank if kind == "rank" else _recording(offered),
-                verdicts=verdicts))
+                verdicts=Verdicts(index, kept, reg) if keep else None))
             want = list(_per_job_pass(
                 free_index(store.snapshot(0.0), claimed), jobs, reg, env,
                 choose_by_rank if kind == "rank" else _recording(offered_ref)))
@@ -323,8 +325,9 @@ def test_jobs_alike_but_for_an_unread_attribute_rank_once_per_cluster():
     k, n = 4, 12
     calls = []
     reg = _counting_registry(calls, reads=("OutputBytes",))
-    decisions = list(match_jobs(free_index(_clusters(k, 3).snapshot(0.0)),
-                                _same_but_comment(n), reg, None, verdicts={}))
+    index = free_index(_clusters(k, 3).snapshot(0.0))
+    decisions = list(match_jobs(index, _same_but_comment(n), reg, None,
+                                verdicts=Verdicts(index, {}, reg)))
     # the nearest cluster fills first, then the next one
     assert [d.resource_id for d in decisions] == [
         f"site{c}#{s}" for c in range(k) for s in range(3)]
@@ -359,13 +362,6 @@ def _wants(arch: str, dataset: str = "d", owner: str = ALICE, extra: str = "") -
                          AdKind.JOB, ad_id=f"{arch}-{dataset}")
 
 
-def _keep_refusals(job: ClassAd, index, verdicts: dict, reg: FnRegistry) -> None:
-    """Fill `verdicts` by hand, as no pass would for a group that calls a
-    function: the job refused on every cluster in `index`."""
-    group = job.autocluster(matchmaker._VERDICT_READS, matchmaker._reach(index)[0], reg)
-    verdicts[group] = {members[0].cluster: [True, False] for members in index.values()}
-
-
 def test_kept_verdicts_pass_over_a_job_only_when_every_free_cluster_refuses_it():
     reg = _counting_registry([], reads=())
     store = AdStore()
@@ -373,36 +369,109 @@ def test_kept_verdicts_pass_over_a_job_only_when_every_free_cluster_refuses_it()
                                 ("B", "Linux", BOB)):
         store.collect_ad(_slot(name, arch), [subject], 3600.0, 0.0)
     slots = store.snapshot(0.0)
-    two, three = free_index(slots[:2]), free_index(slots)
-    verdicts: dict = {}
+    kept: dict = {}
+
+    def refuses(ads, job) -> bool:
+        return Verdicts(free_index(ads), kept, reg).refuses(job)
+
+    def judge(ads, job, choose=choose_by_rank) -> MatchDecision:
+        index = free_index(ads)
+        [decision] = match_jobs(index, [job], reg, None, choose,
+                                verdicts=Verdicts(index, kept, reg))
+        return decision
+
+    two = slots[:2]
     sun = _wants("SunOS")
-    assert not kept_refusals(two, verdicts, reg)(sun)  # nothing kept yet
-    [decision] = match_jobs(two, [sun], reg, None, verdicts=verdicts)
-    assert decision.reason == "no-candidates"
-    assert kept_refusals(two, verdicts, reg)(sun)
-    assert kept_refusals(two, verdicts, reg)(_wants("SunOS", dataset="e"))  # its autocluster
-    assert not kept_refusals(three, verdicts, reg)(sun)  # B's verdict is not kept yet
-    list(match_jobs(three, [sun], reg, None, verdicts=verdicts))
-    assert kept_refusals(three, verdicts, reg)(sun)  # B refuses it unauthorized
+    assert not refuses(two, sun)  # nothing kept yet
+    assert judge(two, sun).reason == "no-candidates"
+    assert refuses(two, sun)
+    assert refuses(two, _wants("SunOS", dataset="e"))  # its autocluster
+    assert not refuses(slots, sun)  # B's verdict is not kept yet
+    judge(slots, sun)
+    assert refuses(slots, sun)  # B refuses it unauthorized
 
     # a free cluster passes: L, though the chooser claims nothing there
     linux = _wants("Linux")
-    [decision] = match_jobs(two, [linux], reg, None, choose=lambda *args: None,
-                            verdicts=verdicts)
-    assert decision.reason == "all-rank-error"
-    assert not kept_refusals(two, verdicts, reg)(linux)
-    assert kept_refusals(free_index(slots[1:2]), verdicts, reg)(linux)  # I alone refuses
+    assert judge(two, linux, choose=lambda *args: None).reason == "all-rank-error"
+    assert not refuses(two, linux)
+    assert refuses(slots[1:2], linux)  # I alone refuses
 
     # the job's verdict group calls a function: no verdict of it is kept
     calling = _wants("SunOS", extra="check(OTHER.Name) && ")
-    list(match_jobs(two, [calling], reg, None, verdicts=verdicts))
-    assert not kept_refusals(two, verdicts, reg)(calling)
-    _keep_refusals(calling, two, verdicts, reg)
-    assert not kept_refusals(two, verdicts, reg)(calling)
+    assert judge(two, calling).reason == "no-candidates"
+    assert not refuses(two, calling)
 
-    # the free clusters' bindings call one: there is no test to make
+    # the free clusters' bindings call one: no verdict is kept
     store.collect_ad(_slot("C", "Linux", "Requirements = check(OTHER.Owner)\n"),
                      [ALICE], 3600.0, 0.0)
-    four = free_index(store.snapshot(0.0))
-    _keep_refusals(sun, four, verdicts, reg)
-    assert kept_refusals(four, verdicts, reg) is None
+    four = store.snapshot(0.0)
+    index = free_index(four)
+    verdicts = Verdicts(index, kept, reg)
+    mips = _wants("MIPS")
+    [decision] = match_jobs(index, [mips], reg, None, verdicts=verdicts)
+    assert decision.reason == "no-candidates"
+    assert not verdicts.refuses(mips)
+    assert not refuses(two, mips)
+    judge(four, sun)
+    assert not refuses(four, sun)
+    assert refuses(slots, sun)
+
+
+def _judge_calls(job: ClassAd, index, row: dict, reg: FnRegistry, env):
+    """`_judge` on `row`, with the pairs it handed `preauthorize` and
+    `symmetric_match`."""
+    authorized, judged = [], []
+
+    def counting_preauthorize(job, stored):
+        authorized.append(stored.ad.ad_id)
+        return preauthorize(job, stored)
+
+    def counting_match(job, ad, reg, env):
+        judged.append(ad.ad_id)
+        return symmetric_match(job, ad, reg, env)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matchmaker, "preauthorize", counting_preauthorize)
+        patch.setattr(matchmaker, "symmetric_match", counting_match)
+        got = matchmaker._judge(job, index, row, reg, env)
+    return got, authorized, judged
+
+
+def _check_refusals(seed: int) -> int:
+    """Passes with one kept table over a random world, as in a simulator
+    run: whenever the skip rule passes over a job, judging it anyway on its
+    kept row gives a no-match reason, calls no `preauthorize` and evaluates
+    Requirements only on clusters whose gridmap refuses it, which tells
+    unauthorized-everywhere from no-candidates. Returns how many jobs it
+    passed over."""
+    rng = random.Random(seed)
+    jobs, store, reg = _jobs(rng), _store(rng), _registry()
+    by_id = {s.ad.ad_id: s for s in store.snapshot(0.0)}
+    kept: dict = {}
+    refused = 0
+    for bias in (0, 1, 0, 1):
+        env = {"bias": bias}
+        claimed = set(rng.sample(sorted(by_id), rng.randint(0, len(by_id) - 1)))
+        index = free_index(store.snapshot(0.0), claimed)
+        verdicts = Verdicts(index, kept, reg)
+        for job in jobs:
+            if not verdicts.refuses(job):
+                continue
+            refused += 1
+            got, authorized, judged = _judge_calls(job, index, verdicts.row(job), reg, env)
+            assert got in ("no-candidates", "unauthorized-everywhere")
+            assert authorized == []
+            assert not any(preauthorize(job, by_id[ad_id]) for ad_id in judged)
+        list(match_jobs(index, jobs, reg, env, verdicts=verdicts))
+    return refused
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_a_job_the_kept_verdicts_refuse_gets_no_match_and_no_new_authorization(seed):
+    _check_refusals(seed)
+
+
+def test_the_random_worlds_pass_over_refused_jobs():
+    # the property above means something only if the skip rule applies
+    assert sum(_check_refusals(seed) > 0 for seed in range(200)) > 50

@@ -440,6 +440,32 @@ def test_a_bad_reply_is_one_line(reply, message):
     assert not server.is_alive()
 
 
+def _closed_port() -> int:
+    """A loopback port that nothing listens on."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        return listener.getsockname()[1]
+
+
+@pytest.mark.parametrize("reply, message", [
+    ("closed", "cannot reach"),  # was a ConnectionRefusedError traceback
+    (b'{"id":1,"error":"x"}\n', "bad reply from"),  # was an AttributeError
+    (b'{"id":1,"error":{"code":"incomplete-ad","message":"no"}}\n',
+     "incomplete-ad: no"),  # was a RuntimeError
+], ids=["refused", "error-text", "rejected-ad"])
+def test_adv_run_failures_are_one_line(reply, message):
+    if reply == "closed":
+        port, server = _closed_port(), None
+    else:
+        port, server = _one_reply_server(reply)
+    with pytest.raises(SystemExit, match=message) as exc:
+        main(["adv", "run", "--config", str(SAMPLES / "site.xml"),
+              "--mm", f"127.0.0.1:{port}", "--once"])
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    if server is not None:
+        server.join(5.0)
+        assert not server.is_alive()
+
+
 _STATION = ["station", "serve", "--config", str(SAMPLES / "site.xml"), "--station", "durin",
             "--port", "0", "--catalog"]
 _FIXTURE = [*_STATION, str(SAMPLES / "catalog.json"), "--fixture"]
@@ -452,6 +478,9 @@ _XML_PRIOR = [*_XML_SCHEMA, str(SAMPLES / "schema.xml"), "--prior"]
 _XML_DERIVE = ["conf", "derive", "--service", "station", "--config"]
 _XML_ADV = ["adv", "run", "--mm", "127.0.0.1:1", "--once", "--config"]
 _XML_INFO = ["info", "serve", "--port", "0", "--config"]
+_GRIDMAP = ["adv", "run", "--mm", "127.0.0.1:1", "--once",
+            "--config", str(SAMPLES / "site.xml"), "--gridmap"]
+_ANSWERS = ["conf", "run", "--schema", str(SAMPLES / "schema.xml"), "--answers"]
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -463,13 +492,18 @@ _XML_INFO = ["info", "serve", "--port", "0", "--config"]
     (_AD, "Owner = (\n"),
     (_XML_STATION, "not xml"), (_XML_SCHEMA, "not xml"), (_XML_PRIOR, "not xml"),
     (_XML_DERIVE, "not xml"), (_XML_ADV, "not xml"), (_XML_INFO, "not xml"),
+    (_GRIDMAP, None), (_GRIDMAP, b"\xff\xfe/C=US\n"), (_ANSWERS, None), (_ANSWERS, "@count x\n"),
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
         "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
-        "conf-derive-config", "adv-config", "info-config"])
+        "conf-derive-config", "adv-config", "info-config", "gridmap-missing",
+        "gridmap-not-utf8", "answers-missing", "answers-count"])
 def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, argv, content):
-    # each of these once ended in a traceback
+    # each of these once ended in a traceback; a file with content None is missing
     path = tmp_path / "input"
-    path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
     with pytest.raises(SystemExit) as exc:
         main([*argv, str(path)])
     assert exc.value.code == 2

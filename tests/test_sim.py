@@ -881,7 +881,7 @@ def test_a_pull_passes_over_the_jobs_the_kept_verdicts_refuse(policy, monkeypatc
         scenario = load_scenario(_backlog_doc(random.Random(seed)))
         got, judged, chosen = _counted_run(scenario, policy, seed, monkeypatch)
         with monkeypatch.context() as patch:  # every pulled job judged
-            patch.setattr(sim, "kept_refusals", lambda *args: None)
+            patch.setattr(matchmaker.Verdicts, "refuses", lambda self, job: False)
             want, judged_all, chosen_all = _counted_run(scenario, policy, seed, monkeypatch)
         assert got == want == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
         assert chosen == chosen_all, seed
