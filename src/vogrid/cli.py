@@ -9,7 +9,9 @@ matchmaker.
 
 A file that an option names and that cannot be read, or does not hold what
 the option wants, is a usage error (exit 2) naming the file (`_option_file`),
-as is a HOST:PORT whose port is not one `wire.is_port` takes.
+as is a HOST:PORT whose port is not one `wire.is_port` takes, and a --port
+that is neither 0 nor such a port. A server that cannot listen on its port
+exits 1 with one line.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ def _host_port(value: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(
             f"{value!r} is not HOST:PORT with a port in 1-65535")
     return host or "127.0.0.1", int(port)
+
+
+def _listen_port(value: str) -> int:
+    """A port to listen on: 0 for any free port, or one `wire.is_port` takes."""
+    port = int(value) if value.isascii() and value.isdigit() else -1
+    if not (port == 0 or wire.is_port(port)):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a port in 0-65535")
+    return port
 
 
 def _interval(value: str) -> float:
@@ -90,7 +100,10 @@ def _station_directory(path: str) -> dict[str, tuple[str, int]]:
 
 
 def _serve(handler, port: int, auth: str | None):
-    server = wire.LineServer("127.0.0.1", port, handler, auth_token=auth)
+    try:
+        server = wire.LineServer("127.0.0.1", port, handler, auth_token=auth)
+    except OSError as exc:
+        raise SystemExit(f"cannot listen on 127.0.0.1:{port}: {exc}")
     print(f"LISTENING {server.port}", flush=True)
     try:
         server.serve_forever()
@@ -171,10 +184,16 @@ def cmd_adv_run(args):
         return _request_or_die(host, port, msg, args.auth)
 
     while True:
-        pushed = advertise_once(config, send, gridmap, ttl)
-        print(f"advertised {len(pushed)} ads: {', '.join(pushed)}", flush=True)
-        if args.once:
-            return
+        try:
+            pushed = advertise_once(config, send, gridmap, ttl)
+        except SystemExit as exc:  # the round's one line from `_request_or_die`
+            if args.once:
+                raise
+            print(exc, file=sys.stderr, flush=True)  # and try again next interval
+        else:
+            print(f"advertised {len(pushed)} ads: {', '.join(pushed)}", flush=True)
+            if args.once:
+                return
         time.sleep(args.interval)
 
 
@@ -302,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     infosub = info.add_subparsers(dest="subcommand", required=True)
     p = infosub.add_parser("serve")
     p.add_argument("--config", required=True)
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_listen_port, required=True)
     p.add_argument("--auth")
     p.set_defaults(fn=cmd_info_serve)
 
@@ -313,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--station", required=True, help="station name in the config")
     p.add_argument("--catalog", required=True, help="dataset catalog JSON")
     p.add_argument("--fixture", help="JSON runtime state overrides")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_listen_port, required=True)
     p.add_argument("--auth")
     p.set_defaults(fn=cmd_station_serve)
 
     mm = top.add_parser("mm", help="matchmaking service")
     mmsub = mm.add_subparsers(dest="subcommand", required=True)
     p = mmsub.add_parser("serve")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_listen_port, required=True)
     p.add_argument("--station-directory", type=_station_directory,
                    help="JSON map of Station_ID to [host, port]")
     p.add_argument("--auth")
@@ -329,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = top.add_parser("q", help="job queue server")
     qsub = q.add_subparsers(dest="subcommand", required=True)
     p = qsub.add_parser("serve")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_listen_port, required=True)
     p.add_argument("--journal", required=True)
     p.add_argument("--auth")
     p.set_defaults(fn=cmd_q_serve)

@@ -11,7 +11,6 @@ replays a record by making that call again; a refused call takes no stamp.
 from __future__ import annotations
 
 import json
-from collections.abc import ValuesView
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -144,12 +143,10 @@ class JobQueue:
     stamp the step will take. A refused step, or a sink that raises, leaves
     the queue as it was.
 
-    Records are also indexed by state, each state's bucket kept in job id
-    order, so reading the jobs in one state costs only those jobs and needs
-    no sort. Jobs mostly enter a bucket in id order; one that enters out of
-    order (a released job, a job finishing early) marks its bucket, which is
-    sorted once, at its next read. The index follows every change the queue
-    makes; a record stepped behind the queue's back is not reindexed.
+    The records are kept by job id, in id order, and indexed by nothing
+    else: `in_state` scans them all. A reader that pulls the jobs of one
+    state often keeps its own worklist, as the simulator does with its idle
+    jobs (`sim.GridWorld`), since the order it pulls them in is its policy.
 
     Jobs given as identical ad JSON, by `submit_json` or by journal replay,
     share one ClassAd; ads are immutable.
@@ -157,8 +154,6 @@ class JobQueue:
 
     def __init__(self, journal_sink: Callable[[dict], None] | None = None):
         self.jobs: dict[int, JobRecord] = {}
-        self._by_state: dict[JobState, dict[int, JobRecord]] = {s: {} for s in JobState}
-        self._unsorted: set[JobState] = set()  # buckets an id entered out of order
         # ad JSON text -> the ad some stored job holds
         self._shared_ads: dict[str, ClassAd] = {}
         self._next_id = 1
@@ -167,9 +162,9 @@ class JobQueue:
 
     def _advance(self, job: JobRecord, state: JobState, stamp: float | None,
                  detail: str | None, journal: bool):
-        """Step and reindex `job`; a None stamp takes the queue's next. The
-        step is checked, then (with `journal`) handed to the sink, and only
-        then applied."""
+        """Step `job`; a None stamp takes the queue's next. The step is
+        checked, then (with `journal`) handed to the sink, and only then
+        applied."""
         entry = job.next_entry(state, self._seq + 1 if stamp is None else stamp,
                                detail)
         if journal and self.journal_sink is not None:
@@ -178,14 +173,7 @@ class JobQueue:
                                "detail": detail})
         if stamp is None:
             self._seq += 1
-        before = job.state
         job.history.append(entry)
-        if before is not None:
-            del self._by_state[before][job.job_id]
-        bucket = self._by_state[state]
-        if bucket and job.job_id < next(reversed(bucket)):
-            self._unsorted.add(state)
-        bucket[job.job_id] = job
 
     def _shared_ad(self, obj: dict) -> tuple[str, ClassAd]:
         key = json.dumps(obj, separators=(",", ":"))
@@ -234,27 +222,9 @@ class JobQueue:
             raise UnknownJob(f"no job {job_id}")
         return self.jobs[job_id]
 
-    def state_view(self, state: JobState) -> ValuesView[JobRecord]:
-        """The jobs now in `state`, in job id order, as a live view that
-        copies nothing. Pulling from it lazily costs the jobs pulled and
-        one step over each job that has left the bucket since the bucket
-        was last sorted or grew: CPython does not compact a dict on
-        deletion, so a fresh iterator walks past those entries before its
-        first job (about 250 us for 200,000 of them, CPython 3.11 on a
-        2-CPU VM). The order holds until the queue next changes, and
-        iterating the view while jobs enter or leave `state` raises
-        RuntimeError."""
-        bucket = self._by_state[state]
-        if state in self._unsorted:
-            self._unsorted.discard(state)
-            ordered = sorted(bucket.items())
-            bucket.clear()
-            bucket.update(ordered)
-        return bucket.values()
-
     def in_state(self, state: JobState) -> list[JobRecord]:
-        """The jobs now in `state`, in job id order."""
-        return list(self.state_view(state))
+        """The jobs now in `state`, in job id order, by a scan of every job."""
+        return [job for job in self.jobs.values() if job.state is state]
 
     def apply_journal_record(self, record: dict):
         """Replay one journal record by making its call again, with the queue's

@@ -17,17 +17,23 @@ the authorized resource clusters as lists of their free slots: `data-aware`
 takes the Rank argmax, evaluating Rank once per cluster; `random` and
 `round-robin` pick, without ranking, among all the authorized slots one
 whose station can stage the job, and record rank 0. A cycle pulls idle
-jobs lazily, in job id order, from the queue's index, and only until every
-ad is busy or claimed; it stages and holds after the pass. A cycle that
-began with some event pending holds no job, so it drops the decision of
-every job that does not match; its pull passes over, unjudged, the jobs
-that the skip rule names (`matchmaker.Verdicts`), which calls no chooser
-and so changes no draw and no rotation. A cycle that began with nothing
-pending judges every job it pulls, since its holds need each job's reason.
-So a cycle judges the jobs it pulls that may still match, but it steps over
-every idle job ahead of the last one it pulls, a few dict reads each for a
-refused one, and over the jobs that have left the idle bucket
-(`JobQueue.state_view`); that part grows with the backlog.
+jobs lazily, in job id order, from the run's own idle worklist, and only
+until every ad is busy or claimed; it stages and holds after the pass. A
+cycle that began with some event pending holds no job, so it drops the
+decision of every job that does not match; its pull passes over,
+unjudged, the jobs that the skip rule names (`matchmaker.Verdicts`), which
+calls no chooser and so changes no draw and no rotation. A cycle that
+began with nothing pending judges every job it pulls, since its holds need
+each job's reason. So a cycle judges the jobs it pulls that may still
+match, but it steps over every idle job ahead of the last one it pulls, a
+few dict reads each for a refused one; that part grows with the backlog.
+
+The worklist is a dict from job id to record, built in job id order after
+the submits. A run never releases a job, so the worklist only shrinks: the
+two steps out of Idle, staging (`_start_staging`) and holding (`_hold`),
+each drop the job from it there. CPython does not compact a dict on
+deletion, so a fresh iterator also steps over the holes that dropped jobs
+leave ahead of the first job still idle.
 
 A scenario derives its stations and collects its slots once, the first
 time a run is built from it (`Scenario.grid`); a run copies only the station
@@ -281,7 +287,8 @@ class _CycleScores:
 
 
 class GridWorld:
-    """One run of a scenario: its station states, free slots, job queue and clock."""
+    """One run of a scenario: its station states, free slots, job queue, idle
+    worklist and clock."""
 
     def __init__(self, scenario: Scenario, policy: str, seed: int):
         if policy not in POLICIES:
@@ -313,6 +320,8 @@ class GridWorld:
         for ad in scenario.job_ads:
             self.queue.submit(ad, stamp=self.clock)
             self._log("submit", job=ad.ad_id)
+        # the idle worklist: every job, as all are idle now, by job id
+        self._idle = dict(self.queue.jobs)
 
     # -- plumbing ---------------------------------------------------------
 
@@ -375,11 +384,11 @@ class GridWorld:
         """Match the idle jobs once.
 
         `match_jobs` pulls idle records lazily, in job id order, from the
-        queue's live view, and stops once no ad is left free; the jobs it did
-        not reach count as having no candidates. Its free ads are the live
-        index `self._free`. The TTL is tested here only: `run` calls a cycle
-        whenever a slot is free, also after the TTL has passed, and then the
-        pass gets an empty index.
+        idle worklist `self._idle`, and stops once no ad is left free; the
+        jobs it did not reach count as having no candidates. Its free ads
+        are the live index `self._free`. The TTL is tested here only: `run`
+        calls a cycle whenever a slot is free, also after the TTL has
+        passed, and then the pass gets an empty index.
 
         A cycle that began with an event pending pulls only the jobs that
         the skip rule (`Verdicts.refuses`) does not pass over: the others
@@ -397,7 +406,7 @@ class GridWorld:
         no slot can free again, so the jobs the pass did not reach are held
         too, with no candidates.
         """
-        idle = self.queue.state_view(JobState.IDLE)
+        idle = self._idle.values()
         if not idle:
             return
         self._query.start_cycle(self.stations)
@@ -430,6 +439,7 @@ class GridWorld:
     def _hold(self, record, reason: str):
         self.queue.transition(record.job_id, JobState.HELD,
                               stamp=self.clock, detail=reason)
+        del self._idle[record.job_id]
         self._log("held", job=record.ad.ad_id, reason=reason)
 
     def _start_staging(self, record, decision: MatchDecision):
@@ -440,6 +450,7 @@ class GridWorld:
         self.queue.transition(record.job_id, JobState.MATCHED,
                               stamp=self.clock, detail=slot.ad.ad_id)
         self.queue.transition(record.job_id, JobState.STAGING, stamp=self.clock)
+        del self._idle[record.job_id]
         _, missing = lookup_dataset(self.catalog, self._query.snapshot[slot.station_id],
                                     dataset)
         self.stations[slot.station_id] = apply_event(

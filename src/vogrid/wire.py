@@ -255,12 +255,13 @@ class LineServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, host: str, port: int, dispatch: Callable[[dict], dict],
                  auth_token: str | None = None):
-        super().__init__((host, port), _Handler)
+        # set before binding: a failed bind calls server_close, which reads them
         self.dispatch = dispatch
         self.auth_token = auth_token
         self.closing = False
         self._lock = threading.Lock()
         self._serving: dict[socket.socket, threading.Thread] = {}
+        super().__init__((host, port), _Handler)
 
     @property
     def port(self) -> int:

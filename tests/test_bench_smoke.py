@@ -20,7 +20,7 @@ DARK_ON_SIM = {
     "matchmaker.run_match_cycle.calls", "matchmaker.run_match_cycle.s",
     "matchmaker.run_match_cycle.self_s", "matchmaker.jobs_offered",
     "matchmaker.match_yield", "matchmaker.idle_cycles",
-    # the simulator pulls idle jobs from JobQueue.state_view; in_state runs
+    # the simulator pulls idle jobs from its own worklist; in_state runs
     # only in the sweep that holds every idle job, which a run may not reach
     "jobs.in_state.calls", "jobs.in_state.s",
     # measured on grid-wire alone, against real servers and a journal

@@ -466,6 +466,61 @@ def test_adv_run_failures_are_one_line(reply, message):
         assert not server.is_alive()
 
 
+def test_adv_run_tries_again_after_a_failed_round(monkeypatch, capsys):
+    # a periodic advertiser stopped at its first failed ADVERTISE
+    class Stop(Exception):
+        pass
+
+    sleeps = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        if len(sleeps) == 2:
+            raise Stop
+
+    monkeypatch.setattr(cli.time, "sleep", sleep)
+    port = _closed_port()
+    with pytest.raises(Stop):
+        main(["adv", "run", "--config", str(SAMPLES / "site.xml"),
+              "--mm", f"127.0.0.1:{port}", "--interval", "1"])
+    assert sleeps == [1.0, 1.0]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith(f"cannot reach 127.0.0.1:{port}: ") for line in lines)
+
+
+def _server_argv(tmp_path) -> dict[str, list[str]]:
+    """Each server command with what it needs but its --port."""
+    return {"info": ["info", "serve", "--config", str(SAMPLES / "site.xml")],
+            "station": ["station", "serve", "--config", str(SAMPLES / "site.xml"),
+                        "--station", "durin", "--catalog", str(SAMPLES / "catalog.json")],
+            "mm": ["mm", "serve"],
+            "q": ["q", "serve", "--journal", str(tmp_path / "journal")]}
+
+
+@pytest.mark.parametrize("server", ["info", "station", "mm", "q"])
+@pytest.mark.parametrize("port", ["65536", "70000", "-1"])
+def test_a_listening_port_out_of_range_is_a_usage_error(tmp_path, capsys, server, port):
+    # each ended in a traceback from the bind
+    with pytest.raises(SystemExit) as exc:
+        main([*_server_argv(tmp_path)[server], f"--port={port}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --port: {port!r} is not a port in 0-65535" in err
+
+
+@pytest.mark.parametrize("server", ["info", "station", "mm", "q"])
+def test_a_port_that_cannot_be_bound_is_one_line(tmp_path, server):
+    # a busy port ended in an AttributeError traceback that hid the bind's error
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        port = busy.getsockname()[1]
+        with pytest.raises(SystemExit) as exc:
+            main([*_server_argv(tmp_path)[server], "--port", str(port)])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message  # exit status 1
+    assert message.startswith(f"cannot listen on 127.0.0.1:{port}: ")
+
+
 _STATION = ["station", "serve", "--config", str(SAMPLES / "site.xml"), "--station", "durin",
             "--port", "0", "--catalog"]
 _FIXTURE = [*_STATION, str(SAMPLES / "catalog.json"), "--fixture"]

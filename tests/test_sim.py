@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import heapq
+import importlib.util
 import json
 import math
 import random
@@ -328,6 +329,39 @@ def _sha256(obj) -> str:
 ])
 def test_sample_scenario_golden_digests(policy, report_sha, events_sha):
     report, events = run_scenario(load_scenario(SAMPLE_DOC), policy, 0)
+    assert (_sha256(report), _sha256(events)) == (report_sha, events_sha)
+
+
+def _bench_scenarios():
+    """bench/scenarios.py, loaded by its path, as bench/run.py uses it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the report and event-log digests of the benchmark's seed-1 simulator
+# runs (workload seed 1, run_scenario seed 1), as `bench/run.py --seed 1`
+# prints them
+@pytest.mark.parametrize("shape, policy, report_sha, events_sha", [
+    ("backlog", "data-aware",
+     "103c41d7c11d69517fec7180b018866106cb68f21c33dc4f17bbcac1b2d0506f",
+     "e2aa18c12a0165c54d331a5922cf0615f9b86b4eb961170cb7f455631c8b16c8"),
+    ("backlog", "random",
+     "6d9d90f2c6067ae7d7dcba2f5273c15e0019ac79edf569797910b891c810d7cb",
+     "c930f2de3adf9dc228d118cca124185c806bb1c26a5d8da71c619f60a4790a6f"),
+    ("backlog", "round-robin",
+     "4317a63504663dc2d9634bf6bbb45010527a6b0747ada0681d1fc3505db71ca1",
+     "b8400f396d0974918c0fdea8b385ffc55c7ffa31163a986e1b8a5b7084123eb1"),
+    ("burst", "data-aware",
+     "20506bee734adfdbc4b5af958b8076a4eb6bb4e5fe03eaaa163b8523212548a0",
+     "3fd52133abf2546a4f6b040606963d9c3f7e81a0a492ce99383f7e04e6a3c6ff"),
+], ids=["backlog-data-aware", "backlog-random", "backlog-round-robin", "burst-data-aware"])
+def test_seed_1_bench_digests(shape, policy, report_sha, events_sha):
+    bench = _bench_scenarios()
+    scenario = load_scenario(bench.scenario_doc(bench.make_grid(1, shape)))
+    report, events = run_scenario(scenario, policy, 1)
     assert (_sha256(report), _sha256(events)) == (report_sha, events_sha)
 
 
@@ -664,6 +698,42 @@ def test_skipped_cycles_change_no_report_or_event_log(policy):
         scenario = load_scenario(_world_doc(make_world(rng), rng))
         got = _outcome(_CycleCountingWorld(scenario, policy, seed))
         assert got == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
+
+
+class _WorklistCheckingWorld(GridWorld):
+    """Checks, after the submits and after every cycle, that the idle
+    worklist holds exactly the queue's Idle records, in job id order, and
+    counts the checks made while some jobs, not all, had left it."""
+
+    partial = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._check()
+
+    def _match_cycle(self) -> None:
+        super()._match_cycle()
+        self._check()
+
+    def _check(self):
+        idle = [r for r in self.queue.jobs.values() if r.state is JobState.IDLE]
+        assert list(self._idle.items()) == [(r.job_id, r) for r in idle], self.clock
+        self.partial += 0 < len(idle) < len(self.queue.jobs)
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_the_idle_worklist_holds_exactly_the_idle_jobs_in_job_id_order(policy):
+    scenarios = [load_scenario(SAMPLE_DOC)]
+    for seed in range(200):
+        rng = random.Random(seed)
+        scenarios.append(load_scenario(_world_doc(make_world(rng), rng)))
+    partial = 0
+    for seed, scenario in enumerate(scenarios):
+        world = _WorklistCheckingWorld(scenario, policy, seed)
+        world.run()
+        assert not world._idle, (scenario.name, seed)  # a run ends with none idle
+        partial += world.partial
+    assert partial > 0
 
 
 @pytest.mark.parametrize("policy", sim.POLICIES)

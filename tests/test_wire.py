@@ -47,6 +47,13 @@ def test_port_zero_picks_a_free_port():
         server.server_close()
 
 
+def test_a_port_another_socket_listens_on_is_an_os_error():
+    # the bind's own error, not one from closing a server half built
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        with pytest.raises(OSError):
+            wire.LineServer("127.0.0.1", busy.getsockname()[1], _echo)
+
+
 def test_wrong_reply_id_is_an_error():
     server = _serve(dispatch=lambda msg: {"id": "not-yours", "result": {}})
     try:
