@@ -9,15 +9,3 @@ __version__ = "0.1.0"
 
 # Submodules load on first import (`from vogrid import sim`), not here, so
 # that a server process loads only the modules its command uses.
-__all__ = [
-    "__version__",
-    "advertise",
-    "classads",
-    "conftree",
-    "jobs",
-    "matchmaker",
-    "queue_server",
-    "sim",
-    "station",
-    "wire",
-]

@@ -206,6 +206,15 @@ def ad_to_json(ad: ClassAd) -> dict:
     }
 
 
+def of_kind(obj: dict, kind: AdKind) -> dict:
+    """`obj`, an ad in its JSON form, if its kind is `kind`: a ValueError
+    naming the kind it has otherwise. A service calls it on each ad a request
+    carries."""
+    if obj["kind"] != kind.value:
+        raise ValueError(f"ad kind must be {kind.value!r}, not {obj['kind']!r}")
+    return obj
+
+
 def ad_from_json(obj: dict) -> ClassAd:
     """The ad `ad_to_json` gave. An absent id is ""; one that is not text is
     a ValueError."""

@@ -3,15 +3,18 @@
 Servers print `LISTENING <port>` once ready, so callers can pass --port 0
 and read the assigned port from the first line of output.
 
-Each command imports the modules it uses when it runs, so a server process
-loads only its own service: a station never loads the simulator or the
+The load rule: a command imports what it uses when it runs, from the module
+that defines it, and no package imports a name on its first use. So a server
+process loads only its own service: no server loads the simulator, the
+configuration session (`conftree.configurator`, `session`, `meta`,
+`directives`) or `subprocess`, and a station or a queue never loads the
 matchmaker.
 
-A file that an option names and that cannot be read, or does not hold what
-the option wants, is a usage error (exit 2) naming the file (`_option_file`),
-as is a HOST:PORT whose port is not one `wire.is_port` takes, and a --port
-that is neither 0 nor such a port. A server that cannot listen on its port
-exits 1 with one line.
+A file that an option names and that cannot be read or written, or does not
+hold what the option wants, is a usage error (exit 2) naming the file
+(`_option_file`), as is a HOST:PORT whose port is not one `wire.is_port`
+takes, and a --port that is neither 0 nor such a port. A server that cannot
+listen on its port exits 1 with one line.
 """
 
 from __future__ import annotations
@@ -34,12 +37,19 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write_out(path: str | None, content: str):
-    if path is None or path == "-":
+def _write(path: str, chunks):
+    """Write the bytes `chunks` to the file an option names, through `_option_file`."""
+    def write(path):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+    _option_file(path, write)
+
+
+def _write_out(path: str, content: str):
+    if path == "-":
         sys.stdout.write(content)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        _write(path, [content.encode("utf-8")])
 
 
 def _host_port(value: str) -> tuple[str, int]:
@@ -141,8 +151,9 @@ def _request_or_die(host, port, msg, auth):
 # -- conf ------------------------------------------------------------------------
 
 def cmd_conf_run(args):
-    from .conftree import (ConfigureError, InteractiveInput, configure,
-                           parse_answer_file, write_tree)
+    from .conftree import write_tree
+    from .conftree.configurator import configure
+    from .conftree.session import ConfigureError, InteractiveInput, parse_answer_file
     schema = _xml_tree(args.schema)
     prior = _xml_tree(args.prior) if args.prior else None
     source = _option_file(args.answers, lambda path: parse_answer_file(_read(path)),
@@ -155,7 +166,8 @@ def cmd_conf_run(args):
 
 
 def cmd_conf_meta(args):
-    from .conftree import meta_schema, write_tree
+    from .conftree import write_tree
+    from .conftree.meta import meta_schema
     _write_out(args.output, write_tree(meta_schema()))
 
 
@@ -224,8 +236,8 @@ def cmd_mm_serve(args):
 
 
 def cmd_q_serve(args):
-    from .queue_server import QueueService
-    service = QueueService(args.journal)
+    from .queue_server import CorruptJournal, QueueService
+    service = _option_file(args.journal, QueueService, CorruptJournal)
     try:
         _serve(service.handle_message, args.port, args.auth)
     finally:
@@ -273,9 +285,7 @@ def cmd_sim_run(args):
     except ScenarioParseError as exc:  # its grid: a station or a slot ad
         raise argparse.ArgumentTypeError(f"{args.scenario}: {exc}") from None
     if args.events:
-        with open(args.events, "wb") as fh:
-            for entry in event_log:
-                fh.write(wire.encode_line(entry))
+        _write(args.events, map(wire.encode_line, event_log))
     _write_out(args.output, json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 

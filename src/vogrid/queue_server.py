@@ -15,6 +15,7 @@ import os
 import threading
 
 from . import wire
+from .classads.ads import AdKind, of_kind
 from .jobs import (
     IllegalJobTransition,
     JobQueue,
@@ -66,7 +67,7 @@ def replay_journal(path: str) -> list[dict]:
         except ValueError:
             if i == len(lines) - 1:  # no newline after it: an interrupted write
                 break
-            raise CorruptJournal(f"{path}: bad record on line {i + 1}") from None
+            raise CorruptJournal(f"bad record on line {i + 1}") from None
     return records
 
 
@@ -80,8 +81,7 @@ class QueueService:
             try:
                 self.queue.apply_journal_record(record)
             except Exception as exc:
-                raise CorruptJournal(
-                    f"{journal_path}: line {line} does not replay: {exc!r}") from None
+                raise CorruptJournal(f"line {line} does not replay: {exc!r}") from None
         # opened only once replay succeeds: a journal that does not replay is left as is
         self.journal = Journal(journal_path)
         self.queue.journal_sink = self.journal.append
@@ -101,7 +101,7 @@ class QueueService:
 
     def _submit(self, msg: dict) -> dict:
         try:
-            job = self.queue.submit_json(msg["ad"])
+            job = self.queue.submit_json(of_kind(msg["ad"], AdKind.JOB))
         except RejectedAd as exc:
             raise wire.RequestError("rejected-ad", str(exc)) from None
         except Exception as exc:

@@ -182,6 +182,8 @@ class Scenario:
                         f"station {st.station_id!r} defined twice")
                 stations[st.station_id] = st
             for ad in generate_classads(select_patterns(site.config)):
+                if ad.ad_id in slots:
+                    raise ScenarioParseError(f"slot {ad.ad_id!r} defined twice")
                 slots[ad.ad_id] = store.collect_ad(ad, site.gridmap, self.ttl, now=0.0)
         unknown = {s.station_id for s in slots.values()} - set(stations)
         if unknown:
@@ -204,11 +206,15 @@ def load_scenario(doc: dict) -> Scenario:
                 gridmap=list(wire.text_list_field(site_doc, "gridmap")),
             ))
         job_ads = []
+        job_ids = set()
         for job_doc in doc["jobs"]:
             attrs = dict(job_doc["ad"])
             attrs.setdefault("Rank", _DEFAULT_RANK_SOURCE)
             ad = ClassAd({name: parse_expr(src) for name, src in attrs.items()},
                          AdKind.JOB, ad_id=str(job_doc["id"]))
+            if ad.ad_id in job_ids:
+                raise ScenarioParseError(f"job {ad.ad_id!r} defined twice")
+            job_ids.add(ad.ad_id)
             # a value the run could not use fails here, not partway through
             validate_job_ad(ad)
             output_bytes(ad)

@@ -32,13 +32,10 @@ from vogrid.classads import (
     parse_expr,
     real,
 )
-from vogrid.conftree import (
-    configure,
-    meta_schema,
-    parse_answer_file,
-    read_tree,
-    write_tree,
-)
+from vogrid.conftree import read_tree, write_tree
+from vogrid.conftree.configurator import configure
+from vogrid.conftree.meta import meta_schema
+from vogrid.conftree.session import parse_answer_file
 from vogrid.matchmaker import run_match_cycle
 from vogrid.sim import load_scenario, run_scenario
 from vogrid.station import DatasetCatalog, StationState, get_preference

@@ -12,7 +12,8 @@ import pytest
 from vogrid import cli, sim, wire
 from vogrid.classads import AdKind, ad_to_json, parse_classad
 from vogrid.cli import build_parser, main
-from vogrid.conftree import meta_schema, read_tree, write_tree
+from vogrid.conftree import read_tree, write_tree
+from vogrid.conftree.meta import meta_schema
 
 from conftest import fixture_path, fixture_text
 
@@ -192,22 +193,33 @@ def test_the_command_line_loads_no_service_before_a_command_runs():
     assert proc.stdout.strip() == "[]"
 
 
-def test_a_station_loads_no_configuration_session():
-    """A station reads and derives its config; the configuration session
-    (and `subprocess` with it) stays unloaded until one of its names is used."""
-    session = ("vogrid.conftree.session", "vogrid.conftree.configurator",
-               "vogrid.conftree.meta", "vogrid.conftree.directives", "subprocess")
-    station = (f"args = argparse.Namespace(config={str(SAMPLES / 'site.xml')!r}, "
-               "station='durin', fixture=None); "
-               "from vogrid.station import DatasetCatalog, handler; "
-               "assert cli._load_station(args).station_id == 'durin'; ")
-    code = ("import argparse, sys, vogrid.cli as cli; " + station
-            + f"print([m for m in {session!r} if m in sys.modules]); "
-            "from vogrid.conftree import configure; print(type(configure).__name__)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "function"]
+def test_each_server_loads_only_its_own_service(tmp_path):
+    """By the load rule, no server loads the simulator, the configuration
+    session or `subprocess` before it serves, and neither a station nor a
+    queue loads the matchmaker; the session still imports from its modules."""
+    servers = {
+        "station": [*_STATION, str(SAMPLES / "catalog.json")],
+        "mm": ["mm", "serve", "--port", "0"],
+        "q": ["q", "serve", "--port", "0", "--journal", str(tmp_path / "queue.ndjson")],
+        "info": ["info", "serve", "--port", "0", "--config", str(SAMPLES / "site.xml")],
+    }
+    never = {"vogrid.sim", "vogrid.conftree.session", "vogrid.conftree.configurator",
+             "vogrid.conftree.meta", "vogrid.conftree.directives", "subprocess"}
+    for server, argv in servers.items():
+        code = ("import json, sys, vogrid.cli as cli; "
+                "cli._serve = lambda *args: print(json.dumps(sorted(sys.modules))); "
+                f"cli.main({argv!r}); "
+                "from vogrid.conftree.configurator import configure; "
+                "print(type(configure).__name__)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        modules, kind = proc.stdout.splitlines()
+        loaded = set(json.loads(modules))
+        assert loaded & never == set(), server
+        if server in ("station", "q"):
+            assert "vogrid.matchmaker" not in loaded, server
+        assert kind == "function"
 
 
 # -- server processes ---------------------------------------------------------------
@@ -536,6 +548,9 @@ _XML_INFO = ["info", "serve", "--port", "0", "--config"]
 _GRIDMAP = ["adv", "run", "--mm", "127.0.0.1:1", "--once",
             "--config", str(SAMPLES / "site.xml"), "--gridmap"]
 _ANSWERS = ["conf", "run", "--schema", str(SAMPLES / "schema.xml"), "--answers"]
+_JOURNAL = ["q", "serve", "--port", "0", "--journal"]
+# content that makes the path a directory, or puts it in a missing one
+_DIRECTORY, _NO_PARENT = object(), object()
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -548,17 +563,43 @@ _ANSWERS = ["conf", "run", "--schema", str(SAMPLES / "schema.xml"), "--answers"]
     (_XML_STATION, "not xml"), (_XML_SCHEMA, "not xml"), (_XML_PRIOR, "not xml"),
     (_XML_DERIVE, "not xml"), (_XML_ADV, "not xml"), (_XML_INFO, "not xml"),
     (_GRIDMAP, None), (_GRIDMAP, b"\xff\xfe/C=US\n"), (_ANSWERS, None), (_ANSWERS, "@count x\n"),
+    (_JOURNAL, _DIRECTORY), (_JOURNAL, _NO_PARENT), (_JOURNAL, '{"event": "new"}\n'),
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
         "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
         "conf-derive-config", "adv-config", "info-config", "gridmap-missing",
-        "gridmap-not-utf8", "answers-missing", "answers-count"])
+        "gridmap-not-utf8", "answers-missing", "answers-count", "journal-directory",
+        "journal-no-parent", "journal-no-replay"])
 def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, argv, content):
     # each of these once ended in a traceback; a file with content None is missing
     path = tmp_path / "input"
-    if isinstance(content, bytes):
+    if content is _DIRECTORY:
+        path.mkdir()
+    elif content is _NO_PARENT:
+        path = path / "journal"
+    elif isinstance(content, bytes):
         path.write_bytes(content)
     elif content is not None:
         path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conf", "run", "--schema", str(SAMPLES / "schema.xml"),
+     "--answers", str(SAMPLES / "answers.txt"), "-o"],
+    ["conf", "meta", "-o"],
+    ["conf", "derive", "--config", str(SAMPLES / "site.xml"), "--service", "station", "-o"],
+    ["sim", "run", "--scenario", str(SAMPLES / "scenario.json"), "-o"],
+    ["sim", "run", "--scenario", str(SAMPLES / "scenario.json"), "--events"],
+], ids=["conf-run", "conf-meta", "conf-derive", "sim-run", "sim-events"])
+def test_an_output_file_that_cannot_be_written_is_a_usage_error_naming_it(
+        tmp_path, capsys, argv):
+    # each of these once ended in a traceback (FileNotFoundError)
+    path = tmp_path / "missing" / "out"
     with pytest.raises(SystemExit) as exc:
         main([*argv, str(path)])
     assert exc.value.code == 2

@@ -2,25 +2,23 @@
 
 import pytest
 
-from vogrid.conftree import (
+from vogrid.conftree import TreeNode, read_tree
+from vogrid.conftree.configurator import (
+    CardinalityViolation,
+    DuplicateAttribute,
+    UnboundVar,
+    configure,
+)
+from vogrid.conftree.meta import MAX_DESIGN_DEPTH, meta_schema
+from vogrid.conftree.session import (
     ACCEPT_DEFAULT,
     AnswerExhausted,
     AnswerScript,
-    CardinalityViolation,
     ConfigureError,
     Count,
-    DuplicateAttribute,
     InteractiveInput,
-    MAX_DESIGN_DEPTH,
     ScriptMismatch,
-    TreeNode,
-    UnboundVar,
-    UnknownDirective,
-    configure,
-    meta_schema,
     parse_answer_file,
-    parse_directive,
-    read_tree,
 )
 from vogrid.conftree.directives import (
     ExecDefault,
@@ -30,6 +28,8 @@ from vogrid.conftree.directives import (
     LiteralDefault,
     RefVar,
     SetVar,
+    UnknownDirective,
+    parse_directive,
 )
 
 from conftest import fixture_text

@@ -750,6 +750,26 @@ def test_an_ad_id_that_is_not_text_is_malformed(ad_id):
     assert [d["resource_id"] for d in reply["result"]["decisions"]] == ["r1"]
 
 
+def test_an_advertise_of_a_job_ad_is_malformed():
+    # such an ad was once stored, and matched as a slot
+    service = MatchmakerService(clock=lambda: 0.0)
+    msg = _advertise_msg(_res("r1", "A", "s")) | {"id": 1}
+    reply = service.handle_message(msg | {"ad": msg["ad"] | {"kind": "job"}})
+    assert reply["error"]["code"] == "malformed"
+    assert "'job'" in reply["error"]["message"]
+    assert service.store.snapshot(0.0) == []
+
+
+def test_a_match_request_for_a_resource_ad_is_malformed():
+    # such a request was once answered with a decision
+    service = MatchmakerService(clock=lambda: 0.0)
+    assert "result" in service.handle_message(_advertise_msg(_res("r1", "A", "s")) | {"id": 1})
+    resource_kind = ad_to_json(_job("j")) | {"kind": "resource"}
+    reply = service.handle_message({"type": "MATCH_REQUEST", "id": 2, "jobs": [resource_kind]})
+    assert reply["error"]["code"] == "malformed"
+    assert "'resource'" in reply["error"]["message"]
+
+
 def test_matchmaker_service_respects_ttl_clock():
     now = {"t": 0.0}
     service = MatchmakerService(clock=lambda: now["t"])

@@ -315,6 +315,20 @@ def test_a_record_that_does_not_replay_is_corruption_named_by_line(tmp_path):
         assert path.read_bytes() == before  # a journal that does not replay is left as is
 
 
+def test_a_submit_of_a_resource_ad_is_malformed_and_not_journaled(tmp_path):
+    # such an ad, with text Owner and Dataset, was once queued and journaled
+    path = tmp_path / "queue.ndjson"
+    service = QueueService(str(path))
+    try:
+        reply = service.handle_message(_msg("SUBMIT", ad=AD_JSON | {"kind": "resource"}))
+        assert reply["error"]["code"] == "malformed"
+        assert "'resource'" in reply["error"]["message"]
+        assert service.queue.jobs == {}
+    finally:
+        service.close()
+    assert path.read_bytes() == b""
+
+
 @pytest.mark.parametrize("ad_id", [5, True, None, [], {}])
 def test_a_submit_whose_ad_id_is_not_text_is_malformed_and_not_journaled(tmp_path, ad_id):
     # such SUBMITs were once stored and journaled

@@ -176,6 +176,24 @@ def test_duplicate_station_rejected():
             GridWorld(scenario, policy, 0)
 
 
+def test_a_slot_defined_twice_is_rejected():
+    # a second site S/c on its own station advertises S/c#1 and S/c#2 again:
+    # kept, the second site's slots would replace the first site's
+    doc = _one_site_doc(slots=2)
+    doc["sites"].append(_site_doc(make_site_config("S", "c", "st2", {"HOME": 1e8},
+                                                   slots=2)))
+    scenario = load_scenario(doc)
+    with pytest.raises(ScenarioParseError, match="slot 'S/c#1' defined twice"):
+        GridWorld(scenario, "data-aware", 0)
+
+
+def test_a_job_defined_twice_is_rejected():
+    doc = _one_site_doc(jobs=("d", "d"))
+    doc["jobs"][1]["id"] = "j1"  # kept, two report rows and two event trails would be j1
+    with pytest.raises(ScenarioParseError, match="job 'j1' defined twice"):
+        load_scenario(doc)
+
+
 def test_undefined_station_rejected():
     doc = _one_site_doc()
     # the advertiser picks the preferred inner station, which no station
