@@ -48,6 +48,7 @@ deep to compile is not kept, so it is Error on every evaluation.
 from __future__ import annotations
 
 import operator
+from math import isfinite
 
 from .exprs import AttrRef, Binary, Call, Expr, Literal, Scope, Unary
 from .registry import FnRegistry
@@ -65,20 +66,19 @@ def evaluate(e: Expr, self_ad, other_ad, reg: FnRegistry, env=None) -> Value:
     """Evaluate e with attribute references resolved against the given ads."""
     if type(e) is Literal:
         return e.value
+    active = _Resolving()
+    active.left = MAX_REFERENCES
     try:
-        return _code(e)(self_ad, other_ad, reg, env, _Resolving())
+        return _code(e)(self_ad, other_ad, reg, env, active)
     except RecursionError:
         return ERROR
 
 
 class _Resolving(set):
     """The (ad, attribute) pairs one evaluation is resolving, to detect
-    cycles, and how many more references it may resolve."""
+    cycles, and how many more references it may resolve (`left`)."""
 
     __slots__ = ("left",)
-
-    def __init__(self) -> None:
-        self.left = MAX_REFERENCES
 
 
 # -- compilation ------------------------------------------------------------------
@@ -123,7 +123,7 @@ def _compile_ref(e: AttrRef):
             self_ad, other_ad = other_ad, self_ad
         if self_ad is None:
             return UNDEFINED
-        bound = self_ad.lookup(name)
+        bound = self_ad._by_folded.get(name)  # `ClassAd.lookup`, name folded
         if bound is None:
             return UNDEFINED
         if type(bound) is Literal:  # refers to nothing, so closes no cycle
@@ -163,11 +163,11 @@ def _compile_binary(e: Binary):
 
 
 def _compile_call(e: Call):
-    fn_name, arg_codes = e.fn_name, tuple(_compile(a) for a in e.args)
+    key, arg_codes = e.fn_name.lower(), tuple(_compile(a) for a in e.args)
 
     def call(self_ad, other_ad, reg, env, active):
         args = [a(self_ad, other_ad, reg, env, active) for a in arg_codes]
-        entry = reg.lookup(fn_name)
+        entry = reg._entries.get(key)  # `FnRegistry.lookup`, name folded
         if entry is None:
             return ERROR
         arity, handler = entry
@@ -179,6 +179,8 @@ def _compile_call(e: Call):
             return ERROR
         if not isinstance(result, Value):
             return ERROR
+        if result.kind is _REAL and type(result.data) is float and isfinite(result.data):
+            return result  # what `_held` gives, without its conversions
         return _held(result) if result.is_numeric() else result
     return call
 

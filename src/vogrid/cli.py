@@ -45,6 +45,14 @@ def _write(path: str, chunks):
     _option_file(path, write)
 
 
+def _writable(path: str):
+    """OSError unless the file can be opened for writing. It is left as it was."""
+    existed = os.path.lexists(path)
+    open(path, "ab").close()
+    if not existed:
+        os.remove(path)
+
+
 def _write_out(path: str, content: str):
     if path == "-":
         sys.stdout.write(content)
@@ -280,6 +288,9 @@ def cmd_release(args):
 def cmd_sim_run(args):
     from .sim import ScenarioParseError, load_scenario_file, run_scenario
     scenario = _option_file(args.scenario, load_scenario_file, ScenarioParseError)
+    for path in (args.output if args.output != "-" else None, args.events):
+        if path:  # before the run, so that a usage error costs no work or output
+            _option_file(path, _writable)
     try:
         report, event_log = run_scenario(scenario, args.policy, args.seed)
     except ScenarioParseError as exc:  # its grid: a station or a slot ad

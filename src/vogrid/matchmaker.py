@@ -66,6 +66,7 @@ fresh connection, when the station has closed the one it reused.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import threading
@@ -207,17 +208,20 @@ def preauthorize(job: ClassAd, stored: StoredAd) -> bool:
 StationQuery = Callable[[str, str, int | None], float]
 # (dataset, station_id, output_bytes override) -> preference score
 
+# read once here: reading an enum member looks it up on its class each time
+_TEXT, _REAL = ValueKind.TEXT, ValueKind.REAL
+
 
 def _fun_handler(args: list, self_ad, other_ad, env) -> Value:
     """fun(dataset, station_id): ask that station how it likes this dataset."""
     if env is None or "station_query" not in env:
         raise RuntimeError("no station query configured")
     dataset, station = args
-    if dataset.kind is not ValueKind.TEXT or station.kind is not ValueKind.TEXT:
+    if dataset.kind is not _TEXT or station.kind is not _TEXT:
         raise TypeError("fun() wants two text arguments")
     score = env["station_query"](dataset.data, station.data,
                                  output_bytes(self_ad))
-    return real(float(score))
+    return Value(_REAL, float(score))  # real(score), less a call
 
 
 def standard_registry() -> FnRegistry:
@@ -311,14 +315,15 @@ def choose_by_rank(job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry
     byte order. The members of a cluster share Name and rank, so each
     cluster competes with its lowest ad id, its first member.
     """
-    return _argmax(clusters, rank_resources(job, clusters, reg, env))
+    return _argmax(clusters, [v.as_real() for v in rank_resources(job, clusters, reg, env)])
 
 
-def _argmax(clusters: list[list[StoredAd]], ranks: list[Value]) -> tuple[str, float] | None:
-    """`choose_by_rank`'s pick, given each cluster's rank."""
+def _argmax(clusters: list[list[StoredAd]],
+            ranks: list[float | None]) -> tuple[str, float] | None:
+    """`choose_by_rank`'s pick, given each cluster's rank as `Value.as_real`
+    reads it."""
     best = best_key = None
-    for members, value in zip(clusters, ranks):
-        rank = value.as_real()
+    for members, rank in zip(clusters, ranks):
         if rank is None:
             continue
         first = members[0]
@@ -330,26 +335,29 @@ def _argmax(clusters: list[list[StoredAd]], ranks: list[Value]) -> tuple[str, fl
 
 FreeIndex = dict[ResourceCluster, list[StoredAd]]
 
+_AD_ID = attrgetter("ad.ad_id")
+
 
 def free_index(ads: Iterable[StoredAd], claimed: Collection[str] = ()) -> FreeIndex:
     """The free ads as an index from resource cluster to its members among
     `ads` whose ids are not in `claimed`, each list in ad id order."""
     index: FreeIndex = {}
-    for s in sorted(ads, key=attrgetter("ad.ad_id")):
+    for s in sorted(ads, key=_AD_ID):
         if s.ad.ad_id not in claimed:
             index.setdefault(s.cluster, []).append(s)
     return index
 
 
 def _claim(index: FreeIndex, offered: list[list[StoredAd]], ad_id: str) -> None:
-    """Take the picked ad out of the free index."""
+    """Take the picked ad out of the free index, found by bisecting each
+    offered member list, which is in ad id order."""
     for members in offered:
-        for k, stored in enumerate(members):
-            if stored.ad.ad_id == ad_id:
-                del members[k]
-                if not members:
-                    del index[stored.cluster]
-                return
+        k = bisect.bisect_left(members, ad_id, key=_AD_ID)
+        if k < len(members) and members[k].ad.ad_id == ad_id:
+            stored = members.pop(k)
+            if not members:
+                del index[stored.cluster]
+            return
 
 
 # what a job is judged on against a cluster: its Owner and Requirements for
@@ -369,11 +377,11 @@ class Verdicts:
     pass. A verdict row maps each resource cluster to [authorized, passes]:
     pre-authorization and the symmetric Requirements, judged on the
     cluster's first free member, with passes None until judged; a rank row
-    maps it to the job's Rank there. A verdict calls no function when
-    neither the job's verdict autocluster nor any free cluster's bindings
-    do; then it holds as long as the ads and the registry do, so its row
-    goes in `kept`. Every other verdict row, and every rank row, belongs to
-    the pass.
+    maps it to the job's Rank there, as `Value.as_real` reads it. A verdict
+    calls no function when neither the job's verdict autocluster nor any
+    free cluster's bindings do; then it holds as long as the ads and the
+    registry do, so its row goes in `kept`. Every other verdict row, and
+    every rank row, belongs to the pass.
 
     The skip rule (`refuses`): a job whose verdict row in `kept` holds a
     verdict for every free cluster, none of them authorized and passing,
@@ -423,13 +431,13 @@ class Verdicts:
 
 
 def _ranks(row: dict, job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry,
-           env: dict | None) -> list[Value]:
-    """`rank_resources`, evaluated only for the clusters that `row`, the
-    job's rank row (`Verdicts`), lacks."""
+           env: dict | None) -> list[float | None]:
+    """`rank_resources` as `Value.as_real` reads it, evaluated only for the
+    clusters that `row`, the job's rank row (`Verdicts`), lacks."""
     unranked = [members for members in clusters if members[0].cluster not in row]
     if unranked:
         for members, value in zip(unranked, rank_resources(job, unranked, reg, env)):
-            row[members[0].cluster] = value
+            row[members[0].cluster] = value.as_real()
     return [row[members[0].cluster] for members in clusters]
 
 

@@ -10,7 +10,10 @@ quantity the report measures.
 Scoring and staging both use the station states as they were when the cycle
 started, and each distinct (dataset, station, output bytes) preference is
 asked once per cycle; queue and cache updates land on the live stations, one
-batch per staging step, and are visible from the next cycle on.
+batch per staging step, and are visible from the next cycle on. Each
+station walks a dataset's files once per cache state (`station.shortfall`),
+and each run starts from its own copies of the scenario's station states,
+so no run reads another's answers.
 
 All policies share `match_jobs` and differ only in the chooser, which gets
 the authorized resource clusters as lists of their free slots: `data-aware`
@@ -37,7 +40,7 @@ leave ahead of the first job still idle.
 
 A scenario derives its stations and collects its slots once, the first
 time a run is built from it (`Scenario.grid`); a run copies only the station
-map, whose states are immutable, and never changes the shared slot records.
+states, each with an empty memo, and never changes the shared slot records.
 The free slots are one index for the whole run, kept up to date as slots are
 claimed and freed, never rebuilt from a snapshot: a cycle's claims take slots
 out of it and a finished job puts its slot back in ad id order. So each
@@ -121,8 +124,9 @@ from .station import (
     StationState,
     UnknownDataset,
     apply_event,
+    copy_state,
     get_preference,
-    lookup_dataset,
+    shortfall,
     station_from_config,
 )
 
@@ -307,9 +311,10 @@ class GridWorld:
         self.catalog = scenario.catalog
         self.registry = standard_registry()
         # shared by every run of the scenario: the slot records (by ad id)
-        # are only read; the station map is copied, as a run replaces states
+        # are only read; the station states are copied, as a run replaces
+        # them and fills their memos
         stations, self.slots = scenario.grid
-        self.stations = dict(stations)
+        self.stations = {sid: copy_state(st) for sid, st in stations.items()}
         self.event_log: list[dict] = []
         self.events_processed = 0
         self._heap: list = []
@@ -323,6 +328,7 @@ class GridWorld:
         self._free: FreeIndex = free_index(self.slots.values())
         # the verdict table kept for the run (`Verdicts`)
         self._verdicts: dict = {}
+        self._cache_adds: dict[str, CacheAdd] = {}  # file name -> its step
         for ad in scenario.job_ads:
             self.queue.submit(ad, stamp=self.clock)
             self._log("submit", job=ad.ad_id)
@@ -457,8 +463,8 @@ class GridWorld:
                               stamp=self.clock, detail=slot.ad.ad_id)
         self.queue.transition(record.job_id, JobState.STAGING, stamp=self.clock)
         del self._idle[record.job_id]
-        _, missing = lookup_dataset(self.catalog, self._query.snapshot[slot.station_id],
-                                    dataset)
+        missing = shortfall(self.catalog, self._query.snapshot[slot.station_id],
+                            dataset).missing
         self.stations[slot.station_id] = apply_event(
             self.stations[slot.station_id], *[_ENQUEUE] * len(missing))
         self._log("match", job=decision.job_id, resource=slot.ad.ad_id,
@@ -468,8 +474,12 @@ class GridWorld:
 
     def _finish_staging(self, record, slot: StoredAd, files: list[str]):
         steps = []
+        adds = self._cache_adds
         for file_name in files:
-            steps += (_DEQUEUE, CacheAdd(file_name))
+            add = adds.get(file_name)
+            if add is None:
+                add = adds[file_name] = CacheAdd(file_name)
+            steps += (_DEQUEUE, add)
         self.stations[slot.station_id] = apply_event(self.stations[slot.station_id], *steps)
         self.queue.transition(record.job_id, JobState.RUNNING, stamp=self.clock)
         self._log("running", job=record.ad.ad_id)

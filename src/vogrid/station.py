@@ -12,6 +12,18 @@ sites. It answers preference queries with an estimated total data latency:
 
 Higher scores are preferred. Transfers are modeled as sequential; link
 speeds are static configuration values supplied by the site, not measured.
+
+The input transfer is one rule, `shortfall`: the files a dataset lacks
+here, their bytes and their transfer seconds. It reads only the catalog,
+the cached files and the links, so each state keeps its answers, keyed by
+(catalog, dataset), and walks a dataset's files once while its cache
+stays the same. `apply_event` hands that memo on to the successor unless
+a `CacheAdd` changes the cache, which starts an empty one; `copy_state`
+gives a copy an empty one of its own. Only answers are kept: an unknown
+dataset or a missing route raises again on every question, so a station
+server's memo never outgrows its catalog, whatever its clients ask. A
+memo write is one dict store, atomic under the interpreter lock, so two
+server threads asking at once at worst both compute the same answer.
 """
 
 from __future__ import annotations
@@ -111,6 +123,7 @@ class StationState:
         if self.output_destination and self.output_destination not in self.links:
             raise ValueError(f"station {self.station_id!r}: output destination "
                              f"{self.output_destination!r} has no link")
+        object.__setattr__(self, "_shortfalls", {})  # not a field: see `shortfall`
 
 
 class PreferenceReport(NamedTuple):
@@ -130,6 +143,37 @@ def lookup_dataset(cat: DatasetCatalog, st: StationState,
     return present, missing
 
 
+class Shortfall(NamedTuple):
+    missing: tuple[FileEntry, ...]  # in catalog order
+    transfer_seconds: float
+    missing_bytes: int
+
+
+def shortfall(cat: DatasetCatalog, st: StationState, dataset: str) -> Shortfall:
+    """The dataset's files missing here and what fetching them costs, each
+    file in turn over the link to its source. Kept on `st` once answered
+    (see the module docstring); UnknownDataset and NoRouteToSource are not."""
+    key = (cat, dataset)
+    found = st._shortfalls.get(key)
+    if found is None:
+        cached, links = st.cached_files, st.links
+        missing = []
+        transfer = 0.0
+        missing_bytes = 0
+        for f in cat.files(dataset):
+            name, size, source = f
+            if name in cached:
+                continue
+            bw = links.get(source)
+            if bw is None:
+                raise NoRouteToSource(f"station {st.station_id!r}: no link to {source!r}")
+            missing.append(f)
+            transfer += size / bw
+            missing_bytes += size
+        found = st._shortfalls[key] = Shortfall(tuple(missing), transfer, missing_bytes)
+    return found
+
+
 def get_preference(cat: DatasetCatalog, st: StationState, dataset: str,
                    output_bytes: int | None = None) -> PreferenceReport:
     """Estimated data latency for running this dataset here, as a preference score.
@@ -137,15 +181,7 @@ def get_preference(cat: DatasetCatalog, st: StationState, dataset: str,
     output_bytes overrides the station's per-job default when given. A score
     past a float's range raises ScoreOverflow.
     """
-    _, missing = lookup_dataset(cat, st, dataset)
-    transfer = 0.0
-    missing_bytes = 0
-    for f in missing:
-        bw = st.links.get(f.source_site)
-        if bw is None:
-            raise NoRouteToSource(f"station {st.station_id!r}: no link to {f.source_site!r}")
-        transfer += f.size_bytes / bw
-        missing_bytes += f.size_bytes
+    _, transfer, missing_bytes = shortfall(cat, st, dataset)
     wait = st.input_queue_depth * st.mean_service_seconds
     out_bytes = st.expected_output_bytes if output_bytes is None else output_bytes
     output = st.output_queue_depth * st.mean_service_seconds
@@ -157,13 +193,7 @@ def get_preference(cat: DatasetCatalog, st: StationState, dataset: str,
     score = -(transfer + wait + output)
     if not math.isfinite(score):
         raise ScoreOverflow(f"station {st.station_id!r}: score of {dataset!r} overflows")
-    return PreferenceReport(
-        score=score,
-        missing_bytes=missing_bytes,
-        input_transfer_seconds=transfer,
-        input_wait_seconds=wait,
-        output_seconds=output,
-    )
+    return PreferenceReport(score, missing_bytes, transfer, wait, output)
 
 
 # -- state transitions ---------------------------------------------------------
@@ -183,17 +213,25 @@ class CacheAdd:
     file_name: str
 
 
+def copy_state(st: StationState) -> StationState:
+    """A copy of `st` with an empty shortfall memo of its own. It equals
+    what `dataclasses.replace` builds, but skips `StationState.__post_init__`:
+    every field was checked when `st` was built."""
+    copy = object.__new__(StationState)
+    fields = copy.__dict__  # frozen: filled in directly, as __init__ would
+    fields.update(vars(st))
+    fields["_shortfalls"] = {}
+    return copy
+
+
 def apply_event(st: StationState, *events) -> StationState:
     """Input queue and cache steps, in order, folded into one copy of the
-    state; every other field is unchanged. A step that would empty the input
-    queue below zero, or an unknown event, raises IllegalTransition; an
-    event is known by its exact type, so a subclass of one is unknown.
-    Adding a cached file again changes nothing.
-
-    The copy equals what `dataclasses.replace` builds, but skips
-    `StationState.__post_init__`: the links and the output destination were
-    checked when `st` was built and a step cannot change them, and these
-    checks keep the depth nonnegative."""
+    state (`copy_state`); every other field is unchanged. A step that would
+    empty the input queue below zero, or an unknown event, raises
+    IllegalTransition; an event is known by its exact type, so a subclass of
+    one is unknown; these checks keep the depth nonnegative. Adding a cached
+    file again changes nothing, and the copy shares `st`'s shortfall memo
+    unless its cache changed."""
     in_depth = st.input_queue_depth
     added = []
     for ev in events:
@@ -208,12 +246,14 @@ def apply_event(st: StationState, *events) -> StationState:
             added.append(ev.file_name)
         else:
             raise IllegalTransition(f"unknown event {ev!r}")
-    successor = object.__new__(StationState)
-    fields = successor.__dict__  # frozen: filled in directly, as __init__ would
-    fields.update(vars(st))
+    successor = copy_state(st)
+    fields = successor.__dict__
     fields["input_queue_depth"] = in_depth
-    if added:
-        fields["cached_files"] = st.cached_files.union(added)
+    cached = st.cached_files.union(added) if added else st.cached_files
+    if len(cached) == len(st.cached_files):
+        fields["_shortfalls"] = st._shortfalls  # the same cache: the same answers
+    else:
+        fields["cached_files"] = cached
     return successor
 
 

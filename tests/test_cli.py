@@ -606,3 +606,24 @@ def test_an_output_file_that_cannot_be_written_is_a_usage_error_naming_it(
     err = capsys.readouterr().err
     assert f"error: {path}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["-o", "--events"])
+def test_sim_run_checks_both_output_files_before_it_runs(tmp_path, capsys, monkeypatch, bad):
+    # the run once came first: with --events writable and -o not, it wrote
+    # the event log and then lost the report
+    runs = []
+    monkeypatch.setattr(sim, "run_scenario", lambda *args: runs.append(args))
+    report, events = tmp_path / "report.json", tmp_path / "events.jsonl"
+    report.write_text("before\n")  # an existing file is left as it was
+    missing = tmp_path / "missing" / "out"
+    argv = ["sim", "run", "--scenario", str(SAMPLES / "scenario.json"),
+            "-o", str(missing if bad == "-o" else report),
+            "--events", str(missing if bad == "--events" else events)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {missing}: " in capsys.readouterr().err
+    assert runs == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    assert report.read_text() == "before\n"

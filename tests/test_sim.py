@@ -26,7 +26,7 @@ from vogrid.sim import (
     make_site_config,
     run_scenario,
 )
-from vogrid.station import station_from_config
+from vogrid.station import DatasetCatalog, station_from_config
 
 from conftest import fixture_path
 from worldgen import make_world
@@ -381,6 +381,41 @@ def test_seed_1_bench_digests(shape, policy, report_sha, events_sha):
     scenario = load_scenario(bench.scenario_doc(bench.make_grid(1, shape)))
     report, events = run_scenario(scenario, policy, 1)
     assert (_sha256(report), _sha256(events)) == (report_sha, events_sha)
+
+
+# the distinct (dataset, station, cached files) questions of the seed-1
+# benchmark runs above; each walked a dataset's files 599 (burst) and 706,
+# 639 and 640 (backlog) times when every question walked them again
+@pytest.mark.parametrize("shape, policy, walks", [
+    ("backlog", "data-aware", 293), ("backlog", "random", 253),
+    ("backlog", "round-robin", 249), ("burst", "data-aware", 256),
+], ids=["backlog-data-aware", "backlog-random", "backlog-round-robin", "burst-data-aware"])
+def test_each_station_walks_a_dataset_once_per_cache_state(shape, policy, walks,
+                                                           monkeypatch):
+    bench = _bench_scenarios()
+    scenario = load_scenario(bench.scenario_doc(bench.make_grid(1, shape)))
+    walked, asked = [0], set()
+    files, get_preference = DatasetCatalog.files, sim.get_preference
+
+    def counted_files(self, dataset):
+        walked[0] += 1
+        return files(self, dataset)
+
+    def recorded(cat, st, dataset, output_bytes=None):
+        asked.add((dataset, st.station_id, st.cached_files))
+        return get_preference(cat, st, dataset, output_bytes)
+
+    monkeypatch.setattr(DatasetCatalog, "files", counted_files)
+    monkeypatch.setattr(sim, "get_preference", recorded)
+    first = run_scenario(scenario, policy, 1)
+    assert walked[0] == len(asked) == walks
+    # each run starts from its own copies: the scenario's states keep no
+    # answers, and a second run walks as often as the first
+    stations, _ = scenario.grid
+    assert all(st._shortfalls == {} for st in stations.values())
+    walked[0] = 0
+    assert run_scenario(scenario, policy, 1) == first
+    assert walked[0] == walks
 
 
 def test_report_shape():

@@ -7,6 +7,7 @@ import random
 import socket
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from vogrid.conftree import read_tree
 from vogrid import wire
@@ -21,9 +22,11 @@ from vogrid.station import (
     StationState,
     UnknownDataset,
     apply_event,
+    copy_state,
     get_preference,
     handler,
     lookup_dataset,
+    shortfall,
     station_from_config,
 )
 
@@ -458,3 +461,134 @@ def test_preference_monotone_and_exact_over_random_stations():
             output_destination=st.output_destination,
             expected_output_bytes=st.expected_output_bytes)
         assert get_preference(cat, faster, "d").score >= report.score
+
+
+# -- the shortfall memo ------------------------------------------------------------------
+
+def _reference_preference(cat, st, dataset, output_bytes=None) -> tuple:
+    """`get_preference` without the memo, as it was stated before it: every
+    question walks the dataset's files."""
+    _, missing = lookup_dataset(cat, st, dataset)
+    transfer = 0.0
+    missing_bytes = 0
+    for f in missing:
+        bw = st.links.get(f.source_site)
+        if bw is None:
+            raise NoRouteToSource(f.source_site)
+        transfer += f.size_bytes / bw
+        missing_bytes += f.size_bytes
+    wait = st.input_queue_depth * st.mean_service_seconds
+    out_bytes = st.expected_output_bytes if output_bytes is None else output_bytes
+    output = st.output_queue_depth * st.mean_service_seconds
+    if out_bytes:
+        if not st.output_destination:
+            raise NoRouteToSource("output")
+        output += out_bytes / st.links[st.output_destination]
+    score = -(transfer + wait + output)
+    if not math.isfinite(score):
+        raise ScoreOverflow(dataset)
+    return (score, missing_bytes, transfer, wait, output)
+
+
+def _bits(fields: tuple) -> tuple:
+    """Each float by its bits, so that 0.0 and -0.0 differ; integers as they are."""
+    return tuple(x.hex() if isinstance(x, float) else (type(x), x) for x in fields)
+
+
+def _answer_or_error(ask, *args):
+    try:
+        return _bits(tuple(ask(*args)))
+    except (UnknownDataset, NoRouteToSource, ScoreOverflow) as exc:
+        return type(exc)
+
+
+def _random_catalog(rng, sites, names):
+    return DatasetCatalog({
+        f"d{k}": [(name, rng.choice([1, 7, 10 ** 6, rng.randrange(1, 10 ** 12), 2 ** 53]),
+                   rng.choice(sites))
+                  for name in rng.sample(names, rng.randrange(0, 6))]
+        for k in range(rng.randrange(1, 4))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.integers(0, 2 ** 32 - 1))
+def test_the_memo_answers_what_walking_the_files_answers(seed):
+    rng = random.Random(seed)
+    sites = ["A", "B", "C", "D"]
+    names = [f"f{i}" for i in range(8)]
+    # two catalogs that name the same datasets with other files: the memo
+    # keys by catalog too
+    catalogs = [_random_catalog(rng, sites, names) for _ in range(2)]
+    linked = rng.sample(sites, rng.randrange(1, 5))  # no link to the rest
+    start = StationState(
+        station_id="s", cached_files=rng.sample(names + ["other"], rng.randrange(0, 5)),
+        input_queue_depth=rng.randrange(4), output_queue_depth=rng.randrange(3),
+        mean_service_seconds=rng.choice([0.0, 0.5, 3.0, 1e300]),
+        links={site: rng.choice([1e-300, 1e-3, 1.0, 1e7, rng.uniform(1, 1e9)])
+               for site in linked},
+        output_destination=rng.choice(["", linked[0]]),
+        expected_output_bytes=rng.choice([0, 10 ** 9]) if linked else 0)
+    states = [start]
+    for _ in range(rng.randrange(1, 8)):
+        events = [rng.choice([EnqueueInput(), DequeueInput(), CacheAdd(rng.choice(names))])
+                  for _ in range(rng.randrange(0, 5))]
+        try:
+            states.append(apply_event(rng.choice(states), *events))
+        except IllegalTransition:
+            pass
+        # ask the states in random order, the same question more than once,
+        # and old states after their successors were asked
+        for _ in range(rng.randrange(1, 10)):
+            st, cat = rng.choice(states), rng.choice(catalogs)
+            dataset = rng.choice(["d0", "d1", "d2", "nope"])
+            out = rng.choice([None, None, 0, 5, 10 ** 12])
+            want = _answer_or_error(_reference_preference, cat, st, dataset, out)
+            assert _answer_or_error(get_preference, cat, st, dataset, out) == want
+            if want is UnknownDataset:
+                continue
+            _, missing = lookup_dataset(cat, st, dataset)
+            try:
+                gap = shortfall(cat, st, dataset)
+            except NoRouteToSource:
+                assert any(f.source_site not in st.links for f in missing)
+                continue
+            assert gap.missing == tuple(missing)
+            assert gap.missing_bytes == sum(f.size_bytes for f in missing)
+
+
+def test_a_state_shares_its_memo_only_with_states_of_the_same_cache():
+    st = _station(cached_files={"raw000"})
+    get_preference(CATALOG, st, "dzero-run2")
+    assert list(st._shortfalls) == [(CATALOG, "dzero-run2")]
+    for same in (apply_event(st, EnqueueInput()), apply_event(st, CacheAdd("raw000"))):
+        assert same._shortfalls is st._shortfalls
+    grown = apply_event(st, CacheAdd("raw001"))
+    assert grown._shortfalls == {} and st._shortfalls
+    assert copy_state(st) == st and copy_state(st)._shortfalls == {}
+    assert dataclasses.replace(st)._shortfalls == {}
+
+
+def test_a_station_server_keeps_answers_only():
+    # every answer it could keep is one per dataset of its catalog, whatever
+    # its clients ask: unknown datasets and missing routes are not kept
+    st = _station(links={"FNAL": 1e8})  # no link to CDF
+    handle = handler(CATALOG, st)
+
+    def ask(dataset):
+        return handle({"type": "GET_PREFERENCE", "id": 1, "dataset": dataset})
+
+    for k in range(1000):
+        assert ask(f"unknown-{k}")["error"]["code"] == "unknown-dataset"
+    for _ in range(3):
+        assert ask("dzero-run2")["error"]["code"] == "no-route"
+        assert ask("minbias")["error"]["code"] == "no-route"
+    assert st._shortfalls == {}
+
+    st = _station(cached_files={"raw000"})
+    handle = handler(CATALOG, st)
+    first = [ask(d) for d in ("dzero-run2", "minbias")]
+    for k in range(1000):
+        ask(f"unknown-{k}")
+    assert [ask(d) for d in ("dzero-run2", "minbias")] == first
+    assert first[0]["result"]["score"] == -70.0
+    assert set(st._shortfalls) == {(CATALOG, "dzero-run2"), (CATALOG, "minbias")}
