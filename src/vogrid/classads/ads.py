@@ -29,6 +29,9 @@ class AdKind(Enum):
     __hash__ = object.__hash__
 
 
+# read once here: reading an enum member looks it up on its class each time
+_TEXT, _UNDEFINED = values.ValueKind.TEXT, values.ValueKind.UNDEFINED
+
 _BINDING = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
 
 
@@ -61,7 +64,8 @@ class ClassAd:
             by_folded[low] = expr
         self._attrs = dict(attrs)
         self._by_folded = by_folded
-        self._self_values: dict[str, values.Value] = {}  # folded name -> self-read
+        # folded name -> self-read; (name,) -> `self_quantity`
+        self._self_values: dict = {}
         self._reach: Optional[tuple[frozenset[str], bool]] = None
         # start names -> (other names, registry reads, autocluster)
         self._autoclusters: dict[tuple[str, ...], tuple] = {}
@@ -95,16 +99,26 @@ class ClassAd:
     def self_text(self, name: str) -> Optional[str]:
         """The attribute's text, or None when it is not text."""
         v = self.evaluate_self(name)
-        return v.data if v.kind is values.ValueKind.TEXT else None
+        return v.data if v.kind is _TEXT else None
 
     def self_quantity(self, name: str) -> Optional[float]:
-        """A finite nonnegative number, or None for Undefined; else ValueError."""
-        v = self.evaluate_self(name)
-        if v.kind is values.ValueKind.UNDEFINED:
-            return None
-        x = v.as_real()
-        if x is None or x < 0:
-            raise ValueError(f"ad {self.ad_id!r}: {name} must be a nonnegative number")
+        """A finite nonnegative number, or None for Undefined; else ValueError.
+
+        Memoized per name as given, beside the self-reads, under the key
+        `(name,)`; a ValueError is raised again on every call."""
+        memo = self._self_values
+        key = (name,)
+        x = memo.get(key, memo)  # the memo itself stands for "not kept"
+        if x is memo:
+            v = self.evaluate_self(name)
+            if v.kind is _UNDEFINED:
+                x = None
+            else:
+                x = v.as_real()
+                if x is None or x < 0:
+                    raise ValueError(
+                        f"ad {self.ad_id!r}: {name} must be a nonnegative number")
+            memo[key] = x
         return x
 
     def other_reach(self) -> tuple[frozenset[str], bool]:

@@ -164,14 +164,22 @@ def _compile_binary(e: Binary):
 
 def _compile_call(e: Call):
     key, arg_codes = e.fn_name.lower(), tuple(_compile(a) for a in e.args)
+    n = len(arg_codes)
+    # two arguments, as fun(Dataset, OTHER.Station_ID) takes, are evaluated
+    # into a list display: a comprehension would cost a call of its own
+    first, second = arg_codes if n == 2 else (None, None)
 
     def call(self_ad, other_ad, reg, env, active):
-        args = [a(self_ad, other_ad, reg, env, active) for a in arg_codes]
+        if n == 2:
+            args = [first(self_ad, other_ad, reg, env, active),
+                    second(self_ad, other_ad, reg, env, active)]
+        else:
+            args = [a(self_ad, other_ad, reg, env, active) for a in arg_codes]
         entry = reg._entries.get(key)  # `FnRegistry.lookup`, name folded
         if entry is None:
             return ERROR
         arity, handler = entry
-        if len(args) != arity:
+        if arity != n:
             return ERROR
         try:
             result = handler(args, self_ad, other_ad, env)

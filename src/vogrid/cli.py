@@ -132,14 +132,18 @@ def _serve(handler, port: int, auth: str | None):
 
 
 def _load_station(args):
+    """The station named --station in --config, with --fixture's state. A
+    station element that does not parse is the config's fault, and so is a
+    state it builds alone; a state built with a fixture is the fixture's."""
     from .conftree import derive_service_config
-    from .station import station_from_config
+    from .station import config_fields, station_from_config
     site = _xml_tree(args.config)
     stations = derive_service_config(site, "station")
     for node in stations.children:
         if node.attributes.get("name") == args.station:
+            _option_file(args.config, lambda path: config_fields(node))
             if not args.fixture:
-                return station_from_config(node)
+                return _option_file(args.config, lambda path: station_from_config(node))
             return _option_file(args.fixture, lambda path: station_from_config(
                 node, _json_object(path)), TypeError)
     raise SystemExit(f"no station named {args.station!r} in {args.config}")
@@ -193,8 +197,12 @@ def cmd_conf_derive(args):
 # -- services ----------------------------------------------------------------------
 
 def cmd_adv_run(args):
-    from .advertise import advertise_once, parse_gridmap
+    from .advertise import (MissingAttribute, advertise_once, generate_classads,
+                            parse_gridmap, select_patterns)
     config = _xml_tree(args.config)
+    # a config whose ads cannot be built is a usage error, found before any is sent
+    _option_file(args.config, lambda path: generate_classads(select_patterns(config)),
+                 MissingAttribute)
     gridmap = _option_file(args.gridmap, lambda path: parse_gridmap(_read(path))) \
         if args.gridmap else []
     host, port = args.mm
@@ -218,8 +226,9 @@ def cmd_adv_run(args):
 
 
 def cmd_info_serve(args):
-    from .advertise import InfoService
-    service = InfoService(_xml_tree(args.config))
+    from .advertise import DuplicateDn, InfoService
+    config = _xml_tree(args.config)
+    service = _option_file(args.config, lambda path: InfoService(config), DuplicateDn)
     _serve(service.handle_message, args.port, args.auth)
 
 

@@ -136,6 +136,19 @@ class JobRecord:
         }
 
 
+class _SharedAd:
+    """A job ad that the jobs given as identical ad JSON share, and its
+    journal form (`ad_to_json`) once a journal has needed it. The journal
+    form is handed to the sink in every submit record of the ad, so a sink
+    must not change it."""
+
+    __slots__ = ("ad", "journal_form")
+
+    def __init__(self, ad: ClassAd):
+        self.ad = ad
+        self.journal_form: dict | None = None
+
+
 class JobQueue:
     """Ordered job records; each call that changes them hands a journal sink
     one record before it changes anything: `submit` a "submit" record (job
@@ -149,13 +162,15 @@ class JobQueue:
     jobs (`sim.GridWorld`), since the order it pulls them in is its policy.
 
     Jobs given as identical ad JSON, by `submit_json` or by journal replay,
-    share one ClassAd; ads are immutable.
+    share one ClassAd; ads are immutable. They share its journal form too,
+    formatted once: a SUBMIT of a shared ad journals the same record as
+    formatting the ad again would.
     """
 
     def __init__(self, journal_sink: Callable[[dict], None] | None = None):
         self.jobs: dict[int, JobRecord] = {}
         # ad JSON text -> the ad some stored job holds
-        self._shared_ads: dict[str, ClassAd] = {}
+        self._shared_ads: dict[str, _SharedAd] = {}
         self._next_id = 1
         self._seq = 0
         self.journal_sink = journal_sink
@@ -175,22 +190,26 @@ class JobQueue:
             self._seq += 1
         job.history.append(entry)
 
-    def _shared_ad(self, obj: dict) -> tuple[str, ClassAd]:
-        key = json.dumps(obj, separators=(",", ":"))
-        ad = self._shared_ads.get(key)
-        return key, ad if ad is not None else ad_from_json(obj)
-
     def submit(self, ad: ClassAd, stamp: float | None = None) -> JobRecord:
         """Store a new job and move it to Idle. Raises RejectedAd, storing
         nothing, for an invalid ad or one the journal cannot hold."""
+        return self._submit(ad, stamp, None)
+
+    def _submit(self, ad: ClassAd, stamp: float | None,
+                shared: _SharedAd | None) -> JobRecord:
+        """`submit`; the journal form of a `shared` ad is formatted once."""
         validate_job_ad(ad)
         job_id = self._next_id
         if self.journal_sink is not None:  # the ad's source text is only built for a journal
-            try:
-                ad_json = ad_to_json(ad)
-            except RecursionError:
-                raise RejectedAd("job ad is nested too deeply to journal") from None
-            self.journal_sink({"event": "submit", "job_id": job_id, "ad": ad_json})
+            form = shared and shared.journal_form
+            if form is None:
+                try:
+                    form = ad_to_json(ad)
+                except RecursionError:
+                    raise RejectedAd("job ad is nested too deeply to journal") from None
+                if shared is not None:
+                    shared.journal_form = form
+            self.journal_sink({"event": "submit", "job_id": job_id, "ad": form})
         self._next_id += 1
         job = self.jobs[job_id] = JobRecord(job_id, ad)
         for state in (JobState.SUBMITTED, JobState.IDLE):
@@ -200,9 +219,12 @@ class JobQueue:
     def submit_json(self, obj: dict) -> JobRecord:
         """`submit` for an ad in its JSON form. RejectedAd as there; any
         other exception means `obj` is not an ad."""
-        key, ad = self._shared_ad(obj)
-        job = self.submit(ad)
-        self._shared_ads.setdefault(key, ad)
+        key = json.dumps(obj, separators=(",", ":"))
+        shared = self._shared_ads.get(key)
+        if shared is None:
+            shared = _SharedAd(ad_from_json(obj))
+        job = self._submit(shared.ad, None, shared)
+        self._shared_ads.setdefault(key, shared)
         return job
 
     def transition(self, job_id: int, state: JobState,

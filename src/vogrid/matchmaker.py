@@ -50,13 +50,14 @@ through the SELF attributes its handlers declare with `reads`, evaluate
 alike. So two jobs share an autocluster (`ClassAd.autocluster`) for the
 verdict (pre-authorization and Requirements) when they agree on that
 closure of Owner and Requirements, and for the rank on that of Rank; `fun`
-declares OutputBytes. A pass given a `Verdicts` judges and ranks the jobs
-of one autocluster once per resource cluster; that class states which
-verdicts outlive the pass and the skip rule. The simulator builds one per
-cycle over the verdict table it keeps for a run; a MATCH_REQUEST
-(`run_match_cycle`) builds none and judges each job on its own. A job
-computes its autoclusters when a pass first needs them and keeps them, as
-it keeps its self-reads.
+declares OutputBytes. A pass given a `Verdicts` judges each verdict
+autocluster once, for all its jobs, until a cluster leaves the index, and
+ranks the jobs of one rank autocluster once per resource cluster; that
+class states which verdicts outlive the pass and the skip rule. The
+simulator builds one per cycle over the verdict table it keeps for a run;
+a MATCH_REQUEST (`run_match_cycle`) builds none and judges each job on its
+own. A job computes its autoclusters when a pass first needs them and
+keeps them, as it keeps its self-reads.
 
 Station connections. `DirectoryQuery`, the station query of `vogrid mm
 serve`, keeps one connection per station and reuses it across queries and
@@ -383,6 +384,14 @@ class Verdicts:
     registry do, so its row goes in `kept`. Every other verdict row, and
     every rank row, belongs to the pass.
 
+    One judgement per group (`judge`): each verdict autocluster is judged
+    (`_judge`) once, and its passing member lists, or its no-match reason,
+    serve the group's later jobs in the pass until a cluster leaves the
+    index. A claim only takes members out, and the member lists are the
+    index's own, so while the number of clusters is the same, so is the
+    judgement; a group whose verdict calls a function is no exception, as
+    every verdict, kept or not, holds for the whole pass.
+
     The skip rule (`refuses`): a job whose verdict row in `kept` holds a
     verdict for every free cluster, none of them authorized and passing,
     would get a no-match decision and call no chooser, so a caller that
@@ -391,7 +400,8 @@ class Verdicts:
     to a verdict that calls a function, as none is kept.
     """
 
-    __slots__ = ("_index", "_reg", "_others", "_kept", "_fresh", "_ranks")
+    __slots__ = ("_index", "_reg", "_others", "_kept", "_fresh", "_ranks", "_size",
+                 "_judged")
 
     def __init__(self, index: FreeIndex, kept: dict, reg: FnRegistry):
         others, called = _NOTHING, False
@@ -404,11 +414,28 @@ class Verdicts:
         self._fresh: dict = {}
         self._kept = self._fresh if called else kept
         self._ranks: dict = {}
+        # verdict autocluster -> `_judge`'s answer, while the index holds
+        # `_size` clusters
+        self._size, self._judged = len(index), {}
 
     def row(self, job: ClassAd) -> dict:
         """The job's verdict row, for `_judge` to read and fill."""
-        group = job.autocluster(_VERDICT_READS, self._others, self._reg)
+        return self._row(job.autocluster(_VERDICT_READS, self._others, self._reg))
+
+    def _row(self, group) -> dict:
         return (self._fresh if group.calls else self._kept).setdefault(group, {})
+
+    def judge(self, job: ClassAd, env: dict | None) -> list[list[StoredAd]] | str:
+        """`_judge`'s answer for the job, judged once per group while the
+        index keeps its clusters."""
+        group = job.autocluster(_VERDICT_READS, self._others, self._reg)
+        if len(self._index) != self._size:  # a cluster left: judge afresh
+            self._size, self._judged = len(self._index), {}
+        judged = self._judged.get(group)
+        if judged is None:
+            judged = self._judged[group] = _judge(job, self._index, self._row(group),
+                                                  self._reg, env)
+        return judged
 
     def rank_row(self, job: ClassAd) -> dict:
         """The job's rank row, for `_ranks` to read and fill."""
@@ -489,17 +516,20 @@ def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
     Owner is not text is logged once per pass, however many clusters refuse it.
 
     With `verdicts`, built over `index` for this pass, each verdict is
-    judged once per (job autocluster, resource cluster), and so is each
-    Rank when `choose` is `choose_by_rank`; any other chooser is called as
-    given. Without it, each job is judged on its own.
+    judged once per (job autocluster, resource cluster), a job's group's
+    judgement serves it while no cluster has left the index
+    (`Verdicts.judge`), and each Rank is evaluated once per (job
+    autocluster, resource cluster) when `choose` is `choose_by_rank`; any
+    other chooser is called as given. Without it, each job is judged on its
+    own.
     """
     if not index:
         return
     for job in jobs:
         if job.self_text("Owner") is None:
             log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
-        passing = _judge(job, index, {} if verdicts is None else verdicts.row(job),
-                         reg, env)
+        passing = (_judge(job, index, {}, reg, env) if verdicts is None
+                   else verdicts.judge(job, env))
         if isinstance(passing, str):
             yield MatchDecision.no_match(job.ad_id, passing)
             continue

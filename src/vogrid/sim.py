@@ -9,11 +9,13 @@ quantity the report measures.
 
 Scoring and staging both use the station states as they were when the cycle
 started, and each distinct (dataset, station, output bytes) preference is
-asked once per cycle; queue and cache updates land on the live stations, one
-batch per staging step, and are visible from the next cycle on. Each
-station walks a dataset's files once per cache state (`station.shortfall`),
-and each run starts from its own copies of the scenario's station states,
-so no run reads another's answers.
+asked once per cycle; queue and cache updates land on the live stations and
+are visible from the next cycle on. A staging is two counted station steps
+(`station.apply_event`), whatever its number of files: its files' requests
+join the input queue as it starts, and leave it, the files joining the
+cache, as it ends. Each station walks a dataset's files once per cache
+state (`station.shortfall`), and each run starts from its own copies of the
+scenario's station states, so no run reads another's answers.
 
 All policies share `match_jobs` and differ only in the chooser, which gets
 the authorized resource clusters as lists of their free slots: `data-aware`
@@ -30,6 +32,9 @@ began with nothing pending judges every job it pulls, since its holds need
 each job's reason. So a cycle judges the jobs it pulls that may still
 match, but it steps over every idle job ahead of the last one it pulls, a
 few dict reads each for a refused one; that part grows with the backlog.
+Within a cycle, the jobs of one verdict autocluster share one judgement
+until a cluster leaves the free index (`Verdicts.judge`), so judging a job
+whose group was judged before costs a few dict reads too.
 
 The worklist is a dict from job id to record, built in job id order after
 the submits. A run never releases a job, so the worklist only shrinks: the
@@ -115,10 +120,7 @@ from .matchmaker import (
 from .classads import evaluate, symmetric_match  # noqa: F401
 from .matchmaker import preauthorize, run_match_cycle  # noqa: F401
 from .station import (
-    CacheAdd,
     DatasetCatalog,
-    DequeueInput,
-    EnqueueInput,
     NoRouteToSource,
     ScoreOverflow,
     StationState,
@@ -137,9 +139,6 @@ EVENT_CAP = 10 ** 6
 DEFAULT_TTL = 10.0 ** 9
 
 _AD_ID = attrgetter("ad.ad_id")
-
-# station events carry nothing, so every step shares one of each
-_ENQUEUE, _DEQUEUE = EnqueueInput(), DequeueInput()
 
 
 class ScenarioParseError(Exception):
@@ -328,7 +327,6 @@ class GridWorld:
         self._free: FreeIndex = free_index(self.slots.values())
         # the verdict table kept for the run (`Verdicts`)
         self._verdicts: dict = {}
-        self._cache_adds: dict[str, CacheAdd] = {}  # file name -> its step
         for ad in scenario.job_ads:
             self.queue.submit(ad, stamp=self.clock)
             self._log("submit", job=ad.ad_id)
@@ -466,21 +464,15 @@ class GridWorld:
         missing = shortfall(self.catalog, self._query.snapshot[slot.station_id],
                             dataset).missing
         self.stations[slot.station_id] = apply_event(
-            self.stations[slot.station_id], *[_ENQUEUE] * len(missing))
+            self.stations[slot.station_id], len(missing))
         self._log("match", job=decision.job_id, resource=slot.ad.ad_id,
                   rank=decision.rank, staging_seconds=staging)
         self._push(self.clock + staging, self._finish_staging, record, slot,
                    [f.file_name for f in missing])
 
     def _finish_staging(self, record, slot: StoredAd, files: list[str]):
-        steps = []
-        adds = self._cache_adds
-        for file_name in files:
-            add = adds.get(file_name)
-            if add is None:
-                add = adds[file_name] = CacheAdd(file_name)
-            steps += (_DEQUEUE, add)
-        self.stations[slot.station_id] = apply_event(self.stations[slot.station_id], *steps)
+        self.stations[slot.station_id] = apply_event(
+            self.stations[slot.station_id], 0, len(files), files)
         self.queue.transition(record.job_id, JobState.RUNNING, stamp=self.clock)
         self._log("running", job=record.ad.ad_id)
         self._push(self.clock + run_seconds(record.ad), self._finish_run, record, slot)

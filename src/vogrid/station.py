@@ -17,13 +17,18 @@ The input transfer is one rule, `shortfall`: the files a dataset lacks
 here, their bytes and their transfer seconds. It reads only the catalog,
 the cached files and the links, so each state keeps its answers, keyed by
 (catalog, dataset), and walks a dataset's files once while its cache
-stays the same. `apply_event` hands that memo on to the successor unless
-a `CacheAdd` changes the cache, which starts an empty one; `copy_state`
-gives a copy an empty one of its own. Only answers are kept: an unknown
-dataset or a missing route raises again on every question, so a station
-server's memo never outgrows its catalog, whatever its clients ask. A
-memo write is one dict store, atomic under the interpreter lock, so two
-server threads asking at once at worst both compute the same answer.
+stays the same. Only answers are kept: an unknown dataset or a missing
+route raises again on every question, so a station server's memo never
+outgrows its catalog, whatever its clients ask. A memo write is one dict
+store, atomic under the interpreter lock, so two server threads asking at
+once at worst both compute the same answer.
+
+A staging changes a station in two counted steps (`apply_event`): its
+files' requests join the input queue when it starts, and they leave it,
+each file joining the cache, when it ends. A step is one copy of the
+state, however many files it counts. It hands the memo on to the copy
+unless the cache grew, which starts an empty one; `copy_state` gives a
+copy an empty one of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from . import wire
 
@@ -198,21 +203,6 @@ def get_preference(cat: DatasetCatalog, st: StationState, dataset: str,
 
 # -- state transitions ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnqueueInput:
-    pass
-
-
-@dataclass(frozen=True)
-class DequeueInput:
-    pass
-
-
-@dataclass(frozen=True)
-class CacheAdd:
-    file_name: str
-
-
 def copy_state(st: StationState) -> StationState:
     """A copy of `st` with an empty shortfall memo of its own. It equals
     what `dataclasses.replace` builds, but skips `StationState.__post_init__`:
@@ -224,36 +214,30 @@ def copy_state(st: StationState) -> StationState:
     return copy
 
 
-def apply_event(st: StationState, *events) -> StationState:
-    """Input queue and cache steps, in order, folded into one copy of the
-    state (`copy_state`); every other field is unchanged. A step that would
-    empty the input queue below zero, or an unknown event, raises
-    IllegalTransition; an event is known by its exact type, so a subclass of
-    one is unknown; these checks keep the depth nonnegative. Adding a cached
+def apply_event(st: StationState, enqueued: int = 0, dequeued: int = 0,
+                cached: Collection[str] = ()) -> StationState:
+    """One counted step, as one copy of the state (`copy_state`): `enqueued`
+    input requests join the queue, then `dequeued` leave it, then the files
+    named in `cached` join the cache; every other field is unchanged. It
+    equals taking those steps one at a time. A count that is not a
+    nonnegative integer, or more dequeued than the queue then holds, raises
+    IllegalTransition, so the depth stays a nonnegative integer. Caching a
     file again changes nothing, and the copy shares `st`'s shortfall memo
     unless its cache changed."""
-    in_depth = st.input_queue_depth
-    added = []
-    for ev in events:
-        kind = type(ev)
-        if kind is EnqueueInput:
-            in_depth += 1
-        elif kind is DequeueInput:
-            if in_depth == 0:
-                raise IllegalTransition("input queue is empty")
-            in_depth -= 1
-        elif kind is CacheAdd:
-            added.append(ev.file_name)
-        else:
-            raise IllegalTransition(f"unknown event {ev!r}")
+    if type(enqueued) is not int or type(dequeued) is not int or enqueued < 0 or dequeued < 0:
+        raise IllegalTransition(f"step counts must be nonnegative integers, not "
+                                f"{enqueued!r} and {dequeued!r}")
+    in_depth = st.input_queue_depth + enqueued - dequeued
+    if in_depth < 0:
+        raise IllegalTransition("input queue is empty")
     successor = copy_state(st)
     fields = successor.__dict__
     fields["input_queue_depth"] = in_depth
-    cached = st.cached_files.union(added) if added else st.cached_files
-    if len(cached) == len(st.cached_files):
+    grown = st.cached_files.union(cached) if cached else st.cached_files
+    if len(grown) == len(st.cached_files):
         fields["_shortfalls"] = st._shortfalls  # the same cache: the same answers
     else:
-        fields["cached_files"] = cached
+        fields["cached_files"] = grown
     return successor
 
 
@@ -289,26 +273,51 @@ def handler(cat: DatasetCatalog, st: StationState) -> Callable[[dict], dict]:
     return wire.dispatcher({"GET_PREFERENCE": answer, "LOOKUP": answer})
 
 
-def station_from_config(node, fixture: dict | None = None) -> StationState:
-    """Build a station from its site-configuration element.
+def _attribute(element, name: str, convert=str, default=None):
+    """An attribute of a configuration element, converted by `convert`:
+    ValueError naming the element and the attribute if it is missing or
+    does not convert."""
+    raw = element.attributes.get(name, default)
+    if raw is None:
+        raise ValueError(f"<{element.element_name}> has no {name!r}")
+    try:
+        return convert(raw)
+    except ValueError:
+        kind = "a whole number" if convert is int else "a number"
+        raise ValueError(f"<{element.element_name}> {name}={raw!r} is not {kind}") from None
+
+
+def config_fields(node) -> dict:
+    """The constructor fields a station's site-configuration element gives.
 
     The element carries name and optional mean_service_seconds,
     output_destination and expected_output_bytes attributes; `link` children
-    carry to= and bandwidth_bytes_per_second=. A fixture dict (scenario
-    runtime state) overrides or extends any of the constructor fields; its
-    links extend the config's, overriding a link to the same site.
+    carry to= and bandwidth_bytes_per_second=. ValueError if a required
+    attribute is missing or a number does not parse; the values themselves
+    are checked by `StationState`.
     """
-    attrs = node.attributes
-    fixture = fixture or {}
     links = {}
     for child in node.children:
         if child.element_name == "link":
-            links[child.attributes["to"]] = float(child.attributes["bandwidth_bytes_per_second"])
-    return StationState(**{
-        "station_id": attrs["name"],
-        "mean_service_seconds": float(attrs.get("mean_service_seconds", 1.0)),
-        "output_destination": attrs.get("output_destination", ""),
-        "expected_output_bytes": int(attrs.get("expected_output_bytes", 0)),
-        **fixture,
-        "links": {**links, **fixture.get("links", {})},
-    })
+            links[_attribute(child, "to")] = _attribute(
+                child, "bandwidth_bytes_per_second", float)
+    return {
+        "station_id": _attribute(node, "name"),
+        "mean_service_seconds": _attribute(node, "mean_service_seconds", float, "1.0"),
+        "output_destination": _attribute(node, "output_destination", default=""),
+        "expected_output_bytes": _attribute(node, "expected_output_bytes", int, "0"),
+        "links": links,
+    }
+
+
+def station_from_config(node, fixture: dict | None = None) -> StationState:
+    """Build a station from its site-configuration element (`config_fields`).
+
+    A fixture dict (scenario runtime state) overrides or extends any of the
+    constructor fields; its links extend the config's, overriding a link to
+    the same site.
+    """
+    fields = config_fields(node)
+    fixture = fixture or {}
+    return StationState(**{**fields, **fixture,
+                           "links": {**fields["links"], **fixture.get("links", {})}})

@@ -7,7 +7,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import metric_directions, seed_list, summarize  # noqa: E402
+from bench_pairs import metric_directions, seed_list, summarize, tree_opcodes  # noqa: E402
 
 
 def _row(workload, pair, side, **values):
@@ -53,3 +53,11 @@ def test_seed_lists_and_metric_directions():
     better = metric_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
     assert better["jobs_per_s"] == "higher" and better["setup_s"] == "lower"
     assert better["classads.symmetric_match.pass_ratio"] == "higher"
+
+
+def test_each_tree_records_the_opcodes_of_its_simulator_workloads():
+    assert tree_opcodes(ROOT, ["grid-wire"]) == {}  # counts nothing, runs nothing
+    counts = tree_opcodes(ROOT, ["grid-wire", "sim-burst"], top=3)
+    assert list(counts) == ["sim-burst"]
+    run = counts["sim-burst"]["data-aware"]
+    assert run["opcodes"] > 100_000 and len(run["by_function"]) == 3

@@ -540,6 +540,8 @@ _SCENARIO = ["sim", "run", "--scenario"]
 _AD = ["submit", "--queue", "127.0.0.1:1", "--ad"]
 # the XML file each option names is read before anything is served or sent
 _XML_STATION = [*_STATION, str(SAMPLES / "catalog.json"), "--config"]
+_XML_FIXTURE = [*_STATION, str(SAMPLES / "catalog.json"),
+                "--fixture", str(fixture_path("station_fixture.json")), "--config"]
 _XML_SCHEMA = ["conf", "run", "--answers", str(SAMPLES / "answers.txt"), "--schema"]
 _XML_PRIOR = [*_XML_SCHEMA, str(SAMPLES / "schema.xml"), "--prior"]
 _XML_DERIVE = ["conf", "derive", "--service", "station", "--config"]
@@ -551,6 +553,14 @@ _ANSWERS = ["conf", "run", "--schema", str(SAMPLES / "schema.xml"), "--answers"]
 _JOURNAL = ["q", "serve", "--port", "0", "--journal"]
 # content that makes the path a directory, or puts it in a missing one
 _DIRECTORY, _NO_PARENT = object(), object()
+# the sample site with one fault each
+_SITE = (SAMPLES / "site.xml").read_text()
+_SITE_BAD_NUMBER = _SITE.replace("mean_service_seconds='1.0' name='durin'",
+                                 "mean_service_seconds='abc' name='durin'")
+_SITE_LINK_NO_TO = _SITE.replace("<link bandwidth_bytes_per_second='100000000.0' to='FNAL'/>",
+                                 "<link bandwidth_bytes_per_second='100000000.0'/>")
+_SITE_MANY_SLOTS = _SITE.replace("slots='2'", "slots='many'")
+_SITE_TWO_SAMADAMS = _SITE.replace("name='topaz'", "name='samadams'")
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -564,11 +574,16 @@ _DIRECTORY, _NO_PARENT = object(), object()
     (_XML_DERIVE, "not xml"), (_XML_ADV, "not xml"), (_XML_INFO, "not xml"),
     (_GRIDMAP, None), (_GRIDMAP, b"\xff\xfe/C=US\n"), (_ANSWERS, None), (_ANSWERS, "@count x\n"),
     (_JOURNAL, _DIRECTORY), (_JOURNAL, _NO_PARENT), (_JOURNAL, '{"event": "new"}\n'),
+    (_XML_STATION, _SITE_BAD_NUMBER), (_XML_STATION, _SITE_LINK_NO_TO),
+    (_XML_FIXTURE, _SITE_BAD_NUMBER), (_XML_FIXTURE, _SITE_LINK_NO_TO),
+    (_XML_ADV, _SITE_MANY_SLOTS), (_XML_INFO, _SITE_TWO_SAMADAMS),
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
         "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
         "conf-derive-config", "adv-config", "info-config", "gridmap-missing",
         "gridmap-not-utf8", "answers-missing", "answers-count", "journal-directory",
-        "journal-no-parent", "journal-no-replay"])
+        "journal-no-parent", "journal-no-replay", "station-number", "station-link-no-to",
+        "fixture-station-number", "fixture-station-link-no-to", "adv-slots",
+        "info-duplicate-dn"])
 def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, argv, content):
     # each of these once ended in a traceback; a file with content None is missing
     path = tmp_path / "input"

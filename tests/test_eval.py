@@ -1,7 +1,9 @@
 """Expression evaluation semantics."""
 
+import copy
 import json
 import math
+import pickle
 import time
 
 import pytest
@@ -256,6 +258,28 @@ def test_value_helpers():
     assert text("s").kind is ValueKind.TEXT
     assert integer(3) != real(3.0)
     assert Value(ValueKind.INTEGER, 3) == integer(3)
+
+
+def test_a_value_is_immutable_equal_by_kind_and_data_and_hashes_as_its_pair():
+    v = real(1.5)
+    for name in ("kind", "data", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, integer(1))
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert (v.kind, v.data) == (ValueKind.REAL, 1.5)
+    # equal when of one class, with the same kind and equal data
+    assert v == Value(ValueKind.REAL, 1.5) and not v != Value(ValueKind.REAL, 1.5)
+    assert integer(1) != real(1.0) and integer(1) != boolean(True)
+    assert real(1.5) != real(2.5) and text("a") != text("b")
+    assert Value(ValueKind.UNDEFINED) == UNDEFINED != ERROR
+    assert v != (ValueKind.REAL, 1.5) and v != 1.5
+    # a Value hashes as its (kind, data) pair, as the frozen dataclass did
+    for value in (v, integer(3), text("x"), TRUE, FALSE, UNDEFINED, ERROR):
+        assert hash(value) == hash((value.kind, value.data))
+    assert len({v, Value(ValueKind.REAL, 1.5), integer(1), real(1.0)}) == 3
+    # a copy or a pickle is built anew, not by assigning to it
+    assert copy.copy(v) == v == pickle.loads(pickle.dumps(v))
 
 
 def test_format_value_round_trips_through_parser():

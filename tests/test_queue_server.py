@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from vogrid import wire
-from vogrid.classads import AdKind, ad_to_json, parse_classad
+from vogrid import jobs, wire
+from vogrid.classads import AdKind, ad_from_json, ad_to_json, parse_classad
 from vogrid.jobs import IllegalJobTransition, JobState
 from vogrid.queue_server import (
     CorruptJournal,
@@ -168,6 +168,44 @@ def test_identical_submissions_share_one_ad(tmp_path):
         jobs = revived.queue.jobs
         assert jobs[1].ad is jobs[2].ad is jobs[4].ad is not jobs[3].ad
         assert jobs[1].ad == service.queue.jobs[1].ad
+    finally:
+        revived.close()
+
+
+def test_a_shared_ad_is_formatted_once_and_journals_what_formatting_gives(
+        tmp_path, monkeypatch):
+    # every SUBMIT formatted its ad for the journal, shared or not
+    formatted = []
+
+    def counting_ad_to_json(ad):
+        formatted.append(ad.ad_id)
+        return ad_to_json(ad)
+
+    monkeypatch.setattr(jobs, "ad_to_json", counting_ad_to_json)
+    other = dict(AD_JSON, id="k")
+    # a source the queue formats otherwise ("1+2" becomes "1 + 2")
+    spaced = dict(AD_JSON, id="s", attrs={**AD_JSON["attrs"], "X": "1+2"})
+    sequence = [AD_JSON, AD_JSON, other, spaced, dict(AD_JSON), spaced, other, AD_JSON]
+    path = tmp_path / "queue.ndjson"
+    service = QueueService(str(path))
+    try:
+        for n, ad in enumerate(sequence, 1):
+            assert service.handle_message(_msg("SUBMIT", n, ad=ad))["result"]["job_id"] == n
+        served = [service.queue.get(n).status_json() for n in range(1, len(sequence) + 1)]
+    finally:
+        service.close()
+    assert sorted(formatted) == ["j", "k", "s"]
+    # the bytes formatting each ad again gives
+    assert path.read_bytes() == b"".join(
+        wire.encode_line({"event": "submit", "job_id": n, "ad": ad_to_json(ad_from_json(ad))})
+        for n, ad in enumerate(sequence, 1))
+    revived = QueueService(str(path))
+    try:
+        queue = revived.queue
+        assert [queue.get(n).status_json() for n in range(1, len(sequence) + 1)] == served
+        assert [queue.get(n).ad for n in range(1, len(sequence) + 1)] == [
+            ad_from_json(ad) for ad in sequence]
+        assert queue.get(1).ad is queue.get(2).ad is queue.get(8).ad
     finally:
         revived.close()
 

@@ -1,6 +1,7 @@
 """Scenario loading and the deterministic grid run."""
 
 import gc
+import collections
 import hashlib
 import heapq
 import importlib.util
@@ -11,6 +12,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies
 
 import vogrid.matchmaker as matchmaker
 import vogrid.sim as sim
@@ -1108,3 +1110,54 @@ def test_event_cap_detects_runaway_runs(monkeypatch):
         run_scenario(SKEWED, "data-aware", 0)
     monkeypatch.setattr(sim, "EVENT_CAP", 12)
     run_scenario(SKEWED, "data-aware", 0)  # exactly at the cap is fine
+
+
+# -- one judgement per verdict autocluster per pass -------------------------------------
+
+def _check_judgements(seed: int, policy: str) -> collections.Counter:
+    """A run of a `worldgen` world in which every `Verdicts.judge` answer is
+    checked against `_judge` on the job alone, with an empty row, at that
+    point of the pass: the same no-match reason, or the same passing member
+    lists, as a set, each one the index's own and not empty. Counts the
+    answers that were kept from an earlier job of the group, by whether
+    the group's verdict calls a function."""
+    rng = random.Random(seed)
+    scenario = load_scenario(_world_doc(make_world(rng), rng))
+    judge, kept = matchmaker.Verdicts.judge, collections.Counter()
+
+    def checking(self, job, env):
+        group = job.autocluster(matchmaker._VERDICT_READS, self._others, self._reg)
+        reused = group in self._judged and self._size == len(self._index)
+        got = judge(self, job, env)
+        fresh = matchmaker._judge(job, self._index, {}, self._reg, env)
+        if isinstance(fresh, str):
+            assert got == fresh
+        else:
+            assert not isinstance(got, str)
+            assert {id(members) for members in got} == {id(members) for members in fresh}
+            assert all(members and self._index[members[0].cluster] is members
+                       for members in got)
+        if reused:
+            kept["calls" if group.calls or self._kept is self._fresh else "kept"] += 1
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matchmaker.Verdicts, "judge", checking)
+        run_scenario(scenario, policy, seed)
+    return kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategies.integers(0, 2 ** 32 - 1), strategies.sampled_from(sim.POLICIES))
+def test_a_group_judged_once_per_pass_answers_what_judging_each_job_does(seed, policy):
+    _check_judgements(seed, policy)
+
+
+def test_the_worlds_reuse_judgements_of_groups_that_call_functions_and_not():
+    # the property above means something only if answers are reused, for
+    # groups whose verdict calls fun() as well as for the others
+    reused = collections.Counter()
+    for seed in range(60):
+        for policy in sim.POLICIES:
+            reused.update(kind for kind, n in _check_judgements(seed, policy).items() if n)
+    assert min(reused["calls"], reused["kept"]) > 10, reused

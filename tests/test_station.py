@@ -12,10 +12,7 @@ from hypothesis import given, settings, strategies
 from vogrid.conftree import read_tree
 from vogrid import wire
 from vogrid.station import (
-    CacheAdd,
     DatasetCatalog,
-    DequeueInput,
-    EnqueueInput,
     IllegalTransition,
     NoRouteToSource,
     ScoreOverflow,
@@ -100,7 +97,7 @@ def test_station_validation():
         with pytest.raises(ValueError):
             _station(**bad)
     # each of these once built: a text was taken as a set of its characters,
-    # true as 1, and a fractional depth fell below zero after one DequeueInput
+    # true as 1, and a fractional depth fell below zero after one dequeued step
     for bad in ({"cached_files": "f0"}, {"cached_files": ["f0", 1]},
                 {"input_queue_depth": True}, {"input_queue_depth": 0.5},
                 {"output_queue_depth": False}, {"output_queue_depth": 2.5},
@@ -196,45 +193,74 @@ def test_preference_unknown_dataset():
 
 # -- state transitions -------------------------------------------------------------
 
+def _reference_step(st, step):
+    """One step, as a copy built by `dataclasses.replace`: "enqueue",
+    "dequeue", or ("cache", file name). The reference for `apply_event`'s
+    counted steps, which it does not call."""
+    if step == "enqueue":
+        return dataclasses.replace(st, input_queue_depth=st.input_queue_depth + 1)
+    if step == "dequeue":
+        if st.input_queue_depth == 0:
+            raise IllegalTransition("input queue is empty")
+        return dataclasses.replace(st, input_queue_depth=st.input_queue_depth - 1)
+    return dataclasses.replace(st, cached_files=st.cached_files | {step[1]})
+
+
+def _one_at_a_time(st, enqueued, dequeued, cached):
+    """The counted step (enqueued, dequeued, cached) as single reference steps."""
+    steps = ["enqueue"] * enqueued + ["dequeue"] * dequeued + [("cache", f) for f in cached]
+    for step in steps:
+        st = _reference_step(st, step)
+    return st
+
+
 def test_apply_event_queues():
     st = _station()
-    st2 = apply_event(apply_event(st, EnqueueInput()), EnqueueInput())
+    st2 = apply_event(apply_event(st, 1), 1)
     assert st2.input_queue_depth == 2
-    assert apply_event(st2, DequeueInput()).input_queue_depth == 1
+    assert apply_event(st2, 0, 1).input_queue_depth == 1
+    assert apply_event(st, 5, 3).input_queue_depth == 2
     # originals are untouched, and no step moves the output queue
     assert st.input_queue_depth == 0
     assert st2.output_queue_depth == 0
-    assert apply_event(_station(output_queue_depth=3), EnqueueInput(),
-                       DequeueInput()).output_queue_depth == 3
+    assert apply_event(_station(output_queue_depth=3), 1, 1).output_queue_depth == 3
 
 
 def test_apply_event_cache():
-    st = apply_event(_station(), CacheAdd("raw000"))
+    st = apply_event(_station(), cached=["raw000"])
     assert "raw000" in st.cached_files
     # adding an already-cached file is a no-op
-    assert apply_event(st, CacheAdd("raw000")).cached_files == st.cached_files
-    assert apply_event(st, CacheAdd("raw001")).cached_files == {"raw000", "raw001"}
+    assert apply_event(st, cached=["raw000"]).cached_files == st.cached_files
+    assert apply_event(st, cached=["raw001"]).cached_files == {"raw000", "raw001"}
+    assert apply_event(st, 0, 0, ("raw001", "raw001", "mb000")).cached_files == {
+        "raw000", "raw001", "mb000"}
     assert st.cached_files == {"raw000"}
 
 
 def test_apply_event_batch_equals_one_step_at_a_time():
     rng = random.Random(3)
     names = ["raw000", "raw001", "mb000"]
+    states = [_station(cached_files={"raw000"}, input_queue_depth=1)]
     for _ in range(300):
-        events = [rng.choice([EnqueueInput(), DequeueInput(),
-                              CacheAdd(rng.choice(names))])
-                  for _ in range(rng.randrange(8))]
-        start = _station(cached_files={"raw000"}, input_queue_depth=1)
+        start = rng.choice(states)
+        counts = (rng.randrange(4), rng.randrange(4),
+                  [rng.choice(names) for _ in range(rng.randrange(4))])
         try:
-            expected = start
-            for ev in events:
-                expected = apply_event(expected, ev)
+            expected = _one_at_a_time(start, *counts)
         except IllegalTransition:
-            # the batch checks each step against the running state too
+            # the counted step checks the depth its dequeued steps reach
             with pytest.raises(IllegalTransition):
-                apply_event(start, *events)
+                apply_event(start, *counts)
             continue
-        assert apply_event(start, *events) == expected
+        got = apply_event(start, *counts)
+        assert got == expected
+        # and so do single counted steps, taken in turn
+        one = start
+        enqueued, dequeued, cached = counts
+        for step in [(1,)] * enqueued + [(0, 1)] * dequeued + [(0, 0, [f]) for f in cached]:
+            one = apply_event(one, *step)
+        assert one == got
+        states.append(got)
     assert apply_event(_station()) == _station()
 
 
@@ -242,8 +268,7 @@ def test_apply_event_builds_what_replace_builds():
     # the successor skips __post_init__ yet equals the re-validated copy
     st = _station(output_destination="FNAL", expected_output_bytes=10,
                   cached_files={"raw000"}, input_queue_depth=2)
-    got = apply_event(st, DequeueInput(), CacheAdd("raw001"), EnqueueInput(),
-                      DequeueInput())
+    got = apply_event(st, 1, 2, ["raw001"])
     want = dataclasses.replace(st, input_queue_depth=1,
                                cached_files={"raw000", "raw001"})
     assert got == want
@@ -254,11 +279,18 @@ def test_apply_event_builds_what_replace_builds():
 
 def test_apply_event_underflow_and_unknown():
     with pytest.raises(IllegalTransition):
-        apply_event(_station(), DequeueInput())
+        apply_event(_station(), 0, 1)
     with pytest.raises(IllegalTransition):
-        apply_event(_station(input_queue_depth=1), DequeueInput(), DequeueInput())
+        apply_event(_station(input_queue_depth=1), 0, 2)
+    # the enqueued requests count before the dequeued ones leave
+    assert apply_event(_station(), 2, 2).input_queue_depth == 0
     with pytest.raises(IllegalTransition):
-        apply_event(_station(), "not an event")
+        apply_event(_station(), 1, 2)
+    # a count that is not a nonnegative integer is no step: a negative one
+    # would dequeue, a fraction or a boolean would leave a depth no queue has
+    for counts in ((-1, 0), (0, -1), (0.5, 0), (0, 1.0), (True, 0), (0, False), ("1", 0)):
+        with pytest.raises(IllegalTransition):
+            apply_event(_station(input_queue_depth=3), *counts)
 
 
 # -- the query protocol --------------------------------------------------------------
@@ -443,12 +475,12 @@ def test_preference_monotone_and_exact_over_random_stations():
         missing_names = [f[0] for f in files if f[0] not in cached]
         if missing_names:
             extra = rng.choice(missing_names)
-            better = apply_event(st, CacheAdd(extra))
+            better = apply_event(st, cached=[extra])
             assert get_preference(cat, better, "d").score >= report.score
 
         # a shorter input queue never lowers it either
         if st.input_queue_depth > 0:
-            drained = apply_event(st, DequeueInput())
+            drained = apply_event(st, 0, 1)
             assert get_preference(cat, drained, "d").score >= report.score
 
         # doubling every link bandwidth never lowers it
@@ -530,10 +562,10 @@ def test_the_memo_answers_what_walking_the_files_answers(seed):
         expected_output_bytes=rng.choice([0, 10 ** 9]) if linked else 0)
     states = [start]
     for _ in range(rng.randrange(1, 8)):
-        events = [rng.choice([EnqueueInput(), DequeueInput(), CacheAdd(rng.choice(names))])
-                  for _ in range(rng.randrange(0, 5))]
+        counts = (rng.randrange(3), rng.randrange(3),
+                  [rng.choice(names) for _ in range(rng.randrange(0, 4))])
         try:
-            states.append(apply_event(rng.choice(states), *events))
+            states.append(apply_event(rng.choice(states), *counts))
         except IllegalTransition:
             pass
         # ask the states in random order, the same question more than once,
@@ -560,9 +592,10 @@ def test_a_state_shares_its_memo_only_with_states_of_the_same_cache():
     st = _station(cached_files={"raw000"})
     get_preference(CATALOG, st, "dzero-run2")
     assert list(st._shortfalls) == [(CATALOG, "dzero-run2")]
-    for same in (apply_event(st, EnqueueInput()), apply_event(st, CacheAdd("raw000"))):
+    for same in (apply_event(st, 1), apply_event(st, cached=["raw000"]),
+                 apply_event(st, 1, 1, ["raw000", "raw000"])):
         assert same._shortfalls is st._shortfalls
-    grown = apply_event(st, CacheAdd("raw001"))
+    grown = apply_event(st, cached=["raw001"])
     assert grown._shortfalls == {} and st._shortfalls
     assert copy_state(st) == st and copy_state(st)._shortfalls == {}
     assert dataclasses.replace(st)._shortfalls == {}

@@ -10,7 +10,10 @@ both trees on one seed, the parent first in odd-numbered pairs and the
 change first in even-numbered ones. The file holds the raw result lines, each
 side's median and quartiles per metric, how many pairs the change was ahead
 in (by the metric's `better` in BENCHMARK.json), the CPU count and the
-Python version. Uses only the standard library.
+Python version. It also holds each tree's opcode counts for the simulator
+workloads among them (`tools/opcount.py`, run once per tree: a count is the
+same on every run), so that a claim can cite the work done beside the
+time taken. Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from opcount import WORKLOADS as SIM_WORKLOADS  # the workloads it counts
+
 SIDES = ("parent", "change")
+OPCOUNT = Path(__file__).resolve().with_name("opcount.py")
 
 
 def seed_list(spec: str) -> list[int]:
@@ -56,6 +62,23 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         result = {"correct": False, "metrics": {}, "stderr": proc.stderr[-2000:]}
     result["returncode"] = proc.returncode
     return result
+
+
+def tree_opcodes(tree: Path, workloads: list[str], top: int = 25) -> dict:
+    """`tools/opcount.py`'s counts of `tree` for the simulator workloads
+    among `workloads`, with the `top` largest functions of each run; {} when
+    there are none, and the error output when the count fails."""
+    wanted = [w for w in SIM_WORKLOADS if w in workloads]
+    if not wanted:
+        return {}
+    proc = subprocess.run(
+        [sys.executable, str(OPCOUNT), "--tree", str(tree), "--top", str(top),
+         *(f"--workload={w}" for w in wanted)],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    try:
+        return json.loads(proc.stdout)["workloads"]
+    except (ValueError, KeyError):
+        return {"error": proc.stderr[-2000:]}
 
 
 def _spread(values: list[float]) -> dict[str, float]:
@@ -117,6 +140,7 @@ def main(argv=None) -> int:
         for part in ("src", "bench"):
             compileall.compile_dir(str(tree / part), quiet=1)
     better = metric_directions(json.loads((trees["change"] / "BENCHMARK.json").read_text()))
+    opcodes = {side: tree_opcodes(tree, args.workload) for side, tree in trees.items()}
     rows = []
     for workload in args.workload:
         for pair, seed in enumerate(args.seeds, 1):
@@ -132,6 +156,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "summary": summarize(rows, better),
+        "opcodes": opcodes,
         "runs": rows,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
