@@ -295,14 +295,14 @@ def cmd_release(args):
 # -- sim ---------------------------------------------------------------------------
 
 def cmd_sim_run(args):
-    from .sim import ScenarioParseError, load_scenario_file, run_scenario
+    from .sim import NonQuiescent, ScenarioParseError, load_scenario_file, run_scenario
     scenario = _option_file(args.scenario, load_scenario_file, ScenarioParseError)
     for path in (args.output if args.output != "-" else None, args.events):
         if path:  # before the run, so that a usage error costs no work or output
             _option_file(path, _writable)
     try:
         report, event_log = run_scenario(scenario, args.policy, args.seed)
-    except ScenarioParseError as exc:  # its grid: a station or a slot ad
+    except (ScenarioParseError, NonQuiescent) as exc:  # its grid, or a run that never ends
         raise argparse.ArgumentTypeError(f"{args.scenario}: {exc}") from None
     if args.events:
         _write(args.events, map(wire.encode_line, event_log))

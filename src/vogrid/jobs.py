@@ -1,9 +1,10 @@
 """Job records and the submission queue.
 
-A job's life is Submitted, Idle, Matched, Staging, Running, Done, and any
-non-terminal step may instead park it in Held with a reason; releasing a held
-job re-queues it as Idle. History entries carry logical stamps, which only
-need to be monotone: the queue hands out sequence numbers, the simulator
+A job's life is Submitted, Idle, Matched, Staging, Running, Done; a job not
+yet done or held may instead be parked in Held with a reason, and releasing
+it re-queues it as Idle. `JobQueue.transition` states the step rule and is
+the one place that takes a step. History entries carry logical stamps, which
+only need to be monotone: the queue hands out sequence numbers, the simulator
 passes its own clock. A queue hands its journal sink one record per call and
 replays a record by making that call again; a refused call takes no stamp.
 """
@@ -32,9 +33,8 @@ class JobState(Enum):
     __hash__ = object.__hash__
 
 
-# the one successor of each state and of None, a job not yet submitted
+# the one successor of each state
 _NEXT = {
-    None: JobState.SUBMITTED,
     JobState.SUBMITTED: JobState.IDLE,
     JobState.IDLE: JobState.MATCHED,
     JobState.MATCHED: JobState.STAGING,
@@ -104,23 +104,6 @@ class JobRecord:
     def detail(self) -> str | None:
         return self.history[-1].detail if self.history else None
 
-    def next_entry(self, state: JobState, stamp: float,
-                   detail: str | None = None) -> HistoryEntry:
-        """The entry a step to `state` would add, changing nothing; raises
-        IllegalJobTransition if the step is not legal."""
-        cur = self.state
-        if state is JobState.HELD:
-            legal = cur not in (None, JobState.HELD, JobState.DONE)
-        else:
-            legal = state is _NEXT[cur]
-        if not legal:
-            raise IllegalJobTransition(
-                f"job {self.job_id}: {cur.value if cur else 'new'} -> {state.value}")
-        if self.history and stamp < self.history[-1].stamp:
-            raise IllegalJobTransition(
-                f"job {self.job_id}: stamp {stamp} goes backwards")
-        return HistoryEntry(state, stamp, detail)
-
     def matched_resource(self) -> str | None:
         for entry in reversed(self.history):
             if entry.state is JobState.MATCHED:
@@ -158,8 +141,9 @@ class JobQueue:
 
     The records are kept by job id, in id order, and indexed by nothing
     else: `in_state` scans them all. A reader that pulls the jobs of one
-    state often keeps its own worklist, as the simulator does with its idle
-    jobs (`sim.GridWorld`), since the order it pulls them in is its policy.
+    state often keeps its own worklist, since the order it pulls them in is
+    its policy: the simulator never calls `in_state`, and pulls and holds
+    its idle jobs from its own (`sim.GridWorld`).
 
     Jobs given as identical ad JSON, by `submit_json` or by journal replay,
     share one ClassAd; ads are immutable. They share its journal form too,
@@ -174,21 +158,6 @@ class JobQueue:
         self._next_id = 1
         self._seq = 0
         self.journal_sink = journal_sink
-
-    def _advance(self, job: JobRecord, state: JobState, stamp: float | None,
-                 detail: str | None, journal: bool):
-        """Step `job`; a None stamp takes the queue's next. The step is
-        checked, then (with `journal`) handed to the sink, and only then
-        applied."""
-        entry = job.next_entry(state, self._seq + 1 if stamp is None else stamp,
-                               detail)
-        if journal and self.journal_sink is not None:
-            self.journal_sink({"event": "state", "job_id": job.job_id,
-                               "state": state.value, "stamp": entry.stamp,
-                               "detail": detail})
-        if stamp is None:
-            self._seq += 1
-        job.history.append(entry)
 
     def submit(self, ad: ClassAd, stamp: float | None = None) -> JobRecord:
         """Store a new job and move it to Idle. Raises RejectedAd, storing
@@ -212,8 +181,12 @@ class JobQueue:
             self.journal_sink({"event": "submit", "job_id": job_id, "ad": form})
         self._next_id += 1
         job = self.jobs[job_id] = JobRecord(job_id, ad)
-        for state in (JobState.SUBMITTED, JobState.IDLE):
-            self._advance(job, state, stamp, None, journal=False)
+        first = last = stamp
+        if stamp is None:
+            first, last = self._seq + 1, self._seq + 2
+            self._seq = last
+        job.history += (HistoryEntry(JobState.SUBMITTED, first),
+                        HistoryEntry(JobState.IDLE, last))
         return job
 
     def submit_json(self, obj: dict) -> JobRecord:
@@ -229,8 +202,27 @@ class JobQueue:
 
     def transition(self, job_id: int, state: JobState,
                    stamp: float | None = None, detail: str | None = None) -> JobRecord:
+        """Step a stored job to `state` at `stamp`, or at the queue's next
+        stamp when `stamp` is None. A step is legal to the state's successor
+        in `_NEXT`, or to Held from any state but Held and Done, at a stamp no
+        earlier than the job's last. A legal step is handed to the journal
+        sink and applied once the sink returns. Raises UnknownJob or
+        IllegalJobTransition, and a refused step changes nothing."""
         job = self.get(job_id)
-        self._advance(job, state, stamp, detail, journal=True)
+        last = job.history[-1]
+        cur = last.state
+        if state is not _NEXT[cur] and (state is not JobState.HELD
+                                        or cur in (JobState.HELD, JobState.DONE)):
+            raise IllegalJobTransition(f"job {job_id}: {cur.value} -> {state.value}")
+        at = self._seq + 1 if stamp is None else stamp
+        if at < last.stamp:
+            raise IllegalJobTransition(f"job {job_id}: stamp {at} goes backwards")
+        if self.journal_sink is not None:
+            self.journal_sink({"event": "state", "job_id": job.job_id, "state": state.value,
+                               "stamp": at, "detail": detail})
+        if stamp is None:
+            self._seq = at
+        job.history.append(HistoryEntry(state, at, detail))
         return job
 
     def release(self, job_id: int) -> JobRecord:

@@ -443,7 +443,7 @@ class GridWorld:
             elif saw_everything:
                 self._hold(record, decision.reason)
         if saw_everything:
-            for record in self.queue.in_state(JobState.IDLE):
+            for record in list(idle):
                 self._hold(record, "no-candidates")
 
     def _hold(self, record, reason: str):

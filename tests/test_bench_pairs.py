@@ -7,7 +7,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from bench_pairs import metric_directions, seed_list, summarize, tree_opcodes  # noqa: E402
+import bench_pairs  # noqa: E402
+from bench_pairs import (  # noqa: E402
+    metric_directions, seed_list, summarize, tree_code_lines, tree_opcodes)
+from code_lines import code_lines  # noqa: E402
 
 
 def _row(workload, pair, side, **values):
@@ -61,3 +64,36 @@ def test_each_tree_records_the_opcodes_of_its_simulator_workloads():
     assert list(counts) == ["sim-burst"]
     run = counts["sim-burst"]["data-aware"]
     assert run["opcodes"] > 100_000 and len(run["by_function"]) == 3
+
+
+def test_each_tree_records_its_code_lines(tmp_path, monkeypatch):
+    package = ROOT / "src" / "vogrid"
+    lines = tree_code_lines(ROOT)
+    assert lines["by_file"]["jobs.py"] == code_lines((package / "jobs.py").read_text())
+    assert lines["by_file"]["classads/ads.py"] == \
+        code_lines((package / "classads" / "ads.py").read_text())
+    assert set(lines["by_file"]) == \
+        {p.relative_to(package).as_posix() for p in package.rglob("*.py")}
+    assert lines["total"] == sum(lines["by_file"].values())
+    # the file the runner writes holds both trees' counts
+    sources = {"parent": {"a.py": "x = 1\n"},
+               "change": {"a.py": "x = 1\n# a comment\n", "sub/b.py": "y = [\n    2]\n"}}
+    for side, files in sources.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "vogrid" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        (tmp_path / side / "bench").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: {
+        "correct": True, "metrics": {"jobs_per_s": {"value": 1.0, "unit": "jobs/s"}}})
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--workload", "grid-wire", "--seeds", "1",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["code_lines"] == {
+        "parent": {"total": 1, "by_file": {"a.py": 1}},
+        "change": {"total": 3, "by_file": {"a.py": 1, "sub/b.py": 2}}}
+    assert doc["opcodes"] == {"parent": {}, "change": {}}  # no simulator workload

@@ -20,8 +20,8 @@ DARK_ON_SIM = {
     "matchmaker.run_match_cycle.calls", "matchmaker.run_match_cycle.s",
     "matchmaker.run_match_cycle.self_s", "matchmaker.jobs_offered",
     "matchmaker.match_yield", "matchmaker.idle_cycles",
-    # the simulator pulls idle jobs from its own worklist; in_state runs
-    # only in the sweep that holds every idle job, which a run may not reach
+    # the simulator pulls and holds idle jobs from its own worklist and
+    # never calls in_state
     "jobs.in_state.calls", "jobs.in_state.s",
     # measured on grid-wire alone, against real servers and a journal
     "wire.request.STATUS.p50_ms", "wire.request.ADVERTISE.p50_ms",

@@ -561,6 +561,12 @@ _SITE_LINK_NO_TO = _SITE.replace("<link bandwidth_bytes_per_second='100000000.0'
                                  "<link bandwidth_bytes_per_second='100000000.0'/>")
 _SITE_MANY_SLOTS = _SITE.replace("slots='2'", "slots='many'")
 _SITE_TWO_SAMADAMS = _SITE.replace("name='topaz'", "name='samadams'")
+# the sample scenario with more jobs than slots, each running 1e308 s: the
+# second job on a slot would end at inf, so the run never quiesces
+_SCENARIO_DOC = json.loads((SAMPLES / "scenario.json").read_text())
+_SCENARIO_NEVER_ENDS = json.dumps({**_SCENARIO_DOC, "ttl": 1.7e308, "jobs": [
+    {"id": f"x{i}", "ad": {**_SCENARIO_DOC["jobs"][i % 6]["ad"], "RunSeconds": "1e308"}}
+    for i in range(40)]})
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -577,13 +583,14 @@ _SITE_TWO_SAMADAMS = _SITE.replace("name='topaz'", "name='samadams'")
     (_XML_STATION, _SITE_BAD_NUMBER), (_XML_STATION, _SITE_LINK_NO_TO),
     (_XML_FIXTURE, _SITE_BAD_NUMBER), (_XML_FIXTURE, _SITE_LINK_NO_TO),
     (_XML_ADV, _SITE_MANY_SLOTS), (_XML_INFO, _SITE_TWO_SAMADAMS),
+    (_SCENARIO, _SCENARIO_NEVER_ENDS),
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
         "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
         "conf-derive-config", "adv-config", "info-config", "gridmap-missing",
         "gridmap-not-utf8", "answers-missing", "answers-count", "journal-directory",
         "journal-no-parent", "journal-no-replay", "station-number", "station-link-no-to",
         "fixture-station-number", "fixture-station-link-no-to", "adv-slots",
-        "info-duplicate-dn"])
+        "info-duplicate-dn", "scenario-never-quiesces"])
 def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, argv, content):
     # each of these once ended in a traceback; a file with content None is missing
     path = tmp_path / "input"

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vogrid.classads import UNDEFINED, AdKind, ad_to_json, integer, parse_classad
 from vogrid.jobs import (
@@ -78,24 +79,26 @@ FORWARD = [JobState.SUBMITTED, JobState.IDLE, JobState.MATCHED,
            JobState.STAGING, JobState.RUNNING, JobState.DONE]
 
 
-def _step(job, state, stamp, detail=None):
-    """Take the step that `next_entry` allows, as the queue does."""
-    job.history.append(job.next_entry(state, stamp, detail))
+def _stored(stamp=0.0):
+    """A queue holding one Idle job submitted at `stamp`, and the job."""
+    q = JobQueue()
+    return q, q.submit(AD, stamp=stamp)
 
 
 def test_full_forward_lifecycle():
-    job = _job()
-    for stamp, state in enumerate(FORWARD):
-        _step(job, state, float(stamp))
+    q, job = _stored()
+    for stamp, state in enumerate(FORWARD[2:], 2):
+        q.transition(job.job_id, state, float(stamp))
     assert job.state is JobState.DONE
     assert [e.state for e in job.history] == FORWARD
+    assert [e.stamp for e in job.history] == [0.0, 0.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_transition_legality_matrix():
-    # brute-force every ordered pair: only documented edges are accepted
+    # brute-force every state a stored job can be in against every target:
+    # only documented edges are accepted. A stored job is never in Submitted
+    # or in no state, since `submit` takes both of those steps itself
     allowed = {
-        (None, JobState.SUBMITTED),
-        (JobState.SUBMITTED, JobState.IDLE),
         (JobState.IDLE, JobState.MATCHED),
         (JobState.MATCHED, JobState.STAGING),
         (JobState.STAGING, JobState.RUNNING),
@@ -106,70 +109,70 @@ def test_transition_legality_matrix():
                 if s not in (JobState.HELD, JobState.DONE)}
 
     def fresh_in(state):
-        job = _job()
-        if state is None:
-            return job
-        path = {None: [], **{s: FORWARD[:i + 1] for i, s in enumerate(FORWARD)}}
-        if state is JobState.HELD:
-            _step(job, JobState.SUBMITTED, 0.0)
-            _step(job, JobState.HELD, 0.0)
-            return job
-        for i, s in enumerate(path[state]):
-            _step(job, s, float(i))
-        return job
+        q, job = _stored()
+        path = [JobState.HELD] if state is JobState.HELD else \
+            FORWARD[2:FORWARD.index(state) + 1]
+        for i, s in enumerate(path, 1):
+            q.transition(job.job_id, s, float(i))
+        assert job.state is state
+        return q, job
 
-    for cur, nxt in itertools.product([None] + list(JobState), JobState):
-        job = fresh_in(cur)
+    reachable = [s for s in JobState if s is not JobState.SUBMITTED]
+    for cur, nxt in itertools.product(reachable, JobState):
+        q, job = fresh_in(cur)
         if (cur, nxt) in allowed:
-            _step(job, nxt, 99.0)
+            q.transition(job.job_id, nxt, 99.0)
             assert job.state is nxt
         else:
             with pytest.raises(IllegalJobTransition):
-                _step(job, nxt, 99.0)
+                q.transition(job.job_id, nxt, 99.0)
+            assert job.state is cur
 
 
 def test_done_has_no_forward_edges():
-    job = _job()
-    for stamp, state in enumerate(FORWARD):
-        _step(job, state, float(stamp))
+    q, job = _stored()
+    for stamp, state in enumerate(FORWARD[2:], 2):
+        q.transition(job.job_id, state, float(stamp))
     # not even a hold: a held job can be released, and a finished one must
     # not run again
     for nxt in (JobState.IDLE, JobState.MATCHED, JobState.RUNNING, JobState.DONE,
                 JobState.HELD):
         with pytest.raises(IllegalJobTransition):
-            _step(job, nxt, 10.0)
+            q.transition(job.job_id, nxt, 10.0)
     assert job.state is JobState.DONE
 
 
 def test_stamps_must_be_monotone():
-    job = _job()
-    _step(job, JobState.SUBMITTED, 5.0)
+    q, job = _stored(5.0)
     with pytest.raises(IllegalJobTransition):
-        _step(job, JobState.IDLE, 4.9)
-    _step(job, JobState.IDLE, 5.0)  # equal stamps are fine
+        q.transition(job.job_id, JobState.MATCHED, 4.9)
+    q.transition(job.job_id, JobState.MATCHED, 5.0)  # equal stamps are fine
+    # a queue stamp is checked too: 1 comes before the job's 5.0
+    with pytest.raises(IllegalJobTransition):
+        q.transition(job.job_id, JobState.STAGING)
+    assert [e.stamp for e in job.history] == [5.0, 5.0, 5.0] and q._seq == 0
 
 
 def test_matched_resource_reads_latest_match():
-    job = _job()
+    q, job = _stored()
     for stamp, (state, detail) in enumerate([
-            (JobState.SUBMITTED, None), (JobState.IDLE, None),
             (JobState.MATCHED, "FNAL/samadams#1"), (JobState.HELD, "lost claim"),
-            (JobState.IDLE, None), (JobState.MATCHED, "FNAL/topaz")]):
-        _step(job, state, float(stamp), detail)
+            (JobState.IDLE, None), (JobState.MATCHED, "FNAL/topaz")], 2):
+        q.transition(job.job_id, state, float(stamp), detail)
     assert job.matched_resource() == "FNAL/topaz"
     assert _job().matched_resource() is None
 
 
 def test_status_json():
-    job = _job()
-    _step(job, JobState.SUBMITTED, 1.0)
-    _step(job, JobState.IDLE, 2.0)
+    q, job = _stored(1.0)
+    q.transition(job.job_id, JobState.MATCHED, 2.0, "FNAL/topaz")
     assert job.status_json() == {
         "job_id": 1,
-        "state": "Idle",
-        "detail": None,
+        "state": "Matched",
+        "detail": "FNAL/topaz",
         "history": [{"state": "Submitted", "stamp": 1.0, "detail": None},
-                    {"state": "Idle", "stamp": 2.0, "detail": None}],
+                    {"state": "Idle", "stamp": 1.0, "detail": None},
+                    {"state": "Matched", "stamp": 2.0, "detail": "FNAL/topaz"}],
     }
     assert HistoryEntry(JobState.HELD, 3, "why").to_json() == \
         {"state": "Held", "stamp": 3, "detail": "why"}
@@ -334,6 +337,105 @@ def test_replay_from_journal_records_reproduces_queue():
     j3 = clone.submit(AD)
     assert j3.job_id == 3
     assert j3.history[0].stamp > clone.jobs[2].history[-1].stamp
+
+
+# the step rule as the queue stated it before `transition` took it over:
+# the one successor of each state and of None (a job not yet submitted), or
+# Held from any state but None, Held and Done, at a stamp no earlier than the last
+_MODEL_NEXT = {None: JobState.SUBMITTED, JobState.SUBMITTED: JobState.IDLE,
+               JobState.IDLE: JobState.MATCHED, JobState.MATCHED: JobState.STAGING,
+               JobState.STAGING: JobState.RUNNING, JobState.RUNNING: JobState.DONE,
+               JobState.DONE: None, JobState.HELD: JobState.IDLE}
+
+
+class _ModelQueue:
+    """A reference queue: histories of (state, stamp, detail) and a stamp
+    counter, stepped one entry at a time by the rule above."""
+
+    def __init__(self):
+        self.histories: dict[int, list[tuple]] = {}
+        self.seq = 0
+
+    def step(self, job_id, state, stamp, detail=None):
+        """Take the step, or raise as the queue would, changing nothing."""
+        if job_id not in self.histories:
+            raise UnknownJob(job_id)
+        history = self.histories[job_id]
+        cur = history[-1][0] if history else None
+        at = self.seq + 1 if stamp is None else stamp
+        if state is JobState.HELD:
+            legal = cur not in (None, JobState.HELD, JobState.DONE)
+        else:
+            legal = state is _MODEL_NEXT[cur]
+        if not legal or (history and at < history[-1][1]):
+            raise IllegalJobTransition(job_id)
+        if stamp is None:
+            self.seq += 1
+        history.append((state, at, detail))
+
+    def submit(self, stamp):
+        job_id = len(self.histories) + 1
+        self.histories[job_id] = []
+        self.step(job_id, JobState.SUBMITTED, stamp)
+        self.step(job_id, JobState.IDLE, stamp)
+
+    def release(self, job_id):
+        if job_id not in self.histories:
+            raise UnknownJob(job_id)
+        if self.histories[job_id][-1][0] is not JobState.HELD:
+            raise IllegalJobTransition(job_id)
+        self.step(job_id, JobState.IDLE, None)
+
+
+_STAMPS = st.none() | st.sampled_from([0.0, 1, 2.0, 3.5, 4, 8.0, 50.0])
+# (call, job id, state, stamp, detail); a submit reads only the stamp and a
+# release only the job id, and "next" steps to the model's successor (Held
+# from Done), so that runs reach Running and Done; Held is drawn twice as
+# often as another state, so that a held job is held again
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["submit", "release", *["transition"] * 6]), st.integers(1, 3),
+    st.sampled_from([*JobState, JobState.HELD, *["next"] * 7]), _STAMPS,
+    st.sampled_from([None, "r"])), max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(caller_stamps=st.booleans(), ops=_OPS)
+def test_the_queue_steps_as_the_reference_rule_does(caller_stamps, ops):
+    # a refused call leaves the histories, the stamp counter and the journal
+    # as they were; a run on queue stamps alone replays from its journal
+    records = []
+    q, model = JobQueue(journal_sink=records.append), _ModelQueue()
+    for call, job_id, state, stamp, detail in ops:
+        stamp = stamp if caller_stamps else None
+        if call == "submit":
+            calls = (lambda: q.submit(AD, stamp=stamp), lambda: model.submit(stamp))
+        elif call == "release":
+            calls = (lambda: q.release(job_id), lambda: model.release(job_id))
+        else:
+            if state == "next":
+                history = model.histories.get(job_id)
+                state = (history and _MODEL_NEXT[history[-1][0]]) or JobState.HELD
+            calls = (lambda: q.transition(job_id, state, stamp, detail),
+                     lambda: model.step(job_id, state, stamp, detail))
+        before = ({i: list(j.history) for i, j in q.jobs.items()}, q._seq, list(records))
+        try:
+            calls[1]()
+        except (UnknownJob, IllegalJobTransition) as refusal:
+            with pytest.raises(type(refusal)):
+                calls[0]()
+            assert ({i: list(j.history) for i, j in q.jobs.items()}, q._seq,
+                    records) == before
+        else:
+            calls[0]()
+        assert {i: [tuple(e) for e in j.history] for i, j in q.jobs.items()} == \
+            model.histories
+        assert q._seq == model.seq
+    if not caller_stamps:
+        clone = JobQueue()
+        for record in records:
+            clone.apply_journal_record(record)
+        assert {i: j.status_json() for i, j in clone.jobs.items()} == \
+            {i: j.status_json() for i, j in q.jobs.items()}
 
 
 def test_records_and_history_entries_have_no_instance_dict():

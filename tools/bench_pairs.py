@@ -13,7 +13,9 @@ in (by the metric's `better` in BENCHMARK.json), the CPU count and the
 Python version. It also holds each tree's opcode counts for the simulator
 workloads among them (`tools/opcount.py`, run once per tree: a count is the
 same on every run), so that a claim can cite the work done beside the
-time taken. Uses only the standard library.
+time taken, and each tree's `src/vogrid` code lines, in total and by file
+(`tools/code_lines.py`), so that it can cite the code it took. Uses only
+the standard library.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from code_lines import count_files
 from opcount import WORKLOADS as SIM_WORKLOADS  # the workloads it counts
 
 SIDES = ("parent", "change")
@@ -79,6 +82,15 @@ def tree_opcodes(tree: Path, workloads: list[str], top: int = 25) -> dict:
         return json.loads(proc.stdout)["workloads"]
     except (ValueError, KeyError):
         return {"error": proc.stderr[-2000:]}
+
+
+def tree_code_lines(tree: Path) -> dict:
+    """`tools/code_lines.py`'s count of the tree's `src/vogrid`: the total,
+    and each file's count by its path under `src/vogrid`."""
+    package = tree / "src" / "vogrid"
+    by_file = {path.relative_to(package).as_posix(): n
+               for path, n in count_files([package]).items()}
+    return {"total": sum(by_file.values()), "by_file": by_file}
 
 
 def _spread(values: list[float]) -> dict[str, float]:
@@ -141,6 +153,7 @@ def main(argv=None) -> int:
             compileall.compile_dir(str(tree / part), quiet=1)
     better = metric_directions(json.loads((trees["change"] / "BENCHMARK.json").read_text()))
     opcodes = {side: tree_opcodes(tree, args.workload) for side, tree in trees.items()}
+    code = {side: tree_code_lines(tree) for side, tree in trees.items()}
     rows = []
     for workload in args.workload:
         for pair, seed in enumerate(args.seeds, 1):
@@ -157,6 +170,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "summary": summarize(rows, better),
         "opcodes": opcodes,
+        "code_lines": code,
         "runs": rows,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -44,20 +44,24 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def count_files(paths: list[str | Path]) -> dict[Path, int]:
+    """Code lines by file, for each file named and each .py file under each
+    directory named, in that order."""
+    files = []
+    for arg in paths:
+        path = Path(arg)
+        files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    return {path: code_lines(path.read_text(encoding="utf-8")) for path in files}
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print("usage: code_lines.py PATH...", file=sys.stderr)
         return 2
-    files = []
-    for arg in argv:
-        path = Path(arg)
-        files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
-    total = 0
-    for path in files:
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
+    counts = count_files(argv)
+    for path, n in counts.items():
         print(f"{n:6d}  {path}")
-    print(f"{total:6d}  total")
+    print(f"{sum(counts.values()):6d}  total")
     return 0
 
 
