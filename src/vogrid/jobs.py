@@ -3,18 +3,22 @@
 A job's life is Submitted, Idle, Matched, Staging, Running, Done; a job not
 yet done or held may instead be parked in Held with a reason, and releasing
 it re-queues it as Idle. `JobQueue.transition` states the step rule and is
-the one place that takes a step. History entries carry logical stamps, which
-only need to be monotone: the queue hands out sequence numbers, the simulator
-passes its own clock. A queue hands its journal sink one record per call and
-replays a record by making that call again; a refused call takes no stamp.
+the one place that takes a step. A job's history is a list of plain
+(state, stamp, detail) triples, one per step; its STATUS form
+(`JobRecord.status_json`) is a list of {"state", "stamp", "detail"}
+objects, as it always was. Stamps are logical and only need to be
+monotone: the queue hands out sequence numbers, the simulator passes its
+own clock. A queue hands its journal sink one record per call and replays
+a record by making that call again; a refused call takes no stamp.
 """
 
 from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
+from . import wire
 from .classads import ClassAd, ad_from_json, ad_to_json
 from .classads import evaluate  # noqa: F401  bench/run.py wraps jobs.evaluate by name
 
@@ -79,43 +83,37 @@ def run_seconds(ad: ClassAd) -> float:
     return ad.self_quantity("RunSeconds") or 0.0
 
 
-class HistoryEntry(NamedTuple):
-    state: JobState
-    stamp: float
-    detail: str | None = None
-
-    def to_json(self) -> dict:
-        return {"state": self.state.value, "stamp": self.stamp, "detail": self.detail}
-
-
 class JobRecord:
     __slots__ = ("job_id", "ad", "history")
 
     def __init__(self, job_id: int, ad: ClassAd):
         self.job_id = job_id
         self.ad = ad
-        self.history: list[HistoryEntry] = []
+        # (state, stamp, detail) triples, oldest first
+        self.history: list[tuple[JobState, float, str | None]] = []
 
     @property
     def state(self) -> JobState | None:
-        return self.history[-1].state if self.history else None
+        return self.history[-1][0] if self.history else None
 
     @property
     def detail(self) -> str | None:
-        return self.history[-1].detail if self.history else None
+        return self.history[-1][2] if self.history else None
 
     def matched_resource(self) -> str | None:
-        for entry in reversed(self.history):
-            if entry.state is JobState.MATCHED:
-                return entry.detail
+        for state, _, detail in reversed(self.history):
+            if state is JobState.MATCHED:
+                return detail
         return None
 
     def status_json(self) -> dict:
+        state, _, detail = self.history[-1] if self.history else (None, None, None)
         return {
             "job_id": self.job_id,
-            "state": self.state.value if self.state else None,
-            "detail": self.detail,
-            "history": [e.to_json() for e in self.history],
+            "state": state.value if state else None,
+            "detail": detail,
+            "history": [{"state": s.value, "stamp": stamp, "detail": d}
+                        for s, stamp, d in self.history],
         }
 
 
@@ -185,8 +183,7 @@ class JobQueue:
         if stamp is None:
             first, last = self._seq + 1, self._seq + 2
             self._seq = last
-        job.history += (HistoryEntry(JobState.SUBMITTED, first),
-                        HistoryEntry(JobState.IDLE, last))
+        job.history += ((JobState.SUBMITTED, first, None), (JobState.IDLE, last, None))
         return job
 
     def submit_json(self, obj: dict) -> JobRecord:
@@ -208,21 +205,22 @@ class JobQueue:
         earlier than the job's last. A legal step is handed to the journal
         sink and applied once the sink returns. Raises UnknownJob or
         IllegalJobTransition, and a refused step changes nothing."""
-        job = self.get(job_id)
-        last = job.history[-1]
-        cur = last.state
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise UnknownJob(f"no job {job_id}")
+        cur, last, _ = job.history[-1]
         if state is not _NEXT[cur] and (state is not JobState.HELD
                                         or cur in (JobState.HELD, JobState.DONE)):
             raise IllegalJobTransition(f"job {job_id}: {cur.value} -> {state.value}")
         at = self._seq + 1 if stamp is None else stamp
-        if at < last.stamp:
+        if at < last:
             raise IllegalJobTransition(f"job {job_id}: stamp {at} goes backwards")
         if self.journal_sink is not None:
             self.journal_sink({"event": "state", "job_id": job.job_id, "state": state.value,
                                "stamp": at, "detail": detail})
         if stamp is None:
             self._seq = at
-        job.history.append(HistoryEntry(state, at, detail))
+        job.history.append((state, at, detail))
         return job
 
     def release(self, job_id: int) -> JobRecord:
@@ -242,17 +240,29 @@ class JobQueue:
 
     def apply_journal_record(self, record: dict):
         """Replay one journal record by making its call again, with the queue's
-        own stamps, on a queue without a sink. ValueError if the call gives
-        another job id or stamp than the record holds, or the event is unknown."""
+        own stamps, on a queue without a sink. Its fields are read by the
+        wire's rules: a job id is an int (not JSON's true), a stamp a number
+        (`wire.is_number`), a state a state name and a detail text or null.
+        ValueError for any other field, if the call gives another job id or
+        stamp than the record holds, or if the event is unknown."""
         event = record["event"]
-        if event == "submit":
-            got, want = self.submit_json(record["ad"]).job_id, record["job_id"]
-        elif event == "state":
-            job = self.transition(record["job_id"], JobState(record["state"]),
-                                  detail=record["detail"])
-            got, want = job.history[-1].stamp, record["stamp"]
-        else:  # the older form began each SUBMIT's three records with "new"
+        if event not in ("submit", "state"):  # the older form began with "new"
             raise ValueError(f"unknown journal event {event!r}; journals of the "
                              "older form, three records per SUBMIT, are not read")
+        job_id = record["job_id"]
+        if type(job_id) is not int:
+            raise ValueError(f"job_id {job_id!r} is not an integer")
+        if event == "submit":
+            got, want = self.submit_json(record["ad"]).job_id, job_id
+        else:
+            name, want, detail = record["state"], record["stamp"], record["detail"]
+            if type(name) is not str:
+                raise ValueError(f"state {name!r} is not a state name")
+            state = JobState(name)  # ValueError if no state has the name
+            if not wire.is_number(want):
+                raise ValueError(f"stamp {want!r} is not a number")
+            if detail is not None and type(detail) is not str:
+                raise ValueError(f"detail {detail!r} is neither text nor null")
+            got = self.transition(job_id, state, detail=detail).history[-1][1]
         if got != want:
             raise ValueError(f"replay gives {got!r} where the record holds {want!r}")

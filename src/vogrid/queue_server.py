@@ -5,8 +5,10 @@ newline-delimited JSON, and fsyncs it before the reply goes out. A killed
 server restarted on the same journal makes each recorded call again, so it
 reconstructs identical job states and histories. A trailing partial line (a
 call never acknowledged) is ignored on replay and cut off before the next
-append. Any other bad line, or one whose call fails or gives another job id
-or stamp, is a CorruptJournal naming the line; so is the older journal form.
+append. Any other bad line, one holding a field the wire would refuse (see
+`JobQueue.apply_journal_record`), or one whose call fails or gives another
+job id or stamp, is a CorruptJournal naming the line; so is the older
+journal form.
 """
 
 from __future__ import annotations

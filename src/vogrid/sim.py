@@ -140,6 +140,11 @@ DEFAULT_TTL = 10.0 ** 9
 
 _AD_ID = attrgetter("ad.ad_id")
 
+# read once: an enum member read through its class is slow in CPython 3.11
+_SUBMITTED, _MATCHED, _STAGING, _RUNNING, _DONE, _HELD = (
+    JobState.SUBMITTED, JobState.MATCHED, JobState.STAGING, JobState.RUNNING,
+    JobState.DONE, JobState.HELD)
+
 
 class ScenarioParseError(Exception):
     pass
@@ -329,14 +334,11 @@ class GridWorld:
         self._verdicts: dict = {}
         for ad in scenario.job_ads:
             self.queue.submit(ad, stamp=self.clock)
-            self._log("submit", job=ad.ad_id)
+            self.event_log.append({"t": self.clock, "event": "submit", "job": ad.ad_id})
         # the idle worklist: every job, as all are idle now, by job id
         self._idle = dict(self.queue.jobs)
 
     # -- plumbing ---------------------------------------------------------
-
-    def _log(self, event: str, **payload):
-        self.event_log.append({"t": self.clock, "event": event, **payload})
 
     def _push(self, at: float, action, *args):
         """Schedule `action(*args)` at time `at`, where `args[0]` is the job's
@@ -447,40 +449,41 @@ class GridWorld:
                 self._hold(record, "no-candidates")
 
     def _hold(self, record, reason: str):
-        self.queue.transition(record.job_id, JobState.HELD,
-                              stamp=self.clock, detail=reason)
+        self.queue.transition(record.job_id, _HELD, stamp=self.clock, detail=reason)
         del self._idle[record.job_id]
-        self._log("held", job=record.ad.ad_id, reason=reason)
+        self.event_log.append({"t": self.clock, "event": "held", "job": record.ad.ad_id,
+                               "reason": reason})
 
     def _start_staging(self, record, decision: MatchDecision):
         slot = self.slots[decision.resource_id]
         dataset = record.ad.self_text("Dataset")
         # the same query the data-aware Rank made, so staging == -rank
         staging = -self._query(dataset, slot.station_id, output_bytes(record.ad))
-        self.queue.transition(record.job_id, JobState.MATCHED,
-                              stamp=self.clock, detail=slot.ad.ad_id)
-        self.queue.transition(record.job_id, JobState.STAGING, stamp=self.clock)
+        self.queue.transition(record.job_id, _MATCHED, stamp=self.clock, detail=slot.ad.ad_id)
+        self.queue.transition(record.job_id, _STAGING, stamp=self.clock)
         del self._idle[record.job_id]
         missing = shortfall(self.catalog, self._query.snapshot[slot.station_id],
                             dataset).missing
         self.stations[slot.station_id] = apply_event(
             self.stations[slot.station_id], len(missing))
-        self._log("match", job=decision.job_id, resource=slot.ad.ad_id,
-                  rank=decision.rank, staging_seconds=staging)
+        self.event_log.append({"t": self.clock, "event": "match", "job": decision.job_id,
+                               "resource": slot.ad.ad_id, "rank": decision.rank,
+                               "staging_seconds": staging})
         self._push(self.clock + staging, self._finish_staging, record, slot,
                    [f.file_name for f in missing])
 
     def _finish_staging(self, record, slot: StoredAd, files: list[str]):
         self.stations[slot.station_id] = apply_event(
             self.stations[slot.station_id], 0, len(files), files)
-        self.queue.transition(record.job_id, JobState.RUNNING, stamp=self.clock)
-        self._log("running", job=record.ad.ad_id)
+        self.queue.transition(record.job_id, _RUNNING, stamp=self.clock)
+        self.event_log.append({"t": self.clock, "event": "running", "job": record.ad.ad_id})
         self._push(self.clock + run_seconds(record.ad), self._finish_run, record, slot)
 
     def _finish_run(self, record, slot: StoredAd):
-        self.queue.transition(record.job_id, JobState.DONE, stamp=self.clock)
+        self.queue.transition(record.job_id, _DONE, stamp=self.clock)
         bisect.insort(self._free.setdefault(slot.cluster, []), slot, key=_AD_ID)
-        self._log("done", job=record.ad.ad_id, resource=slot.ad.ad_id)
+        self.event_log.append({"t": self.clock, "event": "done", "job": record.ad.ad_id,
+                               "resource": slot.ad.ad_id})
 
     # -- main loop ----------------------------------------------------------
 
@@ -520,29 +523,36 @@ class GridWorld:
     # -- reporting -----------------------------------------------------------
 
     def report(self) -> dict:
+        """The run's outcome, job by job. Each job's history is read once:
+        the first stamp of each state it reached, the resource of its latest
+        match and, for a held job, the reason it was held (its last detail)."""
         jobs = []
         staging_times = []
         for job in self.queue.jobs.values():
-            entry = {"job": job.ad.ad_id, "state": job.state.value,
-                     "resource": None, "staging_seconds": None,
-                     "run_seconds": None, "total_seconds": None, "reason": None}
-            if job.state is JobState.HELD:
-                entry["reason"] = job.detail
             stamps = {}
-            for h in job.history:
-                stamps.setdefault(h.state, h.stamp)
-            if JobState.MATCHED in stamps:
-                entry["resource"] = job.matched_resource()
-            if JobState.STAGING in stamps and JobState.RUNNING in stamps:
-                entry["staging_seconds"] = (stamps[JobState.RUNNING]
-                                            - stamps[JobState.STAGING])
-                staging_times.append(entry["staging_seconds"])
-            if JobState.RUNNING in stamps and JobState.DONE in stamps:
-                entry["run_seconds"] = stamps[JobState.DONE] - stamps[JobState.RUNNING]
-            if JobState.DONE in stamps:
-                entry["total_seconds"] = (stamps[JobState.DONE]
-                                          - stamps[JobState.SUBMITTED])
-            jobs.append(entry)
+            resource = None
+            for state, stamp, detail in job.history:
+                if state not in stamps:
+                    stamps[state] = stamp
+                if state is _MATCHED:
+                    resource = detail
+            # the loop leaves the last entry's state and detail behind
+            staging = running = total = None
+            done = stamps.get(_DONE)
+            start = stamps.get(_RUNNING)
+            if start is not None:
+                staged = stamps.get(_STAGING)
+                if staged is not None:
+                    staging = start - staged
+                    staging_times.append(staging)
+                if done is not None:
+                    running = done - start
+            if done is not None:
+                total = done - stamps[_SUBMITTED]
+            jobs.append({"job": job.ad.ad_id, "state": state.value, "resource": resource,
+                         "staging_seconds": staging, "run_seconds": running,
+                         "total_seconds": total,
+                         "reason": detail if state is _HELD else None})
         return {
             "scenario": self.scenario.name,
             "policy": self.policy,

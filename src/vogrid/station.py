@@ -26,9 +26,9 @@ once at worst both compute the same answer.
 A staging changes a station in two counted steps (`apply_event`): its
 files' requests join the input queue when it starts, and they leave it,
 each file joining the cache, when it ends. A step is one copy of the
-state, however many files it counts. It hands the memo on to the copy
-unless the cache grew, which starts an empty one; `copy_state` gives a
-copy an empty one of its own.
+state, however many files it counts; the copy keeps the memo unless the
+cache grew, when it starts an empty one. `copy_state` gives a copy an
+empty one of its own.
 """
 
 from __future__ import annotations
@@ -216,28 +216,30 @@ def copy_state(st: StationState) -> StationState:
 
 def apply_event(st: StationState, enqueued: int = 0, dequeued: int = 0,
                 cached: Collection[str] = ()) -> StationState:
-    """One counted step, as one copy of the state (`copy_state`): `enqueued`
-    input requests join the queue, then `dequeued` leave it, then the files
-    named in `cached` join the cache; every other field is unchanged. It
-    equals taking those steps one at a time. A count that is not a
-    nonnegative integer, or more dequeued than the queue then holds, raises
+    """One counted step, as one copy of the state: `enqueued` input
+    requests join the queue, then `dequeued` leave it, then the files named
+    in `cached` join the cache; every other field is unchanged. It equals
+    taking those steps one at a time. A count that is not a nonnegative
+    integer, or more dequeued than the queue then holds, raises
     IllegalTransition, so the depth stays a nonnegative integer. Caching a
     file again changes nothing, and the copy shares `st`'s shortfall memo
-    unless its cache changed."""
+    unless its cache changed. Like `copy_state`, it skips
+    `StationState.__post_init__`."""
     if type(enqueued) is not int or type(dequeued) is not int or enqueued < 0 or dequeued < 0:
         raise IllegalTransition(f"step counts must be nonnegative integers, not "
                                 f"{enqueued!r} and {dequeued!r}")
     in_depth = st.input_queue_depth + enqueued - dequeued
     if in_depth < 0:
         raise IllegalTransition("input queue is empty")
-    successor = copy_state(st)
+    successor = object.__new__(StationState)
     fields = successor.__dict__
+    fields.update(st.__dict__)  # the memo too: the same cache, the same answers
     fields["input_queue_depth"] = in_depth
-    grown = st.cached_files.union(cached) if cached else st.cached_files
-    if len(grown) == len(st.cached_files):
-        fields["_shortfalls"] = st._shortfalls  # the same cache: the same answers
-    else:
-        fields["cached_files"] = grown
+    if cached:
+        grown = st.cached_files.union(cached)
+        if len(grown) != len(st.cached_files):
+            fields["cached_files"] = grown
+            fields["_shortfalls"] = {}
     return successor
 
 

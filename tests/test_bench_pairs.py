@@ -4,12 +4,14 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
 from bench_pairs import (  # noqa: E402
-    metric_directions, seed_list, summarize, tree_code_lines, tree_opcodes)
+    metric_directions, pair_ratio, seed_list, summarize, tree_code_lines, tree_opcodes)
 from code_lines import code_lines  # noqa: E402
 
 
@@ -49,6 +51,51 @@ def test_one_pair_has_its_values_as_quartiles():
     entry = summarize(rows, {"m": "lower"})["w"]["m"]
     assert entry["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     assert entry["change_ahead"] == 1
+
+
+def test_each_pair_has_a_ratio_oriented_so_that_above_one_is_better():
+    assert pair_ratio(10.0, 12.0, "higher") == 1.2
+    assert pair_ratio(0.2, 0.1, "lower") == 2.0
+    assert pair_ratio(0.0, 3.0, "higher") is None  # no ratio without both above 0
+    assert pair_ratio(-5.0, 3.0, "lower") is None
+    parent = [10.0, 20.0, 10.0, 40.0, 0.0]
+    change = [11.0, 18.0, 13.0, 44.0, 5.0]
+    rows = [_row("w", pair, side, up=values[pair - 1], down=values[pair - 1], other=1.0)
+            for pair in range(1, 6)
+            for side, values in (("parent", parent), ("change", change))]
+    summary = summarize(rows, {"up": "higher", "down": "lower"})["w"]
+    up, down = summary["up"], summary["down"]
+    assert up["ratios"] == [1.1, 0.9, 1.3, 1.1, None]
+    assert up["ratio"] == pytest.approx({"median": 1.1, "q1": 1.05, "q3": 1.15})
+    assert down["ratios"] == [10 / 11, 20 / 18, 10 / 13, 40 / 44, None]
+    assert down["ratio"]["median"] == (10 / 11 + 40 / 44) / 2
+    assert "ratios" not in summary["other"] and "ratio" not in summary["other"]
+    # no pair with a ratio: none to summarize
+    only_zero = summarize([_row("w", 1, "parent", m=0.0), _row("w", 1, "change", m=0.0)],
+                          {"m": "lower"})["w"]["m"]
+    assert only_zero["ratios"] == [None] and only_zero["ratio"] is None
+
+
+def test_the_written_file_holds_each_pairs_ratio(tmp_path, monkeypatch):
+    # per seed, the parent's rate and the change's; run_bench stands in for the runs
+    rates = {1: (100.0, 110.0), 2: (200.0, 190.0), 3: (50.0, 60.0)}
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda tree, workload, seed, *_: {
+        "correct": True, "metrics": {"jobs_per_s": {
+            "value": rates[seed][tree.name == "change"], "unit": "jobs/s"}}})
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "vogrid").mkdir(parents=True)
+        (tmp_path / side / "bench").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--workload", "grid-wire", "--seeds", "1-3",
+                             "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["summary"]["grid-wire"]["jobs_per_s"]
+    assert entry["ratios"] == [1.1, 0.95, 1.2]
+    assert entry["ratio"] == pytest.approx({"median": 1.1, "q1": 1.025, "q3": 1.15})
+    assert entry["parent"]["median"] == 100.0 and entry["change"]["median"] == 110.0
+    assert entry["change_ahead"] == 2
 
 
 def test_seed_lists_and_metric_directions():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from vogrid.classads import UNDEFINED, AdKind, ad_to_json, integer, parse_classad
 from vogrid.jobs import (
-    HistoryEntry,
     IllegalJobTransition,
     JobQueue,
     JobRecord,
@@ -90,8 +89,8 @@ def test_full_forward_lifecycle():
     for stamp, state in enumerate(FORWARD[2:], 2):
         q.transition(job.job_id, state, float(stamp))
     assert job.state is JobState.DONE
-    assert [e.state for e in job.history] == FORWARD
-    assert [e.stamp for e in job.history] == [0.0, 0.0, 2.0, 3.0, 4.0, 5.0]
+    assert [state for state, _, _ in job.history] == FORWARD
+    assert [stamp for _, stamp, _ in job.history] == [0.0, 0.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_transition_legality_matrix():
@@ -150,7 +149,7 @@ def test_stamps_must_be_monotone():
     # a queue stamp is checked too: 1 comes before the job's 5.0
     with pytest.raises(IllegalJobTransition):
         q.transition(job.job_id, JobState.STAGING)
-    assert [e.stamp for e in job.history] == [5.0, 5.0, 5.0] and q._seq == 0
+    assert [stamp for _, stamp, _ in job.history] == [5.0, 5.0, 5.0] and q._seq == 0
 
 
 def test_matched_resource_reads_latest_match():
@@ -174,8 +173,29 @@ def test_status_json():
                     {"state": "Idle", "stamp": 1.0, "detail": None},
                     {"state": "Matched", "stamp": 2.0, "detail": "FNAL/topaz"}],
     }
-    assert HistoryEntry(JobState.HELD, 3, "why").to_json() == \
-        {"state": "Held", "stamp": 3, "detail": "why"}
+
+
+def test_status_json_through_every_reachable_state():
+    # the STATUS form of each step: a hold with its reason, a release, then
+    # every forward state to Done; the reply's state and detail are the last
+    # entry's
+    q = JobQueue()
+    job = q.submit(AD)
+    steps = [(JobState.HELD, "why"), (JobState.IDLE, None),
+             (JobState.MATCHED, "FNAL/topaz"), (JobState.STAGING, None),
+             (JobState.RUNNING, None), (JobState.DONE, None)]
+    want = [{"state": "Submitted", "stamp": 1, "detail": None},
+            {"state": "Idle", "stamp": 2, "detail": None}]
+    for stamp, (state, detail) in enumerate(steps, 3):
+        if state is JobState.IDLE:
+            q.release(job.job_id)
+        else:
+            q.transition(job.job_id, state, detail=detail)
+        want.append({"state": state.value, "stamp": stamp, "detail": detail})
+        assert job.status_json() == {"job_id": 1, "state": state.value,
+                                     "detail": detail, "history": want}
+    assert JobRecord(2, AD).status_json() == \
+        {"job_id": 2, "state": None, "detail": None, "history": []}
 
 
 # -- the queue -----------------------------------------------------------------------
@@ -185,9 +205,10 @@ def test_submit_assigns_sequential_ids_and_lands_idle():
     j1, j2 = q.submit(AD), q.submit(AD)
     assert (j1.job_id, j2.job_id) == (1, 2)
     assert j1.state is JobState.IDLE
-    assert [e.state for e in j1.history] == [JobState.SUBMITTED, JobState.IDLE]
+    assert [state for state, _, _ in j1.history] == [JobState.SUBMITTED, JobState.IDLE]
     # logical stamps increase across the whole queue, not per job
-    assert j2.history[0].stamp > j1.history[-1].stamp
+    (_, first, _), (_, last, _) = j2.history[0], j1.history[-1]
+    assert first > last
 
 
 def test_submit_validates():
@@ -275,7 +296,7 @@ def test_a_refused_step_takes_no_stamp():
     with pytest.raises(IllegalJobTransition):
         q.release(job.job_id)
     q.transition(job.job_id, JobState.MATCHED)
-    assert [e.stamp for e in job.history] == [1, 2, 3]
+    assert [stamp for _, stamp, _ in job.history] == [1, 2, 3]
 
 
 def test_a_failing_journal_sink_leaves_the_step_unapplied():
@@ -336,7 +357,8 @@ def test_replay_from_journal_records_reproduces_queue():
     # replay restores the counters too: new work continues, never collides
     j3 = clone.submit(AD)
     assert j3.job_id == 3
-    assert j3.history[0].stamp > clone.jobs[2].history[-1].stamp
+    (_, first, _), (_, last, _) = j3.history[0], clone.jobs[2].history[-1]
+    assert first > last
 
 
 # the step rule as the queue stated it before `transition` took it over:

@@ -147,6 +147,40 @@ def test_restart_reconstructs_identical_state(tmp_path):
         revived.close()
 
 
+def test_a_restarted_queue_sends_byte_identical_status_replies(tmp_path):
+    path = tmp_path / "queue.ndjson"
+
+    def replies(service):
+        return [wire.encode_line(service.handle_message(_msg("STATUS", n, job_id=n)))
+                for n in (1, 2, 3)]
+
+    service = QueueService(str(path))
+    try:
+        for n in (1, 2, 3):
+            service.handle_message(_msg("SUBMIT", n, ad=AD_JSON))
+        service.queue.transition(1, JobState.HELD, detail="operator hold")
+        service.handle_message(_msg("RELEASE", 4, job_id=1))
+        service.queue.transition(1, JobState.MATCHED, detail="FNAL/topaz")
+        for state in ("Matched", "Staging", "Running", "Done"):
+            service.queue.transition(2, JobState(state))
+        before = replies(service)
+    finally:
+        service.close()
+    # the wire form, key order included
+    assert before[0] == (
+        b'{"id":1,"result":{"job_id":1,"state":"Matched","detail":"FNAL/topaz",'
+        b'"history":[{"state":"Submitted","stamp":1,"detail":null},'
+        b'{"state":"Idle","stamp":2,"detail":null},'
+        b'{"state":"Held","stamp":7,"detail":"operator hold"},'
+        b'{"state":"Idle","stamp":8,"detail":null},'
+        b'{"state":"Matched","stamp":9,"detail":"FNAL/topaz"}]}}\n')
+    revived = QueueService(str(path))
+    try:
+        assert replies(revived) == before
+    finally:
+        revived.close()
+
+
 def test_identical_submissions_share_one_ad(tmp_path):
     path = tmp_path / "queue.ndjson"
     other = dict(AD_JSON, id="k")
@@ -351,6 +385,52 @@ def test_a_record_that_does_not_replay_is_corruption_named_by_line(tmp_path):
         with pytest.raises(CorruptJournal, match=f"line 2 .*{why}"):
             QueueService(str(path))
         assert path.read_bytes() == before  # a journal that does not replay is left as is
+
+
+_MATCHED = {"event": "state", "job_id": 1, "state": "Matched", "stamp": 3, "detail": "r"}
+
+
+@pytest.mark.parametrize("records,line", [
+    # the wire's job id is an int, not JSON's true: such records replayed as job 1
+    ([{"event": "submit", "job_id": True, "ad": AD_JSON}], 1),
+    ([_MATCHED | {"job_id": True}], 2),
+    ([_MATCHED | {"job_id": 1.0}], 2),
+    ([_MATCHED | {"job_id": "1"}], 2),
+    # a detail is text or null: an object or a number once landed in the
+    # history, and STATUS echoed it
+    ([_MATCHED | {"detail": {"why": "x"}}], 2),
+    ([_MATCHED | {"detail": 5}], 2),
+    ([_MATCHED | {"detail": ["r"]}], 2),
+    # a stamp is a number, a state a state name
+    ([_MATCHED | {"stamp": True}], 2),
+    ([_MATCHED | {"stamp": "3"}], 2),
+    ([_MATCHED | {"stamp": None}], 2),
+    ([_MATCHED | {"state": ["Matched"]}], 2),
+    ([_MATCHED | {"state": "matched"}], 2),
+    ([_MATCHED | {"state": None}], 2),
+], ids=["submit-job-id-true", "job-id-true", "job-id-float", "job-id-text",
+        "detail-object", "detail-number", "detail-list", "stamp-true", "stamp-text",
+        "stamp-null", "state-list", "state-lowercase", "state-null"])
+def test_a_record_field_the_wire_would_refuse_is_corruption(tmp_path, records, line):
+    path = tmp_path / "queue.ndjson"
+    if line > 1:
+        records = [{"event": "submit", "job_id": 1, "ad": AD_JSON}, *records]
+    _write_records(path, *records)
+    with pytest.raises(CorruptJournal, match=f"line {line} does not replay"):
+        QueueService(str(path))
+
+
+def test_every_replayed_history_entry_holds_a_state_a_number_and_text_or_null(tmp_path):
+    path = tmp_path / "queue.ndjson"
+    _write_records(path, {"event": "submit", "job_id": 1, "ad": AD_JSON}, _MATCHED,
+                   _MATCHED | {"state": "Held", "stamp": 4, "detail": None})
+    service = QueueService(str(path))
+    try:
+        for state, stamp, detail in service.queue.get(1).history:
+            assert type(state) is JobState and wire.is_number(stamp)
+            assert detail is None or type(detail) is str
+    finally:
+        service.close()
 
 
 def test_a_submit_of_a_resource_ad_is_malformed_and_not_journaled(tmp_path):

@@ -12,7 +12,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 import vogrid.matchmaker as matchmaker
 import vogrid.sim as sim
@@ -444,8 +444,8 @@ FORWARD = [JobState.SUBMITTED, JobState.IDLE, JobState.MATCHED,
 
 
 def _assert_legal_history(record):
-    states = [h.state for h in record.history]
-    stamps = [h.stamp for h in record.history]
+    states = [state for state, _, _ in record.history]
+    stamps = [stamp for _, stamp, _ in record.history]
     assert stamps == sorted(stamps)
     assert states[0] is JobState.SUBMITTED
     for cur, nxt in zip(states, states[1:]):
@@ -540,8 +540,9 @@ def test_partial_visibility_defers_the_hold():
     world.run()
     j2 = world.queue.jobs[2]
     assert j2.state is JobState.DONE
-    assert JobState.HELD not in {h.state for h in j2.history}
-    match_stamp = next(h.stamp for h in j2.history if h.state is JobState.MATCHED)
+    assert JobState.HELD not in {state for state, _, _ in j2.history}
+    match_stamp = next(stamp for state, stamp, _ in j2.history
+                       if state is JobState.MATCHED)
     assert match_stamp == 15.0
 
 
@@ -567,7 +568,7 @@ def test_a_staged_batch_can_let_a_waiting_job_match(policy):
     ]
     world = GridWorld(load_scenario(_scenario_doc(catalog, [site], jobs)), policy, 0)
     world.run()
-    stamps = {job.ad.ad_id: {h.state: h.stamp for h in job.history}
+    stamps = {job.ad.ad_id: {state: stamp for state, stamp, _ in job.history}
               for job in world.queue.jobs.values()}
     assert stamps["j1"][JobState.RUNNING] == 50.0
     assert stamps["j2"][JobState.MATCHED] == 50.0
@@ -753,6 +754,71 @@ def test_skipped_cycles_change_no_report_or_event_log(policy):
         scenario = load_scenario(_world_doc(make_world(rng), rng))
         got = _outcome(_CycleCountingWorld(scenario, policy, seed))
         assert got == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
+
+
+def _reference_report(world: GridWorld) -> dict:
+    """The report as `GridWorld.report` built it before it read each history
+    once: a dict of each state's first stamp, then `matched_resource()` and
+    the record's `state` and `detail`."""
+    jobs = []
+    staging_times = []
+    for job in world.queue.jobs.values():
+        entry = {"job": job.ad.ad_id, "state": job.state.value,
+                 "resource": None, "staging_seconds": None,
+                 "run_seconds": None, "total_seconds": None, "reason": None}
+        if job.state is JobState.HELD:
+            entry["reason"] = job.detail
+        stamps = {}
+        for state, stamp, _ in job.history:
+            stamps.setdefault(state, stamp)
+        if JobState.MATCHED in stamps:
+            entry["resource"] = job.matched_resource()
+        if JobState.STAGING in stamps and JobState.RUNNING in stamps:
+            entry["staging_seconds"] = stamps[JobState.RUNNING] - stamps[JobState.STAGING]
+            staging_times.append(entry["staging_seconds"])
+        if JobState.RUNNING in stamps and JobState.DONE in stamps:
+            entry["run_seconds"] = stamps[JobState.DONE] - stamps[JobState.RUNNING]
+        if JobState.DONE in stamps:
+            entry["total_seconds"] = stamps[JobState.DONE] - stamps[JobState.SUBMITTED]
+        jobs.append(entry)
+    return {
+        "scenario": world.scenario.name,
+        "policy": world.policy,
+        "seed": world.seed,
+        "jobs": jobs,
+        "mean_staging_seconds": (sum(staging_times) / len(staging_times)
+                                 if staging_times else None),
+        "max_staging_seconds": max(staging_times) if staging_times else None,
+        "events": world.events_processed,
+        "final_clock": world.clock,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.integers(0, 2 ** 32 - 1), strategies.sampled_from(sim.POLICIES))
+@example(0, "data-aware")  # held jobs beside a finished one
+def test_the_one_pass_report_equals_the_multi_pass_one(seed, policy):
+    rng = random.Random(seed)
+    world = GridWorld(load_scenario(_world_doc(make_world(rng), rng)), policy, seed)
+    world.run()
+    assert world.report() == _reference_report(world)
+    # a run never releases a job, so no history holds a state twice: release
+    # each held job and step it on at random, holding it again or matching
+    # it elsewhere, so that the first stamp of a state and the latest match
+    # differ from the last stamp and the first match
+    stamp = world.clock
+    for record in list(world.queue.jobs.values()):
+        for n in range(rng.randint(0, 8) if record.state is JobState.HELD else 0):
+            cur = record.state
+            if cur is JobState.DONE:
+                break
+            nxt = JobState.IDLE if cur is JobState.HELD else FORWARD[FORWARD.index(cur) + 1]
+            if cur is not JobState.HELD and rng.random() < 0.3:
+                nxt = JobState.HELD
+            detail = {JobState.HELD: f"reason-{n}", JobState.MATCHED: f"slot-{n}"}.get(nxt)
+            stamp += rng.choice([0.0, 1.5, 7.25])
+            world.queue.transition(record.job_id, nxt, stamp, detail)
+    assert world.report() == _reference_report(world)
 
 
 class _WorklistCheckingWorld(GridWorld):

@@ -9,13 +9,18 @@ modules inside a timed run. Each pair runs the unchanged `bench/run.py` of
 both trees on one seed, the parent first in odd-numbered pairs and the
 change first in even-numbered ones. The file holds the raw result lines, each
 side's median and quartiles per metric, how many pairs the change was ahead
-in (by the metric's `better` in BENCHMARK.json), the CPU count and the
-Python version. It also holds each tree's opcode counts for the simulator
-workloads among them (`tools/opcount.py`, run once per tree: a count is the
-same on every run), so that a claim can cite the work done beside the
-time taken, and each tree's `src/vogrid` code lines, in total and by file
-(`tools/code_lines.py`), so that it can cite the code it took. Uses only
-the standard library.
+in (by the metric's `better` in BENCHMARK.json), each pair's ratio of the
+change to the parent with their median and quartiles, the CPU count and the
+Python version. A ratio is oriented so that above 1 means the change was
+better: change / parent for a metric where higher is better, parent /
+change where lower is. Both sides' medians drift from one session to the
+next on a shared machine, while the two runs of one pair drift together,
+so the median ratio holds steadier than either side's median. The file also
+holds each tree's opcode counts for the simulator workloads among them
+(`tools/opcount.py`, run once per tree: a count is the same on every run),
+so that a claim can cite the work done beside the time taken, and each
+tree's `src/vogrid` code lines, in total and by file (`tools/code_lines.py`),
+so that it can cite the code it took. Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -100,11 +105,21 @@ def _spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def pair_ratio(parent: float, change: float, better: str) -> float | None:
+    """The change's value over the parent's, oriented so that above 1 is
+    better (`better` is "higher" or "lower"); None unless both are above 0."""
+    if not (parent > 0 and change > 0):
+        return None
+    return change / parent if better == "higher" else parent / change
+
+
 def summarize(rows: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's median and quartiles, and in how
-    many pairs the change was ahead. `rows` are the raw records, each with
-    "workload", "pair", "side" and the bench "result"; a metric without a
-    direction in `better` gets no ahead count."""
+    """Per workload and metric: each side's median and quartiles, in how
+    many pairs the change was ahead, and the pairs' ratios (`pair_ratio`,
+    null for a pair without one) with the median and quartiles of those
+    that exist. `rows` are the raw records, each with "workload", "pair",
+    "side" and the bench "result"; a metric without a direction in `better`
+    gets no ahead count and no ratios."""
     runs: dict[tuple[str, int], dict[str, dict]] = {}
     for row in rows:
         runs.setdefault((row["workload"], row["pair"]), {})[row["side"]] = row["result"]
@@ -119,18 +134,24 @@ def summarize(rows: list[dict], better: dict[str, str]) -> dict:
             values = {side: pair[side]["metrics"][name]["value"] for side in SIDES}
             entry = metrics.setdefault(name, {"parent": [], "change": [],
                                               "better": better.get(name), "pairs": 0,
-                                              "change_ahead": 0})
+                                              "change_ahead": 0, "ratios": []})
             entry["pairs"] += 1
             for side in SIDES:
                 entry[side].append(values[side])
             sign = {"higher": 1, "lower": -1}.get(entry["better"], 0)
             entry["change_ahead"] += sign * (values["change"] - values["parent"]) > 0
+            if sign:
+                entry["ratios"].append(
+                    pair_ratio(values["parent"], values["change"], entry["better"]))
     for metrics in out.values():
         for entry in metrics.values():
             for side in SIDES:
                 entry[side] = _spread(entry[side])
             if entry["better"] is None:
-                del entry["change_ahead"]
+                del entry["change_ahead"], entry["ratios"]
+                continue
+            known = [r for r in entry["ratios"] if r is not None]
+            entry["ratio"] = _spread(known) if known else None
     return out
 
 
