@@ -19,15 +19,7 @@ meta-schema can be configured into any ordinary schema.
 
 from __future__ import annotations
 
-from .directives import (
-    Fixed,
-    Inquire,
-    InquireDefault,
-    LiteralDefault,
-    RefVar,
-    SetVar,
-    parse_directive,
-)
+from .directives import Ask, Fixed, SetVar, parse_directive
 from .session import ConfigureError
 from .tree import TreeError, TreeNode
 
@@ -102,8 +94,8 @@ def _with_prior(directive, prior_value: str | None):
     """A previous configuration's value replaces the schema's default."""
     if prior_value is None:
         return directive
-    if isinstance(directive, (Inquire, InquireDefault)):
-        return InquireDefault(LiteralDefault(prior_value))
+    if isinstance(directive, Ask):
+        return Ask(prior_value)
     if isinstance(directive, SetVar):
         return SetVar(directive.var, _with_prior(directive.then, prior_value))
     return directive
@@ -112,22 +104,17 @@ def _with_prior(directive, prior_value: str | None):
 def _resolve(directive, attr: str, inst: _Instance, session, bindings: dict) -> str:
     if isinstance(directive, Fixed):
         return directive.text
-    if isinstance(directive, Inquire):
-        return session.next_text(_attr_prompt(attr, inst, None), None)
-    if isinstance(directive, InquireDefault):
-        src = directive.source
-        default = src.text if isinstance(src, LiteralDefault) \
-            else session.exec_default(src.command)
+    if isinstance(directive, Ask):
+        default = (directive.default if directive.command is None
+                   else session.exec_default(directive.command))
         return session.next_text(_attr_prompt(attr, inst, default), default)
     if isinstance(directive, SetVar):
         value = _resolve(directive.then, attr, inst, session, bindings)
         bindings[directive.var] = value
         return value
-    if isinstance(directive, RefVar):
-        if directive.var not in bindings:
-            raise UnboundVar(f"{attr}: no value bound to {directive.var}")
-        return bindings[directive.var]
-    raise ConfigureError(f"unhandled directive {directive!r}")
+    if directive.var not in bindings:  # a RefVar, the one directive left
+        raise UnboundVar(f"{attr}: no value bound to {directive.var}")
+    return bindings[directive.var]
 
 
 def _configure_element(schema_node: TreeNode, parent: _Instance | None, session,

@@ -10,7 +10,8 @@ the directive:
     ref,VAR                     reuse the value bound to VAR, no question
 
 Anything whose first token is none of these keywords is a fixed value copied
-verbatim, commas and all.
+verbatim, commas and all. The three asking forms parse to one
+`Ask(default, command)`, with at most one of the two set.
 """
 
 from __future__ import annotations
@@ -31,23 +32,9 @@ class Fixed:
 
 
 @dataclass(frozen=True)
-class Inquire:
-    pass
-
-
-@dataclass(frozen=True)
-class LiteralDefault:
-    text: str
-
-
-@dataclass(frozen=True)
-class ExecDefault:
-    command: str
-
-
-@dataclass(frozen=True)
-class InquireDefault:
-    source: LiteralDefault | ExecDefault
+class Ask:
+    default: str | None = None
+    command: str | None = None
 
 
 @dataclass(frozen=True)
@@ -72,15 +59,15 @@ def parse_directive(raw: str):
     if head == "inquire":
         if len(tokens) != 1:
             raise UnknownDirective(f"inquire takes no arguments: {raw!r}")
-        return Inquire()
+        return Ask()
     if head == "inquire-default":
         if len(tokens) < 2:
             raise UnknownDirective(f"inquire-default needs a default: {raw!r}")
         if tokens[1] == "exec":
             if len(tokens) < 3 or not ",".join(tokens[2:]).strip():
                 raise UnknownDirective(f"exec default needs a command: {raw!r}")
-            return InquireDefault(ExecDefault(",".join(tokens[2:])))
-        return InquireDefault(LiteralDefault(",".join(tokens[1:])))
+            return Ask(command=",".join(tokens[2:]))
+        return Ask(",".join(tokens[1:]))
     if head == "set":
         if len(tokens) < 3:
             raise UnknownDirective(f"set needs a variable and a directive: {raw!r}")

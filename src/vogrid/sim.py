@@ -19,9 +19,10 @@ scenario's station states, so no run reads another's answers.
 
 All policies share `match_jobs` and differ only in the chooser, which gets
 the authorized resource clusters as lists of their free slots: `data-aware`
-takes the Rank argmax, evaluating Rank once per cluster; `random` and
-`round-robin` pick, without ranking, among all the authorized slots one
-whose station can stage the job, and record rank 0. A cycle pulls idle
+passes none, so it takes the Rank argmax, evaluating Rank once per cluster
+through the cycle's rank table; `random` and `round-robin` pick, without
+ranking, among all the authorized slots one whose station can stage the
+job, and record rank 0. A cycle pulls idle
 jobs lazily, in job id order, from the run's own idle worklist, and only
 until every ad is busy or claimed; it stages and holds after the pass. A
 cycle that began with some event pending holds no job, so it drops the
@@ -48,14 +49,15 @@ time a run is built from it (`Scenario.grid`); a run copies only the station
 states, each with an empty memo, and never changes the shared slot records.
 The free slots are one index for the whole run, kept up to date as slots are
 claimed and freed, never rebuilt from a snapshot: a cycle's claims take slots
-out of it and a finished job puts its slot back in ad id order. So each
-cluster's members stay in ad id order, but a cluster that empties and frees
-again goes to the end, and the clusters may come in another order than a
-fresh `free_index` would give. No decision depends on that order: the Rank
-argmax breaks ties totally (rank, Name, ad id), `random` sorts its
-candidates by (Name, ad id) before drawing, and `round-robin` looks them up
-by ad id. Every slot is collected at time 0 with the scenario's one TTL, so
-all of them are visible exactly while the clock is below it.
+out of it and a finished job puts its slot back (`matchmaker.release`), so
+only the matchmaker knows the index's layout. Each cluster's members stay
+in ad id order, but a cluster that empties and frees again goes to the
+end, and the clusters may come in another order than a fresh `free_index`
+would give. No decision depends on that order: the Rank argmax breaks
+ties totally (rank, Name, ad id), `random` sorts its candidates by (Name,
+ad id) before drawing, and `round-robin` looks them up by ad id. Every
+slot is collected at time 0 with the scenario's one TTL, so all of them
+are visible exactly while the clock is below it.
 
 A run also keeps a verdict table, which each cycle reads and fills through
 a `matchmaker.Verdicts`, by that class's rules: a kept verdict depends only
@@ -91,13 +93,11 @@ too.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 from . import wire
 from .advertise import generate_classads, select_patterns
@@ -111,9 +111,9 @@ from .matchmaker import (
     MatchDecision,
     StoredAd,
     Verdicts,
-    choose_by_rank,
     free_index,
     match_jobs,
+    release,
     standard_registry,
 )
 # bench/run.py wraps these by name in this module; nothing here calls them
@@ -137,8 +137,6 @@ POLICIES = ("data-aware", "random", "round-robin")
 EVENT_CAP = 10 ** 6
 
 DEFAULT_TTL = 10.0 ** 9
-
-_AD_ID = attrgetter("ad.ad_id")
 
 # read once: an enum member read through its class is slow in CPython 3.11
 _SUBMITTED, _MATCHED, _STAGING, _RUNNING, _DONE, _HELD = (
@@ -423,8 +421,7 @@ class GridWorld:
             return
         self._query.start_cycle(self.stations)
         saw_everything = not self._heap  # no slot busy as the cycle starts
-        choose = (choose_by_rank if self.policy == "data-aware"
-                  else self._choose_baseline)
+        choose = None if self.policy == "data-aware" else self._choose_baseline
         index = self._free if self.clock < self.scenario.ttl else {}
         verdicts = Verdicts(index, self._verdicts, self.registry)
         refused = None if saw_everything else verdicts.refuses
@@ -481,7 +478,7 @@ class GridWorld:
 
     def _finish_run(self, record, slot: StoredAd):
         self.queue.transition(record.job_id, _DONE, stamp=self.clock)
-        bisect.insort(self._free.setdefault(slot.cluster, []), slot, key=_AD_ID)
+        release(self._free, slot)
         self.event_log.append({"t": self.clock, "event": "done", "job": record.ad.ad_id,
                                "resource": slot.ad.ad_id})
 

@@ -65,7 +65,10 @@ class FileEntry(NamedTuple):
 
 
 class DatasetCatalog:
-    """Named datasets, each an ordered tuple of files with sizes and sources."""
+    """Named datasets, each an ordered tuple of files with sizes and sources.
+    ValueError unless each file's name and source are text and its size a
+    whole number above 0 that a float can hold, and no name repeats within
+    a dataset."""
 
     def __init__(self, datasets: Mapping[str, Iterable[tuple]]):
         self._datasets: dict[str, tuple[FileEntry, ...]] = {}
@@ -73,6 +76,9 @@ class DatasetCatalog:
             files = tuple(FileEntry(*e) for e in entries)
             seen = set()
             for f in files:
+                if not (isinstance(f.file_name, str) and isinstance(f.source_site, str)):
+                    raise ValueError(f"dataset {name!r}: file {f.file_name!r} name "
+                                     "and source must be text")
                 if f.file_name in seen:
                     raise ValueError(f"dataset {name!r}: duplicate file {f.file_name!r}")
                 if not (wire.is_number(f.size_bytes, whole=True) and f.size_bytes > 0):

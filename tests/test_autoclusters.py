@@ -29,11 +29,12 @@ from vogrid.matchmaker import (
     AdStore,
     MatchDecision,
     Verdicts,
-    choose_by_rank,
     free_index,
     match_jobs,
     preauthorize,
 )
+
+from worldgen import rank_each_ad
 
 ALICE = "/C=US/O=demo/CN=alice"
 BOB = "/C=US/O=demo/CN=bob"
@@ -246,15 +247,15 @@ def _compare(seed: int) -> None:
         for bias in (0, 1, 0):
             env = {"bias": bias}
             claimed = set(rng.sample(ad_ids, rng.randint(0, len(ad_ids) - 1)))
+            free = [s for s in store.snapshot(0.0) if s.ad.ad_id not in claimed]
             offered, offered_ref = [], []
-            index = free_index(store.snapshot(0.0), claimed)
+            index = free_index(free)
             got = list(match_jobs(
-                index, jobs, reg, env,
-                choose_by_rank if kind == "rank" else _recording(offered),
+                index, jobs, reg, env, None if kind == "rank" else _recording(offered),
                 verdicts=Verdicts(index, kept, reg) if keep else None))
             want = list(_per_job_pass(
-                free_index(store.snapshot(0.0), claimed), jobs, reg, env,
-                choose_by_rank if kind == "rank" else _recording(offered_ref)))
+                free_index(free), jobs, reg, env,
+                rank_each_ad if kind == "rank" else _recording(offered_ref)))
             assert got == want, (kind, keep, bias)
             assert offered == offered_ref, (kind, keep, bias)
 
@@ -374,7 +375,7 @@ def test_kept_verdicts_pass_over_a_job_only_when_every_free_cluster_refuses_it()
     def refuses(ads, job) -> bool:
         return Verdicts(free_index(ads), kept, reg).refuses(job)
 
-    def judge(ads, job, choose=choose_by_rank) -> MatchDecision:
+    def judge(ads, job, choose=None) -> MatchDecision:
         index = free_index(ads)
         [decision] = match_jobs(index, [job], reg, None, choose,
                                 verdicts=Verdicts(index, kept, reg))
@@ -417,9 +418,9 @@ def test_kept_verdicts_pass_over_a_job_only_when_every_free_cluster_refuses_it()
     assert refuses(slots, sun)
 
 
-def _judge_calls(job: ClassAd, index, row: dict, reg: FnRegistry, env):
-    """`_judge` on `row`, with the pairs it handed `preauthorize` and
-    `symmetric_match`."""
+def _judge_calls(verdicts: Verdicts, job: ClassAd, env):
+    """`verdicts.judge`'s answer for the job, with the pairs it handed
+    `preauthorize` and `symmetric_match`."""
     authorized, judged = [], []
 
     def counting_preauthorize(job, stored):
@@ -433,7 +434,7 @@ def _judge_calls(job: ClassAd, index, row: dict, reg: FnRegistry, env):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matchmaker, "preauthorize", counting_preauthorize)
         patch.setattr(matchmaker, "symmetric_match", counting_match)
-        got = matchmaker._judge(job, index, row, reg, env)
+        got = verdicts.judge(job, env)
     return got, authorized, judged
 
 
@@ -452,13 +453,14 @@ def _check_refusals(seed: int) -> int:
     for bias in (0, 1, 0, 1):
         env = {"bias": bias}
         claimed = set(rng.sample(sorted(by_id), rng.randint(0, len(by_id) - 1)))
-        index = free_index(store.snapshot(0.0), claimed)
+        index = free_index(s for s in store.snapshot(0.0) if s.ad.ad_id not in claimed)
         verdicts = Verdicts(index, kept, reg)
         for job in jobs:
             if not verdicts.refuses(job):
                 continue
             refused += 1
-            got, authorized, judged = _judge_calls(job, index, verdicts.row(job), reg, env)
+            # judged afresh on its kept row: a new pass's `Verdicts` shares no judgement
+            got, authorized, judged = _judge_calls(Verdicts(index, kept, reg), job, env)
             assert got in ("no-candidates", "unauthorized-everywhere")
             assert authorized == []
             assert not any(preauthorize(job, by_id[ad_id]) for ad_id in judged)

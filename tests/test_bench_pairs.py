@@ -106,11 +106,15 @@ def test_seed_lists_and_metric_directions():
 
 
 def test_each_tree_records_the_opcodes_of_its_simulator_workloads():
-    assert tree_opcodes(ROOT, ["grid-wire"]) == {}  # counts nothing, runs nothing
+    assert tree_opcodes(ROOT, ["no-such"]) == {}  # counts nothing, runs nothing
     counts = tree_opcodes(ROOT, ["grid-wire", "sim-burst"], top=3)
-    assert list(counts) == ["sim-burst"]
+    assert list(counts) == ["sim-burst", "grid-wire"]
     run = counts["sim-burst"]["data-aware"]
     assert run["opcodes"] > 100_000 and len(run["by_function"]) == 3
+    # and the service path beside them: grid-wire's one-job MATCH_REQUEST
+    served = counts["grid-wire"]["MATCH_REQUEST"]
+    assert served["requests"] == 128 and len(served["by_function"]) == 3
+    assert served["opcodes_per_request"] == served["opcodes"] / 128
 
 
 def test_each_tree_records_its_code_lines(tmp_path, monkeypatch):
@@ -143,4 +147,5 @@ def test_each_tree_records_its_code_lines(tmp_path, monkeypatch):
     assert doc["code_lines"] == {
         "parent": {"total": 1, "by_file": {"a.py": 1}},
         "change": {"total": 3, "by_file": {"a.py": 1, "sub/b.py": 2}}}
-    assert doc["opcodes"] == {"parent": {}, "change": {}}  # no simulator workload
+    # grid-wire is counted, but neither stand-in tree holds a matchmaker
+    assert [list(doc["opcodes"][side]) for side in ("parent", "change")] == [["error"]] * 2

@@ -537,6 +537,7 @@ _STATION = ["station", "serve", "--config", str(SAMPLES / "site.xml"), "--statio
             "--port", "0", "--catalog"]
 _FIXTURE = [*_STATION, str(SAMPLES / "catalog.json"), "--fixture"]
 _SCENARIO = ["sim", "run", "--scenario"]
+_SCENARIO_RANDOM = ["sim", "run", "--policy", "random", "--scenario"]
 _AD = ["submit", "--queue", "127.0.0.1:1", "--ad"]
 # the XML file each option names is read before anything is served or sent
 _XML_STATION = [*_STATION, str(SAMPLES / "catalog.json"), "--config"]
@@ -569,6 +570,13 @@ _SCENARIO_NEVER_ENDS = json.dumps({**_SCENARIO_DOC, "ttl": 1.7e308, "jobs": [
     for i in range(40)]})
 
 
+def _scenario_with_first_file(first_file) -> str:
+    """The sample scenario with its catalog's first file replaced."""
+    doc = json.loads((SAMPLES / "scenario.json").read_text())
+    doc["catalog"]["ds-A"][0] = first_file
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("argv, content", [
     (_STATION, "[1]"), (_STATION, '{"d": [["f0", 1]]}'),
     (_FIXTURE, "[1]"), (_FIXTURE, '{"input_queue_depth": -1}'),
@@ -584,15 +592,26 @@ _SCENARIO_NEVER_ENDS = json.dumps({**_SCENARIO_DOC, "ttl": 1.7e308, "jobs": [
     (_XML_FIXTURE, _SITE_BAD_NUMBER), (_XML_FIXTURE, _SITE_LINK_NO_TO),
     (_XML_ADV, _SITE_MANY_SLOTS), (_XML_INFO, _SITE_TWO_SAMADAMS),
     (_SCENARIO, _SCENARIO_NEVER_ENDS),
+    (_STATION, '{"d": [["f0", 1, ["not", "a", "site"]]]}'), (_STATION, '{"d": [[7, 1, "A"]]}'),
+    (_SCENARIO, _scenario_with_first_file(["a00", 1000000000, ["not", "a", "site"]])),
+    (_SCENARIO_RANDOM, _scenario_with_first_file(["a00", 1000000000, ["not", "a", "site"]])),
+    (_SCENARIO, _scenario_with_first_file([7, 1000000000, "A"])),
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
         "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
         "conf-derive-config", "adv-config", "info-config", "gridmap-missing",
         "gridmap-not-utf8", "answers-missing", "answers-count", "journal-directory",
         "journal-no-parent", "journal-no-replay", "station-number", "station-link-no-to",
         "fixture-station-number", "fixture-station-link-no-to", "adv-slots",
-        "info-duplicate-dn", "scenario-never-quiesces"])
-def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, argv, content):
-    # each of these once ended in a traceback; a file with content None is missing
+        "info-duplicate-dn", "scenario-never-quiesces", "catalog-source-list",
+        "catalog-name-number", "scenario-source-list", "scenario-source-list-random",
+        "scenario-name-number"])
+def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, monkeypatch,
+                                                     argv, content):
+    # each of these once ended in a traceback, or was taken as valid (a
+    # catalog file whose source is not text ended a random run in a
+    # TypeError, and data-aware took it for a rank error); a file with
+    # content None is missing
+    monkeypatch.setattr(cli, "_serve", lambda *args: pytest.fail("a server started"))
     path = tmp_path / "input"
     if content is _DIRECTORY:
         path.mkdir()
@@ -606,7 +625,8 @@ def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, argv, con
         main([*argv, str(path)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"error: {path}: " in err
+    [line] = [line for line in err.splitlines() if "error:" in line]  # one line
+    assert f"error: {path}: " in line
     assert "Traceback" not in err
 
 

@@ -21,11 +21,8 @@ from vogrid.conftree.session import (
     parse_answer_file,
 )
 from vogrid.conftree.directives import (
-    ExecDefault,
+    Ask,
     Fixed,
-    Inquire,
-    InquireDefault,
-    LiteralDefault,
     RefVar,
     SetVar,
     UnknownDirective,
@@ -65,13 +62,13 @@ def _schema(name):
     ("v0_3", Fixed("v0_3")),
     ("gram://host:2119", Fixed("gram://host:2119")),
     ("plain,with,commas", Fixed("plain,with,commas")),
-    ("inquire", Inquire()),
-    ("inquire-default,fork", InquireDefault(LiteralDefault("fork"))),
-    ("inquire-default,a,b", InquireDefault(LiteralDefault("a,b"))),
-    ("inquire-default,exec,uname", InquireDefault(ExecDefault("uname"))),
-    ("inquire-default,exec,echo a,b", InquireDefault(ExecDefault("echo a,b"))),
-    ("set,V,inquire", SetVar("V", Inquire())),
-    ("set,V,inquire-default,x", SetVar("V", InquireDefault(LiteralDefault("x")))),
+    ("inquire", Ask()),
+    ("inquire-default,fork", Ask("fork")),
+    ("inquire-default,a,b", Ask("a,b")),
+    ("inquire-default,exec,uname", Ask(command="uname")),
+    ("inquire-default,exec,echo a,b", Ask(command="echo a,b")),
+    ("set,V,inquire", SetVar("V", Ask())),
+    ("set,V,inquire-default,x", SetVar("V", Ask("x"))),
     ("set,V2,fixed stuff", SetVar("V2", Fixed("fixed stuff"))),
     ("ref,V", RefVar("V")),
 ])

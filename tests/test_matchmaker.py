@@ -11,6 +11,7 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vogrid import matchmaker, wire
 from vogrid.classads import ads as classads_ads
@@ -21,7 +22,6 @@ from vogrid.classads import (
     FnRegistry,
     Literal,
     ad_to_json,
-    evaluate,
     parse_classad,
     real,
     symmetric_match,
@@ -33,17 +33,17 @@ from vogrid.matchmaker import (
     IncompleteAd,
     MatchDecision,
     MatchmakerService,
-    choose_by_rank,
     free_index,
     match_jobs,
     preauthorize,
+    release,
     run_match_cycle,
     standard_registry,
 )
 from vogrid.station import DatasetCatalog, StationState, get_preference, handler
 
 from conftest import BIG_PRODUCT, doubling_chain
-from worldgen import SUBJECT_POOL, make_world, world_runtime
+from worldgen import SUBJECT_POOL, make_world, rank_each_ad, world_runtime
 
 ALICE = "/C=US/O=demo/CN=alice"
 BOB = "/C=US/O=demo/CN=bob"
@@ -296,12 +296,20 @@ def test_one_claim_per_cycle():
 
 
 def test_externally_claimed_ads_are_invisible():
+    # an index the caller keeps across passes, as the simulator does: an ad
+    # an earlier pass claimed stays invisible until it is released
     store = _store(_res("r1", "A", "s1"), _res("r2", "B", "s2"))
-    claimed = {"r1"}
-    [d] = _run(store, [_job("j")], claimed=claimed)
+    r1 = store.snapshot(0.0)[0]
+    index = free_index(store.snapshot(0.0))
+    reg = standard_registry()
+    [d] = match_jobs(index, [_job("j1")], reg, None)
+    assert d.resource_id == "r1"
+    [d] = match_jobs(index, [_job("j2")], reg, None)
     assert d.resource_id == "r2"
-    # the caller's set is input only; claims are reported in the decisions
-    assert claimed == {"r1"}
+    assert index == {}
+    release(index, r1)
+    [d] = match_jobs(index, [_job("j3")], reg, None)
+    assert d.resource_id == "r1"
 
 
 def test_no_match_reason_pipeline():
@@ -823,30 +831,18 @@ def _rescan_cycle(store, jobs, reg, env, now, claimed, choose):
     return decisions
 
 
-def _rank_each_ad(job, authorized, reg, env):
-    """Reference Rank argmax: one evaluation per ad, ties in UTF-8 byte order."""
-    rank_expr = job.lookup("Rank") or Literal(real(0.0))
-    best = best_key = None
-    for cand in authorized:
-        rank = evaluate(rank_expr, job, cand.ad, reg, env).as_real()
-        if rank is None:
-            continue
-        key = (-rank, cand.name.encode("utf-8"), cand.ad.ad_id.encode("utf-8"))
-        if best_key is None or key < best_key:
-            best, best_key = (cand.ad.ad_id, rank), key
-    return best
-
-
 def _chooser(kind, seed, ad_ids, seen=None, reference=False):
-    """A fresh chooser: the Rank argmax, or the simulator's two baselines.
+    """A fresh chooser: the reference Rank argmax, or the simulator's two
+    baselines.
 
     The pipeline's chooser is handed the authorized clusters' member lists;
-    it checks their shape and flattens them for the baselines. The
-    reference's is handed a flat list of ads. With `seen`, it also records
-    the ad ids it was offered, sorted, and the clusters each pick emptied.
+    it checks their shape and flattens them. The reference's is handed a
+    flat list of ads. With `seen`, it also records the ad ids it was
+    offered, sorted, and the clusters each pick emptied.
     """
     if kind == "rank":
-        inner = _rank_each_ad if reference else choose_by_rank
+        def inner(job, authorized, reg, env):
+            return rank_each_ad(job, [authorized], reg, env)
     else:
         rng = random.Random(seed)
         rotation, pointer = sorted(ad_ids), [0]
@@ -873,7 +869,7 @@ def _chooser(kind, seed, ad_ids, seen=None, reference=False):
                 ids = [s.ad.ad_id for s in members]
                 assert ids == sorted(ids)
             authorized = [s for members in offered for s in members]
-        pick = inner(job, offered if kind == "rank" else authorized, reg, env)
+        pick = inner(job, authorized, reg, env)
         if seen is not None:
             seen.append(sorted(s.ad.ad_id for s in authorized))
             if not reference and pick is not None:
@@ -881,6 +877,15 @@ def _chooser(kind, seed, ad_ids, seen=None, reference=False):
                                               for m in offered))
         return pick
     return choose
+
+
+def _unclaimed(store, now, claimed):
+    """A store of the ads of `store` visible at `now` and not in `claimed`."""
+    free = AdStore()
+    for s in store.snapshot(now):
+        if s.ad.ad_id not in claimed:
+            free.collect_ad(s.ad, s.gridmap, s.ttl_seconds, s.received_at)
+    return free
 
 
 def _twinned(rng, store):
@@ -943,20 +948,22 @@ def test_match_cycle_equals_the_rescanning_pipeline():
             shared += len({id(s.cluster) for s in visible}) < len(visible)
             unordered += _out_of_id_order(store)
             claimed = set(rng.sample(ad_ids, rng.randint(0, len(ad_ids))))
+            free = _unclaimed(store, now, claimed)
+            reg, env = rt["registry"], rt["env"]
             for kind in ("rank", "random", "round-robin"):
-                args = (store, jobs, rt["registry"], rt["env"], now, claimed)
                 offered, offered_ref = [], []
-                got = run_match_cycle(*args, choose=_chooser(kind, seed, ad_ids, offered))
-                assert got == _rescan_cycle(*args, _chooser(kind, seed, ad_ids, offered_ref,
-                                                            reference=True))
+                want = _rescan_cycle(store, jobs, reg, env, now, claimed,
+                                     _chooser(kind, seed, ad_ids, offered_ref, reference=True))
+                reached = list(match_jobs(free_index(free.snapshot(now)), jobs, reg, env,
+                                          _chooser(kind, seed, ad_ids, offered)))
+                assert reached == want[:len(reached)]
+                assert all(d.reason == "no-candidates" for d in want[len(reached):])
                 emptied += offered.count("emptied")
                 # every authorized ad, job by job
                 assert [o for o in offered if o != "emptied"] == offered_ref
-                index = free_index(store.snapshot(now), claimed)
-                reached = list(match_jobs(index, jobs, rt["registry"], rt["env"],
-                                          choose=_chooser(kind, seed, ad_ids)))
-                assert reached == got[:len(reached)]
                 exhausted += len(reached) < len(jobs)
+                if kind == "rank":  # and match_jobs' own Rank argmax
+                    assert run_match_cycle(free, jobs, reg, env, now) == want
     assert exhausted > 200  # the pool ran out before the jobs did
     assert shared > 400  # most worlds had clusters of more than one ad
     assert unordered > 100  # ... whose members arrived out of ad id order
@@ -1012,10 +1019,11 @@ def test_rank_evaluations_follow_clusters_and_self_reads_do_not_repeat(
 
     reg = FnRegistry().register("fun", 2, fun, reads=())
     offered = {}
+    real_rank_resources = matchmaker.rank_resources
 
-    def choose(job, authorized, reg, env):
-        offered[job.ad_id] = len(authorized)
-        return choose_by_rank(job, authorized, reg, env)
+    def rank_resources(job, clusters, reg, env):
+        offered[job.ad_id] = len(clusters)
+        return real_rank_resources(job, clusters, reg, env)
 
     self_reads = []
     real_evaluate = classads_ads.evaluate
@@ -1026,6 +1034,7 @@ def test_rank_evaluations_follow_clusters_and_self_reads_do_not_repeat(
         return real_evaluate(e, self_ad, other_ad, reg, env)
 
     monkeypatch.setattr(classads_ads, "evaluate", counting_evaluate)
+    monkeypatch.setattr(matchmaker, "rank_resources", rank_resources)
     extra = ('Requirements = OTHER.Architecture == "Linux" || OTHER.Architecture == "OSF1"\n'
              "Rank = fun(Dataset, OTHER.Station_ID)\n")
     jobs = [_job(f"j{i:03d}", extra=extra) for i in range(128)]
@@ -1034,7 +1043,7 @@ def test_rank_evaluations_follow_clusters_and_self_reads_do_not_repeat(
         del self_reads[:]
         store = _burst_like(clusters, slots)
         collecting = len(self_reads)  # the resources' Name and Station_ID
-        decisions = run_match_cycle(store, jobs, reg, None, choose=choose)
+        decisions = run_match_cycle(store, jobs, reg, None)
         assert all(d.matched for d in decisions)
         counts = collections.Counter(ranked)
         assert all(counts[job.ad_id] == offered[job.ad_id] for job in jobs)
@@ -1043,6 +1052,43 @@ def test_rank_evaluations_follow_clusters_and_self_reads_do_not_repeat(
         del ranked[:]
     # the first cycle reads each job's Owner once; later cycles read nothing
     assert reads_per_cycle == [len(jobs), 0, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ads=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([(ALICE,), (BOB,)])),
+                    min_size=1, max_size=12),
+       order=st.randoms(use_true_random=False),
+       steps=st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)), max_size=40))
+def test_claims_and_releases_keep_the_index_a_fresh_free_index(ads, order, steps):
+    # the index's one rule, however claims and releases interleave: it is
+    # what `free_index` builds from the ads still free, cluster for cluster
+    # (in any cluster order), members in ad id order, no cluster empty
+    ids = [f"r{n}" for n in range(len(ads))]  # "r10" sorts before "r2"
+    order.shuffle(ids)
+    store = AdStore()
+    for ad_id, (kind, gridmap) in zip(ids, ads):
+        store.collect_ad(_res(ad_id, f"N{kind}", f"s{kind}"), gridmap, 3600.0, 0.0)
+    stored = {s.ad.ad_id: s for s in store.snapshot(0.0)}
+    index = free_index(stored.values())
+    taken: list[str] = []
+    for claim, pick in steps:
+        free = sorted(set(stored) - set(taken))
+        if claim and free:
+            ad_id = free[pick % len(free)]
+            # some passing clusters, in any order, among them the ad's own
+            home = index[stored[ad_id].cluster]
+            offered = list(index.values())
+            order.shuffle(offered)
+            offered = [m for m in offered[:pick % len(offered)] if m is not home] + [home]
+            order.shuffle(offered)
+            matchmaker._claim(index, offered, ad_id)
+            taken.append(ad_id)
+        elif taken:
+            release(index, stored[taken.pop(pick % len(taken))])
+        want = free_index(s for ad_id, s in stored.items() if ad_id not in taken)
+        assert {c: [s.ad.ad_id for s in m] for c, m in index.items()} == \
+            {c: [s.ad.ad_id for s in m] for c, m in want.items()}
+        assert all(index.values())
 
 
 def test_match_jobs_stops_pulling_jobs_once_every_ad_is_claimed():
@@ -1067,7 +1113,7 @@ def test_match_jobs_stops_pulling_jobs_once_every_ad_is_claimed():
     # expiry case comes last: a snapshot past the ttl empties the store)
     for now, claimed in ((0.0, {"r1", "r2"}), (1e9, ())):
         jobs = feed()
-        index = free_index(store.snapshot(now), claimed)
+        index = free_index(s for s in store.snapshot(now) if s.ad.ad_id not in claimed)
         assert list(match_jobs(index, jobs, reg, None)) == []
         assert next(jobs).ad_id == "outsider"
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+import opcount  # noqa: E402
 from opcount import by_function, by_module, count_opcodes, main  # noqa: E402
 
 
@@ -44,3 +45,29 @@ def test_it_counts_the_seed_1_burst_run_of_this_tree(capsys):
     assert len(run["by_function"]) == 5
     assert sum(run["by_module"].values()) == run["opcodes"] > 100_000
     assert "vogrid.sim" in run["by_module"]
+
+
+def test_it_counts_one_match_request_per_wire_template(capsys):
+    assert main(["--workload", "grid-wire"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["workloads"]) == ["grid-wire"]
+    run = doc["workloads"]["grid-wire"]["MATCH_REQUEST"]
+    assert run["requests"] == 128  # the seed-1 wire grid's job templates
+    assert sum(run["by_module"].values()) == run["opcodes"] == 128 * run["opcodes_per_request"]
+    # served in-process on the matchmaker's path, ranked by the stations
+    for function in ("vogrid.matchmaker:MatchmakerService._match_request",
+                     "vogrid.matchmaker:run_match_cycle",
+                     "vogrid.station:get_preference"):
+        assert run["by_function"][function] > 0
+
+
+def test_each_counted_match_request_is_answered_with_a_match():
+    # a count of error replies would measure nothing of the match pass
+    scenarios = opcount._load_scenarios(Path(opcount.__file__).resolve().parents[1])
+    serve, requests = opcount._match_requests(scenarios, "wire")
+    replies = serve(requests)
+    assert len(replies) == len(requests) == 128
+    for reply, msg in zip(replies, requests):
+        [decision] = reply["result"]["decisions"]
+        assert decision["job_id"] == msg["jobs"][0]["id"]
+        assert decision["outcome"] == "matched"

@@ -31,7 +31,7 @@ from vogrid.sim import (
 from vogrid.station import DatasetCatalog, station_from_config
 
 from conftest import fixture_path
-from worldgen import make_world
+from worldgen import make_world, rank_each_ad
 
 ALICE = "/C=US/O=demo/CN=alice"
 
@@ -611,7 +611,8 @@ class _EveryBatchWorld(GridWorld):
     Each cycle builds its own free index from the slots, by each ad's own
     expiry and the slots of the queue's Matched, Staging and Running jobs,
     so its cycles read neither the heap, the live index nor the single-TTL
-    shortcut of `GridWorld`."""
+    shortcut of `GridWorld`. Data-aware cycles rank with the reference Rank
+    argmax (`worldgen.rank_each_ad`), once per slot and with no rank table."""
 
     def _busy(self) -> set[str]:
         return {r.matched_resource() for r in self.queue.jobs.values()
@@ -624,11 +625,11 @@ class _EveryBatchWorld(GridWorld):
             return 0
         self._query.start_cycle(self.stations)
         busy_at_start = self._busy()
-        choose = (sim.choose_by_rank if self.policy == "data-aware"
-                  else self._choose_baseline)
-        visible = [s for s in self.slots.values()
-                   if s.received_at + s.ttl_seconds > self.clock]
-        decisions = sim.match_jobs(sim.free_index(visible, busy_at_start),
+        choose = rank_each_ad if self.policy == "data-aware" else self._choose_baseline
+        free = [s for s in self.slots.values()
+                if s.received_at + s.ttl_seconds > self.clock
+                and s.ad.ad_id not in busy_at_start]
+        decisions = sim.match_jobs(sim.free_index(free),
                                    (r.ad for r in idle), self.registry,
                                    self._env, choose=choose)
         matched = 0
@@ -914,8 +915,6 @@ def test_freed_slots_rejoin_their_cluster_in_ad_id_order(policy, monkeypatch):
             record(clusters)
             return super()._choose_baseline(job, clusters, reg, env)
 
-    # the Rank argmax gets every passing cluster on either path of match_jobs;
-    # the chooser itself stays choose_by_rank, so data-aware runs keep theirs
     def argmax(clusters, ranks, argmax=matchmaker._argmax):
         record(clusters)
         return argmax(clusters, ranks)

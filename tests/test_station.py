@@ -70,6 +70,18 @@ def test_catalog_file_sizes_are_whole_numbers_a_float_holds(size):
         DatasetCatalog({"d": [("f", size, "A")]})
 
 
+@pytest.mark.parametrize("entry", [(7, 10, "A"), (None, 10, "A"), (["f"], 10, "A"),
+                                   ("f", 10, ["not", "a", "site"]), ("f", 10, 7),
+                                   ("f", 10, None)],
+                         ids=["name-number", "name-null", "name-list", "source-list",
+                              "source-number", "source-null"])
+def test_catalog_file_names_and_sources_are_text(entry):
+    # a list source once ended a random-policy run in a TypeError, and a
+    # number as name was cached into a station state that refuses it
+    with pytest.raises(ValueError, match=r"dataset 'd': file .* must be text"):
+        DatasetCatalog({"d": [("g", 10, "A"), entry]})
+
+
 def test_catalog_files_cannot_be_changed_by_a_caller():
     files = CATALOG.files("minbias")
     assert isinstance(files, tuple) and files is CATALOG.files("minbias")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from vogrid.classads import AdKind, ClassAd, parse_expr
+from vogrid.classads import AdKind, ClassAd, Literal, evaluate, parse_expr, real
 from vogrid.conftree import derive_service_config, write_tree
 from vogrid.matchmaker import AdStore, standard_registry
 from vogrid.advertise import generate_classads, select_patterns
@@ -164,6 +164,22 @@ def _oracle_score(site: dict, files: list[tuple], output_bytes: int | None):
             return None
         output += out_bytes / links[site["output_destination"]]
     return -(transfer + wait + output)
+
+
+def rank_each_ad(job, clusters, reg, env):
+    """Reference Rank argmax, a `match_jobs` chooser: the job's Rank
+    evaluated on every ad of the offered member lists, the highest finite
+    rank winning, ties by Name, then ad id, in UTF-8 byte order."""
+    rank_expr = job.lookup("Rank") or Literal(real(0.0))
+    best = best_key = None
+    for cand in (s for members in clusters for s in members):
+        rank = evaluate(rank_expr, job, cand.ad, reg, env).as_real()
+        if rank is None:
+            continue
+        key = (-rank, cand.name.encode("utf-8"), cand.ad.ad_id.encode("utf-8"))
+        if best_key is None or key < best_key:
+            best, best_key = (cand.ad.ad_id, rank), key
+    return best
 
 
 def oracle_decisions(world: dict) -> list[dict]:

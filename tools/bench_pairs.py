@@ -16,8 +16,9 @@ better: change / parent for a metric where higher is better, parent /
 change where lower is. Both sides' medians drift from one session to the
 next on a shared machine, while the two runs of one pair drift together,
 so the median ratio holds steadier than either side's median. The file also
-holds each tree's opcode counts for the simulator workloads among them
-(`tools/opcount.py`, run once per tree: a count is the same on every run),
+holds each tree's opcode counts for the workloads among them that
+`tools/opcount.py` counts, the simulator runs and grid-wire's one-job
+MATCH_REQUEST (run once per tree: a count is the same on every run),
 so that a claim can cite the work done beside the time taken, and each
 tree's `src/vogrid` code lines, in total and by file (`tools/code_lines.py`),
 so that it can cite the code it took. Uses only the standard library.
@@ -36,7 +37,7 @@ import sys
 from pathlib import Path
 
 from code_lines import count_files
-from opcount import WORKLOADS as SIM_WORKLOADS  # the workloads it counts
+from opcount import WORKLOADS as COUNTED  # the workloads it counts
 
 SIDES = ("parent", "change")
 OPCOUNT = Path(__file__).resolve().with_name("opcount.py")
@@ -73,10 +74,10 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 def tree_opcodes(tree: Path, workloads: list[str], top: int = 25) -> dict:
-    """`tools/opcount.py`'s counts of `tree` for the simulator workloads
-    among `workloads`, with the `top` largest functions of each run; {} when
-    there are none, and the error output when the count fails."""
-    wanted = [w for w in SIM_WORKLOADS if w in workloads]
+    """`tools/opcount.py`'s counts of `tree` for the workloads among
+    `workloads` that it counts, with the `top` largest functions of each
+    run; {} when there are none, and the error output when the count fails."""
+    wanted = [w for w in COUNTED if w in workloads]
     if not wanted:
         return {}
     proc = subprocess.run(

@@ -1,15 +1,21 @@
-"""Count the Python opcodes one simulator run executes, by function.
+"""Count the Python opcodes one simulator run, or one MATCH_REQUEST,
+executes, by function.
 
     python tools/opcount.py [--tree TREE] [--workload sim-burst] [--top 20]
 
 For each simulator workload of the benchmark it loads the workload's seed-1
 scenario from TREE (the source tree to measure, by default the one holding
-this file: `TREE/src` and `TREE/bench/scenarios.py`), runs each of the
-workload's policies once warm, then once counted, and prints one JSON
-object: per workload and policy, the opcodes of the counted run in total,
-by module and by function (`module:qualified name`). `--top` keeps only the
-largest functions. Uses only the standard library (`sys.settrace` with
-`f_trace_opcodes`).
+this file: `TREE/src` and `TREE/bench/scenarios.py`) and runs each of the
+workload's policies. For `grid-wire` it counts the matchmaker's service
+path in-process: a `MatchmakerService` holding the slots of the seed-1
+wire grid, whose station query asks `station.get_preference` of the grid's
+station fixtures, serves one one-job MATCH_REQUEST per job template, as
+the workload sends them. Each run is made once warm, then once counted, and
+it prints one JSON object: per workload and run, the opcodes of the
+counted run in total, by module and by function (`module:qualified
+name`), and for `grid-wire` the requests served and the opcodes per
+request. `--top` keeps only the largest functions. Uses only the standard
+library (`sys.settrace` with `f_trace_opcodes`).
 
 A count is exact: the same tree and interpreter give the same count on
 every run, whatever else the machine is doing, so it can tell two trees
@@ -41,12 +47,15 @@ import platform
 import sys
 from pathlib import Path
 
-# workload -> (scenario shape, policies), as bench/run.py runs them
+# workload -> (grid shape, runs): the simulator's policies, as bench/run.py
+# runs them, or the one MATCH_REQUEST of each round of grid-wire
 WORKLOADS = {
     "sim-burst": ("burst", ("data-aware",)),
     "sim-backlog": ("backlog", ("data-aware", "random", "round-robin")),
+    "grid-wire": ("wire", ("MATCH_REQUEST",)),
 }
 SEED = 1  # the workload seed, and the run_scenario seed
+AD_TTL = 10.0 ** 6  # grid-wire's advertised TTL
 
 
 def count_opcodes(fn, *args) -> tuple[object, dict]:
@@ -100,6 +109,53 @@ def _load_scenarios(tree: Path):
     return module
 
 
+def _sim_runs(scenarios, shape: str, policies) -> dict:
+    """Each policy's seed-1 run of the shape's scenario, as (fn, args)."""
+    from vogrid import sim
+    scenario = sim.load_scenario(scenarios.scenario_doc(scenarios.make_grid(SEED, shape)))
+    return {policy: (sim.run_scenario, (scenario, policy, SEED)) for policy in policies}
+
+
+def _match_requests(scenarios, shape: str) -> tuple:
+    """A function serving MATCH_REQUESTs in-process, and one one-job
+    MATCH_REQUEST per job template of the seed-1 grid, as grid-wire sends
+    them."""
+    from vogrid import advertise, matchmaker, station
+    from vogrid.classads import ad_to_json
+    from vogrid.conftree import derive_service_config
+
+    grid = scenarios.make_grid(SEED, shape)
+    catalog = station.DatasetCatalog(grid["catalog"])
+    stations = {}
+    for spec in grid["sites"]:
+        for node in derive_service_config(scenarios.site_config(spec), "station").children:
+            st = station.station_from_config(node, scenarios.station_fixture(spec))
+            stations[st.station_id] = st
+
+    def query(dataset, station_id, output_bytes):
+        return station.get_preference(catalog, stations[station_id], dataset,
+                                      output_bytes).score
+
+    service = matchmaker.MatchmakerService(query, clock=lambda: 0.0)
+    for spec in grid["sites"]:
+        config = scenarios.site_config(spec)
+        for ad in advertise.generate_classads(advertise.select_patterns(config)):
+            reply = service.handle_message({"type": "ADVERTISE", "id": 0,
+                                            "ad": ad_to_json(ad),
+                                            "gridmap": spec["gridmap"], "ttl": AD_TTL})
+            if "error" in reply:
+                raise SystemExit(f"opcount: ADVERTISE refused: {reply['error']}")
+    requests = [{"type": "MATCH_REQUEST", "id": n, "jobs": [{
+        "id": job["id"], "kind": "job",
+        "attrs": dict(scenarios.job_attrs(job, with_run_seconds=False),
+                      Rank="fun(Dataset, OTHER.Station_ID)")}]}
+        for n, job in enumerate(grid["jobs"])]
+
+    def serve(requests):
+        return [service.handle_message(msg) for msg in requests]
+    return serve, requests
+
+
 def measure(tree: Path, workloads: list[str], top: int | None = None) -> dict:
     """The counts of `tree`'s seed-1 runs of each of `workloads`."""
     if str(tree / "src") not in sys.path:
@@ -111,21 +167,29 @@ def measure(tree: Path, workloads: list[str], top: int | None = None) -> dict:
     scenarios = _load_scenarios(tree)
     out: dict = {}
     for workload in workloads:
-        shape, policies = WORKLOADS[workload]
-        scenario = sim.load_scenario(scenarios.scenario_doc(scenarios.make_grid(SEED, shape)))
-        for policy in policies:
-            warm = sim.run_scenario(scenario, policy, SEED)
-            counted, counts = count_opcodes(sim.run_scenario, scenario, policy, SEED)
+        shape, names = WORKLOADS[workload]
+        requests = None
+        if workload == "grid-wire":
+            serve, requests = _match_requests(scenarios, shape)
+            runs = {names[0]: (serve, (requests,))}
+        else:
+            runs = _sim_runs(scenarios, shape, names)
+        for run, (fn, args) in runs.items():
+            warm = fn(*args)
+            counted, counts = count_opcodes(fn, *args)
             if counted != warm:
-                raise SystemExit(f"opcount: {workload} {policy}: the counted run differs")
+                raise SystemExit(f"opcount: {workload} {run}: the counted run differs")
             modules = {m.__file__: name for name, m in list(sys.modules.items())
                        if getattr(m, "__file__", None)}
             functions = by_function(counts, modules)
-            out.setdefault(workload, {})[policy] = {
+            entry = out.setdefault(workload, {})[run] = {
                 "opcodes": sum(functions.values()),
                 "by_module": by_module(functions),
                 "by_function": dict(list(functions.items())[:top]),
             }
+            if requests is not None:
+                entry["requests"] = len(requests)
+                entry["opcodes_per_request"] = entry["opcodes"] / len(requests)
     return out
 
 
@@ -134,7 +198,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1],
                         help="the source tree to measure")
     parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="a workload to count (default: every simulator workload)")
+                        help="a workload to count (default: every one)")
     parser.add_argument("--top", type=int, default=None,
                         help="keep only this many functions per run, the largest")
     args = parser.parse_args(argv)
