@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
-from enum import Enum
+from enum import StrEnum
 from typing import Iterator, Optional
 
 from . import values
@@ -20,13 +20,16 @@ from .parser import ParseError, parse_expr
 from .registry import EMPTY_REGISTRY, FnRegistry
 
 
-class AdKind(Enum):
+class AdKind(StrEnum):
+    """An ad's kind, which is its own wire name (`ad_to_json`), and reads as
+    that name in a message too: a refusal quotes a kind the same whether it
+    came off the wire or from `ad_to_json`. A kind hashes as its name, salted
+    per process, so no set of kinds may be iterated."""
+
     JOB = "job"
     RESOURCE = "resource"
 
-    # members are singletons, so identity hashing is exact and skips enum's
-    # Python-level __hash__; no set of kinds may be iterated (order varies)
-    __hash__ = object.__hash__
+    __repr__ = str.__repr__
 
 
 # read once here: reading an enum member looks it up on its class each time
@@ -190,7 +193,7 @@ class ClassAd:
                 and self.ad_id == other.ad_id and self._attrs == other._attrs)
 
     def __repr__(self) -> str:
-        return f"ClassAd({self.kind.value} {self.ad_id!r}, {len(self._attrs)} attrs)"
+        return f"ClassAd({self.kind} {self.ad_id!r}, {len(self._attrs)} attrs)"
 
 
 def parse_classad(text: str, kind: AdKind, ad_id: str = "") -> ClassAd:
@@ -215,7 +218,7 @@ def parse_classad(text: str, kind: AdKind, ad_id: str = "") -> ClassAd:
 def ad_to_json(ad: ClassAd) -> dict:
     return {
         "id": ad.ad_id,
-        "kind": ad.kind.value,
+        "kind": ad.kind,
         "attrs": {name: format_expr(expr) for name, expr in ad.items()},
     }
 
@@ -224,8 +227,8 @@ def of_kind(obj: dict, kind: AdKind) -> dict:
     """`obj`, an ad in its JSON form, if its kind is `kind`: a ValueError
     naming the kind it has otherwise. A service calls it on each ad a request
     carries."""
-    if obj["kind"] != kind.value:
-        raise ValueError(f"ad kind must be {kind.value!r}, not {obj['kind']!r}")
+    if obj["kind"] != kind:
+        raise ValueError(f"ad kind must be {kind!r}, not {obj['kind']!r}")
     return obj
 
 

@@ -13,7 +13,11 @@ matchmaker.
 A file that an option names and that cannot be read or written, or does not
 hold what the option wants, is a usage error (exit 2) naming the file
 (`_option_file`), as is a HOST:PORT whose port is not one `wire.is_port`
-takes, and a --port that is neither 0 nor such a port. A server that cannot
+takes, and a --port that is neither 0 nor such a port. A site configuration
+that a command cannot build its service from is such a file: a station's
+--config whose stations cannot be derived, an advertiser's --config whose
+slots cannot be advertised, and a scenario whose embedded site configs fail
+either way (`sim.Scenario.grid`). A server that cannot
 listen on its port exits 1 with one line.
 """
 
@@ -133,12 +137,14 @@ def _serve(handler, port: int, auth: str | None):
 
 def _load_station(args):
     """The station named --station in --config, with --fixture's state. A
-    station element that does not parse is the config's fault, and so is a
-    state it builds alone; a state built with a fixture is the fixture's."""
-    from .conftree import derive_service_config
+    config whose stations cannot be derived, or whose station element does
+    not parse, is the config's fault, and so is a state it builds alone; a
+    state built with a fixture is the fixture's."""
+    from .conftree import MissingSection, UnsupportedSchemaVersion, derive_service_config
     from .station import config_fields, station_from_config
     site = _xml_tree(args.config)
-    stations = derive_service_config(site, "station")
+    stations = _option_file(args.config, lambda path: derive_service_config(site, "station"),
+                            UnsupportedSchemaVersion, MissingSection)
     for node in stations.children:
         if node.attributes.get("name") == args.station:
             _option_file(args.config, lambda path: config_fields(node))

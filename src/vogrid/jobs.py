@@ -10,12 +10,20 @@ objects, as it always was. Stamps are logical and only need to be
 monotone: the queue hands out sequence numbers, the simulator passes its
 own clock. A queue hands its journal sink one record per call and replays
 a record by making that call again; a refused call takes no stamp.
+
+A state is its own wire name: `JobState` is a `StrEnum`, so a STATUS reply,
+a journal record and a report hold the member itself, and `JobState(name)`
+gives the member of a name. This module's names `SUBMITTED` ... `HELD` are
+the hot-path spelling: a read through the class takes the enum metaclass's
+slow attribute path (its `__getattr__` hook) every time. A state hashes as
+its name, and str hashes are salted per process, so no set of states may
+be iterated (its order varies from run to run).
 """
 
 from __future__ import annotations
 
 import json
-from enum import Enum
+from enum import StrEnum
 from typing import Callable
 
 from . import wire
@@ -23,7 +31,7 @@ from .classads import ClassAd, ad_from_json, ad_to_json
 from .classads import evaluate  # noqa: F401  bench/run.py wraps jobs.evaluate by name
 
 
-class JobState(Enum):
+class JobState(StrEnum):
     SUBMITTED = "Submitted"
     IDLE = "Idle"
     MATCHED = "Matched"
@@ -32,21 +40,12 @@ class JobState(Enum):
     DONE = "Done"
     HELD = "Held"
 
-    # members are singletons, so identity hashing is exact and skips enum's
-    # Python-level __hash__; no set of states may be iterated (order varies)
-    __hash__ = object.__hash__
 
+SUBMITTED, IDLE, MATCHED, STAGING, RUNNING, DONE, HELD = JobState
 
 # the one successor of each state
-_NEXT = {
-    JobState.SUBMITTED: JobState.IDLE,
-    JobState.IDLE: JobState.MATCHED,
-    JobState.MATCHED: JobState.STAGING,
-    JobState.STAGING: JobState.RUNNING,
-    JobState.RUNNING: JobState.DONE,
-    JobState.DONE: None,
-    JobState.HELD: JobState.IDLE,
-}
+_NEXT = {SUBMITTED: IDLE, IDLE: MATCHED, MATCHED: STAGING, STAGING: RUNNING,
+         RUNNING: DONE, DONE: None, HELD: IDLE}
 
 
 class RejectedAd(Exception):
@@ -84,35 +83,27 @@ def run_seconds(ad: ClassAd) -> float:
 
 
 class JobRecord:
+    """A stored job: its ad and its history, a list of (state, stamp, detail)
+    triples, oldest first. `JobQueue` makes each one with its first two."""
+
     __slots__ = ("job_id", "ad", "history")
 
-    def __init__(self, job_id: int, ad: ClassAd):
+    def __init__(self, job_id: int, ad: ClassAd, history: list[tuple]):
         self.job_id = job_id
         self.ad = ad
-        # (state, stamp, detail) triples, oldest first
-        self.history: list[tuple[JobState, float, str | None]] = []
+        self.history = history
 
     @property
-    def state(self) -> JobState | None:
-        return self.history[-1][0] if self.history else None
-
-    @property
-    def detail(self) -> str | None:
-        return self.history[-1][2] if self.history else None
-
-    def matched_resource(self) -> str | None:
-        for state, _, detail in reversed(self.history):
-            if state is JobState.MATCHED:
-                return detail
-        return None
+    def state(self) -> JobState:
+        return self.history[-1][0]
 
     def status_json(self) -> dict:
-        state, _, detail = self.history[-1] if self.history else (None, None, None)
+        state, _, detail = self.history[-1]
         return {
             "job_id": self.job_id,
-            "state": state.value if state else None,
+            "state": state,
             "detail": detail,
-            "history": [{"state": s.value, "stamp": stamp, "detail": d}
+            "history": [{"state": s, "stamp": stamp, "detail": d}
                         for s, stamp, d in self.history],
         }
 
@@ -178,12 +169,12 @@ class JobQueue:
                     shared.journal_form = form
             self.journal_sink({"event": "submit", "job_id": job_id, "ad": form})
         self._next_id += 1
-        job = self.jobs[job_id] = JobRecord(job_id, ad)
         first = last = stamp
         if stamp is None:
             first, last = self._seq + 1, self._seq + 2
             self._seq = last
-        job.history += ((JobState.SUBMITTED, first, None), (JobState.IDLE, last, None))
+        job = self.jobs[job_id] = JobRecord(
+            job_id, ad, [(SUBMITTED, first, None), (IDLE, last, None)])
         return job
 
     def submit_json(self, obj: dict) -> JobRecord:
@@ -209,14 +200,13 @@ class JobQueue:
         if job is None:
             raise UnknownJob(f"no job {job_id}")
         cur, last, _ = job.history[-1]
-        if state is not _NEXT[cur] and (state is not JobState.HELD
-                                        or cur in (JobState.HELD, JobState.DONE)):
-            raise IllegalJobTransition(f"job {job_id}: {cur.value} -> {state.value}")
+        if state is not _NEXT[cur] and (state is not HELD or cur is HELD or cur is DONE):
+            raise IllegalJobTransition(f"job {job_id}: {cur} -> {state}")
         at = self._seq + 1 if stamp is None else stamp
         if at < last:
             raise IllegalJobTransition(f"job {job_id}: stamp {at} goes backwards")
         if self.journal_sink is not None:
-            self.journal_sink({"event": "state", "job_id": job.job_id, "state": state.value,
+            self.journal_sink({"event": "state", "job_id": job.job_id, "state": state,
                                "stamp": at, "detail": detail})
         if stamp is None:
             self._seq = at
@@ -225,9 +215,9 @@ class JobQueue:
 
     def release(self, job_id: int) -> JobRecord:
         job = self.get(job_id)
-        if job.state is not JobState.HELD:
+        if job.state is not HELD:
             raise IllegalJobTransition(f"job {job_id} is not held")
-        return self.transition(job_id, JobState.IDLE)
+        return self.transition(job_id, IDLE)
 
     def get(self, job_id: int) -> JobRecord:
         if job_id not in self.jobs:
@@ -256,7 +246,7 @@ class JobQueue:
             got, want = self.submit_json(record["ad"]).job_id, job_id
         else:
             name, want, detail = record["state"], record["stamp"], record["detail"]
-            if type(name) is not str:
+            if not isinstance(name, str):  # a record built in-process holds the member
                 raise ValueError(f"state {name!r} is not a state name")
             state = JobState(name)  # ValueError if no state has the name
             if not wire.is_number(want):

@@ -15,6 +15,8 @@ module's alone: a claim (`_claim`) takes its ad out of the index, so each
 ad is claimed once and is invisible to later jobs in the same cycle, and
 `release` puts a claimed ad back. Authorization is judged on the record's
 gridmap, never on the live store, which an ADVERTISE may change mid-cycle.
+`match_jobs` reads a job's Owner once per pass and hands it down to each
+pre-authorization (`preauthorize`), one per resource cluster judged.
 `match_jobs` runs the pipeline lazily and stops as soon as no ad is free,
 so a cycle over a long backlog pulls no job after the one that took the
 last free ad;
@@ -202,10 +204,10 @@ class AdStore:
             return live
 
 
-def preauthorize(job: ClassAd, stored: StoredAd) -> bool:
-    """True iff the job Owner's grid subject is in the stored ad's gridmap;
-    a job whose Owner is not text is authorized nowhere (`match_jobs` logs it)."""
-    owner = job.self_text("Owner")
+def preauthorize(owner: str | None, stored: StoredAd) -> bool:
+    """True iff `owner`, the job's Owner as `match_jobs` read it, is a grid
+    subject in the stored ad's gridmap; a job whose Owner is not text (None)
+    is authorized nowhere."""
     return owner is not None and owner in stored.gridmap
 
 
@@ -422,16 +424,17 @@ class Verdicts:
         # `_size` clusters
         self._size, self._judged = len(index), {}
 
-    def judge(self, job: ClassAd, env: dict | None) -> list[list[StoredAd]] | str:
-        """`_judge`'s answer for the job, judged once per group while the
-        index keeps its clusters."""
+    def judge(self, job: ClassAd, owner: str | None,
+              env: dict | None) -> list[list[StoredAd]] | str:
+        """`_judge`'s answer for the job, whose Owner is `owner`, judged once
+        per group while the index keeps its clusters."""
         group = job.autocluster(_VERDICT_READS, self._others, self._reg)
         if len(self._index) != self._size:  # a cluster left: judge afresh
             self._size, self._judged = len(self._index), {}
         judged = self._judged.get(group)
         if judged is None:
             row = (self._fresh if group.calls else self._kept).setdefault(group, {})
-            judged = self._judged[group] = _judge(job, self._index, row, self._reg, env)
+            judged = self._judged[group] = _judge(job, owner, self._index, row, self._reg, env)
         return judged
 
     def rank_row(self, job: ClassAd) -> dict:
@@ -468,11 +471,11 @@ def _ranks(row: dict | None, job: ClassAd, clusters: list[list[StoredAd]],
     return [row[members[0].cluster] for members in clusters]
 
 
-def _judge(job: ClassAd, index: FreeIndex, row: dict, reg: FnRegistry,
-           env: dict | None) -> list[list[StoredAd]] | str:
-    """The member lists of the free clusters that the job may use and whose
-    Requirements pass, or, if there are none, the reason:
-    unauthorized-everywhere if a refused cluster passes, else
+def _judge(job: ClassAd, owner: str | None, index: FreeIndex, row: dict,
+           reg: FnRegistry, env: dict | None) -> list[list[StoredAd]] | str:
+    """The member lists of the free clusters that the job, whose Owner is
+    `owner`, may use and whose Requirements pass, or, if there are none,
+    the reason: unauthorized-everywhere if a refused cluster passes, else
     no-candidates. Reads and fills `row`, the job's verdict row
     (`Verdicts`), so each verdict missing from it is judged once."""
     passing, refused = [], []
@@ -480,7 +483,7 @@ def _judge(job: ClassAd, index: FreeIndex, row: dict, reg: FnRegistry,
         first = members[0]
         verdict = row.get(first.cluster)
         if verdict is None:
-            verdict = row[first.cluster] = [preauthorize(job, first), None]
+            verdict = row[first.cluster] = [preauthorize(owner, first), None]
             if verdict[0]:
                 verdict[1] = symmetric_match(job, first.ad, reg, env)
         if not verdict[0]:
@@ -531,10 +534,11 @@ def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
     if not index:
         return
     for job in jobs:
-        if job.self_text("Owner") is None:
+        owner = job.self_text("Owner")
+        if owner is None:
             log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
-        passing = (_judge(job, index, {}, reg, env) if verdicts is None
-                   else verdicts.judge(job, env))
+        passing = (_judge(job, owner, index, {}, reg, env) if verdicts is None
+                   else verdicts.judge(job, owner, env))
         if isinstance(passing, str):
             yield MatchDecision.no_match(job.ad_id, passing)
             continue

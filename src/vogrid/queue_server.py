@@ -108,7 +108,7 @@ class QueueService:
             raise wire.RequestError("rejected-ad", str(exc)) from None
         except Exception as exc:
             raise wire.RequestError("malformed", str(exc)) from None
-        return {"job_id": job.job_id, "state": job.state.value}
+        return {"job_id": job.job_id, "state": job.state}
 
     def _job_request(self, msg: dict, action) -> dict:
         """STATUS and RELEASE: apply the action to the named job, reply its status."""
@@ -123,6 +123,6 @@ class QueueService:
             raise wire.RequestError("illegal-transition", str(exc)) from None
 
     def _list(self, msg: dict) -> dict:
-        return {"jobs": [{"job_id": j.job_id, "state": j.state.value}
+        return {"jobs": [{"job_id": j.job_id, "state": j.state}
                          for j in self.queue.jobs.values()]}
 

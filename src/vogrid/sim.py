@@ -100,11 +100,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import wire
-from .advertise import generate_classads, select_patterns
-from .classads import ClassAd, parse_expr
-from .classads.ads import AdKind
-from .conftree import TreeNode, derive_service_config, read_tree
-from .jobs import JobQueue, JobState, output_bytes, run_seconds, validate_job_ad
+from .advertise import MissingAttribute, generate_classads, select_patterns
+from .classads import AdKind, ClassAd, parse_expr
+from .conftree import (MissingSection, TreeNode, UnsupportedSchemaVersion,
+                       derive_service_config, read_tree)
+from .jobs import (DONE, HELD, MATCHED, RUNNING, STAGING, SUBMITTED, JobQueue,
+                   output_bytes, run_seconds, validate_job_ad)
 from .matchmaker import (
     AdStore,
     FreeIndex,
@@ -138,11 +139,6 @@ EVENT_CAP = 10 ** 6
 
 DEFAULT_TTL = 10.0 ** 9
 
-# read once: an enum member read through its class is slow in CPython 3.11
-_SUBMITTED, _MATCHED, _STAGING, _RUNNING, _DONE, _HELD = (
-    JobState.SUBMITTED, JobState.MATCHED, JobState.STAGING, JobState.RUNNING,
-    JobState.DONE, JobState.HELD)
-
 
 class ScenarioParseError(Exception):
     pass
@@ -171,13 +167,20 @@ class Scenario:
     def grid(self) -> tuple[dict[str, StationState], dict[str, StoredAd]]:
         """The stations by id and the slot records by ad id, derived and
         collected the first time a run is built. Every run shares them and
-        changes neither; a grid that fails to build is not kept, so every
-        run raises its ScenarioParseError."""
+        changes neither. A grid that fails to build, as one does from a site
+        configuration whose stations cannot be derived or whose slots cannot
+        be advertised, is not kept, so every run raises its
+        ScenarioParseError."""
         stations: dict[str, StationState] = {}
         slots: dict[str, StoredAd] = {}
         store = AdStore()  # gives equal slot ads one resource cluster
         for site in self.sites:
-            for node in derive_service_config(site.config, "station").children:
+            try:
+                derived = derive_service_config(site.config, "station")
+                ads = generate_classads(select_patterns(site.config))
+            except (UnsupportedSchemaVersion, MissingSection, MissingAttribute) as exc:
+                raise ScenarioParseError(f"bad site configuration: {exc}") from exc
+            for node in derived.children:
                 try:
                     st = station_from_config(
                         node, site.station_fixtures.get(node.attributes["name"]))
@@ -187,7 +190,7 @@ class Scenario:
                     raise ScenarioParseError(
                         f"station {st.station_id!r} defined twice")
                 stations[st.station_id] = st
-            for ad in generate_classads(select_patterns(site.config)):
+            for ad in ads:
                 if ad.ad_id in slots:
                     raise ScenarioParseError(f"slot {ad.ad_id!r} defined twice")
                 slots[ad.ad_id] = store.collect_ad(ad, site.gridmap, self.ttl, now=0.0)
@@ -446,7 +449,7 @@ class GridWorld:
                 self._hold(record, "no-candidates")
 
     def _hold(self, record, reason: str):
-        self.queue.transition(record.job_id, _HELD, stamp=self.clock, detail=reason)
+        self.queue.transition(record.job_id, HELD, stamp=self.clock, detail=reason)
         del self._idle[record.job_id]
         self.event_log.append({"t": self.clock, "event": "held", "job": record.ad.ad_id,
                                "reason": reason})
@@ -456,8 +459,8 @@ class GridWorld:
         dataset = record.ad.self_text("Dataset")
         # the same query the data-aware Rank made, so staging == -rank
         staging = -self._query(dataset, slot.station_id, output_bytes(record.ad))
-        self.queue.transition(record.job_id, _MATCHED, stamp=self.clock, detail=slot.ad.ad_id)
-        self.queue.transition(record.job_id, _STAGING, stamp=self.clock)
+        self.queue.transition(record.job_id, MATCHED, stamp=self.clock, detail=slot.ad.ad_id)
+        self.queue.transition(record.job_id, STAGING, stamp=self.clock)
         del self._idle[record.job_id]
         missing = shortfall(self.catalog, self._query.snapshot[slot.station_id],
                             dataset).missing
@@ -472,12 +475,12 @@ class GridWorld:
     def _finish_staging(self, record, slot: StoredAd, files: list[str]):
         self.stations[slot.station_id] = apply_event(
             self.stations[slot.station_id], 0, len(files), files)
-        self.queue.transition(record.job_id, _RUNNING, stamp=self.clock)
+        self.queue.transition(record.job_id, RUNNING, stamp=self.clock)
         self.event_log.append({"t": self.clock, "event": "running", "job": record.ad.ad_id})
         self._push(self.clock + run_seconds(record.ad), self._finish_run, record, slot)
 
     def _finish_run(self, record, slot: StoredAd):
-        self.queue.transition(record.job_id, _DONE, stamp=self.clock)
+        self.queue.transition(record.job_id, DONE, stamp=self.clock)
         release(self._free, slot)
         self.event_log.append({"t": self.clock, "event": "done", "job": record.ad.ad_id,
                                "resource": slot.ad.ad_id})
@@ -531,25 +534,25 @@ class GridWorld:
             for state, stamp, detail in job.history:
                 if state not in stamps:
                     stamps[state] = stamp
-                if state is _MATCHED:
+                if state is MATCHED:
                     resource = detail
             # the loop leaves the last entry's state and detail behind
             staging = running = total = None
-            done = stamps.get(_DONE)
-            start = stamps.get(_RUNNING)
+            done = stamps.get(DONE)
+            start = stamps.get(RUNNING)
             if start is not None:
-                staged = stamps.get(_STAGING)
+                staged = stamps.get(STAGING)
                 if staged is not None:
                     staging = start - staged
                     staging_times.append(staging)
                 if done is not None:
                     running = done - start
             if done is not None:
-                total = done - stamps[_SUBMITTED]
-            jobs.append({"job": job.ad.ad_id, "state": state.value, "resource": resource,
+                total = done - stamps[SUBMITTED]
+            jobs.append({"job": job.ad.ad_id, "state": state, "resource": resource,
                          "staging_seconds": staging, "run_seconds": running,
                          "total_seconds": total,
-                         "reason": detail if state is _HELD else None})
+                         "reason": detail if state is HELD else None})
         return {
             "scenario": self.scenario.name,
             "policy": self.policy,

@@ -136,6 +136,9 @@ def test_extra_cluster_attributes_pass_through():
      "<station name='s'/></cluster></site>", "slots"),
     ("<site name='S'><cluster name='c' slots='-2'><gatekeeper url='u'/>"
      "<station name='s'/></cluster></site>", "slots"),
+    # a digit to str.isdigit, but not to int(): once a ValueError
+    ("<site name='S'><cluster name='c' slots='\u00b2'><gatekeeper url='u'/>"
+     "<station name='s'/></cluster></site>", "slots"),
 ])
 def test_missing_attributes_are_rejected(bad, exc_text):
     with pytest.raises(MissingAttribute) as err:

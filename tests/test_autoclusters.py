@@ -48,8 +48,9 @@ def _per_job_pass(index, jobs, reg, env, choose):
     every free cluster itself, with no table."""
     for job in jobs:
         allowed, refused = [], []
+        owner = job.self_text("Owner")
         for members in index.values():
-            (allowed if preauthorize(job, members[0]) else refused).append(members)
+            (allowed if preauthorize(owner, members[0]) else refused).append(members)
         passing = [m for m in allowed if symmetric_match(job, m[0].ad, reg, env)]
         if not passing:
             unauthorized = any(symmetric_match(job, m[0].ad, reg, env) for m in refused)
@@ -423,9 +424,9 @@ def _judge_calls(verdicts: Verdicts, job: ClassAd, env):
     `preauthorize` and `symmetric_match`."""
     authorized, judged = [], []
 
-    def counting_preauthorize(job, stored):
+    def counting_preauthorize(owner, stored):
         authorized.append(stored.ad.ad_id)
-        return preauthorize(job, stored)
+        return preauthorize(owner, stored)
 
     def counting_match(job, ad, reg, env):
         judged.append(ad.ad_id)
@@ -434,7 +435,7 @@ def _judge_calls(verdicts: Verdicts, job: ClassAd, env):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matchmaker, "preauthorize", counting_preauthorize)
         patch.setattr(matchmaker, "symmetric_match", counting_match)
-        got = verdicts.judge(job, env)
+        got = verdicts.judge(job, job.self_text("Owner"), env)
     return got, authorized, judged
 
 
@@ -463,7 +464,8 @@ def _check_refusals(seed: int) -> int:
             got, authorized, judged = _judge_calls(Verdicts(index, kept, reg), job, env)
             assert got in ("no-candidates", "unauthorized-everywhere")
             assert authorized == []
-            assert not any(preauthorize(job, by_id[ad_id]) for ad_id in judged)
+            owner = job.self_text("Owner")
+            assert not any(preauthorize(owner, by_id[ad_id]) for ad_id in judged)
         list(match_jobs(index, jobs, reg, env, verdicts=verdicts))
     return refused
 

@@ -562,12 +562,25 @@ _SITE_LINK_NO_TO = _SITE.replace("<link bandwidth_bytes_per_second='100000000.0'
                                  "<link bandwidth_bytes_per_second='100000000.0'/>")
 _SITE_MANY_SLOTS = _SITE.replace("slots='2'", "slots='many'")
 _SITE_TWO_SAMADAMS = _SITE.replace("name='topaz'", "name='samadams'")
+_SITE_V9 = _SITE.replace("schema_version='v0_3'", "schema_version='v9'")
+_SITE_NO_STATION = _SITE.replace("<station ", "<depot ").replace("</station>", "</depot>")
 # the sample scenario with more jobs than slots, each running 1e308 s: the
 # second job on a slot would end at inf, so the run never quiesces
 _SCENARIO_DOC = json.loads((SAMPLES / "scenario.json").read_text())
 _SCENARIO_NEVER_ENDS = json.dumps({**_SCENARIO_DOC, "ttl": 1.7e308, "jobs": [
     {"id": f"x{i}", "ad": {**_SCENARIO_DOC["jobs"][i % 6]["ad"], "RunSeconds": "1e308"}}
     for i in range(40)]})
+
+
+def _scenario_with_first_site(*edits: tuple[str, str]) -> str:
+    """The sample scenario with each (old, new) text replaced in its first
+    site's configuration."""
+    doc = json.loads((SAMPLES / "scenario.json").read_text())
+    site = doc["sites"][0]
+    for old, new in edits:
+        assert old in site["config_xml"]
+        site["config_xml"] = site["config_xml"].replace(old, new)
+    return json.dumps(doc)
 
 
 def _scenario_with_first_file(first_file) -> str:
@@ -596,6 +609,11 @@ def _scenario_with_first_file(first_file) -> str:
     (_SCENARIO, _scenario_with_first_file(["a00", 1000000000, ["not", "a", "site"]])),
     (_SCENARIO_RANDOM, _scenario_with_first_file(["a00", 1000000000, ["not", "a", "site"]])),
     (_SCENARIO, _scenario_with_first_file([7, 1000000000, "A"])),
+    (_SCENARIO, _scenario_with_first_site(("slots='2'", "slots='0'"))),
+    (_SCENARIO, _scenario_with_first_site(("slots='2'", "slots='\u00b2'"))),
+    (_SCENARIO, _scenario_with_first_site(("schema_version='v0_3'", "schema_version='v9'"))),
+    (_SCENARIO, _scenario_with_first_site(("<station ", "<depot "), ("</station>", "</depot>"))),
+    (_XML_STATION, _SITE_V9), (_XML_STATION, _SITE_NO_STATION),
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
         "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
         "conf-derive-config", "adv-config", "info-config", "gridmap-missing",
@@ -604,7 +622,9 @@ def _scenario_with_first_file(first_file) -> str:
         "fixture-station-number", "fixture-station-link-no-to", "adv-slots",
         "info-duplicate-dn", "scenario-never-quiesces", "catalog-source-list",
         "catalog-name-number", "scenario-source-list", "scenario-source-list-random",
-        "scenario-name-number"])
+        "scenario-name-number", "scenario-slots-zero", "scenario-slots-superscript",
+        "scenario-schema-version", "scenario-no-station", "station-schema-version",
+        "station-no-station"])
 def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, monkeypatch,
                                                      argv, content):
     # each of these once ended in a traceback, or was taken as valid (a

@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vogrid import wire
 from vogrid.classads import UNDEFINED, AdKind, ad_to_json, integer, parse_classad
 from vogrid.jobs import (
     IllegalJobTransition,
     JobQueue,
-    JobRecord,
     JobState,
     RejectedAd,
     UnknownJob,
@@ -21,10 +21,6 @@ from vogrid.jobs import (
 
 AD = parse_classad('Owner = "/C=US/O=demo/CN=alice"\nDataset = "dzero-run2"\n',
                    AdKind.JOB, ad_id="j")
-
-
-def _job():
-    return JobRecord(1, AD)
 
 
 def test_job_ad_field():
@@ -152,16 +148,6 @@ def test_stamps_must_be_monotone():
     assert [stamp for _, stamp, _ in job.history] == [5.0, 5.0, 5.0] and q._seq == 0
 
 
-def test_matched_resource_reads_latest_match():
-    q, job = _stored()
-    for stamp, (state, detail) in enumerate([
-            (JobState.MATCHED, "FNAL/samadams#1"), (JobState.HELD, "lost claim"),
-            (JobState.IDLE, None), (JobState.MATCHED, "FNAL/topaz")], 2):
-        q.transition(job.job_id, state, float(stamp), detail)
-    assert job.matched_resource() == "FNAL/topaz"
-    assert _job().matched_resource() is None
-
-
 def test_status_json():
     q, job = _stored(1.0)
     q.transition(job.job_id, JobState.MATCHED, 2.0, "FNAL/topaz")
@@ -194,8 +180,6 @@ def test_status_json_through_every_reachable_state():
         want.append({"state": state.value, "stamp": stamp, "detail": detail})
         assert job.status_json() == {"job_id": 1, "state": state.value,
                                      "detail": detail, "history": want}
-    assert JobRecord(2, AD).status_json() == \
-        {"job_id": 2, "state": None, "detail": None, "history": []}
 
 
 # -- the queue -----------------------------------------------------------------------
@@ -223,7 +207,7 @@ def test_queue_transition_and_release():
     job = q.submit(AD)
     q.transition(job.job_id, JobState.MATCHED, detail="FNAL/topaz")
     q.transition(job.job_id, JobState.HELD, detail="no route")
-    assert job.state is JobState.HELD and job.detail == "no route"
+    assert job.history[-1] == (JobState.HELD, 4, "no route")
     q.release(job.job_id)
     assert job.state is JobState.IDLE
     with pytest.raises(IllegalJobTransition):
@@ -370,15 +354,34 @@ _MODEL_NEXT = {None: JobState.SUBMITTED, JobState.SUBMITTED: JobState.IDLE,
                JobState.DONE: None, JobState.HELD: JobState.IDLE}
 
 
+# the wire form, spelled out: each state's name on the wire, and AD's form
+_WIRE_NAME = {JobState.SUBMITTED: "Submitted", JobState.IDLE: "Idle",
+              JobState.MATCHED: "Matched", JobState.STAGING: "Staging",
+              JobState.RUNNING: "Running", JobState.DONE: "Done", JobState.HELD: "Held"}
+_AD_FORM = {"id": "j", "kind": "job",
+            "attrs": {"Owner": '"/C=US/O=demo/CN=alice"', "Dataset": '"dzero-run2"'}}
+
+
+def _status_line(job_id, history) -> bytes:
+    """The STATUS reply line of a job with `history`."""
+    state, _, detail = history[-1]
+    return wire.encode_line({
+        "job_id": job_id, "state": _WIRE_NAME[state], "detail": detail,
+        "history": [{"state": _WIRE_NAME[s], "stamp": stamp, "detail": d}
+                    for s, stamp, d in history]})
+
+
 class _ModelQueue:
-    """A reference queue: histories of (state, stamp, detail) and a stamp
-    counter, stepped one entry at a time by the rule above."""
+    """A reference queue: histories of (state, stamp, detail), a stamp
+    counter and the journal lines, stepped one entry at a time by the rule
+    above."""
 
     def __init__(self):
         self.histories: dict[int, list[tuple]] = {}
         self.seq = 0
+        self.journal: list[bytes] = []
 
-    def step(self, job_id, state, stamp, detail=None):
+    def step(self, job_id, state, stamp, detail=None, journal=True):
         """Take the step, or raise as the queue would, changing nothing."""
         if job_id not in self.histories:
             raise UnknownJob(job_id)
@@ -394,12 +397,18 @@ class _ModelQueue:
         if stamp is None:
             self.seq += 1
         history.append((state, at, detail))
+        if journal:
+            self.journal.append(wire.encode_line({
+                "event": "state", "job_id": job_id, "state": _WIRE_NAME[state],
+                "stamp": at, "detail": detail}))
 
     def submit(self, stamp):
         job_id = len(self.histories) + 1
         self.histories[job_id] = []
-        self.step(job_id, JobState.SUBMITTED, stamp)
-        self.step(job_id, JobState.IDLE, stamp)
+        self.journal.append(wire.encode_line(
+            {"event": "submit", "job_id": job_id, "ad": _AD_FORM}))
+        self.step(job_id, JobState.SUBMITTED, stamp, journal=False)
+        self.step(job_id, JobState.IDLE, stamp, journal=False)
 
     def release(self, job_id):
         if job_id not in self.histories:
@@ -424,7 +433,9 @@ _OPS = st.lists(st.tuples(
 @given(caller_stamps=st.booleans(), ops=_OPS)
 def test_the_queue_steps_as_the_reference_rule_does(caller_stamps, ops):
     # a refused call leaves the histories, the stamp counter and the journal
-    # as they were; a run on queue stamps alone replays from its journal
+    # as they were; after every call, each job's STATUS line and the journal
+    # lines are the bytes the reference spells out; a run on queue stamps
+    # alone replays from its journal
     records = []
     q, model = JobQueue(journal_sink=records.append), _ModelQueue()
     for call, job_id, state, stamp, detail in ops:
@@ -452,6 +463,9 @@ def test_the_queue_steps_as_the_reference_rule_does(caller_stamps, ops):
         assert {i: [tuple(e) for e in j.history] for i, j in q.jobs.items()} == \
             model.histories
         assert q._seq == model.seq
+        assert {i: wire.encode_line(j.status_json()) for i, j in q.jobs.items()} == \
+            {i: _status_line(i, history) for i, history in model.histories.items()}
+        assert [wire.encode_line(record) for record in records] == model.journal
     if not caller_stamps:
         clone = JobQueue()
         for record in records:

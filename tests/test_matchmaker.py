@@ -156,10 +156,9 @@ def test_collect_ad_requires_identity_attrs():
 
 def test_preauthorize():
     [stored] = _store(_res("r1", "A", "st-a"), gridmap=(ALICE,)).snapshot(0.0)
-    assert preauthorize(_job("j1", owner=ALICE), stored) is True
-    assert preauthorize(_job("j2", owner=BOB), stored) is False
-    ownerless = parse_classad('Dataset = "d"\n', AdKind.JOB, ad_id="j3")
-    assert preauthorize(ownerless, stored) is False
+    assert preauthorize(ALICE, stored) is True
+    assert preauthorize(BOB, stored) is False
+    assert preauthorize(None, stored) is False  # a job whose Owner is not text
 
 
 class _CountingHandler(logging.Handler):
@@ -818,7 +817,7 @@ def _rescan_cycle(store, jobs, reg, env, now, claimed, choose):
         if not candidates:
             decisions.append(MatchDecision.no_match(job.ad_id, "no-candidates"))
             continue
-        authorized = [s for s in candidates if preauthorize(job, s)]
+        authorized = [s for s in candidates if preauthorize(job.self_text("Owner"), s)]
         if not authorized:
             decisions.append(MatchDecision.no_match(job.ad_id, "unauthorized-everywhere"))
             continue

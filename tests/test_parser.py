@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vogrid import wire
 from vogrid.classads import (
     AdKind,
     AttrRef,
@@ -28,6 +29,7 @@ from vogrid.classads import (
     text,
 )
 from vogrid.classads import TRUE, FALSE, UNDEFINED, ERROR
+from vogrid.classads.ads import of_kind
 from vogrid.classads import EMPTY_REGISTRY, Value, ValueKind, evaluate
 from vogrid.classads.parser import MAX_NESTING, PARSE_MEMO_CHARS, PARSE_MEMO_ENTRIES, _Parser
 from vogrid.classads.exprs import PRECEDENCE, expr_key
@@ -354,6 +356,27 @@ def test_ad_json_round_trip():
     assert clone == ad
     assert clone.ad_id == "job-7"
     assert clone.kind is AdKind.JOB
+
+
+@pytest.mark.parametrize("kind, other, name, line, refusal", [
+    (AdKind.JOB, AdKind.RESOURCE, "job",
+     b'{"id":"a","kind":"job","attrs":{"Owner":"\\"alice\\"","Slots":"2"}}\n',
+     "ad kind must be 'resource', not 'job'"),
+    (AdKind.RESOURCE, AdKind.JOB, "resource",
+     b'{"id":"a","kind":"resource","attrs":{"Owner":"\\"alice\\"","Slots":"2"}}\n',
+     "ad kind must be 'job', not 'resource'"),
+], ids=["job", "resource"])
+def test_an_ads_kind_is_its_wire_name(kind, other, name, line, refusal):
+    # the bytes of an ad's JSON form and the refusal text, spelled out; an ad
+    # refused in-process reads as one refused off the wire
+    ad = parse_classad('Owner = "alice"\nSlots = 2\n', kind, ad_id="a")
+    assert wire.encode_line(ad_to_json(ad)) == line
+    assert repr(ad) == f"ClassAd({name} 'a', 2 attrs)"
+    for obj in (ad_to_json(ad), wire.decode_line(line)):
+        assert of_kind(obj, kind) is obj
+        with pytest.raises(ValueError) as exc:
+            of_kind(obj, other)
+        assert str(exc.value) == refusal
 
 
 @pytest.mark.parametrize("ad_id", [5, 1.5, True, None, math.inf, [], {}])

@@ -31,7 +31,7 @@ from vogrid.sim import (
 from vogrid.station import DatasetCatalog, station_from_config
 
 from conftest import fixture_path
-from worldgen import make_world, rank_each_ad
+from worldgen import make_world, matched_resource, rank_each_ad
 
 ALICE = "/C=US/O=demo/CN=alice"
 
@@ -615,7 +615,7 @@ class _EveryBatchWorld(GridWorld):
     argmax (`worldgen.rank_each_ad`), once per slot and with no rank table."""
 
     def _busy(self) -> set[str]:
-        return {r.matched_resource() for r in self.queue.jobs.values()
+        return {matched_resource(r) for r in self.queue.jobs.values()
                 if r.state in _IN_FLIGHT}
 
     def _match_cycle(self) -> int:
@@ -759,8 +759,9 @@ def test_skipped_cycles_change_no_report_or_event_log(policy):
 
 def _reference_report(world: GridWorld) -> dict:
     """The report as `GridWorld.report` built it before it read each history
-    once: a dict of each state's first stamp, then `matched_resource()` and
-    the record's `state` and `detail`."""
+    once: a dict of each state's first stamp, then the resource of the
+    latest match (`worldgen.matched_resource`) and the last entry's state
+    and detail."""
     jobs = []
     staging_times = []
     for job in world.queue.jobs.values():
@@ -768,12 +769,12 @@ def _reference_report(world: GridWorld) -> dict:
                  "resource": None, "staging_seconds": None,
                  "run_seconds": None, "total_seconds": None, "reason": None}
         if job.state is JobState.HELD:
-            entry["reason"] = job.detail
+            entry["reason"] = job.history[-1][2]
         stamps = {}
         for state, stamp, _ in job.history:
             stamps.setdefault(state, stamp)
         if JobState.MATCHED in stamps:
-            entry["resource"] = job.matched_resource()
+            entry["resource"] = matched_resource(job)
         if JobState.STAGING in stamps and JobState.RUNNING in stamps:
             entry["staging_seconds"] = stamps[JobState.RUNNING] - stamps[JobState.STAGING]
             staging_times.append(entry["staging_seconds"])
@@ -1190,11 +1191,11 @@ def _check_judgements(seed: int, policy: str) -> collections.Counter:
     scenario = load_scenario(_world_doc(make_world(rng), rng))
     judge, kept = matchmaker.Verdicts.judge, collections.Counter()
 
-    def checking(self, job, env):
+    def checking(self, job, owner, env):
         group = job.autocluster(matchmaker._VERDICT_READS, self._others, self._reg)
         reused = group in self._judged and self._size == len(self._index)
-        got = judge(self, job, env)
-        fresh = matchmaker._judge(job, self._index, {}, self._reg, env)
+        got = judge(self, job, owner, env)
+        fresh = matchmaker._judge(job, owner, self._index, {}, self._reg, env)
         if isinstance(fresh, str):
             assert got == fresh
         else:

@@ -17,6 +17,7 @@ import random
 
 from vogrid.classads import AdKind, ClassAd, Literal, evaluate, parse_expr, real
 from vogrid.conftree import derive_service_config, write_tree
+from vogrid.jobs import MATCHED, JobRecord
 from vogrid.matchmaker import AdStore, standard_registry
 from vogrid.advertise import generate_classads, select_patterns
 from vogrid.sim import make_site_config
@@ -33,6 +34,15 @@ SUBJECT_POOL = [
 OUTSIDER = "/C=XX/O=nowhere/CN=outsider"
 
 BW_POOL = [10.0 ** 7, 5.0 * 10 ** 7, 10.0 ** 8, 2.0 * 10 ** 8]
+
+
+def matched_resource(record: JobRecord) -> str | None:
+    """The resource of the record's latest match, read off its history; None
+    if it never matched."""
+    for state, _, detail in reversed(record.history):
+        if state is MATCHED:
+            return detail
+    return None
 
 
 def make_world(rng: random.Random, outsider_job: bool = False) -> dict:
