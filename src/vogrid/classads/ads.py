@@ -67,7 +67,8 @@ class ClassAd:
             by_folded[low] = expr
         self._attrs = dict(attrs)
         self._by_folded = by_folded
-        # folded name -> self-read; (name,) -> `self_quantity`
+        # folded name -> self-read; (name,) -> `self_quantity`;
+        # ("OutputBytes", int) -> `jobs.output_bytes`
         self._self_values: dict = {}
         self._reach: Optional[tuple[frozenset[str], bool]] = None
         # start names -> (other names, registry reads, autocluster)
@@ -232,14 +233,22 @@ def of_kind(obj: dict, kind: AdKind) -> dict:
     return obj
 
 
+# each kind by its wire name: a lookup here runs no `enum` code, as
+# `AdKind(name)` does
+_KINDS = {kind: kind for kind in AdKind}
+
+
 def ad_from_json(obj: dict) -> ClassAd:
     """The ad `ad_to_json` gave. An absent id is ""; one that is not text is
-    a ValueError."""
+    a ValueError, as is a kind that is not an `AdKind`'s name."""
     ad_id = obj.get("id", "")
     if not isinstance(ad_id, str):
         raise ValueError(f"ad id must be text, not {ad_id!r}")
+    kind = _KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
+    if kind is None:  # worded as `AdKind(...)` words it
+        raise ValueError(f"{obj['kind']!r} is not a valid AdKind")
     attrs = {name: parse_expr(src) for name, src in obj["attrs"].items()}
-    return ClassAd(attrs, AdKind(obj["kind"]), ad_id)
+    return ClassAd(attrs, kind, ad_id)
 
 
 _DEFAULT_REQUIREMENTS = Literal(values.TRUE)

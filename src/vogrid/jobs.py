@@ -70,11 +70,21 @@ def validate_job_ad(ad: ClassAd) -> tuple[str, str]:
     return owner, dataset
 
 
+# the ad's memo key of its checked whole OutputBytes (`ClassAd._self_values`)
+_OUTPUT_BYTES = ("OutputBytes", int)
+
+
 def output_bytes(ad: ClassAd) -> int | None:
     """The job's OutputBytes; None (absent or Undefined) means the station's
-    default. Raises ValueError unless it is a finite nonnegative number."""
-    n = ad.self_quantity("OutputBytes")
-    return None if n is None else int(n)
+    default. Raises ValueError unless it is a finite nonnegative number.
+
+    Memoized on the ad, so a later call costs one lookup (`fun()` asks once
+    per cluster it ranks); a ValueError is raised again on every call."""
+    memo = ad._self_values
+    if _OUTPUT_BYTES not in memo:
+        n = ad.self_quantity("OutputBytes")
+        memo[_OUTPUT_BYTES] = None if n is None else int(n)
+    return memo[_OUTPUT_BYTES]
 
 
 def run_seconds(ad: ClassAd) -> float:

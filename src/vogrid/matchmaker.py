@@ -15,7 +15,7 @@ module's alone: a claim (`_claim`) takes its ad out of the index, so each
 ad is claimed once and is invisible to later jobs in the same cycle, and
 `release` puts a claimed ad back. Authorization is judged on the record's
 gridmap, never on the live store, which an ADVERTISE may change mid-cycle.
-`match_jobs` reads a job's Owner once per pass and hands it down to each
+A judgement reads a job's Owner once and hands it down to each
 pre-authorization (`preauthorize`), one per resource cluster judged.
 `match_jobs` runs the pipeline lazily and stops as soon as no ad is free,
 so a cycle over a long backlog pulls no job after the one that took the
@@ -57,7 +57,12 @@ closure of Owner and Requirements, and for the rank on that of Rank; `fun`
 declares OutputBytes. A pass given a `Verdicts` judges each verdict
 autocluster once, for all its jobs, until a cluster leaves the index, and
 ranks the jobs of one rank autocluster once per resource cluster; that
-class states which verdicts outlive the pass and the skip rule. The
+class states which verdicts outlive the pass. Its group judgement
+(`Verdicts.judge`) is the one answer to "can this job use a free cluster
+now": `match_jobs` decides from it, and a simulator cycle with an event
+pending passes over a job whose judgement is empty, since it would drop
+that job's no-match decision. The no-match reason is worked out only for
+a decision the pass yields. The
 simulator builds one per cycle over the verdict table it keeps for a run;
 a MATCH_REQUEST (`run_match_cycle`) builds none and judges each job on its
 own. Its jobs are fresh ads that die with the request, so a `Verdicts`
@@ -390,20 +395,17 @@ class Verdicts:
     registry do, so its row goes in `kept`. Every other verdict row, and
     every rank row, belongs to the pass.
 
-    One judgement per group (`judge`): each verdict autocluster is judged
-    (`_judge`) once, and its passing member lists, or its no-match reason,
-    serve the group's later jobs in the pass until a cluster leaves the
-    index. A claim only takes members out, and the member lists are the
-    index's own, so while the number of clusters is the same, so is the
-    judgement; a group whose verdict calls a function is no exception, as
-    every verdict, kept or not, holds for the whole pass.
-
-    The skip rule (`refuses`): a job whose verdict row in `kept` holds a
-    verdict for every free cluster, none of them authorized and passing,
-    would get a no-match decision and call no chooser, so a caller that
-    drops such decisions may pass over it unjudged; claims only shrink the
-    index, so it stays refused for the rest of the pass. It never applies
-    to a verdict that calls a function, as none is kept.
+    The one rule (`judge`): each verdict autocluster is judged once, and
+    its passing member lists serve the group's later jobs in the pass until
+    a cluster leaves the index. A claim only takes members out, and the
+    member lists are the index's own, so while the number of clusters is
+    the same, so is the judgement; a group whose verdict calls a function
+    is no exception, as every verdict, kept or not, holds for the whole
+    pass. An empty judgement means a no-match decision that calls no
+    chooser, and it stays empty for the rest of the pass, as claims only
+    shrink the index; so a caller that drops such decisions may pass over
+    the job, and `match_jobs` works out the no-match reason (`_reason`)
+    only for a decision it yields.
     """
 
     __slots__ = ("_index", "_reg", "_others", "_kept", "_fresh", "_ranks", "_size",
@@ -417,44 +419,30 @@ class Verdicts:
                 others = others | names
             called |= calls
         self._index, self._reg, self._others = index, reg, others
-        self._fresh: dict = {}
+        self._fresh, self._ranks = {}, {}
         self._kept = self._fresh if called else kept
-        self._ranks: dict = {}
-        # verdict autocluster -> `_judge`'s answer, while the index holds
-        # `_size` clusters
+        # verdict autocluster -> (passing member lists, verdict row), while
+        # the index holds `_size` clusters
         self._size, self._judged = len(index), {}
 
-    def judge(self, job: ClassAd, owner: str | None,
-              env: dict | None) -> list[list[StoredAd]] | str:
-        """`_judge`'s answer for the job, whose Owner is `owner`, judged once
-        per group while the index keeps its clusters."""
+    def judge(self, job: ClassAd, env: dict | None) -> tuple[list[list[StoredAd]], dict]:
+        """The member lists of the free clusters that the job may use and
+        whose Requirements pass (`_passing`), judged once per group while
+        the index keeps its clusters, with the group's verdict row, which
+        `_reason` reads."""
         group = job.autocluster(_VERDICT_READS, self._others, self._reg)
         if len(self._index) != self._size:  # a cluster left: judge afresh
             self._size, self._judged = len(self._index), {}
         judged = self._judged.get(group)
         if judged is None:
             row = (self._fresh if group.calls else self._kept).setdefault(group, {})
-            judged = self._judged[group] = _judge(job, owner, self._index, row, self._reg, env)
+            judged = self._judged[group] = _passing(job, self._index, row, self._reg, env)
         return judged
 
     def rank_row(self, job: ClassAd) -> dict:
         """The job's rank row, for `_ranks` to read and fill."""
         group = job.autocluster(_RANK_READS, self._others, self._reg)
         return self._ranks.setdefault(group, {})
-
-    def refuses(self, job: ClassAd) -> bool:
-        """The skip rule: whether the kept verdicts refuse the job on every
-        cluster now free."""
-        if self._kept is self._fresh:
-            return False
-        row = self._kept.get(job.autocluster(_VERDICT_READS, self._others, self._reg))
-        if row is None:
-            return False
-        for members in self._index.values():
-            verdict = row.get(members[0].cluster)
-            if verdict is None or verdict[0] and verdict[1]:
-                return False
-        return True
 
 
 def _ranks(row: dict | None, job: ClassAd, clusters: list[list[StoredAd]],
@@ -471,32 +459,47 @@ def _ranks(row: dict | None, job: ClassAd, clusters: list[list[StoredAd]],
     return [row[members[0].cluster] for members in clusters]
 
 
-def _judge(job: ClassAd, owner: str | None, index: FreeIndex, row: dict,
-           reg: FnRegistry, env: dict | None) -> list[list[StoredAd]] | str:
-    """The member lists of the free clusters that the job, whose Owner is
-    `owner`, may use and whose Requirements pass, or, if there are none,
-    the reason: unauthorized-everywhere if a refused cluster passes, else
-    no-candidates. Reads and fills `row`, the job's verdict row
-    (`Verdicts`), so each verdict missing from it is judged once."""
-    passing, refused = [], []
+_UNREAD = object()  # an Owner not read yet
+
+
+def _passing(job: ClassAd, index: FreeIndex, row: dict, reg: FnRegistry,
+             env: dict | None) -> tuple[list[list[StoredAd]], dict]:
+    """The member lists of the free clusters that the job may use and whose
+    Requirements pass, and `row`, the job's verdict row (`Verdicts`), which
+    it reads and fills: each verdict missing from it is judged once, and
+    afterwards it holds one for every free cluster, as `_reason` needs. The
+    job's Owner is read once, when the first missing verdict needs it; a job
+    whose Owner is not text is logged then, as it is authorized nowhere."""
+    passing, owner = [], _UNREAD
     for members in index.values():
         first = members[0]
         verdict = row.get(first.cluster)
         if verdict is None:
+            if owner is _UNREAD:
+                owner = job.self_text("Owner")
+                if owner is None:
+                    log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
             verdict = row[first.cluster] = [preauthorize(owner, first), None]
             if verdict[0]:
                 verdict[1] = symmetric_match(job, first.ad, reg, env)
-        if not verdict[0]:
-            refused.append((verdict, first))
-        elif verdict[1]:
+        if verdict[0] and verdict[1]:
             passing.append(members)
-    if passing:
-        return passing
-    for verdict, first in refused:
-        if verdict[1] is None:
-            verdict[1] = symmetric_match(job, first.ad, reg, env)
-        if verdict[1]:
-            return "unauthorized-everywhere"
+    return passing, row
+
+
+def _reason(job: ClassAd, index: FreeIndex, row: dict, reg: FnRegistry,
+            env: dict | None) -> str:
+    """Why `_passing` found no cluster for the job, on the row it filled:
+    unauthorized-everywhere if a cluster that refuses the job by its
+    gridmap passes the Requirements, evaluated there only now and once,
+    else no-candidates."""
+    for members in index.values():
+        verdict = row[members[0].cluster]
+        if not verdict[0]:
+            if verdict[1] is None:
+                verdict[1] = symmetric_match(job, members[0].ad, reg, env)
+            if verdict[1]:
+                return "unauthorized-everywhere"
     return "no-candidates"
 
 
@@ -519,28 +522,26 @@ def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
     per passing cluster (`rank_resources`). Any other `choose(job, clusters,
     reg, env)` gets those lists, which are the index's own and must not be
     changed, in no particular order, and must return one of their members.
-    A job whose Owner is not text is logged once per pass, however many
-    clusters refuse it.
+    A job whose Owner is not text is logged once per judgement that reads
+    it (`_passing`), however many clusters refuse it.
 
     With `verdicts`, built over `index` for this pass, each verdict is
     judged once per (job autocluster, resource cluster), a job's group's
     judgement serves it while no cluster has left the index
     (`Verdicts.judge`), and the Rank argmax reads each rank through the
     pass's rank table, once per (job autocluster, resource cluster).
-    Without it, each job is judged and ranked on its own, as a MATCH_REQUEST
-    is (`run_match_cycle`): its jobs are fresh ads, so autoclusters would
-    cost more than they share (see the module docstring).
+    Without it, each job is judged and ranked on its own, with a fresh
+    verdict row, as a MATCH_REQUEST is (`run_match_cycle`): its jobs are
+    fresh ads, so autoclusters would cost more than they share (see the
+    module docstring).
     """
     if not index:
         return
     for job in jobs:
-        owner = job.self_text("Owner")
-        if owner is None:
-            log.warning("job %s has no usable Owner; unauthorized everywhere", job.ad_id)
-        passing = (_judge(job, owner, index, {}, reg, env) if verdicts is None
-                   else verdicts.judge(job, owner, env))
-        if isinstance(passing, str):
-            yield MatchDecision.no_match(job.ad_id, passing)
+        passing, row = (_passing(job, index, {}, reg, env) if verdicts is None
+                        else verdicts.judge(job, env))
+        if not passing:
+            yield MatchDecision.no_match(job.ad_id, _reason(job, index, row, reg, env))
             continue
         if choose is None:
             row = None if verdicts is None else verdicts.rank_row(job)

@@ -24,18 +24,18 @@ through the cycle's rank table; `random` and `round-robin` pick, without
 ranking, among all the authorized slots one whose station can stage the
 job, and record rank 0. A cycle pulls idle
 jobs lazily, in job id order, from the run's own idle worklist, and only
-until every ad is busy or claimed; it stages and holds after the pass. A
+until every ad is busy or claimed; it stages and holds after the pass.
+One rule decides whether a job can use a free cluster now: its verdict
+autocluster's judgement (`matchmaker.Verdicts.judge`), which the jobs of
+one group share within a cycle until a cluster leaves the free index. A
 cycle that began with some event pending holds no job, so it drops the
-decision of every job that does not match; its pull passes over,
-unjudged, the jobs that the skip rule names (`matchmaker.Verdicts`), which
-calls no chooser and so changes no draw and no rotation. A cycle that
-began with nothing pending judges every job it pulls, since its holds need
-each job's reason. So a cycle judges the jobs it pulls that may still
-match, but it steps over every idle job ahead of the last one it pulls, a
-few dict reads each for a refused one; that part grows with the backlog.
-Within a cycle, the jobs of one verdict autocluster share one judgement
-until a cluster leaves the free index (`Verdicts.judge`), so judging a job
-whose group was judged before costs a few dict reads too.
+decision of every job that does not match; its pull passes over a job
+whose group's judgement is empty, which would call no chooser and so
+changes no draw and no rotation, and no reason is worked out for it. A
+cycle that began with nothing pending pulls every job, since its holds
+need each job's reason. So a cycle steps over every idle job ahead of the
+last one it pulls, a few dict reads each for a job whose group was judged
+before; that part grows with the backlog.
 
 The worklist is a dict from job id to record, built in job id order after
 the submits. A run never releases a job, so the worklist only shrinks: the
@@ -55,7 +55,7 @@ in ad id order, but a cluster that empties and frees again goes to the
 end, and the clusters may come in another order than a fresh `free_index`
 would give. No decision depends on that order: the Rank argmax breaks
 ties totally (rank, Name, ad id), `random` sorts its candidates by (Name,
-ad id) before drawing, and `round-robin` looks them up by ad id. Every
+ad id) before drawing, and `round-robin` sorts them by ad id. Every
 slot is collected at time 0 with the scenario's one TTL, so all of them
 are visible exactly while the clock is below it.
 
@@ -93,6 +93,7 @@ too.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import random
@@ -324,11 +325,10 @@ class GridWorld:
         self.events_processed = 0
         self._heap: list = []
         self._heap_seq = 0
-        self._rr_ptr = 0
+        self._rr_last = ""  # round-robin's last pick; "" sorts before every slot's ad id
         self.queue = JobQueue()
         self._query = _CycleScores(self.catalog)
         self._env = {"station_query": self._query}
-        self._rr_order = sorted(self.slots)
         # the slots with no event pending, kept up to date across the run
         self._free: FreeIndex = free_index(self.slots.values())
         # the verdict table kept for the run (`Verdicts`)
@@ -365,7 +365,9 @@ class GridWorld:
         is one a float can hold. With none, it picks nothing, which leaves
         the job with all-rank-error, as under data-aware. Random draws again
         without an ad that cannot stage, so it picks uniformly among those
-        that can; round-robin passes over such ads in its rotation."""
+        that can. Round-robin rotates over every slot by ad id: it takes
+        the first authorized ad after the last one it picked, in ad id
+        order and wrapping round, that can stage the job."""
         authorized = [s for members in clusters for s in members]
         dataset, out_bytes = job.self_text("Dataset"), output_bytes(job)
 
@@ -385,12 +387,12 @@ class GridWorld:
                 ordered.remove(pick)
             return None
         by_id = {s.ad.ad_id: s for s in authorized}
-        n = len(self._rr_order)
-        for k in range(n):
-            pick = by_id.get(self._rr_order[(self._rr_ptr + k) % n])
-            if pick is not None and can_stage(pick):
-                self._rr_ptr = (self._rr_ptr + k + 1) % n
-                return pick.ad.ad_id, 0.0
+        ids = sorted(by_id)
+        k = bisect.bisect_right(ids, self._rr_last)
+        for ad_id in ids[k:] + ids[:k]:
+            if can_stage(by_id[ad_id]):
+                self._rr_last = ad_id
+                return ad_id, 0.0
         return None
 
     def _match_cycle(self) -> None:
@@ -403,9 +405,9 @@ class GridWorld:
         calls a cycle whenever a slot is free, also after the TTL has
         passed, and then the pass gets an empty index.
 
-        A cycle that began with an event pending pulls only the jobs that
-        the skip rule (`Verdicts.refuses`) does not pass over: the others
-        would get a no-match decision that this cycle drops.
+        A cycle that began with an event pending pulls only the jobs whose
+        group's judgement (`Verdicts.judge`) is not empty: the others would
+        get a no-match decision that this cycle drops.
 
         The pass changes neither the queue nor the stations: it reads only
         the index it claims from and the cycle's snapshot. So its
@@ -427,12 +429,12 @@ class GridWorld:
         choose = None if self.policy == "data-aware" else self._choose_baseline
         index = self._free if self.clock < self.scenario.ttl else {}
         verdicts = Verdicts(index, self._verdicts, self.registry)
-        refused = None if saw_everything else verdicts.refuses
+        judge = None if saw_everything else verdicts.judge
         pulled = []
 
-        def pull():
+        def pull(env=self._env):
             for record in idle:
-                if refused is None or not refused(record.ad):
+                if judge is None or judge(record.ad, env)[0]:
                     pulled.append(record)
                     yield record.ad
 

@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 TESTS_DIR = Path(__file__).parent
@@ -14,6 +15,15 @@ def fixture_path(name: str) -> Path:
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def bench_scenarios():
+    """bench/scenarios.py, loaded by its path, as bench/run.py uses it."""
+    path = TESTS_DIR.parent / "bench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # 800 KB, under wire.MAX_LINE_BYTES: a product whose every factor is a

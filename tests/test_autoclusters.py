@@ -1,6 +1,7 @@
 """Job autoclusters: a pass judges and ranks each one once per resource cluster."""
 
 import collections
+import contextlib
 import random
 
 import pytest
@@ -350,7 +351,7 @@ def test_a_pass_without_a_verdict_table_judges_each_job_on_its_own():
     assert counts == {"score": sum(free), "check": sum(free)}
 
 
-# -- the kept refusals a lazy pull may pass over ---------------------------------------
+# -- the empty judgements a lazy pull may pass over -----------------------------------
 
 def _slot(name: str, arch: str, extra: str = "") -> ClassAd:
     return parse_classad(f'Name = "{name}"\nGatekeeper = "gk"\nStation_ID = "st"\n'
@@ -365,6 +366,8 @@ def _wants(arch: str, dataset: str = "d", owner: str = ALICE, extra: str = "") -
 
 
 def test_kept_verdicts_pass_over_a_job_only_when_every_free_cluster_refuses_it():
+    # a pull with an event pending passes over a job whose group's judgement
+    # is empty: no free cluster both authorizes it and passes its Requirements
     reg = _counting_registry([], reads=())
     store = AdStore()
     for name, arch, subject in (("L", "Linux", ALICE), ("I", "IRIX", ALICE),
@@ -373,10 +376,10 @@ def test_kept_verdicts_pass_over_a_job_only_when_every_free_cluster_refuses_it()
     slots = store.snapshot(0.0)
     kept: dict = {}
 
-    def refuses(ads, job) -> bool:
-        return Verdicts(free_index(ads), kept, reg).refuses(job)
+    def passes_over(ads, job) -> bool:
+        return not Verdicts(free_index(ads), kept, reg).judge(job, None)[0]
 
-    def judge(ads, job, choose=None) -> MatchDecision:
+    def decide(ads, job, choose=None) -> MatchDecision:
         index = free_index(ads)
         [decision] = match_jobs(index, [job], reg, None, choose,
                                 verdicts=Verdicts(index, kept, reg))
@@ -384,46 +387,46 @@ def test_kept_verdicts_pass_over_a_job_only_when_every_free_cluster_refuses_it()
 
     two = slots[:2]
     sun = _wants("SunOS")
-    assert not refuses(two, sun)  # nothing kept yet
-    assert judge(two, sun).reason == "no-candidates"
-    assert refuses(two, sun)
-    assert refuses(two, _wants("SunOS", dataset="e"))  # its autocluster
-    assert not refuses(slots, sun)  # B's verdict is not kept yet
-    judge(slots, sun)
-    assert refuses(slots, sun)  # B refuses it unauthorized
+    assert passes_over(two, sun)  # nothing kept yet: judged now
+    assert decide(two, sun).reason == "no-candidates"
+    assert passes_over(two, _wants("SunOS", dataset="e"))  # its autocluster
+    assert passes_over(slots, sun)
+    assert decide(slots, sun).reason == "no-candidates"  # B's gridmap refuses it too
 
     # a free cluster passes: L, though the chooser claims nothing there
     linux = _wants("Linux")
-    assert judge(two, linux, choose=lambda *args: None).reason == "all-rank-error"
-    assert not refuses(two, linux)
-    assert refuses(slots[1:2], linux)  # I alone refuses
+    assert decide(two, linux, choose=lambda *args: None).reason == "all-rank-error"
+    assert not passes_over(two, linux)
+    assert passes_over(slots[1:2], linux)  # I alone refuses
+    assert passes_over(slots[2:], linux)  # B alone refuses it unauthorized
+    assert decide(slots[2:], linux).reason == "unauthorized-everywhere"
 
-    # the job's verdict group calls a function: no verdict of it is kept
+    # the job's verdict group calls a function: its row is not kept, yet an
+    # empty judgement passes it over all the same
     calling = _wants("SunOS", extra="check(OTHER.Name) && ")
-    assert judge(two, calling).reason == "no-candidates"
-    assert not refuses(two, calling)
+    assert decide(two, calling).reason == "no-candidates"
+    assert passes_over(two, calling)
+    assert not passes_over(two, _wants("Linux", extra="check(OTHER.Name) && "))
+    assert calling.autocluster(("requirements", "owner"), frozenset(), reg) not in kept
 
-    # the free clusters' bindings call one: no verdict is kept
+    # the free clusters' bindings call one: no verdict is kept, and the
+    # judgement decides as before
     store.collect_ad(_slot("C", "Linux", "Requirements = check(OTHER.Owner)\n"),
                      [ALICE], 3600.0, 0.0)
     four = store.snapshot(0.0)
-    index = free_index(four)
-    verdicts = Verdicts(index, kept, reg)
     mips = _wants("MIPS")
-    [decision] = match_jobs(index, [mips], reg, None, verdicts=verdicts)
-    assert decision.reason == "no-candidates"
-    assert not verdicts.refuses(mips)
-    assert not refuses(two, mips)
-    judge(four, sun)
-    assert not refuses(four, sun)
-    assert refuses(slots, sun)
+    kept_before = {group: dict(row) for group, row in kept.items()}
+    assert decide(four, mips).reason == "no-candidates"
+    assert passes_over(four, mips)
+    assert passes_over(four, sun)
+    assert not passes_over(four, linux)  # C passes
+    assert {group: dict(row) for group, row in kept.items()} == kept_before
 
 
-def _judge_calls(verdicts: Verdicts, job: ClassAd, env):
-    """`verdicts.judge`'s answer for the job, with the pairs it handed
+@contextlib.contextmanager
+def _counting_calls(authorized: list, judged: list):
+    """A context in which `matchmaker` records the pairs it hands
     `preauthorize` and `symmetric_match`."""
-    authorized, judged = [], []
-
     def counting_preauthorize(owner, stored):
         authorized.append(stored.ad.ad_id)
         return preauthorize(owner, stored)
@@ -435,17 +438,18 @@ def _judge_calls(verdicts: Verdicts, job: ClassAd, env):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matchmaker, "preauthorize", counting_preauthorize)
         patch.setattr(matchmaker, "symmetric_match", counting_match)
-        got = verdicts.judge(job, job.self_text("Owner"), env)
-    return got, authorized, judged
+        yield
 
 
 def _check_refusals(seed: int) -> int:
     """Passes with one kept table over a random world, as in a simulator
-    run: whenever the skip rule passes over a job, judging it anyway on its
-    kept row gives a no-match reason, calls no `preauthorize` and evaluates
-    Requirements only on clusters whose gridmap refuses it, which tells
-    unauthorized-everywhere from no-candidates. Returns how many jobs it
-    passed over."""
+    run: whenever a group's judgement is empty, so that a pull with an event
+    pending passes over the job, judging the job alone (`_per_job_pass`)
+    gives a no-match decision with the reason that `_reason` works out on
+    the group's row; that reason calls no `preauthorize` and evaluates
+    Requirements only on clusters whose gridmap refuses the job, which tells
+    unauthorized-everywhere from no-candidates. Returns how many jobs the
+    judgements passed over."""
     rng = random.Random(seed)
     jobs, store, reg = _jobs(rng), _store(rng), _registry()
     by_id = {s.ad.ad_id: s for s in store.snapshot(0.0)}
@@ -454,15 +458,20 @@ def _check_refusals(seed: int) -> int:
     for bias in (0, 1, 0, 1):
         env = {"bias": bias}
         claimed = set(rng.sample(sorted(by_id), rng.randint(0, len(by_id) - 1)))
-        index = free_index(s for s in store.snapshot(0.0) if s.ad.ad_id not in claimed)
+        free = [s for s in store.snapshot(0.0) if s.ad.ad_id not in claimed]
+        index = free_index(free)
         verdicts = Verdicts(index, kept, reg)
         for job in jobs:
-            if not verdicts.refuses(job):
+            passing, row = verdicts.judge(job, env)
+            if passing:
                 continue
             refused += 1
-            # judged afresh on its kept row: a new pass's `Verdicts` shares no judgement
-            got, authorized, judged = _judge_calls(Verdicts(index, kept, reg), job, env)
-            assert got in ("no-candidates", "unauthorized-everywhere")
+            [want] = _per_job_pass(free_index(free), [job], reg, env, rank_each_ad)
+            assert not want.matched
+            authorized, judged = [], []
+            with _counting_calls(authorized, judged):
+                reason = matchmaker._reason(job, index, row, reg, env)
+            assert reason == want.reason
             assert authorized == []
             owner = job.self_text("Owner")
             assert not any(preauthorize(owner, by_id[ad_id]) for ad_id in judged)
@@ -477,5 +486,5 @@ def test_a_job_the_kept_verdicts_refuse_gets_no_match_and_no_new_authorization(s
 
 
 def test_the_random_worlds_pass_over_refused_jobs():
-    # the property above means something only if the skip rule applies
+    # the property above means something only if judgements come out empty
     assert sum(_check_refusals(seed) > 0 for seed in range(200)) > 50

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vogrid import wire
-from vogrid.classads import UNDEFINED, AdKind, ad_to_json, integer, parse_classad
+from vogrid.classads import UNDEFINED, AdKind, ClassAd, ad_to_json, integer, parse_classad
 from vogrid.jobs import (
     IllegalJobTransition,
     JobQueue,
@@ -58,6 +58,26 @@ def test_a_quantity_that_is_not_a_finite_nonnegative_number_is_value_error(src):
             ad.self_quantity(attr)
         with pytest.raises(ValueError):
             read(ad)
+
+
+def test_output_bytes_is_read_once_per_ad_and_a_bad_one_raises_every_time(monkeypatch):
+    reads = []
+    quantity = ClassAd.self_quantity
+
+    def counted(self, name):
+        reads.append(name)
+        return quantity(self, name)
+
+    monkeypatch.setattr(ClassAd, "self_quantity", counted)
+    for src, want in (("2.9", 2), ("undefined", None)):
+        ad = parse_classad(f"OutputBytes = {src}\n", AdKind.JOB)
+        assert [output_bytes(ad) for _ in range(3)] == [want] * 3
+    assert reads == ["OutputBytes"] * 2
+    bad = parse_classad("OutputBytes = -1\n", AdKind.JOB, ad_id="j")
+    for _ in range(3):
+        with pytest.raises(ValueError, match="OutputBytes must be a nonnegative number"):
+            output_bytes(bad)
+    assert len(reads) == 5
 
 
 def test_validate_job_ad():

@@ -380,6 +380,19 @@ def test_negative_output_bytes_drops_candidate():
     assert d.reason == "all-rank-error"
 
 
+def test_a_bad_output_bytes_is_a_rank_error_at_every_cluster():
+    # the checked OutputBytes is kept on the ad, a bad one never: each
+    # cluster's Rank raises again, and no station is asked
+    calls = []
+    env = {"station_query": _query_from({"s1": -1.0, "s2": -2.0}, calls)}
+    store = _store(_res("r1", "A", "s1"), _res("r2", "B", "s2"))
+    job = _job("j", extra=RANKED + "OutputBytes = -4\n")
+    for _ in range(2):
+        [d] = _run(store, [job], env=env)
+        assert d.reason == "all-rank-error"
+    assert calls == []
+
+
 def test_station_failures_degrade_to_remaining_candidates():
     env = {"station_query": _query_from({"s1": RuntimeError("down"), "s2": -9.0})}
     store = _store(_res("r1", "A", "s1"), _res("r2", "B", "s2"))

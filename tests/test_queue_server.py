@@ -420,6 +420,20 @@ def test_a_record_field_the_wire_would_refuse_is_corruption(tmp_path, records, l
         QueueService(str(path))
 
 
+@pytest.mark.parametrize("kind", ["slot", "JOB", 1, None, ["job"]])
+def test_a_journal_ad_of_an_unknown_kind_is_corruption(tmp_path, kind):
+    # the kind is looked up in a table, not by `AdKind(kind)`, and keeps its text
+    path = tmp_path / "queue.ndjson"
+    _write_records(path, {"event": "submit", "job_id": 1, "ad": AD_JSON | {"kind": kind}})
+    with pytest.raises(CorruptJournal) as caught:
+        QueueService(str(path))
+    assert str(caught.value) == \
+        f"line 1 does not replay: ValueError({f'{kind!r} is not a valid AdKind'!r})"
+    with pytest.raises(ValueError) as direct:
+        AdKind(kind)
+    assert str(direct.value) == f"{kind!r} is not a valid AdKind"
+
+
 def test_every_replayed_history_entry_holds_a_state_a_number_and_text_or_null(tmp_path):
     path = tmp_path / "queue.ndjson"
     _write_records(path, {"event": "submit", "job_id": 1, "ad": AD_JSON}, _MATCHED,

@@ -4,7 +4,6 @@ import gc
 import collections
 import hashlib
 import heapq
-import importlib.util
 import json
 import math
 import random
@@ -18,7 +17,7 @@ import vogrid.matchmaker as matchmaker
 import vogrid.sim as sim
 from vogrid.classads import parse_expr
 from vogrid.conftree import read_tree, write_tree
-from vogrid.jobs import JobState
+from vogrid.jobs import JobState, output_bytes
 from vogrid.sim import (
     GridWorld,
     NonQuiescent,
@@ -28,9 +27,10 @@ from vogrid.sim import (
     make_site_config,
     run_scenario,
 )
-from vogrid.station import DatasetCatalog, station_from_config
+from vogrid.station import (DatasetCatalog, NoRouteToSource, ScoreOverflow,
+                            UnknownDataset, station_from_config)
 
-from conftest import fixture_path
+from conftest import bench_scenarios, fixture_path
 from worldgen import make_world, matched_resource, rank_each_ad
 
 ALICE = "/C=US/O=demo/CN=alice"
@@ -352,15 +352,6 @@ def test_sample_scenario_golden_digests(policy, report_sha, events_sha):
     assert (_sha256(report), _sha256(events)) == (report_sha, events_sha)
 
 
-def _bench_scenarios():
-    """bench/scenarios.py, loaded by its path, as bench/run.py uses it."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
-    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # the report and event-log digests of the benchmark's seed-1 simulator
 # runs (workload seed 1, run_scenario seed 1), as `bench/run.py --seed 1`
 # prints them
@@ -379,7 +370,7 @@ def _bench_scenarios():
      "3fd52133abf2546a4f6b040606963d9c3f7e81a0a492ce99383f7e04e6a3c6ff"),
 ], ids=["backlog-data-aware", "backlog-random", "backlog-round-robin", "burst-data-aware"])
 def test_seed_1_bench_digests(shape, policy, report_sha, events_sha):
-    bench = _bench_scenarios()
+    bench = bench_scenarios()
     scenario = load_scenario(bench.scenario_doc(bench.make_grid(1, shape)))
     report, events = run_scenario(scenario, policy, 1)
     assert (_sha256(report), _sha256(events)) == (report_sha, events_sha)
@@ -394,7 +385,7 @@ def test_seed_1_bench_digests(shape, policy, report_sha, events_sha):
 ], ids=["backlog-data-aware", "backlog-random", "backlog-round-robin", "burst-data-aware"])
 def test_each_station_walks_a_dataset_once_per_cache_state(shape, policy, walks,
                                                            monkeypatch):
-    bench = _bench_scenarios()
+    bench = bench_scenarios()
     scenario = load_scenario(bench.scenario_doc(bench.make_grid(1, shape)))
     walked, asked = [0], set()
     files, get_preference = DatasetCatalog.files, sim.get_preference
@@ -546,14 +537,12 @@ def test_partial_visibility_defers_the_hold():
     assert match_stamp == 15.0
 
 
-@pytest.mark.parametrize("policy", sim.POLICIES)
-def test_a_staged_batch_can_let_a_waiting_job_match(policy):
-    # two slots, three jobs. j0 runs 10 s on cached data; j1 stages its file
-    # for 50 s. At t=10 a slot is free, but j2's Requirements read the
-    # station's queue and cache through fun(), and j1's file is still queued
-    # (score -51). When j1's staged batch lands at t=50 the file is cached
-    # and the queue empty, so j2 matches then, not when j1 finishes at 1050:
-    # a batch of staged events frees no slot, yet it can change a decision
+def _staged_batch_doc() -> dict:
+    """Two slots, three jobs. j0 runs 10 s on cached data; j1 stages its
+    file for 50 s. At t=10 a slot is free, but j2's Requirements read the
+    station's queue and cache through fun(), and j1's file is still queued
+    (score -51). When j1's staged batch lands at t=50 the file is cached and
+    the queue empty, so j2 matches then, not when j1 finishes at 1050."""
     catalog = {"hot": [["h0", 1_000_000, "HOME"]],
                "cold": [["c0", 5_000_000_000, "HOME"]]}
     config = make_site_config("S", "c", "st", {"HOME": 1e8}, slots=2)
@@ -566,7 +555,13 @@ def test_a_staged_batch_can_let_a_waiting_job_match(policy):
         {"id": "j2", "ad": {"Owner": owner, "Dataset": '"cold"',
                             "Requirements": "fun(Dataset, OTHER.Station_ID) > -1.5"}},
     ]
-    world = GridWorld(load_scenario(_scenario_doc(catalog, [site], jobs)), policy, 0)
+    return _scenario_doc(catalog, [site], jobs)
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_staged_batch_can_let_a_waiting_job_match(policy):
+    # a batch of staged events frees no slot, yet it can change a decision
+    world = GridWorld(load_scenario(_staged_batch_doc()), policy, 0)
     world.run()
     stamps = {job.ad.ad_id: {state: stamp for state, stamp, _ in job.history}
               for job in world.queue.jobs.values()}
@@ -1010,7 +1005,7 @@ def test_job_ads_keep_one_autocluster_per_expression_however_many_runs():
                      for ad in scenario.job_ads}
 
 
-# -- idle jobs the kept verdicts refuse ------------------------------------------------
+# -- idle jobs whose group judgement is empty ---------------------------------------
 
 def _backlog_doc(rng: random.Random) -> dict:
     """A backlog of 60 jobs on four two-slot sites of mixed architectures
@@ -1038,11 +1033,40 @@ def _backlog_doc(rng: random.Random) -> dict:
     return _scenario_doc(catalog, sites, jobs)
 
 
-def _counted_run(scenario, policy: str, seed: int, monkeypatch) -> tuple:
-    """The run's outcome, how many jobs its passes judged, and how many times
-    a chooser ran: the Rank argmax, or the random or round-robin one."""
-    judged, chosen = [0], [0]
+class _PullEveryJobWorld(GridWorld):
+    """Reference cycle: `GridWorld`'s, with a pull that passes over no idle
+    job. Every job the pass reaches is judged and decided, and a cycle that
+    began with an event pending drops the no-match decisions."""
+
+    def _match_cycle(self) -> None:
+        idle = list(self._idle.values())
+        if not idle:
+            return
+        self._query.start_cycle(self.stations)
+        saw_everything = not self._heap
+        choose = None if self.policy == "data-aware" else self._choose_baseline
+        index = self._free if self.clock < self.scenario.ttl else {}
+        verdicts = matchmaker.Verdicts(index, self._verdicts, self.registry)
+        decisions = list(sim.match_jobs(index, (r.ad for r in idle), self.registry,
+                                        self._env, choose=choose, verdicts=verdicts))
+        for record, decision in zip(idle, decisions):
+            if decision.matched:
+                saw_everything = False
+                self._start_staging(record, decision)
+            elif saw_everything:
+                self._hold(record, decision.reason)
+        if saw_everything:
+            for record in list(self._idle.values()):
+                self._hold(record, "no-candidates")
+
+
+def _counted_run(world: GridWorld, monkeypatch) -> tuple:
+    """The run's outcome, how many jobs its passes decided, how many times
+    a chooser ran (the Rank argmax, or the random or round-robin one), and
+    how many Requirements pairs it evaluated."""
+    judged, chosen, evaluated = [0], [0], [0]
     match_jobs, argmax = sim.match_jobs, matchmaker._argmax
+    symmetric_match = matchmaker.symmetric_match
 
     def counting(*args, **kwargs):
         for decision in match_jobs(*args, **kwargs):
@@ -1053,32 +1077,82 @@ def _counted_run(scenario, policy: str, seed: int, monkeypatch) -> tuple:
         chosen[0] += 1
         return argmax(*args)
 
-    class Counting(GridWorld):
-        def _choose_baseline(self, *args):
-            chosen[0] += 1
-            return super()._choose_baseline(*args)
+    def counted_match(*args):
+        evaluated[0] += 1
+        return symmetric_match(*args)
 
+    choose_baseline = world._choose_baseline
+
+    def counted_baseline(*args):
+        chosen[0] += 1
+        return choose_baseline(*args)
+
+    world._choose_baseline = counted_baseline
     with monkeypatch.context() as patch:
         patch.setattr(sim, "match_jobs", counting)
         patch.setattr(matchmaker, "_argmax", counted_argmax)
-        outcome = _outcome(Counting(scenario, policy, seed))
-    return outcome, judged[0], chosen[0]
+        patch.setattr(matchmaker, "symmetric_match", counted_match)
+        outcome = _outcome(world)
+    return outcome, judged[0], chosen[0], evaluated[0]
 
 
 @pytest.mark.parametrize("policy", sim.POLICIES)
 def test_a_pull_passes_over_the_jobs_the_kept_verdicts_refuse(policy, monkeypatch):
+    # a pending cycle passes over a job whose group's judgement is empty: the
+    # same runs as when every idle job is pulled, with the same chooser
+    # calls, fewer decisions, and no more Requirements evaluated
     skipped = 0
     for seed in range(5):
         scenario = load_scenario(_backlog_doc(random.Random(seed)))
-        got, judged, chosen = _counted_run(scenario, policy, seed, monkeypatch)
-        with monkeypatch.context() as patch:  # every pulled job judged
-            patch.setattr(matchmaker.Verdicts, "refuses", lambda self, job: False)
-            want, judged_all, chosen_all = _counted_run(scenario, policy, seed, monkeypatch)
+        got, judged, chosen, evaluated = _counted_run(
+            GridWorld(scenario, policy, seed), monkeypatch)
+        want, judged_all, chosen_all, evaluated_all = _counted_run(
+            _PullEveryJobWorld(scenario, policy, seed), monkeypatch)
         assert got == want == _outcome(_EveryBatchWorld(scenario, policy, seed)), seed
         assert chosen == chosen_all, seed
         assert judged <= judged_all, seed
+        assert evaluated <= evaluated_all, seed
         skipped += judged_all - judged
     assert skipped > 0
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_pending_cycle_passes_over_a_group_whose_verdicts_call_a_function(policy,
+                                                                            monkeypatch):
+    # in the staged-batch scenario, j2's group reads the station through
+    # fun(), and its judgement at t=10, while j1 stages, is empty: the pull
+    # passes over j2 there, where pulling every job decides it
+    scenario = load_scenario(_staged_batch_doc())
+    judge, judged = matchmaker.Verdicts.judge, []
+
+    def recording(self, job, env):
+        passing, row = judge(self, job, env)
+        group = job.autocluster(matchmaker._VERDICT_READS, self._others, self._reg)
+        judged.append((job.ad_id, group.calls, bool(passing)))
+        return passing, row
+
+    def decisions(world: GridWorld) -> list:
+        """(clock, job id, matched) of each decision the world's passes yield."""
+        got, match_jobs = [], sim.match_jobs
+
+        def recorded(*args, **kwargs):
+            for decision in match_jobs(*args, **kwargs):
+                got.append((world.clock, decision.job_id, decision.matched))
+                yield decision
+
+        with monkeypatch.context() as patch:
+            patch.setattr(matchmaker.Verdicts, "judge", recording)
+            patch.setattr(sim, "match_jobs", recorded)
+            world.run()
+        return got
+
+    assert decisions(GridWorld(scenario, policy, 0)) == [
+        (0.0, "j0", True), (0.0, "j1", True), (50.0, "j2", True)]
+    assert ("j2", True, False) in judged  # judged at t=10, and passed over
+    reference = _PullEveryJobWorld(scenario, policy, 0)
+    assert (10.0, "j2", False) in decisions(reference)
+    assert (reference.report(), reference.event_log) == \
+        _outcome(GridWorld(scenario, policy, 0))
 
 
 @pytest.mark.parametrize("policy", sim.POLICIES)
@@ -1096,6 +1170,54 @@ def test_a_world_that_has_run_dies_with_its_last_reference(policy):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- round-robin -------------------------------------------------------------------------
+
+class _RotationWorld(GridWorld):
+    """Round-robin by the rotation it once kept: every slot in ad id order
+    and a pointer one past the last pick, from which each pick scans the
+    whole rotation for an authorized ad that can stage the job. Counts the
+    picks that wrapped round past the end of the rotation."""
+
+    wrapped = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._order, self._ptr = sorted(self.slots), 0
+
+    def _choose_baseline(self, job, clusters, reg, env):
+        by_id = {s.ad.ad_id: s for members in clusters for s in members}
+        dataset, out_bytes = job.self_text("Dataset"), output_bytes(job)
+        n = len(self._order)
+        for k in range(n):
+            pick = by_id.get(self._order[(self._ptr + k) % n])
+            if pick is None:
+                continue
+            try:
+                self._query(dataset, pick.station_id, out_bytes)
+            except (NoRouteToSource, UnknownDataset, ScoreOverflow):
+                continue
+            self.wrapped += self._ptr + k >= n
+            self._ptr = (self._ptr + k + 1) % n
+            return pick.ad.ad_id, 0.0
+        return None
+
+
+def test_round_robin_picks_as_the_rotation_over_every_slot_did():
+    scenarios = [load_scenario(SAMPLE_DOC), load_scenario(_rejoin_doc()), SKEWED]
+    for seed in range(5):
+        scenarios.append(load_scenario(_backlog_doc(random.Random(seed))))
+    for seed in range(150):
+        rng = random.Random(seed)
+        scenarios.append(load_scenario(_world_doc(make_world(rng), rng)))
+    wrapped = 0
+    for seed, scenario in enumerate(scenarios):
+        reference = _RotationWorld(scenario, "round-robin", seed)
+        want = _outcome(reference)
+        assert _outcome(GridWorld(scenario, "round-robin", seed)) == want, seed
+        wrapped += reference.wrapped
+    assert wrapped > 0
 
 
 # -- routes ------------------------------------------------------------------------------
@@ -1182,30 +1304,30 @@ def test_event_cap_detects_runaway_runs(monkeypatch):
 
 def _check_judgements(seed: int, policy: str) -> collections.Counter:
     """A run of a `worldgen` world in which every `Verdicts.judge` answer is
-    checked against `_judge` on the job alone, with an empty row, at that
-    point of the pass: the same no-match reason, or the same passing member
-    lists, as a set, each one the index's own and not empty. Counts the
-    answers that were kept from an earlier job of the group, by whether
-    the group's verdict calls a function."""
+    checked against judging the job alone, with an empty row, at that point
+    of the pass: the same passing member lists, as a set, each one the
+    index's own and not empty, and, when there are none, the same no-match
+    reason from the group's row as from the job's own. Counts the answers
+    that were kept from an earlier job of the group, by whether the group's
+    verdict calls a function."""
     rng = random.Random(seed)
     scenario = load_scenario(_world_doc(make_world(rng), rng))
     judge, kept = matchmaker.Verdicts.judge, collections.Counter()
 
-    def checking(self, job, owner, env):
+    def checking(self, job, env):
         group = job.autocluster(matchmaker._VERDICT_READS, self._others, self._reg)
         reused = group in self._judged and self._size == len(self._index)
-        got = judge(self, job, owner, env)
-        fresh = matchmaker._judge(job, owner, self._index, {}, self._reg, env)
-        if isinstance(fresh, str):
-            assert got == fresh
-        else:
-            assert not isinstance(got, str)
-            assert {id(members) for members in got} == {id(members) for members in fresh}
-            assert all(members and self._index[members[0].cluster] is members
-                       for members in got)
+        got, row = judge(self, job, env)
+        fresh, fresh_row = matchmaker._passing(job, self._index, {}, self._reg, env)
+        assert {id(members) for members in got} == {id(members) for members in fresh}
+        assert all(members and self._index[members[0].cluster] is members
+                   for members in got)
+        if not got:
+            reason = matchmaker._reason(job, self._index, fresh_row, self._reg, env)
+            assert matchmaker._reason(job, self._index, row, self._reg, env) == reason
         if reused:
             kept["calls" if group.calls or self._kept is self._fresh else "kept"] += 1
-        return got
+        return got, row
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matchmaker.Verdicts, "judge", checking)
