@@ -3,6 +3,11 @@
 Ad file format: one `Name = expression` binding per line, `#` starts a
 comment line, blank lines ignored. Attribute names are unique up to case
 folding and keep their display spelling.
+
+One weak table interns every cluster identity (`Autocluster`): a job's
+autocluster for the attributes it evaluates (`ClassAd.autocluster`) and a
+stored resource ad's cluster with its gridmap (`ClassAd.resource_cluster`),
+which records the OTHER reach of its bindings when it is first made.
 """
 
 from __future__ import annotations
@@ -39,20 +44,35 @@ _BINDING = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+?)\s*$")
 
 
 class Autocluster:
-    """The identity shared by the ads that one evaluation cannot tell apart
-    (`ClassAd.autocluster`). `calls` tells whether that evaluation may call
-    a function, whose result may change with the environment."""
+    """The identity shared by the ads that one evaluation cannot tell apart:
+    a job's for the attributes it evaluates (`ClassAd.autocluster`), or a
+    stored resource ad's with its gridmap (`ClassAd.resource_cluster`).
+    `calls` tells whether that evaluation may call a function, whose result
+    may change with the environment. `others`, on a resource cluster, names
+    the attributes its bindings refer to through OTHER, case-folded."""
 
-    __slots__ = ("calls", "__weakref__")
+    __slots__ = ("calls", "others", "__weakref__")
 
-    def __init__(self, calls: bool):
-        self.calls = calls
+    def __init__(self, calls: bool, others: frozenset[str] = frozenset()):
+        self.calls, self.others = calls, others
 
 
-# the bindings an evaluation reads -> their autocluster; an entry lives only
-# as long as something holds its autocluster
+# every cluster identity by its key: the bindings a job's evaluation reads,
+# a tuple of (name, expr_key) pairs, or a resource ad's (gridmap, ClassAd.key()),
+# whose first item is a frozenset, so no key of one kind equals one of the
+# other; an entry lives only as long as something holds its cluster
 _AUTOCLUSTERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _AUTOCLUSTERS_LOCK = threading.Lock()
+
+
+def _intern(key: tuple, calls: bool, others: frozenset[str] = frozenset()) -> Autocluster:
+    """The cluster interned under `key`, made with `calls` and `others` if
+    there is none."""
+    with _AUTOCLUSTERS_LOCK:
+        cluster = _AUTOCLUSTERS.get(key)
+        if cluster is None:
+            cluster = _AUTOCLUSTERS[key] = Autocluster(calls, others)
+    return cluster
 
 
 class ClassAd:
@@ -70,7 +90,6 @@ class ClassAd:
         # folded name -> self-read; (name,) -> `self_quantity`;
         # ("OutputBytes", int) -> `jobs.output_bytes`
         self._self_values: dict = {}
-        self._reach: Optional[tuple[frozenset[str], bool]] = None
         # start names -> (other names, registry reads, autocluster)
         self._autoclusters: dict[tuple[str, ...], tuple] = {}
         self.kind = kind
@@ -125,10 +144,16 @@ class ClassAd:
             memo[key] = x
         return x
 
-    def other_reach(self) -> tuple[frozenset[str], bool]:
-        """The attributes this ad's bindings refer to through OTHER,
-        case-folded, and whether they call a function. Memoized."""
-        if self._reach is None:
+    def resource_cluster(self, gridmap: frozenset[str]) -> Autocluster:
+        """The cluster of the resource ads with this ad's bindings and
+        `gridmap`, interned in the one table. When it is first made it
+        records the attributes the bindings refer to through OTHER and
+        whether they call a function; the walk runs only then, outside the
+        table's lock."""
+        key = (gridmap, self.key())
+        with _AUTOCLUSTERS_LOCK:
+            cluster = _AUTOCLUSTERS.get(key)
+        if cluster is None:
             others, calls = set(), False
             for expr in self._by_folded.values():
                 for node in references(expr):
@@ -136,8 +161,8 @@ class ClassAd:
                         calls = True
                     elif node.scope is Scope.OTHER:
                         others.add(node.name.lower())
-            self._reach = (frozenset(others), calls)
-        return self._reach
+            cluster = _intern(key, calls, frozenset(others))
+        return cluster
 
     def autocluster(self, start: tuple[str, ...], other_names: frozenset[str],
                     reg: FnRegistry) -> Autocluster:
@@ -176,10 +201,7 @@ class ClassAd:
                     todo.append(node.name.lower())
         key = tuple(sorted((name, expr_key(self._by_folded[name]))
                            for name in names if name in self._by_folded))
-        with _AUTOCLUSTERS_LOCK:
-            cluster = _AUTOCLUSTERS.get(key)
-            if cluster is None:
-                cluster = _AUTOCLUSTERS[key] = Autocluster(calls)
+        cluster = _intern(key, calls)
         self._autoclusters[start] = (other_names, dict(reg.reads), cluster)
         return cluster
 

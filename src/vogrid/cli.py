@@ -10,6 +10,10 @@ configuration session (`conftree.configurator`, `session`, `meta`,
 `directives`) or `subprocess`, and a station or a queue never loads the
 matchmaker.
 
+Each option that several commands take (--auth, --port, --queue, --job,
+-o/--output) is defined once, as a parent parser, and each command lists the
+parents it takes (`build_parser`).
+
 A file that an option names and that cannot be read or written, or does not
 hold what the option wants, is a usage error (exit 2) naming the file
 (`_option_file`), as is a HOST:PORT whose port is not one `wire.is_port`
@@ -155,7 +159,8 @@ def _load_station(args):
     raise SystemExit(f"no station named {args.station!r} in {args.config}")
 
 
-def _request_or_die(host, port, msg, auth):
+def _request_or_die(address: tuple[str, int], msg, auth):
+    host, port = address
     try:
         return wire.reply_result(wire.send_request(host, port, msg, auth_token=auth))
     except OSError as exc:
@@ -211,11 +216,10 @@ def cmd_adv_run(args):
                  MissingAttribute)
     gridmap = _option_file(args.gridmap, lambda path: parse_gridmap(_read(path))) \
         if args.gridmap else []
-    host, port = args.mm
     ttl = 2.0 * args.interval
 
     def send(msg):
-        return _request_or_die(host, port, msg, args.auth)
+        return _request_or_die(args.mm, msg, args.auth)
 
     while True:
         try:
@@ -274,16 +278,12 @@ def cmd_submit(args):
     ad_id = os.path.splitext(os.path.basename(args.ad))[0]
     ad = _option_file(args.ad, lambda path: parse_classad(_read(path), AdKind.JOB, ad_id),
                       ParseError)
-    host, port = args.queue
-    result = _request_or_die(host, port,
-                             {"type": "SUBMIT", "ad": ad_to_json(ad)}, args.auth)
+    result = _request_or_die(args.queue, {"type": "SUBMIT", "ad": ad_to_json(ad)}, args.auth)
     print(f"job {result['job_id']} {result['state']}")
 
 
 def cmd_status(args):
-    host, port = args.queue
-    result = _request_or_die(host, port,
-                             {"type": "STATUS", "job_id": args.job}, args.auth)
+    result = _request_or_die(args.queue, {"type": "STATUS", "job_id": args.job}, args.auth)
     print(f"job {result['job_id']}: {result['state']}"
           + (f" ({result['detail']})" if result.get("detail") else ""))
     for entry in result["history"]:
@@ -292,9 +292,7 @@ def cmd_status(args):
 
 
 def cmd_release(args):
-    host, port = args.queue
-    result = _request_or_die(host, port,
-                             {"type": "RELEASE", "job_id": args.job}, args.auth)
+    result = _request_or_die(args.queue, {"type": "RELEASE", "job_id": args.job}, args.auth)
     print(f"job {result['job_id']} {result['state']}")
 
 
@@ -324,96 +322,82 @@ def build_parser() -> argparse.ArgumentParser:
                     "matchmaking, and simulation.")
     top = parser.add_subparsers(dest="command", required=True)
 
+    auth, port, queue, job, output = (argparse.ArgumentParser(add_help=False)
+                                      for _ in range(5))
+    auth.add_argument("--auth")
+    port.add_argument("--port", type=_listen_port, required=True)
+    queue.add_argument("--queue", required=True, type=_host_port)
+    job.add_argument("--job", required=True, type=int)
+    output.add_argument("-o", "--output", default="-")
+
     conf = top.add_parser("conf", help="configuration sessions and derivation")
     confsub = conf.add_subparsers(dest="subcommand", required=True)
-    p = confsub.add_parser("run", help="configure a schema into a config tree")
+    p = confsub.add_parser("run", parents=[output],
+                           help="configure a schema into a config tree")
     p.add_argument("--schema", required=True)
     p.add_argument("--answers", help="scripted answers; interactive if omitted")
     p.add_argument("--prior", help="previous config supplying defaults")
-    p.add_argument("-o", "--output", default="-")
     p.set_defaults(fn=cmd_conf_run)
-    p = confsub.add_parser("meta", help="print the built-in meta-schema")
-    p.add_argument("-o", "--output", default="-")
+    p = confsub.add_parser("meta", parents=[output], help="print the built-in meta-schema")
     p.set_defaults(fn=cmd_conf_meta)
-    p = confsub.add_parser("derive", help="project a per-service config")
+    p = confsub.add_parser("derive", parents=[output], help="project a per-service config")
     p.add_argument("--config", required=True)
     p.add_argument("--service", required=True,
                    choices=("advertiser", "station", "monitoring"))
-    p.add_argument("-o", "--output", default="-")
     p.set_defaults(fn=cmd_conf_derive)
 
     adv = top.add_parser("adv", help="resource advertiser")
     advsub = adv.add_subparsers(dest="subcommand", required=True)
-    p = advsub.add_parser("run", help="advertise a site to the matchmaker")
+    p = advsub.add_parser("run", parents=[auth], help="advertise a site to the matchmaker")
     p.add_argument("--config", required=True)
     p.add_argument("--mm", required=True, type=_host_port)
     p.add_argument("--interval", type=_interval, default=30.0)
     p.add_argument("--gridmap", help="authorized grid subjects, one per line")
     p.add_argument("--once", action="store_true", help="advertise once and exit")
-    p.add_argument("--auth")
     p.set_defaults(fn=cmd_adv_run)
 
     info = top.add_parser("info", help="pull-based site information tree")
     infosub = info.add_subparsers(dest="subcommand", required=True)
-    p = infosub.add_parser("serve")
+    p = infosub.add_parser("serve", parents=[port, auth])
     p.add_argument("--config", required=True)
-    p.add_argument("--port", type=_listen_port, required=True)
-    p.add_argument("--auth")
     p.set_defaults(fn=cmd_info_serve)
 
     station = top.add_parser("station", help="data-handling station")
     stationsub = station.add_subparsers(dest="subcommand", required=True)
-    p = stationsub.add_parser("serve")
+    p = stationsub.add_parser("serve", parents=[port, auth])
     p.add_argument("--config", required=True, help="site configuration XML")
     p.add_argument("--station", required=True, help="station name in the config")
     p.add_argument("--catalog", required=True, help="dataset catalog JSON")
     p.add_argument("--fixture", help="JSON runtime state overrides")
-    p.add_argument("--port", type=_listen_port, required=True)
-    p.add_argument("--auth")
     p.set_defaults(fn=cmd_station_serve)
 
     mm = top.add_parser("mm", help="matchmaking service")
     mmsub = mm.add_subparsers(dest="subcommand", required=True)
-    p = mmsub.add_parser("serve")
-    p.add_argument("--port", type=_listen_port, required=True)
+    p = mmsub.add_parser("serve", parents=[port, auth])
     p.add_argument("--station-directory", type=_station_directory,
                    help="JSON map of Station_ID to [host, port]")
-    p.add_argument("--auth")
     p.set_defaults(fn=cmd_mm_serve)
 
     q = top.add_parser("q", help="job queue server")
     qsub = q.add_subparsers(dest="subcommand", required=True)
-    p = qsub.add_parser("serve")
-    p.add_argument("--port", type=_listen_port, required=True)
+    p = qsub.add_parser("serve", parents=[port, auth])
     p.add_argument("--journal", required=True)
-    p.add_argument("--auth")
     p.set_defaults(fn=cmd_q_serve)
 
-    p = top.add_parser("submit", help="submit a job ad to the queue")
-    p.add_argument("--queue", required=True, type=_host_port)
+    p = top.add_parser("submit", parents=[queue, auth], help="submit a job ad to the queue")
     p.add_argument("--ad", required=True, help="classad text file")
-    p.add_argument("--auth")
     p.set_defaults(fn=cmd_submit)
-
-    p = top.add_parser("status", help="job state and history")
-    p.add_argument("--queue", required=True, type=_host_port)
-    p.add_argument("--job", required=True, type=int)
-    p.add_argument("--auth")
+    p = top.add_parser("status", parents=[queue, job, auth], help="job state and history")
     p.set_defaults(fn=cmd_status)
-
-    p = top.add_parser("release", help="re-queue a held job")
-    p.add_argument("--queue", required=True, type=_host_port)
-    p.add_argument("--job", required=True, type=int)
-    p.add_argument("--auth")
+    p = top.add_parser("release", parents=[queue, job, auth], help="re-queue a held job")
     p.set_defaults(fn=cmd_release)
 
     sim = top.add_parser("sim", help="deterministic scenario runs")
     simsub = sim.add_subparsers(dest="subcommand", required=True)
-    p = simsub.add_parser("run")
+    p = simsub.add_parser("run", parents=[output])
     p.add_argument("--scenario", required=True)
     p.add_argument("--policy", default="data-aware", choices=POLICIES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", default="-")
     p.add_argument("--events", help="also write the event log, one JSON per line")
     p.set_defaults(fn=cmd_sim_run)
 

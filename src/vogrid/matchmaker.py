@@ -34,7 +34,10 @@ Name, then ad id, both in UTF-8 byte order.
 
 Resource clusters. The stored ads of equal kind, equal attribute bindings
 and equal gridmap form one resource cluster (`StoredAd.cluster`); the slots
-of one site cluster are advertised that way. The free index maps each
+of one site cluster are advertised that way. It is interned
+(`ClassAd.resource_cluster`) in the one table that interns job autoclusters
+too, and when it is first made it records the attributes its bindings refer
+to through OTHER and whether they call a function. The free index maps each
 cluster to its free members, in ad id order, so a job's cost follows the
 clusters, not the slots. Every stage judges a cluster on its first free
 member and applies the verdict to all of them: pre-authorization and
@@ -84,7 +87,6 @@ import logging
 import math
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -100,7 +102,7 @@ from .classads import (
     real,
     symmetric_match,
 )
-from .classads.ads import AdKind, of_kind
+from .classads.ads import AdKind, Autocluster, of_kind
 from .classads.exprs import Literal
 from .jobs import output_bytes
 
@@ -117,12 +119,6 @@ class IncompleteAd(Exception):
     pass
 
 
-class ResourceCluster:
-    """The identity shared by the stored ads of one resource cluster."""
-
-    __slots__ = ("__weakref__",)
-
-
 @dataclass(frozen=True)
 class StoredAd:
     ad: ClassAd
@@ -131,7 +127,7 @@ class StoredAd:
     name: str
     station_id: str
     gridmap: frozenset[str]
-    cluster: ResourceCluster
+    cluster: Autocluster
 
 
 class MatchDecision(NamedTuple):
@@ -163,11 +159,11 @@ class MatchDecision(NamedTuple):
 
 class AdStore:
     """Resource ads keyed by ad id, each with an expiry, a gridmap and a
-    resource cluster.
+    resource cluster (`ClassAd.resource_cluster`).
 
     A snapshot drops the ads that have expired by its `now`, so the store
     holds only ads still to be seen, and an expired ad's cluster leaves the
-    cluster table with it. Callers' clocks never run backwards.
+    intern table with its last ad. Callers' clocks never run backwards.
 
     Thread-safe: upserts may run while another thread matches.
     """
@@ -175,9 +171,6 @@ class AdStore:
     def __init__(self):
         self._lock = threading.Lock()
         self._ads: dict[str, StoredAd] = {}
-        # (gridmap, ClassAd.key()) -> cluster; an entry lives only as long
-        # as some StoredAd holds its cluster
-        self._clusters: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def collect_ad(self, ad: ClassAd, gridmap: Iterable[str], ttl_seconds: float,
                    now: float) -> StoredAd:
@@ -190,13 +183,10 @@ class AdStore:
         if name is None or station_id is None:
             raise IncompleteAd(f"ad {ad.ad_id!r}: Name and Station_ID must be text")
         subjects = frozenset(gridmap)
-        key = (subjects, ad.key())
+        stored = StoredAd(ad, now, float(ttl_seconds), name, station_id, subjects,
+                          ad.resource_cluster(subjects))
         with self._lock:
-            cluster = self._clusters.get(key)
-            if cluster is None:
-                cluster = self._clusters[key] = ResourceCluster()
-            stored = self._ads[ad.ad_id] = StoredAd(
-                ad, now, float(ttl_seconds), name, station_id, subjects, cluster)
+            self._ads[ad.ad_id] = stored
         return stored
 
     def snapshot(self, now: float) -> list[StoredAd]:
@@ -340,7 +330,7 @@ def _argmax(clusters: list[list[StoredAd]],
     return best
 
 
-FreeIndex = dict[ResourceCluster, list[StoredAd]]
+FreeIndex = dict[Autocluster, list[StoredAd]]
 
 _AD_ID = attrgetter("ad.ad_id")
 
@@ -385,7 +375,8 @@ class Verdicts:
     keeps across passes (a simulator run keeps one).
 
     A job's autoclusters are taken against the names the free clusters'
-    bindings refer to through OTHER (`ClassAd.other_reach`), once for the
+    bindings refer to through OTHER, which each resource cluster recorded
+    when it was first made (`Autocluster.others`), gathered once for the
     pass. A verdict row maps each resource cluster to [authorized, passes]:
     pre-authorization and the symmetric Requirements, judged on the
     cluster's first free member, with passes None until judged; a rank row
@@ -413,11 +404,10 @@ class Verdicts:
 
     def __init__(self, index: FreeIndex, kept: dict, reg: FnRegistry):
         others, called = _NOTHING, False
-        for members in index.values():
-            names, calls = members[0].ad.other_reach()
-            if names:
-                others = others | names
-            called |= calls
+        for cluster in index:
+            if cluster.others:
+                others = others | cluster.others
+            called |= cluster.calls
         self._index, self._reg, self._others = index, reg, others
         self._fresh, self._ranks = {}, {}
         self._kept = self._fresh if called else kept

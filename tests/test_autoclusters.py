@@ -275,7 +275,7 @@ def test_the_random_worlds_share_autoclusters():
     for seed in range(200):
         rng = random.Random(seed)
         jobs, store, reg = _jobs(rng), _store(rng), _registry()
-        others = frozenset().union(*(s.ad.other_reach()[0] for s in store.snapshot(0.0)))
+        others = frozenset().union(*(s.cluster.others for s in store.snapshot(0.0)))
         for start in (("requirements", "owner"), ("rank",)):
             groups = [job.autocluster(start, others, reg) for job in jobs]
             shared[start] += len(set(map(id, groups))) < len(jobs)

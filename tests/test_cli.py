@@ -614,6 +614,7 @@ def _scenario_with_first_file(first_file) -> str:
     (_SCENARIO, _scenario_with_first_site(("schema_version='v0_3'", "schema_version='v9'"))),
     (_SCENARIO, _scenario_with_first_site(("<station ", "<depot "), ("</station>", "</depot>"))),
     (_XML_STATION, _SITE_V9), (_XML_STATION, _SITE_NO_STATION),
+    (_SCENARIO, _scenario_with_first_site(("name='ca'", "name='ca' foo='1' FOO='2'"))),
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
         "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
         "conf-derive-config", "adv-config", "info-config", "gridmap-missing",
@@ -624,7 +625,7 @@ def _scenario_with_first_file(first_file) -> str:
         "catalog-name-number", "scenario-source-list", "scenario-source-list-random",
         "scenario-name-number", "scenario-slots-zero", "scenario-slots-superscript",
         "scenario-schema-version", "scenario-no-station", "station-schema-version",
-        "station-no-station"])
+        "station-no-station", "scenario-attributes-alike-but-for-case"])
 def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, monkeypatch,
                                                      argv, content):
     # each of these once ended in a traceback, or was taken as valid (a

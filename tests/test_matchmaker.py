@@ -806,15 +806,17 @@ def test_expired_ads_leave_the_store_and_the_cluster_table():
     # a long-lived matchmaker must not keep, and rescan, every ad that expired
     now = {"t": 0.0}
     service = MatchmakerService(clock=lambda: now["t"])
-    for i, name in enumerate(["A", "A", "B"]):
+    # names no other test advertises: a cluster is interned by its bindings
+    for i, name in enumerate(["expiring-A", "expiring-A", "expiring-B"]):
         service.handle_message(_advertise_msg(_res(f"r{i}", name, "s1"), ttl=1.0)
                                | {"id": i})
-    assert len(service.store._ads) == 3 and len(service.store._clusters) == 2
+    clusters = [weakref.ref(s.cluster) for s in service.store._ads.values()]
+    assert len(service.store._ads) == 3 and len({c() for c in clusters}) == 2
     now["t"] = 1.0
     job_msg = {"type": "MATCH_REQUEST", "id": 9, "jobs": [ad_to_json(_job("j"))]}
     [d] = service.handle_message(job_msg)["result"]["decisions"]
     assert d["reason"] == "no-candidates"
-    assert len(service.store._ads) == 0 and len(service.store._clusters) == 0
+    assert len(service.store._ads) == 0 and all(c() is None for c in clusters)
 
 
 # -- the lazy pipeline ---------------------------------------------------------------

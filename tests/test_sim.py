@@ -1292,12 +1292,31 @@ def test_an_event_time_past_a_float_is_non_quiescent(policy):
         run_scenario(load_scenario(doc), policy, 0)
 
 
-def test_event_cap_detects_runaway_runs(monkeypatch):
-    monkeypatch.setattr(sim, "EVENT_CAP", 3)
-    with pytest.raises(NonQuiescent):
-        run_scenario(SKEWED, "data-aware", 0)
-    monkeypatch.setattr(sim, "EVENT_CAP", 12)
-    run_scenario(SKEWED, "data-aware", 0)  # exactly at the cap is fine
+def _two_events_per_match(report: dict, events: list[dict]) -> int:
+    """The run's matches, checked to be half its events, as `GridWorld.run`
+    argues: that bound, not a cap, ends every run."""
+    matches = sum(event["event"] == "match" for event in events)
+    assert report["events"] == 2 * matches
+    return matches
+
+
+@pytest.mark.parametrize("shape", ["backlog", "burst"])
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_bench_run_processes_two_events_per_match(shape, policy):
+    bench = bench_scenarios()
+    for seed in range(1, 6):
+        scenario = load_scenario(bench.scenario_doc(bench.make_grid(seed, shape)))
+        assert _two_events_per_match(*run_scenario(scenario, policy, seed)) > 0
+
+
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_a_random_world_processes_two_events_per_match(policy):
+    matched = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        scenario = load_scenario(_world_doc(make_world(rng), rng))
+        matched += _two_events_per_match(*run_scenario(scenario, policy, seed)) > 0
+    assert matched > 30  # most worlds place some job
 
 
 # -- one judgement per verdict autocluster per pass -------------------------------------
