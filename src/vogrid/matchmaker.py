@@ -27,10 +27,12 @@ only to tell no-candidates (no ad passes) from unauthorized-everywhere.
 
 With `choose` None, the chooser is the Rank argmax: it evaluates the job's
 Rank against the authorized ads (external functions query stations now);
-the simulator's baselines pass a chooser of their own. Ranks that are
-not a finite number (Undefined, Error, non-numeric, or too large for a Real)
-drop the candidate rather than demoting it. Ties on rank break by resource
-Name, then ad id, both in UTF-8 byte order.
+the simulator's baselines pass a chooser of their own. Either returns its
+pick as a record, (member, rank), where the member is the picked
+`StoredAd` itself, so a claim finds it in its cluster's members with one
+bisect. Ranks that are not a finite number (Undefined, Error, non-numeric,
+or too large for a Real) drop the candidate rather than demoting it. Ties
+on rank break by resource Name, then ad id, both in UTF-8 byte order.
 
 Resource clusters. The stored ads of equal kind, equal attribute bindings
 and equal gridmap form one resource cluster (`StoredAd.cluster`); the slots
@@ -130,6 +132,11 @@ class StoredAd:
     cluster: Autocluster
 
 
+# what a NamedTuple's generated __new__ calls: a decision built through it
+# skips that Python-level call
+_new = tuple.__new__
+
+
 class MatchDecision(NamedTuple):
     job_id: str
     resource_id: str | None = None
@@ -144,11 +151,11 @@ class MatchDecision(NamedTuple):
     def match(cls, job_id: str, resource_id: str, rank: float) -> "MatchDecision":
         if not math.isfinite(rank):
             raise ValueError("matched rank must be finite")
-        return cls(job_id, resource_id=resource_id, rank=rank)
+        return _new(cls, (job_id, resource_id, rank, None))
 
     @classmethod
     def no_match(cls, job_id: str, reason: str) -> "MatchDecision":
-        return cls(job_id, reason=reason)
+        return _new(cls, (job_id, None, None, reason))
 
     def to_json(self) -> dict:
         if self.matched:
@@ -311,23 +318,26 @@ def rank_resources(job: ClassAd, clusters: list[list[StoredAd]], reg: FnRegistry
 
 
 def _argmax(clusters: list[list[StoredAd]],
-            ranks: list[float | None]) -> tuple[str, float] | None:
-    """The Rank argmax as (ad id, rank), given each cluster's rank as
-    `Value.as_real` reads it; ranks that are not finite numbers drop out.
+            row: dict) -> tuple[StoredAd, float] | None:
+    """The Rank argmax as (member, rank), given the job's rank row, which
+    holds each cluster's rank as `Value.as_real` reads it; ranks that are
+    not finite numbers drop out.
 
     Ties break by Name, then ad id. Code point order of text is its UTF-8
     byte order. The members of a cluster share Name and rank, so each
-    cluster competes with its lowest ad id, its first member.
+    cluster competes with its lowest ad id, its first member, which is the
+    pick. Ranks are compared first, and the (Name, ad id) key is built only
+    for two equal ones: the total order of (-rank, Name, ad id), so 0.0 and
+    -0.0 tie, and the pick keeps its own rank.
     """
-    best = best_key = None
-    for members, rank in zip(clusters, ranks):
-        if rank is None:
-            continue
+    best, top = None, -math.inf  # every rank in a row is finite or None
+    for members in clusters:
         first = members[0]
-        key = (-rank, first.name, first.ad.ad_id)
-        if best_key is None or key < best_key:
-            best, best_key = (first.ad.ad_id, rank), key
-    return best
+        rank = row[first.cluster]
+        if rank is not None and (rank > top or rank == top and (
+                (first.name, first.ad.ad_id) < (best.name, best.ad.ad_id))):
+            best, top = first, rank
+    return None if best is None else (best, top)
 
 
 FreeIndex = dict[Autocluster, list[StoredAd]]
@@ -344,16 +354,17 @@ def free_index(ads: Iterable[StoredAd]) -> FreeIndex:
     return index
 
 
-def _claim(index: FreeIndex, offered: list[list[StoredAd]], ad_id: str) -> None:
-    """Take the picked ad out of the free index, found by bisecting each
-    offered member list, which is in ad id order."""
-    for members in offered:
-        k = bisect.bisect_left(members, ad_id, key=_AD_ID)
-        if k < len(members) and members[k].ad.ad_id == ad_id:
-            stored = members.pop(k)
-            if not members:
-                del index[stored.cluster]
-            return
+def _claim(index: FreeIndex, stored: StoredAd) -> None:
+    """Take the picked ad out of the free index, found with one bisect of
+    its cluster's members, which are in ad id order. ValueError if it is
+    not free there."""
+    members = index.get(stored.cluster, ())
+    k = bisect.bisect_left(members, stored.ad.ad_id, key=_AD_ID)
+    if k == len(members) or members[k] is not stored:
+        raise ValueError(f"ad {stored.ad.ad_id!r} is not free")
+    del members[k]
+    if not members:
+        del index[stored.cluster]
 
 
 def release(index: FreeIndex, stored: StoredAd) -> None:
@@ -435,18 +446,17 @@ class Verdicts:
         return self._ranks.setdefault(group, {})
 
 
-def _ranks(row: dict | None, job: ClassAd, clusters: list[list[StoredAd]],
-           reg: FnRegistry, env: dict | None) -> list[float | None]:
-    """`rank_resources` as `Value.as_real` reads it. With `row`, the job's
-    rank row (`Verdicts`), it is evaluated only for the clusters the row
-    lacks."""
-    if row is None:
-        return [v.as_real() for v in rank_resources(job, clusters, reg, env)]
-    unranked = [members for members in clusters if members[0].cluster not in row]
+def _ranks(row: dict, job: ClassAd, clusters: list[list[StoredAd]],
+           reg: FnRegistry, env: dict | None) -> dict:
+    """`row`, the job's rank row (`Verdicts`, or a fresh one), once it holds
+    every cluster of `clusters`: `rank_resources`, as `Value.as_real` reads
+    it, is evaluated in one call for the clusters the row lacks."""
+    unranked = [members for members in clusters
+                if members[0].cluster not in row] if row else clusters
     if unranked:
         for members, value in zip(unranked, rank_resources(job, unranked, reg, env)):
             row[members[0].cluster] = value.as_real()
-    return [row[members[0].cluster] for members in clusters]
+    return row
 
 
 _UNREAD = object()  # an Owner not read yet
@@ -506,12 +516,14 @@ def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
     its first free member; the Requirements of a cluster the job may not use
     are evaluated only when no authorized cluster passes, to tell
     no-candidates from unauthorized-everywhere. The chooser gets the member
-    lists of the authorized clusters that pass and picks the (ad id, rank)
-    to claim, or None, which leaves the job with reason all-rank-error. With
-    `choose` None it is the Rank argmax, which evaluates the job's Rank once
-    per passing cluster (`rank_resources`). Any other `choose(job, clusters,
-    reg, env)` gets those lists, which are the index's own and must not be
-    changed, in no particular order, and must return one of their members.
+    lists of the authorized clusters that pass and returns its pick as
+    (member, rank), the `StoredAd` to claim and its rank, or None, which
+    leaves the job with reason all-rank-error. With `choose` None it is the
+    Rank argmax, which evaluates the job's Rank once per passing cluster
+    (`rank_resources`). Any other `choose(job, clusters, reg, env)` gets
+    those lists, which are the index's own and must not be changed, in no
+    particular order, and must return one of their members; the claim
+    raises ValueError for any other.
     A job whose Owner is not text is logged once per judgement that reads
     it (`_passing`), however many clusters refuse it.
 
@@ -534,15 +546,16 @@ def match_jobs(index: FreeIndex, jobs: Iterable[ClassAd], reg: FnRegistry,
             yield MatchDecision.no_match(job.ad_id, _reason(job, index, row, reg, env))
             continue
         if choose is None:
-            row = None if verdicts is None else verdicts.rank_row(job)
+            row = {} if verdicts is None else verdicts.rank_row(job)
             pick = _argmax(passing, _ranks(row, job, passing, reg, env))
         else:
             pick = choose(job, passing, reg, env)
         if pick is None:
             yield MatchDecision.no_match(job.ad_id, "all-rank-error")
             continue
-        yield MatchDecision.match(job.ad_id, *pick)
-        _claim(index, passing, pick[0])
+        stored, rank = pick
+        yield MatchDecision.match(job.ad_id, stored.ad.ad_id, rank)
+        _claim(index, stored)
         if not index:
             return
 

@@ -352,8 +352,9 @@ class GridWorld:
     # -- one scheduling pass ----------------------------------------------
 
     def _choose_baseline(self, job: ClassAd, clusters: list[list[StoredAd]],
-                         reg, env) -> tuple[str, float] | None:
-        """The random and round-robin chooser: no ranking, rank 0.
+                         reg, env) -> tuple[StoredAd, float] | None:
+        """The random and round-robin chooser: no ranking, rank 0, so its
+        pick is (member, 0.0).
 
         It draws from every member of the authorized clusters, not one per
         cluster, since the random draw and the rotation are over ads. It
@@ -382,7 +383,7 @@ class GridWorld:
             while ordered:
                 pick = self.rng.choice(ordered)
                 if can_stage(pick):
-                    return pick.ad.ad_id, 0.0
+                    return pick, 0.0
                 ordered.remove(pick)
             return None
         by_id = {s.ad.ad_id: s for s in authorized}
@@ -391,7 +392,7 @@ class GridWorld:
         for ad_id in ids[k:] + ids[:k]:
             if can_stage(by_id[ad_id]):
                 self._rr_last = ad_id
-                return ad_id, 0.0
+                return by_id[ad_id], 0.0
         return None
 
     def _match_cycle(self) -> None:
@@ -464,7 +465,7 @@ class GridWorld:
         self.queue.transition(record.job_id, STAGING, stamp=self.clock)
         del self._idle[record.job_id]
         missing = shortfall(self.catalog, self._query.snapshot[slot.station_id],
-                            dataset).missing
+                            dataset)[0]
         self.stations[slot.station_id] = apply_event(
             self.stations[slot.station_id], len(missing))
         self.event_log.append({"t": self.clock, "event": "match", "job": decision.job_id,

@@ -14,14 +14,14 @@ Higher scores are preferred. Transfers are modeled as sequential; link
 speeds are static configuration values supplied by the site, not measured.
 
 The input transfer is one rule, `shortfall`: the files a dataset lacks
-here, their bytes and their transfer seconds. It reads only the catalog,
-the cached files and the links, so each state keeps its answers, keyed by
-(catalog, dataset), and walks a dataset's files once while its cache
-stays the same. Only answers are kept: an unknown dataset or a missing
-route raises again on every question, so a station server's memo never
-outgrows its catalog, whatever its clients ask. A memo write is one dict
-store, atomic under the interpreter lock, so two server threads asking at
-once at worst both compute the same answer.
+here, their transfer seconds and their bytes, as a plain triple. It reads
+only the catalog, the cached files and the links, so each state keeps its
+answers, keyed by (catalog, dataset), and walks a dataset's files once
+while its cache stays the same. Only answers are kept: an unknown dataset
+or a missing route raises again on every question, so a station server's
+memo never outgrows its catalog, whatever its clients ask. A memo write is
+one dict store, atomic under the interpreter lock, so two server threads
+asking at once at worst both compute the same answer.
 
 A staging changes a station in two counted steps (`apply_event`): its
 files' requests join the input queue when it starts, and they leave it,
@@ -145,6 +145,11 @@ class PreferenceReport(NamedTuple):
     output_seconds: float
 
 
+# what a NamedTuple's generated __new__ calls: a report built through it
+# skips that Python-level call
+_new = tuple.__new__
+
+
 def lookup_dataset(cat: DatasetCatalog, st: StationState,
                    dataset: str) -> tuple[list[FileEntry], list[FileEntry]]:
     """Partition a dataset's files into (cached here, missing here), in catalog order."""
@@ -154,16 +159,13 @@ def lookup_dataset(cat: DatasetCatalog, st: StationState,
     return present, missing
 
 
-class Shortfall(NamedTuple):
-    missing: tuple[FileEntry, ...]  # in catalog order
-    transfer_seconds: float
-    missing_bytes: int
-
-
-def shortfall(cat: DatasetCatalog, st: StationState, dataset: str) -> Shortfall:
-    """The dataset's files missing here and what fetching them costs, each
-    file in turn over the link to its source. Kept on `st` once answered
-    (see the module docstring); UnknownDataset and NoRouteToSource are not."""
+def shortfall(cat: DatasetCatalog, st: StationState,
+              dataset: str) -> tuple[tuple[FileEntry, ...], float, int]:
+    """The dataset's files missing here, in catalog order, and what fetching
+    them costs, as a plain (missing, transfer seconds, missing bytes)
+    triple: each file in turn over the link to its source. Kept on `st` once
+    answered (see the module docstring); UnknownDataset and NoRouteToSource
+    are not."""
     key = (cat, dataset)
     found = st._shortfalls.get(key)
     if found is None:
@@ -171,6 +173,9 @@ def shortfall(cat: DatasetCatalog, st: StationState, dataset: str) -> Shortfall:
         missing = []
         transfer = 0.0
         missing_bytes = 0
+        # totalled file by file, never by builtin sum(): CPython 3.12 sums
+        # floats with Neumaier compensation, so on 3.11 and 3.12 (both
+        # supported) the scores, and so the reports, would differ in bits
         for f in cat.files(dataset):
             name, size, source = f
             if name in cached:
@@ -181,7 +186,7 @@ def shortfall(cat: DatasetCatalog, st: StationState, dataset: str) -> Shortfall:
             missing.append(f)
             transfer += size / bw
             missing_bytes += size
-        found = st._shortfalls[key] = Shortfall(tuple(missing), transfer, missing_bytes)
+        found = st._shortfalls[key] = (tuple(missing), transfer, missing_bytes)
     return found
 
 
@@ -204,7 +209,7 @@ def get_preference(cat: DatasetCatalog, st: StationState, dataset: str,
     score = -(transfer + wait + output)
     if not math.isfinite(score):
         raise ScoreOverflow(f"station {st.station_id!r}: score of {dataset!r} overflows")
-    return PreferenceReport(score, missing_bytes, transfer, wait, output)
+    return _new(PreferenceReport, (score, missing_bytes, transfer, wait, output))
 
 
 # -- state transitions ---------------------------------------------------------

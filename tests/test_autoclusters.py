@@ -62,11 +62,12 @@ def _per_job_pass(index, jobs, reg, env, choose):
         if pick is None:
             yield MatchDecision.no_match(job.ad_id, "all-rank-error")
             continue
-        yield MatchDecision.match(job.ad_id, *pick)
+        member, rank = pick
+        yield MatchDecision.match(job.ad_id, member.ad.ad_id, rank)
         for members in passing:
-            ids = [s.ad.ad_id for s in members]
-            if pick[0] in ids:
-                del members[ids.index(pick[0])]
+            ids = [id(s) for s in members]  # by identity: the record itself
+            if id(member) in ids:
+                del members[ids.index(id(member))]
                 if not members:
                     del index[next(c for c, m in index.items() if m is members)]
                 break
@@ -224,12 +225,12 @@ def _store(rng: random.Random) -> AdStore:
 
 def _recording(seen: list):
     """A chooser that records what it was offered and picks by ad id and
-    the job's X."""
+    the job's X, as (member, rank)."""
     def choose(job, clusters, reg, env):
-        ids = sorted(s.ad.ad_id for members in clusters for s in members)
-        seen.append((job.ad_id, ids))
+        ads = sorted((s for members in clusters for s in members), key=lambda s: s.ad.ad_id)
+        seen.append((job.ad_id, [s.ad.ad_id for s in ads]))
         x = job.evaluate_self("X").data
-        return (ids[x % len(ids)], float(x)) if x % 3 else None
+        return (ads[x % len(ads)], float(x)) if x % 3 else None
     return choose
 
 

@@ -850,9 +850,10 @@ def _chooser(kind, seed, ad_ids, seen=None, reference=False):
     baselines.
 
     The pipeline's chooser is handed the authorized clusters' member lists;
-    it checks their shape and flattens them. The reference's is handed a
-    flat list of ads. With `seen`, it also records the ad ids it was
-    offered, sorted, and the clusters each pick emptied.
+    it checks their shape and flattens them, and returns its pick as
+    (member, rank). The reference's is handed a flat list of ads, and
+    returns (ad id, rank) to `_rescan_cycle`. With `seen`, it also records
+    the ad ids it was offered, sorted, and the clusters each pick emptied.
     """
     if kind == "rank":
         def inner(job, authorized, reg, env):
@@ -864,13 +865,13 @@ def _chooser(kind, seed, ad_ids, seen=None, reference=False):
         def inner(job, authorized, reg, env):
             if kind == "random":
                 ordered = sorted(authorized, key=lambda s: (s.name, s.ad.ad_id))
-                return rng.choice(ordered).ad.ad_id, 0.0
-            ids = {s.ad.ad_id for s in authorized}
+                return rng.choice(ordered), 0.0
+            by_id = {s.ad.ad_id: s for s in authorized}
             for k in range(len(rotation)):
                 ad_id = rotation[(pointer[0] + k) % len(rotation)]
-                if ad_id in ids:
+                if ad_id in by_id:
                     pointer[0] = (pointer[0] + k + 1) % len(rotation)
-                    return ad_id, 0.0
+                    return by_id[ad_id], 0.0
 
     def choose(job, offered, reg, env):
         if reference:
@@ -887,8 +888,10 @@ def _chooser(kind, seed, ad_ids, seen=None, reference=False):
         if seen is not None:
             seen.append(sorted(s.ad.ad_id for s in authorized))
             if not reference and pick is not None:
-                seen.extend(["emptied"] * sum(len(m) == 1 and m[0].ad.ad_id == pick[0]
+                seen.extend(["emptied"] * sum(len(m) == 1 and m[0] is pick[0]
                                               for m in offered))
+        if reference and pick is not None:
+            return pick[0].ad.ad_id, pick[1]
         return pick
     return choose
 
@@ -1089,20 +1092,63 @@ def test_claims_and_releases_keep_the_index_a_fresh_free_index(ads, order, steps
         free = sorted(set(stored) - set(taken))
         if claim and free:
             ad_id = free[pick % len(free)]
-            # some passing clusters, in any order, among them the ad's own
-            home = index[stored[ad_id].cluster]
-            offered = list(index.values())
-            order.shuffle(offered)
-            offered = [m for m in offered[:pick % len(offered)] if m is not home] + [home]
-            order.shuffle(offered)
-            matchmaker._claim(index, offered, ad_id)
+            # the pick as a chooser hands it on: the free member record itself
+            matchmaker._claim(index, stored[ad_id])
             taken.append(ad_id)
+            with pytest.raises(ValueError):  # taken: no longer free
+                matchmaker._claim(index, stored[ad_id])
         elif taken:
             release(index, stored[taken.pop(pick % len(taken))])
         want = free_index(s for ad_id, s in stored.items() if ad_id not in taken)
         assert {c: [s.ad.ad_id for s in m] for c, m in index.items()} == \
             {c: [s.ad.ad_id for s in m] for c, m in want.items()}
         assert all(index.values())
+
+
+def _argmax_reference(clusters, row):
+    """The Rank argmax as a `min` over (-rank, Name, ad id) of the clusters'
+    first members whose rank is a number: the pick and its own rank."""
+    ranked = [(members[0], row[members[0].cluster]) for members in clusters
+              if row[members[0].cluster] is not None]
+    if not ranked:
+        return None
+    return min(ranked, key=lambda pick: (-pick[1], pick[0].name, pick[0].ad.ad_id))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clusters=st.lists(st.tuples(st.sampled_from(["N", "M", "Nn", "\u00e9"]),
+                                   st.sampled_from([None, 0.0, -0.0, 1.0, -1.5, 2.0]),
+                                   st.integers(1, 3)),
+                         min_size=1, max_size=8),
+       order=st.randoms(use_true_random=False),
+       claims=st.lists(st.integers(0, 10 ** 6), max_size=6))
+def test_the_rank_first_argmax_is_the_min_of_rank_name_and_ad_id(clusters, order, claims):
+    # clusters that tie on rank (0.0 against -0.0 too) and share a Name, as
+    # `_twinned` builds them (one bindings, another gridmap), each losing
+    # first members to claims between picks
+    ids = [f"r{n}" for n in range(sum(size for _, _, size in clusters))]  # "r10" < "r2"
+    order.shuffle(ids)
+    store, ranks, taken = AdStore(), {}, iter(ids)
+    for k, (name, rank, size) in enumerate(clusters):
+        for _ in range(size):
+            stored = store.collect_ad(_res(next(taken), name, "s1"), [f"/CN=u{k}"],
+                                      3600.0, 0.0)
+        ranks[stored.cluster] = rank
+    index = free_index(store.snapshot(0.0))
+    assert len(index) == len(clusters)
+    for claim in [None, *claims]:
+        if claim is not None and index:  # a claim of some cluster's first member
+            offered = list(index.values())
+            matchmaker._claim(index, offered[claim % len(offered)][0])
+        offered = list(index.values())
+        order.shuffle(offered)  # no decision depends on the clusters' order
+        pick, want = matchmaker._argmax(offered, ranks), _argmax_reference(offered, ranks)
+        if want is None:
+            assert pick is None
+            continue
+        assert pick[0] is want[0]
+        assert pick[1].hex() == want[1].hex() == ranks[pick[0].cluster].hex()
+        matchmaker._claim(index, pick[0])
 
 
 def test_match_jobs_stops_pulling_jobs_once_every_ad_is_claimed():

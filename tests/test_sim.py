@@ -1200,7 +1200,7 @@ class _RotationWorld(GridWorld):
                 continue
             self.wrapped += self._ptr + k >= n
             self._ptr = (self._ptr + k + 1) % n
-            return pick.ad.ad_id, 0.0
+            return pick, 0.0
         return None
 
 

@@ -179,7 +179,8 @@ def _oracle_score(site: dict, files: list[tuple], output_bytes: int | None):
 def rank_each_ad(job, clusters, reg, env):
     """Reference Rank argmax, a `match_jobs` chooser: the job's Rank
     evaluated on every ad of the offered member lists, the highest finite
-    rank winning, ties by Name, then ad id, in UTF-8 byte order."""
+    rank winning, ties by Name, then ad id, in UTF-8 byte order. Its pick is
+    (member, rank)."""
     rank_expr = job.lookup("Rank") or Literal(real(0.0))
     best = best_key = None
     for cand in (s for members in clusters for s in members):
@@ -188,7 +189,7 @@ def rank_each_ad(job, clusters, reg, env):
             continue
         key = (-rank, cand.name.encode("utf-8"), cand.ad.ad_id.encode("utf-8"))
         if best_key is None or key < best_key:
-            best, best_key = (cand.ad.ad_id, rank), key
+            best, best_key = (cand, rank), key
     return best
 
 
