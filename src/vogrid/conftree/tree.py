@@ -2,17 +2,43 @@
 
 Schemas and the configurations produced from them are the same type; only
 the interpretation of attribute values differs.
+
+An element or attribute name is an ASCII letter or underscore, then any
+ASCII letters, digits, underscores, dots and hyphens. Each distinct name is
+matched against that rule once: a name that passes goes into a memo of at
+most NAME_MEMO_ENTRIES names, emptied whenever it is full, so a stream of
+ever new names costs one match each and holds no more than the bound. A
+refused name is never kept, so it is refused each time it is met.
 """
 
 from __future__ import annotations
 
 import re
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+
+NAME_MEMO_ENTRIES = 1024
+_good_names: set[str] = set()
 
 
 class TreeError(Exception):
     pass
+
+
+def _admit(name: str) -> bool:
+    """Whether a name not in the memo passes the rule; it is kept if it does."""
+    if not _NAME_RE.fullmatch(name):
+        return False
+    if len(_good_names) >= NAME_MEMO_ENTRIES:
+        _good_names.clear()
+    _good_names.add(name)
+    return True
+
+
+def names_pass(names) -> bool:
+    """Whether every one of `names` passes the rule, through the memo."""
+    return _good_names.issuperset(names) or all(
+        name in _good_names or _admit(name) for name in names)
 
 
 class TreeNode:
@@ -20,17 +46,29 @@ class TreeNode:
 
     def __init__(self, element_name: str, attributes: dict[str, str] | None = None,
                  children: list["TreeNode"] | None = None):
-        if not _NAME_RE.match(element_name):
+        if element_name not in _good_names and not _admit(element_name):
             raise TreeError(f"bad element name {element_name!r}")
         attributes = dict(attributes or {})
         for k, v in attributes.items():
-            if not _NAME_RE.match(k):
+            if k not in _good_names and not _admit(k):
                 raise TreeError(f"bad attribute name {k!r}")
             if not isinstance(v, str):
                 raise TreeError(f"attribute {k!r} value must be text")
         self.element_name = element_name
         self.attributes = attributes
         self.children = list(children or [])
+
+    @classmethod
+    def adopt(cls, element_name: str, attributes: dict[str, str],
+              children: list["TreeNode"]) -> "TreeNode":
+        """A node that holds `attributes` and `children` themselves, not
+        copies, for a reader that hands over new ones whose names and text
+        values it has already checked (names by `names_pass`)."""
+        node = object.__new__(cls)
+        node.element_name = element_name
+        node.attributes = attributes
+        node.children = children
+        return node
 
     def __eq__(self, other) -> bool:
         # attribute order is presentation, not identity; child order matters

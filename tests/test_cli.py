@@ -564,6 +564,11 @@ _SITE_MANY_SLOTS = _SITE.replace("slots='2'", "slots='many'")
 _SITE_TWO_SAMADAMS = _SITE.replace("name='topaz'", "name='samadams'")
 _SITE_V9 = _SITE.replace("schema_version='v0_3'", "schema_version='v9'")
 _SITE_NO_STATION = _SITE.replace("<station ", "<depot ").replace("</station>", "</depot>")
+# read as `{urn:x}site`, a name the tree refuses
+_SITE_NAMESPACED = _SITE.replace("<site ", "<site xmlns='urn:x' ")
+# an entity that expat skips below a DTD it does not read, and the reader refuses
+_SITE_UNDEFINED_ENTITY = _SITE.replace(
+    "<site ", "<!DOCTYPE site SYSTEM 'site.dtd'>\n<site ").replace("</site>", "&foo;</site>")
 # the sample scenario with more jobs than slots, each running 1e308 s: the
 # second job on a slot would end at inf, so the run never quiesces
 _SCENARIO_DOC = json.loads((SAMPLES / "scenario.json").read_text())
@@ -615,6 +620,10 @@ def _scenario_with_first_file(first_file) -> str:
     (_SCENARIO, _scenario_with_first_site(("<station ", "<depot "), ("</station>", "</depot>"))),
     (_XML_STATION, _SITE_V9), (_XML_STATION, _SITE_NO_STATION),
     (_SCENARIO, _scenario_with_first_site(("name='ca'", "name='ca' foo='1' FOO='2'"))),
+    (_XML_STATION, _SITE_NAMESPACED), (_XML_STATION, _SITE_UNDEFINED_ENTITY),
+    (_SCENARIO, _scenario_with_first_site(("<site ", "<site xmlns='urn:x' "))),
+    (_SCENARIO, _scenario_with_first_site(
+        ("<site ", "<!DOCTYPE site SYSTEM 'site.dtd'>\n<site "), ("</site>", "&foo;</site>"))),
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
         "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
         "conf-derive-config", "adv-config", "info-config", "gridmap-missing",
@@ -625,7 +634,9 @@ def _scenario_with_first_file(first_file) -> str:
         "catalog-name-number", "scenario-source-list", "scenario-source-list-random",
         "scenario-name-number", "scenario-slots-zero", "scenario-slots-superscript",
         "scenario-schema-version", "scenario-no-station", "station-schema-version",
-        "station-no-station", "scenario-attributes-alike-but-for-case"])
+        "station-no-station", "scenario-attributes-alike-but-for-case",
+        "station-namespaced-root", "station-undefined-entity", "scenario-namespaced-root",
+        "scenario-undefined-entity"])
 def test_a_bad_input_file_is_a_usage_error_naming_it(tmp_path, capsys, monkeypatch,
                                                      argv, content):
     # each of these once ended in a traceback, or was taken as valid (a

@@ -53,6 +53,23 @@ def test_it_counts_the_seed_1_burst_run_of_this_tree(capsys):
     assert "<string>" not in run["by_module"]
 
 
+def test_it_counts_one_load_of_the_seed_1_burst_document(capsys):
+    assert main(["--workload", "sim-burst"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    load = doc["workloads"]["sim-burst"]["load"]
+    assert list(doc["workloads"]["sim-burst"]) == ["load", "data-aware"]
+    assert sum(load["by_module"].values()) == load["opcodes"] > 10_000
+    functions = load["by_function"]
+    assert functions["vogrid.sim:load_scenario"] > 0
+    assert "vogrid.sim:run_scenario" not in functions  # a load runs nothing
+    # the 16 site configurations are read in one expat pass, each node built
+    # at its end tag; no ElementTree code runs, and no name goes through the
+    # regular expression again once the warm load has checked it
+    assert functions["vogrid.conftree.xmlio:read_tree.<locals>.end"] > 0
+    assert not [m for m in load["by_module"] if m.startswith("xml.etree")]
+    assert "vogrid.conftree.tree:_admit" not in functions
+
+
 def test_it_counts_one_match_request_per_wire_template(capsys):
     assert main(["--workload", "grid-wire"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -99,7 +116,9 @@ def test_a_tree_measured_against_itself_differs_by_zero_everywhere(capsys):
     assert doc["tree"] == doc["against"] == tree
     assert set(doc["workloads"]) == set(opcount.WORKLOADS)
     runs = [run for workload in doc["workloads"].values() for run in workload.values()]
-    assert len(runs) == 5  # sim-burst's one policy, sim-backlog's three, grid-wire
+    # a load and one policy for sim-burst, a load and three for sim-backlog,
+    # and grid-wire
+    assert len(runs) == 7
     for run in runs:
         assert run["opcodes"]["change"] == 0 and run["opcodes"]["tree"] > 100_000
         assert run["by_function"] == {}

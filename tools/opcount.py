@@ -7,7 +7,9 @@ executes, by function.
 For each simulator workload of the benchmark it loads the workload's seed-1
 scenario from TREE (the source tree to measure, by default the one holding
 this file: `TREE/src` and `TREE/bench/scenarios.py`) and runs each of the
-workload's policies. For `grid-wire` it counts the matchmaker's service
+workload's policies; a `load` entry beside the runs counts one
+`load_scenario` of the seed-1 document, its 16 site configurations read
+and its job ads parsed. For `grid-wire` it counts the matchmaker's service
 path in-process: a `MatchmakerService` holding the slots of the seed-1
 wire grid, whose station query asks `station.get_preference` of the grid's
 station fixtures, serves one one-job MATCH_REQUEST per job template, as
@@ -127,10 +129,22 @@ def _load_scenarios(tree: Path):
 
 
 def _sim_runs(scenarios, shape: str, policies) -> dict:
-    """Each policy's seed-1 run of the shape's scenario, as (fn, args)."""
+    """One `load_scenario` of the shape's seed-1 document, as "load", and
+    each policy's seed-1 run of the scenario, as (fn, args)."""
     from vogrid import sim
-    scenario = sim.load_scenario(scenarios.scenario_doc(scenarios.make_grid(SEED, shape)))
-    return {policy: (sim.run_scenario, (scenario, policy, SEED)) for policy in policies}
+    doc = scenarios.scenario_doc(scenarios.make_grid(SEED, shape))
+    scenario = sim.load_scenario(doc)
+    return {"load": (sim.load_scenario, (doc,)),
+            **{policy: (sim.run_scenario, (scenario, policy, SEED)) for policy in policies}}
+
+
+def _same(result) -> object:
+    """What of a run's result two runs must agree on: a loaded scenario by
+    its fields (its catalog compares by identity), any other result whole."""
+    from vogrid import sim
+    if isinstance(result, sim.Scenario):
+        return result.name, result.sites, result.job_ads, result.ttl
+    return result
 
 
 def _match_requests(scenarios, shape: str) -> tuple:
@@ -194,7 +208,7 @@ def measure(tree: Path, workloads: list[str], top: int | None = None) -> dict:
         for run, (fn, args) in runs.items():
             warm = fn(*args)
             counted, counts = count_opcodes(fn, *args)
-            if counted != warm:
+            if _same(counted) != _same(warm):
                 raise SystemExit(f"opcount: {workload} {run}: the counted run differs")
             modules = {m.__file__: name for name, m in list(sys.modules.items())
                        if getattr(m, "__file__", None)}
