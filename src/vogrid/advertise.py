@@ -93,11 +93,14 @@ def generate_classads_with_provenance(
         url = _require(p, p.gatekeeper_node, "gatekeeper", "url")
         station = _require(p, p.station_node, "station", "name")
         slots_raw = p.cluster_node.attributes.get("slots", "1")
-        if not (slots_raw.isascii() and slots_raw.isdigit()) or int(slots_raw) < 1:
+        try:
+            slots = wire.number_text(slots_raw, whole=True)
+        except ValueError:
+            slots = 0
+        if slots < 1:
             raise MissingAttribute(
                 f"site={site_name}/cluster={cluster_name}: "
                 f"slots={slots_raw!r} is not a positive whole number")
-        slots = int(slots_raw)
         name = f"{site_name}/{cluster_name}"
         site_dn = f"site={site_name}"
         cluster_dn = f"{site_dn}/cluster={cluster_name}"

@@ -221,6 +221,7 @@ class ClassAd:
 
 def parse_classad(text: str, kind: AdKind, ad_id: str = "") -> ClassAd:
     attrs: dict[str, Expr] = {}
+    folded: set[str] = set()  # the names in `attrs`, case-folded
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -229,8 +230,9 @@ def parse_classad(text: str, kind: AdKind, ad_id: str = "") -> ClassAd:
         if not m:
             raise ParseError(f"line {lineno}: expected 'Name = expression'", 0)
         name, rhs = m.group(1), m.group(2)
-        if name.lower() in (k.lower() for k in attrs):
+        if name.lower() in folded:
             raise ParseError(f"line {lineno}: duplicate attribute {name!r}", 0)
+        folded.add(name.lower())
         try:
             attrs[name] = parse_expr(rhs)
         except ParseError as exc:
@@ -246,29 +248,24 @@ def ad_to_json(ad: ClassAd) -> dict:
     }
 
 
-def of_kind(obj: dict, kind: AdKind) -> dict:
-    """`obj`, an ad in its JSON form, if its kind is `kind`: a ValueError
-    naming the kind it has otherwise. A service calls it on each ad a request
-    carries."""
-    if obj["kind"] != kind:
-        raise ValueError(f"ad kind must be {kind!r}, not {obj['kind']!r}")
-    return obj
-
-
 # each kind by its wire name: a lookup here runs no `enum` code, as
 # `AdKind(name)` does
 _KINDS = {kind: kind for kind in AdKind}
 
 
-def ad_from_json(obj: dict) -> ClassAd:
-    """The ad `ad_to_json` gave. An absent id is ""; one that is not text is
-    a ValueError, as is a kind that is not an `AdKind`'s name."""
+def ad_from_json(obj: dict, kind: AdKind) -> ClassAd:
+    """The ad of kind `kind` that `ad_to_json` gave. An absent id is ""; one
+    that is not text is a ValueError, as is a kind that is not an `AdKind`'s
+    name, or is another kind's. Every reader of an ad in its JSON form reads
+    it here: the services on each ad a request carries, and journal replay."""
     ad_id = obj.get("id", "")
     if not isinstance(ad_id, str):
         raise ValueError(f"ad id must be text, not {ad_id!r}")
-    kind = _KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
-    if kind is None:  # worded as `AdKind(...)` words it
+    got = _KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
+    if got is None:  # worded as `AdKind(...)` words it
         raise ValueError(f"{obj['kind']!r} is not a valid AdKind")
+    if got is not kind:
+        raise ValueError(f"ad kind must be {kind!r}, not {got!r}")
     attrs = {name: parse_expr(src) for name, src in obj["attrs"].items()}
     return ClassAd(attrs, kind, ad_id)
 

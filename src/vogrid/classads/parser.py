@@ -1,9 +1,10 @@
 # Expression parser for advertisement attributes.
 # Binary operators bind by exprs.PRECEDENCE and associate to the left; the
 # unary operators ! - + bind tighter than any of them.
-# Atoms: decimal numerics, "quoted text", true/false/undefined/error,
-# bare attribute references, OTHER.attr references, name(arg, ...) calls,
-# parenthesized expressions. Keywords and references are case-insensitive.
+# Atoms: decimal numerics in ASCII digits, "quoted text",
+# true/false/undefined/error, bare attribute references, OTHER.attr
+# references, name(arg, ...) calls, parenthesized expressions. Keywords and
+# references are case-insensitive.
 # Parentheses, call argument lists and unary operators nest at most
 # MAX_NESTING deep, so a parse stays far inside the interpreter's recursion
 # limit and fails with ParseError instead.
@@ -34,7 +35,7 @@ class ParseError(Exception):
 _TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<op>\|\||&&|==|!=|<=|>=|[-+*/<>()!,.])
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)

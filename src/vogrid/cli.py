@@ -36,7 +36,8 @@ import time
 
 from . import wire
 
-# sim.POLICIES, spelled out so that building the parser does not load the simulator
+# sim.POLICIES, spelled out so that building the parser does not load the
+# simulator; a test pins the two equal
 POLICIES = ("data-aware", "random", "round-robin")
 
 
@@ -84,8 +85,14 @@ def _listen_port(value: str) -> int:
     return port
 
 
+def _job_id(value: str) -> int:
+    """A job id: a whole number as `wire.number_text` reads it."""
+    return wire.number_text(value, whole=True)
+
+
 def _interval(value: str) -> float:
-    seconds = float(value)
+    """Seconds as `wire.number_text` reads them, above 0 and finite when doubled."""
+    seconds = wire.number_text(value)
     if not 0 < 2.0 * seconds < math.inf:  # the TTL sent is twice the interval
         raise argparse.ArgumentTypeError(
             f"{value!r} is not a finite number of seconds above 0")
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     auth.add_argument("--auth")
     port.add_argument("--port", type=_listen_port, required=True)
     queue.add_argument("--queue", required=True, type=_host_port)
-    job.add_argument("--job", required=True, type=int)
+    job.add_argument("--job", required=True, type=_job_id)
     output.add_argument("-o", "--output", default="-")
 
     conf = top.add_parser("conf", help="configuration sessions and derivation")
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_conf_meta)
     p = confsub.add_parser("derive", parents=[output], help="project a per-service config")
     p.add_argument("--config", required=True)
-    p.add_argument("--service", required=True,
+    p.add_argument("--service", required=True,  # conftree.SERVICE_KINDS, as with POLICIES
                    choices=("advertiser", "station", "monitoring"))
     p.set_defaults(fn=cmd_conf_derive)
 

@@ -15,10 +15,21 @@ Two element conventions make the configurator self-hosting:
 
 Together these let a schema describe another schema, so the built-in
 meta-schema can be configured into any ordinary schema.
+
+Each rule of the framework is stated once:
+
+  * a number written as text is read by `wire.number_text`: here the
+    cardinalities, in `session` a count, elsewhere a station's quantities
+    and a cluster's slots;
+  * an element or attribute name is checked by `tree`'s rule, through its
+    one bounded memo;
+  * a prior configuration's value is offered in place of the schema's
+    default or exec command, where `_resolve` decides the default.
 """
 
 from __future__ import annotations
 
+from .. import wire
 from .directives import Ask, Fixed, SetVar, parse_directive
 from .session import ConfigureError
 from .tree import TreeError, TreeNode
@@ -75,13 +86,10 @@ def _cardinality(node: TreeNode) -> tuple[int, int | None]:
         if raw is None:
             return fallback
         try:
-            n = int(raw)
+            return wire.number_text(raw, whole=True)
         except ValueError:
             raise CardinalityViolation(
                 f"{node.element_name}: {attr}={raw!r} is not a whole number") from None
-        if n < 0:
-            raise CardinalityViolation(f"{node.element_name}: {attr} is negative")
-        return n
     lo = read("cardinalityMin", 0)
     hi = read("cardinalityMax", None)
     if hi is not None and lo > hi:
@@ -90,26 +98,20 @@ def _cardinality(node: TreeNode) -> tuple[int, int | None]:
     return lo, hi
 
 
-def _with_prior(directive, prior_value: str | None):
-    """A previous configuration's value replaces the schema's default."""
-    if prior_value is None:
-        return directive
-    if isinstance(directive, Ask):
-        return Ask(prior_value)
-    if isinstance(directive, SetVar):
-        return SetVar(directive.var, _with_prior(directive.then, prior_value))
-    return directive
-
-
-def _resolve(directive, attr: str, inst: _Instance, session, bindings: dict) -> str:
+def _resolve(directive, attr: str, inst: _Instance, session, bindings: dict,
+             prior: str | None) -> str:
+    """The value of one attribute. A question offers the `prior`
+    configuration's value, if there is one, in place of the schema's
+    default or exec command."""
     if isinstance(directive, Fixed):
         return directive.text
     if isinstance(directive, Ask):
-        default = (directive.default if directive.command is None
+        default = (prior if prior is not None
+                   else directive.default if directive.command is None
                    else session.exec_default(directive.command))
         return session.next_text(_attr_prompt(attr, inst, default), default)
     if isinstance(directive, SetVar):
-        value = _resolve(directive.then, attr, inst, session, bindings)
+        value = _resolve(directive.then, attr, inst, session, bindings, prior)
         bindings[directive.var] = value
         return value
     if directive.var not in bindings:  # a RefVar, the one directive left
@@ -123,9 +125,8 @@ def _configure_element(schema_node: TreeNode, parent: _Instance | None, session,
     for aname, raw in schema_node.attributes.items():
         if aname in CONTROL_ATTRS:
             continue
-        prior_value = prior.attributes.get(aname) if prior is not None else None
-        directive = _with_prior(parse_directive(raw), prior_value)
-        value = _resolve(directive, aname, inst, session, bindings)
+        value = _resolve(parse_directive(raw), aname, inst, session, bindings,
+                         prior.attributes.get(aname) if prior is not None else None)
         if aname == ELEMENT_NAME_ATTR:
             inst.output_name = value
         else:

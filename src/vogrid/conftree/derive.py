@@ -30,6 +30,10 @@ def _check_version(config: TreeNode):
 
 
 def derive_service_config(config: TreeNode, service_kind: str) -> TreeNode:
+    """The slice of `config` that a service of `service_kind`, one of
+    SERVICE_KINDS, consumes; ValueError for any other kind."""
+    if service_kind not in SERVICE_KINDS:
+        raise ValueError(f"unknown service kind {service_kind!r}")
     _check_version(config)
     if service_kind == "advertiser":
         return config.copy()
@@ -37,14 +41,11 @@ def derive_service_config(config: TreeNode, service_kind: str) -> TreeNode:
         clusters = [TreeNode("cluster", {"name": c.attributes["name"]})
                     for c in config.descendants("cluster") if "name" in c.attributes]
         return TreeNode("site", {"name": config.attributes.get("name", "")}, clusters)
-    if service_kind == "station":
-        stations: list[TreeNode] = []
-        _collect_stations(config, "", stations)
-        if not stations:
-            raise MissingSection("configuration defines no station elements")
-        return TreeNode("stations",
-                        {"site": config.attributes.get("name", "")}, stations)
-    raise ValueError(f"unknown service kind {service_kind!r}")
+    stations: list[TreeNode] = []
+    _collect_stations(config, "", stations)
+    if not stations:
+        raise MissingSection("configuration defines no station elements")
+    return TreeNode("stations", {"site": config.attributes.get("name", "")}, stations)
 
 
 def _collect_stations(node: TreeNode, cluster_name: str, out: list[TreeNode]):

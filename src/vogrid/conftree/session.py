@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import subprocess
 
+from .. import wire
+
 EXEC_TIMEOUT_SECONDS = 5.0  # how long an exec default's command may run
 
 
@@ -102,7 +104,7 @@ class InteractiveInput:
             if not line:
                 return default
             try:
-                return int(line)
+                return wire.number_text(line, whole=True)
             except ValueError:
                 print("please enter a whole number")
 
@@ -116,7 +118,8 @@ class InteractiveInput:
 
 
 def parse_answer_file(text: str) -> AnswerScript:
-    """One answer per line: literal text, `@default`, `@count N`.
+    """One answer per line: literal text, `@default`, `@count N`, where N
+    is a whole number as `wire.number_text` reads it.
 
     `!exec CMD = OUTPUT` lines declare canned command outputs and may sit
     anywhere. Blank lines and `#` comments are skipped.
@@ -138,10 +141,11 @@ def parse_answer_file(text: str) -> AnswerScript:
             answers.append(ACCEPT_DEFAULT)
             continue
         if stripped.startswith("@count"):
-            parts = stripped.split()
-            if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
-                raise ScriptMismatch(f"line {lineno}: want `@count N`")
-            answers.append(Count(int(parts[1])))
+            try:
+                _, n = stripped.split()
+                answers.append(Count(wire.number_text(n, whole=True)))
+            except ValueError:
+                raise ScriptMismatch(f"line {lineno}: want `@count N`") from None
             continue
         answers.append(stripped)
     return AnswerScript(answers, exec_outputs)

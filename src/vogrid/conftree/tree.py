@@ -5,40 +5,36 @@ the interpretation of attribute values differs.
 
 An element or attribute name is an ASCII letter or underscore, then any
 ASCII letters, digits, underscores, dots and hyphens. Each distinct name is
-matched against that rule once: a name that passes goes into a memo of at
-most NAME_MEMO_ENTRIES names, emptied whenever it is full, so a stream of
-ever new names costs one match each and holds no more than the bound. A
-refused name is never kept, so it is refused each time it is met.
+matched against that rule once, through `good_name`: a memo of the verdicts
+on at most NAME_MEMO_ENTRIES names (`functools.lru_cache`, as `parse_expr`
+keeps its trees), dropping the least recently used, so a stream of ever new
+names costs one match each and holds no more than the bound. A refused name
+is kept in the memo too, and refused from it each time it is met.
+
+This is the configuration framework's one rule for a name. Its rule for a
+number written as text is `wire.number_text`, and for a prior
+configuration's value, offered in place of the schema's default,
+`configurator._resolve`.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 
 NAME_MEMO_ENTRIES = 1024
-_good_names: set[str] = set()
 
 
 class TreeError(Exception):
     pass
 
 
-def _admit(name: str) -> bool:
-    """Whether a name not in the memo passes the rule; it is kept if it does."""
-    if not _NAME_RE.fullmatch(name):
-        return False
-    if len(_good_names) >= NAME_MEMO_ENTRIES:
-        _good_names.clear()
-    _good_names.add(name)
-    return True
-
-
-def names_pass(names) -> bool:
-    """Whether every one of `names` passes the rule, through the memo."""
-    return _good_names.issuperset(names) or all(
-        name in _good_names or _admit(name) for name in names)
+@functools.lru_cache(maxsize=NAME_MEMO_ENTRIES)
+def good_name(name: str) -> bool:
+    """Whether `name` passes the rule."""
+    return _NAME_RE.fullmatch(name) is not None
 
 
 class TreeNode:
@@ -46,11 +42,11 @@ class TreeNode:
 
     def __init__(self, element_name: str, attributes: dict[str, str] | None = None,
                  children: list["TreeNode"] | None = None):
-        if element_name not in _good_names and not _admit(element_name):
+        if not good_name(element_name):
             raise TreeError(f"bad element name {element_name!r}")
         attributes = dict(attributes or {})
         for k, v in attributes.items():
-            if k not in _good_names and not _admit(k):
+            if not good_name(k):
                 raise TreeError(f"bad attribute name {k!r}")
             if not isinstance(v, str):
                 raise TreeError(f"attribute {k!r} value must be text")
@@ -63,7 +59,7 @@ class TreeNode:
               children: list["TreeNode"]) -> "TreeNode":
         """A node that holds `attributes` and `children` themselves, not
         copies, for a reader that hands over new ones whose names and text
-        values it has already checked (names by `names_pass`)."""
+        values it has already checked (names by `good_name`)."""
         node = object.__new__(cls)
         node.element_name = element_name
         node.attributes = attributes

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from xml.parsers import expat
 
-from .tree import TreeError, TreeNode, names_pass
+from .tree import TreeError, TreeNode, good_name
 
 HEADER = "<?xml version='1.0'?>"
 
@@ -84,7 +84,7 @@ def read_tree(xml_text: str) -> TreeNode:
         raise MalformedXml(str(exc)) from None
     [root] = kids
     # the parser's names are the document's distinct element and attribute names
-    if stray or not names_pass(parser.intern):
+    if stray or not all(map(good_name, parser.intern)):
         raise MalformedXml(_first_fault(root))
     return root
 

@@ -27,7 +27,7 @@ from enum import StrEnum
 from typing import Callable
 
 from . import wire
-from .classads import ClassAd, ad_from_json, ad_to_json
+from .classads import AdKind, ClassAd, ad_from_json, ad_to_json
 from .classads import evaluate  # noqa: F401  bench/run.py wraps jobs.evaluate by name
 
 
@@ -188,12 +188,12 @@ class JobQueue:
         return job
 
     def submit_json(self, obj: dict) -> JobRecord:
-        """`submit` for an ad in its JSON form. RejectedAd as there; any
-        other exception means `obj` is not an ad."""
+        """`submit` for a job ad in its JSON form (`ad_from_json`). RejectedAd
+        as there; any other exception means `obj` is not a job ad."""
         key = json.dumps(obj, separators=(",", ":"))
         shared = self._shared_ads.get(key)
         if shared is None:
-            shared = _SharedAd(ad_from_json(obj))
+            shared = _SharedAd(ad_from_json(obj, AdKind.JOB))
         job = self._submit(shared.ad, None, shared)
         self._shared_ads.setdefault(key, shared)
         return job

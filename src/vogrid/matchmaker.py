@@ -104,7 +104,7 @@ from .classads import (
     real,
     symmetric_match,
 )
-from .classads.ads import AdKind, Autocluster, of_kind
+from .classads.ads import AdKind, Autocluster
 from .classads.exprs import Literal
 from .jobs import output_bytes
 
@@ -590,7 +590,7 @@ class MatchmakerService:
     def _advertise(self, msg: dict) -> dict:
         ttl = wire.number_field(msg, "ttl", 0)
         try:
-            ad = ad_from_json(of_kind(msg["ad"], AdKind.RESOURCE))
+            ad = ad_from_json(msg["ad"], AdKind.RESOURCE)
         except Exception as exc:
             raise wire.RequestError("malformed", str(exc)) from None
         gridmap = wire.text_list_field(msg, "gridmap")
@@ -602,7 +602,7 @@ class MatchmakerService:
 
     def _match_request(self, msg: dict) -> dict:
         try:
-            jobs = [ad_from_json(of_kind(j, AdKind.JOB)) for j in msg["jobs"]]
+            jobs = [ad_from_json(j, AdKind.JOB) for j in msg["jobs"]]
         except Exception as exc:
             raise wire.RequestError("malformed", str(exc)) from None
         decisions = run_match_cycle(self.store, jobs, self.registry,

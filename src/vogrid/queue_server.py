@@ -17,7 +17,6 @@ import os
 import threading
 
 from . import wire
-from .classads.ads import AdKind, of_kind
 from .jobs import (
     IllegalJobTransition,
     JobQueue,
@@ -103,7 +102,7 @@ class QueueService:
 
     def _submit(self, msg: dict) -> dict:
         try:
-            job = self.queue.submit_json(of_kind(msg["ad"], AdKind.JOB))
+            job = self.queue.submit_json(msg["ad"])
         except RejectedAd as exc:
             raise wire.RequestError("rejected-ad", str(exc)) from None
         except Exception as exc:

@@ -286,18 +286,19 @@ def handler(cat: DatasetCatalog, st: StationState) -> Callable[[dict], dict]:
     return wire.dispatcher({"GET_PREFERENCE": answer, "LOOKUP": answer})
 
 
-def _attribute(element, name: str, convert=str, default=None):
-    """An attribute of a configuration element, converted by `convert`:
-    ValueError naming the element and the attribute if it is missing or
-    does not convert."""
+def _attribute(element, name: str, default=None, whole: bool | None = None):
+    """An attribute of a configuration element: its text, or if `whole` is
+    given the number it spells (`wire.number_text`). ValueError naming the
+    element and the attribute if it is missing or spells no such number."""
     raw = element.attributes.get(name, default)
     if raw is None:
         raise ValueError(f"<{element.element_name}> has no {name!r}")
+    if whole is None:
+        return raw
     try:
-        return convert(raw)
-    except ValueError:
-        kind = "a whole number" if convert is int else "a number"
-        raise ValueError(f"<{element.element_name}> {name}={raw!r} is not {kind}") from None
+        return wire.number_text(raw, whole)
+    except ValueError as exc:  # worded "'abc' is not a number"
+        raise ValueError(f"<{element.element_name}> {name}={exc}") from None
 
 
 def config_fields(node) -> dict:
@@ -306,19 +307,19 @@ def config_fields(node) -> dict:
     The element carries name and optional mean_service_seconds,
     output_destination and expected_output_bytes attributes; `link` children
     carry to= and bandwidth_bytes_per_second=. ValueError if a required
-    attribute is missing or a number does not parse; the values themselves
-    are checked by `StationState`.
+    attribute is missing or a number is not one `wire.number_text` reads;
+    the values themselves are checked by `StationState`.
     """
     links = {}
     for child in node.children:
         if child.element_name == "link":
             links[_attribute(child, "to")] = _attribute(
-                child, "bandwidth_bytes_per_second", float)
+                child, "bandwidth_bytes_per_second", whole=False)
     return {
         "station_id": _attribute(node, "name"),
-        "mean_service_seconds": _attribute(node, "mean_service_seconds", float, "1.0"),
-        "output_destination": _attribute(node, "output_destination", default=""),
-        "expected_output_bytes": _attribute(node, "expected_output_bytes", int, "0"),
+        "mean_service_seconds": _attribute(node, "mean_service_seconds", "1.0", whole=False),
+        "output_destination": _attribute(node, "output_destination", ""),
+        "expected_output_bytes": _attribute(node, "expected_output_bytes", "0", whole=True),
         "links": links,
     }
 

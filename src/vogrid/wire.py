@@ -19,12 +19,14 @@ with text code and message, or a WireError.
 Each kind of input has one rule. A number is what `is_number` accepts:
 handlers read a number field through `number_field`, and the station's
 quantities and the catalog's file sizes are checked by `is_number` too. A
-list of text is read through `text_list_field`, a port by `is_port`, and a
-station's address through `address_field`. Every line, and every JSON
-file the program opens (`read_json_file`), is decoded by `decode_line`,
-which takes JSON only: a line with NaN, ±Infinity or a number beyond a
-float's range is not JSON, so it is "malformed" and no reply ever echoes
-such a value. Lines are
+number written as text, as a configuration attribute or a typed count, is
+read through `number_text`: as `decode_line` reads a line, then taken only
+if `is_number` takes it. A list of text is read through `text_list_field`,
+a port by `is_port`, and a station's address through `address_field`.
+Every line, and every JSON file the program opens (`read_json_file`), is
+decoded by `decode_line`, which takes JSON only: a line with NaN, ±Infinity
+or a number beyond a float's range is not JSON, so it is "malformed" and no
+reply ever echoes such a value. Lines are
 written through `encode_line`, which refuses to write such a line: a request
 holding NaN fails in the client before it is sent, and a result that is not
 JSON is answered "internal".
@@ -108,6 +110,21 @@ def number_field(msg: dict, field: str, default=None):
         return default
     if not is_number(value):
         raise RequestError("malformed", f"{field} must be a finite nonnegative number")
+    return value
+
+
+def number_text(text: str, whole: bool = False):
+    """The number that `text` spells, if `is_number` takes it (with `whole`,
+    an int). The text is read as `decode_line` reads a line, so space
+    around it is ignored and only JSON's spelling is taken: `1_000`,
+    non-ASCII digits, a sign, a leading zero, NaN and ±Infinity are a
+    ValueError, as are a negative number and, with `whole`, `1e3`."""
+    try:
+        value = decode_line(text.encode("utf-8"))
+    except ValueError:
+        value = None
+    if not is_number(value, whole):
+        raise ValueError(f"{text!r} is not a {'whole ' if whole else ''}number")
     return value
 
 

@@ -139,11 +139,25 @@ def test_extra_cluster_attributes_pass_through():
     # a digit to str.isdigit, but not to int(): once a ValueError
     ("<site name='S'><cluster name='c' slots='\u00b2'><gatekeeper url='u'/>"
      "<station name='s'/></cluster></site>", "slots"),
+    # a leading zero, and non-ASCII digits, which int() reads
+    ("<site name='S'><cluster name='c' slots='08'><gatekeeper url='u'/>"
+     "<station name='s'/></cluster></site>", "slots='08'"),
+    ("<site name='S'><cluster name='c' slots='\u0663'><gatekeeper url='u'/>"
+     "<station name='s'/></cluster></site>", "slots"),
+    ("<site name='S'><cluster name='c' slots='2.0'><gatekeeper url='u'/>"
+     "<station name='s'/></cluster></site>", "slots"),
 ])
 def test_missing_attributes_are_rejected(bad, exc_text):
     with pytest.raises(MissingAttribute) as err:
         generate_classads(select_patterns(read_tree(bad)))
     assert exc_text in str(err.value)
+
+
+def test_slots_padded_with_spaces_read_as_on_a_json_line():
+    ads = generate_classads(select_patterns(read_tree(
+        "<site name='S'><cluster name='c' slots=' 2'><gatekeeper url='u'/>"
+        "<station name='s'/></cluster></site>")))
+    assert [ad.ad_id for ad in ads] == ["S/c#1", "S/c#2"]
 
 
 def test_provenance_covers_every_attribute():

@@ -12,7 +12,7 @@ import pytest
 from vogrid import cli, sim, wire
 from vogrid.classads import AdKind, ad_to_json, parse_classad
 from vogrid.cli import build_parser, main
-from vogrid.conftree import read_tree, write_tree
+from vogrid.conftree import SERVICE_KINDS, derive_service_config, read_tree, write_tree
 from vogrid.conftree.meta import meta_schema
 
 from conftest import fixture_path, fixture_text
@@ -168,7 +168,25 @@ def test_sim_run_offers_exactly_the_simulators_policies(capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("interval", ["nan", "inf", "-inf", "0", "-1", "1e308", "soon"])
+def test_conf_derive_offers_exactly_the_service_kinds(tmp_path, capsys):
+    # spelled out in the parser, as the policies are, so that building it
+    # loads no derivation
+    parser = build_parser()
+    args = ["conf", "derive", "--config", str(SAMPLES / "site.xml")]
+    for kind in SERVICE_KINDS:
+        assert parser.parse_args(args + ["--service", kind]).service == kind
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(args + ["--service", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus' (choose from " + ", ".join(map(repr, SERVICE_KINDS)) in err
+    with pytest.raises(ValueError, match="unknown service kind 'bogus'"):
+        derive_service_config(read_tree((SAMPLES / "site.xml").read_text()), "bogus")
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf", "-inf", "0", "-1", "1e308", "soon",
+                                      # read as 10, 1.5 and 1 by float()
+                                      "1_0", "\u0661.5", "+1"])
 def test_adv_run_takes_only_a_finite_interval_above_zero(interval, capsys):
     parser = build_parser()
     args = ["adv", "run", "--config", "site.xml", "--mm", "127.0.0.1:1"]
@@ -410,6 +428,18 @@ def test_a_port_out_of_range_is_a_usage_error(port, capsys):
     assert "argument --queue: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("job", ["\u0663", "1_0", "+1", "-1", "01", "1.0", "one"])
+def test_a_job_id_that_json_does_not_spell_as_a_whole_number_is_a_usage_error(job, capsys):
+    # int() read the first three as 3, 10 and 1
+    parser = build_parser()
+    args = ["status", "--queue", "127.0.0.1:1"]
+    assert parser.parse_args(args + ["--job", "0"]).job == 0
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(args + [f"--job={job}"])
+    assert exc.value.code == 2
+    assert "argument --job: " in capsys.readouterr().err
+
+
 def test_a_port_in_range_is_taken():
     for port in (1, 65535):
         args = build_parser().parse_args(["status", "--queue", f"h:{port}", "--job", "1"])
@@ -605,6 +635,7 @@ def _scenario_with_first_file(first_file) -> str:
     (_XML_STATION, "not xml"), (_XML_SCHEMA, "not xml"), (_XML_PRIOR, "not xml"),
     (_XML_DERIVE, "not xml"), (_XML_ADV, "not xml"), (_XML_INFO, "not xml"),
     (_GRIDMAP, None), (_GRIDMAP, b"\xff\xfe/C=US\n"), (_ANSWERS, None), (_ANSWERS, "@count x\n"),
+    (_ANSWERS, "@count \u0663\n"),
     (_JOURNAL, _DIRECTORY), (_JOURNAL, _NO_PARENT), (_JOURNAL, '{"event": "new"}\n'),
     (_XML_STATION, _SITE_BAD_NUMBER), (_XML_STATION, _SITE_LINK_NO_TO),
     (_XML_FIXTURE, _SITE_BAD_NUMBER), (_XML_FIXTURE, _SITE_LINK_NO_TO),
@@ -627,7 +658,8 @@ def _scenario_with_first_file(first_file) -> str:
 ], ids=["catalog-list", "catalog-entry", "fixture-list", "fixture-depth", "scenario-list",
         "scenario-station", "ad-parse", "station-config", "conf-schema", "conf-prior",
         "conf-derive-config", "adv-config", "info-config", "gridmap-missing",
-        "gridmap-not-utf8", "answers-missing", "answers-count", "journal-directory",
+        "gridmap-not-utf8", "answers-missing", "answers-count", "answers-count-not-ascii",
+        "journal-directory",
         "journal-no-parent", "journal-no-replay", "station-number", "station-link-no-to",
         "fixture-station-number", "fixture-station-link-no-to", "adv-slots",
         "info-duplicate-dn", "scenario-never-quiesces", "catalog-source-list",

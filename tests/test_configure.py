@@ -109,7 +109,10 @@ def test_parse_answer_file():
     assert script.next_count("q3", 1) == 3
 
 
-@pytest.mark.parametrize("bad", ["@count", "@count x", "!exec nothing here"])
+@pytest.mark.parametrize("bad", ["@count", "@count x", "!exec nothing here",
+                                 # int() took these as 3 and 10, and -2 was refused
+                                 # only by the cardinality it was asked for
+                                 "@count \u0663", "@count 1_0", "@count -2", "@count 2 3"])
 def test_parse_answer_file_rejects(bad):
     with pytest.raises(ScriptMismatch):
         parse_answer_file(bad)
@@ -336,6 +339,21 @@ def test_bad_cardinality_bounds():
                   AnswerScript([]))
 
 
+@pytest.mark.parametrize("attr", ["cardinalityMin", "cardinalityMax"])
+@pytest.mark.parametrize("spelled", ["\u0663", "1_0", "-1", "+1", "01", "1e1", "2.0"])
+def test_a_cardinality_is_a_whole_number_as_json_spells_it(attr, spelled):
+    # read by `wire.number_text`: int() took the first two as 3 and 10
+    schema = read_tree(f"<a><b {attr}='{spelled}'/></a>")
+    with pytest.raises(CardinalityViolation) as exc:
+        configure(schema, AnswerScript([Count(3)]))
+    assert str(exc.value) == f"b: {attr}={spelled!r} is not a whole number"
+
+
+def test_a_cardinality_padded_with_spaces_reads():
+    schema = read_tree("<a><b cardinalityMin=' 2 ' cardinalityMax='2 '/></a>")
+    assert len(configure(schema, AnswerScript([])).children) == 2
+
+
 # -- element renaming and attribute splicing -----------------------------------------
 
 def test_element_name_attr_renames_output():
@@ -373,7 +391,7 @@ def test_attribute_element_must_resolve_name_and_value():
 # -- terminal sessions ----------------------------------------------------------------
 
 def test_interactive_input(monkeypatch, capsys):
-    fed = iter(["", "typed", "oops", "4", ""])
+    fed = iter(["", "typed", "oops", "\u0663", "1_0", "-4", "4", ""])
     monkeypatch.setattr("builtins.input", lambda prompt: next(fed))
     session = InteractiveInput()
     assert session.next_text("q? ", "dflt") == "dflt"

@@ -67,7 +67,7 @@ def test_it_counts_one_load_of_the_seed_1_burst_document(capsys):
     # regular expression again once the warm load has checked it
     assert functions["vogrid.conftree.xmlio:read_tree.<locals>.end"] > 0
     assert not [m for m in load["by_module"] if m.startswith("xml.etree")]
-    assert "vogrid.conftree.tree:_admit" not in functions
+    assert "vogrid.conftree.tree:good_name" not in functions
 
 
 def test_it_counts_one_match_request_per_wire_template(capsys):

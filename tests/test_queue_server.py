@@ -231,14 +231,14 @@ def test_a_shared_ad_is_formatted_once_and_journals_what_formatting_gives(
     assert sorted(formatted) == ["j", "k", "s"]
     # the bytes formatting each ad again gives
     assert path.read_bytes() == b"".join(
-        wire.encode_line({"event": "submit", "job_id": n, "ad": ad_to_json(ad_from_json(ad))})
+        wire.encode_line({"event": "submit", "job_id": n, "ad": ad_to_json(ad_from_json(ad, AdKind.JOB))})
         for n, ad in enumerate(sequence, 1))
     revived = QueueService(str(path))
     try:
         queue = revived.queue
         assert [queue.get(n).status_json() for n in range(1, len(sequence) + 1)] == served
         assert [queue.get(n).ad for n in range(1, len(sequence) + 1)] == [
-            ad_from_json(ad) for ad in sequence]
+            ad_from_json(ad, AdKind.JOB) for ad in sequence]
         assert queue.get(1).ad is queue.get(2).ad is queue.get(8).ad
     finally:
         revived.close()
@@ -432,6 +432,28 @@ def test_a_journal_ad_of_an_unknown_kind_is_corruption(tmp_path, kind):
     with pytest.raises(ValueError) as direct:
         AdKind(kind)
     assert str(direct.value) == f"{kind!r} is not a valid AdKind"
+
+
+def test_a_journal_that_holds_a_resource_ad_is_corruption(tmp_path):
+    # replay once took it: job 1 held a resource ad, and STATUS answered Idle,
+    # though SUBMIT refuses such an ad as malformed
+    path = tmp_path / "queue.ndjson"
+    resource = {"id": "x", "kind": "resource",
+                "attrs": {"Owner": '"a"', "Dataset": '"d"'}}
+    _write_records(path, {"event": "submit", "job_id": 1, "ad": resource})
+    before = path.read_bytes()
+    with pytest.raises(CorruptJournal) as caught:
+        QueueService(str(path))
+    assert str(caught.value) == ("line 1 does not replay: ValueError(\"ad kind must be "
+                                 "'job', not 'resource'\")")
+    assert path.read_bytes() == before
+    fresh = QueueService(str(tmp_path / "fresh.ndjson"))
+    try:
+        reply = fresh.handle_message(_msg("SUBMIT", 1, ad=resource))
+    finally:
+        fresh.close()
+    assert reply["error"] == {"code": "malformed",
+                              "message": "ad kind must be 'job', not 'resource'"}
 
 
 def test_every_replayed_history_entry_holds_a_state_a_number_and_text_or_null(tmp_path):

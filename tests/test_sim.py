@@ -224,6 +224,8 @@ def test_undefined_station_rejected():
     ("1.0", {"input_queue_depth": 0.5}),
     ("1.0", {"cached_files": "f0"}),
     ("1.0", {"no_such_field": 1}),
+    # spellings only JSON refuses, once read as 10, 1.5 and 1.0
+    ("1_0", {}), ("\u0661.5", {}), ("+1.0", {}),
 ])
 def test_a_station_that_does_not_build_is_a_scenario_parse_error(xml_value, fixture):
     # each would give a NaN or infinite score, or one that rises with the queue

@@ -9,7 +9,7 @@ import socket
 import pytest
 from hypothesis import given, settings, strategies
 
-from vogrid.conftree import read_tree
+from vogrid.conftree import TreeNode, read_tree
 from vogrid import wire
 from vogrid.station import (
     DatasetCatalog,
@@ -19,6 +19,7 @@ from vogrid.station import (
     StationState,
     UnknownDataset,
     apply_event,
+    config_fields,
     copy_state,
     get_preference,
     handler,
@@ -430,6 +431,31 @@ def test_station_from_config_fixture_merge():
     assert st.output_destination == "CDF"
     # and override the config's link of the same name
     assert station_from_config(node, {"links": {"FNAL": 5e7}}).links == {"FNAL": 5e7}
+
+
+@pytest.mark.parametrize("spelled", [
+    "1_000", "\u0661\u0665", "+15", "015", "-15", "NaN", "Infinity", "1e400", "fifteen", "",
+])
+@pytest.mark.parametrize("element, attr", [
+    ("station", "mean_service_seconds"), ("station", "expected_output_bytes"),
+    ("link", "bandwidth_bytes_per_second"),
+])
+def test_a_station_number_is_read_as_json_spells_it(element, attr, spelled):
+    # read by `wire.number_text`: float() and int() took the first five
+    # spellings, and the -15 and inf they gave were refused only later
+    base = {"station": {"name": "durin", "output_destination": "FNAL"},
+            "link": {"to": "FNAL", "bandwidth_bytes_per_second": "1e8"}}
+
+    def station(value):
+        attrs = {**base, element: {**base[element], attr: value}}
+        return TreeNode("station", attrs["station"], [TreeNode("link", attrs["link"])])
+
+    fields = config_fields(station(" 15 "))  # space around it is ignored
+    assert (fields["links"]["FNAL"] if element == "link" else fields[attr]) == 15
+    with pytest.raises(ValueError) as exc:
+        config_fields(station(spelled))
+    assert str(exc.value) == (f"<{element}> {attr}={spelled!r} is not a "
+                              f"{'whole ' if attr == 'expected_output_bytes' else ''}number")
 
 
 def test_station_from_golden_slice():
